@@ -927,16 +927,8 @@ impl geodabs_serve::ServeBackend for AnyIndex {
         AnyIndex::backend_name(self)
     }
 
-    fn len(&self) -> usize {
-        TrajectoryIndex::len(self)
-    }
-
     fn term_count(&self) -> usize {
         AnyIndex::term_count(self)
-    }
-
-    fn search(&self, query: &Trajectory, options: &SearchOptions) -> Vec<SearchResult> {
-        TrajectoryIndex::search(self, query, options)
     }
 
     fn search_fingerprints(
@@ -960,14 +952,6 @@ impl geodabs_serve::ServeBackend for AnyIndex {
         }
     }
 
-    fn insert(&mut self, id: TrajId, trajectory: &Trajectory) {
-        TrajectoryIndex::insert(self, id, trajectory);
-    }
-
-    fn remove(&mut self, id: TrajId) -> bool {
-        TrajectoryIndex::remove(self, id)
-    }
-
     fn to_snapshot_bytes(&self) -> Option<Vec<u8>> {
         match self {
             AnyIndex::Geodab(index) => geodabs_serve::ServeBackend::to_snapshot_bytes(index),
@@ -986,23 +970,17 @@ impl geodabs_serve::ServeBackend for AnyIndex {
         }
     }
 
-    fn shard_query(
-        &self,
-        ordered: &[u32],
-        options: &SearchOptions,
-    ) -> Result<Vec<SearchResult>, &'static str> {
+    fn as_shard(&self) -> Option<&ShardNode> {
         match self {
-            AnyIndex::Node(index) => {
-                geodabs_serve::ServeBackend::shard_query(index, ordered, options)
-            }
-            _ => Err("this backend is not a shard node; start the server with --shard-id"),
+            AnyIndex::Node(node) => Some(node),
+            _ => None,
         }
     }
 
-    fn shard_insert(&mut self, id: TrajId, ordered: &[u32]) -> Result<(), &'static str> {
+    fn as_shard_mut(&mut self) -> Option<&mut ShardNode> {
         match self {
-            AnyIndex::Node(index) => geodabs_serve::ServeBackend::shard_insert(index, id, ordered),
-            _ => Err("this backend is not a shard node; start the server with --shard-id"),
+            AnyIndex::Node(node) => Some(node),
+            _ => None,
         }
     }
 }

@@ -2,6 +2,7 @@ use geodabs_core::{Fingerprinter, Fingerprints, GeodabConfig};
 use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::{TrajId, Trajectory};
 use std::collections::{BTreeSet, HashMap};
+use std::convert::Infallible;
 use std::sync::Mutex;
 
 use crate::{ClusterConfigError, ShardRouter};
@@ -102,9 +103,8 @@ impl NodeStore {
 /// A trajectory referenced from several nodes is scored with the same
 /// full fingerprint replica everywhere, so duplicates are identical;
 /// deduplicate by id, then re-rank the union under the same options.
-/// This is the one merge both the in-process [`ClusterIndex`]
-/// coordinator and the network frontend use, so sharded answers are
-/// bit-identical to the monolithic index by construction.
+/// [`scatter_gather`] is its one production caller, so every sharded
+/// answer is bit-identical to the monolithic index by construction.
 pub fn merge_heaps<I>(partials: I, options: &SearchOptions) -> Vec<SearchResult>
 where
     I: IntoIterator<Item = Vec<SearchResult>>,
@@ -120,6 +120,26 @@ where
         topk.push(hit);
     }
     topk.into_sorted()
+}
+
+/// The one fan-out every deployment shape runs: route the query's terms
+/// to the shards and nodes owning them, let `legs` score those nodes
+/// into per-node top-k heaps — in-process stores ([`ClusterIndex`]),
+/// copy-on-write cells or remote shard servers (`geodabs-serve`) — and
+/// merge the heaps exactly.
+///
+/// # Errors
+///
+/// Forwards `legs`' error: a remote leg can fail, local ones cannot.
+pub fn scatter_gather<E>(
+    router: &ShardRouter,
+    query_fp: &Fingerprints,
+    options: &SearchOptions,
+    legs: impl FnOnce(&[u64], &[usize]) -> Result<Vec<Vec<SearchResult>>, E>,
+) -> Result<Vec<SearchResult>, E> {
+    let shards = router.shards_for_terms(query_fp.set().iter());
+    let nodes = router.nodes_of_shards(&shards);
+    Ok(merge_heaps(legs(&shards, &nodes)?, options))
 }
 
 /// A simulated cluster hosting a sharded geodab index.
@@ -363,44 +383,32 @@ impl ClusterIndex {
         query_fp: &Fingerprints,
         options: &SearchOptions,
     ) -> (Vec<SearchResult>, QueryStats) {
-        let shards = self.router.shards_for_terms(query_fp.set().iter());
-        let node_ids: Vec<usize> = {
-            let mut v: Vec<usize> = shards
-                .iter()
-                .map(|&s| self.router.node_of_shard(s))
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let partials: Mutex<Vec<(Vec<SearchResult>, usize)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for &ni in &node_ids {
-                let node = &self.nodes[ni];
-                let partials = &partials;
-                scope.spawn(move || {
-                    let local = node.score(query_fp, options);
-                    partials
-                        .lock()
-                        .expect("scoring threads never panic")
-                        .push(local);
-                });
+        let mut stats = QueryStats::default();
+        let Ok(merged) = scatter_gather(&self.router, query_fp, options, |shards, node_ids| {
+            let partials: Mutex<Vec<(Vec<SearchResult>, usize)>> = Mutex::new(Vec::new());
+            std::thread::scope(|scope| {
+                for &ni in node_ids {
+                    let node = &self.nodes[ni];
+                    let partials = &partials;
+                    scope.spawn(move || {
+                        let local = node.score(query_fp, options);
+                        partials
+                            .lock()
+                            .expect("scoring threads never panic")
+                            .push(local);
+                    });
+                }
+            });
+            stats.shards_contacted = shards.len();
+            stats.nodes_contacted = node_ids.len();
+            let mut heaps: Vec<Vec<SearchResult>> = Vec::new();
+            for (heap, n) in partials.into_inner().expect("scoring threads never panic") {
+                heaps.push(heap);
+                stats.candidates_scored += n;
             }
+            Ok::<_, Infallible>(heaps)
         });
-        let mut heaps: Vec<Vec<SearchResult>> = Vec::new();
-        let mut scored = 0usize;
-        for (heap, n) in partials.into_inner().expect("scoring threads never panic") {
-            heaps.push(heap);
-            scored += n;
-        }
-        (
-            merge_heaps(heaps, options),
-            QueryStats {
-                shards_contacted: shards.len(),
-                nodes_contacted: node_ids.len(),
-                candidates_scored: scored,
-            },
-        )
+        (merged, stats)
     }
 
     /// Ranked fan-out query (see [`ClusterIndex::search_with_stats`]).

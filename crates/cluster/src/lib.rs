@@ -42,6 +42,6 @@ mod node;
 mod router;
 mod snapshot;
 
-pub use cluster::{merge_heaps, ClusterIndex, QueryStats};
+pub use cluster::{merge_heaps, scatter_gather, ClusterIndex, QueryStats};
 pub use node::ShardNode;
 pub use router::{ClusterConfigError, ShardRouter};

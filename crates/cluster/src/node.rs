@@ -28,7 +28,7 @@ use geodabs_index::store::{
     node_section_id, BackendKind, Cursor, Persist, SnapshotError, SnapshotReader, SnapshotWriter,
     MAX_NODE_SECTIONS, SEC_CONFIG, SEC_FINGERPRINTS,
 };
-use geodabs_index::{SearchOptions, SearchResult};
+use geodabs_index::{SearchOptions, SearchResult, TrajectoryIndex};
 use geodabs_traj::{TrajId, Trajectory};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -93,34 +93,9 @@ impl ShardNode {
         self.node_id
     }
 
-    /// Distinct trajectories referenced by this node's postings.
-    pub fn len(&self) -> usize {
-        self.store.fingerprints.len()
-    }
-
-    /// Whether this node references no trajectory.
-    pub fn is_empty(&self) -> bool {
-        self.store.fingerprints.is_empty()
-    }
-
     /// Distinct terms with a posting list on this node.
     pub fn term_count(&self) -> usize {
         self.store.postings.len()
-    }
-
-    /// The ids holding a replica on this node, ascending.
-    pub fn ids(&self) -> impl Iterator<Item = TrajId> + '_ {
-        let mut ids: Vec<TrajId> = self.store.fingerprints.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter()
-    }
-
-    /// Fingerprints a trajectory and keeps this node's slice — what a
-    /// shard server does when it ingests a corpus directly (every node
-    /// ingests the same corpus; each keeps only its routed postings).
-    pub fn insert(&mut self, id: TrajId, trajectory: &Trajectory) {
-        let fp = self.fingerprinter.normalize_and_fingerprint(trajectory);
-        self.insert_fingerprints(id, fp);
     }
 
     /// Applies an insert broadcast from the frontend: `fp` is the
@@ -145,11 +120,36 @@ impl ShardNode {
         }
     }
 
+    /// Node-local ranked scoring from the query's full fingerprints:
+    /// candidates are the union of this node's posting lists for the
+    /// query terms, each scored exactly against its full replica into a
+    /// bounded top-k heap — the per-shard partial the frontend merges
+    /// via [`crate::merge_heaps`].
+    pub fn search_fingerprints(
+        &self,
+        query_fp: &Fingerprints,
+        options: &SearchOptions,
+    ) -> Vec<SearchResult> {
+        self.store.score(query_fp, options).0
+    }
+}
+
+/// A node is a [`TrajectoryIndex`] over its slice, so a shard server
+/// hosts it through the same trait as every other backend.
+impl TrajectoryIndex for ShardNode {
+    /// Fingerprints a trajectory and keeps this node's slice — what a
+    /// shard server does when it ingests a corpus directly (every node
+    /// ingests the same corpus; each keeps only its routed postings).
+    fn insert(&mut self, id: TrajId, trajectory: &Trajectory) {
+        let fp = self.fingerprinter.normalize_and_fingerprint(trajectory);
+        self.insert_fingerprints(id, fp);
+    }
+
     /// Applies a remove broadcast from the frontend; returns whether
     /// this node held anything for `id`. The local replica names
     /// exactly the posting lists to scrub — no coordinator bookkeeping
     /// is needed.
-    pub fn remove(&mut self, id: TrajId) -> bool {
+    fn remove(&mut self, id: TrajId) -> bool {
         let Some(fp) = self.store.fingerprints.remove(&id) else {
             return false;
         };
@@ -171,24 +171,23 @@ impl ShardNode {
         true
     }
 
-    /// Node-local ranked scoring from the query's full fingerprints:
-    /// candidates are the union of this node's posting lists for the
-    /// query terms, each scored exactly against its full replica into a
-    /// bounded top-k heap — the per-shard partial the frontend merges
-    /// via [`crate::merge_heaps`].
-    pub fn search_fingerprints(
-        &self,
-        query_fp: &Fingerprints,
-        options: &SearchOptions,
-    ) -> Vec<SearchResult> {
-        self.store.score(query_fp, options).0
-    }
-
     /// Fingerprints a query trajectory and scores it locally (see
     /// [`ShardNode::search_fingerprints`]).
-    pub fn search(&self, query: &Trajectory, options: &SearchOptions) -> Vec<SearchResult> {
+    fn search(&self, query: &Trajectory, options: &SearchOptions) -> Vec<SearchResult> {
         let query_fp = self.fingerprinter.normalize_and_fingerprint(query);
         self.search_fingerprints(&query_fp, options)
+    }
+
+    /// Distinct trajectories referenced by this node's postings.
+    fn len(&self) -> usize {
+        self.store.fingerprints.len()
+    }
+
+    /// The ids holding a replica on this node, ascending.
+    fn ids(&self) -> impl Iterator<Item = TrajId> + '_ {
+        let mut ids: Vec<TrajId> = self.store.fingerprints.keys().copied().collect();
+        ids.sort_unstable();
+        ids.into_iter()
     }
 }
 

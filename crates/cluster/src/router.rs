@@ -122,16 +122,17 @@ impl ShardRouter {
         shards
     }
 
-    /// Distinct nodes touched by a term set, sorted.
-    pub fn nodes_for_terms<I: IntoIterator<Item = u32>>(&self, terms: I) -> Vec<usize> {
-        let mut nodes: Vec<usize> = self
-            .shards_for_terms(terms)
-            .into_iter()
-            .map(|s| self.node_of_shard(s))
-            .collect();
+    /// Distinct nodes hosting a shard set, sorted.
+    pub fn nodes_of_shards(&self, shards: &[u64]) -> Vec<usize> {
+        let mut nodes: Vec<usize> = shards.iter().map(|&s| self.node_of_shard(s)).collect();
         nodes.sort_unstable();
         nodes.dedup();
         nodes
+    }
+
+    /// Distinct nodes touched by a term set, sorted.
+    pub fn nodes_for_terms<I: IntoIterator<Item = u32>>(&self, terms: I) -> Vec<usize> {
+        self.nodes_of_shards(&self.shards_for_terms(terms))
     }
 }
 

@@ -9,22 +9,26 @@
 //! replicas). A query is fingerprinted once at the frontend, the
 //! router names the nodes its terms touch, and a `ShardQuery` carrying
 //! the **full** ordered term sequence is pipelined to each of them;
-//! every node answers its exact local top-k heap (`ShardTopK`), and the
-//! frontend merges the heaps with [`merge_heaps`] — the same merge the
-//! in-process [`ClusterIndex`](geodabs_cluster::ClusterIndex)
-//! coordinator uses, so the distributed ranking is **bit-identical** to
-//! the monolithic one by construction.
+//! every node answers its exact local top-k heap (`ShardTopK`). Route,
+//! legs and merge are [`scatter_gather`] — the one fan-out the
+//! in-process [`ClusterIndex`](geodabs_cluster::ClusterIndex) and the
+//! copy-on-write [`ShardedIndex`](crate::ShardedIndex) run too, here
+//! with sockets for legs — so the distributed ranking is
+//! **bit-identical** to the monolithic one by construction.
 //!
-//! # Lifecycle
+//! # One server, a third hosting
 //!
-//! The frontend shares the server's lifecycle shapes: `bind(...)` →
-//! [`Frontend::run`] / [`Frontend::spawn`] →
-//! [`RunningServer`](crate::RunningServer), controlled through the same
-//! [`ServerHandle`](crate::ServerHandle). Client connections are served
-//! by the same multiplexer as the single-process server — a fixed pool
+//! A frontend is not a second server implementation: it is the crate's
+//! one bind/run/spawn shell and one request executor (see the
+//! [`Server`](crate::Server) module docs) over a third *host* — the
+//! remote shard set defined here, next to the locked backend and the
+//! copy-on-write cells. `bind(...)` → [`Frontend::run`] /
+//! [`Frontend::spawn`] → [`RunningServer`](crate::RunningServer),
+//! controlled through the same [`ServerHandle`](crate::ServerHandle);
+//! client connections are served by the same multiplexer — a fixed pool
 //! of [`FrontendConfig::mux_workers`] workers sweeping many non-blocking
-//! connections each; every worker owns one lazy private connection per
-//! shard server.
+//! connections each — and every worker owns, as its per-worker host
+//! state, one lazy private connection per shard server.
 //!
 //! # Mutations
 //!
@@ -51,28 +55,22 @@
 //! the nodes; re-issuing it (the op is idempotent) converges the
 //! cluster once the node is back.
 
-use geodabs_cluster::{merge_heaps, ShardRouter};
+use geodabs_cluster::{scatter_gather, ShardRouter};
 use geodabs_core::{Fingerprinter, Fingerprints};
 use geodabs_index::batch::default_threads;
 use geodabs_index::{SearchOptions, SearchResult};
-use geodabs_traj::TrajId;
-use std::collections::BTreeSet;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-use std::time::Duration;
-
 use geodabs_obs::TraceId;
+use geodabs_traj::TrajId;
+use geodabs_wal::WalOp;
+use std::collections::BTreeSet;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::RwLock;
+use std::time::Duration;
 
 use crate::client::Client;
 use crate::metrics::ServeMetrics;
-use crate::mux::{self, RESPONSE_TOO_LARGE};
-use crate::proto::{QueryBody, Request, Response, StatsBody, WireError, MAX_FRAME_LEN};
-use crate::server::{RunningServer, ServerConfigError, ServerHandle};
-
-/// Upper bound on hits across one response — the same frame-cap
-/// arithmetic the single-process server enforces.
-const MAX_RESPONSE_HITS: usize = MAX_FRAME_LEN as usize / 12;
+use crate::proto::{QueryBody, Request, Response, WireError};
+use crate::server::{Bound, Host, Refusal, RunningServer, ServerConfigError, ServerHandle, Span};
 
 /// Frontend tuning knobs; build with [`FrontendConfig::builder`].
 ///
@@ -196,7 +194,9 @@ impl FrontendConfigBuilder {
     }
 }
 
-struct FrontendShared {
+/// The remote hosting: the index lives on shard servers; the frontend
+/// keeps only what routes to them and the acknowledged id set.
+struct RemoteShards {
     fingerprinter: Fingerprinter,
     router: ShardRouter,
     shard_addrs: Vec<String>,
@@ -207,21 +207,12 @@ struct FrontendShared {
     indexed: RwLock<BTreeSet<TrajId>>,
     retries: u32,
     shard_timeout: Option<Duration>,
-    workers: usize,
-    shutdown: Arc<AtomicBool>,
-    requests: AtomicU64,
-    metrics: ServeMetrics,
 }
 
 /// A frontend bound to its socket but not yet serving; call
 /// [`Frontend::run`] (blocking) or [`Frontend::spawn`] (background
 /// thread). The module-level docs sketch the topology.
-pub struct Frontend {
-    listener: TcpListener,
-    addr: SocketAddr,
-    workers: usize,
-    shared: Arc<FrontendShared>,
-}
+pub struct Frontend(Bound<RemoteShards>);
 
 impl Frontend {
     /// Binds to `addr`, coordinating the shard servers at
@@ -249,69 +240,47 @@ impl Frontend {
             router.num_nodes(),
             "one shard server address per router node"
         );
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let workers = config.mux_workers().max(1);
-        let shared = Arc::new(FrontendShared {
-            fingerprinter,
-            router,
-            shard_addrs,
-            indexed: RwLock::new(BTreeSet::new()),
-            retries: config.retries(),
-            shard_timeout: config.shard_timeout(),
-            workers,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            requests: AtomicU64::new(0),
-            metrics: ServeMetrics::from_env(),
-        });
-        Ok(Frontend {
-            listener,
-            addr,
-            workers,
-            shared,
+        Bound::bind(addr, config.mux_workers(), |_| {
+            Ok(RemoteShards {
+                fingerprinter,
+                router,
+                shard_addrs,
+                indexed: RwLock::new(BTreeSet::new()),
+                retries: config.retries(),
+                shard_timeout: config.shard_timeout(),
+            })
         })
+        .map(Frontend)
     }
 
     /// The bound address (with the OS-assigned port resolved).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.local_addr()
     }
 
     /// A remote-control handle usable from any thread — the same
     /// [`ServerHandle`] a single-process server hands out.
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle::new(self.addr, Arc::clone(&self.shared.shutdown))
+        self.0.handle()
     }
 
     /// Serves until [`ServerHandle::shutdown`]; returns the number of
     /// requests served. Client connections run through the same
-    /// multiplexer as the single-process server; each worker
-    /// additionally owns one lazy connection per shard server.
+    /// multiplexer and executor as the single-process server; each
+    /// worker additionally owns one lazy connection per shard server.
     ///
     /// # Errors
     ///
     /// Fatal listener errors; per-connection errors only drop that
     /// connection.
     pub fn run(self) -> std::io::Result<u64> {
-        let shared = &self.shared;
-        mux::serve_connections(
-            &self.listener,
-            self.workers,
-            &shared.shutdown,
-            &shared.requests,
-            &shared.metrics,
-            || ShardPool::new(shared),
-            |pool, request| execute(shared, pool, request),
-        )
-        .map(|()| self.shared.requests.load(Ordering::SeqCst))
+        self.0.run()
     }
 
     /// Moves the frontend onto a background thread and returns its
     /// controls — a [`RunningServer`], just like [`crate::Server::spawn`].
     pub fn spawn(self) -> RunningServer {
-        let handle = self.handle();
-        let join = std::thread::spawn(move || self.run());
-        RunningServer::from_parts(handle, join)
+        RunningServer::spawn(self.handle(), move || self.run())
     }
 }
 
@@ -319,7 +288,8 @@ impl Frontend {
 /// lazily and dropped on failure (the next use redials — that is the
 /// recovery path after a shard restart).
 struct ShardPool<'a> {
-    shared: &'a FrontendShared,
+    remote: &'a RemoteShards,
+    metrics: &'a ServeMetrics,
     clients: Vec<Option<Client>>,
     /// Nodes that rejected a trace-carrying `ShardQuery` (a pre-trace
     /// server build): once latched, this worker sends them the legacy
@@ -327,22 +297,14 @@ struct ShardPool<'a> {
     legacy_trace: Vec<bool>,
 }
 
-impl<'a> ShardPool<'a> {
-    fn new(shared: &'a FrontendShared) -> ShardPool<'a> {
-        ShardPool {
-            clients: (0..shared.shard_addrs.len()).map(|_| None).collect(),
-            legacy_trace: vec![false; shared.shard_addrs.len()],
-            shared,
-        }
-    }
-
+impl ShardPool<'_> {
     /// The live connection to `node`, dialing if needed.
     fn client(&mut self, node: usize) -> Result<&mut Client, WireError> {
         if self.clients[node].is_none() {
             let client =
-                Client::connect(self.shared.shard_addrs[node].as_str()).map_err(WireError::Io)?;
+                Client::connect(self.remote.shard_addrs[node].as_str()).map_err(WireError::Io)?;
             client
-                .set_read_timeout(self.shared.shard_timeout)
+                .set_read_timeout(self.remote.shard_timeout)
                 .map_err(WireError::Io)?;
             self.clients[node] = Some(client);
         }
@@ -355,7 +317,7 @@ impl<'a> ShardPool<'a> {
     /// as-is — retrying cannot change a typed refusal.
     fn exchange(&mut self, node: usize, request: &Request) -> Result<Response, WireError> {
         let mut last: Option<WireError> = None;
-        for _ in 0..=self.shared.retries {
+        for _ in 0..=self.remote.retries {
             match self.try_exchange(node, request) {
                 Ok(response) => return Ok(response),
                 Err(e) => {
@@ -376,7 +338,8 @@ impl<'a> ShardPool<'a> {
     /// Scatter one request to every node in `nodes` (pipelined sends,
     /// then in-order receives) and gather the responses. Nodes whose
     /// pipelined leg failed are retried individually; a node that
-    /// still cannot answer fails the whole scatter with its error.
+    /// still cannot answer fails the whole scatter with the typed
+    /// degraded response.
     ///
     /// `legacy` is the trace-less shape of `request`, when it has one:
     /// nodes latched as pre-trace builds receive it instead, and a node
@@ -388,8 +351,8 @@ impl<'a> ShardPool<'a> {
         nodes: &[usize],
         request: &Request,
         legacy: Option<&Request>,
-    ) -> Result<Vec<Response>, (usize, WireError)> {
-        let metrics = &self.shared.metrics;
+    ) -> Result<Vec<Response>, Refusal> {
+        let metrics = self.metrics;
         let started = metrics.now();
         let mut sent = vec![false; nodes.len()];
         for (slot, &node) in nodes.iter().enumerate() {
@@ -424,23 +387,19 @@ impl<'a> ShardPool<'a> {
                 Some(response) => response,
                 // The pipelined leg failed: fall back to the serial
                 // reconnect-and-retry path for this node alone.
-                None => match self.exchange(node, outgoing) {
-                    Ok(response) => response,
-                    Err(e) => return Err((node, e)),
-                },
+                None => self
+                    .exchange(node, outgoing)
+                    .map_err(|e| unavailable(node, e))?,
             };
             // A pre-trace build cannot decode the trace tail and
             // answers "bad request": resend the legacy shape once and
             // remember the node's vintage.
             if let (Some(legacy), Response::Error(message)) = (legacy, &response) {
                 if !self.legacy_trace[node] && message.starts_with("bad request") {
-                    match self.exchange(node, legacy) {
-                        Ok(retried) => {
-                            self.legacy_trace[node] = true;
-                            response = retried;
-                        }
-                        Err(e) => return Err((node, e)),
-                    }
+                    response = self
+                        .exchange(node, legacy)
+                        .map_err(|e| unavailable(node, e))?;
+                    self.legacy_trace[node] = true;
                 }
             }
             if let Some(started) = started {
@@ -456,11 +415,25 @@ impl<'a> ShardPool<'a> {
         metrics.scatter_fanout.record(nodes.len() as u64);
         Ok(responses)
     }
+
+    /// Broadcast one mutation to **all** nodes; every node must ack.
+    /// The caller holds the indexed set's write lock.
+    fn broadcast(&mut self, request: &Request) -> Result<(), Refusal> {
+        let nodes: Vec<usize> = (0..self.remote.shard_addrs.len()).collect();
+        let responses = self.scatter(&nodes, request, None)?;
+        for (response, node) in responses.into_iter().zip(nodes) {
+            match response {
+                Response::Inserted { .. } | Response::Removed { .. } => {}
+                other => return Err(unexpected(node, other)),
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Maps a failed scatter leg to the typed degraded response.
-fn unavailable(node: usize, error: WireError) -> Response {
-    match error {
+fn unavailable(node: usize, error: WireError) -> Refusal {
+    Refusal::Answer(match error {
         // The shard answered with a typed refusal: forward it verbatim
         // — the node is alive, the request is at fault.
         WireError::Remote(message) => Response::Error(message),
@@ -468,218 +441,152 @@ fn unavailable(node: usize, error: WireError) -> Response {
             node: node as u32,
             message: other.to_string(),
         },
-    }
+    })
 }
 
-/// The fingerprints a query body denotes (the frontend fingerprints raw
-/// trajectories exactly once; pre-fingerprinted bodies pass through).
-fn query_fingerprints(shared: &FrontendShared, query: &QueryBody) -> Fingerprints {
-    match query {
-        QueryBody::Trajectory(trajectory) => {
-            shared.fingerprinter.normalize_and_fingerprint(trajectory)
-        }
-        QueryBody::Fingerprints(ordered) => Fingerprints::from_ordered(ordered.clone()),
-    }
+/// Maps a shard's answer of the wrong shape: its own typed refusal is
+/// forwarded verbatim, anything else means the node cannot be trusted.
+fn unexpected(node: usize, response: Response) -> Refusal {
+    Refusal::Answer(match response {
+        Response::Error(message) => Response::Error(message),
+        _ => Response::Unavailable {
+            node: node as u32,
+            message: "shard answered with the wrong response type".to_string(),
+        },
+    })
 }
 
-/// One scatter/gather ranked retrieval, tagged with `trace` on the
-/// wire. The caller holds the indexed set's read lock; `stages` gains
-/// the scatter and merge spans when metrics are enabled.
-fn scatter_query(
-    shared: &FrontendShared,
-    pool: &mut ShardPool<'_>,
-    fp: &Fingerprints,
-    options: &SearchOptions,
-    trace: u64,
-    stages: &mut Vec<(String, u64)>,
-) -> Result<Vec<SearchResult>, Response> {
-    if fp.is_empty() {
-        return Ok(Vec::new());
-    }
-    let metrics = &shared.metrics;
-    let nodes = shared.router.nodes_for_terms(fp.ordered().iter().copied());
-    let request = Request::ShardQuery {
-        terms: fp.ordered().to_vec(),
-        options: *options,
-        trace,
-    };
-    // The trace-less twin, for nodes running a pre-trace build (see
-    // ShardPool::scatter). Built only when a trace is actually carried.
-    let legacy = (trace != 0).then(|| Request::ShardQuery {
-        terms: fp.ordered().to_vec(),
-        options: *options,
-        trace: 0,
-    });
-    let scatter_started = metrics.now();
-    let responses = pool
-        .scatter(&nodes, &request, legacy.as_ref())
-        .map_err(|(node, e)| unavailable(node, e))?;
-    if let Some(started) = scatter_started {
-        stages.push(("scatter".to_string(), started.elapsed().as_micros() as u64));
-    }
-    let mut heaps = Vec::with_capacity(responses.len());
-    for (response, &node) in responses.into_iter().zip(&nodes) {
-        match response {
-            Response::ShardTopK(heap) => heaps.push(heap),
-            Response::Error(message) => return Err(Response::Error(message)),
-            _ => {
-                return Err(Response::Unavailable {
-                    node: node as u32,
-                    message: "shard answered with the wrong response type".to_string(),
-                })
-            }
+/// The refusal for shard frames sent to a frontend.
+const NOT_A_SHARD_SERVER: &str =
+    "the frontend does not answer shard frames; address them to a shard server";
+
+impl Host for RemoteShards {
+    type Worker<'a> = ShardPool<'a>;
+
+    fn worker<'a>(&'a self, metrics: &'a ServeMetrics) -> ShardPool<'a> {
+        ShardPool {
+            remote: self,
+            metrics,
+            clients: (0..self.shard_addrs.len()).map(|_| None).collect(),
+            legacy_trace: vec![false; self.shard_addrs.len()],
         }
     }
-    let merge_started = metrics.now();
-    let merged = merge_heaps(heaps, options);
-    let merge_us = metrics.record_since(&metrics.stage_merge_us, merge_started);
-    if merge_started.is_some() {
-        stages.push(("merge".to_string(), merge_us));
-    }
-    Ok(merged)
-}
 
-/// Broadcast one mutation to **all** nodes; every node must ack. The
-/// caller holds the indexed set's write lock.
-fn broadcast(
-    shared: &FrontendShared,
-    pool: &mut ShardPool<'_>,
-    request: &Request,
-) -> Result<(), Response> {
-    let nodes: Vec<usize> = (0..shared.shard_addrs.len()).collect();
-    let responses = pool
-        .scatter(&nodes, request, None)
-        .map_err(|(node, e)| unavailable(node, e))?;
-    for (response, node) in responses.into_iter().zip(nodes) {
-        match response {
-            Response::Inserted { .. } | Response::Removed { .. } => {}
-            Response::Error(message) => return Err(Response::Error(message)),
-            _ => {
-                return Err(Response::Unavailable {
-                    node: node as u32,
-                    message: "shard answered with the wrong response type".to_string(),
-                })
-            }
+    fn mint_trace(&self) -> u64 {
+        TraceId::mint().raw()
+    }
+
+    fn stats(&self) -> Result<(&'static str, u64, u64), Refusal> {
+        let indexed = self.indexed.read().map_err(|_| Refusal::Poisoned)?;
+        Ok((
+            "frontend",
+            indexed.len() as u64,
+            self.shard_addrs.len() as u64,
+        ))
+    }
+
+    /// One scatter/gather ranked retrieval, tagged with the span's
+    /// trace on the wire; the span gains the scatter and merge stages.
+    fn search(
+        &self,
+        pool: &mut ShardPool<'_>,
+        query: &QueryBody,
+        leg: bool,
+        options: &SearchOptions,
+        span: &mut Span<'_>,
+    ) -> Result<Vec<SearchResult>, Refusal> {
+        if leg {
+            return Err(Refusal::error(NOT_A_SHARD_SERVER));
         }
+        let _indexed = self.indexed.read().map_err(|_| Refusal::Poisoned)?;
+        // The frontend fingerprints raw trajectories exactly once;
+        // pre-fingerprinted bodies pass through.
+        let fp = match query {
+            QueryBody::Trajectory(trajectory) => {
+                self.fingerprinter.normalize_and_fingerprint(trajectory)
+            }
+            QueryBody::Fingerprints(ordered) => Fingerprints::from_ordered(ordered.clone()),
+        };
+        let (metrics, trace) = (span.metrics, span.trace);
+        let mut merge_started = None;
+        let merged = scatter_gather(&self.router, &fp, options, |_, nodes| {
+            // An unfingerprintable query touches no shard at all.
+            if nodes.is_empty() {
+                return Ok(Vec::new());
+            }
+            let shard_query = |trace| Request::ShardQuery {
+                terms: fp.ordered().to_vec(),
+                options: *options,
+                trace,
+            };
+            // The trace-less twin, for nodes running a pre-trace build
+            // (see ShardPool::scatter). Built only when a trace is
+            // actually carried.
+            let legacy = (trace != 0).then(|| shard_query(0));
+            let scatter_started = metrics.now();
+            let responses = pool.scatter(nodes, &shard_query(trace), legacy.as_ref())?;
+            span.stage("scatter", None, scatter_started);
+            let mut heaps = Vec::with_capacity(responses.len());
+            for (response, &node) in responses.into_iter().zip(nodes) {
+                match response {
+                    Response::ShardTopK(heap) => heaps.push(heap),
+                    other => return Err(unexpected(node, other)),
+                }
+            }
+            merge_started = metrics.now();
+            Ok(heaps)
+        })?;
+        span.stage("merge", Some(&metrics.stage_merge_us), merge_started);
+        Ok(merged)
     }
-    Ok(())
-}
 
-fn execute(shared: &FrontendShared, pool: &mut ShardPool<'_>, request: Request) -> Response {
-    match request {
-        Request::Ping => Response::Pong,
-        Request::Stats { .. } => match shared.indexed.read() {
-            Ok(indexed) => Response::Stats(StatsBody {
-                backend: "frontend".to_string(),
-                trajectories: indexed.len() as u64,
-                terms: shared.shard_addrs.len() as u64,
-                workers: shared.workers as u64,
-                durability: None,
-            }),
-            Err(_) => poisoned(),
-        },
-        Request::Query { query, options } => match shared.indexed.read() {
-            Ok(_indexed) => {
-                let metrics = &shared.metrics;
-                let trace = TraceId::mint().raw();
-                let started = metrics.now();
-                let mut stages = Vec::new();
-                let fp = query_fingerprints(shared, &query);
-                let result = scatter_query(shared, pool, &fp, &options, trace, &mut stages);
-                if let Some(started) = started {
-                    let total_us = started.elapsed().as_micros() as u64;
-                    metrics.observe_slow(trace, "query", total_us, stages);
-                }
-                match result {
-                    Ok(hits) if hits.len() > MAX_RESPONSE_HITS => {
-                        Response::Error(RESPONSE_TOO_LARGE.to_string())
-                    }
-                    Ok(hits) => Response::Hits(hits),
-                    Err(refusal) => refusal,
-                }
-            }
-            Err(_) => poisoned(),
-        },
-        Request::QueryBatch { queries, options } => match shared.indexed.read() {
-            Ok(_indexed) => {
-                let metrics = &shared.metrics;
-                let trace = TraceId::mint().raw();
-                let started = metrics.now();
-                let mut stages = Vec::new();
-                let mut batches = Vec::with_capacity(queries.len());
-                let mut total_hits = 0usize;
-                for query in &queries {
-                    let fp = query_fingerprints(shared, query);
-                    match scatter_query(shared, pool, &fp, &options, trace, &mut stages) {
-                        Ok(hits) => {
-                            total_hits += hits.len();
-                            if total_hits > MAX_RESPONSE_HITS {
-                                return Response::Error(RESPONSE_TOO_LARGE.to_string());
-                            }
-                            batches.push(hits);
-                        }
-                        Err(refusal) => return refusal,
-                    }
-                }
-                if let Some(started) = started {
-                    let total_us = started.elapsed().as_micros() as u64;
-                    metrics.observe_slow(trace, "query_batch", total_us, stages);
-                }
-                Response::HitsBatch(batches)
-            }
-            Err(_) => poisoned(),
-        },
-        Request::Insert { id, trajectory } => match shared.indexed.write() {
-            Ok(mut indexed) => {
-                let fp = shared.fingerprinter.normalize_and_fingerprint(&trajectory);
+    fn write(
+        &self,
+        pool: &mut ShardPool<'_>,
+        op: WalOp,
+        log: impl FnOnce(&WalOp) -> Result<(), String>,
+    ) -> Result<Response, Refusal> {
+        let mut indexed = self.indexed.write().map_err(|_| Refusal::Poisoned)?;
+        if matches!(op, WalOp::InsertFingerprints { .. }) {
+            return Err(Refusal::error(NOT_A_SHARD_SERVER));
+        }
+        log(&op).map_err(Refusal::error)?;
+        match op {
+            WalOp::Insert { id, trajectory } => {
+                let fp = self.fingerprinter.normalize_and_fingerprint(&trajectory);
                 if !fp.is_empty() {
-                    let request = Request::ShardInsert {
+                    pool.broadcast(&Request::ShardInsert {
                         id,
                         terms: fp.ordered().to_vec(),
-                    };
-                    if let Err(refusal) = broadcast(shared, pool, &request) {
-                        return refusal;
-                    }
+                    })?;
                 } else if indexed.contains(&id) {
                     // Replace-on-reinsert with an unindexable shape:
                     // scrub the previous shape from the shards.
-                    if let Err(refusal) = broadcast(shared, pool, &Request::Remove { id }) {
-                        return refusal;
-                    }
+                    pool.broadcast(&Request::Remove { id })?;
                 }
                 indexed.insert(id);
-                Response::Inserted {
+                Ok(Response::Inserted {
                     len: indexed.len() as u64,
-                }
+                })
             }
-            Err(_) => poisoned(),
-        },
-        Request::Remove { id } => match shared.indexed.write() {
-            Ok(mut indexed) => {
-                if !indexed.contains(&id) {
-                    return Response::Removed { was_present: false };
+            WalOp::Remove { id } => {
+                // Absent ids ack false without touching any shard.
+                if indexed.contains(&id) {
+                    pool.broadcast(&Request::Remove { id })?;
                 }
-                if let Err(refusal) = broadcast(shared, pool, &Request::Remove { id }) {
-                    return refusal;
-                }
-                indexed.remove(&id);
-                Response::Removed { was_present: true }
+                Ok(Response::Removed {
+                    was_present: indexed.remove(&id),
+                })
             }
-            Err(_) => poisoned(),
-        },
-        Request::Metrics => Response::Metrics(shared.metrics.report()),
-        Request::ShardQuery { .. } | Request::ShardInsert { .. } => Response::Error(
-            "the frontend does not answer shard frames; address them to a shard server".to_string(),
-        ),
+            WalOp::InsertFingerprints { .. } => unreachable!("refused before logging"),
+        }
     }
-}
 
-/// The indexed-set lock only poisons if a broadcast panicked midway —
-/// refuse rather than answer from unknown state. (The frontend holds no
-/// index of its own, so unlike the single-process server there is no
-/// state worth shutting down to protect.)
-fn poisoned() -> Response {
-    Response::Error("frontend state is poisoned".to_string())
+    /// The frontend holds no index of its own: each shard server logs
+    /// and compacts its own slice.
+    fn snapshot<T>(&self, _seal: impl FnOnce(Vec<u8>) -> T) -> Result<Option<T>, String> {
+        Ok(None)
+    }
 }
 
 #[cfg(test)]

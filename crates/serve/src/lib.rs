@@ -11,7 +11,9 @@
 //!   requests (`Ping`, `Stats`, `Query`, `QueryBatch`, `Insert`,
 //!   `Remove`) and responses; malformed frames surface as typed
 //!   [`WireError`]s, never panics.
-//! * [`Server`] — hosts any [`ServeBackend`] (the geodab index, the
+//! * [`Server`] — hosts any [`ServeBackend`] (a
+//!   [`TrajectoryIndex`](geodabs_index::TrajectoryIndex) plus the few
+//!   things serving needs on top: the geodab index, the
 //!   geohash baseline, or the sharded cluster — typically warm-started
 //!   from a `GDAB` v2 snapshot) behind a fixed pool of multiplexing
 //!   workers, each sweeping many non-blocking pipelined connections.
@@ -29,7 +31,10 @@
 //!   shard servers (each a `Server` hosting a
 //!   [`ShardNode`](geodabs_cluster::ShardNode)), and merges the
 //!   per-shard heaps exactly; shard loss yields the typed
-//!   `Unavailable` response, never silently-partial rankings.
+//!   `Unavailable` response, never silently-partial rankings. It is
+//!   the same bind/run/spawn shell and the same request executor as
+//!   [`Server`], over a third hosting (remote shards, next to the
+//!   locked backend and the copy-on-write cells).
 //! * [`Client`] / [`LoadClient`] — the blocking protocol client, and a
 //!   closed-loop load generator reporting QPS plus p50/p95/p99 latency
 //!   per connection count.

@@ -1,5 +1,5 @@
-//! The concurrent query server: a connection multiplexer over shard-
-//! per-core index state.
+//! The concurrent query server: a connection multiplexer, **one**
+//! request executor, and the hosting interface the executor runs over.
 //!
 //! # Threading model
 //!
@@ -11,36 +11,41 @@
 //! share a pool sized to the cores and clients may still pipeline
 //! requests freely (frames on one connection are answered in order).
 //!
-//! How the index itself is hosted depends on [`ServerConfig::shards`]:
+//! # One executor, three hostings
 //!
-//! * `shards == 1` (the default): the backend lives in one [`RwLock`].
-//!   Queries take the shared read lock; `Insert`/`Remove` take the
-//!   exclusive lock and briefly stall readers.
-//! * `shards > 1`: the backend is re-partitioned into an in-process
-//!   [`ShardedIndex`] — per-core shard cells along the cluster routing
-//!   boundary, each publishing its read state through a copy-on-write
-//!   handle. Queries clone a cell's current `Arc` snapshot and **never
-//!   block on ingest**; the single writer broadcasts each mutation to
-//!   the cells' spare copies and swaps them in. Rankings stay
-//!   bit-identical to the monolithic index because the per-cell top-k
-//!   heaps go through the engine's exact merge.
+//! Every request — on a [`Server`] and on a [`crate::Frontend`] alike —
+//! runs through the private `execute` function. It owns the request
+//! vocabulary: trace and slow-query stamping, the `Query`/`QueryBatch`
+//! frame-cap loop, building the [`WalOp`] a mutation is logged and
+//! applied from, poison → shutdown, and compaction. What differs between
+//! deployments is only *where the index lives*, behind the private
+//! `Host` trait (reads on `&self`, one serialized write section, one
+//! freeze-and-snapshot, optional per-mux-worker state):
+//!
+//! | hosting | read path | write section | snapshot | after a write panic |
+//! |---|---|---|---|---|
+//! | locked (`RwLock<B>`, `shards == 1`) | shared read lock, then the backend | exclusive write lock: log, apply | under the shared lock (readers run, writers wait) | lock poisoned: reads and writes refuse |
+//! | CoW cells ([`ShardedIndex`], `shards > 1`) | clone each cell's `Arc`, score, merge — never blocks on ingest | writer mutex: log, broadcast to the spare copies, swap | cluster snapshot under the writer mutex | mutex poisoned: writes refuse, reads keep answering |
+//! | remote shards (the frontend) | id-set read lock across a pipelined scatter, merge | id-set write lock across the broadcast | none (each shard server keeps its own log) | id set poisoned: reads and writes refuse |
+//!
+//! All three rank through [`geodabs_cluster::scatter_gather`] or the
+//! backend itself, so answers are bit-identical across hostings.
 //!
 //! # Shutdown
 //!
 //! [`ServerHandle::shutdown`] flips a shared flag and pokes the
 //! listener so the accept loop wakes up; workers poll the flag between
-//! sweeps and drain. If a request handler panics while holding the
-//! **write** lock (or mid-broadcast in the sharded path), the state is
-//! poisoned: every subsequent mutation is answered with an error frame
-//! and the server initiates the same clean shutdown rather than serving
-//! from possibly half-mutated state.
+//! sweeps and drain. If a request handler panics inside a write section
+//! the host is poisoned: the first request that observes it is answered
+//! with an error frame and the server initiates the same clean shutdown
+//! rather than serving from possibly half-mutated state.
 
 use geodabs_cluster::{ClusterIndex, ShardNode};
 use geodabs_core::Fingerprints;
 use geodabs_index::batch::default_threads;
 use geodabs_index::store::{self, Persist};
 use geodabs_index::{GeodabIndex, GeohashIndex, SearchOptions, SearchResult, TrajectoryIndex};
-use geodabs_traj::{TrajId, Trajectory};
+use geodabs_obs::Histogram;
 use geodabs_wal::{Wal, WalOp};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -52,7 +57,7 @@ use std::time::{Duration, Instant};
 use crate::metrics::{kind_index, ServeMetrics, KINDS};
 use crate::mux::{self, RESPONSE_TOO_LARGE};
 use crate::proto::{DurabilityStats, QueryBody, Request, Response, StatsBody, MAX_FRAME_LEN};
-use crate::shards::{self, cluster_scaffold, ShardTelemetry, ShardedIndex};
+use crate::shards::{cluster_scaffold, ShardTelemetry, ShardedIndex};
 
 /// Upper bound on hits across one response (12 wire bytes per hit, so
 /// this is what fits in a frame). Enforced **while the response is
@@ -70,26 +75,15 @@ const IDLE_POLL: Duration = Duration::from_millis(50);
 /// watermark; the compaction thread atomically replaces it.
 pub const WAL_SNAPSHOT_FILE: &str = "snapshot.gdab";
 
-/// The index interface the server hosts: every backend the workspace
-/// ships (and any future one) answers the full request vocabulary
-/// through it.
-pub trait ServeBackend: Send + Sync + 'static {
+/// What the server needs from an index beyond [`TrajectoryIndex`]:
+/// every backend the workspace ships (and any future one) answers the
+/// full request vocabulary through the two traits together.
+pub trait ServeBackend: TrajectoryIndex + Send + Sync + 'static {
     /// The backend's stable name, reported by `Stats`.
     fn backend_name(&self) -> &'static str;
 
-    /// Indexed trajectories.
-    fn len(&self) -> usize;
-
-    /// Whether the index is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Distinct terms (active shards for the cluster backend).
     fn term_count(&self) -> usize;
-
-    /// Ranked retrieval from a raw trajectory.
-    fn search(&self, query: &Trajectory, options: &SearchOptions) -> Vec<SearchResult>;
 
     /// Ranked retrieval from pre-computed geodab fingerprints (ordered
     /// sequence), when the backend's term vocabulary supports it.
@@ -103,12 +97,6 @@ pub trait ServeBackend: Send + Sync + 'static {
         ordered: &[u32],
         options: &SearchOptions,
     ) -> Result<Vec<SearchResult>, &'static str>;
-
-    /// Indexes a trajectory (replace-on-reinsert).
-    fn insert(&mut self, id: TrajId, trajectory: &Trajectory);
-
-    /// Removes a trajectory; returns whether the id was indexed.
-    fn remove(&mut self, id: TrajId) -> bool;
 
     /// Serializes the backend into a `GDAB` snapshot, for the
     /// durability compaction path. The default `None` disables
@@ -140,54 +128,33 @@ pub trait ServeBackend: Send + Sync + 'static {
         ))
     }
 
-    /// Answers a frontend's scatter sub-query: score the node-local
-    /// slice against the query's full ordered term sequence and return
-    /// this node's exact top-k heap (the frontend merges heaps across
-    /// shards). Only shard backends implement it — on anything else the
-    /// default refuses, so pointing a frontend at a monolithic server
-    /// is a typed error, not silently-partial ranking.
-    ///
-    /// # Errors
-    ///
-    /// A static message when the backend is not a shard node.
-    fn shard_query(
-        &self,
-        _ordered: &[u32],
-        _options: &SearchOptions,
-    ) -> Result<Vec<SearchResult>, &'static str> {
-        Err(NOT_A_SHARD_NODE)
+    /// The shard node this backend is, if it is one. Only a shard node
+    /// answers a frontend's scatter frames (`ShardQuery` scores the
+    /// node-local slice, `ShardInsert` keeps the routed subset of a
+    /// broadcast insert); on the default `None` they are refused, so
+    /// pointing a frontend at a monolithic server is a typed error, not
+    /// silently-partial ranking.
+    fn as_shard(&self) -> Option<&ShardNode> {
+        None
     }
 
-    /// Applies a frontend's broadcast insert: keep the routed subset of
-    /// the full ordered term sequence (and the fingerprint replica, if
-    /// any term landed here). Only shard backends implement it.
-    ///
-    /// # Errors
-    ///
-    /// A static message when the backend is not a shard node.
-    fn shard_insert(&mut self, _id: TrajId, _ordered: &[u32]) -> Result<(), &'static str> {
-        Err(NOT_A_SHARD_NODE)
+    /// Mutable twin of [`ServeBackend::as_shard`].
+    fn as_shard_mut(&mut self) -> Option<&mut ShardNode> {
+        None
     }
 }
 
 /// The refusal for shard frames sent to a non-shard server.
-const NOT_A_SHARD_NODE: &str = "this backend is not a shard node; start the server with --shard-id";
+pub(crate) const NOT_A_SHARD_NODE: &str =
+    "this backend is not a shard node; start the server with --shard-id";
 
 impl ServeBackend for GeodabIndex {
     fn backend_name(&self) -> &'static str {
         "geodab"
     }
 
-    fn len(&self) -> usize {
-        TrajectoryIndex::len(self)
-    }
-
     fn term_count(&self) -> usize {
         GeodabIndex::term_count(self)
-    }
-
-    fn search(&self, query: &Trajectory, options: &SearchOptions) -> Vec<SearchResult> {
-        TrajectoryIndex::search(self, query, options)
     }
 
     fn search_fingerprints(
@@ -197,14 +164,6 @@ impl ServeBackend for GeodabIndex {
     ) -> Result<Vec<SearchResult>, &'static str> {
         let fp = Fingerprints::from_ordered(ordered.to_vec());
         Ok(GeodabIndex::search_fingerprints(self, &fp, options))
-    }
-
-    fn insert(&mut self, id: TrajId, trajectory: &Trajectory) {
-        TrajectoryIndex::insert(self, id, trajectory);
-    }
-
-    fn remove(&mut self, id: TrajId) -> bool {
-        TrajectoryIndex::remove(self, id)
     }
 
     fn to_snapshot_bytes(&self) -> Option<Vec<u8>> {
@@ -222,16 +181,8 @@ impl ServeBackend for GeohashIndex {
         "geohash"
     }
 
-    fn len(&self) -> usize {
-        TrajectoryIndex::len(self)
-    }
-
     fn term_count(&self) -> usize {
         GeohashIndex::term_count(self)
-    }
-
-    fn search(&self, query: &Trajectory, options: &SearchOptions) -> Vec<SearchResult> {
-        TrajectoryIndex::search(self, query, options)
     }
 
     fn search_fingerprints(
@@ -240,14 +191,6 @@ impl ServeBackend for GeohashIndex {
         _options: &SearchOptions,
     ) -> Result<Vec<SearchResult>, &'static str> {
         Err("the geohash backend cannot score geodab fingerprint queries")
-    }
-
-    fn insert(&mut self, id: TrajId, trajectory: &Trajectory) {
-        TrajectoryIndex::insert(self, id, trajectory);
-    }
-
-    fn remove(&mut self, id: TrajId) -> bool {
-        TrajectoryIndex::remove(self, id)
     }
 
     fn to_snapshot_bytes(&self) -> Option<Vec<u8>> {
@@ -260,16 +203,8 @@ impl ServeBackend for ClusterIndex {
         "cluster"
     }
 
-    fn len(&self) -> usize {
-        ClusterIndex::len(self)
-    }
-
     fn term_count(&self) -> usize {
         self.active_shards()
-    }
-
-    fn search(&self, query: &Trajectory, options: &SearchOptions) -> Vec<SearchResult> {
-        ClusterIndex::search(self, query, options)
     }
 
     fn search_fingerprints(
@@ -279,14 +214,6 @@ impl ServeBackend for ClusterIndex {
     ) -> Result<Vec<SearchResult>, &'static str> {
         let fp = Fingerprints::from_ordered(ordered.to_vec());
         Ok(ClusterIndex::search_fingerprints(self, &fp, options))
-    }
-
-    fn insert(&mut self, id: TrajId, trajectory: &Trajectory) {
-        ClusterIndex::insert(self, id, trajectory);
-    }
-
-    fn remove(&mut self, id: TrajId) -> bool {
-        ClusterIndex::remove(self, id)
     }
 
     fn to_snapshot_bytes(&self) -> Option<Vec<u8>> {
@@ -305,16 +232,8 @@ impl ServeBackend for ShardNode {
         "node"
     }
 
-    fn len(&self) -> usize {
-        ShardNode::len(self)
-    }
-
     fn term_count(&self) -> usize {
         ShardNode::term_count(self)
-    }
-
-    fn search(&self, query: &Trajectory, options: &SearchOptions) -> Vec<SearchResult> {
-        ShardNode::search(self, query, options)
     }
 
     fn search_fingerprints(
@@ -326,31 +245,16 @@ impl ServeBackend for ShardNode {
         Ok(ShardNode::search_fingerprints(self, &fp, options))
     }
 
-    fn insert(&mut self, id: TrajId, trajectory: &Trajectory) {
-        ShardNode::insert(self, id, trajectory);
-    }
-
-    fn remove(&mut self, id: TrajId) -> bool {
-        ShardNode::remove(self, id)
-    }
-
     fn to_snapshot_bytes(&self) -> Option<Vec<u8>> {
         Some(Persist::to_snapshot(self))
     }
 
-    fn shard_query(
-        &self,
-        ordered: &[u32],
-        options: &SearchOptions,
-    ) -> Result<Vec<SearchResult>, &'static str> {
-        let fp = Fingerprints::from_ordered(ordered.to_vec());
-        Ok(ShardNode::search_fingerprints(self, &fp, options))
+    fn as_shard(&self) -> Option<&ShardNode> {
+        Some(self)
     }
 
-    fn shard_insert(&mut self, id: TrajId, ordered: &[u32]) -> Result<(), &'static str> {
-        let fp = Fingerprints::from_ordered(ordered.to_vec());
-        ShardNode::insert_fingerprints(self, id, fp);
-        Ok(())
+    fn as_shard_mut(&mut self) -> Option<&mut ShardNode> {
+        Some(self)
     }
 }
 
@@ -511,16 +415,197 @@ impl Durability {
     }
 }
 
-/// How the server hosts its backend: one copy behind a read-write lock
-/// (`shards == 1`), or re-partitioned into per-core shard cells with a
-/// copy-on-write read path (`shards > 1`).
-enum Hosted<B> {
-    Locked(RwLock<B>),
-    Sharded(ShardedIndex),
+/// Why a host could not answer.
+pub(crate) enum Refusal {
+    /// A panic inside a write section left the host's state unknown:
+    /// the executor answers with an error and shuts the server down.
+    Poisoned,
+    /// A typed answer to forward verbatim: a frame this host does not
+    /// serve, a failed log append, an unreachable shard.
+    Answer(Response),
 }
 
-struct Shared<B> {
-    index: Hosted<B>,
+impl Refusal {
+    pub(crate) fn error(message: impl Into<String>) -> Refusal {
+        Refusal::Answer(Response::Error(message.into()))
+    }
+}
+
+/// One query-shaped request's trace: the id its scatter frames carry
+/// and the stage timings its slow-query entry shows.
+pub(crate) struct Span<'a> {
+    pub(crate) metrics: &'a ServeMetrics,
+    /// The request's [`KINDS`] label.
+    kind: &'static str,
+    pub(crate) trace: u64,
+    stages: Vec<(String, u64)>,
+}
+
+impl Span<'_> {
+    /// Closes the stage opened at `started` (a [`ServeMetrics::now`]
+    /// reading; `None` when metrics are off): one `histogram` sample,
+    /// and the trace's `name` row grows by the elapsed µs — a batch sums
+    /// its queries into one row per stage.
+    pub(crate) fn stage(
+        &mut self,
+        name: &str,
+        histogram: Option<&Histogram>,
+        started: Option<Instant>,
+    ) {
+        let Some(started) = started else { return };
+        let us = started.elapsed().as_micros() as u64;
+        if let Some(histogram) = histogram {
+            histogram.record(us);
+        }
+        match self.stages.iter_mut().find(|(stage, _)| stage == name) {
+            Some((_, total)) => *total += us,
+            None => self.stages.push((name.to_string(), us)),
+        }
+    }
+}
+
+/// Where the index lives, as the one executor sees it; the module docs
+/// tabulate the three implementations.
+pub(crate) trait Host: Send + Sync {
+    /// State each mux worker owns privately (a frontend worker's
+    /// connections to the shard servers).
+    type Worker<'a>
+    where
+        Self: 'a;
+
+    /// Builds one mux worker's state, once, on that worker's thread.
+    fn worker<'a>(&'a self, metrics: &'a ServeMetrics) -> Self::Worker<'a>;
+
+    /// The trace id stamped on a query that arrived without one. Only a
+    /// frontend mints ids (its scatter frames carry them to the shard
+    /// servers); a server inherits the id on the wire.
+    fn mint_trace(&self) -> u64 {
+        0
+    }
+
+    /// `Stats`: backend name, indexed trajectories, distinct terms.
+    fn stats(&self) -> Result<(&'static str, u64, u64), Refusal>;
+
+    /// The read path: one ranked retrieval, recording its stages into
+    /// `span`. `leg` marks a frontend's scatter sub-query, which only a
+    /// shard node answers.
+    fn search(
+        &self,
+        worker: &mut Self::Worker<'_>,
+        query: &QueryBody,
+        leg: bool,
+        options: &SearchOptions,
+        span: &mut Span<'_>,
+    ) -> Result<Vec<SearchResult>, Refusal>;
+
+    /// The one serialized write section: take the host's write
+    /// exclusion, refuse an `op` this host cannot apply, run `log` (the
+    /// write-ahead append), then apply `op` and answer it. `log` runs
+    /// inside the exclusion and before the apply, so log order equals
+    /// apply order and a mutation is either logged-then-applied or
+    /// refused whole.
+    fn write(
+        &self,
+        worker: &mut Self::Worker<'_>,
+        op: WalOp,
+        log: impl FnOnce(&WalOp) -> Result<(), String>,
+    ) -> Result<Response, Refusal>;
+
+    /// Freezes writes (never reads), serializes the index into `GDAB`
+    /// snapshot bytes and hands them to `seal` **before** unfreezing, so
+    /// whatever `seal` records (the log rotation) covers exactly the
+    /// serialized state. `Ok(None)` when the host has nothing to
+    /// snapshot.
+    ///
+    /// # Errors
+    ///
+    /// A message when the host is poisoned.
+    fn snapshot<T>(&self, seal: impl FnOnce(Vec<u8>) -> T) -> Result<Option<T>, String>;
+}
+
+/// The locked hosting: the backend in one read-write lock.
+impl<B: ServeBackend> Host for RwLock<B> {
+    type Worker<'a> = ();
+
+    fn worker<'a>(&'a self, _metrics: &'a ServeMetrics) {}
+
+    fn stats(&self) -> Result<(&'static str, u64, u64), Refusal> {
+        let index = self.read().map_err(|_| Refusal::Poisoned)?;
+        Ok((
+            index.backend_name(),
+            index.len() as u64,
+            index.term_count() as u64,
+        ))
+    }
+
+    fn search(
+        &self,
+        _worker: &mut (),
+        query: &QueryBody,
+        leg: bool,
+        options: &SearchOptions,
+        span: &mut Span<'_>,
+    ) -> Result<Vec<SearchResult>, Refusal> {
+        let metrics = span.metrics;
+        let lock_started = metrics.now();
+        let index = self.read().map_err(|_| Refusal::Poisoned)?;
+        span.stage("lock", Some(&metrics.stage_lock_us), lock_started);
+        let engine_started = metrics.now();
+        let result = match query {
+            _ if leg && index.as_shard().is_none() => Err(NOT_A_SHARD_NODE),
+            QueryBody::Trajectory(trajectory) => Ok(index.search(trajectory, options)),
+            QueryBody::Fingerprints(ordered) => index.search_fingerprints(ordered, options),
+        };
+        span.stage("engine", Some(&metrics.stage_engine_us), engine_started);
+        result.map_err(Refusal::error)
+    }
+
+    fn write(
+        &self,
+        _worker: &mut (),
+        op: WalOp,
+        log: impl FnOnce(&WalOp) -> Result<(), String>,
+    ) -> Result<Response, Refusal> {
+        let mut index = self.write().map_err(|_| Refusal::Poisoned)?;
+        // Being a shard node is a static property of the backend, so an
+        // unsupported op is refused whole instead of landing in the
+        // write-ahead log unapplied.
+        if matches!(op, WalOp::InsertFingerprints { .. }) && index.as_shard().is_none() {
+            return Err(Refusal::error(NOT_A_SHARD_NODE));
+        }
+        log(&op).map_err(Refusal::error)?;
+        Ok(match op {
+            WalOp::Insert { id, trajectory } => {
+                index.insert(id, &trajectory);
+                Response::Inserted {
+                    len: index.len() as u64,
+                }
+            }
+            WalOp::Remove { id } => Response::Removed {
+                was_present: index.remove(id),
+            },
+            WalOp::InsertFingerprints { id, terms } => {
+                let node = index.as_shard_mut().expect("checked before logging");
+                node.insert_fingerprints(id, Fingerprints::from_ordered(terms));
+                Response::Inserted {
+                    len: index.len() as u64,
+                }
+            }
+        })
+    }
+
+    fn snapshot<T>(&self, seal: impl FnOnce(Vec<u8>) -> T) -> Result<Option<T>, String> {
+        // The shared lock: writers (and their log appends) wait for the
+        // serialization, readers do not.
+        let index = self.read().map_err(|_| POISONED.to_string())?;
+        Ok(index.to_snapshot_bytes().map(seal))
+    }
+}
+
+/// What every hosting's serve loop shares: the bound address, the mux
+/// size, the shutdown flag, the request counter, optional durability
+/// and the instrument panel.
+struct Core {
     addr: SocketAddr,
     /// Mux worker count, reported via `Stats` so load generators can
     /// report saturation (connections per worker).
@@ -529,18 +614,6 @@ struct Shared<B> {
     requests: AtomicU64,
     durability: Option<Durability>,
     metrics: ServeMetrics,
-}
-
-impl<B> Shared<B> {
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Flips the shutdown flag and wakes the acceptor.
-    fn initiate_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        wake_listener(self.addr);
-    }
 }
 
 /// Best-effort poke so a blocked `accept()` observes the shutdown flag.
@@ -567,10 +640,6 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    pub(crate) fn new(addr: SocketAddr, shutdown: Arc<AtomicBool>) -> ServerHandle {
-        ServerHandle { addr, shutdown }
-    }
-
     /// The address the server is listening on.
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -583,6 +652,359 @@ impl ServerHandle {
         self.shutdown.store(true, Ordering::SeqCst);
         wake_listener(self.addr);
     }
+}
+
+/// A listener bound to a host but not yet serving — the one lifecycle
+/// shell behind both [`Server`] and [`crate::Frontend`].
+pub(crate) struct Bound<H> {
+    listener: TcpListener,
+    core: Core,
+    host: H,
+}
+
+impl<H> Bound<H> {
+    /// Binds `addr` and builds the host over the fresh instrument panel.
+    pub(crate) fn bind<A: ToSocketAddrs>(
+        addr: A,
+        mux_workers: usize,
+        host: impl FnOnce(&ServeMetrics) -> std::io::Result<H>,
+    ) -> std::io::Result<Bound<H>> {
+        let listener = TcpListener::bind(addr)?;
+        let metrics = ServeMetrics::from_env();
+        let host = host(&metrics)?;
+        let core = Core {
+            addr: listener.local_addr()?,
+            workers: mux_workers.max(1),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            requests: AtomicU64::new(0),
+            durability: None,
+            metrics,
+        };
+        Ok(Bound {
+            listener,
+            core,
+            host,
+        })
+    }
+
+    pub(crate) fn local_addr(&self) -> SocketAddr {
+        self.core.addr
+    }
+
+    pub(crate) fn handle(&self) -> ServerHandle {
+        ServerHandle {
+            addr: self.core.addr,
+            shutdown: Arc::clone(&self.core.shutdown),
+        }
+    }
+}
+
+impl<H: Host> Bound<H> {
+    /// Serves until the shutdown flag flips (this thread is the
+    /// acceptor); returns the number of requests served.
+    pub(crate) fn run(self) -> std::io::Result<u64> {
+        let (this, core) = (&self, &self.core);
+        let mut served: std::io::Result<()> = Ok(());
+        std::thread::scope(|scope| {
+            if let Some(every) = core.durability.as_ref().and_then(|d| d.compact_every) {
+                scope.spawn(move || this.compaction_loop(every));
+            }
+            served = mux::serve_connections(
+                &this.listener,
+                core.workers,
+                &core.shutdown,
+                &core.requests,
+                &core.metrics,
+                || this.host.worker(&core.metrics),
+                |worker, request| this.execute(worker, request),
+            );
+            // Release the compaction thread even when the serve loop
+            // exited without flipping the flag itself.
+            core.shutdown.store(true, Ordering::SeqCst);
+        });
+        // Clean shutdown flushes the log regardless of sync policy:
+        // every acknowledged write survives a graceful stop even under
+        // `never`.
+        if let Some(d) = &core.durability {
+            if let Ok(mut wal) = d.wal.lock() {
+                let _ = wal.sync();
+                d.last_durable
+                    .store(wal.last_durable_seq(), Ordering::Relaxed);
+            }
+        }
+        served.map(|()| core.requests.load(Ordering::SeqCst))
+    }
+
+    /// The one request executor: every frame a [`Server`] or a
+    /// [`crate::Frontend`] answers goes through here, whichever host
+    /// the index lives in.
+    fn execute(&self, worker: &mut H::Worker<'_>, request: Request) -> Response {
+        let core = &self.core;
+        // Query-shaped requests feed the slow-query log, stamped with
+        // the trace id a frontend minted (its scatter frames carry it
+        // to the shard servers on the wire; a direct query has none).
+        let kind = KINDS[kind_index(&request)];
+        let span = |trace| Span {
+            metrics: &core.metrics,
+            kind,
+            trace,
+            stages: Vec::new(),
+        };
+        match request {
+            Request::Ping => Response::Pong,
+            Request::Metrics => {
+                // Pull the engine's process-wide scan counters into the
+                // registry, then snapshot everything.
+                let telemetry = geodabs_index::engine_telemetry();
+                core.metrics.sync_engine(
+                    telemetry.searches,
+                    telemetry.candidates_scanned,
+                    telemetry.candidates_admitted,
+                    telemetry.prune_cutoffs,
+                );
+                Response::Metrics(core.metrics.report())
+            }
+            Request::Stats { durability } => match self.host.stats() {
+                Ok((backend, trajectories, terms)) => Response::Stats(StatsBody {
+                    backend: backend.to_string(),
+                    trajectories,
+                    terms,
+                    workers: core.workers as u64,
+                    // The tail goes out only when asked for it (a legacy
+                    // client's strict decoder must not see it) and when
+                    // a log is actually configured.
+                    durability: match durability {
+                        true => core.durability.as_ref().map(Durability::stats),
+                        false => None,
+                    },
+                }),
+                Err(refusal) => self.refuse(refusal),
+            },
+            Request::Query { query, options } => {
+                let mut ranking = Vec::new();
+                let queries = std::slice::from_ref(&query);
+                let span = span(self.host.mint_trace());
+                match self.rank(worker, span, false, queries, &options, |hits| {
+                    ranking = hits
+                }) {
+                    Ok(()) => Response::Hits(ranking),
+                    Err(refusal) => refusal,
+                }
+            }
+            Request::QueryBatch { queries, options } => {
+                let mut rankings = Vec::with_capacity(queries.len());
+                let span = span(self.host.mint_trace());
+                match self.rank(worker, span, false, &queries, &options, |hits| {
+                    rankings.push(hits)
+                }) {
+                    Ok(()) => Response::HitsBatch(rankings),
+                    Err(refusal) => refusal,
+                }
+            }
+            Request::ShardQuery {
+                terms,
+                options,
+                trace,
+            } => {
+                let mut heap = Vec::new();
+                let query = QueryBody::Fingerprints(terms);
+                let queries = std::slice::from_ref(&query);
+                match self.rank(worker, span(trace), true, queries, &options, |hits| {
+                    heap = hits
+                }) {
+                    Ok(()) => Response::ShardTopK(heap),
+                    Err(refusal) => refusal,
+                }
+            }
+            Request::Insert { id, trajectory } => {
+                self.mutate(worker, WalOp::Insert { id, trajectory })
+            }
+            Request::Remove { id } => self.mutate(worker, WalOp::Remove { id }),
+            Request::ShardInsert { id, terms } => {
+                self.mutate(worker, WalOp::InsertFingerprints { id, terms })
+            }
+        }
+    }
+
+    /// The read path behind `Query`, `QueryBatch` and `ShardQuery`:
+    /// ranks each body in turn into `sink`, stops as soon as the running
+    /// hit total blows the frame cap (before the rest of a batch
+    /// materializes) or the host refuses, and feeds the slow-query log
+    /// however the loop ended.
+    fn rank(
+        &self,
+        worker: &mut H::Worker<'_>,
+        mut span: Span<'_>,
+        leg: bool,
+        queries: &[QueryBody],
+        options: &SearchOptions,
+        mut sink: impl FnMut(Vec<SearchResult>),
+    ) -> Result<(), Response> {
+        let metrics = span.metrics;
+        let started = metrics.now();
+        let mut total_hits = 0usize;
+        let outcome = queries.iter().try_for_each(|query| {
+            let hits = self
+                .host
+                .search(worker, query, leg, options, &mut span)
+                .map_err(|refusal| self.refuse(refusal))?;
+            total_hits += hits.len();
+            if total_hits > MAX_RESPONSE_HITS {
+                return Err(Response::Error(RESPONSE_TOO_LARGE.to_string()));
+            }
+            sink(hits);
+            Ok(())
+        });
+        if let Some(started) = started {
+            let total_us = started.elapsed().as_micros() as u64;
+            metrics.observe_slow(span.trace, span.kind, total_us, span.stages);
+        }
+        outcome
+    }
+
+    /// The write path behind `Insert`, `Remove` and `ShardInsert`: `op`
+    /// was built once, by move, from the decoded request; the host logs
+    /// it by reference inside its write section and applies it.
+    fn mutate(&self, worker: &mut H::Worker<'_>, op: WalOp) -> Response {
+        self.host
+            .write(worker, op, |op| self.log_op(op))
+            .unwrap_or_else(|refusal| self.refuse(refusal))
+    }
+
+    /// Maps a host's refusal to the response. A poisoned host means a
+    /// write-path panic left the index in an unknown state: refuse to
+    /// serve from it and shut the server down cleanly (flag **and**
+    /// listener wake-up, so the acceptor does not sit in `accept()`
+    /// waiting for an unrelated connection to notice).
+    fn refuse(&self, refusal: Refusal) -> Response {
+        match refusal {
+            Refusal::Answer(response) => response,
+            Refusal::Poisoned => {
+                self.handle().shutdown();
+                Response::Error(format!("{POISONED}; shutting down"))
+            }
+        }
+    }
+
+    /// Appends one mutation to the write-ahead log (when one is
+    /// configured) and waits for it to be durable per the sync policy.
+    /// Hosts call it **inside their write section** (see
+    /// [`Host::write`]), so log order and apply order agree.
+    fn log_op(&self, op: &WalOp) -> Result<(), String> {
+        let Some(d) = &self.core.durability else {
+            return Ok(());
+        };
+        let mut wal = d
+            .wal
+            .lock()
+            .map_err(|_| "write-ahead log is poisoned".to_string())?;
+        let metrics = &self.core.metrics;
+        let started = metrics.now();
+        wal.append(op)
+            .map_err(|e| format!("write-ahead log append failed: {e}"))?;
+        metrics.record_since(&metrics.wal_append_us, started);
+        let last_durable = wal.last_durable_seq();
+        d.last_durable.store(last_durable, Ordering::Relaxed);
+        d.wal_bytes.store(wal.size_bytes(), Ordering::Relaxed);
+        metrics.wal_last_durable_seq.set(last_durable);
+        metrics
+            .wal_durable_lag
+            .set(wal.last_seq().saturating_sub(last_durable));
+        metrics.wal_bytes.set(wal.size_bytes());
+        Ok(())
+    }
+
+    /// Folds the log into snapshots on a timer until shutdown. Failures
+    /// are skipped — the next tick retries with the log intact.
+    fn compaction_loop(&self, every: Duration) {
+        let mut last = Instant::now();
+        while !self.core.shutdown.load(Ordering::SeqCst) {
+            std::thread::sleep(IDLE_POLL.min(every));
+            if last.elapsed() < every {
+                continue;
+            }
+            let _ = self.compact();
+            last = Instant::now();
+        }
+    }
+
+    /// One compaction cycle: fold everything the log holds into a fresh
+    /// watermark-stamped snapshot, swap it in atomically (tmp file →
+    /// fsync → rename → fsync-of-dir), then prune the folded segments.
+    /// Readers are never blocked; writers only wait while
+    /// [`Host::snapshot`] serializes in memory. Returns whether a
+    /// snapshot landed (`false` when there was nothing new to fold or
+    /// the host has no snapshot support).
+    fn compact(&self) -> Result<bool, String> {
+        let Some(d) = &self.core.durability else {
+            return Ok(false);
+        };
+        let lock_wal = || {
+            d.wal
+                .lock()
+                .map_err(|_| "write-ahead log is poisoned".to_string())
+        };
+        if lock_wal()?.last_seq() <= d.watermark.load(Ordering::Relaxed) {
+            return Ok(false);
+        }
+        let metrics = &self.core.metrics;
+        let compaction_started = metrics.now();
+        let bytes_before = d.wal_bytes.load(Ordering::Relaxed);
+        // Rotating while the host is still frozen (lock order host →
+        // wal, as on the mutation path) ties the watermark to exactly
+        // the records the serialized state covers.
+        let sealed = self.host.snapshot(|bytes| {
+            let watermark = lock_wal()?
+                .rotate()
+                .map_err(|e| format!("write-ahead log rotation failed: {e}"))?;
+            Ok::<_, String>((bytes, watermark))
+        })?;
+        let Some((bytes, watermark)) = sealed.transpose()? else {
+            return Ok(false);
+        };
+        let stamped = store::with_watermark(&bytes, watermark)
+            .map_err(|e| format!("stamping the snapshot watermark failed: {e}"))?;
+        write_snapshot_atomically(&d.snapshot_path, &stamped)
+            .map_err(|e| format!("writing the compacted snapshot failed: {e}"))?;
+        let mut wal = lock_wal()?;
+        wal.prune(watermark)
+            .map_err(|e| format!("pruning the write-ahead log failed: {e}"))?;
+        d.watermark.store(watermark, Ordering::Relaxed);
+        d.wal_bytes.store(wal.size_bytes(), Ordering::Relaxed);
+        metrics.compactions.inc();
+        metrics.record_since(&metrics.compaction_us, compaction_started);
+        metrics
+            .compaction_bytes_folded
+            .add(bytes_before.saturating_sub(wal.size_bytes()));
+        metrics.wal_bytes.set(wal.size_bytes());
+        Ok(true)
+    }
+}
+
+/// The error a poisoned host is answered (and refused a snapshot) with.
+const POISONED: &str = "server index is poisoned";
+
+/// Readers of the snapshot path must only ever see a complete snapshot:
+/// write to a sibling tmp file, fsync it, rename over the destination,
+/// then fsync the directory so the rename itself is durable.
+fn write_snapshot_atomically(dst: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = dst.with_extension("gdab.tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, dst)?;
+    if let Some(dir) = dst.parent() {
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// How a [`Server`] hosts its backend, fixed at bind time by
+/// [`ServerConfig::shards`] and matched on once, when serving starts.
+enum Hosted<B> {
+    Locked(RwLock<B>),
+    Sharded(ShardedIndex),
 }
 
 /// A server bound to its socket but not yet serving; call
@@ -608,12 +1030,7 @@ impl ServerHandle {
 /// # Ok(())
 /// # }
 /// ```
-pub struct Server<B> {
-    listener: TcpListener,
-    addr: SocketAddr,
-    config: ServerConfig,
-    shared: Arc<Shared<B>>,
-}
+pub struct Server<B>(Bound<Hosted<B>>);
 
 /// A server (or frontend) running on a background thread (see
 /// [`Server::spawn`] / [`crate::Frontend::spawn`]).
@@ -623,11 +1040,16 @@ pub struct RunningServer {
 }
 
 impl RunningServer {
-    pub(crate) fn from_parts(
+    /// Moves `run` (a bound server's serve loop) onto a background
+    /// thread controlled through `handle`.
+    pub(crate) fn spawn(
         handle: ServerHandle,
-        join: std::thread::JoinHandle<std::io::Result<u64>>,
+        run: impl FnOnce() -> std::io::Result<u64> + Send + 'static,
     ) -> RunningServer {
-        RunningServer { handle, join }
+        RunningServer {
+            handle,
+            join: std::thread::spawn(run),
+        }
     }
 
     /// The address the server is listening on.
@@ -673,40 +1095,17 @@ impl<B: ServeBackend> Server<B> {
         backend: B,
         config: ServerConfig,
     ) -> std::io::Result<Server<B>> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let metrics = ServeMetrics::from_env();
-        let index = if config.shards() > 1 {
-            match backend.into_shards(config.shards()) {
-                Ok(mut sharded) => {
-                    sharded.set_telemetry(ShardTelemetry::from_metrics(&metrics));
-                    Hosted::Sharded(sharded)
-                }
-                Err(message) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        message,
-                    ))
-                }
+        Bound::bind(addr, config.mux_workers(), |metrics| {
+            if config.shards() == 1 {
+                return Ok(Hosted::Locked(RwLock::new(backend)));
             }
-        } else {
-            Hosted::Locked(RwLock::new(backend))
-        };
-        let shared = Arc::new(Shared {
-            index,
-            addr,
-            workers: config.mux_workers().max(1),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            requests: AtomicU64::new(0),
-            durability: None,
-            metrics,
-        });
-        Ok(Server {
-            listener,
-            addr,
-            config,
-            shared,
+            let mut sharded = backend.into_shards(config.shards()).map_err(|message| {
+                std::io::Error::new(std::io::ErrorKind::InvalidInput, message)
+            })?;
+            sharded.set_telemetry(ShardTelemetry::from_metrics(metrics));
+            Ok(Hosted::Sharded(sharded))
         })
+        .map(Server)
     }
 
     /// Makes the server durable: every `Insert`/`Remove` is appended to
@@ -719,32 +1118,24 @@ impl<B: ServeBackend> Server<B> {
     /// The caller has already restored the backend (snapshot load plus
     /// replay of the log suffix beyond `snapshot_watermark`), so the
     /// log and the in-memory state agree when serving starts.
-    ///
-    /// # Panics
-    ///
-    /// Must be called between [`Server::bind`] and [`Server::run`] /
-    /// [`Server::spawn`]; panics if the server is already shared with
-    /// other threads.
     pub fn with_durability(
         mut self,
         wal: Wal,
         snapshot_watermark: u64,
         compact_every: Option<Duration>,
     ) -> Server<B> {
-        let shared = Arc::get_mut(&mut self.shared)
-            .expect("with_durability must be called before the server starts serving");
-        shared.durability = Some(Durability::new(wal, snapshot_watermark, compact_every));
+        self.0.core.durability = Some(Durability::new(wal, snapshot_watermark, compact_every));
         self
     }
 
     /// The bound address (with the OS-assigned port resolved).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.local_addr()
     }
 
     /// A remote-control handle usable from any thread.
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle::new(self.addr, Arc::clone(&self.shared.shutdown))
+        self.0.handle()
     }
 
     /// Serves until [`ServerHandle::shutdown`] is called (this thread is
@@ -755,510 +1146,32 @@ impl<B: ServeBackend> Server<B> {
     /// Fatal listener errors; per-connection errors only drop that
     /// connection.
     pub fn run(self) -> std::io::Result<u64> {
-        let workers = self.config.mux_workers().max(1);
-        let shared = &self.shared;
-        let mut served: std::io::Result<()> = Ok(());
-        std::thread::scope(|scope| {
-            if let Some(every) = shared.durability.as_ref().and_then(|d| d.compact_every) {
-                scope.spawn(move || compaction_loop(shared, every));
+        let Bound {
+            listener,
+            core,
+            host,
+        } = self.0;
+        match host {
+            Hosted::Locked(host) => Bound {
+                listener,
+                core,
+                host,
             }
-            served = mux::serve_connections(
-                &self.listener,
-                workers,
-                &shared.shutdown,
-                &shared.requests,
-                &shared.metrics,
-                || (),
-                |_: &mut (), request| execute(shared, request),
-            );
-            // Release the compaction thread even when the serve loop
-            // exited without flipping the flag itself.
-            shared.shutdown.store(true, Ordering::SeqCst);
-        });
-        // Clean shutdown flushes the log regardless of sync policy:
-        // every acknowledged write survives a graceful stop even under
-        // `never`.
-        if let Some(d) = &self.shared.durability {
-            if let Ok(mut wal) = d.wal.lock() {
-                let _ = wal.sync();
-                d.last_durable
-                    .store(wal.last_durable_seq(), Ordering::Relaxed);
+            .run(),
+            Hosted::Sharded(host) => Bound {
+                listener,
+                core,
+                host,
             }
+            .run(),
         }
-        served.map(|()| self.shared.requests.load(Ordering::SeqCst))
     }
 
     /// Moves the server onto a background thread and returns its
     /// controls.
     pub fn spawn(self) -> RunningServer {
-        let handle = self.handle();
-        let join = std::thread::spawn(move || self.run());
-        RunningServer::from_parts(handle, join)
+        RunningServer::spawn(self.handle(), move || self.run())
     }
-}
-
-fn execute<B: ServeBackend>(shared: &Shared<B>, request: Request) -> Response {
-    if matches!(request, Request::Metrics) {
-        return metrics_response(shared);
-    }
-    // Query-shaped requests feed the slow-query log, stamped with the
-    // trace id when the frontend minted one (shard scatter frames carry
-    // it on the wire; direct queries have none).
-    let kind = kind_index(&request);
-    let trace = match &request {
-        Request::ShardQuery { trace, .. } => *trace,
-        _ => 0,
-    };
-    let is_query = matches!(
-        request,
-        Request::Query { .. } | Request::QueryBatch { .. } | Request::ShardQuery { .. }
-    );
-    let started = if is_query { shared.metrics.now() } else { None };
-    let mut stages: Vec<(String, u64)> = Vec::new();
-    let response = match &shared.index {
-        Hosted::Locked(index) => execute_locked(shared, index, request, &mut stages),
-        Hosted::Sharded(sharded) => execute_sharded(shared, sharded, request, &mut stages),
-    };
-    if let Some(started) = started {
-        let total_us = started.elapsed().as_micros() as u64;
-        shared
-            .metrics
-            .observe_slow(trace, KINDS[kind], total_us, stages);
-    }
-    response
-}
-
-/// Answers the `Metrics` frame: pull the engine's process-wide scan
-/// counters into the registry, then snapshot everything.
-fn metrics_response<B>(shared: &Shared<B>) -> Response {
-    let telemetry = geodabs_index::engine_telemetry();
-    shared.metrics.sync_engine(
-        telemetry.searches,
-        telemetry.candidates_scanned,
-        telemetry.candidates_admitted,
-        telemetry.prune_cutoffs,
-    );
-    Response::Metrics(shared.metrics.report())
-}
-
-fn execute_locked<B: ServeBackend>(
-    shared: &Shared<B>,
-    lock: &RwLock<B>,
-    request: Request,
-    stages: &mut Vec<(String, u64)>,
-) -> Response {
-    let metrics = &shared.metrics;
-    match request {
-        Request::Ping => Response::Pong,
-        Request::Metrics => metrics_response(shared),
-        Request::Stats { durability } => match lock.read() {
-            Ok(index) => Response::Stats(StatsBody {
-                backend: index.backend_name().to_string(),
-                trajectories: index.len() as u64,
-                terms: index.term_count() as u64,
-                workers: shared.workers as u64,
-                // The tail goes out only when asked for it (a legacy
-                // client's strict decoder must not see it) and when a
-                // log is actually configured.
-                durability: match durability {
-                    true => shared.durability.as_ref().map(Durability::stats),
-                    false => None,
-                },
-            }),
-            Err(_) => poisoned(shared),
-        },
-        Request::Query { query, options } => {
-            let lock_started = metrics.now();
-            match lock.read() {
-                Ok(index) => {
-                    let lock_us = metrics.record_since(&metrics.stage_lock_us, lock_started);
-                    let engine_started = metrics.now();
-                    let result = run_query(&*index, &query, &options);
-                    let engine_us = metrics.record_since(&metrics.stage_engine_us, engine_started);
-                    if lock_started.is_some() {
-                        stages.push(("lock".to_string(), lock_us));
-                        stages.push(("engine".to_string(), engine_us));
-                    }
-                    match result {
-                        Ok(hits) if hits.len() > MAX_RESPONSE_HITS => {
-                            Response::Error(RESPONSE_TOO_LARGE.to_string())
-                        }
-                        Ok(hits) => Response::Hits(hits),
-                        Err(message) => Response::Error(message.to_string()),
-                    }
-                }
-                Err(_) => poisoned(shared),
-            }
-        }
-        Request::QueryBatch { queries, options } => match lock.read() {
-            Ok(index) => {
-                let mut batches = Vec::with_capacity(queries.len());
-                let mut total_hits = 0usize;
-                for query in &queries {
-                    match run_query(&*index, query, &options) {
-                        Ok(hits) => {
-                            // Bail as soon as the running total blows
-                            // the frame cap — before the rest of the
-                            // batch materializes.
-                            total_hits += hits.len();
-                            if total_hits > MAX_RESPONSE_HITS {
-                                return Response::Error(RESPONSE_TOO_LARGE.to_string());
-                            }
-                            batches.push(hits);
-                        }
-                        Err(message) => return Response::Error(message.to_string()),
-                    }
-                }
-                Response::HitsBatch(batches)
-            }
-            Err(_) => poisoned(shared),
-        },
-        Request::Insert { id, trajectory } => match lock.write() {
-            Ok(mut index) => {
-                if let Err(message) = log_op(
-                    shared,
-                    &WalOp::Insert {
-                        id,
-                        trajectory: trajectory.clone(),
-                    },
-                ) {
-                    return Response::Error(message);
-                }
-                index.insert(id, &trajectory);
-                Response::Inserted {
-                    len: index.len() as u64,
-                }
-            }
-            Err(_) => poisoned(shared),
-        },
-        Request::Remove { id } => match lock.write() {
-            Ok(mut index) => {
-                if let Err(message) = log_op(shared, &WalOp::Remove { id }) {
-                    return Response::Error(message);
-                }
-                Response::Removed {
-                    was_present: index.remove(id),
-                }
-            }
-            Err(_) => poisoned(shared),
-        },
-        Request::ShardQuery { terms, options, .. } => {
-            let lock_started = metrics.now();
-            match lock.read() {
-                Ok(index) => {
-                    let lock_us = metrics.record_since(&metrics.stage_lock_us, lock_started);
-                    let engine_started = metrics.now();
-                    let result = index.shard_query(&terms, &options);
-                    let engine_us = metrics.record_since(&metrics.stage_engine_us, engine_started);
-                    if lock_started.is_some() {
-                        stages.push(("lock".to_string(), lock_us));
-                        stages.push(("engine".to_string(), engine_us));
-                    }
-                    match result {
-                        Ok(hits) if hits.len() > MAX_RESPONSE_HITS => {
-                            Response::Error(RESPONSE_TOO_LARGE.to_string())
-                        }
-                        Ok(hits) => Response::ShardTopK(hits),
-                        Err(message) => Response::Error(message.to_string()),
-                    }
-                }
-                Err(_) => poisoned(shared),
-            }
-        }
-        Request::ShardInsert { id, terms } => match lock.write() {
-            Ok(mut index) => {
-                // Shard support is a static property of the backend:
-                // probe it through the read-only hook first, so an
-                // unsupported op is refused whole instead of landing in
-                // the write-ahead log unapplied.
-                if let Err(message) = index.shard_query(&[], &SearchOptions::default()) {
-                    return Response::Error(message.to_string());
-                }
-                if let Err(message) = log_op(
-                    shared,
-                    &WalOp::InsertFingerprints {
-                        id,
-                        terms: terms.clone(),
-                    },
-                ) {
-                    return Response::Error(message);
-                }
-                match index.shard_insert(id, &terms) {
-                    Ok(()) => Response::Inserted {
-                        len: index.len() as u64,
-                    },
-                    Err(message) => Response::Error(message.to_string()),
-                }
-            }
-            Err(_) => poisoned(shared),
-        },
-    }
-}
-
-/// The sharded request path: queries run lock-free against cell
-/// snapshots; mutations funnel through the sharded writer with the WAL
-/// append inside the write critical section (log order = apply order,
-/// exactly like the locked path).
-fn execute_sharded<B>(
-    shared: &Shared<B>,
-    sharded: &ShardedIndex,
-    request: Request,
-    stages: &mut Vec<(String, u64)>,
-) -> Response {
-    let metrics = &shared.metrics;
-    match request {
-        Request::Ping => Response::Pong,
-        Request::Metrics => metrics_response(shared),
-        Request::Stats { durability } => Response::Stats(StatsBody {
-            backend: "sharded".to_string(),
-            trajectories: sharded.len(),
-            terms: sharded.term_count(),
-            workers: shared.workers as u64,
-            durability: match durability {
-                true => shared.durability.as_ref().map(Durability::stats),
-                false => None,
-            },
-        }),
-        Request::Query { query, options } => {
-            let engine_started = metrics.now();
-            let hits = sharded_query(sharded, &query, &options);
-            let engine_us = metrics.record_since(&metrics.stage_engine_us, engine_started);
-            if engine_started.is_some() {
-                stages.push(("engine".to_string(), engine_us));
-            }
-            if hits.len() > MAX_RESPONSE_HITS {
-                Response::Error(RESPONSE_TOO_LARGE.to_string())
-            } else {
-                Response::Hits(hits)
-            }
-        }
-        Request::QueryBatch { queries, options } => {
-            let mut batches = Vec::with_capacity(queries.len());
-            let mut total_hits = 0usize;
-            for query in &queries {
-                let hits = sharded_query(sharded, query, &options);
-                total_hits += hits.len();
-                if total_hits > MAX_RESPONSE_HITS {
-                    return Response::Error(RESPONSE_TOO_LARGE.to_string());
-                }
-                batches.push(hits);
-            }
-            Response::HitsBatch(batches)
-        }
-        Request::Insert { id, trajectory } => {
-            let logged = sharded.insert_logged(id, &trajectory, || {
-                log_op(
-                    shared,
-                    &WalOp::Insert {
-                        id,
-                        trajectory: trajectory.clone(),
-                    },
-                )
-            });
-            match logged {
-                Ok(len) => Response::Inserted { len },
-                Err(message) => refused(shared, message),
-            }
-        }
-        Request::Remove { id } => {
-            match sharded.remove_logged(id, || log_op(shared, &WalOp::Remove { id })) {
-                Ok(was_present) => Response::Removed { was_present },
-                Err(message) => refused(shared, message),
-            }
-        }
-        // The sharded cells are an internal layout, not cluster nodes a
-        // frontend may address: refuse shard frames like any other
-        // non-shard backend.
-        Request::ShardQuery { .. } | Request::ShardInsert { .. } => {
-            Response::Error(NOT_A_SHARD_NODE.to_string())
-        }
-    }
-}
-
-/// Maps a refused sharded mutation: a poisoned writer (a mutation
-/// panicked mid-broadcast, so the cells may disagree) shuts the server
-/// down like a poisoned write lock; a failed log append refuses just
-/// this op.
-fn refused<B>(shared: &Shared<B>, message: String) -> Response {
-    if message == shards::POISONED {
-        return poisoned(shared);
-    }
-    Response::Error(message)
-}
-
-fn sharded_query(
-    sharded: &ShardedIndex,
-    query: &QueryBody,
-    options: &SearchOptions,
-) -> Vec<SearchResult> {
-    match query {
-        QueryBody::Trajectory(trajectory) => sharded.search(trajectory, options),
-        QueryBody::Fingerprints(ordered) => {
-            sharded.search_fingerprints(&Fingerprints::from_ordered(ordered.clone()), options)
-        }
-    }
-}
-
-/// Appends one mutation to the write-ahead log (when one is configured)
-/// and waits for it to be durable per the sync policy. Called **inside
-/// the write critical section** (the index write lock, or the sharded
-/// writer), so log order and apply order agree. On error the caller
-/// must refuse the write without applying it: a mutation is either
-/// logged-then-applied or rejected whole.
-fn log_op<B>(shared: &Shared<B>, op: &WalOp) -> Result<(), String> {
-    let Some(d) = &shared.durability else {
-        return Ok(());
-    };
-    let mut wal = d
-        .wal
-        .lock()
-        .map_err(|_| "write-ahead log is poisoned".to_string())?;
-    let metrics = &shared.metrics;
-    let started = metrics.now();
-    wal.append(op)
-        .map_err(|e| format!("write-ahead log append failed: {e}"))?;
-    metrics.record_since(&metrics.wal_append_us, started);
-    let last_durable = wal.last_durable_seq();
-    d.last_durable.store(last_durable, Ordering::Relaxed);
-    d.wal_bytes.store(wal.size_bytes(), Ordering::Relaxed);
-    metrics.wal_last_durable_seq.set(last_durable);
-    metrics
-        .wal_durable_lag
-        .set(wal.last_seq().saturating_sub(last_durable));
-    metrics.wal_bytes.set(wal.size_bytes());
-    Ok(())
-}
-
-/// Folds the log into snapshots on a timer until shutdown. Failures are
-/// skipped — the next tick retries with the log intact.
-fn compaction_loop<B: ServeBackend>(shared: &Shared<B>, every: Duration) {
-    let mut last = Instant::now();
-    while !shared.shutting_down() {
-        std::thread::sleep(IDLE_POLL.min(every));
-        if last.elapsed() < every {
-            continue;
-        }
-        let _ = compact(shared);
-        last = Instant::now();
-    }
-}
-
-/// One compaction cycle: fold everything the log holds into a fresh
-/// watermark-stamped snapshot, swap it in atomically (tmp file →
-/// fsync → rename → fsync-of-dir), then prune the folded segments.
-/// Readers are never blocked; writers only wait during the in-memory
-/// serialization — under the brief shared lock for a monolithic
-/// backend, under the sharded writer mutex (which also freezes WAL
-/// appends) for a sharded one. Returns whether a snapshot landed
-/// (`false` when there was nothing new to fold or the backend has no
-/// snapshot support).
-fn compact<B: ServeBackend>(shared: &Shared<B>) -> Result<bool, String> {
-    let Some(d) = &shared.durability else {
-        return Ok(false);
-    };
-    let compaction_started = shared.metrics.now();
-    let bytes_before = d.wal_bytes.load(Ordering::Relaxed);
-    let (bytes, watermark) = {
-        // Rotating under the same lock(s) as the serialization ties the
-        // watermark to exactly the records the serialized state covers.
-        match &shared.index {
-            Hosted::Locked(lock) => {
-                let index = lock
-                    .read()
-                    .map_err(|_| "server index is poisoned".to_string())?;
-                let mut wal = d
-                    .wal
-                    .lock()
-                    .map_err(|_| "write-ahead log is poisoned".to_string())?;
-                if wal.last_seq() <= d.watermark.load(Ordering::Relaxed) {
-                    return Ok(false);
-                }
-                let Some(bytes) = index.to_snapshot_bytes() else {
-                    return Ok(false);
-                };
-                let watermark = wal
-                    .rotate()
-                    .map_err(|e| format!("write-ahead log rotation failed: {e}"))?;
-                (bytes, watermark)
-            }
-            Hosted::Sharded(sharded) => {
-                // The writer guard freezes mutations *and* their WAL
-                // appends (appends happen inside the write critical
-                // section), so holding it across assembly and rotation
-                // leaves the rotated tail with exactly the ops the
-                // snapshot does not cover.
-                let writer = sharded.lock_writes()?;
-                let mut wal = d
-                    .wal
-                    .lock()
-                    .map_err(|_| "write-ahead log is poisoned".to_string())?;
-                if wal.last_seq() <= d.watermark.load(Ordering::Relaxed) {
-                    return Ok(false);
-                }
-                let bytes = sharded.snapshot_locked(&writer);
-                let watermark = wal
-                    .rotate()
-                    .map_err(|e| format!("write-ahead log rotation failed: {e}"))?;
-                (bytes, watermark)
-            }
-        }
-    };
-    let stamped = store::with_watermark(&bytes, watermark)
-        .map_err(|e| format!("stamping the snapshot watermark failed: {e}"))?;
-    write_snapshot_atomically(&d.snapshot_path, &stamped)
-        .map_err(|e| format!("writing the compacted snapshot failed: {e}"))?;
-    let mut wal = d
-        .wal
-        .lock()
-        .map_err(|_| "write-ahead log is poisoned".to_string())?;
-    wal.prune(watermark)
-        .map_err(|e| format!("pruning the write-ahead log failed: {e}"))?;
-    d.watermark.store(watermark, Ordering::Relaxed);
-    d.wal_bytes.store(wal.size_bytes(), Ordering::Relaxed);
-    let metrics = &shared.metrics;
-    metrics.compactions.inc();
-    metrics.record_since(&metrics.compaction_us, compaction_started);
-    metrics
-        .compaction_bytes_folded
-        .add(bytes_before.saturating_sub(wal.size_bytes()));
-    metrics.wal_bytes.set(wal.size_bytes());
-    Ok(true)
-}
-
-/// Readers of the snapshot path must only ever see a complete snapshot:
-/// write to a sibling tmp file, fsync it, rename over the destination,
-/// then fsync the directory so the rename itself is durable.
-fn write_snapshot_atomically(dst: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = dst.with_extension("gdab.tmp");
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(bytes)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, dst)?;
-    if let Some(dir) = dst.parent() {
-        std::fs::File::open(dir)?.sync_all()?;
-    }
-    Ok(())
-}
-
-fn run_query<B: ServeBackend>(
-    index: &B,
-    query: &QueryBody,
-    options: &SearchOptions,
-) -> Result<Vec<SearchResult>, &'static str> {
-    match query {
-        QueryBody::Trajectory(trajectory) => Ok(index.search(trajectory, options)),
-        QueryBody::Fingerprints(ordered) => index.search_fingerprints(ordered, options),
-    }
-}
-
-/// A write-path panic left the index in an unknown state: refuse to
-/// serve from it and shut the server down cleanly (flag **and**
-/// listener wake-up, so the acceptor does not sit in `accept()` waiting
-/// for an unrelated connection to notice).
-fn poisoned<B>(shared: &Shared<B>) -> Response {
-    shared.initiate_shutdown();
-    Response::Error("server index is poisoned; shutting down".to_string())
 }
 
 #[cfg(test)]

@@ -30,24 +30,34 @@
 //! Mutations are **broadcast** to every cell (like the frontend's
 //! insert broadcast): [`ShardNode::insert_fingerprints`] keeps only the
 //! locally routed postings and scrubs any previous shape of the id, so
-//! replace-on-reinsert stays exact. Queries fan out to the cells owning
-//! the query's terms and the per-cell top-k heaps go through
-//! [`merge_heaps`] — the same exact merge the cluster coordinator and
-//! the network frontend use — so rankings are bit-identical to the
-//! monolithic index by construction.
+//! replace-on-reinsert stays exact. Queries run [`scatter_gather`] —
+//! the one route → legs → exact-merge fan-out the cluster coordinator
+//! and the network frontend run too — with the cells owning the query's
+//! terms as legs, so rankings are bit-identical to the monolithic index
+//! by construction.
+//!
+//! A server hosts a `ShardedIndex` through the crate's private `Host`
+//! interface (implemented at the bottom of this module): the read path
+//! above, [`ShardedIndex::insert_logged`] / [`ShardedIndex::remove_logged`]
+//! as the one serialized write section, and a cluster snapshot taken
+//! under the writer mutex.
 
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
-use geodabs_cluster::{merge_heaps, ClusterIndex, ShardNode, ShardRouter};
+use geodabs_cluster::{scatter_gather, ClusterIndex, ShardNode, ShardRouter};
 use geodabs_core::{Fingerprinter, Fingerprints};
 use geodabs_index::store::Persist;
-use geodabs_index::{SearchOptions, SearchResult};
+use geodabs_index::{SearchOptions, SearchResult, TrajectoryIndex};
 use geodabs_obs::Histogram;
 use geodabs_traj::{TrajId, Trajectory};
+use geodabs_wal::WalOp;
 
 use crate::metrics::ServeMetrics;
+use crate::proto::{QueryBody, Response};
+use crate::server::{Host, Refusal, Span, NOT_A_SHARD_NODE};
 
 /// The sharded layer's instrument handles, cloned off the server's
 /// registry and installed before serving starts. `None` (the default,
@@ -91,10 +101,10 @@ impl ShardTelemetry {
 /// term→cell spread even at any cell count.
 const NUM_LOGICAL_SHARDS: u64 = 10_000;
 
-/// The error every write path returns once a mutation panicked
-/// mid-broadcast: the cells may disagree, so the server treats this
+/// The error every write path returns once a mutation panicked inside
+/// the write section: the cells may disagree, so the server treats this
 /// like a poisoned write lock and shuts down rather than keep serving.
-pub(crate) const POISONED: &str = "sharded index writer is poisoned";
+const POISONED: &str = "sharded index writer is poisoned";
 
 /// One mutation, broadcast to every cell. The full fingerprint sequence
 /// travels with the insert (not the routed slice) because each cell
@@ -131,7 +141,7 @@ struct BackCell {
 /// Everything the single writer owns, under one mutex: the spare copies
 /// and the coordinator's id set (which also records ids whose
 /// fingerprint set is empty — indexed, but stored on no cell).
-pub(crate) struct WriterState {
+struct WriterState {
     backs: Vec<BackCell>,
     indexed: BTreeSet<TrajId>,
 }
@@ -193,11 +203,6 @@ impl ShardedIndex {
         self.cells.len()
     }
 
-    /// The logical-shard router spreading terms over the cells.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
     /// Indexed trajectories (lock-free).
     pub fn len(&self) -> u64 {
         self.len.load(Ordering::Acquire)
@@ -232,19 +237,20 @@ impl ShardedIndex {
         query_fp: &Fingerprints,
         options: &SearchOptions,
     ) -> Vec<SearchResult> {
-        let nodes = self.router.nodes_for_terms(query_fp.set().iter());
-        if let Some(t) = &self.telemetry {
-            t.fanout_cells.record(nodes.len() as u64);
-        }
-        // The heaps iterator is lazy: scoring runs inside merge_heaps,
-        // so the merge timer brackets scatter *and* merge. Collecting
-        // first isolates the exact merge cost.
-        let heaps: Vec<Vec<SearchResult>> = nodes
-            .into_iter()
-            .map(|node| snapshot(&self.cells[node]).search_fingerprints(query_fp, options))
-            .collect();
-        let merge_started = self.telemetry.as_ref().and_then(ShardTelemetry::now);
-        let merged = merge_heaps(heaps, options);
+        let mut merge_started = None;
+        let Ok(merged) = scatter_gather(&self.router, query_fp, options, |_, cells| {
+            if let Some(t) = &self.telemetry {
+                t.fanout_cells.record(cells.len() as u64);
+            }
+            let heaps = cells
+                .iter()
+                .map(|&cell| snapshot(&self.cells[cell]).search_fingerprints(query_fp, options))
+                .collect();
+            // Read the clock after the legs, so the timer brackets the
+            // exact merge alone.
+            merge_started = self.telemetry.as_ref().and_then(ShardTelemetry::now);
+            Ok::<_, Infallible>(heaps)
+        });
         if let (Some(t), Some(started)) = (&self.telemetry, merge_started) {
             t.merge_us.record(started.elapsed().as_micros() as u64);
         }
@@ -293,16 +299,6 @@ impl ShardedIndex {
         .expect("no-op log never fails")
     }
 
-    /// Bulk ingest. Each item takes the writer mutex independently, so
-    /// concurrent queries interleave between items instead of waiting
-    /// for the whole batch — the no-write-convoy property the stress
-    /// suite pins.
-    pub fn insert_batch(&self, items: impl IntoIterator<Item = (TrajId, Trajectory)>) {
-        for (id, trajectory) in items {
-            self.insert(id, &trajectory);
-        }
-    }
-
     /// Removes a trajectory; returns whether the id was indexed.
     pub fn remove(&self, id: TrajId) -> bool {
         self.remove_logged(id, || Ok(()))
@@ -325,45 +321,6 @@ impl ShardedIndex {
         })
     }
 
-    /// Reassembles the corpus as a **cluster** snapshot (GDAB backend
-    /// tag 3), so a sharded server's compaction artifact warm-starts
-    /// any boot path that understands cluster snapshots — including a
-    /// re-shard to a different cell count.
-    ///
-    /// # Errors
-    ///
-    /// The poisoned-writer message if a mutation panicked
-    /// mid-broadcast.
-    pub fn to_cluster_snapshot(&self) -> Result<Vec<u8>, String> {
-        let writer = self.lock_writes()?;
-        Ok(self.snapshot_locked(&writer))
-    }
-
-    /// Blocks mutations (and, because WAL appends happen inside the
-    /// write critical section, WAL appends) until the guard drops. The
-    /// compactor holds this across snapshot assembly *and* log
-    /// rotation, so the rotated tail contains exactly the ops after the
-    /// snapshot. Lock order is writer→wal, the same as the mutation
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// The poisoned-writer message if a mutation panicked
-    /// mid-broadcast.
-    pub(crate) fn lock_writes(&self) -> Result<MutexGuard<'_, WriterState>, String> {
-        self.writer.lock().map_err(|_| POISONED.to_string())
-    }
-
-    /// Assembles the cluster snapshot while `writer` freezes the fronts.
-    pub(crate) fn snapshot_locked(&self, writer: &WriterState) -> Vec<u8> {
-        let nodes: Vec<ShardNode> = self
-            .cells
-            .iter()
-            .map(|cell| ShardNode::clone(&snapshot(cell)))
-            .collect();
-        ClusterIndex::from_shard_nodes(nodes, writer.indexed.clone()).to_snapshot()
-    }
-
     /// The single write path: take the writer mutex, run `log`, update
     /// the coordinator's id set, then broadcast the op to every cell —
     /// replaying each spare copy's missed ops, applying the new one,
@@ -374,7 +331,7 @@ impl ShardedIndex {
         log: impl FnOnce() -> Result<(), String>,
         outcome: impl FnOnce(&mut BTreeSet<TrajId>) -> R,
     ) -> Result<R, String> {
-        let mut writer = self.lock_writes()?;
+        let mut writer = self.writer.lock().map_err(|_| POISONED.to_string())?;
         log()?;
         let WriterState { backs, indexed } = &mut *writer;
         let result = outcome(indexed);
@@ -414,6 +371,86 @@ impl ShardedIndex {
         }
         self.len.store(indexed.len() as u64, Ordering::Release);
         Ok(result)
+    }
+}
+
+/// The copy-on-write hosting: reads never take the writer mutex, so
+/// they keep answering (from the last published fronts) even after a
+/// write panicked.
+impl Host for ShardedIndex {
+    type Worker<'a> = ();
+
+    fn worker<'a>(&'a self, _metrics: &'a ServeMetrics) {}
+
+    fn stats(&self) -> Result<(&'static str, u64, u64), Refusal> {
+        Ok(("sharded", self.len(), self.term_count()))
+    }
+
+    fn search(
+        &self,
+        _worker: &mut (),
+        query: &QueryBody,
+        leg: bool,
+        options: &SearchOptions,
+        span: &mut Span<'_>,
+    ) -> Result<Vec<SearchResult>, Refusal> {
+        // The cells are an internal layout, not cluster nodes a
+        // frontend may address.
+        if leg {
+            return Err(Refusal::error(NOT_A_SHARD_NODE));
+        }
+        let metrics = span.metrics;
+        let engine_started = metrics.now();
+        let hits = match query {
+            QueryBody::Trajectory(trajectory) => self.search(trajectory, options),
+            QueryBody::Fingerprints(ordered) => {
+                self.search_fingerprints(&Fingerprints::from_ordered(ordered.clone()), options)
+            }
+        };
+        span.stage("engine", Some(&metrics.stage_engine_us), engine_started);
+        Ok(hits)
+    }
+
+    fn write(
+        &self,
+        _worker: &mut (),
+        op: WalOp,
+        log: impl FnOnce(&WalOp) -> Result<(), String>,
+    ) -> Result<Response, Refusal> {
+        let applied = match &op {
+            WalOp::Insert { id, trajectory } => self
+                .insert_logged(*id, trajectory, || log(&op))
+                .map(|len| Response::Inserted { len }),
+            WalOp::Remove { id } => self
+                .remove_logged(*id, || log(&op))
+                .map(|was_present| Response::Removed { was_present }),
+            WalOp::InsertFingerprints { .. } => Err(NOT_A_SHARD_NODE.to_string()),
+        };
+        // A poisoned writer (a mutation panicked mid-broadcast, so the
+        // cells may disagree) shuts the server down like a poisoned
+        // write lock; a failed log append refuses just this op.
+        applied.map_err(|message| match message == POISONED {
+            true => Refusal::Poisoned,
+            false => Refusal::error(message),
+        })
+    }
+
+    /// Reassembles the corpus as a **cluster** snapshot (GDAB backend
+    /// tag 3), so a sharded server's compaction artifact warm-starts
+    /// any boot path that understands cluster snapshots — including a
+    /// re-shard to a different cell count.
+    fn snapshot<T>(&self, seal: impl FnOnce(Vec<u8>) -> T) -> Result<Option<T>, String> {
+        // The writer guard freezes the fronts: mutations *and* their
+        // log appends (which happen inside the write section) wait.
+        // Lock order is writer → wal, the same as the mutation path.
+        let writer = self.writer.lock().map_err(|_| POISONED.to_string())?;
+        let nodes: Vec<ShardNode> = self
+            .cells
+            .iter()
+            .map(|cell| ShardNode::clone(&snapshot(cell)))
+            .collect();
+        let cluster = ClusterIndex::from_shard_nodes(nodes, writer.indexed.clone());
+        Ok(Some(seal(cluster.to_snapshot())))
     }
 }
 
@@ -535,7 +572,9 @@ mod tests {
         }
         // An id the spare copies have not caught up on yet must still
         // be in the snapshot (fronts are always newest).
-        let bytes = index.to_cluster_snapshot().expect("writer not poisoned");
+        let bytes = Host::snapshot(&index, |bytes| bytes)
+            .expect("writer not poisoned")
+            .expect("a sharded index always snapshots");
         let restored = ClusterIndex::from_snapshot(&bytes).expect("decode cluster");
         assert_eq!(restored.len(), 5);
         let options = SearchOptions::default().limit(10);

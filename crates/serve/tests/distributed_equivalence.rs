@@ -6,108 +6,28 @@
 //! loss yields the typed `Unavailable` error, never a silently partial
 //! ranking, and the frontend recovers without a restart.
 
-use geodabs_cluster::{ClusterIndex, ShardNode, ShardRouter};
-use geodabs_core::{Fingerprinter, GeodabConfig};
-use geodabs_geo::Point;
+mod common;
+
+use common::{build_index as build_monolith, corpus, eastward, empty_slices, queries};
+use geodabs_cluster::ShardNode;
+use geodabs_core::GeodabConfig;
 use geodabs_index::store::Persist;
 use geodabs_index::{GeodabIndex, SearchOptions, SearchResult, TrajectoryIndex};
 use geodabs_serve::{
-    Client, Frontend, FrontendConfig, QueryBody, Request, Response, RunningServer, Server,
-    ServerConfig, WireError,
+    Client, QueryBody, Request, Response, RunningServer, Server, ServerConfig, WireError,
 };
 use geodabs_traj::{TrajId, Trajectory};
 
-/// The paper's fine-grained logical shard count, scaled down enough to
-/// keep the suite fast while still spreading terms across every node.
-const NUM_SHARDS: u64 = 1_000;
-
-fn eastward(n: usize, offset_m: f64) -> Trajectory {
-    let start = Point::new(51.5074, -0.1278).unwrap();
-    (0..n)
-        .map(|i| start.destination(90.0, offset_m + i as f64 * 90.0))
-        .collect()
-}
-
-/// Forward/reverse pairs at several offsets: real rankings with
-/// distance ties, spread across shards by the Z-curve prefixes.
-fn corpus() -> Vec<(TrajId, Trajectory)> {
-    let mut items = Vec::new();
-    for route in 0..10u32 {
-        let path = eastward(40, route as f64 * 400.0);
-        items.push((TrajId::new(route * 2), path.clone()));
-        items.push((TrajId::new(route * 2 + 1), path.reversed()));
-    }
-    items
-}
-
-fn build_monolith() -> GeodabIndex {
-    let mut index = GeodabIndex::new(GeodabConfig::default());
-    for (id, trajectory) in corpus() {
-        index.insert(id, &trajectory);
-    }
-    index
-}
-
-fn queries() -> Vec<Trajectory> {
-    (0..8)
-        .map(|i| {
-            eastward(40, i as f64 * 400.0)
-                .iter()
-                .map(|p| p.destination(45.0, 6.0))
-                .collect()
-        })
-        .collect()
-}
-
-/// Boots `nodes` shard servers hosting the given [`ShardNode`] slices
-/// plus a frontend over them, all on OS-assigned loopback ports.
+/// Boots one shard server per slice plus a frontend over them, four mux
+/// workers each.
 fn boot(slices: Vec<ShardNode>) -> (Vec<RunningServer>, RunningServer) {
-    let nodes = slices.len();
-    let mut servers = Vec::with_capacity(nodes);
-    let mut addrs = Vec::with_capacity(nodes);
-    for slice in slices {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            slice,
-            ServerConfig::builder().mux_workers(4).build().unwrap(),
-        )
-        .expect("bind shard server");
-        addrs.push(server.local_addr().to_string());
-        servers.push(server.spawn());
-    }
-    let config = GeodabConfig::default();
-    let router = ShardRouter::new(config.prefix_bits(), NUM_SHARDS, nodes).expect("router");
-    let frontend = Frontend::bind(
-        "127.0.0.1:0",
-        Fingerprinter::new(config),
-        router,
-        addrs,
-        FrontendConfig::builder().mux_workers(4).build().unwrap(),
-    )
-    .expect("bind frontend")
-    .spawn();
-    (servers, frontend)
+    common::boot(slices, 4)
 }
 
 /// Slices the whole corpus through one cluster ingest — the state each
 /// node would hold after a live N-node ingest.
 fn preloaded_slices(nodes: usize) -> Vec<ShardNode> {
-    let mut cluster =
-        ClusterIndex::new(GeodabConfig::default(), NUM_SHARDS, nodes).expect("cluster");
-    for (id, trajectory) in corpus() {
-        cluster.insert(id, &trajectory);
-    }
-    (0..nodes)
-        .map(|node| cluster.shard_node(node).expect("node in range"))
-        .collect()
-}
-
-fn empty_slices(nodes: usize) -> Vec<ShardNode> {
-    (0..nodes)
-        .map(|node| {
-            ShardNode::new(GeodabConfig::default(), NUM_SHARDS, nodes, node).expect("shard node")
-        })
-        .collect()
+    common::slices_of(&build_monolith(), nodes)
 }
 
 #[test]

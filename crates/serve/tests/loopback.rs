@@ -4,55 +4,20 @@
 //! shut down cleanly on both an explicit signal and a poisoned write
 //! lock.
 
+mod common;
+
+use common::{build_index, corpus, eastward, queries, wal_dir};
 use geodabs_cluster::ClusterIndex;
 use geodabs_core::GeodabConfig;
-use geodabs_geo::Point;
 use geodabs_index::store::{self, Persist};
 use geodabs_index::{GeodabIndex, SearchOptions, SearchResult, TrajectoryIndex};
 use geodabs_serve::{
-    Client, LoadClient, QueryBody, Request, Response, Server, ServerConfig, WAL_SNAPSHOT_FILE,
+    Client, LoadClient, QueryBody, Request, Response, Server, ServerConfig, ShardedIndex,
+    WAL_SNAPSHOT_FILE,
 };
 use geodabs_traj::{TrajId, Trajectory};
 use geodabs_wal::{SyncPolicy, Wal, WalOp};
 use std::time::Duration;
-
-fn eastward(n: usize, offset_m: f64) -> Trajectory {
-    let start = Point::new(51.5074, -0.1278).unwrap();
-    (0..n)
-        .map(|i| start.destination(90.0, offset_m + i as f64 * 90.0))
-        .collect()
-}
-
-/// A small but non-trivial corpus: forward/reverse pairs at several
-/// offsets, so queries see real rankings with distance ties.
-fn corpus() -> Vec<(TrajId, Trajectory)> {
-    let mut items = Vec::new();
-    for route in 0..10u32 {
-        let path = eastward(40, route as f64 * 400.0);
-        items.push((TrajId::new(route * 2), path.clone()));
-        items.push((TrajId::new(route * 2 + 1), path.reversed()));
-    }
-    items
-}
-
-fn build_index() -> GeodabIndex {
-    let mut index = GeodabIndex::new(GeodabConfig::default());
-    for (id, trajectory) in corpus() {
-        index.insert(id, &trajectory);
-    }
-    index
-}
-
-fn queries() -> Vec<Trajectory> {
-    (0..8)
-        .map(|i| {
-            eastward(40, i as f64 * 400.0)
-                .iter()
-                .map(|p| p.destination(45.0, 6.0))
-                .collect()
-        })
-        .collect()
-}
 
 #[test]
 fn four_concurrent_pipelined_clients_get_bit_identical_rankings() {
@@ -256,22 +221,34 @@ fn malformed_frames_get_an_error_response_and_the_server_survives() {
     running.shutdown().expect("clean shutdown");
 }
 
-/// A backend that panics while holding the write lock, to exercise the
-/// poison path.
+/// A backend that panics inside the write section, to exercise the
+/// poison path of both local hostings.
 struct PanicOnInsert(GeodabIndex);
+
+impl TrajectoryIndex for PanicOnInsert {
+    fn insert(&mut self, _id: TrajId, _trajectory: &Trajectory) {
+        panic!("injected failure while holding the write lock");
+    }
+    fn remove(&mut self, id: TrajId) -> bool {
+        self.0.remove(id)
+    }
+    fn search(&self, query: &Trajectory, options: &SearchOptions) -> Vec<SearchResult> {
+        self.0.search(query, options)
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn ids(&self) -> impl Iterator<Item = TrajId> + '_ {
+        self.0.ids()
+    }
+}
 
 impl geodabs_serve::ServeBackend for PanicOnInsert {
     fn backend_name(&self) -> &'static str {
         "panic-on-insert"
     }
-    fn len(&self) -> usize {
-        TrajectoryIndex::len(&self.0)
-    }
     fn term_count(&self) -> usize {
         self.0.term_count()
-    }
-    fn search(&self, query: &Trajectory, options: &SearchOptions) -> Vec<SearchResult> {
-        TrajectoryIndex::search(&self.0, query, options)
     }
     fn search_fingerprints(
         &self,
@@ -280,57 +257,72 @@ impl geodabs_serve::ServeBackend for PanicOnInsert {
     ) -> Result<Vec<SearchResult>, &'static str> {
         Err("unsupported")
     }
-    fn insert(&mut self, _id: TrajId, _trajectory: &Trajectory) {
-        panic!("injected failure while holding the write lock");
-    }
-    fn remove(&mut self, id: TrajId) -> bool {
-        TrajectoryIndex::remove(&mut self.0, id)
+    /// The cells hold plain shard nodes, so the injected failure cannot
+    /// ride along into them; instead it strikes here, inside the sharded
+    /// write section (between taking the writer mutex and the
+    /// broadcast), and the server is handed the poisoned result.
+    fn into_shards(self, shards: usize) -> Result<ShardedIndex, String> {
+        let sharded = self.0.into_shards(shards)?;
+        let injected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sharded.insert_logged(TrajId::new(9), &eastward(40, 0.0), || {
+                panic!("injected failure while holding the writer mutex")
+            })
+        }));
+        assert!(injected.is_err(), "the write section panicked");
+        Ok(sharded)
     }
 }
 
-#[test]
-fn poisoned_write_lock_shuts_the_server_down_cleanly() {
-    let running = Server::bind(
-        "127.0.0.1:0",
-        PanicOnInsert(build_index()),
-        ServerConfig::builder().mux_workers(2).build().unwrap(),
-    )
-    .expect("bind loopback")
-    .spawn();
+/// Serves [`PanicOnInsert`] on `shards` cells and checks that a write-path
+/// panic ends in a typed "poisoned" error and a clean, self-initiated
+/// shutdown.
+fn poisoned_write_section_shuts_the_server_down_cleanly(shards: usize, witness: Request) {
+    let config = common::server_config(shards, 2);
+    let running = Server::bind("127.0.0.1:0", PanicOnInsert(build_index()), config)
+        .expect("bind loopback")
+        .spawn();
     let addr = running.addr();
 
     // The panicking insert is caught at the request boundary: the
-    // victim gets an error response instead of a dead socket…
+    // victim gets an error response instead of a dead socket. (On the
+    // sharded hosting the panic already struck in `into_shards`, so the
+    // victim is the first to observe the poison.)
     {
         let mut victim = Client::connect(addr).expect("connect");
         let err = victim.insert(TrajId::new(9), &eastward(40, 0.0));
+        let expected = if shards > 1 { "poisoned" } else { "panicked" };
         assert!(
-            matches!(&err, Err(geodabs_serve::WireError::Remote(m)) if m.contains("panicked")),
-            "expected a remote panic report: {err:?}"
+            matches!(&err, Err(geodabs_serve::WireError::Remote(m)) if m.contains(expected)),
+            "expected a remote {expected} report: {err:?}"
         );
     }
-    // …and the poisoned lock turns every later request into an error
-    // response while the server starts its clean shutdown.
-    let mut witness = Client::connect(addr).expect("connect");
-    match witness.request(&Request::Stats { durability: false }) {
+    // …and the poisoned host turns every later request that touches it
+    // into an error response while the server starts its clean shutdown.
+    let answer = Client::connect(addr)
+        .map_err(geodabs_serve::WireError::Io)
+        .and_then(|mut client| client.request(&witness));
+    match answer {
         Ok(Response::Error(message)) => assert!(message.contains("poisoned"), "{message}"),
         // The shutdown may already have won the race and closed the
-        // socket — equally acceptable, as long as join() returns.
+        // socket (or the listener) — equally acceptable, as long as
+        // join() returns.
         Ok(other) => panic!("unexpected response {other:?}"),
         Err(_) => {}
     }
     running.shutdown().expect("clean shutdown after poison");
 }
 
-/// A fresh per-test WAL directory under the target-adjacent temp root.
-fn wal_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "geodabs-serve-durability-{}-{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create wal dir");
-    dir
+#[test]
+fn poisoned_write_lock_shuts_the_server_down_cleanly() {
+    poisoned_write_section_shuts_the_server_down_cleanly(1, Request::Stats { durability: false });
+}
+
+/// The sharded read path never takes the writer mutex (`Stats` keeps
+/// answering), so the witness is another mutation.
+#[test]
+fn poisoned_sharded_writer_shuts_the_server_down_cleanly() {
+    let witness = Request::Remove { id: TrajId::new(0) };
+    poisoned_write_section_shuts_the_server_down_cleanly(2, witness);
 }
 
 #[test]

@@ -4,61 +4,17 @@
 //! matching) under concurrent ingest, over a mux pool far smaller than
 //! the connection count, and through the WAL restart path.
 
+mod common;
+
+use common::{build_index, corpus, eastward, queries, server_config as sharded_config, wal_dir};
 use geodabs_cluster::ClusterIndex;
 use geodabs_core::GeodabConfig;
-use geodabs_geo::Point;
 use geodabs_index::store::{self, Persist};
 use geodabs_index::{GeodabIndex, SearchOptions, SearchResult, TrajectoryIndex};
-use geodabs_serve::{Client, LoadClient, Server, ServerConfig, ShardedIndex, WAL_SNAPSHOT_FILE};
-use geodabs_traj::{TrajId, Trajectory};
+use geodabs_serve::{Client, LoadClient, Server, ShardedIndex, WAL_SNAPSHOT_FILE};
+use geodabs_traj::TrajId;
 use geodabs_wal::{SyncPolicy, Wal, WalOp};
 use std::time::Duration;
-
-fn eastward(n: usize, offset_m: f64) -> Trajectory {
-    let start = Point::new(51.5074, -0.1278).unwrap();
-    (0..n)
-        .map(|i| start.destination(90.0, offset_m + i as f64 * 90.0))
-        .collect()
-}
-
-/// Forward/reverse pairs at several offsets: queries see real rankings
-/// with ties, so a merge-order bug cannot hide.
-fn corpus() -> Vec<(TrajId, Trajectory)> {
-    let mut items = Vec::new();
-    for route in 0..10u32 {
-        let path = eastward(40, route as f64 * 400.0);
-        items.push((TrajId::new(route * 2), path.clone()));
-        items.push((TrajId::new(route * 2 + 1), path.reversed()));
-    }
-    items
-}
-
-fn build_index() -> GeodabIndex {
-    let mut index = GeodabIndex::new(GeodabConfig::default());
-    for (id, trajectory) in corpus() {
-        index.insert(id, &trajectory);
-    }
-    index
-}
-
-fn queries() -> Vec<Trajectory> {
-    (0..8)
-        .map(|i| {
-            eastward(40, i as f64 * 400.0)
-                .iter()
-                .map(|p| p.destination(45.0, 6.0))
-                .collect()
-        })
-        .collect()
-}
-
-fn sharded_config(shards: usize, mux_workers: usize) -> ServerConfig {
-    ServerConfig::builder()
-        .shards(shards)
-        .mux_workers(mux_workers)
-        .build()
-        .unwrap()
-}
 
 #[test]
 fn sharded_server_rankings_and_mutations_match_the_monolith() {
@@ -196,20 +152,9 @@ fn queries_never_block_and_never_diverge_under_concurrent_ingest() {
     running.shutdown().expect("clean shutdown");
 }
 
-/// A fresh per-test WAL directory under the target-adjacent temp root.
-fn wal_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "geodabs-serve-sharded-{}-{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create wal dir");
-    dir
-}
-
 #[test]
 fn sharded_acked_writes_survive_restart_via_cluster_snapshot() {
-    let dir = wal_dir("e2e");
+    let dir = wal_dir("sharded-e2e");
 
     let running = Server::bind("127.0.0.1:0", build_index(), sharded_config(2, 2))
         .expect("bind sharded loopback")

@@ -89,9 +89,9 @@ pub mod prelude {
     //! workspace [`Error`].
 
     pub use geodabs_cluster::{ClusterIndex, QueryStats, ShardRouter};
-    // `ServeBackend` stays out on purpose: its method names mirror
-    // `TrajectoryIndex`, and importing both would make plain
-    // `index.search(…)` calls ambiguous for every prelude user.
+    // `ServeBackend` stays out on purpose: only code hosting a custom
+    // backend names it, and its `search_fingerprints(&[u32], …)` would
+    // sit beside `TrajectoryIndex` in every prelude user's method set.
     pub use geodabs_core::{
         Fingerprinter, Fingerprints, GeodabConfig, GeodabConfigBuilder, GeodabError,
     };
