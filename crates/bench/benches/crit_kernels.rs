@@ -2,7 +2,7 @@
 //! every figure: haversine, geohash encoding, geodab construction,
 //! winnowing, fingerprinting, Jaccard over roaring bitmaps, DTW and DFD,
 //! plus reference-vs-optimized pairs for the roaring intersection ladder,
-//! overlap counting, and point→cell encoding.
+//! the snapshot live check, and point→cell encoding.
 //!
 //! Run with `cargo bench -p geodabs-bench --bench crit_kernels`. Set
 //! `CRIT_QUICK=1` (the CI kernel-smoke step does) to shrink sample counts
@@ -166,37 +166,7 @@ fn bench_intersection_ladder(c: &mut Criterion) {
     });
 }
 
-fn bench_overlap_counting(c: &mut Criterion) {
-    // The query engine's admitted-scan phase: bump a dense accumulator for
-    // every member of `posting ∩ admitted`, via the old per-id iterator and
-    // the new batch-decoding visitor.
-    let posting: RoaringBitmap = (0..40_000u32).map(|i| i * 3).collect();
-    let admitted: RoaringBitmap = (0..40_000u32).map(|i| i * 2).collect();
-    let capacity = 120_001usize;
-    let (p, a) = (posting.clone(), admitted.clone());
-    c.bench_function("overlap_iter_bump_reference", move |bench| {
-        bench.iter_batched(
-            || vec![0u32; capacity],
-            |mut counts| {
-                for dense in p.intersection_iter(&a) {
-                    counts[dense as usize] += 1;
-                }
-                counts
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    let (p, a) = (posting, admitted);
-    c.bench_function("overlap_for_each_bump", move |bench| {
-        bench.iter_batched(
-            || vec![0u32; capacity],
-            |mut counts| {
-                p.intersection_for_each(&a, |dense| counts[dense as usize] += 1);
-                counts
-            },
-            BatchSize::SmallInput,
-        )
-    });
+fn bench_live_check(c: &mut Criterion) {
     // The snapshot loader's live check: does every slot in this posting
     // list point at a live trajectory? The old path counted the full
     // intersection and compared cardinalities; the new one asks
@@ -264,6 +234,6 @@ criterion_group! {
     name = kernels_suite;
     config = config();
     targets = bench_geo, bench_winnow, bench_fingerprint, bench_jaccard, bench_distances,
-        bench_intersection_ladder, bench_overlap_counting, bench_encode
+        bench_intersection_ladder, bench_live_check, bench_encode
 }
 criterion_main!(kernels_suite);

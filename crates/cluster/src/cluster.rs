@@ -3,10 +3,9 @@ use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::{TrajId, Trajectory};
 use std::collections::{BTreeSet, HashMap};
 use std::convert::Infallible;
-use std::sync::Mutex;
 
 use crate::{ClusterConfigError, ShardRouter};
-use geodabs_index::engine::{IdInterner, TopK};
+use geodabs_index::engine::{for_each_overlap, IdInterner, TopK};
 use geodabs_index::{SearchOptions, SearchResult, TrajectoryIndex};
 
 /// Statistics of one fan-out query, the quantities the sharding strategy
@@ -23,10 +22,11 @@ pub struct QueryStats {
 }
 
 /// Per-node storage: the posting lists of the terms routed to this node,
-/// plus the fingerprint bitmaps of every trajectory those postings
+/// plus the full fingerprints of every trajectory those postings
 /// reference (the paper stores "a reference to the trajectory bitmap" in
 /// each posting entry; replication per referencing node is the
-/// shared-nothing equivalent).
+/// shared-nothing equivalent). Everything per trajectory is addressed by
+/// the node-local dense slot, the value the posting bitmaps hold.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct NodeStore {
     /// Posting lists of this node's terms, as roaring bitmaps of dense
@@ -34,12 +34,38 @@ pub(crate) struct NodeStore {
     pub(crate) postings: HashMap<u32, RoaringBitmap>,
     /// The node's `TrajId ↔ dense` interning table.
     pub(crate) interner: IdInterner,
-    pub(crate) fingerprints: HashMap<TrajId, Fingerprints>,
+    /// `replicas[dense]` is the full fingerprint replica of the
+    /// trajectory in that slot (`None` while the slot is vacant).
+    replicas: Vec<Option<Fingerprints>>,
+    /// `set_sizes[dense]` is `|B|`, the distinct-term count of that
+    /// replica (stale for vacant slots) — all scoring needs of it unless
+    /// the query has terms on other nodes.
+    set_sizes: Vec<u32>,
     /// Posting entries per shard, for balance accounting.
     pub(crate) shard_load: HashMap<u64, u64>,
 }
 
 impl NodeStore {
+    /// Assembles a store from snapshot parts: `replicas` lists the live
+    /// `(dense, fingerprints)` pairs of `interner`.
+    pub(crate) fn from_parts(
+        postings: HashMap<u32, RoaringBitmap>,
+        interner: IdInterner,
+        replicas: impl IntoIterator<Item = (u32, Fingerprints)>,
+        shard_load: HashMap<u64, u64>,
+    ) -> NodeStore {
+        let mut store = NodeStore {
+            postings,
+            interner,
+            shard_load,
+            ..NodeStore::default()
+        };
+        for (dense, fp) in replicas {
+            store.store_replica_at(dense, fp);
+        }
+        store
+    }
+
     /// Adds `id` to the posting list of `term`.
     pub(crate) fn add_posting(&mut self, term: u32, id: TrajId) {
         let dense = self.interner.intern(id);
@@ -63,37 +89,106 @@ impl NodeStore {
         removed
     }
 
-    /// Forgets `id` entirely: frees its dense slot and drops the
-    /// fingerprint replica. Call after scrubbing its postings.
-    pub(crate) fn drop_id(&mut self, id: TrajId) {
-        self.interner.release(id);
-        self.fingerprints.remove(&id);
+    /// Stores the full replica of `id`, which must already hold at least
+    /// one posting here.
+    pub(crate) fn store_replica(&mut self, id: TrajId, fp: Fingerprints) {
+        let dense = self
+            .interner
+            .dense(id)
+            .expect("a replica follows its postings");
+        self.store_replica_at(dense, fp);
     }
 
-    /// Local ranked scoring: candidates are the union of this node's
-    /// posting bitmaps for the query's terms, each scored exactly against
-    /// its full fingerprint replica and kept in a bounded top-k heap —
-    /// the per-shard heap the coordinator merges.
+    fn store_replica_at(&mut self, dense: u32, fp: Fingerprints) {
+        let slot = dense as usize;
+        if self.replicas.len() <= slot {
+            self.replicas.resize(slot + 1, None);
+            self.set_sizes.resize(slot + 1, 0);
+        }
+        self.set_sizes[slot] = fp.distinct_len() as u32;
+        self.replicas[slot] = Some(fp);
+    }
+
+    /// Takes the replica of `id` out, leaving its slot interned for the
+    /// posting scrub that follows; finish with [`NodeStore::drop_id`].
+    pub(crate) fn take_replica(&mut self, id: TrajId) -> Option<Fingerprints> {
+        let dense = self.interner.dense(id)?;
+        self.replicas.get_mut(dense as usize)?.take()
+    }
+
+    /// Forgets `id` entirely: drops the fingerprint replica and frees its
+    /// dense slot. Call after scrubbing its postings.
+    pub(crate) fn drop_id(&mut self, id: TrajId) {
+        if let Some(dense) = self.interner.release(id) {
+            if let Some(replica) = self.replicas.get_mut(dense as usize) {
+                *replica = None;
+            }
+        }
+    }
+
+    /// Distinct trajectories referenced by this node's postings.
+    pub(crate) fn len(&self) -> usize {
+        self.interner.len()
+    }
+
+    /// `(id, replica)` of every trajectory held here, by dense slot.
+    pub(crate) fn replicas(&self) -> impl Iterator<Item = (TrajId, &Fingerprints)> {
+        self.replicas
+            .iter()
+            .enumerate()
+            .filter_map(|(dense, fp)| Some((self.interner.resolve(dense as u32), fp.as_ref()?)))
+    }
+
+    /// Local ranked scoring of node `node` of `router`'s cluster: the
+    /// candidates are the trajectories on this node's posting lists for
+    /// the query's terms, their overlaps counted term-at-a-time on the
+    /// engine's accumulator ([`for_each_overlap`]) and kept in a bounded
+    /// top-k heap — the per-shard heap the coordinator merges. Returns
+    /// the heap and the number of candidates scored.
+    ///
+    /// The distances are exact against each candidate's **full**
+    /// fingerprints `B`, not the routed subset: a query term with a
+    /// posting list here is in `B` iff the candidate is on that list
+    /// (this node holds every posting of the terms it owns); a term this
+    /// node owns without a list is in no `B`; and a term owned by
+    /// another node — *foreign*, only when the query spans nodes — is
+    /// looked up in the candidate's replica. The counts sum to `|A ∩ B|`,
+    /// and `δ = 1 − ov / (|A| + |B| − ov)` with `|B|` read per slot.
     pub(crate) fn score(
         &self,
+        router: &ShardRouter,
+        node: usize,
         query_fp: &Fingerprints,
         options: &SearchOptions,
     ) -> (Vec<SearchResult>, usize) {
-        let mut candidates = RoaringBitmap::new();
+        let mut local: Vec<&RoaringBitmap> = Vec::new();
+        let mut foreign: Vec<u32> = Vec::new();
         for term in query_fp.set().iter() {
-            if let Some(list) = self.postings.get(&term) {
-                candidates |= list;
+            match self.postings.get(&term) {
+                Some(list) => local.push(list),
+                None if router.node_of_geodab(term) != node => foreign.push(term),
+                None => {}
             }
         }
-        let scored = candidates.len() as usize;
+        let qa = query_fp.distinct_len();
+        let mut scored = 0usize;
         let mut topk = TopK::new(options);
-        for dense in candidates.iter() {
-            let id = self.interner.resolve(dense);
+        for_each_overlap(self.interner.capacity(), local, |dense, count| {
+            scored += 1;
+            let mut ov = count as u64;
+            if !foreign.is_empty() {
+                let replica = self.replicas[dense as usize]
+                    .as_ref()
+                    .expect("posting entries reference live replicas")
+                    .set();
+                ov += foreign.iter().filter(|&&t| replica.contains(t)).count() as u64;
+            }
+            let b = self.set_sizes[dense as usize] as u64;
             topk.push(SearchResult {
-                id,
-                distance: query_fp.jaccard_distance(&self.fingerprints[&id]),
+                id: self.interner.resolve(dense),
+                distance: 1.0 - ov as f64 / (qa + b - ov) as f64,
             });
-        }
+        });
         (topk.into_sorted(), scored)
     }
 }
@@ -145,8 +240,9 @@ pub fn scatter_gather<E>(
 /// A simulated cluster hosting a sharded geodab index.
 ///
 /// Indexing routes each fingerprint to its shard's node; querying fans out
-/// to exactly the nodes owning the query's terms (in parallel, one scoped
-/// thread per contacted node) and merges the ranked partial results.
+/// to exactly the nodes owning the query's terms (the first scored on the
+/// calling thread, any further ones in parallel on scoped threads) and
+/// merges the ranked partial results.
 #[derive(Debug)]
 pub struct ClusterIndex {
     pub(crate) fingerprinter: Fingerprinter,
@@ -218,11 +314,7 @@ impl ClusterIndex {
         }
         // Take the first replica by value — every node holding one is
         // scrubbed below anyway, so no clone is needed.
-        let Some(fp) = self
-            .nodes
-            .iter_mut()
-            .find_map(|node| node.fingerprints.remove(&id))
-        else {
+        let Some(fp) = self.nodes.iter_mut().find_map(|node| node.take_replica(id)) else {
             // Too short to fingerprint: the coordinator knew the id, but no
             // node stores anything for it.
             return true;
@@ -326,7 +418,7 @@ impl ClusterIndex {
                     }
                     for &item in &node_work.replicas {
                         let (id, fp) = &batch[item as usize];
-                        node.fingerprints.insert(*id, fp.clone());
+                        node.store_replica(*id, fp.clone());
                     }
                 });
             }
@@ -352,7 +444,7 @@ impl ClusterIndex {
             }
         }
         for node_idx in touched {
-            self.nodes[node_idx].fingerprints.insert(id, fp.clone());
+            self.nodes[node_idx].store_replica(id, fp.clone());
         }
         self.indexed.insert(id);
     }
@@ -361,10 +453,11 @@ impl ClusterIndex {
     ///
     /// Only the nodes owning at least one query term are contacted; each
     /// contacted node scores its local candidates into a bounded top-k
-    /// heap on its own scoped thread, and the coordinator merges the
-    /// per-shard heaps — deduplicating replicas by id — into the global
-    /// ranking. Returns exactly what a monolithic [`geodabs_index::GeodabIndex`]
-    /// holding the same trajectories would.
+    /// heap — the first on the calling thread, further legs on scoped
+    /// threads — and the coordinator merges the per-shard heaps,
+    /// deduplicating replicas by id, into the global ranking. Returns
+    /// exactly what a monolithic [`geodabs_index::GeodabIndex`] holding
+    /// the same trajectories would.
     pub fn search_with_stats(
         &self,
         query: &Trajectory,
@@ -385,26 +478,26 @@ impl ClusterIndex {
     ) -> (Vec<SearchResult>, QueryStats) {
         let mut stats = QueryStats::default();
         let Ok(merged) = scatter_gather(&self.router, query_fp, options, |shards, node_ids| {
-            let partials: Mutex<Vec<(Vec<SearchResult>, usize)>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for &ni in node_ids {
-                    let node = &self.nodes[ni];
-                    let partials = &partials;
-                    scope.spawn(move || {
-                        let local = node.score(query_fp, options);
-                        partials
-                            .lock()
-                            .expect("scoring threads never panic")
-                            .push(local);
-                    });
-                }
-            });
             stats.shards_contacted = shards.len();
             stats.nodes_contacted = node_ids.len();
-            let mut heaps: Vec<Vec<SearchResult>> = Vec::new();
-            for (heap, n) in partials.into_inner().expect("scoring threads never panic") {
+            let leg = |&ni: &usize| self.nodes[ni].score(&self.router, ni, query_fp, options);
+            let mut partials = Vec::with_capacity(node_ids.len());
+            if let Some((first, rest)) = node_ids.split_first() {
+                // The first contacted node — for a city-scale query the
+                // only one — is scored right here, on the caller's warm
+                // accumulator; only further legs cost a thread each.
+                std::thread::scope(|scope| {
+                    let spawned: Vec<_> = rest.iter().map(|ni| scope.spawn(|| leg(ni))).collect();
+                    partials.push(leg(first));
+                    for handle in spawned {
+                        partials.push(handle.join().expect("scoring threads never panic"));
+                    }
+                });
+            }
+            let mut heaps: Vec<Vec<SearchResult>> = Vec::with_capacity(partials.len());
+            for (heap, scored) in partials {
                 heaps.push(heap);
-                stats.candidates_scored += n;
+                stats.candidates_scored += scored;
             }
             Ok::<_, Infallible>(heaps)
         });
@@ -445,7 +538,7 @@ impl ClusterIndex {
             let NodeStore {
                 postings,
                 interner,
-                fingerprints,
+                replicas,
                 ..
             } = node;
             for (term, list) in postings {
@@ -462,10 +555,12 @@ impl ClusterIndex {
                     {
                         *target.shard_load.entry(shard).or_insert(0) += 1;
                         // The fingerprint replica follows its postings.
-                        target
-                            .fingerprints
-                            .entry(id)
-                            .or_insert_with(|| fingerprints[&id].clone());
+                        if !matches!(target.replicas.get(target_dense as usize), Some(Some(_))) {
+                            let replica = replicas[dense as usize]
+                                .clone()
+                                .expect("posting entries reference live replicas");
+                            target.store_replica_at(target_dense, replica);
+                        }
                     }
                 }
             }
@@ -485,7 +580,7 @@ impl ClusterIndex {
 
     /// Distinct trajectories referenced per node.
     pub fn trajectories_per_node(&self) -> Vec<usize> {
-        self.nodes.iter().map(|n| n.fingerprints.len()).collect()
+        self.nodes.iter().map(NodeStore::len).collect()
     }
 
     /// Number of non-empty shards.

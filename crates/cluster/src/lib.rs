@@ -12,9 +12,11 @@
 //!   `shard = ⌊geohash / 2^depth · s⌋` and `node = shard mod n`,
 //! * [`ClusterIndex`] — a simulated cluster of per-node posting stores
 //!   (roaring bitmaps over node-locally interned ids) with fan-out ranked
-//!   queries: every contacted node scores its candidates into a bounded
-//!   top-k heap on its own scoped thread and the coordinator merges the
-//!   per-shard heaps into the exact global ranking,
+//!   queries: every contacted node counts overlaps over its local
+//!   postings on the query engine's accumulator and scores its candidates
+//!   into a bounded top-k heap (the first on the calling thread, further
+//!   ones on scoped threads), and the coordinator merges the per-shard
+//!   heaps into the exact global ranking,
 //! * [`ShardNode`] — one node's slice of the index hosted standalone,
 //!   the state a remote shard server boots from in the distributed
 //!   deployment (its per-shard heaps merge exactly via [`merge_heaps`]),

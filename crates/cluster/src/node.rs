@@ -4,11 +4,20 @@
 //!
 //! A [`ShardNode`] holds exactly what a [`NodeStore`] inside a
 //! [`ClusterIndex`] holds: the posting lists of every term routed to
-//! this node, plus the **full** fingerprint replica of every trajectory
-//! those postings reference. Keeping the full replica (not the routed
-//! subset) is what makes per-shard scoring exact — each candidate's
-//! Jaccard distance is computed against its complete fingerprint set,
-//! so the per-shard top-k heaps merge into the same global ranking the
+//! this node, plus — per node-local dense slot — the **full**
+//! fingerprint replica of every trajectory those postings reference and
+//! its size `|B|`. Keeping the full replica (not the routed subset) is
+//! what makes per-shard scoring exact. A node counts overlaps
+//! term-at-a-time over its local posting lists on the query engine's
+//! per-thread accumulator ([`geodabs_index::engine::for_each_overlap`];
+//! 4 B × slot capacity, retained by each searching thread): a query term
+//! with a list here is in a candidate's fingerprints iff the candidate is
+//! on that list, because a node holds *every* posting of the terms it
+//! owns. Only terms owned by **other** nodes — present when a query spans
+//! nodes — need the replica, one `contains` probe each. Either way the
+//! count is the candidate's exact `|A ∩ B|` against its complete
+//! fingerprint set, `δ = 1 − ov/(|A| + |B| − ov)` follows in O(1), and
+//! the per-shard top-k heaps merge into the same global ranking the
 //! monolithic index produces (see [`crate::merge_heaps`]).
 //!
 //! Snapshots use backend tag 4 (`node`) and reuse the cluster
@@ -116,21 +125,24 @@ impl ShardNode {
             touched = true;
         }
         if touched {
-            self.store.fingerprints.insert(id, fp);
+            self.store.store_replica(id, fp);
         }
     }
 
     /// Node-local ranked scoring from the query's full fingerprints:
-    /// candidates are the union of this node's posting lists for the
-    /// query terms, each scored exactly against its full replica into a
-    /// bounded top-k heap — the per-shard partial the frontend merges
-    /// via [`crate::merge_heaps`].
+    /// candidates are the trajectories on this node's posting lists for
+    /// the query terms, their overlaps counted term-at-a-time (terms
+    /// owned by other nodes probed in the replica) and scored exactly
+    /// against their full fingerprints into a bounded top-k heap — the
+    /// per-shard partial the frontend merges via [`crate::merge_heaps`].
     pub fn search_fingerprints(
         &self,
         query_fp: &Fingerprints,
         options: &SearchOptions,
     ) -> Vec<SearchResult> {
-        self.store.score(query_fp, options).0
+        self.store
+            .score(&self.router, self.node_id, query_fp, options)
+            .0
     }
 }
 
@@ -150,7 +162,7 @@ impl TrajectoryIndex for ShardNode {
     /// exactly the posting lists to scrub — no coordinator bookkeeping
     /// is needed.
     fn remove(&mut self, id: TrajId) -> bool {
-        let Some(fp) = self.store.fingerprints.remove(&id) else {
+        let Some(fp) = self.store.take_replica(id) else {
             return false;
         };
         for term in fp.set().iter() {
@@ -180,12 +192,12 @@ impl TrajectoryIndex for ShardNode {
 
     /// Distinct trajectories referenced by this node's postings.
     fn len(&self) -> usize {
-        self.store.fingerprints.len()
+        self.store.len()
     }
 
     /// The ids holding a replica on this node, ascending.
     fn ids(&self) -> impl Iterator<Item = TrajId> + '_ {
-        let mut ids: Vec<TrajId> = self.store.fingerprints.keys().copied().collect();
+        let mut ids: Vec<TrajId> = self.store.replicas().map(|(id, _)| id).collect();
         ids.sort_unstable();
         ids.into_iter()
     }
@@ -233,10 +245,7 @@ impl ClusterIndex {
                 assert_eq!(node.router.num_shards(), router.num_shards());
                 assert_eq!(node.router.num_nodes(), router.num_nodes());
                 assert!(
-                    node.store
-                        .fingerprints
-                        .keys()
-                        .all(|id| indexed.contains(id)),
+                    node.store.replicas().all(|(id, _)| indexed.contains(&id)),
                     "shard node holds a replica for an unindexed id"
                 );
                 node.store
@@ -267,12 +276,7 @@ impl Persist for ShardNode {
         conf.extend_from_slice(&(self.node_id as u32).to_le_bytes());
         writer.section(SEC_CONFIG, conf);
 
-        let replicas: BTreeMap<TrajId, &Fingerprints> = self
-            .store
-            .fingerprints
-            .iter()
-            .map(|(&id, fp)| (id, fp))
-            .collect();
+        let replicas: BTreeMap<TrajId, &Fingerprints> = self.store.replicas().collect();
         let records: Vec<(TrajId, &[u32])> = replicas
             .into_iter()
             .map(|(id, fp)| (id, fp.ordered()))
@@ -320,7 +324,7 @@ impl Persist for ShardNode {
             &router,
             &replicas,
         )?;
-        if store.fingerprints.len() != replicas.len() {
+        if store.len() != replicas.len() {
             return Err(SnapshotError::Corrupt("fingerprints for an unindexed id"));
         }
         Ok(ShardNode {

@@ -75,14 +75,14 @@ pub(crate) fn decode_node(
     }
     let interner = IdInterner::from_live_slots(capacity, &live).map_err(SnapshotError::Corrupt)?;
     let live_bitmap: RoaringBitmap = live.iter().map(|&(dense, _)| dense).collect();
-    let mut fingerprints: HashMap<TrajId, Fingerprints> = HashMap::with_capacity(live.len());
-    for &(_, id) in &live {
+    let mut replicas: Vec<(u32, Fingerprints)> = Vec::with_capacity(live.len());
+    for &(dense, id) in &live {
         let Some(fp) = global_fps.get(&id) else {
             return Err(SnapshotError::Corrupt(
                 "node references unknown fingerprints",
             ));
         };
-        fingerprints.insert(id, fp.clone());
+        replicas.push((dense, fp.clone()));
     }
 
     let posting_lists = read_postings::<u32>(&mut cursor)?;
@@ -107,12 +107,9 @@ pub(crate) fn decode_node(
         // duplicates, so this insert never replaces.
         postings.insert(term, list);
     }
-    Ok(NodeStore {
-        postings,
-        interner,
-        fingerprints,
-        shard_load,
-    })
+    Ok(NodeStore::from_parts(
+        postings, interner, replicas, shard_load,
+    ))
 }
 
 impl Persist for ClusterIndex {
@@ -136,11 +133,8 @@ impl Persist for ClusterIndex {
 
         // Each replica of a trajectory's fingerprints is identical, so
         // store the ordered sequence once, keyed by id.
-        let unique: BTreeMap<TrajId, &Fingerprints> = self
-            .nodes
-            .iter()
-            .flat_map(|node| node.fingerprints.iter().map(|(&id, fp)| (id, fp)))
-            .collect();
+        let unique: BTreeMap<TrajId, &Fingerprints> =
+            self.nodes.iter().flat_map(NodeStore::replicas).collect();
         let records: Vec<(TrajId, &[u32])> = unique
             .into_iter()
             .map(|(id, fp)| (id, fp.ordered()))

@@ -21,12 +21,38 @@
 //! overlap of at most `m − i`, hence a Jaccard distance of at least
 //! `1 − (m − i) / |A|`; once that bound exceeds the pruning threshold —
 //! `Δmax`, tightened to the k-th best *guaranteed* distance when a result
-//! limit is set — new candidates can no longer qualify and the scan flips
-//! to an increment-only mode that visits just the postings of already
-//! admitted candidates (via [`RoaringBitmap::intersection_for_each`]). The
-//! pruned engine is **exact**: it returns precisely the ranking a full
-//! scan would (same ids, same distances, ties broken by id), which
+//! limit is set — new candidates can no longer qualify and admission
+//! **freezes**: the remaining (longest) lists only raise the counts of
+//! slots that are already candidates. The pruned engine is **exact**: it
+//! returns precisely the ranking a full scan would (same ids, same
+//! distances, ties broken by id), which
 //! `crates/index/tests/engine_equivalence.rs` asserts property-based.
+//!
+//! # The accumulator
+//!
+//! Overlaps are counted in one flat `u32` array indexed by dense slot —
+//! no hashing, no per-query allocation. Each searching thread owns one
+//! such array (plus the candidate list and the two small work vectors of
+//! a search) in a thread-local: a search *takes* it, grows it to the
+//! index's slot capacity if needed, bumps counts directly, and *parks* it
+//! again after zeroing exactly the slots it touched, so the cost of a
+//! query tracks the candidates it touches, not the corpus. A search that
+//! panics never parks, and the next one starts from a fresh array — the
+//! parked array is all-zero on every path. The price is memory: **4 B ×
+//! the largest slot capacity searched, per searching thread, retained**
+//! for the thread's lifetime (400 kB at 100 000 trajectories).
+//!
+//! While admission is open a list is walked with `count += 1`, recording
+//! first touches. Once frozen, a list is walked with the branch-free
+//! *counted-only* bump `count += (count != 0)`, which cannot create a
+//! candidate — unless the list outnumbers the candidates by
+//! `PROBE_RATIO` (16), where testing each candidate against the list
+//! (`contains`) is cheaper than walking it. Both forms add exactly one
+//! to every candidate on the list and nothing else.
+//!
+//! [`for_each_overlap`] runs the same counting on the same accumulator
+//! for callers that keep their own posting lists (the shard nodes of
+//! `geodabs-cluster`).
 //!
 //! # Examples
 //!
@@ -51,6 +77,7 @@
 
 use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::TrajId;
+use std::cell::Cell;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -567,28 +594,37 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
         query_terms: impl IntoIterator<Item = T>,
         options: &SearchOptions,
     ) -> Vec<SearchResult> {
+        let mut scratch = Scratch::take(self.interner.capacity());
+        let hits = self.search_on(&mut scratch, query_terms, options);
+        scratch.park();
+        hits
+    }
+
+    /// [`PostingLists::search`] on a taken accumulator; every return
+    /// leaves `scratch` ready to park.
+    fn search_on<'a>(
+        &'a self,
+        scratch: &mut Scratch<'a>,
+        query_terms: impl IntoIterator<Item = T>,
+        options: &SearchOptions,
+    ) -> Vec<SearchResult> {
         // Partition the query into posting-bearing terms (the only ones
         // that can contribute overlap) while counting |A| over all terms.
         let mut qa = 0u64;
-        let mut lists: Vec<&RoaringBitmap> = Vec::new();
         for term in query_terms {
             qa += 1;
             if let Some(list) = self.postings.get(&term) {
-                lists.push(list);
+                scratch.lists.push(list);
             }
         }
-        if qa == 0 || lists.is_empty() || options.limit == Some(0) {
+        if qa == 0 || scratch.lists.is_empty() || options.limit == Some(0) {
             return Vec::new();
         }
         // Rarest-first: the cheapest lists both seed the fewest candidates
         // and push the "remaining terms" upper bound down fastest.
-        lists.sort_unstable_by_key(|list| list.len());
-        let m = lists.len();
+        scratch.lists.sort_unstable_by_key(|list| list.len());
+        let m = scratch.lists.len();
 
-        let posting_entries: u64 = lists.iter().map(|list| list.len()).sum();
-        let mut overlap = OverlapCounts::sized_for(self.interner.capacity(), posting_entries);
-        let mut touched: Vec<u32> = Vec::new();
-        let mut admitted: RoaringBitmap = RoaringBitmap::new();
         let mut admit_new = true;
         let mut threshold = options.max_distance;
         // Tightening the threshold scans every candidate, so do it at
@@ -597,7 +633,8 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
         // admits more, never less — exactness is unaffected.
         let mut next_tighten = 1usize;
 
-        for (i, list) in lists.iter().enumerate() {
+        for i in 0..m {
+            let list = scratch.lists[i];
             if admit_new {
                 // A candidate first seen now can still match at most the
                 // remaining m − i terms, so its distance is at least
@@ -607,9 +644,9 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
                 if best_new > threshold {
                     admit_new = false;
                 } else if let Some(limit) = options.limit {
-                    if i >= next_tighten && touched.len() > limit {
+                    if i >= next_tighten && scratch.touched.len() > limit {
                         next_tighten = i * 2;
-                        let kth = self.kth_guaranteed_distance(&touched, &overlap, qa, limit);
+                        let kth = self.kth_guaranteed_distance(scratch, qa, limit);
                         if kth < threshold {
                             threshold = kth;
                         }
@@ -618,38 +655,24 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
                         }
                     }
                 }
-                if !admit_new {
-                    // Freeze the candidate set once; later lists are
-                    // scanned through their intersection with it. No
-                    // candidates at all means no overlap left to count.
-                    admitted = touched.iter().copied().collect();
-                    if admitted.is_empty() {
-                        break;
-                    }
+                // Frozen with no candidates at all: no overlap left to
+                // count.
+                if !admit_new && scratch.touched.is_empty() {
+                    break;
                 }
             }
             if admit_new {
-                // Non-allocating visitor: bitmap containers batch-decode
-                // words straight into the dense accumulator.
-                list.for_each(|dense| {
-                    if overlap.bump(dense) == 1 {
-                        touched.push(dense);
-                    }
-                });
+                scratch.admit(list);
             } else {
-                // Galloping array∩array and word-ANDed bitmap∩bitmap under
-                // the hood — no per-chunk buffer, no per-id binary search.
-                list.intersection_for_each(&admitted, |dense| {
-                    overlap.bump(dense);
-                });
+                scratch.count_admitted(list);
             }
         }
 
         // Exact counts in hand, every score is O(1); the bounded heap
         // keeps the best `limit` under the (distance, id) order.
         let mut topk = TopK::new(options);
-        for &dense in &touched {
-            let ov = overlap.get(dense) as u64;
+        for &dense in &scratch.touched {
+            let ov = scratch.counts[dense as usize] as u64;
             let b = self.set_sizes[dense as usize] as u64;
             let union = qa + b - ov;
             topk.push(SearchResult {
@@ -659,7 +682,7 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
         }
         let hits = topk.into_sorted();
         SEARCHES.fetch_add(1, Ordering::Relaxed);
-        CANDIDATES_SCANNED.fetch_add(touched.len() as u64, Ordering::Relaxed);
+        CANDIDATES_SCANNED.fetch_add(scratch.touched.len() as u64, Ordering::Relaxed);
         CANDIDATES_ADMITTED.fetch_add(hits.len() as u64, Ordering::Relaxed);
         if !admit_new {
             PRUNE_CUTOFFS.fetch_add(1, Ordering::Relaxed);
@@ -672,72 +695,164 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
     /// distance at most `1 − c/(|A| + |B| − c)` (overlap only grows), so
     /// at least `k` candidates are guaranteed to beat the returned value —
     /// a valid, strictly-tightening admission threshold.
-    fn kth_guaranteed_distance(
-        &self,
-        touched: &[u32],
-        overlap: &OverlapCounts,
-        qa: u64,
-        k: usize,
-    ) -> f64 {
+    fn kth_guaranteed_distance(&self, scratch: &mut Scratch<'_>, qa: u64, k: usize) -> f64 {
+        let Scratch {
+            counts,
+            touched,
+            guaranteed,
+            ..
+        } = scratch;
         debug_assert!(k >= 1 && touched.len() > k);
-        let mut guaranteed: Vec<f64> = touched
-            .iter()
-            .map(|&dense| {
-                let c = overlap.get(dense) as u64;
-                let b = self.set_sizes[dense as usize] as u64;
-                1.0 - c as f64 / (qa + b - c) as f64
-            })
-            .collect();
+        guaranteed.clear();
+        guaranteed.extend(touched.iter().map(|&dense| {
+            let c = counts[dense as usize] as u64;
+            let b = self.set_sizes[dense as usize] as u64;
+            1.0 - c as f64 / (qa + b - c) as f64
+        }));
         let (_, kth, _) = guaranteed.select_nth_unstable_by(k - 1, f64::total_cmp);
         *kth
     }
 }
 
-/// Per-query overlap accumulator. Dense queries (posting entries within a
-/// constant factor of the corpus) use a flat array for branch-free
-/// counting; selective queries use a hash map so per-query work stays
-/// proportional to the candidates actually touched instead of Ω(corpus)
-/// from zeroing a corpus-sized array.
-enum OverlapCounts {
-    Dense(Vec<u32>),
-    Sparse(HashMap<u32, u32>),
+/// Once admission is frozen, a posting list at least this many times
+/// longer than the candidate list is probed (`contains` per candidate)
+/// instead of walked. A walked entry costs about one add (~0.8 ns), a
+/// probe a binary search or two (~3 ns into a bitmap container, ~15 ns
+/// into an array container), so walking wins up to a ratio of ~3 over
+/// bitmap and ~16 over array containers; at 16 probing never loses. The
+/// `frozen_long_lists` group of `crit_query_engine` holds the case that
+/// needs it: three 60 000-entry lists against 8 candidates take 1 µs
+/// probed and 139 µs walked.
+const PROBE_RATIO: u64 = 16;
+
+thread_local! {
+    /// The calling thread's parked accumulator: `None` until its first
+    /// search, while one is running, and after one panicked.
+    static SCRATCH: Cell<Option<Scratch<'static>>> = const { Cell::new(None) };
 }
 
-impl OverlapCounts {
-    /// Picks a representation: `posting_entries` bounds the number of
-    /// candidates a query can touch, `capacity` is the corpus slot count.
-    fn sized_for(capacity: usize, posting_entries: u64) -> OverlapCounts {
-        if posting_entries.saturating_mul(4) >= capacity as u64 {
-            OverlapCounts::Dense(vec![0u32; capacity])
+/// The per-thread working set of one search (see "The accumulator" in
+/// the [module docs](self)). Parked, it is empty but for its
+/// allocations: `counts` all-zero, the three vectors cleared.
+#[derive(Default)]
+struct Scratch<'a> {
+    /// `counts[dense]` is the overlap counted so far for that slot.
+    counts: Vec<u32>,
+    /// The candidates: every slot with a non-zero count, in first-touch
+    /// order.
+    touched: Vec<u32>,
+    /// The posting lists of the running search.
+    lists: Vec<&'a RoaringBitmap>,
+    /// Work buffer of `kth_guaranteed_distance`.
+    guaranteed: Vec<f64>,
+}
+
+impl<'a> Scratch<'a> {
+    /// Takes the thread's accumulator (a fresh one if none is parked),
+    /// covering at least `capacity` dense slots.
+    fn take(capacity: usize) -> Scratch<'a> {
+        let mut scratch = SCRATCH.take().unwrap_or_default();
+        if scratch.counts.len() < capacity {
+            scratch.counts.resize(capacity, 0);
+        }
+        scratch
+    }
+
+    /// Walks `list` with admission open: every entry gains one, first
+    /// touches become candidates.
+    fn admit(&mut self, list: &RoaringBitmap) {
+        let Scratch {
+            counts, touched, ..
+        } = self;
+        // Non-allocating visitor: bitmap containers batch-decode words
+        // straight into the array.
+        list.for_each(|dense| {
+            let c = &mut counts[dense as usize];
+            if *c == 0 {
+                touched.push(dense);
+            }
+            *c += 1;
+        });
+    }
+
+    /// Counts `list` with admission frozen: every *candidate* on it
+    /// gains one, no other slot changes.
+    fn count_admitted(&mut self, list: &RoaringBitmap) {
+        let Scratch {
+            counts, touched, ..
+        } = self;
+        if list.len() >= PROBE_RATIO.saturating_mul(touched.len() as u64) {
+            for &dense in touched.iter() {
+                counts[dense as usize] += u32::from(list.contains(dense));
+            }
         } else {
-            OverlapCounts::Sparse(HashMap::with_capacity(posting_entries as usize))
-        }
-    }
-
-    /// Increments the count of a dense slot; returns the new count (1 on
-    /// first touch).
-    fn bump(&mut self, dense: u32) -> u32 {
-        match self {
-            OverlapCounts::Dense(counts) => {
+            list.for_each(|dense| {
                 let c = &mut counts[dense as usize];
-                *c += 1;
-                *c
-            }
-            OverlapCounts::Sparse(counts) => {
-                let c = counts.entry(dense).or_insert(0);
-                *c += 1;
-                *c
-            }
+                *c += u32::from(*c != 0);
+            });
         }
     }
 
-    /// The current count of a dense slot.
-    fn get(&self, dense: u32) -> u32 {
-        match self {
-            OverlapCounts::Dense(counts) => counts[dense as usize],
-            OverlapCounts::Sparse(counts) => counts.get(&dense).copied().unwrap_or(0),
+    /// Hands the accumulator back to the thread, zeroing only the slots
+    /// this search touched.
+    fn park(mut self) {
+        for &dense in &self.touched {
+            self.counts[dense as usize] = 0;
         }
+        debug_assert!(
+            self.counts.iter().all(|&c| c == 0),
+            "a count outlived its search"
+        );
+        self.touched.clear();
+        SCRATCH.set(Some(Scratch {
+            lists: recycle(self.lists),
+            ..self
+        }));
     }
+}
+
+/// Empties a vector of borrows and re-types it for the next borrower.
+/// `Vec`'s in-place `collect` keeps the allocation; were it ever not to,
+/// this would still be correct, just an allocation per search.
+fn recycle<'b, T: ?Sized>(mut borrows: Vec<&T>) -> Vec<&'b T> {
+    borrows.clear();
+    borrows.into_iter().map(|_| unreachable!()).collect()
+}
+
+/// Term-at-a-time overlap counting for callers that keep their own
+/// posting lists: calls `visit(dense, count)` once for every dense slot
+/// on at least one of `lists`, in first-touch order, where `count` is
+/// the number of lists holding the slot. Runs on the calling thread's
+/// reusable accumulator, exactly like [`PostingLists::search`] with
+/// admission never frozen.
+///
+/// ```
+/// use geodabs_index::engine::for_each_overlap;
+/// use geodabs_roaring::RoaringBitmap;
+///
+/// let a: RoaringBitmap = [0u32, 2, 5].into_iter().collect();
+/// let b: RoaringBitmap = [2u32, 5, 6].into_iter().collect();
+/// let mut counted = Vec::new();
+/// for_each_overlap(7, [&a, &b], |dense, count| counted.push((dense, count)));
+/// assert_eq!(counted, vec![(0, 1), (2, 2), (5, 2), (6, 1)]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if a list holds a value `>= capacity`.
+pub fn for_each_overlap<'a>(
+    capacity: usize,
+    lists: impl IntoIterator<Item = &'a RoaringBitmap>,
+    mut visit: impl FnMut(u32, u32),
+) {
+    let mut scratch = Scratch::take(capacity);
+    for list in lists {
+        scratch.admit(list);
+    }
+    for &dense in &scratch.touched {
+        visit(dense, scratch.counts[dense as usize]);
+    }
+    scratch.park();
 }
 
 impl<T: Copy + Eq + Hash + Ord> Default for PostingLists<T> {
@@ -910,10 +1025,9 @@ mod tests {
     }
 
     #[test]
-    fn selective_query_on_large_corpus_uses_sparse_counts_exactly() {
+    fn selective_query_on_large_corpus_scores_exactly() {
         // 2 000 indexed trajectories, query touching only 3 of them: the
-        // accumulator must take the sparse path (posting entries ≪
-        // capacity) and still score exactly.
+        // corpus-sized accumulator must come back clean for the repeat.
         let mut lists = PostingLists::new();
         for i in 0..2_000u32 {
             lists.insert(id(i), [100_000 + 3 * i, 100_001 + 3 * i, 100_002 + 3 * i]);
@@ -921,11 +1035,71 @@ mod tests {
         lists.insert(id(9_000), [1, 2, 3]);
         lists.insert(id(9_001), [2, 3, 4]);
         lists.insert(id(9_002), [3, 4, 5]);
-        let hits = lists.search([1u32, 2, 3], &SearchOptions::default().limit(10));
-        assert_eq!(hits.len(), 3);
-        assert_eq!(hits[0], hit(9_000, 0.0));
-        assert_eq!(hits[1], hit(9_001, 0.5));
-        assert_eq!(hits[2], hit(9_002, 1.0 - 1.0 / 5.0));
+        for _ in 0..2 {
+            let hits = lists.search([1u32, 2, 3], &SearchOptions::default().limit(10));
+            assert_eq!(hits.len(), 3);
+            assert_eq!(hits[0], hit(9_000, 0.0));
+            assert_eq!(hits[1], hit(9_001, 0.5));
+            assert_eq!(hits[2], hit(9_002, 1.0 - 1.0 / 5.0));
+        }
+    }
+
+    #[test]
+    fn frozen_lists_are_probed_or_walked_with_the_same_counts() {
+        // With limit 1, admission freezes once the rivals sharing term 1
+        // are in and the exact twin's guaranteed distance beats anything
+        // a newcomer could reach; the two hot terms (300+ entries) are
+        // then counted frozen — by probing when 2 candidates were
+        // admitted, by the counted-only walk when 41 were.
+        for rivals in [1u32, 40] {
+            let mut lists = PostingLists::new();
+            lists.insert(id(0), [1, 2, 3, 4, 5, 6, 7, 8]);
+            for i in 1..=rivals {
+                lists.insert(id(i), [1, 7, 8, 1_000 + i]);
+            }
+            for i in 100..400u32 {
+                lists.insert(id(i), [7, 8, 2_000 + i, 3_000 + i, 4_000 + i]);
+            }
+            let before = telemetry().prune_cutoffs;
+            let top = lists.search(1u32..=8, &SearchOptions::default().limit(1));
+            assert!(telemetry().prune_cutoffs > before, "admission froze");
+            // Distance 0 needs all 8 terms: both hot ones were counted.
+            assert_eq!(top, vec![hit(0, 0.0)]);
+            let all = lists.search(1u32..=8, &SearchOptions::default());
+            assert_eq!(all.len(), 301 + rivals as usize);
+            assert_eq!(all[0], top[0]);
+        }
+    }
+
+    #[test]
+    fn recycled_borrow_vectors_keep_their_allocation() {
+        let owner = [1u32, 2, 3];
+        let borrows: Vec<&u32> = owner.iter().collect();
+        let (ptr, capacity) = (borrows.as_ptr() as usize, borrows.capacity());
+        let recycled: Vec<&'static u32> = recycle(borrows);
+        assert!(recycled.is_empty());
+        // Not a language guarantee — if this ever fails the engine is
+        // still correct, it just allocates `lists` per search again.
+        assert_eq!(
+            (recycled.as_ptr() as usize, recycled.capacity()),
+            (ptr, capacity)
+        );
+    }
+
+    #[test]
+    fn a_panicking_visitor_leaves_no_dirty_accumulator_behind() {
+        let list: RoaringBitmap = [1u32, 3].into_iter().collect();
+        let panicked = std::panic::catch_unwind(|| {
+            for_each_overlap(4, [&list], |_, _| panic!("visitor failed"));
+        });
+        assert!(panicked.is_err());
+        // The dirty array was dropped with the panic; the next count
+        // starts from zero.
+        let mut counted = Vec::new();
+        for_each_overlap(4, [&list, &list], |dense, count| {
+            counted.push((dense, count))
+        });
+        assert_eq!(counted, vec![(1, 2), (3, 2)]);
     }
 
     #[test]

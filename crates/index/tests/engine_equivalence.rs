@@ -144,3 +144,119 @@ proptest! {
         }
     }
 }
+
+/// A tiny deterministic generator for the plain (non-proptest) hazards
+/// test below.
+struct XorShift(u64);
+
+impl XorShift {
+    fn below(&mut self, n: u32) -> u32 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as u32
+    }
+
+    fn set(&mut self, vocabulary: u32, max_len: u32) -> Vec<u32> {
+        let len = 1 + self.below(max_len);
+        (0..len).map(|_| self.below(vocabulary)).collect()
+    }
+}
+
+/// The engine counts overlaps in one per-thread array that outlives the
+/// search (taken, bumped, zeroed where touched, parked). This drives the
+/// hazards of that reuse on a **single thread**: 1 500 queries
+/// alternating between two indexes of very different slot capacity,
+/// while both grow (the array must grow with them), shrink and recycle
+/// dense slots — and through every way a search can return early — each
+/// compared with the naive ranker. A count leaking from one search into
+/// the next would change a distance here; in debug builds the engine
+/// additionally asserts the array is all-zero whenever it is parked.
+#[test]
+fn one_threads_accumulator_survives_alternating_indexes_and_early_exits() {
+    use geodabs_index::TrajectoryIndex;
+
+    let mut rng = XorShift(0x5EED_CAFE);
+    // `small` stays around 30 slots, `large` around 700: the parked array
+    // is always sized for `large` and mostly unused by `small`.
+    let mut small = GeodabIndex::new(GeodabConfig::default());
+    let mut large = GeodabIndex::new(GeodabConfig::default());
+    const SMALL_VOCABULARY: u32 = 60;
+    const LARGE_VOCABULARY: u32 = 500;
+    for i in 0..30 {
+        small.insert_fingerprints(
+            TrajId::new(i),
+            Fingerprints::from_ordered(rng.set(SMALL_VOCABULARY, 12)),
+        );
+    }
+    for i in 0..400 {
+        // Term 7 is hot: on every trajectory of `large`.
+        let mut set = rng.set(LARGE_VOCABULARY, 25);
+        set.push(7);
+        large.insert_fingerprints(TrajId::new(i), Fingerprints::from_ordered(set));
+    }
+    let mut next_id = 1_000u32;
+
+    for round in 0..1_500u32 {
+        let on_large = round % 2 == 0;
+        let (index, vocabulary) = match on_large {
+            true => (&mut large, LARGE_VOCABULARY),
+            false => (&mut small, SMALL_VOCABULARY),
+        };
+
+        // Mutate between queries: growth past every capacity seen so
+        // far, then removals whose slots the next inserts recycle.
+        if round % 25 == 0 {
+            let grow = if on_large { 20 } else { 2 };
+            for _ in 0..grow {
+                let mut set = rng.set(vocabulary, 20);
+                if on_large {
+                    set.push(7);
+                }
+                index.insert_fingerprints(TrajId::new(next_id), Fingerprints::from_ordered(set));
+                next_id += 1;
+            }
+        }
+        if round % 40 == 1 {
+            let ids: Vec<TrajId> = index.ids().collect();
+            for _ in 0..ids.len() / 10 {
+                index.remove(ids[rng.below(ids.len() as u32) as usize]);
+            }
+        }
+
+        let default = SearchOptions::default();
+        let (query, options): (Vec<u32>, SearchOptions) = match round % 7 {
+            // Empty query.
+            0 => (Vec::new(), default.limit(3)),
+            // A limit of zero.
+            1 => (rng.set(vocabulary, 20), default.limit(0)),
+            // No query term has a posting list.
+            2 => (vec![900_000 + round, 900_001 + round], default),
+            // One known term among unknown ones under a tight threshold:
+            // admission freezes before any candidate exists.
+            3 => (
+                vec![rng.below(vocabulary), 800_000, 800_001, 800_002],
+                default.max_distance(0.5),
+            ),
+            // Pruned top-k, with and without the hot term.
+            4 => (
+                rng.set(vocabulary, 25),
+                default.limit(1 + rng.below(5) as usize),
+            ),
+            5 => {
+                let mut query = rng.set(vocabulary, 25);
+                query.push(7);
+                (query, default.limit(2).max_distance(0.9))
+            }
+            // The full ranking.
+            _ => (rng.set(vocabulary, 25), default),
+        };
+        let fp = Fingerprints::from_ordered(query);
+        let pruned = index.search_fingerprints(&fp, &options);
+        let naive = index.search_fingerprints_naive(&fp, &options);
+        assert_identical(&pruned, &naive)
+            .unwrap_or_else(|e| panic!("round {round} ({options:?}): {e:?}"));
+        // The first four shapes are the early exits: nothing can match.
+        assert!(round % 7 >= 4 || pruned.is_empty(), "round {round}");
+    }
+}

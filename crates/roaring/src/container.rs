@@ -334,28 +334,6 @@ impl Container {
         }
     }
 
-    /// Calls `f` with `base | low` for every value of `self ∩ other`,
-    /// ascending — the non-allocating intersection visitor behind
-    /// [`crate::RoaringBitmap::intersection_for_each`].
-    pub(crate) fn and_for_each(&self, other: &Container, base: u32, f: &mut impl FnMut(u32)) {
-        match (self, other) {
-            (Container::Array(a), Container::Array(b)) => {
-                kernels::intersect_visit(a, b, |x| f(base | x as u32));
-            }
-            (Container::Array(a), Container::Bitmap(b))
-            | (Container::Bitmap(b), Container::Array(a)) => {
-                for &x in a {
-                    if b.contains(x) {
-                        f(base | x as u32);
-                    }
-                }
-            }
-            (Container::Bitmap(a), Container::Bitmap(b)) => {
-                kernels::and_words_visit(&a.words[..], &b.words[..], base, f);
-            }
-        }
-    }
-
     pub(crate) fn or(&self, other: &Container) -> Container {
         match (self, other) {
             (Container::Array(a), Container::Array(b)) => {

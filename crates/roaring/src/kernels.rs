@@ -234,8 +234,8 @@ pub fn subset_words(a: &[u64], b: &[u64]) -> bool {
 }
 
 /// Visits every set bit of `a & b` as a value `base | bit_index`, word
-/// by word with `trailing_zeros` decoding — the batch-decode feeding the
-/// engine's dense overlap accumulator.
+/// by word with `trailing_zeros` decoding — how a sparse bitmap∩bitmap
+/// result is decoded straight into its array form.
 pub fn and_words_visit(a: &[u64], b: &[u64], base: u32, mut f: impl FnMut(u32)) {
     debug_assert_eq!(a.len(), b.len());
     for (wi, (&wa, &wb)) in a.iter().zip(b).enumerate() {

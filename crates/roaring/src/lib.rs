@@ -182,9 +182,7 @@ impl RoaringBitmap {
     }
 
     /// Iterates over `self ∩ other` in ascending order without
-    /// materializing the intersection — the fast path of the query
-    /// engine's increment-only scan, which visits only posting entries
-    /// that are already candidates.
+    /// materializing the intersection.
     pub fn intersection_iter<'a>(&'a self, other: &'a RoaringBitmap) -> IntersectionIter<'a> {
         IntersectionIter {
             a: &self.containers,
@@ -200,32 +198,10 @@ impl RoaringBitmap {
     /// Calls `f` for every value of the set in ascending order without
     /// allocating — bitmap containers are decoded word at a time straight
     /// into the callback, so this is the fast way to bulk-feed an
-    /// accumulator (the query engine's admit phase).
+    /// accumulator (every posting-list walk of the query engine).
     pub fn for_each(&self, mut f: impl FnMut(u32)) {
         for (key, c) in &self.containers {
             c.for_each((*key as u32) << 16, &mut f);
-        }
-    }
-
-    /// Calls `f` for every value of `self ∩ other` in ascending order
-    /// without materializing the intersection — the non-allocating visitor
-    /// form of [`RoaringBitmap::intersection_iter`]. Array∩array pairs use
-    /// a galloping search when one side is much smaller; bitmap∩bitmap
-    /// pairs AND words and decode set bits directly into the callback.
-    pub fn intersection_for_each(&self, other: &RoaringBitmap, mut f: impl FnMut(u32)) {
-        let (mut i, mut j) = (0, 0);
-        while i < self.containers.len() && j < other.containers.len() {
-            let (ka, ca) = &self.containers[i];
-            let (kb, cb) = &other.containers[j];
-            match ka.cmp(kb) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    ca.and_for_each(cb, (*ka as u32) << 16, &mut f);
-                    i += 1;
-                    j += 1;
-                }
-            }
         }
     }
 

@@ -108,8 +108,9 @@ const POISONED: &str = "sharded index writer is poisoned";
 
 /// One mutation, broadcast to every cell. The full fingerprint sequence
 /// travels with the insert (not the routed slice) because each cell
-/// keeps the full replica of every trajectory it references — that is
-/// what makes per-cell scoring exact.
+/// keeps the full replica of every trajectory it references — its size
+/// and, for query terms owned by other cells, its contents are what
+/// make per-cell scoring exact.
 #[derive(Clone)]
 enum ShardOp {
     Insert { id: TrajId, fp: Fingerprints },
