@@ -13,8 +13,9 @@ use geodabs_core::winnow::{winnow, winnow_streaming};
 use geodabs_core::{geodab, Fingerprinter};
 use geodabs_distance::{dfd, dtw, edr, lcss_similarity};
 use geodabs_geo::{morton, CellEncoder, Geohash, Point};
+use geodabs_index::store::crc32;
 use geodabs_roaring::{kernels, RoaringBitmap};
-use geodabs_traj::Trajectory;
+use geodabs_traj::{GeohashNormalizer, Normalizer, Trajectory};
 use std::hint::black_box;
 
 fn path(n: usize, offset_m: f64) -> Trajectory {
@@ -66,6 +67,45 @@ fn bench_fingerprint(c: &mut Criterion) {
     let t = path(1_000, 0.0);
     c.bench_function("fingerprint_1000pt", |bench| {
         bench.iter(|| fp.normalize_and_fingerprint(black_box(&t)))
+    });
+}
+
+/// The per-request kernels of a served `wire-2k` query at their real
+/// sizes: the CRC of one 7.1 KB raw-trajectory frame, robust
+/// normalization of ~450 noisy 1 Hz samples, and fingerprinting the ~80
+/// cells that survive it.
+fn bench_request_path(c: &mut Criterion) {
+    let frame: Vec<u8> = (0..7_100u32).map(|i| (i * 31 + 7) as u8).collect();
+    c.bench_function("crc32_7k", |bench| bench.iter(|| crc32(black_box(&frame))));
+    // 14 m per sample with ~20 m of deterministic lateral jitter, so
+    // most samples sit in the held cell's hysteresis zone.
+    let start = Point::new(51.5074, -0.1278).expect("valid point");
+    let mut x: u32 = 7;
+    let raw: Trajectory = (0..450)
+        .map(|i| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            start
+                .destination(90.0, i as f64 * 14.0)
+                .destination(f64::from(x % 360), f64::from(x % 41))
+        })
+        .collect();
+    let robust = GeohashNormalizer::robust(36).expect("valid depth");
+    c.bench_function("normalize_robust_450pt", |bench| {
+        bench.iter(|| robust.normalize(black_box(&raw)))
+    });
+    // One sample per ~100 m: every point lands in a 36-bit cell of its own.
+    let sparse: Trajectory = (0..80)
+        .map(|i| start.destination(90.0, i as f64 * 100.0))
+        .collect();
+    let cells = GeohashNormalizer::new(36)
+        .expect("valid depth")
+        .normalize(&sparse);
+    assert_eq!(cells.len(), 80);
+    let fp = Fingerprinter::default();
+    c.bench_function("fingerprint_80cells", |bench| {
+        bench.iter(|| fp.fingerprint(black_box(&cells)))
     });
 }
 
@@ -233,7 +273,8 @@ fn config() -> Criterion {
 criterion_group! {
     name = kernels_suite;
     config = config();
-    targets = bench_geo, bench_winnow, bench_fingerprint, bench_jaccard, bench_distances,
+    targets = bench_geo, bench_winnow, bench_fingerprint, bench_request_path, bench_jaccard,
+        bench_distances,
         bench_intersection_ladder, bench_live_check, bench_encode
 }
 criterion_main!(kernels_suite);

@@ -272,6 +272,43 @@ mod tests {
         );
     }
 
+    proptest::proptest! {
+        /// The whole fingerprinting stage against the pre-rewrite path:
+        /// the covering-walk geodab of every k-gram, then batch `winnow`.
+        #[test]
+        fn prop_fingerprint_equals_covering_walk_reference(
+            lat in -89.0f64..89.0, lon in -179.9f64..179.9,
+            k in 2usize..9, slack in 0usize..8, prefix_bits in 1u8..=31,
+            steps in proptest::collection::vec((0.0f64..360.0, 0.0f64..5_000.0), 0..120),
+        ) {
+            let config = GeodabConfig::builder()
+                .k(k)
+                .t(k + slack)
+                .prefix_bits(prefix_bits)
+                .build()
+                .unwrap();
+            let mut at = p(lat, lon);
+            let walk: Trajectory = steps
+                .iter()
+                .map(|&(bearing, meters)| {
+                    at = at.destination(bearing, meters);
+                    at
+                })
+                .collect();
+            let got = Fingerprinter::new(config).fingerprint(&walk);
+            let candidates: Vec<u32> = walk
+                .k_grams(k)
+                .map(|gram| crate::geodab::geodab_reference(gram, prefix_bits))
+                .collect();
+            let want = if walk.len() < k {
+                Vec::new()
+            } else {
+                winnow(&candidates, config.window())
+            };
+            proptest::prop_assert_eq!(got.ordered(), want.as_slice());
+        }
+    }
+
     #[test]
     fn from_ordered_builds_consistent_set() {
         let f = Fingerprints::from_ordered(vec![5, 3, 5, 9]);

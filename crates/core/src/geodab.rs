@@ -9,14 +9,17 @@ use crate::hash::hash_points;
 ///                | hash(points) & ((1 << (32 - prefix_bits)) - 1)
 /// ```
 ///
-/// * The **prefix** is the covering geohash of the whole sequence,
-///   truncated to `prefix_bits` bits. It places the geodab on the Z-order
-///   space-filling curve according to the location of the points, which is
-///   what enables locality-preserving sharding. In the rare case where the
-///   sequence straddles a major cell boundary (its covering geohash is
-///   shallower than `prefix_bits`), the prefix falls back to the cell of
-///   the sequence's first point, keeping the value deterministic and
-///   geographically meaningful.
+/// * The **prefix** places the geodab on the Z-order space-filling curve
+///   according to the location of the points, which is what enables
+///   locality-preserving sharding. The paper defines it as the covering
+///   geohash of the whole sequence truncated to `prefix_bits` bits, with
+///   the cell of the first point as the value for sequences that straddle
+///   a major cell boundary (covering shallower than `prefix_bits`). Both
+///   cases are one value: a covering geohash is the common bit-prefix of
+///   every point's code, so whenever it is at least `prefix_bits` deep its
+///   truncation *is* the first point's `prefix_bits`-bit cell. The prefix
+///   is therefore always `Geohash::encode(points[0], prefix_bits)`, and
+///   only the first point is encoded.
 /// * The **suffix** is an order-sensitive hash of the sequence, which
 ///   discriminates among `k`-grams by path and direction.
 ///
@@ -47,20 +50,13 @@ pub fn geodab(points: &[Point], prefix_bits: u8) -> u32 {
         (1..=31).contains(&prefix_bits),
         "prefix must be between 1 and 31 bits"
     );
-    let covering = Geohash::covering(points.iter().copied())
-        .expect("non-empty point set always has a covering geohash");
-    let prefix = if covering.depth() >= prefix_bits {
-        covering
-            .truncate(prefix_bits)
-            .expect("truncation to a shallower depth always succeeds")
-    } else {
-        // Boundary-straddling k-gram: anchor the prefix at the first point.
-        Geohash::encode(points[0], prefix_bits).expect("prefix_bits <= 31 is a valid depth")
-    };
+    let prefix = Geohash::encode(points[0], prefix_bits)
+        .expect("prefix_bits <= 31 is a valid depth")
+        .bits();
     let suffix_bits = 32 - u32::from(prefix_bits);
     let suffix_mask = (1u64 << suffix_bits) - 1;
     let suffix = hash_points(points) & suffix_mask;
-    ((prefix.bits() as u32) << suffix_bits) | suffix as u32
+    ((prefix as u32) << suffix_bits) | suffix as u32
 }
 
 /// Extracts the geohash prefix of a geodab produced with the same
@@ -77,6 +73,24 @@ pub fn geodab_prefix(geodab: u32, prefix_bits: u8) -> Geohash {
     );
     let bits = u64::from(geodab >> (32 - u32::from(prefix_bits)));
     Geohash::from_bits(bits, prefix_bits).expect("shifted prefix always fits its depth")
+}
+
+/// The paper's literal construction, as [`geodab`] computed it before
+/// the prefix was reduced to the first point's cell: walk the covering
+/// geohash of all the points (one depth-64 encode each), truncate it, and
+/// fall back to the first point's cell when the covering is too shallow.
+/// The differential oracle for [`geodab`] and the fingerprinter.
+#[cfg(test)]
+pub(crate) fn geodab_reference(points: &[Point], prefix_bits: u8) -> u32 {
+    let covering = Geohash::covering(points.iter().copied()).unwrap();
+    let prefix = if covering.depth() >= prefix_bits {
+        covering.truncate(prefix_bits).unwrap()
+    } else {
+        Geohash::encode(points[0], prefix_bits).unwrap()
+    };
+    let suffix_bits = 32 - u32::from(prefix_bits);
+    let suffix = hash_points(points) & ((1u64 << suffix_bits) - 1);
+    ((prefix.bits() as u32) << suffix_bits) | suffix as u32
 }
 
 #[cfg(test)]
@@ -174,7 +188,54 @@ mod tests {
         let _ = geodab_prefix(0, 32);
     }
 
+    /// `geodab` against the covering-walk reference and against the
+    /// first point's cell, at every prefix width.
+    fn assert_prefix_is_first_points_cell(gram: &[Point]) {
+        for b in 1u8..=31 {
+            let g = geodab(gram, b);
+            assert_eq!(g, geodab_reference(gram, b), "width {b}");
+            assert_eq!(
+                geodab_prefix(g, b),
+                Geohash::encode(gram[0], b).unwrap(),
+                "width {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn prefix_is_first_points_cell_across_major_boundaries() {
+        // Grams straddling the equator, the prime meridian, the
+        // antimeridian and a pole: coverings of depth 0, 1 and 2.
+        for gram in [
+            [p(-0.0001, 10.0), p(0.0001, 10.0), p(0.0002, 10.0)],
+            [p(48.0, -0.0001), p(48.0, 0.0001), p(48.0, 0.0002)],
+            [p(10.0, 179.9999), p(10.0, -179.9999), p(10.0, -179.9998)],
+            [p(89.9999, 0.0), p(90.0, 90.0), p(89.9999, -180.0)],
+            [p(-90.0, -180.0), p(90.0, 180.0), p(0.0, 0.0)],
+        ] {
+            assert_prefix_is_first_points_cell(&gram);
+            let mut rev = gram;
+            rev.reverse();
+            assert_prefix_is_first_points_cell(&rev);
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_prefix_is_first_points_cell_at_every_width(
+            lat in -90.0f64..=90.0, lon in -180.0f64..=180.0,
+            bearing in 0.0f64..360.0,
+            // From sub-cell steps to hops across hemispheres.
+            log_step in 0.0f64..7.0, len in 1usize..9,
+        ) {
+            let start = p(lat, lon);
+            let step_m = 10f64.powf(log_step);
+            let gram: Vec<Point> = (0..len)
+                .map(|i| start.destination(bearing, i as f64 * step_m))
+                .collect();
+            assert_prefix_is_first_points_cell(&gram);
+        }
+
         #[test]
         fn prop_prefix_extraction_roundtrip(
             lat in -80.0f64..80.0, lon in -170.0f64..170.0,

@@ -274,8 +274,11 @@ impl From<geodabs_roaring::WireError> for SnapshotError {
     }
 }
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables (Kounavis & Berry): `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table, `CRC_TABLES[k][b]` is the CRC state after byte
+/// `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -288,17 +291,41 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
-/// The IEEE CRC-32 of `data` (the polynomial zip, PNG and ethernet use).
+/// The IEEE CRC-32 of `data` (the polynomial zip, PNG and ethernet use),
+/// eight bytes per step with a bytewise tail.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = u32::MAX;
-    for &byte in data {
-        c = CRC_TABLE[((c ^ byte as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][chunk[4] as usize]
+            ^ t[2][chunk[5] as usize]
+            ^ t[1][chunk[6] as usize]
+            ^ t[0][chunk[7] as usize];
+    }
+    for &byte in chunks.remainder() {
+        c = t[0][((c ^ byte as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -760,6 +787,48 @@ mod tests {
         // The classic IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The IEEE CRC-32 one bit at a time: no table to get wrong.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut c = u32::MAX;
+        for &byte in data {
+            c ^= u32::from(byte);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference_at_every_tail_and_alignment() {
+        let bytes: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=(40 + 15) {
+                let slice = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bitwise(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_crc32_matches_bitwise_reference(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4112),
+            skip in 0usize..16,
+        ) {
+            let slice = &data[skip.min(data.len())..];
+            proptest::prop_assert_eq!(crc32(slice), crc32_bitwise(slice));
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! [`FrameReader`](crate::proto::FrameReader) resumes mid-frame across
 //! `WouldBlock`, so a slow sender costs one failed `read` per sweep,
 //! never a parked thread. Idle connections therefore cost nothing but a
-//! list slot — thousands of them can share a pool sized to the cores.
+//! list slot and the reader's 16 KiB buffer — thousands of them can
+//! share a pool sized to the cores.
 //!
 //! A sweep decodes at most [`FRAMES_PER_SWEEP`] frames per connection
 //! before moving on, so one pipelining client cannot starve its
@@ -297,9 +298,9 @@ where
     }
 }
 
-/// Writes one response frame whole, with the socket temporarily in
-/// blocking mode (bounded by [`WRITE_TIMEOUT`]). Returns whether the
-/// connection is still usable.
+/// Writes one response frame whole — one `write` of header and payload
+/// together — with the socket temporarily in blocking mode (bounded by
+/// [`WRITE_TIMEOUT`]). Returns whether the connection is still usable.
 fn write_response(conn: &mut Conn, response: &Response, metrics: &ServeMetrics) -> bool {
     let stream = conn.reader.get_ref();
     if stream.set_nonblocking(false).is_err() {

@@ -210,7 +210,12 @@ pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-/// Writes one frame: header (length + CRC-32) then payload.
+/// Bytes of frame header: `len u32, crc32 u32`.
+const FRAME_HEADER_LEN: usize = 8;
+
+/// Writes one frame — `len | crc32 | payload` assembled in one buffer and
+/// handed to the sink in a single `write`, so a `TCP_NODELAY` socket
+/// sends one segment train instead of a bare 8-byte header first.
 ///
 /// # Errors
 ///
@@ -222,32 +227,34 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), WireE
             claimed: payload.len().min(u32::MAX as usize) as u32,
         });
     }
-    let mut header = [0u8; 8];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    writer.write_all(&header)?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()?;
     Ok(())
 }
 
-enum FrameState {
-    /// Collecting the 8-byte header; `have` bytes arrived so far.
-    Header { have: usize },
-    /// Collecting the payload; length and expected CRC already parsed.
-    Payload { crc: u32, buf: Vec<u8>, have: usize },
-}
+/// The read buffer a [`FrameReader`] starts with and shrinks back to
+/// once drained: a raw-trajectory query of a thousand points fits, so
+/// the common frame costs one `read`.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Incremental frame reader over any byte stream.
 ///
-/// Partial reads (short socket reads, read timeouts used as idle polls)
-/// leave the reader mid-frame; the next [`FrameReader::read_frame`] call
-/// resumes where the last one stopped, so no byte is ever lost to a
-/// timeout.
+/// Reads go through one reused buffer: whatever the stream has ready —
+/// a whole frame, several pipelined frames, or a fragment — arrives in
+/// one `read`, and frames are cut out of the buffer. Partial reads
+/// (short socket reads, read timeouts used as idle polls) leave the
+/// fragment buffered; the next [`FrameReader::read_frame`] call resumes
+/// where the last one stopped, so no byte is ever lost to a timeout.
 pub struct FrameReader<R> {
     inner: R,
-    header: [u8; 8],
-    state: FrameState,
+    /// Received, not yet returned bytes live in `buf[start..end]`.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -255,8 +262,9 @@ impl<R: Read> FrameReader<R> {
     pub fn new(inner: R) -> FrameReader<R> {
         FrameReader {
             inner,
-            header: [0u8; 8],
-            state: FrameState::Header { have: 0 },
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
         }
     }
 
@@ -276,55 +284,68 @@ impl<R: Read> FrameReader<R> {
     /// which the call can simply be retried; [`WireError::Truncated`] on
     /// EOF mid-frame; [`WireError::FrameTooLarge`] /
     /// [`WireError::ChecksumMismatch`] on malformed frames. Never
-    /// panics and never allocates more than the validated length.
+    /// panics; the buffer grows only toward a validated length, and only
+    /// as fast as bytes actually arrive.
     pub fn read_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
         loop {
-            match &mut self.state {
-                FrameState::Header { have } => {
-                    let n = self.inner.read(&mut self.header[*have..])?;
-                    if n == 0 {
-                        return if *have == 0 {
-                            Ok(None)
-                        } else {
-                            Err(WireError::Truncated)
-                        };
-                    }
-                    *have += n;
-                    if *have == 8 {
-                        let len = u32::from_le_bytes(self.header[..4].try_into().expect("4 bytes"));
-                        let crc = u32::from_le_bytes(self.header[4..].try_into().expect("4 bytes"));
-                        if len > MAX_FRAME_LEN {
-                            // Reset so a caller that survives the error
-                            // does not reparse the poisoned header.
-                            self.state = FrameState::Header { have: 0 };
-                            return Err(WireError::FrameTooLarge { claimed: len });
-                        }
-                        self.state = FrameState::Payload {
-                            crc,
-                            buf: vec![0u8; len as usize],
-                            have: 0,
-                        };
-                    }
+            let have = self.end - self.start;
+            let mut need = FRAME_HEADER_LEN;
+            if have >= FRAME_HEADER_LEN {
+                let header = &self.buf[self.start..self.start + FRAME_HEADER_LEN];
+                let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+                let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+                if len > MAX_FRAME_LEN {
+                    // Skip the poisoned header so a caller that survives
+                    // the error does not reparse it.
+                    self.consume(FRAME_HEADER_LEN);
+                    return Err(WireError::FrameTooLarge { claimed: len });
                 }
-                FrameState::Payload { crc, buf, have } => {
-                    if *have < buf.len() {
-                        let n = self.inner.read(&mut buf[*have..])?;
-                        if n == 0 {
-                            return Err(WireError::Truncated);
-                        }
-                        *have += n;
-                        if *have < buf.len() {
-                            continue;
-                        }
-                    }
-                    let expected = *crc;
-                    let payload = std::mem::take(buf);
-                    self.state = FrameState::Header { have: 0 };
-                    if crc32(&payload) != expected {
-                        return Err(WireError::ChecksumMismatch);
-                    }
-                    return Ok(Some(payload));
+                need += len as usize;
+                if have >= need {
+                    let body = &self.buf[self.start + FRAME_HEADER_LEN..self.start + need];
+                    let frame = if crc32(body) == crc {
+                        Ok(Some(body.to_vec()))
+                    } else {
+                        Err(WireError::ChecksumMismatch)
+                    };
+                    self.consume(need);
+                    return frame;
                 }
+            }
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.start = 0;
+                self.end = have;
+            }
+            if self.end == self.buf.len() {
+                // Full mid-frame: double toward the validated length, so
+                // memory follows the bytes a peer sent, not the bytes it
+                // claimed.
+                let grown = (self.buf.len() * 2).clamp(READ_CHUNK, need.max(READ_CHUNK));
+                self.buf.resize(grown, 0);
+            }
+            let n = self.inner.read(&mut self.buf[self.end..])?;
+            if n == 0 {
+                return if have == 0 {
+                    Ok(None)
+                } else {
+                    Err(WireError::Truncated)
+                };
+            }
+            self.end += n;
+        }
+    }
+
+    /// Drops `n` buffered bytes; an emptied buffer rewinds and gives back
+    /// whatever an oversized frame made it grow by.
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            if self.buf.len() > READ_CHUNK {
+                self.buf.truncate(READ_CHUNK);
+                self.buf.shrink_to_fit();
             }
         }
     }
@@ -1491,21 +1512,173 @@ mod tests {
             reader.read_frame(),
             Err(WireError::FrameTooLarge { claimed }) if claimed == MAX_FRAME_LEN + 1
         ));
-        // A payload larger than the cap is refused on the write side too.
-        struct NullWriter;
-        impl Write for NullWriter {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
+        // A payload larger than the cap is refused on the write side too,
+        // before anything reaches the sink.
+        let mut sink = CountingWriter::default();
         let big = vec![0u8; MAX_FRAME_LEN as usize + 1];
         assert!(matches!(
-            write_frame(&mut NullWriter, &big),
+            write_frame(&mut sink, &big),
             Err(WireError::FrameTooLarge { .. })
         ));
+        assert_eq!(sink.writes, 0, "nothing written on FrameTooLarge");
+    }
+
+    /// A sink that accepts every buffer whole and counts the `write`
+    /// calls it took.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in [Vec::new(), vec![7u8; 7_100]] {
+            let mut sink = CountingWriter::default();
+            write_frame(&mut sink, &payload).unwrap();
+            assert_eq!(sink.writes, 1, "{}-byte payload", payload.len());
+            assert_eq!(sink.bytes.len(), 8 + payload.len());
+            let mut reader = FrameReader::new(sink.bytes.as_slice());
+            assert_eq!(reader.read_frame().unwrap(), Some(payload));
+        }
+    }
+
+    /// A stream that hands out its bytes in scripted steps: `Some(n)`
+    /// yields at most `n` bytes, `None` is a `WouldBlock`; once the
+    /// script runs out, the rest arrives in one read and then EOF.
+    struct ScriptedReader {
+        bytes: Vec<u8>,
+        pos: usize,
+        script: std::collections::VecDeque<Option<usize>>,
+        reads: usize,
+    }
+
+    impl ScriptedReader {
+        fn new(bytes: Vec<u8>, script: &[Option<usize>]) -> ScriptedReader {
+            ScriptedReader {
+                bytes,
+                pos: 0,
+                script: script.iter().copied().collect(),
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for ScriptedReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let step = match self.script.pop_front() {
+                Some(None) => return Err(std::io::ErrorKind::WouldBlock.into()),
+                Some(Some(n)) => n,
+                None => usize::MAX,
+            };
+            let n = step.min(buf.len()).min(self.bytes.len() - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    fn two_frames() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        let first: Vec<u8> = (0..7_100u32).map(|i| (i % 251) as u8).collect();
+        let second = vec![0xA5u8; 33];
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &first).unwrap();
+        write_frame(&mut wire, &second).unwrap();
+        (wire, first, second)
+    }
+
+    #[test]
+    fn buffered_reader_resumes_across_would_block() {
+        // One byte, a WouldBlock, a split inside the second frame's
+        // header, another WouldBlock, then the rest.
+        let (wire, first, second) = two_frames();
+        let split = 8 + first.len() + 3;
+        let script = [Some(1), None, Some(split - 1), None];
+        let mut reader = FrameReader::new(ScriptedReader::new(wire, &script));
+        let mut frames = Vec::new();
+        let mut would_block = 0;
+        loop {
+            match reader.read_frame() {
+                Ok(Some(frame)) => frames.push(frame),
+                Ok(None) => break,
+                Err(WireError::Io(e)) if is_timeout(&e) => would_block += 1,
+                Err(e) => panic!("unexpected {e}"),
+            }
+        }
+        assert_eq!(frames, vec![first, second]);
+        assert_eq!(would_block, 2, "every WouldBlock surfaces and is resumable");
+    }
+
+    #[test]
+    fn two_frames_in_one_read_cost_one_read() {
+        let (wire, first, second) = two_frames();
+        let mut reader = FrameReader::new(ScriptedReader::new(wire, &[]));
+        assert_eq!(reader.read_frame().unwrap(), Some(first));
+        assert_eq!(reader.read_frame().unwrap(), Some(second));
+        assert_eq!(reader.inner.reads, 1, "both frames came from one read");
+        assert_eq!(reader.read_frame().unwrap(), None, "clean EOF");
+    }
+
+    #[test]
+    fn frames_larger_than_the_buffer_grow_it_and_give_it_back() {
+        let big: Vec<u8> = (0..3 * READ_CHUNK as u32)
+            .map(|i| (i % 253) as u8)
+            .collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &big).unwrap();
+        write_frame(&mut wire, &[1, 2, 3]).unwrap();
+        // Trickle the big frame in so it spans several buffer growths.
+        let script = [Some(5), Some(READ_CHUNK), Some(READ_CHUNK)];
+        let mut reader = FrameReader::new(ScriptedReader::new(wire, &script));
+        assert_eq!(reader.read_frame().unwrap(), Some(big));
+        assert_eq!(reader.read_frame().unwrap(), Some(vec![1, 2, 3]));
+        assert_eq!(reader.buf.len(), READ_CHUNK, "shrunk back once drained");
+        assert_eq!(reader.read_frame().unwrap(), None);
+    }
+
+    #[test]
+    fn eof_mid_frame_is_truncated() {
+        let (wire, first, _) = two_frames();
+        // EOF inside the first header, inside the first payload, and
+        // inside the second frame after a good first one.
+        for cut in [3, 8 + 100, 8 + first.len() + 8 + 5] {
+            let mut reader = FrameReader::new(ScriptedReader::new(wire[..cut].to_vec(), &[]));
+            let mut good = 0;
+            let err = loop {
+                match reader.read_frame() {
+                    Ok(Some(_)) => good += 1,
+                    Ok(None) => panic!("cut {cut}: EOF mid-frame reported as clean"),
+                    Err(e) => break e,
+                }
+            };
+            assert!(matches!(err, WireError::Truncated), "cut {cut}: {err}");
+            assert_eq!(good, usize::from(cut > 8 + first.len()), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn corrupt_frame_in_a_pipelined_read_does_not_hide_its_neighbours() {
+        let (mut wire, first, _) = two_frames();
+        wire[8 + first.len() + 8] ^= 0x01;
+        let mut reader = FrameReader::new(ScriptedReader::new(wire, &[]));
+        assert_eq!(reader.read_frame().unwrap(), Some(first));
+        assert!(matches!(
+            reader.read_frame(),
+            Err(WireError::ChecksumMismatch)
+        ));
+        assert_eq!(reader.read_frame().unwrap(), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! and Figure 8 of the paper — which the `fig08_pr_normalization` bench
 //! reproduces by sweeping the geohash depth.
 
-use geodabs_geo::{CellEncoder, GeoError, Geohash, Point};
+use geodabs_geo::{BoundingBox, CellEncoder, GeoError, Geohash, Point};
 use geodabs_roadnet::matching::{map_match, MatchConfig};
 use geodabs_roadnet::{RoadNetError, RoadNetwork, SpatialIndex};
 
@@ -44,17 +44,21 @@ pub fn moving_average(trajectory: &Trajectory, window: usize) -> Trajectory {
     if window <= 1 || pts.len() < 2 {
         return trajectory.clone();
     }
-    let half = window / 2;
-    let mut out = Vec::with_capacity(pts.len());
-    for i in 0..pts.len() {
-        let lo = i.saturating_sub(half);
-        let hi = (i + half + 1).min(pts.len());
-        let n = (hi - lo) as f64;
-        let lat = pts[lo..hi].iter().map(Point::lat).sum::<f64>() / n;
-        let lon = pts[lo..hi].iter().map(Point::lon).sum::<f64>() / n;
-        out.push(Point::clamped(lat, lon));
-    }
-    Trajectory::new(out)
+    (0..pts.len())
+        .map(|i| window_mean(pts, i, window / 2))
+        .collect()
+}
+
+/// The mean of the samples within `half` positions of `pts[i]`, summed
+/// left to right (the summation order is part of the normalizer's
+/// contract: cell decisions downstream depend on the last ulp).
+fn window_mean(pts: &[Point], i: usize, half: usize) -> Point {
+    let lo = i.saturating_sub(half);
+    let hi = (i + half + 1).min(pts.len());
+    let n = (hi - lo) as f64;
+    let lat = pts[lo..hi].iter().map(Point::lat).sum::<f64>() / n;
+    let lon = pts[lo..hi].iter().map(Point::lon).sum::<f64>() / n;
+    Point::clamped(lat, lon)
 }
 
 /// Geohash-grid normalization (Section V-A): snap every point to the
@@ -160,44 +164,42 @@ impl GeohashNormalizer {
         self.hysteresis_fraction
     }
 
-    /// Meters a point must exceed a cell's bounds by before a transition
-    /// is accepted.
-    fn margin_meters(&self, cell: &Geohash) -> f64 {
+    /// Meters a point must exceed the held cell's `bounds` by before a
+    /// transition is accepted.
+    fn margin_meters(&self, bounds: &BoundingBox) -> f64 {
         if self.hysteresis_fraction == 0.0 {
             return 0.0;
         }
-        let b = cell.bounds();
-        self.hysteresis_fraction * b.width_meters().min(b.height_meters())
+        self.hysteresis_fraction * bounds.width_meters().min(bounds.height_meters())
     }
 }
 
 impl Normalizer for GeohashNormalizer {
+    /// One pass: each sample is smoothed on the fly and encoded; the held
+    /// cell's bounds and hysteresis margin are decoded once per accepted
+    /// transition, not once per sample that tests them.
     fn normalize(&self, trajectory: &Trajectory) -> Trajectory {
-        let smoothed;
-        let input = if self.smoothing_window > 1 {
-            smoothed = moving_average(trajectory, self.smoothing_window);
-            &smoothed
-        } else {
-            trajectory
-        };
-        let mut out: Vec<Point> = Vec::with_capacity(input.len());
-        let mut current: Option<Geohash> = None;
+        let pts = trajectory.points();
+        let half = self.smoothing_window / 2;
+        let smooth = self.smoothing_window > 1 && pts.len() >= 2;
         let encoder = CellEncoder::new(self.depth).expect("depth validated at construction");
-        for p in input.iter() {
+        let mut out: Vec<Point> = Vec::with_capacity(pts.len());
+        let mut held: Option<(Geohash, BoundingBox, f64)> = None;
+        for (i, &raw) in pts.iter().enumerate() {
+            let p = if smooth {
+                window_mean(pts, i, half)
+            } else {
+                raw
+            };
             let h = encoder.encode(p);
-            match current {
-                Some(c) if c == h => {}
-                Some(c) => {
-                    if distance_outside_cell(p, &c) > self.margin_meters(&c) {
-                        out.push(h.center());
-                        current = Some(h);
-                    }
-                }
-                None => {
-                    out.push(h.center());
-                    current = Some(h);
+            if let Some((cell, bounds, margin)) = &held {
+                if *cell == h || distance_outside(p, bounds) <= *margin {
+                    continue;
                 }
             }
+            let bounds = h.bounds();
+            out.push(bounds.center());
+            held = Some((h, bounds, self.margin_meters(&bounds)));
         }
         Trajectory::new(out)
     }
@@ -227,9 +229,8 @@ fn interpolate_path(points: &[Point], step_m: f64) -> Vec<Point> {
     out
 }
 
-/// Meters by which `p` lies outside the bounding box of `cell` (0 inside).
-fn distance_outside_cell(p: Point, cell: &Geohash) -> f64 {
-    let b = cell.bounds();
+/// Meters by which `p` lies outside the box `b` (0 inside).
+fn distance_outside(p: Point, b: &BoundingBox) -> f64 {
     let dlat = if p.lat() < b.min_lat() {
         b.min_lat() - p.lat()
     } else if p.lat() > b.max_lat() {
@@ -338,6 +339,7 @@ mod tests {
     use super::*;
     use geodabs_roadnet::generators::{grid_network, GridConfig};
     use geodabs_roadnet::router::shortest_path;
+    use proptest::prelude::*;
 
     fn p(lat: f64, lon: f64) -> Point {
         Point::new(lat, lon).unwrap()
@@ -601,6 +603,171 @@ mod tests {
         let net = grid_network(&GridConfig::default(), 42);
         let idx = SpatialIndex::build(&net, 300.0);
         let _ = MapMatchNormalizer::new(&net, &idx, MatchConfig::default()).with_interpolation(0.0);
+    }
+
+    /// The per-sample normalizer this module shipped before the one-pass
+    /// kernel, kept verbatim as the differential oracle: a full
+    /// `moving_average` pass, then the held cell's `bounds()` (and, for
+    /// the margin, two haversines) re-decoded for every sample tested.
+    fn normalize_reference(n: &GeohashNormalizer, trajectory: &Trajectory) -> Trajectory {
+        let pts = trajectory.points();
+        let input: Vec<Point> = if n.smoothing_window > 1 && pts.len() >= 2 {
+            let half = n.smoothing_window / 2;
+            (0..pts.len())
+                .map(|i| {
+                    let lo = i.saturating_sub(half);
+                    let hi = (i + half + 1).min(pts.len());
+                    let count = (hi - lo) as f64;
+                    let lat = pts[lo..hi].iter().map(Point::lat).sum::<f64>() / count;
+                    let lon = pts[lo..hi].iter().map(Point::lon).sum::<f64>() / count;
+                    Point::clamped(lat, lon)
+                })
+                .collect()
+        } else {
+            pts.to_vec()
+        };
+        let margin_meters = |cell: &Geohash| -> f64 {
+            if n.hysteresis_fraction == 0.0 {
+                return 0.0;
+            }
+            let b = cell.bounds();
+            n.hysteresis_fraction * b.width_meters().min(b.height_meters())
+        };
+        let mut out: Vec<Point> = Vec::new();
+        let mut current: Option<Geohash> = None;
+        for &p in &input {
+            let h = Geohash::encode(p, n.depth).unwrap();
+            match current {
+                Some(c) if c == h => {}
+                Some(c) => {
+                    if distance_outside(p, &c.bounds()) > margin_meters(&c) {
+                        out.push(h.center());
+                        current = Some(h);
+                    }
+                }
+                None => {
+                    out.push(h.center());
+                    current = Some(h);
+                }
+            }
+        }
+        Trajectory::new(out)
+    }
+
+    /// Every hysteresis × smoothing combination the differential suite
+    /// sweeps, at the paper's depth and a coarse and a fine one.
+    fn normalizer_grid() -> Vec<GeohashNormalizer> {
+        let mut grid = Vec::new();
+        for depth in [20u8, 36, 52] {
+            for hysteresis in [0.0, 0.4, 1.0] {
+                for window in [1usize, 9] {
+                    grid.push(
+                        GeohashNormalizer::new(depth)
+                            .unwrap()
+                            .with_hysteresis(hysteresis)
+                            .with_smoothing_window(window),
+                    );
+                }
+            }
+        }
+        grid
+    }
+
+    fn assert_matches_reference(t: &Trajectory) {
+        for n in normalizer_grid() {
+            let got = n.normalize(t);
+            let want = normalize_reference(&n, t);
+            assert_eq!(got.len(), want.len(), "{n:?}");
+            for (a, b) in got.iter().zip(want.iter()) {
+                assert_eq!(
+                    (a.lat().to_bits(), a.lon().to_bits()),
+                    (b.lat().to_bits(), b.lon().to_bits()),
+                    "{n:?}"
+                );
+            }
+        }
+    }
+
+    /// A noisy walk of `steps` from `start`: `step_m` per sample along a
+    /// slowly turning bearing, with lateral jitter from `noise`.
+    fn random_walk(start: Point, step_m: f64, turns: &[f64], noise: &[(f64, f64)]) -> Trajectory {
+        let mut at = start;
+        let mut bearing = 0.0;
+        turns
+            .iter()
+            .zip(noise)
+            .map(|(turn, &(jitter_bearing, jitter_m))| {
+                bearing += turn;
+                at = at.destination(bearing, step_m);
+                at.destination(jitter_bearing, jitter_m)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_equals_reference_on_degenerate_inputs() {
+        assert_matches_reference(&Trajectory::default());
+        assert_matches_reference(&Trajectory::new(vec![p(51.5, -0.12)]));
+        assert_matches_reference(&Trajectory::new(vec![p(51.5, -0.12); 12]));
+        // Poles and both sides of the antimeridian, including the exact
+        // domain corners.
+        assert_matches_reference(&Trajectory::new(vec![
+            p(90.0, 180.0),
+            p(89.9999, -180.0),
+            p(-90.0, 179.9999),
+            p(-89.9999, -179.9999),
+            p(0.0, 0.0),
+        ]));
+    }
+
+    #[test]
+    fn one_pass_equals_reference_on_boundary_flicker() {
+        // Samples alternating across a cell edge at growing offsets sweep
+        // the hysteresis threshold from well inside to well beyond it.
+        for depth in [20u8, 36, 52] {
+            let b = Geohash::encode(p(51.5074, -0.1278), depth)
+                .unwrap()
+                .bounds();
+            let (w, h) = (b.max_lon() - b.min_lon(), b.max_lat() - b.min_lat());
+            let flicker: Trajectory = (0..200)
+                .map(|i| {
+                    let reach = i as f64 / 100.0;
+                    let side = if i % 2 == 0 { -1.0 } else { 1.0 };
+                    Point::clamped(
+                        b.max_lat() + side * reach * h * ((i % 3) as f64 / 2.0),
+                        b.max_lon() + side * reach * w,
+                    )
+                })
+                .collect();
+            assert_matches_reference(&flicker);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_one_pass_equals_reference_on_random_walks(
+            lat in -85.0f64..85.0, lon in -179.0f64..179.0,
+            step_m in 1.0f64..120.0,
+            turns in proptest::collection::vec(-25.0f64..25.0, 0..160),
+            noise in proptest::collection::vec((0.0f64..360.0, 0.0f64..40.0), 160..161),
+        ) {
+            assert_matches_reference(&random_walk(p(lat, lon), step_m, &turns, &noise));
+        }
+
+        #[test]
+        fn prop_one_pass_equals_reference_near_poles_and_antimeridian(
+            pole in 0usize..2, lat_off in 0.0f64..0.02, lon_off in -0.02f64..0.02,
+            step_m in 1.0f64..400.0,
+            turns in proptest::collection::vec(-40.0f64..40.0, 0..120),
+            noise in proptest::collection::vec((0.0f64..360.0, 0.0f64..60.0), 120..121),
+        ) {
+            // Start within ~2 km of a pole or of the antimeridian; walks
+            // cross both (`destination` wraps longitude, clamps latitude).
+            let near_pole = p(if pole == 0 { 90.0 - lat_off } else { lat_off - 90.0 }, lon_off * 9_000.0);
+            assert_matches_reference(&random_walk(near_pole, step_m, &turns, &noise));
+            let near_antimeridian = Point::clamped(lat_off * 4_000.0, if lon_off < 0.0 { -180.0 - lon_off } else { 180.0 - lon_off });
+            assert_matches_reference(&random_walk(near_antimeridian, step_m, &turns, &noise));
+        }
     }
 
     #[test]
