@@ -69,6 +69,14 @@ pub(crate) struct ServeMetrics {
     pub workers_busy: Gauge,
     /// Frames decoded but not yet fully written back.
     pub frames_in_flight: Gauge,
+    /// Times a mux worker ran out of spin budget and parked in `poll`.
+    pub mux_parks: Counter,
+    /// Times a parked mux worker was woken (parks minus wake-ups is the
+    /// number of workers parked right now).
+    pub mux_wakeups: Counter,
+    /// Wake-ups after which the worker parked again without having
+    /// answered a frame.
+    pub mux_spurious_wakeups: Counter,
     /// Request frame decode time, µs.
     pub decode_us: Histogram,
     /// Response frame encode time, µs.
@@ -148,6 +156,18 @@ impl ServeMetrics {
             frames_in_flight: registry.gauge(
                 "geodabs_mux_frames_in_flight",
                 "frames decoded but not yet answered",
+            ),
+            mux_parks: registry.counter(
+                "geodabs_mux_parks_total",
+                "times a mux worker parked in poll after its spin budget",
+            ),
+            mux_wakeups: registry.counter(
+                "geodabs_mux_wakeups_total",
+                "times a parked mux worker was woken",
+            ),
+            mux_spurious_wakeups: registry.counter(
+                "geodabs_mux_spurious_wakeups_total",
+                "wake-ups followed by a park with no frame answered in between",
             ),
             decode_us: registry.histogram("geodabs_decode_us", "request frame decode time"),
             encode_us: registry.histogram("geodabs_encode_us", "response frame encode time"),
@@ -381,6 +401,9 @@ mod tests {
         metrics.requests[kind_index(&Request::Ping)].inc();
         metrics.latency_us[0].record(40);
         metrics.connections.set(3);
+        metrics.mux_parks.add(3);
+        metrics.mux_wakeups.add(2);
+        metrics.mux_spurious_wakeups.inc();
         metrics.observe_slow(7, "query", 5_000, vec![("engine".into(), 4_000)]);
         metrics.observe_slow(0, "query", 50, vec![]); // under threshold
         let report = metrics.report();
@@ -389,6 +412,12 @@ mod tests {
             Some(1)
         );
         assert_eq!(report.gauge("geodabs_connections"), Some((3, 3)));
+        assert_eq!(report.counter("geodabs_mux_parks_total"), Some(3));
+        assert_eq!(report.counter("geodabs_mux_wakeups_total"), Some(2));
+        assert_eq!(
+            report.counter("geodabs_mux_spurious_wakeups_total"),
+            Some(1)
+        );
         let histogram = report
             .histogram("geodabs_request_latency_us{kind=\"ping\"}")
             .unwrap();

@@ -4,59 +4,76 @@
 //!
 //! The acceptor (the thread calling [`serve_connections`]) hands each
 //! accepted stream — switched to non-blocking mode — to a worker over a
-//! per-worker channel, round-robin. A worker keeps its connections in a
-//! flat list and sweeps them: the incremental
-//! [`FrameReader`](crate::proto::FrameReader) resumes mid-frame across
+//! per-worker channel, round-robin, and then fires that worker's
+//! [`Waker`]. A worker keeps its connections in a flat list, registered
+//! with its [`Poller`], and sweeps them: the incremental
+//! [`FrameReader`] resumes mid-frame across
 //! `WouldBlock`, so a slow sender costs one failed `read` per sweep,
-//! never a parked thread. Idle connections therefore cost nothing but a
-//! list slot and the reader's 16 KiB buffer — thousands of them can
-//! share a pool sized to the cores.
+//! never a stuck thread. Idle connections therefore cost nothing but a
+//! list slot, a poll-set entry and the reader's 16 KiB buffer —
+//! thousands of them can share a pool sized to the cores.
 //!
 //! A sweep decodes at most [`FRAMES_PER_SWEEP`] frames per connection
 //! before moving on, so one pipelining client cannot starve its
-//! neighbours on the same worker. Responses are written with the socket
-//! momentarily switched back to blocking mode (bounded by a write
-//! timeout): a response frame is either written whole or the connection
-//! is dropped — never interleaved or torn.
+//! neighbours on the same worker. Responses are written to the
+//! non-blocking socket as they are; when the peer's window is full the
+//! worker waits for that one socket to drain (bounded by
+//! [`WRITE_TIMEOUT`]): a response frame is either written whole or the
+//! connection is dropped — never interleaved or torn.
 //!
-//! When no connection makes progress, a worker backs off adaptively:
-//! `yield_now` for short idle streaks (keeping closed-loop latency in
-//! the microseconds), escalating to sub-millisecond sleeps so a fully
-//! idle pool does not spin a core.
+//! A worker waits in exactly one way: **sweep → bounded spin → park**.
+//! While sweeps answer frames it keeps sweeping. Once a sweep answers
+//! nothing it keeps sweeping, yielding in between, for [`SPIN_BUDGET`]
+//! of wall-clock time, and then parks in [`Poller::wait`] — `poll(2)`
+//! over its sockets and its waker — until a byte, a hang-up, a
+//! handed-over connection or shutdown wakes it; a parked worker costs
+//! no CPU and is woken by the kernel, not by a timer. It parks only
+//! after a sweep in which *every* connection's `read_frame` hit
+//! `WouldBlock`: a complete frame already cut into a `FrameReader`'s
+//! buffer is invisible to `poll`, and `read_frame` hands those out
+//! before it touches the socket.
+//!
+//! The spin stays because a closed-loop client's next request arrives
+//! within its turnaround time, and being woken costs more than that: on
+//! the 2-core sandbox, parking without a spin took `insert_p50_us` on
+//! stackbench's `wire-2k` to the same 154 µs but moved `query_p50_us`
+//! from 75 to 94 µs (+25 %), the ~20 µs it takes to schedule a parked
+//! thread, paid once per request. The budget covers that turnaround
+//! and nothing more; the 200 µs sleep it replaced put ~360 µs around
+//! ~34 µs of work on every paced insert.
 
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::metrics::{kind_index, ServeMetrics};
+use crate::poller::{wait_writable, Poller, Token, Waker};
 use crate::proto::{is_timeout, write_frame, FrameReader, Request, Response, WireError};
 
 /// Frames decoded from one connection per sweep before the worker moves
 /// on — the fairness bound between pipelining neighbours.
 const FRAMES_PER_SWEEP: usize = 32;
 
-/// No-progress sweeps before a worker escalates from `yield_now` to
-/// sleeping. Yields keep a closed request/response loop fast; the
-/// threshold keeps a quiet pool off the scheduler.
-const SPIN_SWEEPS: u32 = 1_000;
+/// How long a worker keeps sweeping after the last answered frame
+/// before it parks: a closed-loop client's turnaround, so its next
+/// request is answered from the spin instead of paying a wake-up.
+const SPIN_BUDGET: Duration = Duration::from_micros(100);
 
-/// The idle sleep once spinning has not paid off. Short enough that a
-/// single closed-loop client still sees thousands of requests per
-/// second out of a sleeping worker.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
-
-/// Upper bound on one response write once the socket is switched to
-/// blocking mode; a peer that stops draining for this long is dropped.
+/// Upper bound on one stall of a response write; a peer that stops
+/// draining for this long is dropped.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The error sent when a response would blow the frame cap.
 pub(crate) const RESPONSE_TOO_LARGE: &str =
     "response exceeds the frame cap; narrow the query with a result limit";
 
-/// One multiplexed connection: the reader owns the stream.
+/// One multiplexed connection: the reader owns the stream, `token`
+/// names it in the worker's poll set.
 struct Conn {
     reader: FrameReader<TcpStream>,
+    token: Token,
 }
 
 enum Sweep {
@@ -80,7 +97,8 @@ enum Sweep {
 /// # Errors
 ///
 /// A persistent accept-error streak (e.g. fd exhaustion) is fatal and
-/// returned after flipping `shutdown`; per-connection errors only drop
+/// returned after flipping `shutdown`, as is failing to build a worker's
+/// poller before anything is accepted; per-connection errors only drop
 /// that connection.
 pub(crate) fn serve_connections<S, N, H>(
     listener: &TcpListener,
@@ -95,16 +113,21 @@ where
     N: Fn() -> S + Sync,
     H: Fn(&mut S, Request) -> Response + Sync,
 {
-    let workers = workers.max(1);
+    let pollers = (0..workers.max(1))
+        .map(|_| Poller::new())
+        .collect::<std::io::Result<Vec<Poller>>>()?;
+    let workers = pollers.len();
     let mut fatal: Option<std::io::Error> = None;
     std::thread::scope(|scope| {
-        let mut senders = Vec::with_capacity(workers);
-        for _ in 0..workers {
+        let mut handoffs: Vec<(mpsc::Sender<TcpStream>, Waker)> = Vec::with_capacity(workers);
+        for poller in pollers {
             let (tx, rx) = mpsc::channel::<TcpStream>();
-            senders.push(tx);
+            handoffs.push((tx, poller.waker()));
             let state = &state;
             let respond = &respond;
-            scope.spawn(move || worker_loop(rx, shutdown, requests, metrics, state(), respond));
+            scope.spawn(move || {
+                worker_loop(rx, poller, shutdown, requests, metrics, state(), respond)
+            });
         }
         // Transient accept() errors (a peer resetting mid-handshake)
         // are retried with a small back-off; a persistent error streak
@@ -119,13 +142,16 @@ where
                 Ok(stream) => {
                     error_streak = 0;
                     let _ = stream.set_nodelay(true);
-                    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    if senders[next_worker % workers].send(stream).is_err() {
+                    let (sender, waker) = &handoffs[next_worker % workers];
+                    if sender.send(stream).is_err() {
                         break;
                     }
+                    // The worker may be parked, and the new socket is
+                    // not in its poll set yet.
+                    waker.wake();
                     next_worker = next_worker.wrapping_add(1);
                 }
                 Err(e) => {
@@ -139,7 +165,12 @@ where
                 }
             }
         }
-        drop(senders);
+        // Whatever ended the loop, no worker may stay parked: each one
+        // wakes to a set shutdown flag or to its disconnected channel.
+        for (sender, waker) in handoffs {
+            drop(sender);
+            waker.wake();
+        }
     });
     match fatal {
         Some(e) => Err(e),
@@ -149,6 +180,7 @@ where
 
 fn worker_loop<S, H>(
     rx: mpsc::Receiver<TcpStream>,
+    mut poller: Poller,
     shutdown: &AtomicBool,
     requests: &AtomicU64,
     metrics: &ServeMetrics,
@@ -158,33 +190,23 @@ fn worker_loop<S, H>(
     H: Fn(&mut S, Request) -> Response,
 {
     let mut conns: Vec<Conn> = Vec::new();
-    let mut idle_streak = 0u32;
+    // When the current run of sweeps that answered nothing began.
+    let mut idle_since: Option<Instant> = None;
+    // Set by a wake-up, cleared by the next answered frame.
+    let mut woke_for_nothing = false;
     loop {
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
-        // Intake. With nothing to sweep, block on the channel (with a
-        // timeout to keep polling the shutdown flag) instead of
-        // spinning on an empty list.
         let mut disconnected = false;
-        if conns.is_empty() {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(stream) => {
-                    metrics.connections.add(1);
-                    conns.push(Conn {
-                        reader: FrameReader::new(stream),
-                    });
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
         loop {
             match rx.try_recv() {
                 Ok(stream) => {
                     metrics.connections.add(1);
+                    let token = poller.register(&stream);
                     conns.push(Conn {
                         reader: FrameReader::new(stream),
+                        token,
                     });
                 }
                 Err(mpsc::TryRecvError::Empty) => break,
@@ -203,6 +225,7 @@ fn worker_loop<S, H>(
                 }
                 Sweep::Idle => true,
                 Sweep::Closed => {
+                    poller.deregister(conn.token);
                     metrics.connections.sub(1);
                     false
                 }
@@ -212,15 +235,28 @@ fn worker_loop<S, H>(
             break;
         }
         if progress {
-            idle_streak = 0;
-        } else {
-            idle_streak = idle_streak.saturating_add(1);
-            if idle_streak < SPIN_SWEEPS {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(IDLE_SLEEP);
-            }
+            idle_since = None;
+            woke_for_nothing = false;
+            continue;
         }
+        if idle_since.get_or_insert_with(Instant::now).elapsed() < SPIN_BUDGET {
+            std::thread::yield_now();
+            continue;
+        }
+        // Every connection just answered `WouldBlock` with no complete
+        // frame buffered, so everything that can make progress from
+        // here on shows up in the poll set.
+        if woke_for_nothing {
+            metrics.mux_spurious_wakeups.inc();
+        }
+        metrics.mux_parks.inc();
+        // `poll` itself failing (`ENOMEM`) degrades this worker to
+        // sweeping without a park: still correct, and the climbing
+        // spurious-wakeup counter shows it.
+        let _ = poller.wait(None);
+        metrics.mux_wakeups.inc();
+        woke_for_nothing = true;
+        idle_since = None;
     }
     // Connections still held at shutdown close with the worker.
     metrics.connections.sub(conns.len() as u64);
@@ -299,17 +335,15 @@ where
 }
 
 /// Writes one response frame whole — one `write` of header and payload
-/// together — with the socket temporarily in blocking mode (bounded by
-/// [`WRITE_TIMEOUT`]). Returns whether the connection is still usable.
+/// together unless the peer's window fills mid-frame, in which case
+/// [`DrainingWriter`] waits the stall out. Returns whether the
+/// connection is still usable.
 fn write_response(conn: &mut Conn, response: &Response, metrics: &ServeMetrics) -> bool {
-    let stream = conn.reader.get_ref();
-    if stream.set_nonblocking(false).is_err() {
-        return false;
-    }
     let started = metrics.now();
     let encoded = response.encode();
     metrics.record_since(&metrics.encode_us, started);
-    let ok = match write_frame(&mut &*stream, &encoded) {
+    let mut writer = DrainingWriter(conn.reader.get_ref());
+    match write_frame(&mut writer, &encoded) {
         Ok(()) => true,
         // write_frame validates the cap before touching the socket, so
         // an oversized response (a batch of many empty rankings can
@@ -318,9 +352,36 @@ fn write_response(conn: &mut Conn, response: &Response, metrics: &ServeMetrics) 
         // hang-up.
         Err(WireError::FrameTooLarge { .. }) => {
             let fallback = Response::Error(RESPONSE_TOO_LARGE.to_string());
-            write_frame(&mut &*stream, &fallback.encode()).is_ok()
+            write_frame(&mut writer, &fallback.encode()).is_ok()
         }
         Err(_) => false,
-    };
-    conn.reader.get_ref().set_nonblocking(true).is_ok() && ok
+    }
+}
+
+/// A non-blocking socket as a `Write` that never reports `WouldBlock`:
+/// a full send buffer is waited out with `POLLOUT` on that one socket,
+/// for at most [`WRITE_TIMEOUT`] per stall, so `write_all` over it
+/// keeps the offset and either finishes the frame or fails.
+struct DrainingWriter<'a>(&'a TcpStream);
+
+impl Write for DrainingWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let mut deadline: Option<Instant> = None;
+        loop {
+            match self.0.write(buf) {
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    let deadline = *deadline.get_or_insert_with(|| Instant::now() + WRITE_TIMEOUT);
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if !wait_writable(self.0, left)? {
+                        return Err(ErrorKind::TimedOut.into());
+                    }
+                }
+                written => return written,
+            }
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }

@@ -10,6 +10,9 @@
 //! owning one for its lifetime, so thousands of mostly-idle connections
 //! share a pool sized to the cores and clients may still pipeline
 //! requests freely (frames on one connection are answered in order).
+//! A worker with nothing to answer spins briefly and then parks in
+//! `poll(2)` over its sockets (see `mux.rs`); nothing in a server waits
+//! on a timer tick.
 //!
 //! # One executor, three hostings
 //!
@@ -34,11 +37,13 @@
 //! # Shutdown
 //!
 //! [`ServerHandle::shutdown`] flips a shared flag and pokes the
-//! listener so the accept loop wakes up; workers poll the flag between
-//! sweeps and drain. If a request handler panics inside a write section
-//! the host is poisoned: the first request that observes it is answered
-//! with an error frame and the server initiates the same clean shutdown
-//! rather than serving from possibly half-mutated state.
+//! listener so the accept loop wakes up; on its way out the acceptor
+//! wakes every parked worker, workers check the flag between sweeps and
+//! drain, and the compactor is unparked. If a request handler panics
+//! inside a write section the host is poisoned: the first request that
+//! observes it is answered with an error frame and the server initiates
+//! the same clean shutdown rather than serving from possibly
+//! half-mutated state.
 
 use geodabs_cluster::{ClusterIndex, ShardNode};
 use geodabs_core::Fingerprints;
@@ -65,10 +70,6 @@ use crate::shards::{cluster_scaffold, ShardTelemetry, ShardedIndex};
 /// refused with a typed error instead of materializing a response that
 /// could never be framed (or OOM-ing the server first).
 const MAX_RESPONSE_HITS: usize = MAX_FRAME_LEN as usize / 12;
-
-/// How often the compaction thread wakes to poll its timer and the
-/// shutdown flag.
-const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// File name of the compacted snapshot inside a WAL directory: boot
 /// loads it (when present) and replays only the log suffix beyond its
@@ -706,9 +707,11 @@ impl<H: Host> Bound<H> {
         let (this, core) = (&self, &self.core);
         let mut served: std::io::Result<()> = Ok(());
         std::thread::scope(|scope| {
-            if let Some(every) = core.durability.as_ref().and_then(|d| d.compact_every) {
-                scope.spawn(move || this.compaction_loop(every));
-            }
+            let compactor = core
+                .durability
+                .as_ref()
+                .and_then(|d| d.compact_every)
+                .map(|every| scope.spawn(move || this.compaction_loop(every)));
             served = mux::serve_connections(
                 &this.listener,
                 core.workers,
@@ -718,9 +721,13 @@ impl<H: Host> Bound<H> {
                 || this.host.worker(&core.metrics),
                 |worker, request| this.execute(worker, request),
             );
-            // Release the compaction thread even when the serve loop
-            // exited without flipping the flag itself.
+            // Release the compaction thread — flag first, then the
+            // unpark that cuts its timer short — even when the serve
+            // loop exited without flipping the flag itself.
             core.shutdown.store(true, Ordering::SeqCst);
+            if let Some(compactor) = compactor {
+                compactor.thread().unpark();
+            }
         });
         // Clean shutdown flushes the log regardless of sync policy:
         // every acknowledged write survives a graceful stop even under
@@ -915,16 +922,21 @@ impl<H: Host> Bound<H> {
     }
 
     /// Folds the log into snapshots on a timer until shutdown. Failures
-    /// are skipped — the next tick retries with the log intact.
+    /// are skipped — the next tick retries with the log intact. The
+    /// timer is a `park_timeout` that [`Bound::run`] unparks once the
+    /// flag is set (an unpark that lands before the park is kept), so
+    /// shutdown does not wait a tick out.
     fn compaction_loop(&self, every: Duration) {
         let mut last = Instant::now();
         while !self.core.shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(IDLE_POLL.min(every));
-            if last.elapsed() < every {
-                continue;
+            match every.checked_sub(last.elapsed()) {
+                // Early and spurious returns land here again.
+                Some(left) if !left.is_zero() => std::thread::park_timeout(left),
+                _ => {
+                    let _ = self.compact();
+                    last = Instant::now();
+                }
             }
-            let _ = self.compact();
-            last = Instant::now();
         }
     }
 

@@ -76,14 +76,25 @@ pub fn wal_dir(tag: &str) -> std::path::PathBuf {
 /// Boots one shard server per [`ShardNode`] slice plus a frontend over
 /// them (`mux_workers` each), all on OS-assigned loopback ports.
 pub fn boot(slices: Vec<ShardNode>, mux_workers: usize) -> (Vec<RunningServer>, RunningServer) {
+    boot_with(slices, mux_workers, |_, server| server)
+}
+
+/// [`boot`], with each bound shard server passed through `prepare`
+/// (given its node id) before it starts serving — e.g. to make it
+/// durable.
+pub fn boot_with(
+    slices: Vec<ShardNode>,
+    mux_workers: usize,
+    mut prepare: impl FnMut(usize, Server<ShardNode>) -> Server<ShardNode>,
+) -> (Vec<RunningServer>, RunningServer) {
     let nodes = slices.len();
     let mut servers = Vec::with_capacity(nodes);
     let mut addrs = Vec::with_capacity(nodes);
-    for slice in slices {
+    for (node, slice) in slices.into_iter().enumerate() {
         let server = Server::bind("127.0.0.1:0", slice, server_config(1, mux_workers))
             .expect("bind shard server");
         addrs.push(server.local_addr().to_string());
-        servers.push(server.spawn());
+        servers.push(prepare(node, server).spawn());
     }
     let config = GeodabConfig::default();
     let router = ShardRouter::new(config.prefix_bits(), NUM_SHARDS, nodes).expect("router");
