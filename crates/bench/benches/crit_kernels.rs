@@ -2,7 +2,8 @@
 //! every figure: haversine, geohash encoding, geodab construction,
 //! winnowing, fingerprinting, Jaccard over roaring bitmaps, DTW and DFD,
 //! plus reference-vs-optimized pairs for the roaring intersection ladder,
-//! the snapshot live check, and point→cell encoding.
+//! the snapshot live check, and point→cell encoding, and the synthetic
+//! corpus generator (one sampled route, one 2k-record dataset).
 //!
 //! Run with `cargo bench -p geodabs-bench --bench crit_kernels`. Set
 //! `CRIT_QUICK=1` (the CI kernel-smoke step does) to shrink sample counts
@@ -12,10 +13,16 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use geodabs_core::winnow::{winnow, winnow_streaming};
 use geodabs_core::{geodab, Fingerprinter};
 use geodabs_distance::{dfd, dtw, edr, lcss_similarity};
+use geodabs_gen::dataset::{Dataset, DatasetConfig};
+use geodabs_gen::sampler::{sample_route, SamplerConfig};
 use geodabs_geo::{morton, CellEncoder, Geohash, Point};
 use geodabs_index::store::crc32;
+use geodabs_roadnet::generators::{grid_network, GridConfig};
+use geodabs_roadnet::Route;
 use geodabs_roaring::{kernels, RoaringBitmap};
 use geodabs_traj::{GeohashNormalizer, Normalizer, Trajectory};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn path(n: usize, offset_m: f64) -> Trajectory {
@@ -254,6 +261,43 @@ fn bench_encode(c: &mut Criterion) {
     });
 }
 
+/// The synthetic-corpus generator every benchmark set-up waits on: one
+/// trajectory of the paper's 1 Hz / 20 m sampler at the dense corpus's
+/// typical ~450 samples, and a whole 2k-record dense-urban corpus (routes
+/// drawn, then every record and query sampled across all cores).
+fn bench_generator(c: &mut Criterion) {
+    let net = grid_network(&GridConfig::default(), 42);
+    let corpus = DatasetConfig {
+        routes: 100,
+        per_direction: 10,
+        include_reverse: true,
+        sampler: SamplerConfig::default(),
+        min_route_m: 2_000.0,
+        queries: 64,
+        max_attempts_per_route: 400,
+    };
+    let routes_only = DatasetConfig {
+        per_direction: 0,
+        queries: 0,
+        ..corpus.clone()
+    };
+    let routes = Dataset::generate(&net, &routes_only, 42).expect("grid networks are routable");
+    let off_450 = |r: &&Route| (r.duration_seconds() - 450.0).abs();
+    let route = routes
+        .routes()
+        .iter()
+        .min_by(|a, b| off_450(a).total_cmp(&off_450(b)))
+        .expect("100 routes");
+    let sampler = SamplerConfig::default();
+    let mut rng = StdRng::seed_from_u64(7);
+    c.bench_function("sample_route_450pt", |bench| {
+        bench.iter(|| sample_route(black_box(route), &sampler, &mut rng))
+    });
+    c.bench_function("dataset_generate_2k", |bench| {
+        bench.iter(|| Dataset::generate(&net, black_box(&corpus), 42).expect("routable"))
+    });
+}
+
 /// Full-precision config by default; `CRIT_QUICK=1` shrinks the budget to
 /// a smoke test (used by the CI `kernel-smoke` step).
 fn config() -> Criterion {
@@ -270,6 +314,17 @@ fn config() -> Criterion {
     }
 }
 
+/// [`config`] with fewer samples: one `dataset_generate_2k` pass (16
+/// corpora) takes seconds.
+fn generator_config() -> Criterion {
+    let samples = if std::env::var_os("CRIT_QUICK").is_some() {
+        2
+    } else {
+        10
+    };
+    config().sample_size(samples)
+}
+
 criterion_group! {
     name = kernels_suite;
     config = config();
@@ -277,4 +332,9 @@ criterion_group! {
         bench_distances,
         bench_intersection_ladder, bench_live_check, bench_encode
 }
-criterion_main!(kernels_suite);
+criterion_group! {
+    name = generator_suite;
+    config = generator_config();
+    targets = bench_generator
+}
+criterion_main!(kernels_suite, generator_suite);

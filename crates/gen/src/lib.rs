@@ -15,6 +15,16 @@
 //! * [`world`] — the world-scale activity model standing in for the full
 //!   OpenStreetMap dump of Section VI-E (Figures 15 and 16).
 //!
+//! Every output is a pure function of its seed. A dataset is one seeded
+//! stream: the routes are drawn from it in order, then every record and
+//! query consumes its own slice of it — two words per noisy sample, a
+//! count fixed by the route's geometry. [`Dataset::generate`] finds each
+//! trajectory's slice in one cheap sequential pass, then samples the
+//! trajectories on every available core, and the dataset stays
+//! bit-identical on any core count (pinned by `tests/dataset_golden.rs`).
+//! Ground truth ([`Dataset::relevant_ids`]) reads the route's contiguous
+//! id range rather than scanning the corpus.
+//!
 //! # Examples
 //!
 //! ```

@@ -44,22 +44,78 @@ pub fn sample_route<R: Rng + ?Sized>(
     cfg: &SamplerConfig,
     rng: &mut R,
 ) -> Trajectory {
+    check(cfg);
+    let mut gauss = Gaussian::new();
+    let mut out = Vec::with_capacity((route.duration_seconds() / cfg.period_s) as usize + 2);
+    walk(route, cfg.period_s, |stop| {
+        let p = stop.point();
+        out.push(if cfg.noise_sigma_m == 0.0 {
+            p
+        } else {
+            // Independent N(0, sigma) displacements on each axis: one
+            // Box–Muller pair, i.e. `DRAWS_PER_SAMPLE` words of `rng`.
+            let dn = gauss.sample(rng, cfg.noise_sigma_m);
+            let de = gauss.sample(rng, cfg.noise_sigma_m);
+            p.destination(0.0, dn).destination(90.0, de)
+        });
+    });
+    Trajectory::new(out)
+}
+
+/// Random `u64` words one noisy sample takes from the generator: the two
+/// uniforms of the Box–Muller pair that displaces it north and east.
+const DRAWS_PER_SAMPLE: usize = 2;
+
+/// Random `u64` words [`sample_route`] draws from its generator for
+/// `route` — without sampling it, so a caller can hand each trajectory
+/// its own slice of one stream.
+///
+/// # Panics
+///
+/// Panics on the same configurations as [`sample_route`].
+pub(crate) fn draws(route: &Route, cfg: &SamplerConfig) -> usize {
+    check(cfg);
+    if cfg.noise_sigma_m == 0.0 {
+        return 0;
+    }
+    let mut samples = 0;
+    walk(route, cfg.period_s, |_| samples += 1);
+    samples * DRAWS_PER_SAMPLE
+}
+
+fn check(cfg: &SamplerConfig) {
     assert!(cfg.period_s > 0.0, "sampling period must be positive");
     assert!(cfg.noise_sigma_m >= 0.0, "noise must be non-negative");
-    let pts = route.points();
-    let mut gauss = Gaussian::new();
-    let mut noisy = |p: Point, rng: &mut R| {
-        if cfg.noise_sigma_m == 0.0 {
-            return p;
+}
+
+/// Where on a route a sample falls, before noise.
+#[derive(Clone, Copy)]
+enum Stop {
+    /// Exactly on a route point.
+    At(Point),
+    /// A fraction of the way along a segment.
+    Along(Point, Point, f64),
+}
+
+impl Stop {
+    fn point(self) -> Point {
+        match self {
+            Stop::At(p) => p,
+            Stop::Along(from, to, t) => from.lerp(to, t),
         }
-        // Independent N(0, sigma) displacements on each axis.
-        let dn = gauss.sample(rng, cfg.noise_sigma_m);
-        let de = gauss.sample(rng, cfg.noise_sigma_m);
-        p.destination(0.0, dn).destination(90.0, de)
-    };
+    }
+}
+
+/// Hands every sample position of `route` to `emit`, in order: one every
+/// `period_s` seconds at the route's average speed, plus the exact arrival
+/// point. Nothing for an empty route, the one point of a single-node
+/// route. The only walk there is: [`sample_route`] and [`draws`] both run
+/// it, so the sample count can never disagree with the trajectory.
+fn walk(route: &Route, period_s: f64, mut emit: impl FnMut(Stop)) {
+    let pts = route.points();
     match pts.len() {
-        0 => return Trajectory::default(),
-        1 => return Trajectory::new(vec![noisy(pts[0], rng)]),
+        0 => return,
+        1 => return emit(Stop::At(pts[0])),
         _ => {}
     }
     // Average speed per segment from the route totals; per-edge speeds are
@@ -69,8 +125,7 @@ pub fn sample_route<R: Rng + ?Sized>(
     } else {
         1.0
     };
-    let step_m = speed * cfg.period_s;
-    let mut out = Vec::with_capacity((route.duration_seconds() / cfg.period_s) as usize + 2);
+    let step_m = speed * period_s;
     // Distance (meters) left to travel before the next sample.
     let mut until_next = 0.0;
     for w in pts.windows(2) {
@@ -80,14 +135,12 @@ pub fn sample_route<R: Rng + ?Sized>(
         }
         let mut offset = until_next;
         while offset < seg_len {
-            let p = w[0].lerp(w[1], offset / seg_len);
-            out.push(noisy(p, rng));
+            emit(Stop::Along(w[0], w[1], offset / seg_len));
             offset += step_m;
         }
         until_next = offset - seg_len;
     }
-    out.push(noisy(pts[pts.len() - 1], rng));
-    Trajectory::new(out)
+    emit(Stop::At(pts[pts.len() - 1]));
 }
 
 #[cfg(test)]
@@ -201,6 +254,37 @@ mod tests {
         let l1 = t1.ground_length_meters();
         let l2 = t2.ground_length_meters();
         assert!((l1 - l2).abs() / l1.max(l2) < 0.25, "{l1} vs {l2}");
+    }
+
+    #[test]
+    fn draws_count_the_words_sample_route_takes() {
+        use rand::RngCore;
+        let (_, route) = test_route();
+        let configs = [
+            SamplerConfig::default(),
+            SamplerConfig {
+                period_s: 5.0,
+                ..SamplerConfig::default()
+            },
+            SamplerConfig {
+                noise_sigma_m: 0.0,
+                ..SamplerConfig::default()
+            },
+        ];
+        for cfg in &configs {
+            for r in [route.clone(), route.reversed()] {
+                let mut rng = StdRng::seed_from_u64(8);
+                let mut skipped = rng.clone();
+                let t = sample_route(&r, cfg, &mut rng);
+                let n = draws(&r, cfg);
+                for _ in 0..n {
+                    skipped.next_u64();
+                }
+                assert_eq!(rng, skipped, "{cfg:?}");
+                let per_sample = if cfg.noise_sigma_m == 0.0 { 0 } else { 2 };
+                assert_eq!(n, per_sample * t.len(), "{cfg:?}");
+            }
+        }
     }
 
     #[test]

@@ -108,6 +108,7 @@ impl Point {
     ///
     /// The result is clamped into the valid coordinate domain, which only
     /// matters for paths crossing the antimeridian or the poles.
+    #[inline]
     pub fn destination(&self, bearing_deg: f64, meters: f64) -> Point {
         let delta = meters / EARTH_RADIUS_METERS;
         let theta = bearing_deg.to_radians();
