@@ -35,17 +35,18 @@
 //! (the CI gate, plotting scripts) must check it before reading further.
 
 use geodabs_cluster::{ClusterIndex, ShardNode, ShardRouter};
-use geodabs_core::{Fingerprinter, Fingerprints, GeodabConfig};
+use geodabs_core::{Fingerprinter, GeodabConfig};
 use geodabs_gen::dataset::{Dataset, DatasetConfig};
 use geodabs_gen::sampler::SamplerConfig;
-use geodabs_index::store::{self, Persist, SnapshotError};
-use geodabs_index::{
-    codec, GeodabIndex, GeohashIndex, SearchOptions, SearchResult, TrajectoryIndex,
-};
+use geodabs_index::store::Persist;
+use geodabs_index::{GeodabIndex, GeohashIndex, SearchOptions, SearchResult, TrajectoryIndex};
 use geodabs_roadnet::generators::{grid_network, GridConfig};
-use geodabs_serve::{Client, Frontend, FrontendConfig, LoadClient, LoadRun, Server, ServerConfig};
+use geodabs_serve::{
+    recover, AnyIndex, Client, Frontend, FrontendConfig, LoadClient, LoadRun, ServeBackend, Server,
+    ServerConfig,
+};
 use geodabs_traj::{TrajId, Trajectory};
-use geodabs_wal::{SyncPolicy, Wal, WalOp};
+use geodabs_wal::{SyncPolicy, Wal};
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
@@ -702,287 +703,31 @@ pub fn run_cold_start(scenario: &Scenario, threads: usize) -> ColdStartReport {
     }
 }
 
-/// Any index backend behind one value — the common currency of the
-/// snapshot CLI and the serving layer, which both must host whatever
-/// backend a `GDAB` v2 snapshot happens to hold.
-#[derive(Debug)]
-pub enum AnyIndex {
-    /// The paper's geodab index.
-    Geodab(GeodabIndex),
-    /// The geohash-cell baseline.
-    Geohash(GeohashIndex),
-    /// The sharded cluster index.
-    Cluster(ClusterIndex),
-    /// One node's standalone slice of a sharded cluster — what a
-    /// remote shard server hosts.
-    Node(ShardNode),
-}
-
-impl AnyIndex {
-    /// Materializes whichever backend a snapshot holds (v1 blobs load as
-    /// geodab through the legacy path).
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`] a malformed container produces; an unknown
-    /// backend tag is [`SnapshotError::Corrupt`].
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<AnyIndex, SnapshotError> {
-        match store::peek_version(bytes)? {
-            store::VERSION_V1 => Ok(AnyIndex::Geodab(codec::decode(bytes)?)),
-            _ => {
-                let reader = store::SnapshotReader::parse(bytes)?;
-                match reader.backend() {
-                    Some(store::BackendKind::Geodab) => {
-                        Ok(AnyIndex::Geodab(GeodabIndex::from_snapshot(bytes)?))
-                    }
-                    Some(store::BackendKind::Geohash) => {
-                        Ok(AnyIndex::Geohash(GeohashIndex::from_snapshot(bytes)?))
-                    }
-                    Some(store::BackendKind::Cluster) => {
-                        Ok(AnyIndex::Cluster(ClusterIndex::from_snapshot(bytes)?))
-                    }
-                    Some(store::BackendKind::Node) => {
-                        Ok(AnyIndex::Node(ShardNode::from_snapshot(bytes)?))
-                    }
-                    None => Err(SnapshotError::UnknownBackend(reader.backend_tag())),
-                }
-            }
-        }
-    }
-
-    /// Builds an empty index of the named backend under the default
-    /// configuration (`cluster` gets `shards` × `nodes`).
-    ///
-    /// # Errors
-    ///
-    /// An unknown backend name, or an invalid cluster shape.
-    pub fn empty(backend: &str, shards: u64, nodes: usize) -> Result<AnyIndex, String> {
-        let config = GeodabConfig::default();
-        match backend {
-            "geodab" => Ok(AnyIndex::Geodab(GeodabIndex::new(config))),
-            "geohash" => Ok(AnyIndex::Geohash(GeohashIndex::new(
-                config.normalization_depth(),
-            ))),
-            "cluster" => Ok(AnyIndex::Cluster(
-                ClusterIndex::new(config, shards, nodes).map_err(|e| e.to_string())?,
-            )),
-            // A shard node needs a node id on top of the cluster shape;
-            // `serve --shard-id` constructs it directly.
-            other => Err(format!(
-                "unknown backend {other:?} (geodab|geohash|cluster)"
-            )),
-        }
-    }
-
-    /// The backend's stable name.
-    pub fn backend_name(&self) -> &'static str {
-        match self {
-            AnyIndex::Geodab(_) => "geodab",
-            AnyIndex::Geohash(_) => "geohash",
-            AnyIndex::Cluster(_) => "cluster",
-            AnyIndex::Node(_) => "node",
-        }
-    }
-
-    /// Distinct terms (active shards for the cluster backend).
-    pub fn term_count(&self) -> usize {
-        match self {
-            AnyIndex::Geodab(index) => index.term_count(),
-            AnyIndex::Geohash(index) => index.term_count(),
-            AnyIndex::Cluster(index) => index.active_shards(),
-            AnyIndex::Node(index) => index.term_count(),
-        }
-    }
-
-    /// Applies one write-ahead-log record — the replay loop every
-    /// boot-from-log shares (`serve --wal-dir`, `wal replay`, the bench
-    /// recovery phase).
-    ///
-    /// # Errors
-    ///
-    /// A shard-server record (`InsertFingerprints`) replayed onto a
-    /// backend that is not a shard node: the log belongs to a different
-    /// kind of server, so booting from it would silently drop writes.
-    pub fn apply_wal_op(&mut self, op: WalOp) -> Result<(), String> {
-        match op {
-            WalOp::Insert { id, trajectory } => {
-                TrajectoryIndex::insert(self, id, &trajectory);
-                Ok(())
-            }
-            WalOp::Remove { id } => {
-                TrajectoryIndex::remove(self, id);
-                Ok(())
-            }
-            WalOp::InsertFingerprints { id, terms } => match self {
-                AnyIndex::Node(node) => {
-                    node.insert_fingerprints(id, Fingerprints::from_ordered(terms));
-                    Ok(())
-                }
-                other => Err(format!(
-                    "cannot replay a shard-server log record onto the {} backend",
-                    other.backend_name()
-                )),
-            },
-        }
-    }
-
-    /// An empty index of the same backend and shape (configuration,
-    /// depth, cluster geometry) as `self` — what a verification rebuild
-    /// re-ingests into.
-    fn fresh_twin(&self) -> Result<AnyIndex, String> {
-        Ok(match self {
-            AnyIndex::Geodab(index) => AnyIndex::Geodab(GeodabIndex::new(*index.config())),
-            AnyIndex::Geohash(index) => AnyIndex::Geohash(GeohashIndex::new(index.depth())),
-            AnyIndex::Cluster(index) => AnyIndex::Cluster(
-                ClusterIndex::new(
-                    *index.config(),
-                    index.router().num_shards(),
-                    index.router().num_nodes(),
-                )
-                .map_err(|e| e.to_string())?,
-            ),
-            AnyIndex::Node(index) => AnyIndex::Node(
-                ShardNode::new(
-                    *index.config(),
-                    index.router().num_shards(),
-                    index.router().num_nodes(),
-                    index.node_id(),
-                )
-                .map_err(|e| e.to_string())?,
-            ),
-        })
-    }
-}
-
-impl TrajectoryIndex for AnyIndex {
-    fn insert(&mut self, id: TrajId, trajectory: &Trajectory) {
-        match self {
-            AnyIndex::Geodab(index) => index.insert(id, trajectory),
-            AnyIndex::Geohash(index) => index.insert(id, trajectory),
-            AnyIndex::Cluster(index) => TrajectoryIndex::insert(index, id, trajectory),
-            AnyIndex::Node(index) => index.insert(id, trajectory),
-        }
-    }
-
-    fn remove(&mut self, id: TrajId) -> bool {
-        match self {
-            AnyIndex::Geodab(index) => TrajectoryIndex::remove(index, id),
-            AnyIndex::Geohash(index) => TrajectoryIndex::remove(index, id),
-            AnyIndex::Cluster(index) => ClusterIndex::remove(index, id),
-            AnyIndex::Node(index) => index.remove(id),
-        }
-    }
-
-    fn search(&self, query: &Trajectory, options: &SearchOptions) -> Vec<SearchResult> {
-        match self {
-            AnyIndex::Geodab(index) => TrajectoryIndex::search(index, query, options),
-            AnyIndex::Geohash(index) => TrajectoryIndex::search(index, query, options),
-            AnyIndex::Cluster(index) => ClusterIndex::search(index, query, options),
-            AnyIndex::Node(index) => index.search(query, options),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            AnyIndex::Geodab(index) => TrajectoryIndex::len(index),
-            AnyIndex::Geohash(index) => TrajectoryIndex::len(index),
-            AnyIndex::Cluster(index) => ClusterIndex::len(index),
-            AnyIndex::Node(index) => index.len(),
-        }
-    }
-
-    fn ids(&self) -> impl Iterator<Item = TrajId> + '_ {
-        let ids: Vec<TrajId> = match self {
-            AnyIndex::Geodab(index) => TrajectoryIndex::ids(index).collect(),
-            AnyIndex::Geohash(index) => TrajectoryIndex::ids(index).collect(),
-            AnyIndex::Cluster(index) => ClusterIndex::ids(index).collect(),
-            AnyIndex::Node(index) => index.ids().collect(),
-        };
-        ids.into_iter()
-    }
-
-    fn insert_batch<'a, I>(&mut self, items: I)
-    where
-        I: IntoIterator<Item = (TrajId, &'a Trajectory)>,
-    {
-        match self {
-            AnyIndex::Geodab(index) => index.insert_batch(items),
-            AnyIndex::Geohash(index) => index.insert_batch(items),
-            AnyIndex::Cluster(index) => index.insert_batch(items),
-            // A node keeps only its routed slice; batched fingerprint
-            // fan-out buys little, so ingest serially.
-            AnyIndex::Node(index) => {
-                for (id, trajectory) in items {
-                    index.insert(id, trajectory);
-                }
-            }
-        }
-    }
-}
-
-/// Any backend can be served; the serving layer and the snapshot CLI
-/// host the same value.
-impl geodabs_serve::ServeBackend for AnyIndex {
-    fn backend_name(&self) -> &'static str {
-        AnyIndex::backend_name(self)
-    }
-
-    fn term_count(&self) -> usize {
-        AnyIndex::term_count(self)
-    }
-
-    fn search_fingerprints(
-        &self,
-        ordered: &[u32],
-        options: &SearchOptions,
-    ) -> Result<Vec<SearchResult>, &'static str> {
-        match self {
-            AnyIndex::Geodab(index) => {
-                geodabs_serve::ServeBackend::search_fingerprints(index, ordered, options)
-            }
-            AnyIndex::Geohash(index) => {
-                geodabs_serve::ServeBackend::search_fingerprints(index, ordered, options)
-            }
-            AnyIndex::Cluster(index) => {
-                geodabs_serve::ServeBackend::search_fingerprints(index, ordered, options)
-            }
-            AnyIndex::Node(index) => {
-                geodabs_serve::ServeBackend::search_fingerprints(index, ordered, options)
-            }
-        }
-    }
-
-    fn to_snapshot_bytes(&self) -> Option<Vec<u8>> {
-        match self {
-            AnyIndex::Geodab(index) => geodabs_serve::ServeBackend::to_snapshot_bytes(index),
-            AnyIndex::Geohash(index) => geodabs_serve::ServeBackend::to_snapshot_bytes(index),
-            AnyIndex::Cluster(index) => geodabs_serve::ServeBackend::to_snapshot_bytes(index),
-            AnyIndex::Node(index) => geodabs_serve::ServeBackend::to_snapshot_bytes(index),
-        }
-    }
-
-    fn into_shards(self, shards: usize) -> Result<geodabs_serve::ShardedIndex, String> {
-        match self {
-            AnyIndex::Geodab(index) => geodabs_serve::ServeBackend::into_shards(index, shards),
-            AnyIndex::Cluster(index) => geodabs_serve::ServeBackend::into_shards(index, shards),
-            AnyIndex::Geohash(index) => geodabs_serve::ServeBackend::into_shards(index, shards),
-            AnyIndex::Node(index) => geodabs_serve::ServeBackend::into_shards(index, shards),
-        }
-    }
-
-    fn as_shard(&self) -> Option<&ShardNode> {
-        match self {
-            AnyIndex::Node(node) => Some(node),
-            _ => None,
-        }
-    }
-
-    fn as_shard_mut(&mut self) -> Option<&mut ShardNode> {
-        match self {
-            AnyIndex::Node(node) => Some(node),
-            _ => None,
-        }
-    }
+/// An empty index of the same backend and shape (configuration, depth,
+/// cluster geometry) as `index` — what a verification rebuild
+/// re-ingests into.
+fn fresh_twin(index: &AnyIndex) -> Result<AnyIndex, String> {
+    Ok(match index {
+        AnyIndex::Geodab(index) => AnyIndex::Geodab(GeodabIndex::new(*index.config())),
+        AnyIndex::Geohash(index) => AnyIndex::Geohash(GeohashIndex::new(index.depth())),
+        AnyIndex::Cluster(index) => AnyIndex::Cluster(
+            ClusterIndex::new(
+                *index.config(),
+                index.router().num_shards(),
+                index.router().num_nodes(),
+            )
+            .map_err(|e| e.to_string())?,
+        ),
+        AnyIndex::Node(index) => AnyIndex::Node(
+            ShardNode::new(
+                *index.config(),
+                index.router().num_shards(),
+                index.router().num_nodes(),
+                index.node_id(),
+            )
+            .map_err(|e| e.to_string())?,
+        ),
+    })
 }
 
 /// The result cap every verification replay queries with.
@@ -1008,7 +753,7 @@ pub fn verify_against_rebuild(restored: &AnyIndex, scenario: &Scenario) -> Resul
         .iter()
         .map(|r| (r.id, &r.trajectory))
         .collect();
-    let mut fresh = restored.fresh_twin()?;
+    let mut fresh = fresh_twin(restored)?;
     fresh.insert_batch(items);
     if TrajectoryIndex::len(&fresh) != TrajectoryIndex::len(restored)
         || fresh.term_count() != restored.term_count()
@@ -1594,16 +1339,11 @@ pub fn run_durability(
     // exact read path `geodabs serve --wal-dir` boots through.
     let dir = always_dir.expect("the always policy ran");
     let recovery_started = Instant::now();
-    let mut restored = AnyIndex::empty("geodab", 0, 0)?;
-    let mut replayed = 0usize;
-    for record in Wal::records(&dir).map_err(|e| format!("recovery scan: {e}"))? {
-        restored
-            .apply_wal_op(record.op)
-            .map_err(|e| format!("recovery replay: {e}"))?;
-        replayed += 1;
-    }
+    let recovered = recover(&dir, || Ok((AnyIndex::empty("geodab", 0, 0)?, 0)))
+        .map_err(|e: String| format!("recovery: {e}"))?;
     let recovery_seconds = recovery_started.elapsed().as_secs_f64();
-    let recovered_trajectories = TrajectoryIndex::len(&restored);
+    let replayed = recovered.replayed;
+    let recovered_trajectories = TrajectoryIndex::len(&recovered.index);
     let recovery_consistent = replayed == inserts && recovered_trajectories == inserts;
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -2654,13 +2394,7 @@ mod tests {
             assert_eq!(TrajectoryIndex::ids(&index).count(), 40);
 
             // Snapshot → AnyIndex round trip picks the right backend…
-            let bytes = match &index {
-                AnyIndex::Geodab(i) => i.to_snapshot(),
-                AnyIndex::Geohash(i) => i.to_snapshot(),
-                AnyIndex::Cluster(i) => i.to_snapshot(),
-                AnyIndex::Node(i) => i.to_snapshot(),
-            };
-            let restored = AnyIndex::from_snapshot_bytes(&bytes).expect("roundtrip");
+            let restored = AnyIndex::from_snapshot(&index.to_snapshot()).expect("roundtrip");
             assert_eq!(restored.backend_name(), backend);
             assert_eq!(restored.term_count(), index.term_count());
 
@@ -2668,8 +2402,16 @@ mod tests {
             let checked = verify_against_rebuild(&restored, &scenario).expect("verify");
             assert_eq!(checked, dataset.queries().len());
         }
+        // The node backend is sliced from a cluster ingest, not built by
+        // `empty`; the verification replay covers its snapshot too.
+        let mut cluster = ClusterIndex::new(GeodabConfig::default(), 1_000, 2).unwrap();
+        cluster.insert_batch(items);
+        let bytes = cluster.shard_node(0).unwrap().to_snapshot();
+        let node = AnyIndex::from_snapshot(&bytes).expect("node snapshot loads");
+        verify_against_rebuild(&node, &scenario).expect("verify node");
+
         assert!(AnyIndex::empty("warp", 1, 1).is_err());
-        assert!(AnyIndex::from_snapshot_bytes(b"garbage").is_err());
+        assert!(AnyIndex::from_snapshot(b"garbage").is_err());
     }
 
     #[test]
@@ -2878,39 +2620,6 @@ mod tests {
         let scenario = find(SKEWED).expect("catalog has skewed");
         assert_eq!(scenario.preset, Preset::DenseUrban);
         assert_eq!(scenario.corpus, 2_000);
-    }
-
-    #[test]
-    fn any_index_node_backend_roundtrips_and_replays_shard_ops() {
-        let scenario = find("micro").expect("catalog has micro");
-        let dataset = generate(&scenario);
-        let config = GeodabConfig::default();
-        let mut cluster = ClusterIndex::new(config, 1_000, 2).unwrap();
-        cluster.insert_batch(dataset.records().iter().map(|r| (r.id, &r.trajectory)));
-        let node = cluster.shard_node(0).unwrap();
-        let bytes = Persist::to_snapshot(&node);
-        let restored = AnyIndex::from_snapshot_bytes(&bytes).expect("node snapshot loads");
-        assert_eq!(restored.backend_name(), "node");
-        assert_eq!(TrajectoryIndex::len(&restored), node.len());
-        assert_eq!(TrajectoryIndex::ids(&restored).count(), node.len());
-        // The shared verification replay covers the node backend too.
-        verify_against_rebuild(&restored, &scenario).expect("verify");
-
-        // Shard-op replay lands on a node backend and is refused
-        // anywhere else.
-        let mut restored = restored;
-        let fingerprinter = Fingerprinter::new(config);
-        let fp = fingerprinter.normalize_and_fingerprint(&dataset.records()[0].trajectory);
-        let op = WalOp::InsertFingerprints {
-            id: TrajId::new(9_999),
-            terms: fp.ordered().to_vec(),
-        };
-        restored
-            .apply_wal_op(op.clone())
-            .expect("node replays shard ops");
-        let mut geodab = AnyIndex::empty("geodab", 0, 0).unwrap();
-        let err = geodab.apply_wal_op(op).unwrap_err();
-        assert!(err.contains("shard-server"), "{err}");
     }
 
     #[test]

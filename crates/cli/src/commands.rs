@@ -9,6 +9,7 @@ use geodabs_index::tuning::{hill_climb, TuningSample};
 use geodabs_index::{codec, GeodabIndex, GeohashIndex, SearchOptions, TrajectoryIndex};
 use geodabs_roadnet::generators::{grid_network, GridConfig};
 use geodabs_roadnet::RoadNetwork;
+use geodabs_serve::{recover, AnyIndex, Recovered, ServeBackend};
 use std::collections::HashSet;
 use std::error::Error;
 use std::time::Instant;
@@ -877,12 +878,12 @@ fn snapshot_save(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dy
 }
 
 fn snapshot_load(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use geodabs_bench::workload::{verify_against_rebuild, AnyIndex};
+    use geodabs_bench::workload::verify_against_rebuild;
     args.reject_unknown_flags(&["in", "verify", "scenario", "seed"])?;
     let path = args.string_required("in")?;
     let bytes = std::fs::read(&path)?;
     let started = Instant::now();
-    let loaded = AnyIndex::from_snapshot_bytes(&bytes)?;
+    let loaded = AnyIndex::from_snapshot(&bytes)?;
     let seconds = started.elapsed().as_secs_f64();
     writeln!(
         out,
@@ -1013,8 +1014,8 @@ fn snapshot_inspect(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box
 }
 
 fn serve(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use geodabs_bench::workload::{self, AnyIndex};
-    use geodabs_serve::{Server, ServerConfig, WAL_SNAPSHOT_FILE};
+    use geodabs_bench::workload;
+    use geodabs_serve::{Server, ServerConfig};
     use geodabs_wal::{SyncPolicy, Wal};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -1087,16 +1088,7 @@ fn serve(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>
                 .into(),
         );
     }
-    let shard_id = match args.has("shard-id") {
-        true => Some(args.usize_or("shard-id", 0)?),
-        false => None,
-    };
-    if shard_id.is_some() && args.has("backend") {
-        return Err(
-            "--backend conflicts with --shard-id (a shard server hosts the node backend)".into(),
-        );
-    }
-    if shard_id.is_some() && args.has("snapshot") {
+    if args.has("shard-id") && args.has("snapshot") {
         return Err(
             "--shard-id conflicts with --snapshot (the snapshot records which node it is)".into(),
         );
@@ -1105,122 +1097,97 @@ fn serve(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>
     // Boot order for a durable server: the latest compacted snapshot in
     // the log directory wins (it reflects acknowledged state newer than
     // any --snapshot the caller passes), then the log suffix beyond its
-    // watermark is replayed.
+    // watermark is replayed. Without one, boot starts from --snapshot, a
+    // --scenario ingest or an empty index.
     let started = Instant::now();
-    let compacted = wal_dir
-        .as_ref()
-        .map(|d| std::path::Path::new(d).join(WAL_SNAPSHOT_FILE))
-        .filter(|p| p.exists());
-    let (mut index, snapshot_watermark) = if let Some(path) = compacted {
-        let bytes = std::fs::read(&path)?;
-        let watermark = store::watermark(&bytes)?.unwrap_or(0);
-        let index = AnyIndex::from_snapshot_bytes(&bytes)?;
-        writeln!(
-            out,
-            "warm-start        {} compacted snapshot (watermark {watermark}): {} trajectories \
-             from {} bytes in {:.3}s",
-            index.backend_name(),
-            index.len(),
-            bytes.len(),
-            started.elapsed().as_secs_f64()
-        )?;
-        (index, watermark)
-    } else if args.has("snapshot") {
-        if args.has("backend") {
-            return Err(
-                "--backend conflicts with --snapshot (the snapshot names its backend)".into(),
-            );
+    let empty = empty_index(args)?;
+    let base = || -> Result<(AnyIndex, u64), Box<dyn Error>> {
+        if args.has("snapshot") {
+            if args.has("backend") {
+                return Err(
+                    "--backend conflicts with --snapshot (the snapshot names its backend)".into(),
+                );
+            }
+            let bytes = std::fs::read(args.string_required("snapshot")?)?;
+            let watermark = store::watermark(&bytes)?.unwrap_or(0);
+            let index = AnyIndex::from_snapshot(&bytes)?;
+            writeln!(
+                out,
+                "warm-start        {} snapshot: {} trajectories from {} bytes in {:.3}s",
+                index.backend_name(),
+                index.len(),
+                bytes.len(),
+                started.elapsed().as_secs_f64()
+            )?;
+            return Ok((index, watermark));
         }
-        let path = args.string_required("snapshot")?;
-        let bytes = std::fs::read(&path)?;
-        let watermark = store::watermark(&bytes)?.unwrap_or(0);
-        let index = AnyIndex::from_snapshot_bytes(&bytes)?;
-        writeln!(
-            out,
-            "warm-start        {} snapshot: {} trajectories from {} bytes in {:.3}s",
-            index.backend_name(),
-            index.len(),
-            bytes.len(),
-            started.elapsed().as_secs_f64()
-        )?;
-        (index, watermark)
-    } else if args.has("scenario") {
-        let shards = args.u64_or("shards", 10_000)?;
-        let nodes = args.usize_or("nodes", 8)?;
+        if !args.has("scenario") {
+            // --wal-dir alone: a durable server that has not compacted
+            // yet (or is brand new) boots empty and replays its whole log.
+            writeln!(
+                out,
+                "fresh             empty {} index",
+                empty.backend_name()
+            )?;
+            return Ok((empty, 0));
+        }
         let (scenario, dataset) = scenario_dataset(args)?;
         let items: Vec<_> = dataset
             .records()
             .iter()
             .map(|r| (r.id, &r.trajectory))
             .collect();
-        let index = match shard_id {
-            // A shard server routes the whole corpus through the
-            // cluster and keeps node `node_id`'s slice — exactly the
-            // state it would hold after a live N-node ingest, so the
-            // per-shard heaps it answers merge exactly at the frontend.
-            Some(node_id) => {
-                let mut cluster = ClusterIndex::new(GeodabConfig::default(), shards, nodes)?;
+        let mut index = empty;
+        match &mut index {
+            // A shard server routes the whole corpus through the cluster
+            // and keeps its node's slice — exactly the state it would
+            // hold after a live N-node ingest, so the per-shard heaps it
+            // answers merge exactly at the frontend.
+            AnyIndex::Node(node) => {
+                let router = node.router();
+                let mut cluster =
+                    ClusterIndex::new(*node.config(), router.num_shards(), router.num_nodes())?;
                 cluster.insert_batch(items);
-                AnyIndex::Node(cluster.shard_node(node_id).ok_or_else(|| {
-                    format!("--shard-id {node_id} out of range for --nodes {nodes}")
-                })?)
+                *node = cluster
+                    .shard_node(node.node_id())
+                    .expect("ShardNode::new checked the node id");
             }
-            None => {
-                let backend = args.string_or("backend", "geodab");
-                let mut index = AnyIndex::empty(&backend, shards, nodes)?;
-                index.insert_batch(items);
-                index
-            }
-        };
+            index => index.insert_batch(items),
+        }
         writeln!(
             out,
             "ingested          scenario {} into a {} index: {} trajectories in {:.3}s",
             scenario.name,
             index.backend_name(),
-            TrajectoryIndex::len(&index),
+            index.len(),
             started.elapsed().as_secs_f64()
         )?;
-        (index, 0)
-    } else {
-        // --wal-dir alone: a durable server that has not compacted yet
-        // (or is brand new) boots empty and replays its whole log.
-        let shards = args.u64_or("shards", 10_000)?;
-        let nodes = args.usize_or("nodes", 8)?;
-        let index = match shard_id {
-            Some(node_id) => AnyIndex::Node(ShardNode::new(
-                GeodabConfig::default(),
-                shards,
-                nodes,
-                node_id,
-            )?),
-            None => AnyIndex::empty(&args.string_or("backend", "geodab"), shards, nodes)?,
-        };
-        writeln!(
-            out,
-            "fresh             empty {} index",
-            index.backend_name()
-        )?;
-        (index, 0)
+        Ok((index, 0))
     };
-
-    if let Some(dir) = &wal_dir {
-        let mut replayed = 0usize;
-        for record in Wal::records(std::path::Path::new(dir))? {
-            if record.seq <= snapshot_watermark {
-                continue;
+    let (index, snapshot_watermark) = match &wal_dir {
+        None => base()?,
+        Some(dir) => {
+            let recovered = recover(std::path::Path::new(dir), base)?;
+            if let Some(bytes) = recovered.compacted {
+                writeln!(
+                    out,
+                    "warm-start        {} compacted snapshot (watermark {}) from {bytes} bytes",
+                    recovered.index.backend_name(),
+                    recovered.watermark
+                )?;
             }
-            index
-                .apply_wal_op(record.op)
-                .map_err(|e| format!("wal replay: {e}"))?;
-            replayed += 1;
+            writeln!(
+                out,
+                "wal replay        {} record(s) beyond watermark {} from {dir}: {} trajectories \
+                 now live after {:.3}s",
+                recovered.replayed,
+                recovered.watermark,
+                recovered.index.len(),
+                started.elapsed().as_secs_f64()
+            )?;
+            (recovered.index, recovered.watermark)
         }
-        writeln!(
-            out,
-            "wal replay        {replayed} record(s) beyond watermark {snapshot_watermark} \
-             from {dir}: {} trajectories now live",
-            TrajectoryIndex::len(&index)
-        )?;
-    }
+    };
 
     if verify == "rebuild" {
         // The same query-replay loop `snapshot load --verify rebuild`
@@ -1398,7 +1365,7 @@ fn frontend(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Err
 }
 
 fn loadtest(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use geodabs_bench::workload::{self, AnyIndex, ServeReport};
+    use geodabs_bench::workload::{self, ServeReport};
     use geodabs_serve::Client;
     use geodabs_traj::Trajectory;
 
@@ -1811,65 +1778,38 @@ fn wal_inspect(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn 
 }
 
 fn wal_replay(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use geodabs_bench::workload::AnyIndex;
-    use geodabs_serve::{ServeBackend, WAL_SNAPSHOT_FILE};
-    use geodabs_wal::Wal;
     args.reject_unknown_flags(&["dir", "out", "backend", "nodes", "shards", "shard-id"])?;
     let dir = args.string_required("dir")?;
 
-    // The same recovery `serve --wal-dir` performs, runnable offline:
-    // latest compacted snapshot (if any), then the log suffix beyond
-    // its watermark.
-    let snapshot = std::path::Path::new(&dir).join(WAL_SNAPSHOT_FILE);
-    let (mut index, watermark) = match std::fs::read(&snapshot) {
-        Ok(bytes) => {
-            let watermark = store::watermark(&bytes)?.unwrap_or(0);
-            let index = AnyIndex::from_snapshot_bytes(&bytes)?;
-            writeln!(
-                out,
-                "snapshot          {} backend, {} trajectories, watermark {watermark}",
-                index.backend_name(),
-                TrajectoryIndex::len(&index)
-            )?;
-            (index, watermark)
-        }
-        Err(_) => {
-            let shards = args.u64_or("shards", 10_000)?;
-            let nodes = args.usize_or("nodes", 8)?;
-            let index = match args.has("shard-id") {
-                true => AnyIndex::Node(ShardNode::new(
-                    GeodabConfig::default(),
-                    shards,
-                    nodes,
-                    args.usize_or("shard-id", 0)?,
-                )?),
-                false => AnyIndex::empty(&args.string_or("backend", "geodab"), shards, nodes)?,
-            };
-            writeln!(
-                out,
-                "snapshot          none; replaying into an empty {} index",
-                index.backend_name()
-            )?;
-            (index, 0)
-        }
-    };
-    let mut replayed = 0usize;
-    let mut last_seq = watermark;
-    for record in Wal::records(std::path::Path::new(&dir))? {
-        last_seq = record.seq;
-        if record.seq <= watermark {
-            continue;
-        }
-        index
-            .apply_wal_op(record.op)
-            .map_err(|e| format!("wal replay: {e}"))?;
-        replayed += 1;
+    // The same recovery `serve --wal-dir` boots through, runnable
+    // offline.
+    let empty = empty_index(args)?;
+    let Recovered {
+        index,
+        watermark,
+        last_seq,
+        replayed,
+        compacted,
+    } = recover(std::path::Path::new(&dir), || {
+        writeln!(
+            out,
+            "snapshot          none; replaying into an empty {} index",
+            empty.backend_name()
+        )?;
+        Ok::<_, Box<dyn Error>>((empty, 0))
+    })?;
+    if let Some(bytes) = compacted {
+        writeln!(
+            out,
+            "snapshot          {} backend, {bytes} bytes, watermark {watermark}",
+            index.backend_name()
+        )?;
     }
     writeln!(
         out,
         "replayed          {replayed} record(s) beyond watermark {watermark}: \
          {} trajectories at seq {last_seq}",
-        TrajectoryIndex::len(&index)
+        index.len()
     )?;
 
     // With --out the reconstruction is persisted as a compacted,
@@ -1877,9 +1817,7 @@ fn wal_replay(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn E
     // is not running.
     if args.has("out") {
         let path = args.string_required("out")?;
-        let bytes = ServeBackend::to_snapshot_bytes(&index)
-            .ok_or("this backend does not support snapshots")?;
-        let stamped = store::with_watermark(&bytes, last_seq)?;
+        let stamped = store::with_watermark(&index.to_snapshot(), last_seq)?;
         std::fs::write(&path, &stamped)?;
         writeln!(
             out,
@@ -1888,6 +1826,34 @@ fn wal_replay(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn E
         )?;
     }
     Ok(())
+}
+
+/// The empty index `serve` and `wal replay` start from when no snapshot
+/// holds the state: node `--shard-id` of a `--nodes` × `--shards`
+/// cluster, or an empty `--backend` index. A shard server hosts the node
+/// backend, so `--backend` beside `--shard-id` is refused.
+fn empty_index(args: &Args) -> Result<AnyIndex, Box<dyn Error>> {
+    let shards = args.u64_or("shards", 10_000)?;
+    let nodes = args.usize_or("nodes", 8)?;
+    if !args.has("shard-id") {
+        return Ok(AnyIndex::empty(
+            &args.string_or("backend", "geodab"),
+            shards,
+            nodes,
+        )?);
+    }
+    if args.has("backend") {
+        return Err(
+            "--backend conflicts with --shard-id (a shard server hosts the node backend)".into(),
+        );
+    }
+    let node_id = args.usize_or("shard-id", 0)?;
+    Ok(AnyIndex::Node(ShardNode::new(
+        GeodabConfig::default(),
+        shards,
+        nodes,
+        node_id,
+    )?))
 }
 
 fn export(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
@@ -2641,6 +2607,20 @@ mod tests {
         assert!(err.contains("--dir"), "{err}");
         let err = run_to_string(&["wal", "inspect", "--dri", "logs"]).unwrap_err();
         assert!(err.contains("unknown flag --dri"), "{err}");
+        // A shard server's log replays into the node backend, as `serve`
+        // insists too.
+        let err = run_to_string(&[
+            "wal",
+            "replay",
+            "--dir",
+            "logs",
+            "--backend",
+            "geohash",
+            "--shard-id",
+            "0",
+        ])
+        .unwrap_err();
+        assert!(err.contains("conflicts with --shard-id"), "{err}");
     }
 
     #[test]

@@ -207,3 +207,65 @@ fn sigterm_flushes_a_never_synced_log_through_clean_shutdown() {
     child.wait().expect("reap");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_log_that_does_not_continue_its_snapshot_exits_nonzero() {
+    use geodabs_index::store::{self, Persist};
+    use geodabs_index::GeodabIndex;
+    use geodabs_serve::WAL_SNAPSHOT_FILE;
+    use geodabs_wal::{SyncPolicy, Wal, WalOp};
+
+    let corpus = micro_corpus();
+    let insert = |i: usize| WalOp::Insert {
+        id: TrajId::new(3000 + i as u32),
+        trajectory: corpus[i].clone(),
+    };
+    // Both commands refuse before serving or writing anything, naming
+    // the gap on stderr.
+    let refuses = |dir: &Path| {
+        for args in [
+            vec!["wal", "replay", "--dir", dir.to_str().expect("utf8 dir")],
+            vec![
+                "serve",
+                "--addr",
+                "127.0.0.1:0",
+                "--duration",
+                "5",
+                "--wal-dir",
+                dir.to_str().expect("utf8 dir"),
+            ],
+        ] {
+            let output = Command::new(env!("CARGO_BIN_EXE_geodabs"))
+                .args(&args)
+                .output()
+                .expect("run geodabs");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(!output.status.success(), "{args:?} accepted a gapped log");
+            assert!(stderr.contains("log gap"), "{args:?}: {stderr}");
+        }
+    };
+
+    // Compacted and pruned, then copied without its snapshot: the log
+    // starts at seq 3 over an empty index.
+    let dir = wal_dir("gap-start");
+    let mut wal = Wal::open(&dir, SyncPolicy::Always).expect("open wal");
+    wal.append(&insert(0)).expect("append");
+    wal.append(&insert(1)).expect("append");
+    let watermark = wal.rotate().expect("rotate");
+    wal.prune(watermark).expect("prune");
+    wal.append(&insert(2)).expect("append");
+    drop(wal);
+    refuses(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A snapshot stamped at seq 5 beside a log restarted at seq 1.
+    let dir = wal_dir("gap-end");
+    let snapshot = GeodabIndex::new(Default::default()).to_snapshot();
+    let stamped = store::with_watermark(&snapshot, 5).expect("stamp");
+    std::fs::write(dir.join(WAL_SNAPSHOT_FILE), stamped).expect("write snapshot");
+    let mut wal = Wal::open(&dir, SyncPolicy::Always).expect("open wal");
+    wal.append(&insert(0)).expect("append");
+    drop(wal);
+    refuses(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}

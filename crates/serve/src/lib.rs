@@ -26,6 +26,10 @@
 //!   mutation is appended to a `geodabs-wal` write-ahead log **before**
 //!   it is acknowledged, and a background thread compacts the log into
 //!   watermark-stamped snapshots without blocking readers.
+//! * [`recover`] — the one boot path of a durable server: the log
+//!   directory's compacted snapshot (or the caller's base), then the log
+//!   suffix beyond its watermark, refusing a log that does not continue
+//!   it. [`AnyIndex`] hosts whichever backend a snapshot holds.
 //! * [`Frontend`] — the distributed deployment's coordinator: it
 //!   fingerprints queries, scatters `ShardQuery` frames to remote
 //!   shard servers (each a `Server` hosting a
@@ -76,21 +80,25 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
+mod any_index;
 mod client;
 mod frontend;
 mod metrics;
 mod mux;
 mod poller;
 pub mod proto;
+mod recover;
 mod server;
 mod shards;
 
+pub use any_index::AnyIndex;
 pub use client::{percentile, Client, LoadClient, LoadRun};
 pub use frontend::{Frontend, FrontendConfig, FrontendConfigBuilder};
 pub use proto::{
     DurabilityStats, MetricsHistogram, MetricsReport, MetricsSlowQuery, QueryBody, Request,
     Response, StatsBody, WireError,
 };
+pub use recover::{recover, Recovered};
 pub use server::{
     RunningServer, ServeBackend, Server, ServerConfig, ServerConfigBuilder, ServerConfigError,
     ServerHandle, WAL_SNAPSHOT_FILE,

@@ -32,7 +32,10 @@
 //! | remote shards (the frontend) | id-set read lock across a pipelined scatter, merge | id-set write lock across the broadcast | none (each shard server keeps its own log) | id set poisoned: reads and writes refuse |
 //!
 //! All three rank through [`geodabs_cluster::scatter_gather`] or the
-//! backend itself, so answers are bit-identical across hostings.
+//! backend itself, so answers are bit-identical across hostings. The
+//! locked host checks and applies a logged op through the same pair
+//! [`crate::recover`] replays the log with, so a rebooted server holds
+//! exactly what the live one acknowledged.
 //!
 //! # Shutdown
 //!
@@ -62,6 +65,7 @@ use std::time::{Duration, Instant};
 use crate::metrics::{kind_index, ServeMetrics, KINDS};
 use crate::mux::{self, RESPONSE_TOO_LARGE};
 use crate::proto::{DurabilityStats, QueryBody, Request, Response, StatsBody, MAX_FRAME_LEN};
+use crate::recover;
 use crate::shards::{cluster_scaffold, ShardTelemetry, ShardedIndex};
 
 /// Upper bound on hits across one response (12 wire bytes per hit, so
@@ -568,31 +572,11 @@ impl<B: ServeBackend> Host for RwLock<B> {
         log: impl FnOnce(&WalOp) -> Result<(), String>,
     ) -> Result<Response, Refusal> {
         let mut index = self.write().map_err(|_| Refusal::Poisoned)?;
-        // Being a shard node is a static property of the backend, so an
-        // unsupported op is refused whole instead of landing in the
-        // write-ahead log unapplied.
-        if matches!(op, WalOp::InsertFingerprints { .. }) && index.as_shard().is_none() {
-            return Err(Refusal::error(NOT_A_SHARD_NODE));
-        }
+        // The same check-then-apply pair recovery replays the log with,
+        // so a refused op never lands in the log unapplied.
+        recover::check(&*index, &op).map_err(Refusal::error)?;
         log(&op).map_err(Refusal::error)?;
-        Ok(match op {
-            WalOp::Insert { id, trajectory } => {
-                index.insert(id, &trajectory);
-                Response::Inserted {
-                    len: index.len() as u64,
-                }
-            }
-            WalOp::Remove { id } => Response::Removed {
-                was_present: index.remove(id),
-            },
-            WalOp::InsertFingerprints { id, terms } => {
-                let node = index.as_shard_mut().expect("checked before logging");
-                node.insert_fingerprints(id, Fingerprints::from_ordered(terms));
-                Response::Inserted {
-                    len: index.len() as u64,
-                }
-            }
-        })
+        Ok(recover::apply(&mut *index, op))
     }
 
     fn snapshot<T>(&self, seal: impl FnOnce(Vec<u8>) -> T) -> Result<Option<T>, String> {
@@ -1127,9 +1111,10 @@ impl<B: ServeBackend> Server<B> {
     /// [`WAL_SNAPSHOT_FILE`] inside the log directory, pruning the
     /// folded segments.
     ///
-    /// The caller has already restored the backend (snapshot load plus
-    /// replay of the log suffix beyond `snapshot_watermark`), so the
-    /// log and the in-memory state agree when serving starts.
+    /// The caller has already restored the backend with
+    /// [`recover`](crate::recover) (snapshot load plus replay of the log
+    /// suffix beyond `snapshot_watermark`), so the log and the in-memory
+    /// state agree when serving starts.
     pub fn with_durability(
         mut self,
         wal: Wal,

@@ -9,14 +9,12 @@ mod common;
 use common::{build_index, corpus, eastward, queries, wal_dir};
 use geodabs_cluster::ClusterIndex;
 use geodabs_core::GeodabConfig;
-use geodabs_index::store::{self, Persist};
 use geodabs_index::{GeodabIndex, SearchOptions, SearchResult, TrajectoryIndex};
 use geodabs_serve::{
-    Client, LoadClient, QueryBody, Request, Response, Server, ServerConfig, ShardedIndex,
-    WAL_SNAPSHOT_FILE,
+    recover, Client, LoadClient, QueryBody, Request, Response, Server, ServerConfig, ShardedIndex,
 };
 use geodabs_traj::{TrajId, Trajectory};
-use geodabs_wal::{SyncPolicy, Wal, WalOp};
+use geodabs_wal::{SyncPolicy, Wal};
 use std::time::Duration;
 
 #[test]
@@ -382,27 +380,15 @@ fn acked_writes_survive_restart_and_compaction_advances_the_watermark() {
     running.shutdown().expect("clean shutdown");
 
     // Phase 2: boot the way the CLI does — snapshot, then the log suffix.
-    let snapshot_path = dir.join(WAL_SNAPSHOT_FILE);
-    let bytes = std::fs::read(&snapshot_path).expect("compacted snapshot exists");
-    assert_eq!(
-        store::watermark(&bytes).expect("stamped snapshot"),
-        Some(watermark)
-    );
-    let mut restored = GeodabIndex::from_snapshot(&bytes).expect("load snapshot");
-    for record in Wal::records(&dir).expect("replayable wal") {
-        if record.seq <= watermark {
-            continue;
-        }
-        match record.op {
-            WalOp::Insert { id, trajectory } => restored.insert(id, &trajectory),
-            WalOp::Remove { id } => {
-                restored.remove(id);
-            }
-            WalOp::InsertFingerprints { .. } => {
-                panic!("a monolithic server never logs shard ops")
-            }
-        }
-    }
+    let recovered = recover(
+        &dir,
+        || Err("the compacted snapshot is missing".to_string()),
+    )
+    .expect("recovers from the compacted snapshot");
+    assert!(recovered.compacted.is_some());
+    assert_eq!(recovered.watermark, watermark);
+    assert_eq!(recovered.last_seq, 14);
+    let mut restored: GeodabIndex = recovered.index;
 
     // Zero acked-write loss: corpus + 12 inserts − 1 remove (the
     // replace of id 100 reuses its slot), and the replaced trajectory

@@ -9,11 +9,10 @@ mod common;
 use common::{build_index, corpus, eastward, queries, server_config as sharded_config, wal_dir};
 use geodabs_cluster::ClusterIndex;
 use geodabs_core::GeodabConfig;
-use geodabs_index::store::{self, Persist};
 use geodabs_index::{GeodabIndex, SearchOptions, SearchResult, TrajectoryIndex};
-use geodabs_serve::{Client, LoadClient, Server, ShardedIndex, WAL_SNAPSHOT_FILE};
+use geodabs_serve::{recover, Client, LoadClient, Server, ShardedIndex};
 use geodabs_traj::TrajId;
-use geodabs_wal::{SyncPolicy, Wal, WalOp};
+use geodabs_wal::{SyncPolicy, Wal};
 use std::time::Duration;
 
 #[test]
@@ -195,26 +194,15 @@ fn sharded_acked_writes_survive_restart_via_cluster_snapshot() {
 
     // Restart: the compaction artifact is a cluster snapshot, replayed
     // with the WAL suffix exactly like a cold boot would.
-    let bytes = std::fs::read(dir.join(WAL_SNAPSHOT_FILE)).expect("compacted snapshot exists");
-    assert_eq!(
-        store::watermark(&bytes).expect("stamped snapshot"),
-        Some(watermark)
-    );
-    let mut restored = ClusterIndex::from_snapshot(&bytes).expect("load cluster snapshot");
-    for record in Wal::records(&dir).expect("replayable wal") {
-        if record.seq <= watermark {
-            continue;
-        }
-        match record.op {
-            WalOp::Insert { id, trajectory } => restored.insert(id, &trajectory),
-            WalOp::Remove { id } => {
-                restored.remove(id);
-            }
-            WalOp::InsertFingerprints { .. } => {
-                panic!("a sharded server logs whole-trajectory ops")
-            }
-        }
-    }
+    let recovered = recover(
+        &dir,
+        || Err("the compacted snapshot is missing".to_string()),
+    )
+    .expect("recovers from the cluster snapshot");
+    assert!(recovered.compacted.is_some());
+    assert_eq!(recovered.watermark, watermark);
+    assert_eq!(recovered.last_seq, 9);
+    let restored: ClusterIndex = recovered.index;
 
     let mut reference = build_index();
     for (id, trajectory) in &acked {

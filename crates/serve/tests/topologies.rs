@@ -12,13 +12,14 @@ mod common;
 use common::{build_index, corpus, eastward, queries, server_config, wal_dir};
 use geodabs_cluster::ClusterIndex;
 use geodabs_core::{Fingerprints, GeodabConfig};
-use geodabs_index::store::{self, Persist};
+use geodabs_index::store::Persist;
 use geodabs_index::{GeodabIndex, SearchOptions, SearchResult, TrajectoryIndex};
 use geodabs_serve::{
-    Client, MetricsReport, QueryBody, Request, Response, RunningServer, Server, WAL_SNAPSHOT_FILE,
+    recover, Client, MetricsReport, QueryBody, Request, Response, RunningServer, ServeBackend,
+    Server,
 };
 use geodabs_traj::{TrajId, Trajectory};
-use geodabs_wal::{SyncPolicy, Wal, WalOp};
+use geodabs_wal::{SyncPolicy, Wal};
 use std::time::Duration;
 
 /// Mux workers of every client-facing endpoint, so `Stats.workers`
@@ -337,8 +338,8 @@ fn the_frontend_refuses_a_response_over_the_frame_cap() {
 
 /// Serves the corpus durably on `shards` cells, applies the script's
 /// mutations, waits for the compactor to fold them all, and restores
-/// the index the way a reboot would: snapshot, then the log suffix.
-fn restored_after_compaction<I: TrajectoryIndex + Persist>(shards: usize) -> I {
+/// the index the way a reboot would, through [`recover`].
+fn restored_after_compaction<I: ServeBackend + Persist>(shards: usize) -> I {
     let dir = wal_dir(&format!("topologies-{shards}"));
     let running = Server::bind("127.0.0.1:0", build_index(), server_config(shards, WORKERS))
         .expect("bind loopback")
@@ -368,24 +369,17 @@ fn restored_after_compaction<I: TrajectoryIndex + Persist>(shards: usize) -> I {
     };
     running.shutdown().expect("clean shutdown");
 
-    let bytes = std::fs::read(dir.join(WAL_SNAPSHOT_FILE)).expect("compacted snapshot exists");
-    assert_eq!(
-        store::watermark(&bytes).expect("stamped snapshot"),
-        Some(watermark)
-    );
-    let mut restored = I::from_snapshot(&bytes).expect("load snapshot");
-    for record in Wal::records(&dir).expect("replayable wal") {
-        match record.op {
-            _ if record.seq <= watermark => {}
-            WalOp::Insert { id, trajectory } => restored.insert(id, &trajectory),
-            WalOp::Remove { id } => {
-                restored.remove(id);
-            }
-            WalOp::InsertFingerprints { .. } => panic!("a local hosting never logs shard ops"),
-        }
-    }
+    let recovered = recover(
+        &dir,
+        || Err("the compacted snapshot is missing".to_string()),
+    )
+    .expect("recovers from the compacted snapshot");
+    assert!(recovered.compacted.is_some());
+    assert_eq!(recovered.watermark, watermark);
+    assert_eq!(recovered.last_seq, mutations.len() as u64);
+    assert_eq!(recovered.replayed, 0, "the compactor folded every mutation");
     let _ = std::fs::remove_dir_all(&dir);
-    restored
+    recovered.index
 }
 
 #[test]
