@@ -12,9 +12,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod json;
-pub mod workload;
-
 use geodabs_core::GeodabConfig;
 use geodabs_gen::dataset::{Dataset, DatasetConfig};
 use geodabs_index::{GeodabIndex, GeohashIndex, TrajectoryIndex};

@@ -72,8 +72,8 @@ pub struct Args {
 
 /// Subcommands the binary understands.
 pub const COMMANDS: &[&str] = &[
-    "build", "stats", "search", "tune", "world", "export", "bench", "snapshot", "serve",
-    "frontend", "loadtest", "metrics", "wal", "help",
+    "build", "stats", "search", "tune", "world", "export", "snapshot", "serve", "frontend",
+    "loadtest", "metrics", "wal", "help",
 ];
 
 /// Commands taking a bare action token before the flags, with the actions
@@ -157,11 +157,6 @@ impl Args {
     /// `snapshot save`).
     pub fn action(&self) -> Option<&str> {
         self.action.as_deref()
-    }
-
-    /// Whether any flag was given at all.
-    pub fn has_flags(&self) -> bool {
-        !self.flags.is_empty()
     }
 
     /// Whether a specific flag was given.
@@ -257,6 +252,11 @@ mod tests {
             Args::parse(["frobnicate"]),
             Err(ParseError::UnknownCommand("frobnicate".into()))
         );
+        // The retired workload harness is gone from the command set.
+        assert_eq!(
+            Args::parse(["bench"]),
+            Err(ParseError::UnknownCommand("bench".into()))
+        );
         assert_eq!(
             Args::parse(Vec::<String>::new()),
             Err(ParseError::MissingCommand)
@@ -297,14 +297,12 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected_when_asked() {
-        let a = Args::parse(["bench", "--scenario", "smoke", "--basline", "f"]).unwrap();
+        let a = Args::parse(["loadtest", "--scenario", "micro", "--verfiy", "none"]).unwrap();
         assert_eq!(
-            a.reject_unknown_flags(&["scenario", "baseline"]),
-            Err(ParseError::UnknownFlag("basline".into()))
+            a.reject_unknown_flags(&["scenario", "verify"]),
+            Err(ParseError::UnknownFlag("verfiy".into()))
         );
-        assert_eq!(a.reject_unknown_flags(&["scenario", "basline"]), Ok(()));
-        assert!(!Args::parse(["bench"]).unwrap().has_flags());
-        assert!(a.has_flags());
+        assert_eq!(a.reject_unknown_flags(&["scenario", "verfiy"]), Ok(()));
         assert!(ParseError::UnknownFlag("x".into())
             .to_string()
             .contains("--x"));

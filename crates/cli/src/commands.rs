@@ -14,6 +14,7 @@ use std::collections::HashSet;
 use std::error::Error;
 use std::time::Instant;
 
+use crate::workload::{self, Scenario};
 use crate::Args;
 
 /// Runs the subcommand selected by `args`, writing human-readable output
@@ -30,7 +31,6 @@ pub fn run(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Erro
         "tune" => tune(args, out),
         "world" => world(args, out),
         "export" => export(args, out),
-        "bench" => bench(args, out),
         "snapshot" => snapshot(args, out),
         "serve" => serve(args, out),
         "frontend" => frontend(args, out),
@@ -57,8 +57,6 @@ USAGE:
   geodabs tune   [--routes N] [--seed S] [--steps T]
   geodabs world  [--trajectories N] [--cities C] [--seed S]
   geodabs export --out FILE.csv [--routes N] [--per-direction M] [--seed S]
-  geodabs bench  [--scenario NAME] [--threads T] [--out DIR] [--seed S]
-                 [--baseline FILE] [--max-regress PCT]
   geodabs snapshot save    --out FILE [--backend geodab|geohash|cluster]
                            [--scenario NAME] [--seed S] [--nodes N] [--shards P]
   geodabs snapshot load    --in FILE [--verify rebuild] [--scenario NAME] [--seed S]
@@ -73,7 +71,7 @@ USAGE:
                    [--threads T] [--duration SECS] [--num-shards P]
   geodabs loadtest --addr HOST:PORT [--connections N] [--duration SECS]
                    [--scenario NAME] [--seed S] [--limit K]
-                   [--verify local|none] [--out DIR] [--server-metrics]
+                   [--verify local|none] [--server-metrics]
   geodabs metrics  --addr HOST:PORT [--top N] [--text] [--out FILE]
   geodabs wal inspect --dir DIR
   geodabs wal replay  --dir DIR [--out FILE]
@@ -83,23 +81,12 @@ USAGE:
 
 Datasets are synthetic and reproducible: the same (routes, per-direction,
 seed) triple always generates the same trajectories, so `search` can
-regenerate its query workload against a persisted index.
+regenerate its query workload against a persisted index. --scenario
+names a seed-reproducible corpus (`micro` by default; an unknown name
+lists the catalog). This tool checks behaviour; the stack is
+benchmarked by the separate `bench/stack` package.
 
-`bench` without --scenario lists the workload catalog; with one it runs
-the scenario at thread counts 1,2,4,8 (capped by --threads) and writes a
-machine-readable BENCH_<scenario>.json report. With --baseline it also
-enforces the CI perf gate: the run fails if batch-ingest throughput
-drops more than --max-regress percent (default 30) below the baseline's,
-or if query-latency p95 rises more than the same percentage above it.
-The special `cold-start` scenario instead measures snapshot save/load
-bandwidth and the restore-vs-reingest speedup; `durability` measures
-acked-write latency per WAL sync policy, replay-on-boot recovery, and
-query p95 with background compaction off vs on (BENCH_durability.json);
-`multicore` measures QPS and latency at 1, 2 and 4 in-process shards,
-quiet and with a concurrent bulk ingest in flight
-(BENCH_multicore.json).
-
-`snapshot save` ingests a bench scenario's corpus (default: micro) into
+`snapshot save` ingests a scenario's corpus (default: micro) into
 the chosen backend and writes a GDAB v2 snapshot; `load` restores it
 (any backend, v1 blobs included) and with `--verify rebuild` re-ingests
 the same corpus and fails unless both answer every scenario query
@@ -107,8 +94,8 @@ identically; `inspect` prints the container header and section table
 without materializing the index.
 
 `serve` hosts an index over the binary wire protocol: warm-started from
-a GDAB v2 snapshot (--snapshot) or freshly ingested from a bench
-scenario (--scenario), behind a connection multiplexer of T workers
+a GDAB v2 snapshot (--snapshot) or freshly ingested from a scenario
+(--scenario), behind a connection multiplexer of T workers
 (default: all cores) — each worker sweeps many non-blocking
 connections, so T sizes parallelism, not the concurrent-connection
 capacity. `--serve-shards C` re-partitions the index at boot into C
@@ -117,12 +104,11 @@ block on ingest and rankings stay bit-identical to the monolith.
 `--verify rebuild` (with --snapshot; a scenario ingest is already a
 fresh rebuild) replays the scenario queries against a fresh rebuild
 before serving; `--duration` shuts down cleanly after that many
-seconds (0 = serve until killed). `loadtest` drives 1,2,4,…,N concurrent
+seconds (0 = serve until killed). `loadtest` drives N concurrent
 connections against a running server with a scenario's queries for
---duration seconds per point, writes BENCH_serve.json (qps + latency
-percentiles per connection count), and — with the default
-`--verify local` — compares every response bit-identically against an
-in-process rebuild, exiting nonzero on any mismatch or connection error.
+--duration seconds and — with the default `--verify local` — compares
+every response bit-identically against an in-process rebuild, exiting
+nonzero on any mismatch or connection error.
 
 `serve --wal-dir` makes the server durable: every Insert/Remove is
 appended to a CRC-framed write-ahead log (synced per --sync-policy,
@@ -147,10 +133,7 @@ exactly — every ranking is bit-identical to a monolithic index over the
 same corpus. A lost shard yields a typed \"shard node unavailable\"
 error, never a silently partial ranking, and the frontend redials on
 the next request without a restart; `loadtest` verifies a frontend
-exactly like a monolithic server. The `distributed` bench scenario
-boots 1, 2 and 4 shard servers plus a frontend on loopback and writes
-BENCH_distributed.json (QPS vs shard-server count, every response
-verified).
+exactly like a monolithic server.
 
 `metrics` scrapes a running server's telemetry over the wire: request
 counters and latency histograms per frame type, mux gauges
@@ -163,7 +146,7 @@ jobs upload it as an artifact). Telemetry is on by default and costs a
 clock read per stage; GEODABS_METRICS=off disables it server-side, and
 GEODABS_SLOW_US sets the slow-query threshold (default 1000).
 `loadtest --server-metrics` scrapes the server before and after the
-ladder and reports the delta: server-clock p50/p95/p99 per stage
+run and reports the delta: server-clock p50/p95/p99 per stage
 (decode, engine, merge, …) next to the client-observed view, plus the
 real mux saturation gauges.
 ";
@@ -329,475 +312,6 @@ fn world(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>
     Ok(())
 }
 
-fn bench(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use geodabs_bench::workload;
-
-    // A typo'd flag must fail loudly: silently ignoring `--scenari` or
-    // `--basline` would skip the benchmark or the CI gate while the job
-    // reports success.
-    args.reject_unknown_flags(&[
-        "scenario",
-        "threads",
-        "out",
-        "seed",
-        "baseline",
-        "max-regress",
-    ])?;
-    if !args.has_flags() {
-        writeln!(out, "available scenarios (run with --scenario NAME):")?;
-        for s in workload::catalog() {
-            writeln!(
-                out,
-                "  {:<18} {:<13} corpus {:>7}  queries {:>4}  seed {}",
-                s.name,
-                s.preset.name(),
-                s.corpus,
-                s.queries,
-                s.seed
-            )?;
-        }
-        return Ok(());
-    }
-    let name = args.string_required("scenario")?;
-    let mut scenario = workload::find(&name)
-        .ok_or_else(|| format!("unknown scenario {name:?} (run `geodabs bench` to list)"))?;
-    scenario.seed = args.u64_or("seed", scenario.seed)?;
-    // "All cores" is decided in exactly one place (batch::default_threads);
-    // the flag only caps it.
-    let max_threads = args.usize_or("threads", geodabs_index::batch::default_threads())?;
-    let threads = workload::thread_ladder(max_threads);
-    let out_dir = args.string_or("out", ".");
-    let max_regress = args.u64_or("max-regress", 30)? as f64;
-
-    // The serve scenario measures client-observed QPS/latency over
-    // loopback per connection count (--threads caps the connection
-    // ladder) and emits a differently-shaped report, so it cannot gate
-    // against an ingest baseline.
-    if scenario.name == workload::SERVE {
-        if args.has("baseline") || args.has("max-regress") {
-            return Err(
-                "the serve scenario has no ingest gate; run it without --baseline/--max-regress"
-                    .into(),
-            );
-        }
-        writeln!(
-            out,
-            "scenario {} ({}, corpus {}, {} queries, seed {}), connections {threads:?}",
-            scenario.name,
-            scenario.preset.name(),
-            scenario.corpus,
-            scenario.queries,
-            scenario.seed
-        )?;
-        let report = workload::run_serve(&scenario, max_threads, 2.0)?;
-        writeln!(
-            out,
-            "served corpus     {} trajectories ({} backend), every response verified",
-            report.trajectories, report.backend
-        )?;
-        for point in &report.points {
-            writeln!(
-                out,
-                "serve   {:>2} conn(s)   {:>9.1} qps  p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  \
-                 ({} requests)",
-                point.connections,
-                point.qps,
-                point.p50_ms,
-                point.p95_ms,
-                point.p99_ms,
-                point.requests
-            )?;
-        }
-        let path = std::path::Path::new(&out_dir).join(report.file_name());
-        std::fs::write(&path, report.to_json().pretty())?;
-        writeln!(out, "report            {}", path.display())?;
-        if !report.consistent() {
-            return Err("served responses diverged from the in-process engine".into());
-        }
-        return Ok(());
-    }
-
-    // The durability scenario measures acked-write latency per WAL sync
-    // policy, recovery speed, and compaction's effect on concurrent
-    // queries; its report has its own shape, so it cannot gate against
-    // an ingest baseline.
-    if scenario.name == workload::DURABILITY {
-        if args.has("baseline") || args.has("max-regress") {
-            return Err(
-                "the durability scenario has no ingest gate; run it without \
-                 --baseline/--max-regress"
-                    .into(),
-            );
-        }
-        writeln!(
-            out,
-            "scenario {} ({}, corpus {}, {} queries, seed {})",
-            scenario.name,
-            scenario.preset.name(),
-            scenario.corpus,
-            scenario.queries,
-            scenario.seed
-        )?;
-        let report = workload::run_durability(&scenario, scenario.corpus, 2.0)?;
-        for run in &report.acks {
-            writeln!(
-                out,
-                "ack     {:<12} {:>9.1} acks/s  p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  \
-                 ({} inserts)",
-                run.policy, run.acks_per_sec, run.p50_ms, run.p95_ms, run.p99_ms, run.inserts
-            )?;
-        }
-        writeln!(
-            out,
-            "recovery          {} record(s) replayed in {:.3}s → {} trajectories",
-            report.replayed_records, report.recovery_seconds, report.recovered_trajectories
-        )?;
-        writeln!(
-            out,
-            "compaction        query p95 {:.3} ms (off) vs {:.3} ms (folding, watermark {})",
-            report.baseline_query_p95_ms,
-            report.compacting_query_p95_ms,
-            report.compacted_watermark
-        )?;
-        let path = std::path::Path::new(&out_dir).join(report.file_name());
-        std::fs::write(&path, report.to_json().pretty())?;
-        writeln!(out, "report            {}", path.display())?;
-        if !report.consistent {
-            return Err(
-                "durability run inconsistent: acked writes lost in replay or the compactor \
-                 never ran"
-                    .into(),
-            );
-        }
-        return Ok(());
-    }
-
-    // The distributed scenario boots real shard servers plus a frontend
-    // on loopback and measures client-observed QPS through the
-    // scatter/gather path; its report has its own shape, so it cannot
-    // gate against an ingest baseline.
-    if scenario.name == workload::DISTRIBUTED {
-        if args.has("baseline") || args.has("max-regress") {
-            return Err(
-                "the distributed scenario has no ingest gate; run it without \
-                 --baseline/--max-regress"
-                    .into(),
-            );
-        }
-        let connections = max_threads.max(1);
-        writeln!(
-            out,
-            "scenario {} ({}, corpus {}, {} queries, seed {}), {connections} connection(s)",
-            scenario.name,
-            scenario.preset.name(),
-            scenario.corpus,
-            scenario.queries,
-            scenario.seed
-        )?;
-        let report = workload::run_distributed(&scenario, &[1, 2, 4], connections, 2.0)?;
-        writeln!(
-            out,
-            "corpus            {} trajectories over {} logical shards, every response verified",
-            report.trajectories, report.num_shards
-        )?;
-        for point in &report.points {
-            writeln!(
-                out,
-                "scatter {:>2} node(s)   {:>9.1} qps  p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  \
-                 ({} requests)",
-                point.shard_servers,
-                point.load.qps,
-                point.load.p50_ms,
-                point.load.p95_ms,
-                point.load.p99_ms,
-                point.load.requests
-            )?;
-        }
-        let path = std::path::Path::new(&out_dir).join(report.file_name());
-        std::fs::write(&path, report.to_json().pretty())?;
-        writeln!(out, "report            {}", path.display())?;
-        if !report.consistent() {
-            return Err("distributed responses diverged from the monolithic engine".into());
-        }
-        return Ok(());
-    }
-
-    // The multicore scenario boots one server at several in-process
-    // shard counts and measures client-observed QPS/latency quiet and
-    // under concurrent ingest; its report has its own shape, so it
-    // cannot gate against an ingest baseline.
-    if scenario.name == workload::MULTICORE {
-        if args.has("baseline") || args.has("max-regress") {
-            return Err("the multicore scenario has no ingest gate; run it without \
-                 --baseline/--max-regress"
-                .into());
-        }
-        let connections = max_threads.max(1);
-        writeln!(
-            out,
-            "scenario {} ({}, corpus {}, {} queries, seed {}), {connections} connection(s)",
-            scenario.name,
-            scenario.preset.name(),
-            scenario.corpus,
-            scenario.queries,
-            scenario.seed
-        )?;
-        let report = workload::run_multicore(&scenario, &[1, 2, 4], connections, 2.0)?;
-        writeln!(
-            out,
-            "corpus            {} trajectories, quiet responses verified bit-identical",
-            report.trajectories
-        )?;
-        for point in &report.points {
-            writeln!(
-                out,
-                "shards  {:>2} quiet    {:>9.1} qps  p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  \
-                 ({} requests)",
-                point.shards,
-                point.quiet.qps,
-                point.quiet.p50_ms,
-                point.quiet.p95_ms,
-                point.quiet.p99_ms,
-                point.quiet.requests
-            )?;
-            writeln!(
-                out,
-                "           ingest  {:>9.1} qps  p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  \
-                 ({} requests, {} concurrent inserts)",
-                point.under_ingest.qps,
-                point.under_ingest.p50_ms,
-                point.under_ingest.p95_ms,
-                point.under_ingest.p99_ms,
-                point.under_ingest.requests,
-                point.ingested
-            )?;
-        }
-        let path = std::path::Path::new(&out_dir).join(report.file_name());
-        std::fs::write(&path, report.to_json().pretty())?;
-        writeln!(out, "report            {}", path.display())?;
-        if !report.consistent() {
-            return Err("multicore responses diverged from the in-process engine".into());
-        }
-        return Ok(());
-    }
-
-    // The skewed scenario replays a Zipf hot-key request stream over the
-    // serve layer (--threads caps the connection ladder); its report has
-    // its own shape, so it cannot gate against an ingest baseline.
-    if scenario.name == workload::SKEWED {
-        if args.has("baseline") || args.has("max-regress") {
-            return Err(
-                "the skewed scenario has no ingest gate; run it without --baseline/--max-regress"
-                    .into(),
-            );
-        }
-        writeln!(
-            out,
-            "scenario {} ({}, corpus {}, {} queries, seed {}), connections {threads:?}",
-            scenario.name,
-            scenario.preset.name(),
-            scenario.corpus,
-            scenario.queries,
-            scenario.seed
-        )?;
-        let report = workload::run_skewed(&scenario, max_threads, 2.0)?;
-        writeln!(
-            out,
-            "served corpus     {} trajectories ({} backend), every response verified",
-            report.trajectories, report.backend
-        )?;
-        writeln!(
-            out,
-            "zipf stream       exponent {:.2}, {} distinct queries, hot query {:.1}% of stream",
-            report.zipf_exponent,
-            report.distinct_queries,
-            report.hot_query_share * 100.0
-        )?;
-        for point in &report.points {
-            writeln!(
-                out,
-                "skewed  {:>2} conn(s)   {:>9.1} qps  p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  \
-                 ({} requests)",
-                point.connections,
-                point.qps,
-                point.p50_ms,
-                point.p95_ms,
-                point.p99_ms,
-                point.requests
-            )?;
-        }
-        let path = std::path::Path::new(&out_dir).join(report.file_name());
-        std::fs::write(&path, report.to_json().pretty())?;
-        writeln!(out, "report            {}", path.display())?;
-        if !report.consistent() {
-            return Err("skewed responses diverged from the in-process engine".into());
-        }
-        return Ok(());
-    }
-
-    // The cold-start scenario measures snapshot save/load instead of the
-    // ingest/query ladder and emits a differently-shaped report, so it
-    // cannot gate against an ingest baseline.
-    if scenario.name == workload::COLD_START {
-        // Fail loudly on gate flags instead of silently skipping the
-        // gate: a CI script passing them would otherwise read as
-        // "regression checked" while nothing was enforced.
-        if args.has("baseline") || args.has("max-regress") {
-            return Err(
-                "the cold-start scenario has no ingest gate; run it without \
-                        --baseline/--max-regress"
-                    .into(),
-            );
-        }
-        writeln!(
-            out,
-            "scenario {} ({}, corpus {}, {} queries, seed {}), reingest threads {}",
-            scenario.name,
-            scenario.preset.name(),
-            scenario.corpus,
-            scenario.queries,
-            scenario.seed,
-            max_threads.max(1)
-        )?;
-        let report = workload::run_cold_start(&scenario, max_threads);
-        writeln!(
-            out,
-            "corpus            {} trajectories, {} points, {} distinct terms ({:.2}s to generate)",
-            report.trajectories, report.points, report.distinct_terms, report.generation_seconds
-        )?;
-        writeln!(
-            out,
-            "reingest          {:>9.3}s  ({} threads)",
-            report.reingest_seconds, report.reingest_threads
-        )?;
-        writeln!(
-            out,
-            "snapshot save     {:>9.3}s  {:>8.1} MB/s  ({} bytes)",
-            report.save_seconds,
-            report.save_mb_per_s(),
-            report.snapshot_bytes
-        )?;
-        writeln!(
-            out,
-            "snapshot load     {:>9.3}s  {:>8.1} MB/s",
-            report.load_seconds,
-            report.load_mb_per_s()
-        )?;
-        writeln!(
-            out,
-            "restore speedup   {:.1}× faster than re-ingest",
-            report.restore_speedup
-        )?;
-        let path = std::path::Path::new(&out_dir).join(report.file_name());
-        std::fs::write(&path, report.to_json().pretty())?;
-        writeln!(out, "report            {}", path.display())?;
-        if !report.consistent {
-            return Err("restored index diverged from the freshly built index".into());
-        }
-        return Ok(());
-    }
-
-    // Gate inputs are validated *before* the (possibly minutes-long)
-    // measurement so an unreadable baseline or a vacuous allowance fails
-    // in milliseconds.
-    let baseline = match args.string_required("baseline") {
-        Ok(path) => {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("reading baseline {path}: {e}"))?;
-            workload::preflight_gate(&scenario, &text, max_regress)?;
-            Some(text)
-        }
-        Err(_) => None,
-    };
-
-    writeln!(
-        out,
-        "scenario {} ({}, corpus {}, {} queries, seed {}), threads {threads:?}",
-        scenario.name,
-        scenario.preset.name(),
-        scenario.corpus,
-        scenario.queries,
-        scenario.seed
-    )?;
-    let report = workload::run_scenario(&scenario, &threads);
-    writeln!(
-        out,
-        "corpus            {} trajectories, {} points, {} distinct terms ({:.2}s to generate)",
-        report.trajectories, report.points, report.distinct_terms, report.generation_seconds
-    )?;
-    for run in &report.ingest {
-        writeln!(
-            out,
-            "ingest  {:>2} thread(s)  {:>9.3}s  {:>11.1} traj/s",
-            run.threads, run.seconds, run.traj_per_sec
-        )?;
-    }
-    writeln!(
-        out,
-        "query latency     p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  (n={})",
-        report.latency.p50, report.latency.p95, report.latency.p99, scenario.queries
-    )?;
-    for run in &report.query_batches {
-        writeln!(
-            out,
-            "query   {:>2} thread(s)  {:>9.3}s  {:>11.1} queries/s",
-            run.threads, run.seconds, run.queries_per_sec
-        )?;
-    }
-
-    // Write the report before any failure below: a consistency or gate
-    // failure is exactly when the machine-readable record matters most
-    // (CI uploads it as an artifact even for failing runs).
-    let path = std::path::Path::new(&out_dir).join(report.file_name());
-    std::fs::write(&path, report.to_json().pretty())?;
-    writeln!(out, "report            {}", path.display())?;
-
-    if !report.ingest_consistent {
-        return Err("parallel ingest diverged from the serial build (len/term_count)".into());
-    }
-
-    if let Some(baseline) = baseline {
-        let verdict = workload::check_gate(&report, &baseline, max_regress)?;
-        writeln!(
-            out,
-            "perf gate         current {:.1} traj/s vs baseline {:.1} (floor {:.1}, -{max_regress}%)",
-            verdict.current, verdict.baseline, verdict.floor
-        )?;
-        match (verdict.latency_baseline_p95, verdict.latency_ceiling) {
-            (Some(baseline_p95), Some(ceiling)) => writeln!(
-                out,
-                "perf gate         current p95 {:.3} ms vs baseline {baseline_p95:.3} \
-                 (ceiling {ceiling:.3}, +{max_regress}%)",
-                verdict.latency_p95
-            )?,
-            _ => writeln!(
-                out,
-                "perf gate         baseline records no query latency; p95 check skipped"
-            )?,
-        }
-        if !verdict.pass {
-            if verdict.current < verdict.floor {
-                return Err(format!(
-                    "perf gate FAILED: ingest throughput {:.1} traj/s is below the floor {:.1} \
-                     ({:.1} baseline − {max_regress}%)",
-                    verdict.current, verdict.floor, verdict.baseline
-                )
-                .into());
-            }
-            return Err(format!(
-                "perf gate FAILED: query-latency p95 {:.3} ms is above the ceiling {:.3} ms \
-                 ({:.3} baseline + {max_regress}%)",
-                verdict.latency_p95,
-                verdict.latency_ceiling.unwrap_or(f64::NAN),
-                verdict.latency_baseline_p95.unwrap_or(f64::NAN)
-            )
-            .into());
-        }
-        writeln!(out, "perf gate         PASS")?;
-    }
-    Ok(())
-}
-
 fn snapshot(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
     match args.action().expect("parser guarantees a snapshot action") {
         "save" => snapshot_save(args, out),
@@ -807,23 +321,22 @@ fn snapshot(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Err
     }
 }
 
-/// Resolves a bench scenario by flag (for `snapshot save`/`load
-/// --verify` and the serving layer).
-fn scenario_from_args(args: &Args) -> Result<geodabs_bench::workload::Scenario, Box<dyn Error>> {
-    use geodabs_bench::workload;
+/// Resolves a scenario by flag (for `snapshot save`/`load --verify` and
+/// the serving layer).
+fn scenario_from_args(args: &Args) -> Result<Scenario, Box<dyn Error>> {
     let name = args.string_or("scenario", "micro");
-    let mut scenario = workload::find(&name)
-        .ok_or_else(|| format!("unknown scenario {name:?} (run `geodabs bench` to list)"))?;
+    let mut scenario = workload::find(&name).ok_or_else(|| {
+        let names: Vec<String> = workload::catalog().into_iter().map(|s| s.name).collect();
+        format!("unknown scenario {name:?} (one of {})", names.join(", "))
+    })?;
     scenario.seed = args.u64_or("seed", scenario.seed)?;
     Ok(scenario)
 }
 
-/// Resolves a bench scenario and generates its reproducible dataset.
-fn scenario_dataset(
-    args: &Args,
-) -> Result<(geodabs_bench::workload::Scenario, Dataset), Box<dyn Error>> {
+/// Resolves a scenario and generates its reproducible dataset.
+fn scenario_dataset(args: &Args) -> Result<(Scenario, Dataset), Box<dyn Error>> {
     let scenario = scenario_from_args(args)?;
-    let dataset = geodabs_bench::workload::generate(&scenario);
+    let dataset = workload::generate(&scenario);
     Ok((scenario, dataset))
 }
 
@@ -878,7 +391,6 @@ fn snapshot_save(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dy
 }
 
 fn snapshot_load(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use geodabs_bench::workload::verify_against_rebuild;
     args.reject_unknown_flags(&["in", "verify", "scenario", "seed"])?;
     let path = args.string_required("in")?;
     let bytes = std::fs::read(&path)?;
@@ -900,7 +412,7 @@ fn snapshot_load(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dy
             // The query-replay loop is shared with `geodabs serve
             // --verify rebuild` — one verification routine, two callers.
             let scenario = scenario_from_args(args)?;
-            let checked = verify_against_rebuild(&loaded, &scenario)
+            let checked = workload::verify_against_rebuild(&loaded, &scenario)
                 .map_err(|e| format!("snapshot verify FAILED: {e}"))?;
             writeln!(
                 out,
@@ -914,7 +426,7 @@ fn snapshot_load(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dy
 }
 
 fn snapshot_inspect(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use geodabs_bench::json::Json;
+    use crate::json::Json;
     args.reject_unknown_flags(&["in", "json"])?;
     let path = args.string_required("in")?;
     let bytes = std::fs::read(&path)?;
@@ -1014,7 +526,6 @@ fn snapshot_inspect(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box
 }
 
 fn serve(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use geodabs_bench::workload;
     use geodabs_serve::{Server, ServerConfig};
     use geodabs_wal::{SyncPolicy, Wal};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -1365,8 +876,7 @@ fn frontend(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Err
 }
 
 fn loadtest(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use geodabs_bench::workload::{self, ServeReport};
-    use geodabs_serve::Client;
+    use geodabs_serve::{Client, LoadClient};
     use geodabs_traj::Trajectory;
 
     args.reject_unknown_flags(&[
@@ -1377,19 +887,17 @@ fn loadtest(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Err
         "seed",
         "limit",
         "verify",
-        "out",
         "server-metrics",
     ])?;
     let addr = args.string_required("addr")?;
     let server_metrics = args.has("server-metrics");
     let connections = args.usize_or("connections", 4)?.max(1);
-    let seconds_per_point = args.u64_or("duration", 2)?.max(1) as f64;
+    let seconds = args.u64_or("duration", 2)?.max(1);
     let limit = args.usize_or("limit", workload::VERIFY_LIMIT)?;
     let verify = args.string_or("verify", "local");
     if !["local", "none"].contains(&verify.as_str()) {
         return Err(format!("invalid value {verify:?} for --verify (local|none)").into());
     }
-    let out_dir = args.string_or("out", ".");
     let (scenario, dataset) = scenario_dataset(args)?;
     let queries: Vec<Trajectory> = dataset
         .queries()
@@ -1422,174 +930,103 @@ fn loadtest(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Err
             stats.terms
         )?;
     }
-    // Without the metrics frame the best saturation signal is the
-    // client-side heuristic; with --server-metrics the real gauges
-    // (busy workers, frames in flight) replace it after the run.
-    if !server_metrics && stats.workers > 0 {
-        let saturation = (connections as f64) / (stats.workers as f64);
-        writeln!(
-            out,
-            "mux saturation    up to {saturation:.1} connection(s) per mux worker at the widest \
-             ladder point ({connections} connections over {} worker(s))",
-            stats.workers
-        )?;
-    }
-    let before = if server_metrics {
-        Some(
-            Client::connect(addr.as_str())
-                .map_err(|e| format!("connecting to {addr}: {e}"))?
-                .metrics()
-                .map_err(|e| {
-                    format!(
-                        "scraping {addr} for --server-metrics: {e} (pre-metrics servers and \
-                         GEODABS_METRICS=off builds cannot serve the frame)"
-                    )
-                })?,
-        )
-    } else {
-        None
-    };
-
-    let expected = match verify.as_str() {
-        "none" => None,
-        _ => {
-            // Rebuild the scenario corpus in-process and pin every
-            // response bit-identically. The cluster ranks exactly like
-            // the monolithic geodab index (its equivalence proptests pin
-            // that), so one twin covers both; the geohash baseline needs
-            // its own vocabulary.
-            let twin_backend = if stats.backend == "geohash" {
-                "geohash"
-            } else {
-                "geodab"
-            };
-            let mut twin = AnyIndex::empty(twin_backend, 0, 0)?;
-            let items: Vec<_> = dataset
-                .records()
-                .iter()
-                .map(|r| (r.id, &r.trajectory))
-                .collect();
-            twin.insert_batch(items);
-            if stats.backend == "frontend" && stats.trajectories == 0 {
-                // A frontend only counts mutations routed through it;
-                // shard servers that ingested their slices at boot leave
-                // that count at zero, so there is no corpus size to
-                // probe. The bit-exact response comparison below still
-                // fails loudly on any corpus mismatch.
-                writeln!(
-                    out,
-                    "note              shard corpora were loaded out-of-band; corpus-size probe \
-                     skipped (responses are still verified bit-exactly)"
-                )?;
-            } else if twin.len() as u64 != stats.trajectories {
-                return Err(format!(
-                    "server holds {} trajectories but scenario {} generates {} — verification \
-                     would always fail; pass the right --scenario/--seed or --verify none",
-                    stats.trajectories,
-                    scenario.name,
-                    twin.len()
+    let scrape = || {
+        Client::connect(addr.as_str())
+            .map_err(|e| format!("connecting to {addr}: {e}"))?
+            .metrics()
+            .map_err(|e| {
+                format!(
+                    "scraping {addr} for --server-metrics: {e} (pre-metrics servers and \
+                     GEODABS_METRICS=off builds cannot serve the frame)"
                 )
-                .into());
-            }
-            Some(
-                queries
-                    .iter()
-                    .map(|q| twin.search(q, &options))
-                    .collect::<Vec<_>>(),
-            )
-        }
+            })
     };
-    let verified = expected.is_some();
+    let before = server_metrics.then(&scrape).transpose()?;
 
-    let ladder = workload::thread_ladder(connections);
+    let mut load = LoadClient::new(addr.clone(), queries, options);
+    if verify == "local" {
+        // Rebuild the scenario corpus in-process and pin every response
+        // bit-identically. The cluster ranks exactly like the monolithic
+        // geodab index (its equivalence proptests pin that), so one twin
+        // covers both; the geohash baseline needs its own vocabulary.
+        let twin_backend = if stats.backend == "geohash" {
+            "geohash"
+        } else {
+            "geodab"
+        };
+        let mut twin = AnyIndex::empty(twin_backend, 0, 0)?;
+        let items: Vec<_> = dataset
+            .records()
+            .iter()
+            .map(|r| (r.id, &r.trajectory))
+            .collect();
+        twin.insert_batch(items);
+        if stats.backend == "frontend" && stats.trajectories == 0 {
+            // A frontend only counts mutations routed through it; shard
+            // servers that ingested their slices at boot leave that count
+            // at zero, so there is no corpus size to probe. The bit-exact
+            // response comparison below still fails loudly on any corpus
+            // mismatch.
+            writeln!(
+                out,
+                "note              shard corpora were loaded out-of-band; corpus-size probe \
+                 skipped (responses are still verified bit-exactly)"
+            )?;
+        } else if twin.len() as u64 != stats.trajectories {
+            return Err(format!(
+                "server holds {} trajectories but scenario {} generates {} — verification \
+                 would always fail; pass the right --scenario/--seed or --verify none",
+                stats.trajectories,
+                scenario.name,
+                twin.len()
+            )
+            .into());
+        }
+        let expected = dataset
+            .queries()
+            .iter()
+            .map(|q| twin.search(&q.trajectory, &options))
+            .collect();
+        load = load.expect_results(expected);
+    }
+
     writeln!(
         out,
-        "driving           connections {ladder:?}, {seconds_per_point:.0}s per point, \
-         {} queries (limit {limit}), verify {verify}",
-        queries.len()
+        "driving           {connections} connection(s) for {seconds}s, {} queries (limit {limit}), \
+         verify {verify}",
+        dataset.queries().len()
     )?;
-    let points = workload::run_load_ladder(
-        &addr,
-        queries,
-        options,
-        expected,
-        &ladder,
-        seconds_per_point,
+    let point = load
+        .run(connections, std::time::Duration::from_secs(seconds))
+        .map_err(|e| format!("load run at {connections} connection(s): {e}"))?;
+    writeln!(
+        out,
+        "load    {:>2} conn(s)   {:>9.1} qps  p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  \
+         ({} requests, {} mismatches)",
+        point.connections,
+        point.qps,
+        point.p50_ms,
+        point.p95_ms,
+        point.p99_ms,
+        point.requests,
+        point.mismatches
     )?;
-    for point in &points {
-        writeln!(
-            out,
-            "load    {:>2} conn(s)   {:>9.1} qps  p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  \
-             ({} requests, {} mismatches)",
-            point.connections,
-            point.qps,
-            point.p50_ms,
-            point.p95_ms,
-            point.p99_ms,
-            point.requests,
-            point.mismatches
-        )?;
-    }
 
     // With --server-metrics, scrape again and report the delta: the
     // server's own clock on each stage next to the client view above.
-    let server = match before {
-        Some(before) => {
-            let after = Client::connect(addr.as_str())
-                .map_err(|e| format!("connecting to {addr}: {e}"))?
-                .metrics()
-                .map_err(|e| format!("re-scraping {addr}: {e}"))?;
-            let side = server_side_delta(&before, &after);
-            if side.stages.is_empty() {
-                writeln!(
-                    out,
-                    "server-side       no stage histograms recorded (GEODABS_METRICS=off?)"
-                )?;
-            }
-            for stage in &side.stages {
-                writeln!(
-                    out,
-                    "server  {:<10} {:>9} sample(s)  p50 {} us  p95 {} us  p99 {} us",
-                    stage.name, stage.count, stage.p50_us, stage.p95_us, stage.p99_us
-                )?;
-            }
-            writeln!(
-                out,
-                "mux saturation    peak {} of {} worker(s) busy, peak {} frame(s) in flight, \
-                 peak {} connection(s) (server gauges)",
-                side.workers_busy_peak,
-                stats.workers,
-                side.frames_in_flight_peak,
-                side.connections_peak
-            )?;
-            Some(side)
-        }
-        None => None,
-    };
+    if let Some(before) = before {
+        let after = scrape()?;
+        write_server_side(out, &before, &after, stats.workers)?;
+    }
 
-    // Write the report before any failure below: the machine-readable
-    // record matters most exactly when the run fails (CI uploads it as
-    // an artifact either way).
-    let report = ServeReport {
-        scenario,
-        backend: stats.backend,
-        trajectories: stats.trajectories as usize,
-        query_limit: limit,
-        verified,
-        points,
-        server,
-    };
-    let path = std::path::Path::new(&out_dir).join(report.file_name());
-    std::fs::write(&path, report.to_json().pretty())?;
-    writeln!(out, "report            {}", path.display())?;
-    if !report.consistent() {
-        let mismatches: u64 = report.points.iter().map(|p| p.mismatches).sum();
+    if point.mismatches > 0 {
         return Err(format!(
-            "loadtest FAILED: {mismatches} response(s) diverged from the in-process engine"
+            "loadtest FAILED: {} response(s) diverged from the in-process engine",
+            point.mismatches
         )
         .into());
     }
-    if verified {
+    if verify == "local" {
         writeln!(out, "verify            PASS (every response bit-identical)")?;
     }
     Ok(())
@@ -1609,16 +1046,17 @@ const SERVER_STAGES: &[(&str, &str)] = &[
     ("encode", "geodabs_encode_us"),
 ];
 
-/// Folds two metrics scrapes into the server-side view of a load run:
-/// per-stage latency quantiles from the histogram deltas, plus the mux
+/// Prints the server's own view of a load run from two metrics scrapes:
+/// per-stage latency quantiles from the histogram deltas, then the mux
 /// gauge peaks (peaks are process-lifetime, not deltas — the run can
 /// only have raised them).
-fn server_side_delta(
+fn write_server_side(
+    out: &mut dyn std::io::Write,
     before: &geodabs_serve::MetricsReport,
     after: &geodabs_serve::MetricsReport,
-) -> geodabs_bench::workload::ServerSide {
-    use geodabs_bench::workload::{ServerSide, ServerStage};
-    let mut stages = Vec::new();
+    workers: u64,
+) -> std::io::Result<()> {
+    let mut stages = 0;
     for (label, name) in SERVER_STAGES {
         let Some(current) = after.histogram(name) else {
             continue;
@@ -1631,21 +1069,31 @@ fn server_side_delta(
         if delta.is_empty() {
             continue;
         }
-        stages.push(ServerStage {
-            name: (*label).to_string(),
-            count: delta.count(),
-            p50_us: delta.quantile(50.0),
-            p95_us: delta.quantile(95.0),
-            p99_us: delta.quantile(99.0),
-        });
+        stages += 1;
+        writeln!(
+            out,
+            "server  {label:<10} {:>9} sample(s)  p50 {} us  p95 {} us  p99 {} us",
+            delta.count(),
+            delta.quantile(50.0),
+            delta.quantile(95.0),
+            delta.quantile(99.0)
+        )?;
+    }
+    if stages == 0 {
+        writeln!(
+            out,
+            "server-side       no stage histograms recorded (GEODABS_METRICS=off?)"
+        )?;
     }
     let peak = |name: &str| after.gauge(name).map(|(_, peak)| peak).unwrap_or(0);
-    ServerSide {
-        stages,
-        workers_busy_peak: peak("geodabs_mux_workers_busy"),
-        frames_in_flight_peak: peak("geodabs_mux_frames_in_flight"),
-        connections_peak: peak("geodabs_connections"),
-    }
+    writeln!(
+        out,
+        "mux saturation    peak {} of {workers} worker(s) busy, peak {} frame(s) in flight, \
+         peak {} connection(s) (server gauges)",
+        peak("geodabs_mux_workers_busy"),
+        peak("geodabs_mux_frames_in_flight"),
+        peak("geodabs_connections")
+    )
 }
 
 fn metrics(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
@@ -1895,6 +1343,7 @@ mod tests {
         let out = run_to_string(&["help"]).unwrap();
         assert!(out.contains("USAGE"));
         assert!(out.contains("geodabs build"));
+        assert!(!out.contains("geodabs bench"), "{out}");
     }
 
     #[test]
@@ -2018,136 +1467,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_without_scenario_lists_the_catalog() {
-        let out = run_to_string(&["bench"]).unwrap();
-        assert!(out.contains("available scenarios"), "{out}");
-        assert!(out.contains("smoke"), "{out}");
-        assert!(out.contains("dense-urban-10k"), "{out}");
-        assert!(out.contains("sparse-rural-1k"), "{out}");
-    }
-
-    #[test]
-    fn bench_rejects_unknown_scenarios() {
-        let err = run_to_string(&["bench", "--scenario", "warp-speed"]).unwrap_err();
-        assert!(err.contains("unknown scenario"), "{err}");
-    }
-
-    #[test]
-    fn bench_fails_loudly_on_typoed_or_missing_flags() {
-        // A typo'd flag must not silently fall back to listing the
-        // catalog (which would let a broken CI invocation pass green).
-        let err = run_to_string(&["bench", "--scenari", "smoke"]).unwrap_err();
-        assert!(err.contains("unknown flag --scenari"), "{err}");
-        let err = run_to_string(&["bench", "--scenario", "micro", "--basline", "x"]).unwrap_err();
-        assert!(err.contains("unknown flag --basline"), "{err}");
-        // Flags without a scenario: an incomplete invocation, not a
-        // listing request.
-        let err = run_to_string(&["bench", "--threads", "2"]).unwrap_err();
-        assert!(err.contains("--scenario"), "{err}");
-    }
-
-    #[test]
-    fn bench_micro_emits_a_valid_report_and_gates_against_it() {
-        use geodabs_bench::json::Json;
-        let dir = std::env::temp_dir().join("geodabs-cli-tests");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let out = run_to_string(&[
-            "bench",
-            "--scenario",
-            "micro",
-            "--threads",
-            "2",
-            "--out",
-            dir.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(out.contains("ingest   1 thread(s)"), "{out}");
-        assert!(out.contains("query latency"), "{out}");
-        let report_path = dir.join("BENCH_micro.json");
-        let text = std::fs::read_to_string(&report_path).expect("report written");
-        let parsed = Json::parse(&text).expect("valid JSON");
-        assert_eq!(parsed.get("scenario").and_then(Json::as_str), Some("micro"));
-        assert_eq!(
-            parsed.get("schema_version").and_then(Json::as_f64),
-            Some(1.0)
-        );
-
-        // A fresh run gates cleanly against the report it just produced —
-        // with the baseline's p95 relaxed, since micro-scale latency on a
-        // loaded test machine is far too noisy to gate the test suite on
-        // (the workload tests cover the latency gate deterministically).
-        let relaxed: String = text
-            .lines()
-            .map(|line| {
-                if let Some(idx) = line.find("\"p95\":") {
-                    let comma = if line.trim_end().ends_with(',') {
-                        ","
-                    } else {
-                        ""
-                    };
-                    format!("{}\"p95\": 1000000{comma}\n", &line[..idx])
-                } else {
-                    format!("{line}\n")
-                }
-            })
-            .collect();
-        let relaxed_path = dir.join("relaxed.json");
-        std::fs::write(&relaxed_path, relaxed).unwrap();
-        let out = run_to_string(&[
-            "bench",
-            "--scenario",
-            "micro",
-            "--threads",
-            "2",
-            "--out",
-            dir.to_str().unwrap(),
-            "--baseline",
-            relaxed_path.to_str().unwrap(),
-            "--max-regress",
-            "95",
-        ])
-        .unwrap();
-        assert!(out.contains("perf gate         PASS"), "{out}");
-
-        // An impossibly fast baseline fails the gate with a clear error.
-        let inflated = dir.join("inflated.json");
-        std::fs::write(
-            &inflated,
-            r#"{"schema_version": 1, "scenario": "micro", "seed": 7,
-                "ingest": {"runs": [{"threads": 1, "traj_per_sec": 1e15}]}}"#,
-        )
-        .unwrap();
-        let err = run_to_string(&[
-            "bench",
-            "--scenario",
-            "micro",
-            "--out",
-            dir.to_str().unwrap(),
-            "--baseline",
-            inflated.to_str().unwrap(),
-        ])
-        .unwrap_err();
-        assert!(err.contains("perf gate FAILED"), "{err}");
-        // …and the report was still written for the failing run.
-        assert!(dir.join("BENCH_micro.json").exists());
-
-        // Vacuous allowances are rejected in preflight, before the run.
-        let err = run_to_string(&[
-            "bench",
-            "--scenario",
-            "micro",
-            "--out",
-            dir.to_str().unwrap(),
-            "--baseline",
-            report_path.to_str().unwrap(),
-            "--max-regress",
-            "100",
-        ])
-        .unwrap_err();
-        assert!(err.contains("max regression"), "{err}");
-    }
-
-    #[test]
     fn snapshot_save_load_inspect_roundtrip_all_backends() {
         for backend in ["geodab", "geohash", "cluster"] {
             let path = tmp(&format!("snap-{backend}.gdab"));
@@ -2245,6 +1564,13 @@ mod tests {
         assert!(err.contains("unknown backend"), "{err}");
         let err = run_to_string(&["snapshot", "frobnicate"]).unwrap_err();
         assert!(err.contains("unknown action"), "{err}");
+        // An unknown scenario lists the catalog.
+        let err = run_to_string(&["snapshot", "save", "--scenario", "smoke", "--out", "x.gdab"])
+            .unwrap_err();
+        assert!(
+            err.contains("unknown scenario") && err.contains("micro"),
+            "{err}"
+        );
         let err =
             run_to_string(&["snapshot", "load", "--in", "x", "--verfiy", "rebuild"]).unwrap_err();
         assert!(err.contains("unknown flag --verfiy"), "{err}");
@@ -2253,24 +1579,6 @@ mod tests {
         let err =
             run_to_string(&["snapshot", "load", "--in", &path, "--verify", "yes"]).unwrap_err();
         assert!(err.contains("--verify"), "{err}");
-    }
-
-    #[test]
-    fn bench_cold_start_rejects_an_ingest_baseline() {
-        // Validated before the (multi-second) 10k run starts.
-        let err = run_to_string(&[
-            "bench",
-            "--scenario",
-            "cold-start",
-            "--baseline",
-            "bench/baselines/smoke.json",
-        ])
-        .unwrap_err();
-        assert!(err.contains("no ingest gate"), "{err}");
-        // --max-regress alone must fail too, not silently skip the gate.
-        let err = run_to_string(&["bench", "--scenario", "cold-start", "--max-regress", "10"])
-            .unwrap_err();
-        assert!(err.contains("no ingest gate"), "{err}");
     }
 
     /// A `Write` target observable from another thread, so the serve
@@ -2317,9 +1625,6 @@ mod tests {
         let _guard = crate::signals::TEST_FLAG_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let dir = std::env::temp_dir().join("geodabs-cli-serve-test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-
         // Warm-start the server from a real snapshot (the acceptance
         // path), on an OS-assigned port, with a startup verify.
         let snap = tmp("serve-roundtrip.gdab");
@@ -2356,7 +1661,7 @@ mod tests {
         let addr_line = buf.wait_for("listening on      ");
         let addr = addr_line.split_whitespace().next().expect("addr token");
 
-        // Drive it: 4 connections, short points, full local verification.
+        // Drive it: 4 connections, a short run, full local verification.
         let out = run_to_string(&[
             "loadtest",
             "--addr",
@@ -2367,32 +1672,17 @@ mod tests {
             "1",
             "--scenario",
             "micro",
-            "--out",
-            dir.to_str().unwrap(),
         ])
         .unwrap();
         assert!(out.contains("server            geodab"), "{out}");
         assert!(out.contains("verify            PASS"), "{out}");
         assert!(out.contains("load     4 conn(s)"), "{out}");
-        let report = std::fs::read_to_string(dir.join("BENCH_serve.json")).expect("report");
-        let parsed = geodabs_bench::json::Json::parse(&report).expect("valid JSON");
-        assert_eq!(
-            parsed
-                .get("kind")
-                .and_then(geodabs_bench::json::Json::as_str),
-            Some("serve")
-        );
-        assert_eq!(
-            parsed
-                .get("query")
-                .and_then(|q| q.get("consistent"))
-                .and_then(geodabs_bench::json::Json::as_bool),
-            Some(true)
-        );
+        assert!(out.contains("0 mismatches"), "{out}");
+        // The loadtest checks behaviour; it writes no report.
+        assert!(!out.contains("report"), "{out}");
 
-        // The same ladder with --server-metrics: the heuristic line is
-        // replaced by the real gauges and the server's own per-stage
-        // latency shows up, both on stdout and in the JSON report.
+        // The same run with --server-metrics: the server's own per-stage
+        // latency and the real mux gauges show up next to the client view.
         let out = run_to_string(&[
             "loadtest",
             "--addr",
@@ -2403,8 +1693,6 @@ mod tests {
             "1",
             "--scenario",
             "micro",
-            "--out",
-            dir.to_str().unwrap(),
             "--server-metrics",
         ])
         .unwrap();
@@ -2412,14 +1700,6 @@ mod tests {
         assert!(out.contains("server  request"), "{out}");
         assert!(out.contains("server  engine"), "{out}");
         assert!(out.contains("mux saturation    peak"), "{out}");
-        let report = std::fs::read_to_string(dir.join("BENCH_serve.json")).expect("report");
-        let parsed = geodabs_bench::json::Json::parse(&report).expect("valid JSON");
-        let stages = parsed
-            .get("server")
-            .and_then(|s| s.get("stages"))
-            .and_then(geodabs_bench::json::Json::as_array)
-            .expect("server stages in report");
-        assert!(!stages.is_empty(), "{report}");
 
         // The standalone scraper against the same server: counters,
         // gauges, histograms and the raw exposition must all render.
@@ -2464,8 +1744,6 @@ mod tests {
             "8",
             "--duration",
             "1",
-            "--out",
-            dir.to_str().unwrap(),
         ])
         .unwrap_err();
         assert!(err.contains("diverged"), "{err}");
@@ -2529,42 +1807,13 @@ mod tests {
         let err = run_to_string(&["loadtest", "--addr", "127.0.0.1:1", "--connectoins", "2"])
             .unwrap_err();
         assert!(err.contains("unknown flag --connectoins"), "{err}");
+        // The retired report directory is an unknown flag, not a no-op.
+        let err = run_to_string(&["loadtest", "--addr", "127.0.0.1:1", "--out", "."]).unwrap_err();
+        assert!(err.contains("unknown flag --out"), "{err}");
         // A dead address fails on the probe connection, fast.
         let err =
             run_to_string(&["loadtest", "--addr", "127.0.0.1:1", "--duration", "1"]).unwrap_err();
         assert!(err.contains("connecting to"), "{err}");
-    }
-
-    #[test]
-    fn bench_durability_rejects_an_ingest_baseline() {
-        let err = run_to_string(&[
-            "bench",
-            "--scenario",
-            "durability",
-            "--baseline",
-            "bench/baselines/smoke.json",
-        ])
-        .unwrap_err();
-        assert!(err.contains("no ingest gate"), "{err}");
-        let err = run_to_string(&["bench", "--scenario", "durability", "--max-regress", "10"])
-            .unwrap_err();
-        assert!(err.contains("no ingest gate"), "{err}");
-    }
-
-    #[test]
-    fn bench_serve_rejects_an_ingest_baseline() {
-        let err = run_to_string(&[
-            "bench",
-            "--scenario",
-            "serve",
-            "--baseline",
-            "bench/baselines/smoke.json",
-        ])
-        .unwrap_err();
-        assert!(err.contains("no ingest gate"), "{err}");
-        let err =
-            run_to_string(&["bench", "--scenario", "serve", "--max-regress", "10"]).unwrap_err();
-        assert!(err.contains("no ingest gate"), "{err}");
     }
 
     #[test]
@@ -2625,7 +1874,7 @@ mod tests {
 
     #[test]
     fn snapshot_inspect_json_is_machine_readable() {
-        use geodabs_bench::json::Json;
+        use crate::json::Json;
         let path = tmp("inspect-json.gdab");
         run_to_string(&["snapshot", "save", "--scenario", "micro", "--out", &path]).unwrap();
         let out = run_to_string(&["snapshot", "inspect", "--in", &path, "--json"]).unwrap();
@@ -2649,7 +1898,7 @@ mod tests {
 
     #[test]
     fn wal_inspect_replay_and_stamped_snapshot_roundtrip() {
-        use geodabs_bench::json::Json;
+        use crate::json::Json;
         use geodabs_wal::{SyncPolicy, Wal, WalOp};
         let dir = std::env::temp_dir().join(format!("geodabs-cli-wal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2802,22 +2051,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_distributed_rejects_an_ingest_baseline() {
-        let err = run_to_string(&[
-            "bench",
-            "--scenario",
-            "distributed",
-            "--baseline",
-            "bench/baselines/smoke.json",
-        ])
-        .unwrap_err();
-        assert!(err.contains("no ingest gate"), "{err}");
-        let err = run_to_string(&["bench", "--scenario", "distributed", "--max-regress", "10"])
-            .unwrap_err();
-        assert!(err.contains("no ingest gate"), "{err}");
-    }
-
-    #[test]
     fn frontend_flags_fail_loudly() {
         let err = run_to_string(&["frontend", "--shards", "127.0.0.1:1"]).unwrap_err();
         assert!(err.contains("--addr"), "{err}");
@@ -2887,9 +2120,6 @@ mod tests {
         let _guard = crate::signals::TEST_FLAG_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let dir = std::env::temp_dir().join("geodabs-cli-frontend-test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-
         let mut shard_addrs = Vec::new();
         for shard_id in ["0", "1"] {
             let buf = SharedBuf::default();
@@ -2958,8 +2188,6 @@ mod tests {
             "1",
             "--scenario",
             "micro",
-            "--out",
-            dir.to_str().unwrap(),
         ])
         .unwrap();
         assert!(out.contains("server            frontend"), "{out}");

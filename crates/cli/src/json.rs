@@ -1,11 +1,9 @@
-//! A minimal, dependency-free JSON value: enough to emit the
-//! `BENCH_*.json` workload reports and to parse them back (the CI perf
-//! gate reads the checked-in baseline with the same code that wrote it).
+//! A minimal, dependency-free JSON value: enough to emit `snapshot
+//! inspect --json`. The tests parse that output back with the reader
+//! below, which is compiled for them only.
 //!
-//! Objects preserve insertion order so emitted reports are byte-stable
-//! for a given input — diffs of checked-in baselines stay readable.
-
-use std::fmt;
+//! Objects preserve insertion order so emitted documents are byte-stable
+//! for a given input.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,90 +22,13 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// Errors parsing JSON text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the error in the input.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: &'static str,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
 impl Json {
     /// Convenience constructor for an object.
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// Looks a key up in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Parses JSON text (one value, surrounded by optional whitespace).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] with the byte offset of the first problem.
-    pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.err("trailing characters after the value"));
-        }
-        Ok(value)
-    }
-
-    /// Serializes with two-space indentation and a trailing newline — the
-    /// exact shape of the checked-in baselines.
+    /// Serializes with two-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
@@ -201,11 +122,93 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Errors parsing JSON text.
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset of the error in the input.
+    pub offset: usize,
+    /// What went wrong.
+    pub message: &'static str,
+}
+
+#[cfg(test)]
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "JSON error at byte {}: {}", self.offset, self.message)
+    }
+}
+
+/// The reading half, for tests that check emitted documents.
+#[cfg(test)]
+impl Json {
+    /// Looks a key up in an object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The numeric value, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The boolean value, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The string value, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// Parses JSON text (one value, surrounded by optional whitespace).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] with the byte offset of the first problem.
+    pub fn parse(text: &str) -> Result<Json, JsonError> {
+        let mut parser = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        parser.skip_ws();
+        let value = parser.value()?;
+        parser.skip_ws();
+        if parser.pos != parser.bytes.len() {
+            return Err(parser.err("trailing characters after the value"));
+        }
+        Ok(value)
+    }
+}
+
+#[cfg(test)]
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
+#[cfg(test)]
 impl<'a> Parser<'a> {
     fn err(&self, message: &'static str) -> JsonError {
         JsonError {

@@ -9,8 +9,6 @@
 //!                [--query Q] [--limit K]
 //! geodabs tune   [--routes N] [--seed S] [--steps T]
 //! geodabs world  [--trajectories N] [--cities C] [--seed S]
-//! geodabs bench  [--scenario NAME] [--threads T] [--out DIR] [--seed S]
-//!                [--baseline FILE] [--max-regress PCT]
 //! geodabs serve    --addr HOST:PORT (--snapshot FILE | --scenario NAME | --wal-dir DIR) …
 //! geodabs loadtest --addr HOST:PORT [--connections N] [--duration SECS] …
 //! geodabs wal      inspect|replay --dir DIR …
@@ -18,13 +16,11 @@
 //!
 //! Datasets are synthetic and fully determined by `(routes,
 //! per-direction, seed)`, so `search` regenerates the query workload
-//! instead of shipping trajectories around. `bench` runs the named
-//! workload scenario from [`geodabs_bench::workload`] and writes the
-//! machine-readable `BENCH_<scenario>.json` report CI's perf gate
-//! consumes. `serve` hosts any backend over the `geodabs-serve` wire
-//! protocol (warm-started from a `GDAB` v2 snapshot or ingested from a
-//! scenario); `loadtest` drives a connection ladder against it and
-//! writes `BENCH_serve.json`, failing on any response mismatch. With
+//! instead of shipping trajectories around; `--scenario` names one of
+//! the corpora in [`workload`]. `serve` hosts any backend over the
+//! `geodabs-serve` wire protocol (warm-started from a `GDAB` v2 snapshot
+//! or ingested from a scenario); `loadtest` drives concurrent
+//! connections against it and fails on any response mismatch. With
 //! `--wal-dir` the server is durable: mutations are logged before they
 //! are acknowledged, boot replays the log suffix beyond the latest
 //! compacted snapshot's watermark, and `wal inspect`/`wal replay`
@@ -37,6 +33,8 @@
 
 pub mod args;
 pub mod commands;
+pub mod json;
 pub mod signals;
+pub mod workload;
 
 pub use args::{Args, ParseError};

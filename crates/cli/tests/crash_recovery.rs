@@ -6,7 +6,7 @@
 
 #![cfg(unix)]
 
-use geodabs_bench::workload;
+use geodabs_cli::workload;
 use geodabs_index::SearchOptions;
 use geodabs_serve::Client;
 use geodabs_traj::{TrajId, Trajectory};

@@ -8,7 +8,7 @@
 
 #![cfg(unix)]
 
-use geodabs_bench::workload;
+use geodabs_cli::workload;
 use geodabs_cluster::ShardRouter;
 use geodabs_core::{Fingerprinter, GeodabConfig};
 use geodabs_index::{GeodabIndex, SearchOptions, TrajectoryIndex};
