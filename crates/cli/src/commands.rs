@@ -9,9 +9,11 @@ use geodabs_index::tuning::{hill_climb, TuningSample};
 use geodabs_index::{codec, GeodabIndex, GeohashIndex, SearchOptions, TrajectoryIndex};
 use geodabs_roadnet::generators::{grid_network, GridConfig};
 use geodabs_roadnet::RoadNetwork;
-use geodabs_serve::{recover, AnyIndex, Recovered, ServeBackend};
+use geodabs_serve::{recover, AnyIndex, Recovered, ServeBackend, ServerHandle};
 use std::collections::HashSet;
 use std::error::Error;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::workload::{self, Scenario};
@@ -528,8 +530,6 @@ fn snapshot_inspect(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box
 fn serve(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
     use geodabs_serve::{Server, ServerConfig};
     use geodabs_wal::{SyncPolicy, Wal};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     args.reject_unknown_flags(&[
         "addr",
@@ -648,23 +648,12 @@ fn serve(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>
             .iter()
             .map(|r| (r.id, &r.trajectory))
             .collect();
+        // A shard server ingests the whole corpus and keeps its node's
+        // slice — exactly the state it would hold after a live N-node
+        // ingest, so the per-shard heaps it answers merge exactly at the
+        // frontend.
         let mut index = empty;
-        match &mut index {
-            // A shard server routes the whole corpus through the cluster
-            // and keeps its node's slice — exactly the state it would
-            // hold after a live N-node ingest, so the per-shard heaps it
-            // answers merge exactly at the frontend.
-            AnyIndex::Node(node) => {
-                let router = node.router();
-                let mut cluster =
-                    ClusterIndex::new(*node.config(), router.num_shards(), router.num_nodes())?;
-                cluster.insert_batch(items);
-                *node = cluster
-                    .shard_node(node.node_id())
-                    .expect("ShardNode::new checked the node id");
-            }
-            index => index.insert_batch(items),
-        }
+        index.insert_batch(items);
         writeln!(
             out,
             "ingested          scenario {} into a {} index: {} trajectories in {:.3}s",
@@ -750,18 +739,27 @@ fn serve(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>
         }
     )?;
     out.flush()?;
+    serve_until_stopped(server.handle(), duration, || server.run(), out)
+}
+
+/// Serves until `--duration` seconds pass (when nonzero) or SIGTERM/
+/// Ctrl-C arrives. Both route into `handle`'s clean-shutdown path: the
+/// serving loop drains, the WAL flushes, and the process exits 0
+/// instead of being torn mid-append.
+fn serve_until_stopped(
+    handle: ServerHandle,
+    duration: u64,
+    run: impl FnOnce() -> std::io::Result<u64>,
+    out: &mut dyn std::io::Write,
+) -> Result<(), Box<dyn Error>> {
     if duration > 0 {
-        let handle = server.handle();
+        let handle = handle.clone();
         std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_secs(duration));
             handle.shutdown();
         });
     }
-    // SIGTERM/Ctrl-C route into the same clean-shutdown path as
-    // --duration: the serving loop drains, the WAL flushes, and the
-    // process exits 0 instead of being torn mid-append.
     let stop = crate::signals::install();
-    let handle = server.handle();
     let finished = Arc::new(AtomicBool::new(false));
     {
         let finished = Arc::clone(&finished);
@@ -776,7 +774,7 @@ fn serve(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>
             std::thread::sleep(std::time::Duration::from_millis(50));
         });
     }
-    let served = server.run()?;
+    let served = run()?;
     finished.store(true, Ordering::SeqCst);
     writeln!(
         out,
@@ -789,8 +787,6 @@ fn frontend(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Err
     use geodabs_cluster::ShardRouter;
     use geodabs_core::Fingerprinter;
     use geodabs_serve::{Frontend, FrontendConfig};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     args.reject_unknown_flags(&["addr", "shards", "threads", "duration", "num-shards"])?;
     let addr = args.string_required("addr")?;
@@ -841,38 +837,7 @@ fn frontend(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Err
         }
     )?;
     out.flush()?;
-    if duration > 0 {
-        let handle = frontend.handle();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_secs(duration));
-            handle.shutdown();
-        });
-    }
-    // SIGTERM/Ctrl-C drain through the same clean-shutdown path as
-    // --duration, exactly like `serve`.
-    let stop = crate::signals::install();
-    let handle = frontend.handle();
-    let finished = Arc::new(AtomicBool::new(false));
-    {
-        let finished = Arc::clone(&finished);
-        std::thread::spawn(move || loop {
-            if finished.load(Ordering::SeqCst) {
-                break;
-            }
-            if stop.load(Ordering::SeqCst) {
-                handle.shutdown();
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        });
-    }
-    let served = frontend.run()?;
-    finished.store(true, Ordering::SeqCst);
-    writeln!(
-        out,
-        "served            {served} request(s); shut down cleanly"
-    )?;
-    Ok(())
+    serve_until_stopped(frontend.handle(), duration, || frontend.run(), out)
 }
 
 fn loadtest(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {

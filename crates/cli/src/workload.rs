@@ -333,12 +333,16 @@ mod tests {
             let checked = verify_against_rebuild(&restored, &scenario).expect("verify");
             assert_eq!(checked, dataset.queries().len());
         }
-        // The node backend is sliced from a cluster ingest, not built by
-        // `empty`; the verification replay covers its snapshot too.
-        let mut cluster = ClusterIndex::new(GeodabConfig::default(), 1_000, 2).unwrap();
-        cluster.insert_batch(items);
-        let bytes = cluster.shard_node(0).unwrap().to_snapshot();
-        let node = AnyIndex::from_snapshot(&bytes).expect("node snapshot loads");
+        // The node backend ingests the corpus itself, keeping its slice;
+        // the verification replay covers its snapshot too.
+        let mut node =
+            AnyIndex::Node(ShardNode::new(GeodabConfig::default(), 1_000, 2, 0).unwrap());
+        node.insert_batch(items);
+        let node = AnyIndex::from_snapshot(&node.to_snapshot()).expect("node snapshot loads");
+        assert!(
+            TrajectoryIndex::len(&node) > 0,
+            "node 0 holds part of the corpus"
+        );
         verify_against_rebuild(&node, &scenario).expect("verify node");
 
         assert!(AnyIndex::empty("warp", 1, 1).is_err());

@@ -1,11 +1,11 @@
 use geodabs_core::{Fingerprinter, Fingerprints, GeodabConfig};
-use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::{TrajId, Trajectory};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
 
-use crate::{ClusterConfigError, ShardRouter};
-use geodabs_index::engine::{for_each_overlap, IdInterner, TopK};
+use crate::{ClusterConfigError, ShardNode, ShardRouter};
+use geodabs_index::batch::{default_threads, parallel_map};
+use geodabs_index::engine::TopK;
 use geodabs_index::{SearchOptions, SearchResult, TrajectoryIndex};
 
 /// Statistics of one fan-out query, the quantities the sharding strategy
@@ -19,178 +19,6 @@ pub struct QueryStats {
     pub nodes_contacted: usize,
     /// Candidate trajectories scored across all contacted nodes.
     pub candidates_scored: usize,
-}
-
-/// Per-node storage: the posting lists of the terms routed to this node,
-/// plus the full fingerprints of every trajectory those postings
-/// reference (the paper stores "a reference to the trajectory bitmap" in
-/// each posting entry; replication per referencing node is the
-/// shared-nothing equivalent). Everything per trajectory is addressed by
-/// the node-local dense slot, the value the posting bitmaps hold.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct NodeStore {
-    /// Posting lists of this node's terms, as roaring bitmaps of dense
-    /// (node-locally interned) trajectory slots.
-    pub(crate) postings: HashMap<u32, RoaringBitmap>,
-    /// The node's `TrajId ↔ dense` interning table.
-    pub(crate) interner: IdInterner,
-    /// `replicas[dense]` is the full fingerprint replica of the
-    /// trajectory in that slot (`None` while the slot is vacant).
-    replicas: Vec<Option<Fingerprints>>,
-    /// `set_sizes[dense]` is `|B|`, the distinct-term count of that
-    /// replica (stale for vacant slots) — all scoring needs of it unless
-    /// the query has terms on other nodes.
-    set_sizes: Vec<u32>,
-    /// Posting entries per shard, for balance accounting.
-    pub(crate) shard_load: HashMap<u64, u64>,
-}
-
-impl NodeStore {
-    /// Assembles a store from snapshot parts: `replicas` lists the live
-    /// `(dense, fingerprints)` pairs of `interner`.
-    pub(crate) fn from_parts(
-        postings: HashMap<u32, RoaringBitmap>,
-        interner: IdInterner,
-        replicas: impl IntoIterator<Item = (u32, Fingerprints)>,
-        shard_load: HashMap<u64, u64>,
-    ) -> NodeStore {
-        let mut store = NodeStore {
-            postings,
-            interner,
-            shard_load,
-            ..NodeStore::default()
-        };
-        for (dense, fp) in replicas {
-            store.store_replica_at(dense, fp);
-        }
-        store
-    }
-
-    /// Adds `id` to the posting list of `term`.
-    pub(crate) fn add_posting(&mut self, term: u32, id: TrajId) {
-        let dense = self.interner.intern(id);
-        let newly = self.postings.entry(term).or_default().insert(dense);
-        debug_assert!(newly, "remove() scrubbed this id");
-    }
-
-    /// Scrubs `id` from the posting list of `term`; returns whether an
-    /// entry was removed.
-    pub(crate) fn remove_posting(&mut self, term: u32, id: TrajId) -> bool {
-        let Some(dense) = self.interner.dense(id) else {
-            return false;
-        };
-        let Some(list) = self.postings.get_mut(&term) else {
-            return false;
-        };
-        let removed = list.remove(dense);
-        if list.is_empty() {
-            self.postings.remove(&term);
-        }
-        removed
-    }
-
-    /// Stores the full replica of `id`, which must already hold at least
-    /// one posting here.
-    pub(crate) fn store_replica(&mut self, id: TrajId, fp: Fingerprints) {
-        let dense = self
-            .interner
-            .dense(id)
-            .expect("a replica follows its postings");
-        self.store_replica_at(dense, fp);
-    }
-
-    fn store_replica_at(&mut self, dense: u32, fp: Fingerprints) {
-        let slot = dense as usize;
-        if self.replicas.len() <= slot {
-            self.replicas.resize(slot + 1, None);
-            self.set_sizes.resize(slot + 1, 0);
-        }
-        self.set_sizes[slot] = fp.distinct_len() as u32;
-        self.replicas[slot] = Some(fp);
-    }
-
-    /// Takes the replica of `id` out, leaving its slot interned for the
-    /// posting scrub that follows; finish with [`NodeStore::drop_id`].
-    pub(crate) fn take_replica(&mut self, id: TrajId) -> Option<Fingerprints> {
-        let dense = self.interner.dense(id)?;
-        self.replicas.get_mut(dense as usize)?.take()
-    }
-
-    /// Forgets `id` entirely: drops the fingerprint replica and frees its
-    /// dense slot. Call after scrubbing its postings.
-    pub(crate) fn drop_id(&mut self, id: TrajId) {
-        if let Some(dense) = self.interner.release(id) {
-            if let Some(replica) = self.replicas.get_mut(dense as usize) {
-                *replica = None;
-            }
-        }
-    }
-
-    /// Distinct trajectories referenced by this node's postings.
-    pub(crate) fn len(&self) -> usize {
-        self.interner.len()
-    }
-
-    /// `(id, replica)` of every trajectory held here, by dense slot.
-    pub(crate) fn replicas(&self) -> impl Iterator<Item = (TrajId, &Fingerprints)> {
-        self.replicas
-            .iter()
-            .enumerate()
-            .filter_map(|(dense, fp)| Some((self.interner.resolve(dense as u32), fp.as_ref()?)))
-    }
-
-    /// Local ranked scoring of node `node` of `router`'s cluster: the
-    /// candidates are the trajectories on this node's posting lists for
-    /// the query's terms, their overlaps counted term-at-a-time on the
-    /// engine's accumulator ([`for_each_overlap`]) and kept in a bounded
-    /// top-k heap — the per-shard heap the coordinator merges. Returns
-    /// the heap and the number of candidates scored.
-    ///
-    /// The distances are exact against each candidate's **full**
-    /// fingerprints `B`, not the routed subset: a query term with a
-    /// posting list here is in `B` iff the candidate is on that list
-    /// (this node holds every posting of the terms it owns); a term this
-    /// node owns without a list is in no `B`; and a term owned by
-    /// another node — *foreign*, only when the query spans nodes — is
-    /// looked up in the candidate's replica. The counts sum to `|A ∩ B|`,
-    /// and `δ = 1 − ov / (|A| + |B| − ov)` with `|B|` read per slot.
-    pub(crate) fn score(
-        &self,
-        router: &ShardRouter,
-        node: usize,
-        query_fp: &Fingerprints,
-        options: &SearchOptions,
-    ) -> (Vec<SearchResult>, usize) {
-        let mut local: Vec<&RoaringBitmap> = Vec::new();
-        let mut foreign: Vec<u32> = Vec::new();
-        for term in query_fp.set().iter() {
-            match self.postings.get(&term) {
-                Some(list) => local.push(list),
-                None if router.node_of_geodab(term) != node => foreign.push(term),
-                None => {}
-            }
-        }
-        let qa = query_fp.distinct_len();
-        let mut scored = 0usize;
-        let mut topk = TopK::new(options);
-        for_each_overlap(self.interner.capacity(), local, |dense, count| {
-            scored += 1;
-            let mut ov = count as u64;
-            if !foreign.is_empty() {
-                let replica = self.replicas[dense as usize]
-                    .as_ref()
-                    .expect("posting entries reference live replicas")
-                    .set();
-                ov += foreign.iter().filter(|&&t| replica.contains(t)).count() as u64;
-            }
-            let b = self.set_sizes[dense as usize] as u64;
-            topk.push(SearchResult {
-                id: self.interner.resolve(dense),
-                distance: 1.0 - ov as f64 / (qa + b - ov) as f64,
-            });
-        });
-        (topk.into_sorted(), scored)
-    }
 }
 
 /// Merges per-shard top-k heaps into the exact global ranking.
@@ -219,9 +47,9 @@ where
 
 /// The one fan-out every deployment shape runs: route the query's terms
 /// to the shards and nodes owning them, let `legs` score those nodes
-/// into per-node top-k heaps — in-process stores ([`ClusterIndex`]),
-/// copy-on-write cells or remote shard servers (`geodabs-serve`) — and
-/// merge the heaps exactly.
+/// into per-node top-k heaps — in-process [`ShardNode`]s
+/// ([`ClusterIndex`]), copy-on-write cells or remote shard servers
+/// (`geodabs-serve`) — and merge the heaps exactly.
 ///
 /// # Errors
 ///
@@ -237,17 +65,19 @@ pub fn scatter_gather<E>(
     Ok(merge_heaps(legs(&shards, &nodes)?, options))
 }
 
-/// A simulated cluster hosting a sharded geodab index.
+/// A simulated cluster hosting a sharded geodab index: a coordinator
+/// over one [`ShardNode`] per node.
 ///
-/// Indexing routes each fingerprint to its shard's node; querying fans out
-/// to exactly the nodes owning the query's terms (the first scored on the
-/// calling thread, any further ones in parallel on scoped threads) and
-/// merges the ranked partial results.
+/// Every mutation is a broadcast each node applies in order, keeping
+/// only the terms routed to it; querying fans out to exactly the nodes
+/// owning the query's terms (the first scored on the calling thread, any
+/// further ones in parallel on scoped threads) and merges the ranked
+/// partial results.
 #[derive(Debug)]
 pub struct ClusterIndex {
-    pub(crate) fingerprinter: Fingerprinter,
-    pub(crate) router: ShardRouter,
-    pub(crate) nodes: Vec<NodeStore>,
+    /// Node `i` of the router's `node = shard mod n` assignment (never
+    /// empty: the router rejects zero nodes).
+    pub(crate) nodes: Vec<ShardNode>,
     /// Ids known to the coordinator, including trajectories too short to
     /// produce fingerprints (which no node stores).
     pub(crate) indexed: BTreeSet<TrajId>,
@@ -269,21 +99,21 @@ impl ClusterIndex {
     ) -> Result<ClusterIndex, ClusterConfigError> {
         let router = ShardRouter::new(config.prefix_bits(), num_shards, num_nodes)?;
         Ok(ClusterIndex {
-            fingerprinter: Fingerprinter::new(config),
-            router,
-            nodes: vec![NodeStore::default(); num_nodes],
+            nodes: (0..num_nodes)
+                .map(|node| ShardNode::empty(config, router, node))
+                .collect(),
             indexed: BTreeSet::new(),
         })
     }
 
     /// The shard router in use.
     pub fn router(&self) -> &ShardRouter {
-        &self.router
+        self.nodes[0].router()
     }
 
     /// The fingerprinting configuration in use.
     pub fn config(&self) -> &GeodabConfig {
-        self.fingerprinter.config()
+        self.nodes[0].config()
     }
 
     /// Number of indexed trajectories.
@@ -301,150 +131,67 @@ impl ClusterIndex {
         self.indexed.iter().copied()
     }
 
-    /// Removes a trajectory from every node holding one of its postings or
-    /// fingerprint replicas; returns whether the id was indexed.
-    ///
-    /// Costs `O(terms of id)`, not `O(postings in the cluster)`: the
-    /// fingerprint replica (held by every node referencing the id) names
-    /// exactly the posting lists to scrub, and the router maps each term
-    /// back to the one node owning it.
+    /// Broadcasts a remove to every node; returns whether the id was
+    /// indexed. Costs `O(terms of id)` on each node holding a replica of
+    /// it (the replica names exactly the posting lists to scrub), one
+    /// lookup on every other node.
     pub fn remove(&mut self, id: TrajId) -> bool {
         if !self.indexed.remove(&id) {
             return false;
         }
-        // Take the first replica by value — every node holding one is
-        // scrubbed below anyway, so no clone is needed.
-        let Some(fp) = self.nodes.iter_mut().find_map(|node| node.take_replica(id)) else {
-            // Too short to fingerprint: the coordinator knew the id, but no
-            // node stores anything for it.
-            return true;
-        };
-        for term in fp.set().iter() {
-            let shard = self.router.shard_of_geodab(term);
-            let node = &mut self.nodes[self.router.node_of_shard(shard)];
-            if node.remove_posting(term, id) {
-                if let Some(load) = node.shard_load.get_mut(&shard) {
-                    *load -= 1;
-                    if *load == 0 {
-                        node.shard_load.remove(&shard);
-                    }
-                }
-            }
-        }
         for node in &mut self.nodes {
-            node.drop_id(id);
+            node.remove(id);
         }
         true
     }
 
-    /// Indexes a trajectory: fingerprints it once, then routes each
-    /// geodab's posting to the node owning its shard.
+    /// Indexes a trajectory: fingerprints it once, then broadcasts the
+    /// fingerprints to every node.
     pub fn insert(&mut self, id: TrajId, trajectory: &Trajectory) {
-        let fp = self.fingerprinter.normalize_and_fingerprint(trajectory);
+        let fp = Fingerprinter::new(*self.config()).normalize_and_fingerprint(trajectory);
         self.insert_fingerprints(id, fp);
     }
 
     /// Indexes a batch: trajectories are fingerprinted in parallel across
-    /// `threads` scoped worker threads, then the postings ship to the
-    /// shard nodes **concurrently** — each node applies its own slice of
-    /// the batch on its own scoped thread (node stores are disjoint, so no
-    /// lock is ever taken on the hot path). Produces exactly the same
-    /// index as repeated [`ClusterIndex::insert`] calls, including
-    /// last-occurrence-wins semantics for ids repeated within the batch.
+    /// `threads` scoped worker threads, then every node applies the
+    /// whole batch in input order on its own scoped thread (nodes are
+    /// disjoint, so no lock is ever taken). Each node sees exactly the
+    /// broadcasts repeated [`ClusterIndex::insert`] calls would send, so
+    /// the index — dense slots included — is the same, ids repeated
+    /// within the batch included.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn insert_batch_threads(&mut self, items: &[(TrajId, &Trajectory)], threads: usize) {
-        let fps = geodabs_index::batch::parallel_map(items, threads, |&(id, trajectory)| {
-            (id, self.fingerprinter.normalize_and_fingerprint(trajectory))
+        let fingerprinter = Fingerprinter::new(*self.config());
+        let batch = parallel_map(items, threads, |&(id, trajectory)| {
+            (id, fingerprinter.normalize_and_fingerprint(trajectory))
         });
-        // Repeated inserts are replace-on-reinsert, so only the *last*
-        // occurrence of an id in the batch survives; drop the others up
-        // front (in input order, like a sequential loop would resolve it).
-        let mut last_of: HashMap<TrajId, usize> = HashMap::with_capacity(fps.len());
-        for (position, &(id, _)) in fps.iter().enumerate() {
-            last_of.insert(id, position);
-        }
-        let batch: Vec<(TrajId, Fingerprints)> = fps
-            .into_iter()
-            .enumerate()
-            .filter(|(position, (id, _))| last_of[id] == *position)
-            .map(|(_, entry)| entry)
-            .collect();
-        // Scrub previous contents of re-inserted ids while the nodes are
-        // still quiescent.
-        for &(id, _) in &batch {
-            self.remove(id);
-        }
-        // Route every posting to its node up front; `item` indexes into
-        // `batch`. Per-node work lists preserve batch order, so each node
-        // interns ids in exactly the order sequential inserts would.
-        struct NodeWork {
-            /// `(term, shard, item)` posting entries owned by this node.
-            postings: Vec<(u32, u64, u32)>,
-            /// Batch items whose fingerprint replica this node stores.
-            replicas: Vec<u32>,
-        }
-        let mut work: Vec<NodeWork> = (0..self.nodes.len())
-            .map(|_| NodeWork {
-                postings: Vec::new(),
-                replicas: Vec::new(),
-            })
-            .collect();
-        for (item, (_, fp)) in batch.iter().enumerate() {
-            let item = item as u32;
-            for term in fp.set().iter() {
-                let shard = self.router.shard_of_geodab(term);
-                let node_work = &mut work[self.router.node_of_shard(shard)];
-                node_work.postings.push((term, shard, item));
-                if node_work.replicas.last() != Some(&item) {
-                    node_work.replicas.push(item);
-                }
-            }
-        }
-        // Ship concurrently: one scoped thread per node with work, each
-        // holding a disjoint `&mut NodeStore`.
+        self.broadcast(&batch);
+    }
+
+    /// Applies `batch` in input order on every node, one scoped thread
+    /// per node.
+    fn broadcast(&mut self, batch: &[(TrajId, Fingerprints)]) {
         std::thread::scope(|scope| {
-            for (node, node_work) in self.nodes.iter_mut().zip(&work) {
-                if node_work.postings.is_empty() {
-                    continue;
-                }
-                let batch = &batch;
+            for node in &mut self.nodes {
                 scope.spawn(move || {
-                    for &(term, shard, item) in &node_work.postings {
-                        node.add_posting(term, batch[item as usize].0);
-                        *node.shard_load.entry(shard).or_insert(0) += 1;
-                    }
-                    for &item in &node_work.replicas {
-                        let (id, fp) = &batch[item as usize];
-                        node.store_replica(*id, fp.clone());
+                    for (id, fp) in batch {
+                        node.insert_shared(*id, fp);
                     }
                 });
             }
         });
-        for &(id, _) in &batch {
-            self.indexed.insert(id);
-        }
+        self.indexed.extend(batch.iter().map(|&(id, _)| id));
     }
 
-    /// Routes pre-computed fingerprints to the nodes owning their shards.
-    /// Re-inserting an existing id replaces its previous fingerprints.
+    /// Broadcasts pre-computed fingerprints to every node; each keeps
+    /// the postings routed to it. Re-inserting an existing id replaces
+    /// its previous fingerprints.
     pub fn insert_fingerprints(&mut self, id: TrajId, fp: Fingerprints) {
-        self.remove(id);
-        let mut touched: Vec<usize> = Vec::new();
-        for term in fp.set().iter() {
-            let shard = self.router.shard_of_geodab(term);
-            let node_idx = self.router.node_of_shard(shard);
-            let node = &mut self.nodes[node_idx];
-            node.add_posting(term, id);
-            *node.shard_load.entry(shard).or_insert(0) += 1;
-            if !touched.contains(&node_idx) {
-                touched.push(node_idx);
-            }
-        }
-        for node_idx in touched {
-            self.nodes[node_idx].store_replica(id, fp.clone());
+        for node in &mut self.nodes {
+            node.insert_shared(id, &fp);
         }
         self.indexed.insert(id);
     }
@@ -463,7 +210,7 @@ impl ClusterIndex {
         query: &Trajectory,
         options: &SearchOptions,
     ) -> (Vec<SearchResult>, QueryStats) {
-        let query_fp = self.fingerprinter.normalize_and_fingerprint(query);
+        let query_fp = Fingerprinter::new(*self.config()).normalize_and_fingerprint(query);
         self.search_fingerprints_with_stats(&query_fp, options)
     }
 
@@ -477,10 +224,10 @@ impl ClusterIndex {
         options: &SearchOptions,
     ) -> (Vec<SearchResult>, QueryStats) {
         let mut stats = QueryStats::default();
-        let Ok(merged) = scatter_gather(&self.router, query_fp, options, |shards, node_ids| {
+        let Ok(merged) = scatter_gather(self.router(), query_fp, options, |shards, node_ids| {
             stats.shards_contacted = shards.len();
             stats.nodes_contacted = node_ids.len();
-            let leg = |&ni: &usize| self.nodes[ni].score(&self.router, ni, query_fp, options);
+            let leg = |&ni: &usize| self.nodes[ni].score(query_fp, options);
             let mut partials = Vec::with_capacity(node_ids.len());
             if let Some((first, rest)) = node_ids.split_first() {
                 // The first contacted node — for a city-scale query the
@@ -519,73 +266,81 @@ impl ClusterIndex {
         self.search_fingerprints_with_stats(query_fp, options).0
     }
 
-    /// Re-routes every shard onto a different node count, migrating
-    /// posting lists and fingerprint replicas — the elastic version of
-    /// the `node = shard mod n` assignment. Queries before and after
-    /// resizing return identical results; only placement changes.
+    /// Re-routes every shard onto a different node count — the elastic
+    /// version of the `node = shard mod n` assignment. The new nodes are
+    /// built fresh by broadcasting each trajectory's replica once, in
+    /// ascending id order. Queries before and after resizing return
+    /// identical results; only placement changes.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterConfigError::NoNodes`] if `num_nodes` is zero.
     pub fn resize(&mut self, num_nodes: usize) -> Result<(), ClusterConfigError> {
-        let new_router = ShardRouter::new(
-            self.router.prefix_bits(),
-            self.router.num_shards(),
-            num_nodes,
-        )?;
-        let mut new_nodes = vec![NodeStore::default(); num_nodes];
-        for node in self.nodes.drain(..) {
-            let NodeStore {
-                postings,
-                interner,
-                replicas,
-                ..
-            } = node;
-            for (term, list) in postings {
-                let shard = new_router.shard_of_geodab(term);
-                let target = &mut new_nodes[new_router.node_of_shard(shard)];
-                for dense in list.iter() {
-                    let id = interner.resolve(dense);
-                    let target_dense = target.interner.intern(id);
-                    if target
-                        .postings
-                        .entry(term)
-                        .or_default()
-                        .insert(target_dense)
-                    {
-                        *target.shard_load.entry(shard).or_insert(0) += 1;
-                        // The fingerprint replica follows its postings.
-                        if !matches!(target.replicas.get(target_dense as usize), Some(Some(_))) {
-                            let replica = replicas[dense as usize]
-                                .clone()
-                                .expect("posting entries reference live replicas");
-                            target.store_replica_at(target_dense, replica);
-                        }
-                    }
-                }
-            }
-        }
-        self.router = new_router;
-        self.nodes = new_nodes;
+        let mut resized = ClusterIndex::new(*self.config(), self.router().num_shards(), num_nodes)?;
+        let replicas: BTreeMap<TrajId, &Fingerprints> =
+            self.nodes.iter().flat_map(ShardNode::replicas).collect();
+        let batch: Vec<(TrajId, Fingerprints)> = replicas
+            .into_iter()
+            .map(|(id, fp)| (id, fp.clone()))
+            .collect();
+        resized.broadcast(&batch);
+        resized.indexed = std::mem::take(&mut self.indexed);
+        *self = resized;
         Ok(())
     }
 
     /// Posting entries per node — the load balance picture of Figure 16.
     pub fn postings_per_node(&self) -> Vec<u64> {
-        self.nodes
-            .iter()
-            .map(|n| n.shard_load.values().sum())
-            .collect()
+        self.nodes.iter().map(ShardNode::posting_count).collect()
     }
 
     /// Distinct trajectories referenced per node.
     pub fn trajectories_per_node(&self) -> Vec<usize> {
-        self.nodes.iter().map(NodeStore::len).collect()
+        self.nodes.iter().map(ShardNode::len).collect()
     }
 
     /// Number of non-empty shards.
     pub fn active_shards(&self) -> usize {
-        self.nodes.iter().map(|n| n.shard_load.len()).sum()
+        self.nodes.iter().map(ShardNode::shard_count).sum()
+    }
+
+    /// Clones node `node` as a standalone [`ShardNode`] — the state a
+    /// remote shard server boots from. Its snapshot (backend tag 4) is
+    /// the per-node warm-start artifact of the distributed deployment.
+    /// Returns `None` for an out-of-range node index.
+    pub fn shard_node(&self, node: usize) -> Option<ShardNode> {
+        self.nodes.get(node).cloned()
+    }
+
+    /// Reassembles a cluster from the standalone nodes of one deployment
+    /// — the inverse of [`ClusterIndex::shard_node`] over every node.
+    /// `indexed` is the coordinator's id set, passed explicitly because
+    /// it also records ids whose fingerprint set is empty (indexed but
+    /// unreachable by any query), which no node replica remembers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is empty, if node `i`'s `node_id` is not `i`,
+    /// if the nodes disagree on config or router shape, or if a node
+    /// holds a replica for an id absent from `indexed` — all states
+    /// that cannot arise from slicing one cluster.
+    pub fn from_shard_nodes(nodes: Vec<ShardNode>, indexed: BTreeSet<TrajId>) -> ClusterIndex {
+        let first = nodes.first().expect("at least one shard node");
+        for (i, node) in nodes.iter().enumerate() {
+            assert_eq!(node.node_id(), i, "shard node out of order");
+            assert_eq!(node.config(), first.config());
+            assert_eq!(node.router(), first.router());
+            assert!(
+                node.replicas().all(|(id, _)| indexed.contains(&id)),
+                "shard node holds a replica for an unindexed id"
+            );
+        }
+        assert_eq!(
+            first.router().num_nodes(),
+            nodes.len(),
+            "one slice per node"
+        );
+        ClusterIndex { nodes, indexed }
     }
 }
 
@@ -619,8 +374,7 @@ impl TrajectoryIndex for ClusterIndex {
         I: IntoIterator<Item = (TrajId, &'a Trajectory)>,
     {
         let items: Vec<(TrajId, &Trajectory)> = items.into_iter().collect();
-        let threads = geodabs_index::batch::default_threads();
-        ClusterIndex::insert_batch_threads(self, &items, threads);
+        ClusterIndex::insert_batch_threads(self, &items, default_threads());
     }
 }
 
@@ -628,6 +382,7 @@ impl TrajectoryIndex for ClusterIndex {
 mod tests {
     use super::*;
     use geodabs_geo::Point;
+    use geodabs_index::store::Persist;
     use geodabs_index::{GeodabIndex, TrajectoryIndex};
 
     fn start() -> Point {
@@ -666,21 +421,26 @@ mod tests {
             eastward(40, 5_000.0),
             eastward(60, 1_000.0),
             eastward(50, 2_000.0),
+            eastward(45, 3_000.0),
         ];
+        // Id 1 repeats: its second occurrence replaces the first, and
+        // must land in the dense slot a sequential re-insert recycles.
+        let ids = [0u32, 1, 2, 3, 4, 1].map(TrajId::new);
         let mut sequential = ClusterIndex::new(GeodabConfig::default(), 10_000, 10).unwrap();
-        for (i, t) in trajectories.iter().enumerate() {
-            sequential.insert(TrajId::new(i as u32), t);
+        for (&id, t) in ids.iter().zip(&trajectories) {
+            sequential.insert(id, t);
         }
-        let items: Vec<(TrajId, &Trajectory)> = trajectories
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TrajId::new(i as u32), t))
-            .collect();
+        let items: Vec<(TrajId, &Trajectory)> = ids.into_iter().zip(&trajectories).collect();
         for threads in [1usize, 2, 4] {
             let mut batched = ClusterIndex::new(GeodabConfig::default(), 10_000, 10).unwrap();
             batched.insert_batch_threads(&items, threads);
             assert_eq!(batched.len(), sequential.len());
             assert_eq!(batched.postings_per_node(), sequential.postings_per_node());
+            assert_eq!(
+                batched.to_snapshot(),
+                sequential.to_snapshot(),
+                "{threads} threads"
+            );
             for t in &trajectories {
                 assert_eq!(
                     batched.search(t, &SearchOptions::default()),

@@ -10,16 +10,21 @@
 //!
 //! * [`ShardRouter`] — the two pure mapping functions
 //!   `shard = ⌊geohash / 2^depth · s⌋` and `node = shard mod n`,
-//! * [`ClusterIndex`] — a simulated cluster of per-node posting stores
-//!   (roaring bitmaps over node-locally interned ids) with fan-out ranked
-//!   queries: every contacted node counts overlaps over its local
-//!   postings on the query engine's accumulator and scores its candidates
-//!   into a bounded top-k heap (the first on the calling thread, further
-//!   ones on scoped threads), and the coordinator merges the per-shard
-//!   heaps into the exact global ranking,
-//! * [`ShardNode`] — one node's slice of the index hosted standalone,
-//!   the state a remote shard server boots from in the distributed
-//!   deployment (its per-shard heaps merge exactly via [`merge_heaps`]),
+//! * [`ShardNode`] — one node's store: the posting lists of the terms
+//!   routed to it plus the full fingerprint replica of every trajectory
+//!   they reference. Every mutation is a broadcast of a trajectory's full
+//!   fingerprints that the node filters down to its own terms; it is the
+//!   only code that places or scrubs a posting. Queries score the
+//!   node-local candidates on the query engine's accumulator into a
+//!   bounded top-k heap (per-shard heaps merge exactly via
+//!   [`merge_heaps`]). A remote shard server hosts one standalone,
+//! * [`ClusterIndex`] — a simulated cluster: a coordinator over one
+//!   [`ShardNode`] per node plus the indexed id set. Mutations broadcast
+//!   to every node (a batch runs one scoped thread per node, each
+//!   applying the whole batch in input order); queries fan out to the
+//!   nodes owning the query's terms (the first on the calling thread,
+//!   further ones on scoped threads) and the coordinator merges the
+//!   per-shard heaps into the exact global ranking via [`scatter_gather`],
 //! * [`balance`] — balance statistics over shard/node assignments.
 //!
 //! # Examples

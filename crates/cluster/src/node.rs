@@ -1,13 +1,16 @@
-//! A standalone shard node: one [`ClusterIndex`] node's slice of the
-//! index, hosted on its own — the state a remote **shard server**
-//! carries in the distributed deployment.
+//! One shard node: the per-node store of the sharded index. A
+//! [`ClusterIndex`](crate::ClusterIndex) is a coordinator over one [`ShardNode`] per node;
+//! a remote **shard server** hosts one on its own in the distributed
+//! deployment.
 //!
-//! A [`ShardNode`] holds exactly what a [`NodeStore`] inside a
-//! [`ClusterIndex`] holds: the posting lists of every term routed to
-//! this node, plus — per node-local dense slot — the **full**
-//! fingerprint replica of every trajectory those postings reference and
-//! its size `|B|`. Keeping the full replica (not the routed subset) is
-//! what makes per-shard scoring exact. A node counts overlaps
+//! A [`ShardNode`] holds the posting lists of every term routed to this
+//! node, plus — per node-local dense slot — the **full** fingerprint
+//! replica of every trajectory those postings reference and its size
+//! `|B|`. Every mutation is a broadcast of a trajectory's full
+//! fingerprints: the node keeps only the postings routed to it, and the
+//! replica iff at least one landed. This type is the only code that
+//! places or scrubs a posting. Keeping the full replica (not the routed
+//! subset) is what makes per-shard scoring exact. A node counts overlaps
 //! term-at-a-time over its local posting lists on the query engine's
 //! per-thread accumulator ([`geodabs_index::engine::for_each_overlap`];
 //! 4 B × slot capacity, retained by each searching thread): a query term
@@ -32,32 +35,50 @@
 //! ```
 
 use geodabs_core::{Fingerprinter, Fingerprints, GeodabConfig};
-use geodabs_index::codec::{read_sequences, write_sequences};
+use geodabs_index::batch::{default_threads, parallel_map};
+use geodabs_index::codec::{read_postings, write_postings};
+use geodabs_index::engine::{for_each_overlap, IdInterner, TopK};
 use geodabs_index::store::{
     node_section_id, BackendKind, Cursor, Persist, SnapshotError, SnapshotReader, SnapshotWriter,
-    MAX_NODE_SECTIONS, SEC_CONFIG, SEC_FINGERPRINTS,
+    SEC_CONFIG, SEC_FINGERPRINTS,
 };
 use geodabs_index::{SearchOptions, SearchResult, TrajectoryIndex};
+use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::{TrajId, Trajectory};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
-use crate::cluster::NodeStore;
-use crate::snapshot::{decode_node, encode_node};
-use crate::{ClusterConfigError, ClusterIndex, ShardRouter};
+use crate::snapshot::{decode_conf, decode_fingerprints, encode_conf, encode_fingerprints};
+use crate::{ClusterConfigError, ShardRouter};
 
-/// One cluster node hosted standalone, as a remote shard server does.
+/// One cluster node: the posting lists of the terms routed to it plus
+/// the full fingerprints of every trajectory those postings reference
+/// (the paper stores "a reference to the trajectory bitmap" in each
+/// posting entry; replication per referencing node is the shared-nothing
+/// equivalent).
 ///
 /// Mutations take the **full** fingerprint sequence of a trajectory
-/// (the frontend broadcasts it to every shard) and keep only the
-/// locally routed postings — plus the full replica whenever at least
-/// one posting lands here. Queries score the node-local candidates into
-/// a bounded top-k heap, the per-shard partial the frontend merges.
+/// (the coordinator or frontend broadcasts it to every node) and keep
+/// only the locally routed postings — plus the full replica whenever at
+/// least one posting lands here. Queries score the node-local candidates
+/// into a bounded top-k heap, the per-shard partial the coordinator
+/// merges.
 #[derive(Debug, Clone)]
 pub struct ShardNode {
     fingerprinter: Fingerprinter,
     router: ShardRouter,
     node_id: usize,
-    store: NodeStore,
+    /// Posting lists of this node's terms, as roaring bitmaps of dense
+    /// (node-locally interned) trajectory slots.
+    postings: HashMap<u32, RoaringBitmap>,
+    /// The node's `TrajId ↔ dense` interning table.
+    interner: IdInterner,
+    /// `replicas[dense]` is the full fingerprint replica of the
+    /// trajectory in that slot (`None` while the slot is vacant).
+    replicas: Vec<Option<Fingerprints>>,
+    /// `set_sizes[dense]` is `|B|`, the distinct-term count of that
+    /// replica (stale for vacant slots) — all scoring needs of it unless
+    /// the query has terms on other nodes.
+    set_sizes: Vec<u32>,
 }
 
 impl ShardNode {
@@ -78,12 +99,20 @@ impl ShardNode {
         if node_id >= num_nodes {
             return Err(ClusterConfigError::NodeIdOutOfRange { node_id, num_nodes });
         }
-        Ok(ShardNode {
+        Ok(ShardNode::empty(config, router, node_id))
+    }
+
+    /// The empty node `node_id` of `router`'s cluster.
+    pub(crate) fn empty(config: GeodabConfig, router: ShardRouter, node_id: usize) -> ShardNode {
+        ShardNode {
             fingerprinter: Fingerprinter::new(config),
             router,
             node_id,
-            store: NodeStore::default(),
-        })
+            postings: HashMap::new(),
+            interner: IdInterner::new(),
+            replicas: Vec::new(),
+            set_sizes: Vec::new(),
+        }
     }
 
     /// The shard router in use (shared verbatim by every node and the
@@ -104,29 +133,76 @@ impl ShardNode {
 
     /// Distinct terms with a posting list on this node.
     pub fn term_count(&self) -> usize {
-        self.store.postings.len()
+        self.postings.len()
     }
 
-    /// Applies an insert broadcast from the frontend: `fp` is the
-    /// trajectory's **full** fingerprint sequence; postings are kept
-    /// only for terms routed here, and the full replica is stored iff
-    /// at least one posting landed. Replace-on-reinsert, like
-    /// [`ClusterIndex::insert_fingerprints`].
+    /// Applies an insert broadcast: `fp` is the trajectory's **full**
+    /// fingerprint sequence; postings are kept only for terms routed
+    /// here, and the full replica is stored iff at least one posting
+    /// landed. Re-inserting an existing id replaces it.
     pub fn insert_fingerprints(&mut self, id: TrajId, fp: Fingerprints) {
+        if let Some(dense) = self.place(id, &fp) {
+            self.store_replica(dense, fp);
+        }
+    }
+
+    /// [`ShardNode::insert_fingerprints`] from a broadcast shared with
+    /// the other nodes: the replica is cloned only if a posting lands.
+    pub(crate) fn insert_shared(&mut self, id: TrajId, fp: &Fingerprints) {
+        if let Some(dense) = self.place(id, fp) {
+            self.store_replica(dense, fp.clone());
+        }
+    }
+
+    /// Replaces `id`'s postings here by those of the terms of `fp` this
+    /// node owns; returns `id`'s dense slot iff at least one landed.
+    fn place(&mut self, id: TrajId, fp: &Fingerprints) -> Option<u32> {
         self.remove(id);
-        let mut touched = false;
+        let mut dense = None;
         for term in fp.set().iter() {
-            let shard = self.router.shard_of_geodab(term);
-            if self.router.node_of_shard(shard) != self.node_id {
+            if !self.owns(term) {
                 continue;
             }
-            self.store.add_posting(term, id);
-            *self.store.shard_load.entry(shard).or_insert(0) += 1;
-            touched = true;
+            let slot = *dense.get_or_insert_with(|| self.interner.intern(id));
+            let newly = self.postings.entry(term).or_default().insert(slot);
+            debug_assert!(newly, "remove() scrubbed this id");
         }
-        if touched {
-            self.store.store_replica(id, fp);
+        dense
+    }
+
+    /// Whether the router places `term`'s posting list on this node.
+    fn owns(&self, term: u32) -> bool {
+        self.router.node_of_geodab(term) == self.node_id
+    }
+
+    fn store_replica(&mut self, dense: u32, fp: Fingerprints) {
+        let slot = dense as usize;
+        if self.replicas.len() <= slot {
+            self.replicas.resize(slot + 1, None);
+            self.set_sizes.resize(slot + 1, 0);
         }
+        self.set_sizes[slot] = fp.distinct_len() as u32;
+        self.replicas[slot] = Some(fp);
+    }
+
+    /// `(id, replica)` of every trajectory held here, by dense slot.
+    pub(crate) fn replicas(&self) -> impl Iterator<Item = (TrajId, &Fingerprints)> {
+        self.replicas
+            .iter()
+            .enumerate()
+            .filter_map(|(dense, fp)| Some((self.interner.resolve(dense as u32), fp.as_ref()?)))
+    }
+
+    /// Posting entries held here.
+    pub(crate) fn posting_count(&self) -> u64 {
+        self.postings.values().map(RoaringBitmap::len).sum()
+    }
+
+    /// Distinct shards with at least one posting here.
+    pub(crate) fn shard_count(&self) -> usize {
+        self.router
+            .shards_for_terms(self.postings.keys().copied())
+            .len()
     }
 
     /// Node-local ranked scoring from the query's full fingerprints:
@@ -140,9 +216,128 @@ impl ShardNode {
         query_fp: &Fingerprints,
         options: &SearchOptions,
     ) -> Vec<SearchResult> {
-        self.store
-            .score(&self.router, self.node_id, query_fp, options)
-            .0
+        self.score(query_fp, options).0
+    }
+
+    /// [`ShardNode::search_fingerprints`] plus the number of candidates
+    /// scored.
+    ///
+    /// The distances are exact against each candidate's **full**
+    /// fingerprints `B`, not the routed subset: a query term with a
+    /// posting list here is in `B` iff the candidate is on that list
+    /// (this node holds every posting of the terms it owns); a term this
+    /// node owns without a list is in no `B`; and a term owned by
+    /// another node — *foreign*, only when the query spans nodes — is
+    /// looked up in the candidate's replica. The counts sum to `|A ∩ B|`,
+    /// and `δ = 1 − ov / (|A| + |B| − ov)` with `|B|` read per slot.
+    pub(crate) fn score(
+        &self,
+        query_fp: &Fingerprints,
+        options: &SearchOptions,
+    ) -> (Vec<SearchResult>, usize) {
+        let mut local: Vec<&RoaringBitmap> = Vec::new();
+        let mut foreign: Vec<u32> = Vec::new();
+        for term in query_fp.set().iter() {
+            match self.postings.get(&term) {
+                Some(list) => local.push(list),
+                None if !self.owns(term) => foreign.push(term),
+                None => {}
+            }
+        }
+        let qa = query_fp.distinct_len();
+        let mut scored = 0usize;
+        let mut topk = TopK::new(options);
+        for_each_overlap(self.interner.capacity(), local, |dense, count| {
+            scored += 1;
+            let mut ov = count as u64;
+            if !foreign.is_empty() {
+                let replica = self.replicas[dense as usize]
+                    .as_ref()
+                    .expect("posting entries reference live replicas")
+                    .set();
+                ov += foreign.iter().filter(|&&t| replica.contains(t)).count() as u64;
+            }
+            let b = self.set_sizes[dense as usize] as u64;
+            topk.push(SearchResult {
+                id: self.interner.resolve(dense),
+                distance: 1.0 - ov as f64 / (qa + b - ov) as f64,
+            });
+        });
+        (topk.into_sorted(), scored)
+    }
+
+    /// This node's snapshot segment: the interning table and the
+    /// posting lists (the replicas travel once per container, in
+    /// `FPRS`).
+    pub(crate) fn encode_segment(&self) -> Vec<u8> {
+        let live = self.interner.live_slots();
+        let mut out = Vec::with_capacity(12 + 8 * live.len());
+        out.extend_from_slice(&(self.interner.capacity() as u32).to_le_bytes());
+        out.extend_from_slice(&(live.len() as u32).to_le_bytes());
+        for &(dense, id) in &live {
+            out.extend_from_slice(&dense.to_le_bytes());
+            out.extend_from_slice(&id.raw().to_le_bytes());
+        }
+        let mut postings: Vec<(u32, &RoaringBitmap)> = self
+            .postings
+            .iter()
+            .map(|(&term, list)| (term, list))
+            .collect();
+        postings.sort_unstable_by_key(|&(term, _)| term);
+        write_postings(&mut out, &postings);
+        out
+    }
+
+    /// Materializes node `node_id` of `router`'s cluster from its
+    /// snapshot segment, each live slot's replica taken from `fps`.
+    pub(crate) fn decode_segment(
+        config: GeodabConfig,
+        router: ShardRouter,
+        node_id: usize,
+        payload: &[u8],
+        fps: &HashMap<TrajId, Fingerprints>,
+    ) -> Result<ShardNode, SnapshotError> {
+        let mut node = ShardNode::empty(config, router, node_id);
+        let mut cursor = Cursor::new(payload);
+        let capacity = cursor.u32()?;
+        let live_count = cursor.u32()? as usize;
+        let mut live = Vec::with_capacity(live_count.min(cursor.remaining() / 8));
+        for _ in 0..live_count {
+            let dense = cursor.u32()?;
+            let id = TrajId::new(cursor.u32()?);
+            live.push((dense, id));
+        }
+        node.interner =
+            IdInterner::from_live_slots(capacity, &live).map_err(SnapshotError::Corrupt)?;
+        for &(dense, id) in &live {
+            let Some(fp) = fps.get(&id) else {
+                return Err(SnapshotError::Corrupt(
+                    "node references unknown fingerprints",
+                ));
+            };
+            node.store_replica(dense, fp.clone());
+        }
+        let live_bitmap: RoaringBitmap = live.iter().map(|&(dense, _)| dense).collect();
+        let posting_lists = read_postings::<u32>(&mut cursor)?;
+        cursor.expect_end()?;
+        node.postings.reserve(posting_lists.len());
+        for (term, list) in posting_lists {
+            if list.is_empty() {
+                return Err(SnapshotError::Corrupt("empty posting list"));
+            }
+            // Count the live overlap without materializing the
+            // intersection: every posting entry must be a live slot.
+            if list.intersection_len(&live_bitmap) != list.len() {
+                return Err(SnapshotError::Corrupt("posting references a vacant slot"));
+            }
+            if !node.owns(term) {
+                return Err(SnapshotError::Corrupt("posting routed to the wrong node"));
+            }
+            // Ascending-term order (checked by the reader) rules out
+            // duplicates, so this insert never replaces.
+            node.postings.insert(term, list);
+        }
+        Ok(node)
     }
 }
 
@@ -157,29 +352,25 @@ impl TrajectoryIndex for ShardNode {
         self.insert_fingerprints(id, fp);
     }
 
-    /// Applies a remove broadcast from the frontend; returns whether
-    /// this node held anything for `id`. The local replica names
-    /// exactly the posting lists to scrub — no coordinator bookkeeping
-    /// is needed.
+    /// Applies a remove broadcast; returns whether this node held
+    /// anything for `id`. The local replica names exactly the posting
+    /// lists to scrub — no coordinator bookkeeping is needed.
     fn remove(&mut self, id: TrajId) -> bool {
-        let Some(fp) = self.store.take_replica(id) else {
+        let Some(dense) = self.interner.release(id) else {
             return false;
         };
+        let fp = self.replicas[dense as usize]
+            .take()
+            .expect("an interned id holds its replica");
+        // Only terms this node owns have a list here.
         for term in fp.set().iter() {
-            let shard = self.router.shard_of_geodab(term);
-            if self.router.node_of_shard(shard) != self.node_id {
-                continue;
-            }
-            if self.store.remove_posting(term, id) {
-                if let Some(load) = self.store.shard_load.get_mut(&shard) {
-                    *load -= 1;
-                    if *load == 0 {
-                        self.store.shard_load.remove(&shard);
-                    }
+            if let Some(list) = self.postings.get_mut(&term) {
+                list.remove(dense);
+                if list.is_empty() {
+                    self.postings.remove(&term);
                 }
             }
         }
-        self.store.drop_id(id);
         true
     }
 
@@ -192,71 +383,31 @@ impl TrajectoryIndex for ShardNode {
 
     /// Distinct trajectories referenced by this node's postings.
     fn len(&self) -> usize {
-        self.store.len()
+        self.interner.len()
     }
 
     /// The ids holding a replica on this node, ascending.
     fn ids(&self) -> impl Iterator<Item = TrajId> + '_ {
-        let mut ids: Vec<TrajId> = self.store.replicas().map(|(id, _)| id).collect();
+        let mut ids: Vec<TrajId> = self.replicas().map(|(id, _)| id).collect();
         ids.sort_unstable();
         ids.into_iter()
     }
-}
 
-impl ClusterIndex {
-    /// Clones node `node`'s slice of this cluster as a standalone
-    /// [`ShardNode`] — the state a remote shard server boots from. Its
-    /// snapshot (backend tag 4) is the per-node warm-start artifact of
-    /// the distributed deployment. Returns `None` for an out-of-range
-    /// node index.
-    pub fn shard_node(&self, node: usize) -> Option<ShardNode> {
-        let store = self.nodes.get(node)?.clone();
-        Some(ShardNode {
-            fingerprinter: self.fingerprinter,
-            router: self.router,
-            node_id: node,
-            store,
-        })
-    }
-
-    /// Reassembles a cluster from the standalone node slices of one
-    /// deployment — the inverse of [`ClusterIndex::shard_node`] over
-    /// every node. `indexed` is the coordinator's id set, passed
-    /// explicitly because it also records ids whose fingerprint set is
-    /// empty (indexed but unreachable by any query), which no node
-    /// replica remembers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is empty, if node `i`'s `node_id` is not `i`,
-    /// if the nodes disagree on config or router shape, or if a node
-    /// holds a replica for an id absent from `indexed` — all states
-    /// that cannot arise from slicing one cluster.
-    pub fn from_shard_nodes(nodes: Vec<ShardNode>, indexed: BTreeSet<TrajId>) -> ClusterIndex {
-        let first = nodes.first().expect("at least one shard node");
-        let fingerprinter = first.fingerprinter;
-        let router = first.router;
-        let stores: Vec<NodeStore> = nodes
-            .into_iter()
-            .enumerate()
-            .map(|(i, node)| {
-                assert_eq!(node.node_id, i, "shard node out of order");
-                assert_eq!(node.fingerprinter.config(), fingerprinter.config());
-                assert_eq!(node.router.num_shards(), router.num_shards());
-                assert_eq!(node.router.num_nodes(), router.num_nodes());
-                assert!(
-                    node.store.replicas().all(|(id, _)| indexed.contains(&id)),
-                    "shard node holds a replica for an unindexed id"
-                );
-                node.store
-            })
-            .collect();
-        assert_eq!(router.num_nodes(), stores.len(), "one slice per node");
-        ClusterIndex {
-            fingerprinter,
-            router,
-            nodes: stores,
-            indexed,
+    /// Ingests a corpus directly: fingerprints it across worker threads,
+    /// then applies it in input order — the same per-node apply a
+    /// [`ClusterIndex`](crate::ClusterIndex) batch runs, so the node ends up byte-identical
+    /// to the matching [`ClusterIndex::shard_node`](crate::ClusterIndex::shard_node) slice.
+    fn insert_batch<'a, I>(&mut self, items: I)
+    where
+        I: IntoIterator<Item = (TrajId, &'a Trajectory)>,
+    {
+        let items: Vec<(TrajId, &Trajectory)> = items.into_iter().collect();
+        let fingerprinter = self.fingerprinter;
+        let batch = parallel_map(&items, default_threads(), |&(id, trajectory)| {
+            (id, fingerprinter.normalize_and_fingerprint(trajectory))
+        });
+        for (id, fp) in batch {
+            self.insert_fingerprints(id, fp);
         }
     }
 }
@@ -264,28 +415,11 @@ impl ClusterIndex {
 impl Persist for ShardNode {
     fn to_snapshot(&self) -> Vec<u8> {
         let mut writer = SnapshotWriter::new(BackendKind::Node);
-
-        let cfg = self.fingerprinter.config();
-        let mut conf = Vec::with_capacity(26);
-        conf.push(cfg.normalization_depth());
-        conf.push(cfg.prefix_bits());
-        conf.extend_from_slice(&(cfg.k() as u32).to_le_bytes());
-        conf.extend_from_slice(&(cfg.t() as u32).to_le_bytes());
-        conf.extend_from_slice(&self.router.num_shards().to_le_bytes());
-        conf.extend_from_slice(&(self.router.num_nodes() as u32).to_le_bytes());
+        let mut conf = encode_conf(self.config(), &self.router);
         conf.extend_from_slice(&(self.node_id as u32).to_le_bytes());
         writer.section(SEC_CONFIG, conf);
-
-        let replicas: BTreeMap<TrajId, &Fingerprints> = self.store.replicas().collect();
-        let records: Vec<(TrajId, &[u32])> = replicas
-            .into_iter()
-            .map(|(id, fp)| (id, fp.ordered()))
-            .collect();
-        let mut fprs = Vec::new();
-        write_sequences(&mut fprs, &records);
-        writer.section(SEC_FINGERPRINTS, fprs);
-
-        writer.section(node_section_id(0), encode_node(&self.store));
+        writer.section(SEC_FINGERPRINTS, encode_fingerprints(self.replicas()));
+        writer.section(node_section_id(0), self.encode_segment());
         writer.finish()
     }
 
@@ -294,51 +428,31 @@ impl Persist for ShardNode {
         reader.expect_backend(BackendKind::Node)?;
 
         let mut conf = Cursor::new(reader.section(SEC_CONFIG)?);
-        let depth = conf.u8()?;
-        let prefix = conf.u8()?;
-        let k = conf.u32()? as usize;
-        let t = conf.u32()? as usize;
-        let num_shards = conf.u64()?;
-        let num_nodes = conf.u32()? as usize;
+        let (config, router) = decode_conf(&mut conf)?;
         let node_id = conf.u32()? as usize;
         conf.expect_end()?;
-        let config =
-            GeodabConfig::new(depth, k, t, prefix).map_err(SnapshotError::InvalidConfig)?;
-        if num_nodes == 0 || num_nodes > MAX_NODE_SECTIONS {
-            return Err(SnapshotError::Corrupt("node count out of range"));
-        }
-        if node_id >= num_nodes {
+        if node_id >= router.num_nodes() {
             return Err(SnapshotError::Corrupt("node id out of range"));
         }
-        let router = ShardRouter::new(config.prefix_bits(), num_shards, num_nodes)
-            .map_err(|_| SnapshotError::Corrupt("invalid router configuration"))?;
-
-        let mut replicas: HashMap<TrajId, Fingerprints> = HashMap::new();
-        for (id, ordered) in read_sequences::<u32>(reader.section(SEC_FINGERPRINTS)?)? {
-            replicas.insert(id, Fingerprints::from_ordered(ordered));
-        }
-
-        let store = decode_node(
-            reader.section(node_section_id(0))?,
-            node_id,
-            &router,
-            &replicas,
-        )?;
-        if store.len() != replicas.len() {
-            return Err(SnapshotError::Corrupt("fingerprints for an unindexed id"));
-        }
-        Ok(ShardNode {
-            fingerprinter: Fingerprinter::new(config),
+        let replicas = decode_fingerprints(reader.section(SEC_FINGERPRINTS)?)?;
+        let node = ShardNode::decode_segment(
+            config,
             router,
             node_id,
-            store,
-        })
+            reader.section(node_section_id(0))?,
+            &replicas,
+        )?;
+        if node.len() != replicas.len() {
+            return Err(SnapshotError::Corrupt("fingerprints for an unindexed id"));
+        }
+        Ok(node)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ClusterIndex;
     use geodabs_geo::Point;
 
     fn eastward(n: usize, offset_m: f64) -> Trajectory {
@@ -450,6 +564,39 @@ mod tests {
             let merged =
                 crate::merge_heaps(nodes.iter().map(|n| n.search(&query, &options)), &options);
             assert_eq!(merged, cluster.search(&query, &options));
+        }
+        for (i, node) in nodes.iter().enumerate() {
+            assert_eq!(
+                node.to_snapshot(),
+                cluster.shard_node(i).unwrap().to_snapshot(),
+                "node {i}"
+            );
+        }
+    }
+
+    /// A shard server ingesting the whole corpus itself ends up
+    /// byte-identical to its slice of a cluster built from that corpus.
+    #[test]
+    fn batch_ingest_equals_the_cluster_slice() {
+        let trajectories = [
+            eastward(40, 0.0),
+            eastward(40, 0.0).reversed(),
+            eastward(40, 20_000.0),
+            eastward(60, 400_000.0),
+            eastward(45, 600.0),
+        ];
+        let ids = [3u32, 1, 4, 1, 5].map(TrajId::new);
+        let items: Vec<(TrajId, &Trajectory)> = ids.into_iter().zip(&trajectories).collect();
+        let mut cluster = ClusterIndex::new(GeodabConfig::default(), 10_000, 3).unwrap();
+        cluster.insert_batch(items.clone());
+        for i in 0..3 {
+            let mut node = ShardNode::new(GeodabConfig::default(), 10_000, 3, i).unwrap();
+            node.insert_batch(items.clone());
+            assert_eq!(
+                node.to_snapshot(),
+                cluster.shard_node(i).unwrap().to_snapshot(),
+                "node {i}"
+            );
         }
     }
 

@@ -1,5 +1,7 @@
 //! Cluster snapshots: the `GDAB` v2 implementation of
-//! [`Persist`] for [`ClusterIndex`].
+//! [`Persist`] for [`ClusterIndex`], plus the `CONF` and `FPRS`
+//! encodings it shares with the standalone [`crate::ShardNode`]
+//! snapshot.
 //!
 //! A cluster snapshot is a **manifest plus per-node segments** in one
 //! container (backend tag 3):
@@ -19,15 +21,13 @@
 //! Node segments are independent byte strings, so they are serialized
 //! **and** deserialized concurrently via
 //! [`geodabs_index::batch::parallel_map`] — a cold-starting shard server
-//! materializes all of its nodes in parallel. Derived per-node state that
-//! is cheap to recompute (shard load accounting, fingerprint replica
-//! maps) is rebuilt from the router and the global fingerprint table on
-//! load rather than stored.
+//! materializes all of its nodes in parallel. Each node's replicas are
+//! resolved from the global fingerprint table on load rather than
+//! stored per node.
 
-use geodabs_core::Fingerprints;
+use geodabs_core::{Fingerprints, GeodabConfig};
 use geodabs_index::batch::{self, parallel_map};
-use geodabs_index::codec::{read_postings, read_sequences, write_postings, write_sequences};
-use geodabs_index::engine::IdInterner;
+use geodabs_index::codec::{read_sequences, write_sequences};
 use geodabs_index::store::{
     node_section_id, BackendKind, Cursor, Persist, SnapshotError, SnapshotReader, SnapshotWriter,
     MAX_NODE_SECTIONS, SEC_CONFIG, SEC_FINGERPRINTS, SEC_IDSET,
@@ -36,115 +36,83 @@ use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::TrajId;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::cluster::NodeStore;
-use crate::{ClusterIndex, ShardRouter};
+use crate::{ClusterIndex, ShardNode, ShardRouter};
 
-pub(crate) fn encode_node(node: &NodeStore) -> Vec<u8> {
-    let live = node.interner.live_slots();
-    let mut out = Vec::with_capacity(12 + 8 * live.len());
-    out.extend_from_slice(&(node.interner.capacity() as u32).to_le_bytes());
-    out.extend_from_slice(&(live.len() as u32).to_le_bytes());
-    for &(dense, id) in &live {
-        out.extend_from_slice(&dense.to_le_bytes());
-        out.extend_from_slice(&id.raw().to_le_bytes());
-    }
-    let mut postings: Vec<(u32, &RoaringBitmap)> = node
-        .postings
-        .iter()
-        .map(|(&term, list)| (term, list))
-        .collect();
-    postings.sort_unstable_by_key(|&(term, _)| term);
-    write_postings(&mut out, &postings);
-    out
+/// The `CONF` fields both snapshot kinds start with.
+pub(crate) fn encode_conf(config: &GeodabConfig, router: &ShardRouter) -> Vec<u8> {
+    let mut conf = Vec::with_capacity(26);
+    conf.push(config.normalization_depth());
+    conf.push(config.prefix_bits());
+    conf.extend_from_slice(&(config.k() as u32).to_le_bytes());
+    conf.extend_from_slice(&(config.t() as u32).to_le_bytes());
+    conf.extend_from_slice(&router.num_shards().to_le_bytes());
+    conf.extend_from_slice(&(router.num_nodes() as u32).to_le_bytes());
+    conf
 }
 
-pub(crate) fn decode_node(
-    payload: &[u8],
-    node_index: usize,
-    router: &ShardRouter,
-    global_fps: &HashMap<TrajId, Fingerprints>,
-) -> Result<NodeStore, SnapshotError> {
-    let mut cursor = Cursor::new(payload);
-    let capacity = cursor.u32()?;
-    let live_count = cursor.u32()? as usize;
-    let mut live = Vec::with_capacity(live_count.min(cursor.remaining() / 8));
-    for _ in 0..live_count {
-        let dense = cursor.u32()?;
-        let id = TrajId::new(cursor.u32()?);
-        live.push((dense, id));
+/// Reads and validates what [`encode_conf`] wrote.
+pub(crate) fn decode_conf(
+    conf: &mut Cursor<'_>,
+) -> Result<(GeodabConfig, ShardRouter), SnapshotError> {
+    let depth = conf.u8()?;
+    let prefix = conf.u8()?;
+    let k = conf.u32()? as usize;
+    let t = conf.u32()? as usize;
+    let num_shards = conf.u64()?;
+    let num_nodes = conf.u32()? as usize;
+    let config = GeodabConfig::new(depth, k, t, prefix).map_err(SnapshotError::InvalidConfig)?;
+    if num_nodes == 0 || num_nodes > MAX_NODE_SECTIONS {
+        return Err(SnapshotError::Corrupt("node count out of range"));
     }
-    let interner = IdInterner::from_live_slots(capacity, &live).map_err(SnapshotError::Corrupt)?;
-    let live_bitmap: RoaringBitmap = live.iter().map(|&(dense, _)| dense).collect();
-    let mut replicas: Vec<(u32, Fingerprints)> = Vec::with_capacity(live.len());
-    for &(dense, id) in &live {
-        let Some(fp) = global_fps.get(&id) else {
-            return Err(SnapshotError::Corrupt(
-                "node references unknown fingerprints",
-            ));
-        };
-        replicas.push((dense, fp.clone()));
-    }
+    let router = ShardRouter::new(config.prefix_bits(), num_shards, num_nodes)
+        .map_err(|_| SnapshotError::Corrupt("invalid router configuration"))?;
+    Ok((config, router))
+}
 
-    let posting_lists = read_postings::<u32>(&mut cursor)?;
-    cursor.expect_end()?;
-    let mut postings: HashMap<u32, RoaringBitmap> = HashMap::with_capacity(posting_lists.len());
-    let mut shard_load: HashMap<u64, u64> = HashMap::new();
-    for (term, list) in posting_lists {
-        if list.is_empty() {
-            return Err(SnapshotError::Corrupt("empty posting list"));
-        }
-        // Count the live overlap without materializing the intersection:
-        // every posting entry must be a live slot.
-        if list.intersection_len(&live_bitmap) != list.len() {
-            return Err(SnapshotError::Corrupt("posting references a vacant slot"));
-        }
-        let shard = router.shard_of_geodab(term);
-        if router.node_of_shard(shard) != node_index {
-            return Err(SnapshotError::Corrupt("posting routed to the wrong node"));
-        }
-        *shard_load.entry(shard).or_insert(0) += list.len();
-        // Ascending-term order (checked by the reader) rules out
-        // duplicates, so this insert never replaces.
-        postings.insert(term, list);
-    }
-    Ok(NodeStore::from_parts(
-        postings, interner, replicas, shard_load,
-    ))
+/// The `FPRS` section: each distinct id's ordered fingerprints once,
+/// ascending by id.
+pub(crate) fn encode_fingerprints<'a>(
+    replicas: impl Iterator<Item = (TrajId, &'a Fingerprints)>,
+) -> Vec<u8> {
+    let unique: BTreeMap<TrajId, &Fingerprints> = replicas.collect();
+    let records: Vec<(TrajId, &[u32])> = unique
+        .into_iter()
+        .map(|(id, fp)| (id, fp.ordered()))
+        .collect();
+    let mut fprs = Vec::new();
+    write_sequences(&mut fprs, &records);
+    fprs
+}
+
+/// Reads what [`encode_fingerprints`] wrote.
+pub(crate) fn decode_fingerprints(
+    payload: &[u8],
+) -> Result<HashMap<TrajId, Fingerprints>, SnapshotError> {
+    Ok(read_sequences::<u32>(payload)?
+        .into_iter()
+        .map(|(id, ordered)| (id, Fingerprints::from_ordered(ordered)))
+        .collect())
 }
 
 impl Persist for ClusterIndex {
     fn to_snapshot(&self) -> Vec<u8> {
         let mut writer = SnapshotWriter::new(BackendKind::Cluster);
-
-        let cfg = self.fingerprinter.config();
-        let mut conf = Vec::with_capacity(22);
-        conf.push(cfg.normalization_depth());
-        conf.push(cfg.prefix_bits());
-        conf.extend_from_slice(&(cfg.k() as u32).to_le_bytes());
-        conf.extend_from_slice(&(cfg.t() as u32).to_le_bytes());
-        conf.extend_from_slice(&self.router.num_shards().to_le_bytes());
-        conf.extend_from_slice(&(self.router.num_nodes() as u32).to_le_bytes());
-        writer.section(SEC_CONFIG, conf);
+        writer.section(SEC_CONFIG, encode_conf(self.config(), self.router()));
 
         let ids: RoaringBitmap = self.indexed.iter().map(|id| id.raw()).collect();
         let mut idset = Vec::with_capacity(ids.serialized_size());
         ids.serialize_into(&mut idset);
         writer.section(SEC_IDSET, idset);
 
-        // Each replica of a trajectory's fingerprints is identical, so
-        // store the ordered sequence once, keyed by id.
-        let unique: BTreeMap<TrajId, &Fingerprints> =
-            self.nodes.iter().flat_map(NodeStore::replicas).collect();
-        let records: Vec<(TrajId, &[u32])> = unique
-            .into_iter()
-            .map(|(id, fp)| (id, fp.ordered()))
-            .collect();
-        let mut fprs = Vec::new();
-        write_sequences(&mut fprs, &records);
-        writer.section(SEC_FINGERPRINTS, fprs);
+        let replicas = self.nodes.iter().flat_map(ShardNode::replicas);
+        writer.section(SEC_FINGERPRINTS, encode_fingerprints(replicas));
 
         // Per-node segments are independent: serialize them concurrently.
-        let segments = parallel_map(&self.nodes, batch::default_threads(), encode_node);
+        let segments = parallel_map(
+            &self.nodes,
+            batch::default_threads(),
+            ShardNode::encode_segment,
+        );
         for (i, segment) in segments.into_iter().enumerate() {
             writer.section(node_section_id(i), segment);
         }
@@ -156,49 +124,32 @@ impl Persist for ClusterIndex {
         reader.expect_backend(BackendKind::Cluster)?;
 
         let mut conf = Cursor::new(reader.section(SEC_CONFIG)?);
-        let depth = conf.u8()?;
-        let prefix = conf.u8()?;
-        let k = conf.u32()? as usize;
-        let t = conf.u32()? as usize;
-        let num_shards = conf.u64()?;
-        let num_nodes = conf.u32()? as usize;
+        let (config, router) = decode_conf(&mut conf)?;
         conf.expect_end()?;
-        let config = geodabs_core::GeodabConfig::new(depth, k, t, prefix)
-            .map_err(SnapshotError::InvalidConfig)?;
-        if num_nodes == 0 || num_nodes > MAX_NODE_SECTIONS {
-            return Err(SnapshotError::Corrupt("node count out of range"));
-        }
-        let router = ShardRouter::new(config.prefix_bits(), num_shards, num_nodes)
-            .map_err(|_| SnapshotError::Corrupt("invalid router configuration"))?;
 
         let mut idset = Cursor::new(reader.section(SEC_IDSET)?);
         let indexed: BTreeSet<TrajId> = idset.bitmap()?.iter().map(TrajId::new).collect();
         idset.expect_end()?;
 
-        let mut global_fps: HashMap<TrajId, Fingerprints> = HashMap::new();
-        for (id, ordered) in read_sequences::<u32>(reader.section(SEC_FINGERPRINTS)?)? {
-            if !indexed.contains(&id) {
-                return Err(SnapshotError::Corrupt("fingerprints for an unindexed id"));
-            }
-            global_fps.insert(id, Fingerprints::from_ordered(ordered));
+        let global_fps = decode_fingerprints(reader.section(SEC_FINGERPRINTS)?)?;
+        if !global_fps.keys().all(|id| indexed.contains(id)) {
+            return Err(SnapshotError::Corrupt("fingerprints for an unindexed id"));
         }
 
-        let mut segments: Vec<(usize, &[u8])> = Vec::with_capacity(num_nodes);
-        for i in 0..num_nodes {
+        let mut segments: Vec<(usize, &[u8])> = Vec::with_capacity(router.num_nodes());
+        for i in 0..router.num_nodes() {
             segments.push((i, reader.section(node_section_id(i))?));
         }
         // Node segments are independent: materialize them concurrently.
-        let nodes: Vec<Result<NodeStore, SnapshotError>> = parallel_map(
+        let nodes: Vec<Result<ShardNode, SnapshotError>> = parallel_map(
             &segments,
             batch::default_threads(),
-            |&(node_index, payload)| decode_node(payload, node_index, &router, &global_fps),
+            |&(node_id, payload)| {
+                ShardNode::decode_segment(config, router, node_id, payload, &global_fps)
+            },
         );
-        let nodes: Vec<NodeStore> = nodes.into_iter().collect::<Result<_, _>>()?;
-
         Ok(ClusterIndex {
-            fingerprinter: geodabs_core::Fingerprinter::new(config),
-            router,
-            nodes,
+            nodes: nodes.into_iter().collect::<Result<_, _>>()?,
             indexed,
         })
     }
