@@ -10,6 +10,7 @@
 //! and measurement time to a smoke-test budget.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use geodabs_bench::crit_config;
 use geodabs_core::winnow::{winnow, winnow_streaming};
 use geodabs_core::{geodab, Fingerprinter};
 use geodabs_distance::{dfd, dtw, edr, lcss_similarity};
@@ -298,23 +299,7 @@ fn bench_generator(c: &mut Criterion) {
     });
 }
 
-/// Full-precision config by default; `CRIT_QUICK=1` shrinks the budget to
-/// a smoke test (used by the CI `kernel-smoke` step).
-fn config() -> Criterion {
-    if std::env::var_os("CRIT_QUICK").is_some() {
-        Criterion::default()
-            .sample_size(5)
-            .measurement_time(std::time::Duration::from_millis(100))
-            .warm_up_time(std::time::Duration::from_millis(10))
-    } else {
-        Criterion::default()
-            .sample_size(20)
-            .measurement_time(std::time::Duration::from_secs(2))
-            .warm_up_time(std::time::Duration::from_millis(500))
-    }
-}
-
-/// [`config`] with fewer samples: one `dataset_generate_2k` pass (16
+/// [`crit_config`] with fewer samples: one `dataset_generate_2k` pass (16
 /// corpora) takes seconds.
 fn generator_config() -> Criterion {
     let samples = if std::env::var_os("CRIT_QUICK").is_some() {
@@ -322,12 +307,12 @@ fn generator_config() -> Criterion {
     } else {
         10
     };
-    config().sample_size(samples)
+    crit_config().sample_size(samples)
 }
 
 criterion_group! {
     name = kernels_suite;
-    config = config();
+    config = crit_config();
     targets = bench_geo, bench_winnow, bench_fingerprint, bench_request_path, bench_jaccard,
         bench_distances,
         bench_intersection_ladder, bench_live_check, bench_encode

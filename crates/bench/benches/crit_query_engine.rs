@@ -20,9 +20,15 @@
 //!   `_walked` froze with 6 000 candidates, a tenth of each list: below
 //!   the ratio, so the lists are walked with the counted-only bump.
 //!
-//! Run with `cargo bench -p geodabs-bench --bench crit_query_engine`.
+//! Before any timing, the engine is checked equal to the naive ranker on
+//! every query of each corpus, under every option set it is timed with.
+//!
+//! Run with `cargo bench -p geodabs-bench --bench crit_query_engine`;
+//! `CRIT_QUICK=1` shrinks the budget to a smoke test (used by the CI
+//! `Query-engine smoke` step).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use geodabs_bench::crit_config;
 use geodabs_core::{Fingerprints, GeodabConfig};
 use geodabs_index::engine::PostingLists;
 use geodabs_index::{GeodabIndex, SearchOptions, TrajectoryIndex};
@@ -139,6 +145,16 @@ fn bench_query_engine(c: &mut Criterion) {
             ("engine_unbounded", SearchOptions::default(), engine),
             ("naive_unbounded", SearchOptions::default(), naive),
         ];
+        for (_, options, _) in cases.iter().filter(|(name, ..)| name.starts_with("engine")) {
+            for q in &queries {
+                assert_eq!(
+                    engine(&index, q, options),
+                    naive(&index, q, options),
+                    "engine diverged from naive on {} under {options:?}",
+                    shape.label
+                );
+            }
+        }
         for (name, options, ranker) in cases {
             c.bench_function(&format!("{name}_{}", shape.label), |b| {
                 let mut i = 0;
@@ -188,10 +204,7 @@ fn bench_frozen_long_lists(c: &mut Criterion) {
 
 criterion_group! {
     name = query_engine;
-    config = Criterion::default()
-        .sample_size(20)
-        .measurement_time(std::time::Duration::from_secs(2))
-        .warm_up_time(std::time::Duration::from_millis(500));
+    config = crit_config();
     targets = bench_query_engine, bench_frozen_long_lists
 }
 criterion_main!(query_engine);

@@ -120,6 +120,23 @@ pub fn ms(d: std::time::Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
+/// The budget of the `crit_*` micro-benchmarks: full precision by
+/// default; `CRIT_QUICK=1` shrinks it to a smoke test (used by the CI
+/// kernel and query-engine smoke steps).
+pub fn crit_config() -> criterion::Criterion {
+    if std::env::var_os("CRIT_QUICK").is_some() {
+        criterion::Criterion::default()
+            .sample_size(5)
+            .measurement_time(std::time::Duration::from_millis(100))
+            .warm_up_time(std::time::Duration::from_millis(10))
+    } else {
+        criterion::Criterion::default()
+            .sample_size(20)
+            .measurement_time(std::time::Duration::from_secs(2))
+            .warm_up_time(std::time::Duration::from_millis(500))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -258,9 +258,8 @@ impl ShardNode {
                 ov += foreign.iter().filter(|&&t| replica.contains(t)).count() as u64;
             }
             let b = self.set_sizes[dense as usize] as u64;
-            topk.push(SearchResult {
-                id: self.interner.resolve(dense),
-                distance: 1.0 - ov as f64 / (qa + b - ov) as f64,
+            topk.offer(1.0 - ov as f64 / (qa + b - ov) as f64, || {
+                self.interner.resolve(dense)
             });
         });
         (topk.into_sorted(), scored)

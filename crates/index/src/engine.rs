@@ -32,27 +32,42 @@
 //!
 //! Overlaps are counted in one flat `u32` array indexed by dense slot —
 //! no hashing, no per-query allocation. Each searching thread owns one
-//! such array (plus the candidate list and the two small work vectors of
-//! a search) in a thread-local: a search *takes* it, grows it to the
+//! such array (plus the candidate buffer and the two small work vectors
+//! of a search) in a thread-local: a search *takes* it, grows it to the
 //! index's slot capacity if needed, bumps counts directly, and *parks* it
-//! again after zeroing exactly the slots it touched, so the cost of a
-//! query tracks the candidates it touches, not the corpus. A search that
-//! panics never parks, and the next one starts from a fresh array — the
-//! parked array is all-zero on every path. The price is memory: **4 B ×
-//! the largest slot capacity searched, per searching thread, retained**
-//! for the thread's lifetime (400 kB at 100 000 trajectories).
+//! again all-zero, so the cost of a query tracks the candidates it
+//! touches, not the corpus. A search that panics never parks, and the
+//! next one starts from a fresh array — the parked array is all-zero on
+//! every path. The price is memory: **8 B × the largest slot capacity
+//! searched, per searching thread, retained** for the thread's lifetime
+//! — the counts plus a candidate buffer of the same length (800 kB at
+//! 100 000 trajectories).
 //!
-//! While admission is open a list is walked with `count += 1`, recording
-//! first touches. Once frozen, a list is walked with the branch-free
-//! *counted-only* bump `count += (count != 0)`, which cannot create a
-//! candidate — unless the list outnumbers the candidates by
-//! `PROBE_RATIO` (16), where testing each candidate against the list
-//! (`contains`) is cheaper than walking it. Both forms add exactly one
-//! to every candidate on the list and nothing else.
+//! While admission is open a list is walked with `count += 1` and a
+//! **branch-free first touch**: every entry is written to the slot one
+//! past the live end of the candidate buffer, and the end advances by
+//! `(count == 0)`, so a repeat touch is overwritten by the next entry
+//! instead of being skipped by an unpredictable branch. The buffer grows
+//! with the count array, one slot past the slot capacity (no search has
+//! more candidates than slots), so no search resizes it; its live length
+//! is kept apart from its length. Once frozen, a list is
+//! walked with the branch-free *counted-only* bump
+//! `count += (count != 0)`, which cannot create a candidate — unless the
+//! list outnumbers the candidates by `PROBE_RATIO` (16), where testing
+//! each candidate against the list (`contains`) is cheaper than walking
+//! it. Both forms add exactly one to every candidate on the list and
+//! nothing else.
 //!
-//! [`for_each_overlap`] runs the same counting on the same accumulator
-//! for callers that keep their own posting lists (the shard nodes of
-//! `geodabs-cluster`).
+//! Scoring **drains** the candidates in one pass: each count is read
+//! and zeroed as it is scored, so parking has nothing left to clean.
+//! Only a candidate that can enter the top-k — distance at most
+//! [`TopK::threshold`] — has its dense slot resolved to a [`TrajId`]
+//! ([`TopK::offer`]); the thousands that cannot never touch the
+//! interning table.
+//!
+//! [`for_each_overlap`] runs the same counting and the same drain on the
+//! same accumulator for callers that keep their own posting lists (the
+//! shard nodes of `geodabs-cluster`).
 //!
 //! # Examples
 //!
@@ -318,33 +333,62 @@ impl TopK {
 
     /// Offers a hit; it is kept only while it ranks among the best `limit`
     /// seen so far and passes the distance threshold.
+    pub fn push(&mut self, hit: SearchResult) {
+        self.offer(hit.distance, || hit.id);
+    }
+
+    /// [`TopK::push`] with the id resolved lazily: `id` runs only when a
+    /// hit at `distance` can enter — `distance ≤` [`TopK::threshold`],
+    /// ties included, since an equal-distance hit with a smaller id
+    /// displaces the worst kept one. A hit that cannot enter costs one
+    /// comparison and never resolves its id.
+    ///
+    /// ```
+    /// use geodabs_index::engine::TopK;
+    /// use geodabs_index::SearchOptions;
+    /// use geodabs_traj::TrajId;
+    ///
+    /// let mut topk = TopK::new(&SearchOptions::default().limit(1));
+    /// topk.offer(0.2, || TrajId::new(5));
+    /// topk.offer(0.7, || unreachable!("0.7 cannot beat 0.2"));
+    /// topk.offer(0.2, || TrajId::new(3)); // tie: the smaller id wins
+    /// assert_eq!(topk.into_sorted()[0].id, TrajId::new(3));
+    /// ```
     // The negated comparison is deliberate: an unordered (NaN) threshold
     // must keep nothing, matching `retain(|h| h.distance <= max_distance)`.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn push(&mut self, hit: SearchResult) {
-        if !(hit.distance <= self.max_distance) {
+    pub fn offer(&mut self, distance: f64, id: impl FnOnce() -> TrajId) {
+        if !(distance <= self.max_distance) {
             return;
         }
         let Some(limit) = self.limit else {
-            self.unbounded.push(hit);
+            self.unbounded.push(SearchResult { id: id(), distance });
             return;
         };
         if limit == 0 {
             return;
         }
-        let entry = HeapEntry(hit);
         if self.heap.len() < limit {
-            self.heap.push(entry);
-        } else if entry < *self.heap.peek().expect("heap is non-empty at capacity") {
-            self.heap.pop();
-            self.heap.push(entry);
+            self.heap
+                .push(HeapEntry(SearchResult { id: id(), distance }));
+            return;
+        }
+        let mut worst = self.heap.peek_mut().expect("heap is non-empty at capacity");
+        if distance.total_cmp(&worst.0.distance).is_gt() {
+            return;
+        }
+        let entry = HeapEntry(SearchResult { id: id(), distance });
+        if entry < *worst {
+            // Replacing through `PeekMut` sifts the new entry down once.
+            *worst = entry;
         }
     }
 
-    /// The current pruning threshold: a candidate must score strictly
-    /// better than this to change the result set. Equal to `max_distance`
-    /// until the collector holds `limit` hits, then the k-th best distance
-    /// (which only tightens).
+    /// The current pruning threshold: a hit can change the result set
+    /// only at a distance at most this — strictly below it, or equal to
+    /// it with an id smaller than the worst kept hit's. Equal to
+    /// `max_distance` until the collector holds `limit` hits, then the
+    /// k-th best distance (which only tightens).
     pub fn threshold(&self) -> f64 {
         match self.limit {
             Some(limit) if self.heap.len() >= limit.max(1) => self
@@ -644,7 +688,7 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
                 if best_new > threshold {
                     admit_new = false;
                 } else if let Some(limit) = options.limit {
-                    if i >= next_tighten && scratch.touched.len() > limit {
+                    if i >= next_tighten && scratch.live > limit {
                         next_tighten = i * 2;
                         let kth = self.kth_guaranteed_distance(scratch, qa, limit);
                         if kth < threshold {
@@ -657,7 +701,7 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
                 }
                 // Frozen with no candidates at all: no overlap left to
                 // count.
-                if !admit_new && scratch.touched.is_empty() {
+                if !admit_new && scratch.live == 0 {
                     break;
                 }
             }
@@ -669,20 +713,21 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
         }
 
         // Exact counts in hand, every score is O(1); the bounded heap
-        // keeps the best `limit` under the (distance, id) order.
+        // keeps the best `limit` under the (distance, id) order, and only
+        // a hit that can enter it resolves its id.
+        let scanned = scratch.live as u64;
         let mut topk = TopK::new(options);
-        for &dense in &scratch.touched {
-            let ov = scratch.counts[dense as usize] as u64;
+        scratch.drain(|dense, ov| {
+            let ov = ov as u64;
             let b = self.set_sizes[dense as usize] as u64;
             let union = qa + b - ov;
-            topk.push(SearchResult {
-                id: self.interner.resolve(dense),
-                distance: 1.0 - ov as f64 / union as f64,
+            topk.offer(1.0 - ov as f64 / union as f64, || {
+                self.interner.resolve(dense)
             });
-        }
+        });
         let hits = topk.into_sorted();
         SEARCHES.fetch_add(1, Ordering::Relaxed);
-        CANDIDATES_SCANNED.fetch_add(scratch.touched.len() as u64, Ordering::Relaxed);
+        CANDIDATES_SCANNED.fetch_add(scanned, Ordering::Relaxed);
         CANDIDATES_ADMITTED.fetch_add(hits.len() as u64, Ordering::Relaxed);
         if !admit_new {
             PRUNE_CUTOFFS.fetch_add(1, Ordering::Relaxed);
@@ -699,12 +744,14 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
         let Scratch {
             counts,
             touched,
+            live,
             guaranteed,
             ..
         } = scratch;
-        debug_assert!(k >= 1 && touched.len() > k);
+        let candidates = &touched[..*live];
+        debug_assert!(k >= 1 && candidates.len() > k);
         guaranteed.clear();
-        guaranteed.extend(touched.iter().map(|&dense| {
+        guaranteed.extend(candidates.iter().map(|&dense| {
             let c = counts[dense as usize] as u64;
             let b = self.set_sizes[dense as usize] as u64;
             1.0 - c as f64 / (qa + b - c) as f64
@@ -733,14 +780,18 @@ thread_local! {
 
 /// The per-thread working set of one search (see "The accumulator" in
 /// the [module docs](self)). Parked, it is empty but for its
-/// allocations: `counts` all-zero, the three vectors cleared.
+/// allocations: `counts` all-zero, no live candidate, the two work
+/// vectors cleared.
 #[derive(Default)]
 struct Scratch<'a> {
     /// `counts[dense]` is the overlap counted so far for that slot.
     counts: Vec<u32>,
-    /// The candidates: every slot with a non-zero count, in first-touch
-    /// order.
+    /// The candidate buffer: `touched[..live]` holds every slot with a
+    /// non-zero count, in first-touch order; the entries past `live` are
+    /// stale. One longer than `counts`, and grown with it.
     touched: Vec<u32>,
+    /// The number of candidates.
+    live: usize,
     /// The posting lists of the running search.
     lists: Vec<&'a RoaringBitmap>,
     /// Work buffer of `kth_guaranteed_distance`.
@@ -754,6 +805,9 @@ impl<'a> Scratch<'a> {
         let mut scratch = SCRATCH.take().unwrap_or_default();
         if scratch.counts.len() < capacity {
             scratch.counts.resize(capacity, 0);
+            // No search has more candidates than slots, and `admit`
+            // writes one past the last of them.
+            scratch.touched.resize(capacity + 1, 0);
         }
         scratch
     }
@@ -761,17 +815,18 @@ impl<'a> Scratch<'a> {
     /// Walks `list` with admission open: every entry gains one, first
     /// touches become candidates.
     fn admit(&mut self, list: &RoaringBitmap) {
-        let Scratch {
-            counts, touched, ..
-        } = self;
+        let counts = &mut self.counts[..];
+        let touched = &mut self.touched[..];
         // Non-allocating visitor: bitmap containers batch-decode words
-        // straight into the array.
-        list.for_each(|dense| {
+        // straight into the array. Every entry is written past the live
+        // end, which only a first touch advances past: no branch. The end
+        // is the fold's state, so it stays in a register.
+        self.live = list.fold(self.live, |end, dense| {
             let c = &mut counts[dense as usize];
-            if *c == 0 {
-                touched.push(dense);
-            }
+            touched[end] = dense;
+            let first = usize::from(*c == 0);
             *c += 1;
+            end + first
         });
     }
 
@@ -779,10 +834,14 @@ impl<'a> Scratch<'a> {
     /// gains one, no other slot changes.
     fn count_admitted(&mut self, list: &RoaringBitmap) {
         let Scratch {
-            counts, touched, ..
+            counts,
+            touched,
+            live,
+            ..
         } = self;
-        if list.len() >= PROBE_RATIO.saturating_mul(touched.len() as u64) {
-            for &dense in touched.iter() {
+        let candidates = &touched[..*live];
+        if list.len() >= PROBE_RATIO.saturating_mul(candidates.len() as u64) {
+            for &dense in candidates {
                 counts[dense as usize] += u32::from(list.contains(dense));
             }
         } else {
@@ -793,17 +852,31 @@ impl<'a> Scratch<'a> {
         }
     }
 
-    /// Hands the accumulator back to the thread, zeroing only the slots
-    /// this search touched.
-    fn park(mut self) {
-        for &dense in &self.touched {
-            self.counts[dense as usize] = 0;
+    /// Calls `visit(dense, count)` for every candidate in first-touch
+    /// order, zeroing its count first, and leaves no candidate behind:
+    /// the one pass that both scores and cleans the accumulator. A
+    /// visitor that panics leaves counts dirty, but then the scratch is
+    /// dropped, never parked.
+    fn drain(&mut self, mut visit: impl FnMut(u32, u32)) {
+        let Scratch {
+            counts,
+            touched,
+            live,
+            ..
+        } = self;
+        for &dense in &touched[..*live] {
+            visit(dense, std::mem::take(&mut counts[dense as usize]));
         }
+        *live = 0;
+    }
+
+    /// Hands the accumulator back to the thread. Every path that counted
+    /// has drained, so the counts are already all-zero.
+    fn park(self) {
         debug_assert!(
-            self.counts.iter().all(|&c| c == 0),
+            self.live == 0 && self.counts.iter().all(|&c| c == 0),
             "a count outlived its search"
         );
-        self.touched.clear();
         SCRATCH.set(Some(Scratch {
             lists: recycle(self.lists),
             ..self
@@ -843,15 +916,13 @@ fn recycle<'b, T: ?Sized>(mut borrows: Vec<&T>) -> Vec<&'b T> {
 pub fn for_each_overlap<'a>(
     capacity: usize,
     lists: impl IntoIterator<Item = &'a RoaringBitmap>,
-    mut visit: impl FnMut(u32, u32),
+    visit: impl FnMut(u32, u32),
 ) {
     let mut scratch = Scratch::take(capacity);
     for list in lists {
         scratch.admit(list);
     }
-    for &dense in &scratch.touched {
-        visit(dense, scratch.counts[dense as usize]);
-    }
+    scratch.drain(visit);
     scratch.park();
 }
 
@@ -927,6 +998,62 @@ mod tests {
         topk.push(hit(3, 0.1));
         assert_eq!(topk.threshold(), 0.2);
         assert_eq!(topk.len(), 2);
+    }
+
+    #[test]
+    fn topk_threshold_admits_a_tie_with_a_smaller_id_only() {
+        let full = || {
+            let mut topk = TopK::new(&SearchOptions::default().limit(2));
+            topk.push(hit(4, 0.1));
+            topk.push(hit(6, 0.3));
+            topk
+        };
+        // At the threshold, a smaller id displaces the worst kept hit…
+        let mut smaller = full();
+        assert_eq!(smaller.threshold(), 0.3);
+        smaller.offer(0.3, || id(5));
+        assert_eq!(smaller.into_sorted(), vec![hit(4, 0.1), hit(5, 0.3)]);
+        // …and a larger one does not.
+        let mut larger = full();
+        larger.offer(0.3, || id(7));
+        assert_eq!(larger.into_sorted(), vec![hit(4, 0.1), hit(6, 0.3)]);
+    }
+
+    #[test]
+    fn topk_offer_resolves_ids_only_for_hits_that_can_enter() {
+        let resolved = Cell::new(0u32);
+        let counted = |raw: u32| {
+            let resolved = &resolved;
+            move || {
+                resolved.set(resolved.get() + 1);
+                id(raw)
+            }
+        };
+        let mut topk = TopK::new(&SearchOptions::default().limit(2).max_distance(0.8));
+        topk.offer(0.5, counted(1)); // filling
+        topk.offer(0.9, counted(2)); // beyond max_distance
+        topk.offer(0.2, counted(3)); // filling
+        assert_eq!(resolved.get(), 2);
+        topk.offer(0.6, counted(4)); // worse than the worst kept (0.5)
+        topk.offer(0.500001, counted(5));
+        assert_eq!(resolved.get(), 2, "no hit above the threshold resolves");
+        topk.offer(0.5, counted(0)); // tie at the threshold: may enter
+        topk.offer(0.4, counted(6)); // better than the worst kept
+        assert_eq!(resolved.get(), 4);
+        assert_eq!(topk.into_sorted(), vec![hit(3, 0.2), hit(6, 0.4)]);
+
+        // A collector that keeps nothing resolves nothing.
+        for options in [
+            SearchOptions::default().limit(0),
+            SearchOptions::default().max_distance(f64::NAN),
+            SearchOptions::default().limit(3).max_distance(f64::NAN),
+        ] {
+            let mut none = TopK::new(&options);
+            for d in [0.0, 0.5, 1.0] {
+                none.offer(d, || panic!("resolved an id for {options:?}"));
+            }
+            assert!(none.into_sorted().is_empty());
+        }
     }
 
     fn sample() -> PostingLists<u32> {
@@ -1068,6 +1195,84 @@ mod tests {
             let all = lists.search(1u32..=8, &SearchOptions::default());
             assert_eq!(all.len(), 301 + rivals as usize);
             assert_eq!(all[0], top[0]);
+        }
+    }
+
+    /// Runs `search` until no other search ran beside it — the counters
+    /// are process-wide and tests run in parallel — and returns its hits
+    /// with the `candidates_scanned` it added.
+    fn scanned_alone(search: impl Fn() -> Vec<SearchResult>) -> (Vec<SearchResult>, u64) {
+        for _ in 0..1_000 {
+            let before = telemetry();
+            let hits = search();
+            let after = telemetry();
+            if after.searches == before.searches + 1
+                && after.candidates_admitted == before.candidates_admitted + hits.len() as u64
+            {
+                return (hits, after.candidates_scanned - before.candidates_scanned);
+            }
+        }
+        panic!("no search ran alone in 1 000 attempts");
+    }
+
+    #[test]
+    fn every_entry_point_drains_the_accumulator_clean_and_counts_alike() {
+        // id 0 holds the whole query {1..=8}; 40 rivals share terms 1, 7
+        // and 8; a crowd of 300 shares only 7 and 8.
+        let mut sets: Vec<(u32, Vec<u32>)> = vec![(0, (1..=8).collect())];
+        sets.extend((1..=40u32).map(|i| (i, vec![1, 7, 8, 1_000 + i])));
+        sets.extend((100..400u32).map(|i| (i, vec![7, 8, 2_000 + i, 3_000 + i])));
+        let mut lists = PostingLists::new();
+        for (raw, terms) in &sets {
+            lists.insert(id(*raw), terms.iter().copied());
+        }
+        let query: Vec<u32> = (1..=8).collect();
+        let exact = |terms: &[u32]| {
+            let ov = terms.iter().filter(|t| query.contains(t)).count() as u64;
+            (ov, 1.0 - ov as f64 / (8 + terms.len() as u64 - ov) as f64)
+        };
+
+        for _ in 0..2 {
+            // Limit 1 freezes admission at term 7 (the twin's guaranteed
+            // 0.4 beats a newcomer's best 0.75): only the 41 candidates
+            // admitted before it are scanned, and drained.
+            let limited = SearchOptions::default().limit(1);
+            let (top, scanned) = scanned_alone(|| lists.search(query.iter().copied(), &limited));
+            assert_eq!(top, vec![hit(0, 0.0)]);
+            assert_eq!(scanned, 41);
+
+            // Counting on the same thread's array sees no leftover count.
+            let hot: Vec<&RoaringBitmap> = [1u32, 7, 8]
+                .iter()
+                .map(|&t| lists.posting(t).expect("hot term"))
+                .collect();
+            let mut counted = HashMap::new();
+            for_each_overlap(lists.interner().capacity(), hot, |dense, count| {
+                assert!(counted.insert(dense, count).is_none(), "visited twice");
+            });
+            assert_eq!(counted.len(), sets.len());
+            for (raw, terms) in &sets {
+                let want = terms.iter().filter(|t| [1, 7, 8].contains(t)).count() as u32;
+                let dense = lists.interner().dense(id(*raw)).expect("indexed");
+                assert_eq!(counted[&dense], want, "id {raw}");
+            }
+
+            // The full ranking scans every trajectory, each scored on its
+            // exact overlap.
+            let all_options = SearchOptions::default();
+            let (all, scanned) =
+                scanned_alone(|| lists.search(query.iter().copied(), &all_options));
+            assert_eq!(scanned, sets.len() as u64);
+            assert_eq!(all.len(), sets.len());
+            for h in &all {
+                let terms = &sets
+                    .iter()
+                    .find(|(raw, _)| id(*raw) == h.id)
+                    .expect("hit")
+                    .1;
+                assert_eq!(h.distance.to_bits(), exact(terms).1.to_bits(), "{h:?}");
+                assert!(exact(terms).0 > 0);
+            }
         }
     }
 

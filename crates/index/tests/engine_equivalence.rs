@@ -109,6 +109,44 @@ proptest! {
         )?;
     }
 
+    /// Tie-heavy corpora: a handful of term sets over an alphabet of 12,
+    /// each indexed under many ids in scrambled order, so whole groups of
+    /// candidates share one distance and the k-th place goes by id — the
+    /// boundary at which the engine's top-k decides whether to resolve a
+    /// candidate's id at all.
+    #[test]
+    fn ties_at_the_kth_distance_break_by_id(
+        shapes in proptest::collection::vec(
+            proptest::collection::vec(0u32..12, 1..8), 1..5),
+        owners in proptest::collection::vec(0usize..4, 8..80),
+        query in proptest::collection::vec(0u32..12, 1..10),
+        limit in 1usize..13,
+        threshold_pm in 0u32..101,
+    ) {
+        let mut idx = GeodabIndex::new(GeodabConfig::default());
+        for (i, &owner) in owners.iter().enumerate() {
+            // 97 is coprime to 1 000: distinct ids, but dense slots
+            // (insertion order) no longer follow id order.
+            let id = (i as u32 * 97 + 13) % 1_000;
+            idx.insert_fingerprints(
+                TrajId::new(id),
+                Fingerprints::from_ordered(shapes[owner % shapes.len()].clone()),
+            );
+        }
+        let fp = Fingerprints::from_ordered(query);
+        for options in [
+            SearchOptions::default().limit(limit),
+            SearchOptions::default()
+                .limit(limit)
+                .max_distance(threshold_pm as f64 / 100.0),
+        ] {
+            assert_identical(
+                &idx.search_fingerprints(&fp, &options),
+                &idx.search_fingerprints_naive(&fp, &options),
+            )?;
+        }
+    }
+
     /// Removals and re-insertions (which recycle interned dense slots)
     /// must not disturb equivalence.
     #[test]

@@ -321,16 +321,12 @@ impl Container {
         }
     }
 
-    /// Calls `f` with `base | low` for every value, ascending, without
+    /// Folds `f` over `base | low` for every value, ascending, without
     /// materializing a vector (unlike [`Container::to_sorted_vec`]).
-    pub(crate) fn for_each(&self, base: u32, f: &mut impl FnMut(u32)) {
+    pub(crate) fn fold<B>(&self, base: u32, init: B, f: &mut impl FnMut(B, u32) -> B) -> B {
         match self {
-            Container::Array(v) => {
-                for &low in v {
-                    f(base | low as u32);
-                }
-            }
-            Container::Bitmap(b) => kernels::words_visit(&b.words[..], base, f),
+            Container::Array(v) => v.iter().fold(init, |acc, &low| f(acc, base | low as u32)),
+            Container::Bitmap(b) => kernels::words_fold(&b.words[..], base, init, f),
         }
     }
 

@@ -200,9 +200,25 @@ impl RoaringBitmap {
     /// into the callback, so this is the fast way to bulk-feed an
     /// accumulator (every posting-list walk of the query engine).
     pub fn for_each(&self, mut f: impl FnMut(u32)) {
-        for (key, c) in &self.containers {
-            c.for_each((*key as u32) << 16, &mut f);
-        }
+        self.fold((), |(), value| f(value));
+    }
+
+    /// [`RoaringBitmap::for_each`] threading a state through the visitor
+    /// by value: returns `f(… f(f(init, v₀), v₁) …)` over the values in
+    /// ascending order. A running counter kept in the state, rather than
+    /// in a variable the visitor captures, stays in a register for the
+    /// whole walk — the query engine's candidate end is one.
+    ///
+    /// ```
+    /// use geodabs_roaring::RoaringBitmap;
+    ///
+    /// let set: RoaringBitmap = [3u32, 70_000, 9].into_iter().collect();
+    /// assert_eq!(set.fold(0u64, |sum, v| sum + u64::from(v)), 70_012);
+    /// ```
+    pub fn fold<B>(&self, init: B, mut f: impl FnMut(B, u32) -> B) -> B {
+        self.containers.iter().fold(init, |acc, (key, c)| {
+            c.fold((*key as u32) << 16, acc, &mut f)
+        })
     }
 
     /// Whether `|self ∩ other| >= n`, stopping as soon as the answer is
