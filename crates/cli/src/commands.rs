@@ -100,9 +100,10 @@ a GDAB v2 snapshot (--snapshot) or freshly ingested from a scenario
 (--scenario), behind a connection multiplexer of T workers
 (default: all cores) — each worker sweeps many non-blocking
 connections, so T sizes parallelism, not the concurrent-connection
-capacity. `--serve-shards C` re-partitions the index at boot into C
-in-process shard cells with a copy-on-write read path: queries never
-block on ingest and rankings stay bit-identical to the monolith.
+capacity. `--serve-shards C` re-partitions the index at boot into a
+cluster of C in-process shard nodes behind the same read-write lock:
+a query fans out over the nodes its terms touch and rankings stay
+bit-identical to the monolith.
 `--verify rebuild` (with --snapshot; a scenario ingest is already a
 fresh rebuild) replays the scenario queries against a fresh rebuild
 before serving; `--duration` shuts down cleanly after that many
@@ -551,6 +552,11 @@ fn serve(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>
     let addr = args.string_required("addr")?;
     let threads = args.usize_or("threads", geodabs_index::batch::default_threads())?;
     let serve_shards = args.usize_or("serve-shards", 1)?;
+    // Out-of-range counts are refused here, before any corpus is built.
+    let config = ServerConfig::builder()
+        .shards(serve_shards)
+        .mux_workers(threads)
+        .build()?;
     if serve_shards > 1 && args.has("shard-id") {
         return Err(
             "--serve-shards conflicts with --shard-id: a shard server already hosts one \
@@ -702,11 +708,6 @@ fn serve(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>
         )?;
     }
 
-    let config = ServerConfig::builder()
-        .shards(serve_shards.max(1))
-        .mux_workers(threads.max(1))
-        .build()
-        .map_err(|e| e.to_string())?;
     let mut server = Server::bind(addr.as_str(), index, config)?;
     if let Some(dir) = &wal_dir {
         let wal = Wal::open(std::path::Path::new(dir), sync_policy)?;
@@ -731,7 +732,7 @@ fn serve(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>
         "listening on      {} ({} mux worker(s), {} in-process shard(s){})",
         server.local_addr(),
         threads,
-        serve_shards.max(1),
+        serve_shards,
         if duration > 0 {
             format!(", shutting down after {duration}s")
         } else {
@@ -800,6 +801,7 @@ fn frontend(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Err
         return Err("--shards needs at least one HOST:PORT".into());
     }
     let threads = args.usize_or("threads", geodabs_index::batch::default_threads())?;
+    let frontend_config = FrontendConfig::builder().mux_workers(threads).build()?;
     let duration = args.u64_or("duration", 0)?;
     // The logical shard count must match the shard servers' (both
     // default to the paper's 10 000): the router is shared verbatim, and
@@ -820,10 +822,7 @@ fn frontend(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Err
         Fingerprinter::new(config),
         router,
         shard_addrs,
-        FrontendConfig::builder()
-            .mux_workers(threads.max(1))
-            .build()
-            .map_err(|e| e.to_string())?,
+        frontend_config,
     )?;
     writeln!(
         out,
@@ -2033,6 +2032,45 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("unknown flag --shrads"), "{err}");
+    }
+
+    #[test]
+    fn zero_shard_and_worker_counts_are_refused_before_any_corpus_is_built() {
+        use geodabs_serve::ServerConfigError;
+
+        // The snapshot does not exist: reading it would fail first if the
+        // counts were checked after the corpus.
+        let serve = |flag: &str| {
+            run_to_string(&[
+                "serve",
+                "--addr",
+                "127.0.0.1:0",
+                "--snapshot",
+                "missing.gdab",
+                flag,
+                "0",
+            ])
+            .unwrap_err()
+        };
+        assert_eq!(
+            serve("--serve-shards"),
+            ServerConfigError::ZeroShards.to_string()
+        );
+        assert_eq!(
+            serve("--threads"),
+            ServerConfigError::ZeroMuxWorkers.to_string()
+        );
+        let err = run_to_string(&[
+            "frontend",
+            "--addr",
+            "127.0.0.1:0",
+            "--shards",
+            "127.0.0.1:1",
+            "--threads",
+            "0",
+        ])
+        .unwrap_err();
+        assert_eq!(err, ServerConfigError::ZeroMuxWorkers.to_string());
     }
 
     #[test]

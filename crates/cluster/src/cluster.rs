@@ -48,8 +48,8 @@ where
 /// The one fan-out every deployment shape runs: route the query's terms
 /// to the shards and nodes owning them, let `legs` score those nodes
 /// into per-node top-k heaps — in-process [`ShardNode`]s
-/// ([`ClusterIndex`]), copy-on-write cells or remote shard servers
-/// (`geodabs-serve`) — and merge the heaps exactly.
+/// ([`ClusterIndex`]) or remote shard servers (`geodabs-serve`) — and
+/// merge the heaps exactly.
 ///
 /// # Errors
 ///
@@ -297,6 +297,12 @@ impl ClusterIndex {
     /// Distinct trajectories referenced per node.
     pub fn trajectories_per_node(&self) -> Vec<usize> {
         self.nodes.iter().map(ShardNode::len).collect()
+    }
+
+    /// Distinct terms across all nodes. Each term routes to exactly one
+    /// node, so the per-node counts sum without overlap.
+    pub fn term_count(&self) -> usize {
+        self.nodes.iter().map(ShardNode::term_count).sum()
     }
 
     /// Number of non-empty shards.

@@ -11,18 +11,19 @@
 //! the **full** ordered term sequence is pipelined to each of them;
 //! every node answers its exact local top-k heap (`ShardTopK`). Route,
 //! legs and merge are [`scatter_gather`] — the one fan-out the
-//! in-process [`ClusterIndex`](geodabs_cluster::ClusterIndex) and the
-//! copy-on-write [`ShardedIndex`](crate::ShardedIndex) run too, here
+//! in-process [`ClusterIndex`](geodabs_cluster::ClusterIndex) runs too
+//! (also inside a [`ShardedIndex`](crate::ShardedIndex)), here
 //! with sockets for legs — so the distributed ranking is
 //! **bit-identical** to the monolithic one by construction.
 //!
-//! # One server, a third hosting
+//! # One server, a second hosting
 //!
 //! A frontend is not a second server implementation: it is the crate's
 //! one bind/run/spawn shell and one request executor (see the
-//! [`Server`](crate::Server) module docs) over a third *host* — the
-//! remote shard set defined here, next to the locked backend and the
-//! copy-on-write cells. `bind(...)` → [`Frontend::run`] /
+//! [`Server`](crate::Server) module docs) over a second *host* — the
+//! remote shard set defined here, next to the locked backend (which a
+//! [`ShardedIndex`](crate::ShardedIndex) also is, over a cluster).
+//! `bind(...)` → [`Frontend::run`] /
 //! [`Frontend::spawn`] → [`RunningServer`](crate::RunningServer),
 //! controlled through the same [`ServerHandle`](crate::ServerHandle);
 //! client connections are served by the same multiplexer — a fixed pool
@@ -240,17 +241,15 @@ impl Frontend {
             router.num_nodes(),
             "one shard server address per router node"
         );
-        Bound::bind(addr, config.mux_workers(), |_| {
-            Ok(RemoteShards {
-                fingerprinter,
-                router,
-                shard_addrs,
-                indexed: RwLock::new(BTreeSet::new()),
-                retries: config.retries(),
-                shard_timeout: config.shard_timeout(),
-            })
-        })
-        .map(Frontend)
+        let shards = RemoteShards {
+            fingerprinter,
+            router,
+            shard_addrs,
+            indexed: RwLock::new(BTreeSet::new()),
+            retries: config.retries(),
+            shard_timeout: config.shard_timeout(),
+        };
+        Bound::bind(addr, config.mux_workers(), shards).map(Frontend)
     }
 
     /// The bound address (with the OS-assigned port resolved).

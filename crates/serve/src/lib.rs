@@ -18,11 +18,11 @@
 //!   from a `GDAB` v2 snapshot) behind a fixed pool of multiplexing
 //!   workers, each sweeping many non-blocking pipelined connections.
 //!   With `ServerConfig::builder().shards(n)` the backend is
-//!   re-partitioned at bind time into a [`ShardedIndex`] — per-core
-//!   shard cells publishing copy-on-write read snapshots, so queries
-//!   never block on ingest while rankings stay bit-identical to the
-//!   monolith. Shutdown is clean on both an explicit signal and a
-//!   poisoned write path. With [`Server::with_durability`], every
+//!   re-partitioned at bind time into a [`ShardedIndex`] — a cluster
+//!   of `n` per-core shard nodes behind the same read-write lock, so a
+//!   query fans out over the nodes its terms touch while rankings stay
+//!   bit-identical to the monolith. Shutdown is clean on both an
+//!   explicit signal and a poisoned write path. With [`Server::with_durability`], every
 //!   mutation is appended to a `geodabs-wal` write-ahead log **before**
 //!   it is acknowledged, and a background thread compacts the log into
 //!   watermark-stamped snapshots without blocking readers.
@@ -37,8 +37,8 @@
 //!   per-shard heaps exactly; shard loss yields the typed
 //!   `Unavailable` response, never silently-partial rankings. It is
 //!   the same bind/run/spawn shell and the same request executor as
-//!   [`Server`], over a third hosting (remote shards, next to the
-//!   locked backend and the copy-on-write cells).
+//!   [`Server`], over a second hosting (remote shards, next to the
+//!   locked backend).
 //! * [`Client`] / [`LoadClient`] — the blocking protocol client, and a
 //!   closed-loop load generator reporting QPS plus p50/p95/p99 latency
 //!   per connection count.

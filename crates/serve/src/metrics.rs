@@ -81,11 +81,11 @@ pub(crate) struct ServeMetrics {
     pub decode_us: Histogram,
     /// Response frame encode time, µs.
     pub encode_us: Histogram,
-    /// Lock / snapshot acquisition time before the engine runs, µs.
+    /// Read-lock acquisition time before the engine runs, µs.
     pub stage_lock_us: Histogram,
     /// Engine scan time, µs.
     pub stage_engine_us: Histogram,
-    /// Partial-ranking merge time (sharded and scatter paths), µs.
+    /// Partial-ranking merge time (the frontend's scatter path), µs.
     pub stage_merge_us: Histogram,
     /// WAL append (including policy fsync) time, µs.
     pub wal_append_us: Histogram,
@@ -101,12 +101,6 @@ pub(crate) struct ServeMetrics {
     pub compaction_us: Histogram,
     /// WAL bytes folded into snapshots by compaction.
     pub compaction_bytes_folded: Counter,
-    /// CoW publish latency: one cell's swap, replay included, µs.
-    pub shard_publish_us: Histogram,
-    /// Missed ops replayed onto a spare copy per publish.
-    pub shard_replay_depth: Histogram,
-    /// Cells contacted per sharded query.
-    pub shard_fanout_cells: Histogram,
     /// One shard server's scatter exchange time, µs.
     pub scatter_shard_us: Histogram,
     /// Remote shard servers contacted per scattered query.
@@ -173,7 +167,7 @@ impl ServeMetrics {
             encode_us: registry.histogram("geodabs_encode_us", "response frame encode time"),
             stage_lock_us: registry.histogram(
                 "geodabs_stage_lock_us",
-                "lock or snapshot acquisition time before the engine runs",
+                "read-lock acquisition time before the engine runs",
             ),
             stage_engine_us: registry.histogram("geodabs_stage_engine_us", "engine scan time"),
             stage_merge_us: registry
@@ -196,18 +190,6 @@ impl ServeMetrics {
             compaction_bytes_folded: registry.counter(
                 "geodabs_compaction_bytes_folded_total",
                 "wal bytes folded into snapshots",
-            ),
-            shard_publish_us: registry.histogram(
-                "geodabs_shard_publish_us",
-                "copy-on-write publish latency per cell",
-            ),
-            shard_replay_depth: registry.histogram(
-                "geodabs_shard_replay_depth",
-                "missed ops replayed per publish",
-            ),
-            shard_fanout_cells: registry.histogram(
-                "geodabs_shard_fanout_cells",
-                "cells contacted per sharded query",
             ),
             scatter_shard_us: registry.histogram(
                 "geodabs_scatter_shard_us",

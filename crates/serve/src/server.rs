@@ -14,7 +14,7 @@
 //! `poll(2)` over its sockets (see `mux.rs`); nothing in a server waits
 //! on a timer tick.
 //!
-//! # One executor, three hostings
+//! # One executor, two hostings
 //!
 //! Every request — on a [`Server`] and on a [`crate::Frontend`] alike —
 //! runs through the private `execute` function. It owns the request
@@ -27,15 +27,16 @@
 //!
 //! | hosting | read path | write section | snapshot | after a write panic |
 //! |---|---|---|---|---|
-//! | locked (`RwLock<B>`, `shards == 1`) | shared read lock, then the backend | exclusive write lock: log, apply | under the shared lock (readers run, writers wait) | lock poisoned: reads and writes refuse |
-//! | CoW cells ([`ShardedIndex`], `shards > 1`) | clone each cell's `Arc`, score, merge — never blocks on ingest | writer mutex: log, broadcast to the spare copies, swap | cluster snapshot under the writer mutex | mutex poisoned: writes refuse, reads keep answering |
+//! | locked (`RwLock<B>`; with `shards > 1` a [`ShardedIndex`], `B` = [`ClusterIndex`]) | shared read lock across the backend's search (the cluster's fan-out and merge) | exclusive write lock: refuse, log, apply | under the shared lock (readers run, writers wait); a sharded server writes a cluster snapshot | lock poisoned: reads and writes refuse |
 //! | remote shards (the frontend) | id-set read lock across a pipelined scatter, merge | id-set write lock across the broadcast | none (each shard server keeps its own log) | id set poisoned: reads and writes refuse |
 //!
-//! All three rank through [`geodabs_cluster::scatter_gather`] or the
-//! backend itself, so answers are bit-identical across hostings. The
-//! locked host checks and applies a logged op through the same pair
-//! [`crate::recover`] replays the log with, so a rebooted server holds
-//! exactly what the live one acknowledged.
+//! Both rank through [`geodabs_cluster::scatter_gather`] or the backend
+//! itself, so answers are bit-identical across hostings, and both hold
+//! one lock across a query's fan-out, so every answer ranks one prefix
+//! of the acknowledged writes. The locked host checks and applies a
+//! logged op through the same pair [`crate::recover`] replays the log
+//! with, so a rebooted server holds exactly what the live one
+//! acknowledged.
 //!
 //! # Shutdown
 //!
@@ -66,7 +67,7 @@ use crate::metrics::{kind_index, ServeMetrics, KINDS};
 use crate::mux::{self, RESPONSE_TOO_LARGE};
 use crate::proto::{DurabilityStats, QueryBody, Request, Response, StatsBody, MAX_FRAME_LEN};
 use crate::recover;
-use crate::shards::{cluster_scaffold, ShardTelemetry, ShardedIndex};
+use crate::shards::{cluster_scaffold, ShardedIndex};
 
 /// Upper bound on hits across one response (12 wire bytes per hit, so
 /// this is what fits in a frame). Enforced **while the response is
@@ -112,9 +113,9 @@ pub trait ServeBackend: TrajectoryIndex + Send + Sync + 'static {
     }
 
     /// Consumes the backend and re-partitions its corpus into an
-    /// in-process [`ShardedIndex`] with `shards` per-core cells — the
-    /// conversion [`Server::bind`] performs when
-    /// [`ServerConfig::shards`] exceeds one. The default refuses, for
+    /// in-process [`ShardedIndex`] — a [`ClusterIndex`] of `shards`
+    /// nodes behind one lock — the conversion [`Server::bind`] performs
+    /// when [`ServerConfig::shards`] exceeds one. The default refuses, for
     /// backends whose term vocabulary the cluster router cannot spread
     /// (the geohash baseline) or whose state is already a single
     /// node's slice.
@@ -226,7 +227,7 @@ impl ServeBackend for ClusterIndex {
     }
 
     fn into_shards(mut self, shards: usize) -> Result<ShardedIndex, String> {
-        // Keep the logical shard grid, respread it over `shards` cells.
+        // Keep the logical shard grid, respread it over `shards` nodes.
         self.resize(shards).map_err(|e| e.to_string())?;
         Ok(ShardedIndex::from_cluster(self))
     }
@@ -288,9 +289,10 @@ impl ServerConfig {
         ServerConfigBuilder::default()
     }
 
-    /// In-process shard cells hosting the index. `1` keeps the backend
-    /// monolithic behind a read-write lock; more re-partitions it into
-    /// a [`ShardedIndex`] with a lock-free read path.
+    /// In-process shard nodes hosting the index. `1` keeps the backend
+    /// as it is behind a read-write lock; more re-partitions it into a
+    /// [`ShardedIndex`]: a [`ClusterIndex`] of that many nodes behind
+    /// the same lock, so a query fans out over the nodes it touches.
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -332,7 +334,7 @@ impl Default for ServerConfigBuilder {
 }
 
 impl ServerConfigBuilder {
-    /// Sets the in-process shard cell count (see
+    /// Sets the in-process shard node count (see
     /// [`ServerConfig::shards`]).
     pub fn shards(mut self, shards: usize) -> ServerConfigBuilder {
         self.shards = shards;
@@ -368,7 +370,7 @@ impl ServerConfigBuilder {
 /// Why a serving configuration failed to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerConfigError {
-    /// `shards` was zero; the index needs at least one cell.
+    /// `shards` was zero; the index needs at least one node.
     ZeroShards,
     /// `mux_workers` was zero; nothing would ever answer a frame.
     ZeroMuxWorkers,
@@ -470,7 +472,7 @@ impl Span<'_> {
 }
 
 /// Where the index lives, as the one executor sees it; the module docs
-/// tabulate the three implementations.
+/// tabulate the implementations.
 pub(crate) trait Host: Send + Sync {
     /// State each mux worker owns privately (a frontend worker's
     /// connections to the shard servers).
@@ -648,15 +650,14 @@ pub(crate) struct Bound<H> {
 }
 
 impl<H> Bound<H> {
-    /// Binds `addr` and builds the host over the fresh instrument panel.
+    /// Binds `addr` for `host` with a fresh instrument panel.
     pub(crate) fn bind<A: ToSocketAddrs>(
         addr: A,
         mux_workers: usize,
-        host: impl FnOnce(&ServeMetrics) -> std::io::Result<H>,
+        host: H,
     ) -> std::io::Result<Bound<H>> {
         let listener = TcpListener::bind(addr)?;
         let metrics = ServeMetrics::from_env();
-        let host = host(&metrics)?;
         let core = Core {
             addr: listener.local_addr()?,
             workers: mux_workers.max(1),
@@ -1078,8 +1079,7 @@ impl<B: ServeBackend> Server<B> {
     /// Binds to `addr` (e.g. `"127.0.0.1:0"` for an OS-assigned port)
     /// hosting `backend`. With [`ServerConfig::shards`] above one the
     /// backend is re-partitioned here, via
-    /// [`ServeBackend::into_shards`], into per-core shard cells with a
-    /// lock-free read path.
+    /// [`ServeBackend::into_shards`], into a [`ShardedIndex`].
     ///
     /// # Errors
     ///
@@ -1091,17 +1091,13 @@ impl<B: ServeBackend> Server<B> {
         backend: B,
         config: ServerConfig,
     ) -> std::io::Result<Server<B>> {
-        Bound::bind(addr, config.mux_workers(), |metrics| {
-            if config.shards() == 1 {
-                return Ok(Hosted::Locked(RwLock::new(backend)));
-            }
-            let mut sharded = backend.into_shards(config.shards()).map_err(|message| {
+        let host = match config.shards() {
+            1 => Hosted::Locked(RwLock::new(backend)),
+            shards => Hosted::Sharded(backend.into_shards(shards).map_err(|message| {
                 std::io::Error::new(std::io::ErrorKind::InvalidInput, message)
-            })?;
-            sharded.set_telemetry(ShardTelemetry::from_metrics(metrics));
-            Ok(Hosted::Sharded(sharded))
-        })
-        .map(Server)
+            })?),
+        };
+        Bound::bind(addr, config.mux_workers(), host).map(Server)
     }
 
     /// Makes the server durable: every `Insert`/`Remove` is appended to
@@ -1243,6 +1239,45 @@ mod tests {
             Err(e) => e,
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    /// A sharded server is the locked hosting over a cluster: a panic
+    /// inside its write section poisons the lock, and the server answers
+    /// with a typed error and shuts itself down cleanly.
+    #[test]
+    fn poisoned_sharded_writer_shuts_the_server_down_cleanly() {
+        use crate::{Client, WireError};
+        use geodabs_traj::TrajId;
+
+        let index = GeodabIndex::new(GeodabConfig::default());
+        let sharded = index.into_shards(2).expect("geodab shards");
+        let remove = WalOp::Remove { id: TrajId::new(0) };
+        let injected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Host::write(&sharded, &mut (), remove, |_| {
+                panic!("injected failure inside the write section")
+            })
+        }));
+        assert!(injected.is_err(), "the write section panicked");
+
+        let bound = Bound::bind("127.0.0.1:0", 2, Hosted::Sharded(sharded)).expect("bind");
+        let running = Server::<GeodabIndex>(bound).spawn();
+        let addr = running.addr();
+        let mut victim = Client::connect(addr).expect("connect");
+        let err = victim.remove(TrajId::new(0));
+        assert!(
+            matches!(&err, Err(WireError::Remote(m)) if m.contains("poisoned")),
+            "expected a remote poisoned report: {err:?}"
+        );
+        // Reads refuse too, unless the shutdown already closed the socket.
+        let answer = Client::connect(addr)
+            .map_err(WireError::Io)
+            .and_then(|mut client| client.request(&Request::Stats { durability: false }));
+        match answer {
+            Ok(Response::Error(message)) => assert!(message.contains("poisoned"), "{message}"),
+            Ok(other) => panic!("unexpected response {other:?}"),
+            Err(_) => {}
+        }
+        running.shutdown().expect("clean shutdown after poison");
     }
 
     #[test]

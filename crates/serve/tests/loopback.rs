@@ -11,7 +11,7 @@ use geodabs_cluster::ClusterIndex;
 use geodabs_core::GeodabConfig;
 use geodabs_index::{GeodabIndex, SearchOptions, SearchResult, TrajectoryIndex};
 use geodabs_serve::{
-    recover, Client, LoadClient, QueryBody, Request, Response, Server, ServerConfig, ShardedIndex,
+    recover, Client, LoadClient, QueryBody, Request, Response, Server, ServerConfig,
 };
 use geodabs_traj::{TrajId, Trajectory};
 use geodabs_wal::{SyncPolicy, Wal};
@@ -220,7 +220,7 @@ fn malformed_frames_get_an_error_response_and_the_server_survives() {
 }
 
 /// A backend that panics inside the write section, to exercise the
-/// poison path of both local hostings.
+/// poison path of the locked hosting.
 struct PanicOnInsert(GeodabIndex);
 
 impl TrajectoryIndex for PanicOnInsert {
@@ -255,50 +255,34 @@ impl geodabs_serve::ServeBackend for PanicOnInsert {
     ) -> Result<Vec<SearchResult>, &'static str> {
         Err("unsupported")
     }
-    /// The cells hold plain shard nodes, so the injected failure cannot
-    /// ride along into them; instead it strikes here, inside the sharded
-    /// write section (between taking the writer mutex and the
-    /// broadcast), and the server is handed the poisoned result.
-    fn into_shards(self, shards: usize) -> Result<ShardedIndex, String> {
-        let sharded = self.0.into_shards(shards)?;
-        let injected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sharded.insert_logged(TrajId::new(9), &eastward(40, 0.0), || {
-                panic!("injected failure while holding the writer mutex")
-            })
-        }));
-        assert!(injected.is_err(), "the write section panicked");
-        Ok(sharded)
-    }
 }
 
-/// Serves [`PanicOnInsert`] on `shards` cells and checks that a write-path
-/// panic ends in a typed "poisoned" error and a clean, self-initiated
-/// shutdown.
-fn poisoned_write_section_shuts_the_server_down_cleanly(shards: usize, witness: Request) {
-    let config = common::server_config(shards, 2);
+/// A write-path panic ends in a typed "poisoned" error and a clean,
+/// self-initiated shutdown. (The sharded hosting is this same lock over
+/// a cluster; `server::tests` poisons it directly.)
+#[test]
+fn poisoned_write_lock_shuts_the_server_down_cleanly() {
+    let config = common::server_config(1, 2);
     let running = Server::bind("127.0.0.1:0", PanicOnInsert(build_index()), config)
         .expect("bind loopback")
         .spawn();
     let addr = running.addr();
 
     // The panicking insert is caught at the request boundary: the
-    // victim gets an error response instead of a dead socket. (On the
-    // sharded hosting the panic already struck in `into_shards`, so the
-    // victim is the first to observe the poison.)
+    // victim gets an error response instead of a dead socket.
     {
         let mut victim = Client::connect(addr).expect("connect");
         let err = victim.insert(TrajId::new(9), &eastward(40, 0.0));
-        let expected = if shards > 1 { "poisoned" } else { "panicked" };
         assert!(
-            matches!(&err, Err(geodabs_serve::WireError::Remote(m)) if m.contains(expected)),
-            "expected a remote {expected} report: {err:?}"
+            matches!(&err, Err(geodabs_serve::WireError::Remote(m)) if m.contains("panicked")),
+            "expected a remote panicked report: {err:?}"
         );
     }
-    // …and the poisoned host turns every later request that touches it
+    // …and the poisoned lock turns every later request that touches it
     // into an error response while the server starts its clean shutdown.
     let answer = Client::connect(addr)
         .map_err(geodabs_serve::WireError::Io)
-        .and_then(|mut client| client.request(&witness));
+        .and_then(|mut client| client.request(&Request::Stats { durability: false }));
     match answer {
         Ok(Response::Error(message)) => assert!(message.contains("poisoned"), "{message}"),
         // The shutdown may already have won the race and closed the
@@ -308,19 +292,6 @@ fn poisoned_write_section_shuts_the_server_down_cleanly(shards: usize, witness: 
         Err(_) => {}
     }
     running.shutdown().expect("clean shutdown after poison");
-}
-
-#[test]
-fn poisoned_write_lock_shuts_the_server_down_cleanly() {
-    poisoned_write_section_shuts_the_server_down_cleanly(1, Request::Stats { durability: false });
-}
-
-/// The sharded read path never takes the writer mutex (`Stats` keeps
-/// answering), so the witness is another mutation.
-#[test]
-fn poisoned_sharded_writer_shuts_the_server_down_cleanly() {
-    let witness = Request::Remove { id: TrajId::new(0) };
-    poisoned_write_section_shuts_the_server_down_cleanly(2, witness);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Sharded-server equivalence and stress tests: a server partitioned
 //! into in-process shards must serve rankings **bit-identical** to the
-//! monolithic engine — while queries keep completing (and keep
-//! matching) under concurrent ingest, over a mux pool far smaller than
+//! monolithic engine — under concurrent ingest (where every ranking is
+//! that of one prefix of the writes), over a mux pool far smaller than
 //! the connection count, and through the WAL restart path.
 
 mod common;
@@ -46,7 +46,7 @@ fn sharded_server_rankings_and_mutations_match_the_monolith() {
     assert!(client.remove(TrajId::new(3)).expect("remove"));
     assert!(reference.remove(TrajId::new(3)));
     assert!(!client.remove(TrajId::new(3)).expect("re-remove"));
-    // Replacing an id recycles its interner slot on every cell.
+    // Replacing an id recycles its interner slot on every node.
     let reshaped = eastward(35, 4_800.0);
     client.insert(TrajId::new(64), &reshaped).expect("replace");
     reference.insert(TrajId::new(64), &reshaped);
@@ -87,7 +87,7 @@ fn sixty_four_connections_over_two_mux_workers_see_zero_mismatches() {
 }
 
 #[test]
-fn queries_never_block_and_never_diverge_under_concurrent_ingest() {
+fn queries_never_diverge_under_concurrent_ingest() {
     let reference = build_index();
     let options = SearchOptions::default().limit(10);
     let queries = queries();
@@ -105,8 +105,8 @@ fn queries_never_block_and_never_diverge_under_concurrent_ingest() {
     let ingested = std::thread::scope(|scope| {
         // A writer hammers inserts of geographically disjoint
         // trajectories (no term overlap with the queries), so the
-        // expected rankings stay frozen while the copy-on-write cells
-        // churn underneath the readers.
+        // expected rankings stay frozen while the shard nodes churn
+        // between the readers' queries.
         let writer = scope.spawn(|| {
             let mut client = Client::connect(addr).expect("writer connect");
             let mut pushed = 0u32;
@@ -175,7 +175,7 @@ fn sharded_acked_writes_survive_restart_via_cluster_snapshot() {
     assert!(client.remove(TrajId::new(205)).expect("remove acked"));
 
     // Background compaction folds the sharded state into a *cluster*
-    // snapshot without ever stalling this reader.
+    // snapshot under the shared lock, so this reader keeps answering.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let watermark = loop {
         let stats = client.stats_durable().expect("stats");
@@ -228,23 +228,23 @@ mod equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The in-process sharded index (copy-on-write cells, merged
-        /// per-cell heaps) returns exactly what a monolithic index over
+        /// The in-process sharded index (a cluster behind one lock,
+        /// merged per-node heaps) returns exactly what a monolithic index over
         /// the same fingerprints would — including after removals and
         /// re-inserts that recycle interner slots — for any workload,
-        /// cell count and options.
+        /// node count and options.
         #[test]
         fn sharded_equals_monolithic_on_random_mutations(
             sets in proptest::collection::vec(
                 proptest::collection::vec(0u32..5_000, 0..30), 1..40),
             query in proptest::collection::vec(0u32..5_000, 0..30),
-            cells in 1usize..8,
+            nodes in 1usize..8,
             limit in 0usize..8,
             threshold_pm in 0u32..101,
             remove_stride in 2usize..5,
         ) {
             let config = GeodabConfig::default();
-            let cluster = ClusterIndex::new(config, 10_000, cells).unwrap();
+            let cluster = ClusterIndex::new(config, 10_000, nodes).unwrap();
             let sharded = ShardedIndex::from_cluster(cluster);
             let mut mono = GeodabIndex::new(config);
             let insert = |sharded: &ShardedIndex,
@@ -279,4 +279,78 @@ mod equivalence {
             );
         }
     }
+}
+
+/// Every query sees one prefix of the writes. A writer flips trajectory
+/// X between a shape whose terms all live on node 1 and one whose terms
+/// all live on node 0, with Y fixed on node 1, while a limit-1 reader
+/// queries terms on both nodes. Any prefix ranks either `[X]` (X on
+/// node 1, close) or `[Y]` (X on node 0, far); a query that read node 0
+/// before a flip and node 1 after it would see both shapes of X at once
+/// and rank the far one.
+#[test]
+fn every_ranking_under_ingest_is_the_ranking_of_one_prefix() {
+    use geodabs_core::Fingerprints;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let cluster = ClusterIndex::new(GeodabConfig::default(), common::NUM_SHARDS, 2).unwrap();
+    let router = *cluster.router();
+    let terms_on = |node: usize| -> Vec<u32> {
+        (1..)
+            .map(|i: u32| i.wrapping_mul(0x9E37_79B9))
+            .filter(|&term| router.node_of_geodab(term) == node)
+            .take(8)
+            .collect()
+    };
+    let (node0, node1) = (terms_on(0), terms_on(1));
+    let fp = |terms: &[u32]| Fingerprints::from_ordered(terms.to_vec());
+    let (x, y) = (TrajId::new(1), TrajId::new(2));
+    let near = fp(&node1);
+    let far = fp(&node0);
+    let query: Vec<u32> = node1.iter().chain(&node0[..1]).copied().collect();
+    let query = fp(&query);
+    let options = SearchOptions::default().limit(1);
+
+    let sharded = ShardedIndex::from_cluster(cluster);
+    sharded.insert_fingerprints(y, fp(&node1[..4]));
+    sharded.insert_fingerprints(x, near.clone());
+    let x_near = sharded.search_fingerprints(&query, &options);
+    sharded.insert_fingerprints(x, far.clone());
+    let y_only = sharded.search_fingerprints(&query, &options);
+    assert_eq!(x_near.iter().map(|hit| hit.id).collect::<Vec<_>>(), [x]);
+    assert_eq!(y_only.iter().map(|hit| hit.id).collect::<Vec<_>>(), [y]);
+
+    let stop = AtomicBool::new(false);
+    let deadline = std::time::Instant::now() + Duration::from_millis(400);
+    let (flips, queries) = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let mut flips = 0u64;
+            for shape in [&near, &far].into_iter().cycle() {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                sharded.insert_fingerprints(x, shape.clone());
+                flips += 1;
+            }
+            flips
+        });
+        let mut queries = 0u64;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            while std::time::Instant::now() < deadline {
+                let ranking = sharded.search_fingerprints(&query, &options);
+                assert!(
+                    ranking == x_near || ranking == y_only,
+                    "query {queries} ranked {ranking:?}, which no prefix of the writes ranks"
+                );
+                queries += 1;
+            }
+        }));
+        stop.store(true, Ordering::Relaxed);
+        let flips = writer.join().expect("writer thread");
+        if let Err(panic) = outcome {
+            std::panic::resume_unwind(panic);
+        }
+        (flips, queries)
+    });
+    assert!(flips > 0 && queries > 0, "{flips} flips, {queries} queries");
 }

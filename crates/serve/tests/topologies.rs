@@ -1,5 +1,6 @@
-//! One script, three hostings: the locked server, the copy-on-write
-//! sharded server and a frontend over two shard servers all answer
+//! One script, three deployments: the locked server, the sharded server
+//! (the same lock over a two-node cluster) and a frontend over two shard
+//! servers all answer
 //! through one executor, so the same request sequence must produce the
 //! same response sequence — every `Request` variant, both query body
 //! shapes, replace-on-reinsert, removals of absent ids, refused shard
@@ -261,8 +262,9 @@ fn a_batch_records_its_stages_once_per_contained_query() {
             .expect("batch");
         let after = client.metrics().expect("metrics");
         let stages: &[&str] = match topology {
-            Topology::Locked => &["geodabs_stage_lock_us", "geodabs_stage_engine_us"],
-            Topology::Sharded => &["geodabs_stage_engine_us", "geodabs_stage_merge_us"],
+            Topology::Locked | Topology::Sharded => {
+                &["geodabs_stage_lock_us", "geodabs_stage_engine_us"]
+            }
             Topology::Frontend => &["geodabs_scatter_fanout", "geodabs_stage_merge_us"],
         };
         for stage in stages {
@@ -336,7 +338,7 @@ fn the_frontend_refuses_a_response_over_the_frame_cap() {
     a_response_over_the_frame_cap_is_refused_and_logged(Topology::Frontend);
 }
 
-/// Serves the corpus durably on `shards` cells, applies the script's
+/// Serves the corpus durably on `shards` shard nodes, applies the script's
 /// mutations, waits for the compactor to fold them all, and restores
 /// the index the way a reboot would, through [`recover`].
 fn restored_after_compaction<I: ServeBackend + Persist>(shards: usize) -> I {
