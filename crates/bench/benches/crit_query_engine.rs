@@ -180,7 +180,7 @@ fn bench_frozen_long_lists(c: &mut Criterion) {
         ("frozen_long_lists_probed", 8u32),
         ("frozen_long_lists_walked", 6_000),
     ] {
-        let mut lists: PostingLists<u32> = PostingLists::new();
+        let mut lists: PostingLists<u32, Vec<u32>> = PostingLists::new();
         for i in 0..CROWD {
             let mut terms = hot.to_vec();
             if i < admitted {
@@ -189,15 +189,17 @@ fn bench_frozen_long_lists(c: &mut Criterion) {
                 terms.extend(rare.iter().skip((i as usize / 4).min(6)));
             }
             terms.extend([1_000_000 + 2 * i, 1_000_001 + 2 * i]);
-            lists.insert(TrajId::new(i), terms);
+            lists.insert(TrajId::new(i), terms, |_| true);
         }
         let query: Vec<u32> = rare.iter().chain(&hot).copied().collect();
         let options = SearchOptions::default().limit(5);
-        let hits = lists.search(query.iter().copied(), &options);
+        let (hits, _) = lists.search(query.iter().copied(), &options, |_| true);
         assert_eq!(hits.len(), 5);
         assert!(hits.iter().all(|h| h.id.raw() < admitted));
         c.bench_function(name, |b| {
-            b.iter(|| black_box(lists.search(black_box(&query).iter().copied(), &options)))
+            b.iter(|| {
+                black_box(lists.search(black_box(&query).iter().copied(), &options, |_| true))
+            })
         });
     }
 }

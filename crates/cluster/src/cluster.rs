@@ -17,7 +17,10 @@ pub struct QueryStats {
     pub shards_contacted: usize,
     /// Distinct nodes those shards live on.
     pub nodes_contacted: usize,
-    /// Candidate trajectories scored across all contacted nodes.
+    /// Candidates scanned by the contacted nodes' pruned legs, summed (a
+    /// trajectory held on two contacted nodes counts twice). Admission
+    /// pruning keeps it below the node-local candidate count whenever a
+    /// leg freezes.
     pub candidates_scored: usize,
 }
 
@@ -26,6 +29,10 @@ pub struct QueryStats {
 /// A trajectory referenced from several nodes is scored with the same
 /// full fingerprint replica everywhere, so duplicates are identical;
 /// deduplicate by id, then re-rank the union under the same options.
+/// Pruned legs keep this exact: each heap is the exact top-k of its
+/// node's candidates, and a hit of the global top-k is a candidate of
+/// some node where, under the same `(distance, id)` order, it ranks in
+/// that node's top-k too.
 /// [`scatter_gather`] is its one production caller, so every sharded
 /// answer is bit-identical to the monolithic index by construction.
 pub fn merge_heaps<I>(partials: I, options: &SearchOptions) -> Vec<SearchResult>

@@ -10,14 +10,16 @@
 //!
 //! * [`ShardRouter`] — the two pure mapping functions
 //!   `shard = ⌊geohash / 2^depth · s⌋` and `node = shard mod n`,
-//! * [`ShardNode`] — one node's store: the posting lists of the terms
-//!   routed to it plus the full fingerprint replica of every trajectory
-//!   they reference. Every mutation is a broadcast of a trajectory's full
-//!   fingerprints that the node filters down to its own terms; it is the
-//!   only code that places or scrubs a posting. Queries score the
-//!   node-local candidates on the query engine's accumulator into a
-//!   bounded top-k heap (per-shard heaps merge exactly via
-//!   [`merge_heaps`]). A remote shard server hosts one standalone,
+//! * [`ShardNode`] — one node's store: the query engine's posting store
+//!   under the node's placement predicate, holding the posting lists of
+//!   the terms routed to it plus the full fingerprint replica of every
+//!   trajectory they reference. Every mutation is a broadcast of a
+//!   trajectory's full fingerprints that the node filters down to its own
+//!   terms; it is the only code that asks where a posting goes. Queries
+//!   run the engine's pruned search over the node-local candidates into a
+//!   bounded top-k heap, terms of other nodes probed in the replicas
+//!   (per-shard heaps merge exactly via [`merge_heaps`]). A remote shard
+//!   server hosts one standalone,
 //! * [`ClusterIndex`] — a simulated cluster: a coordinator over one
 //!   [`ShardNode`] per node plus the indexed id set. Mutations broadcast
 //!   to every node (a batch runs one scoped thread per node, each

@@ -3,25 +3,23 @@
 //! a remote **shard server** hosts one on its own in the distributed
 //! deployment.
 //!
-//! A [`ShardNode`] holds the posting lists of every term routed to this
-//! node, plus — per node-local dense slot — the **full** fingerprint
-//! replica of every trajectory those postings reference and its size
-//! `|B|`. Every mutation is a broadcast of a trajectory's full
-//! fingerprints: the node keeps only the postings routed to it, and the
-//! replica iff at least one landed. This type is the only code that
-//! places or scrubs a posting. Keeping the full replica (not the routed
-//! subset) is what makes per-shard scoring exact. A node counts overlaps
-//! term-at-a-time over its local posting lists on the query engine's
-//! per-thread accumulator ([`geodabs_index::engine::for_each_overlap`];
-//! 4 B × slot capacity, retained by each searching thread): a query term
-//! with a list here is in a candidate's fingerprints iff the candidate is
-//! on that list, because a node holds *every* posting of the terms it
-//! owns. Only terms owned by **other** nodes — present when a query spans
-//! nodes — need the replica, one `contains` probe each. Either way the
-//! count is the candidate's exact `|A ∩ B|` against its complete
-//! fingerprint set, `δ = 1 − ov/(|A| + |B| − ov)` follows in O(1), and
-//! the per-shard top-k heaps merge into the same global ranking the
-//! monolithic index produces (see [`crate::merge_heaps`]).
+//! A [`ShardNode`] is the query engine's one posting store
+//! ([`geodabs_index::engine::PostingLists`]) under this node's
+//! **placement predicate** — a term gets a posting list here iff the
+//! router sends it to this node — plus the router that predicate reads.
+//! Every mutation is a broadcast of a trajectory's full fingerprints: the
+//! node keeps the postings placed here, and the full replica iff at
+//! least one landed. This file is the only code that asks the router
+//! where a posting goes. Keeping the full replica (not the routed
+//! subset) is what makes per-node scoring exact: a query term with a
+//! list here is in a candidate's fingerprints iff the candidate is on
+//! that list, because a node holds *every* posting of the terms it owns;
+//! a term owned by **another** node — *foreign*, present when a query
+//! spans nodes — is probed in the candidate's replica. A node leg runs
+//! the same pruned search as the monolithic index, its admission floor
+//! counting the foreign terms, so it returns the exact top-k of its own
+//! candidates, and the per-node heaps merge into the same global
+//! ranking the monolithic index produces (see [`crate::merge_heaps`]).
 //!
 //! Snapshots use backend tag 4 (`node`) and reuse the cluster
 //! snapshot's per-node segment encoding:
@@ -37,14 +35,14 @@
 use geodabs_core::{Fingerprinter, Fingerprints, GeodabConfig};
 use geodabs_index::batch::{default_threads, parallel_map};
 use geodabs_index::codec::{read_postings, write_postings};
-use geodabs_index::engine::{for_each_overlap, IdInterner, TopK};
+use geodabs_index::engine::PostingLists;
 use geodabs_index::store::{
     node_section_id, BackendKind, Cursor, Persist, SnapshotError, SnapshotReader, SnapshotWriter,
     SEC_CONFIG, SEC_FINGERPRINTS,
 };
 use geodabs_index::{SearchOptions, SearchResult, TrajectoryIndex};
-use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::{TrajId, Trajectory};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::snapshot::{decode_conf, decode_fingerprints, encode_conf, encode_fingerprints};
@@ -67,18 +65,15 @@ pub struct ShardNode {
     fingerprinter: Fingerprinter,
     router: ShardRouter,
     node_id: usize,
-    /// Posting lists of this node's terms, as roaring bitmaps of dense
-    /// (node-locally interned) trajectory slots.
-    postings: HashMap<u32, RoaringBitmap>,
-    /// The node's `TrajId ↔ dense` interning table.
-    interner: IdInterner,
-    /// `replicas[dense]` is the full fingerprint replica of the
-    /// trajectory in that slot (`None` while the slot is vacant).
-    replicas: Vec<Option<Fingerprints>>,
-    /// `set_sizes[dense]` is `|B|`, the distinct-term count of that
-    /// replica (stale for vacant slots) — all scoring needs of it unless
-    /// the query has terms on other nodes.
-    set_sizes: Vec<u32>,
+    /// The postings [`placed_on`] this node, each live slot holding its
+    /// trajectory's full fingerprints.
+    store: PostingLists<u32, Fingerprints>,
+}
+
+/// Node `node_id`'s placement predicate: whether `router` puts a term's
+/// posting list on it.
+fn placed_on(router: ShardRouter, node_id: usize) -> impl Fn(u32) -> bool {
+    move |term| router.node_of_geodab(term) == node_id
 }
 
 impl ShardNode {
@@ -108,10 +103,7 @@ impl ShardNode {
             fingerprinter: Fingerprinter::new(config),
             router,
             node_id,
-            postings: HashMap::new(),
-            interner: IdInterner::new(),
-            replicas: Vec::new(),
-            set_sizes: Vec::new(),
+            store: PostingLists::new(),
         }
     }
 
@@ -133,7 +125,7 @@ impl ShardNode {
 
     /// Distinct terms with a posting list on this node.
     pub fn term_count(&self) -> usize {
-        self.postings.len()
+        self.store.term_count()
     }
 
     /// Applies an insert broadcast: `fp` is the trajectory's **full**
@@ -141,76 +133,51 @@ impl ShardNode {
     /// here, and the full replica is stored iff at least one posting
     /// landed. Re-inserting an existing id replaces it.
     pub fn insert_fingerprints(&mut self, id: TrajId, fp: Fingerprints) {
-        if let Some(dense) = self.place(id, &fp) {
-            self.store_replica(dense, fp);
-        }
+        self.place(id, Cow::Owned(fp));
     }
 
     /// [`ShardNode::insert_fingerprints`] from a broadcast shared with
     /// the other nodes: the replica is cloned only if a posting lands.
     pub(crate) fn insert_shared(&mut self, id: TrajId, fp: &Fingerprints) {
-        if let Some(dense) = self.place(id, fp) {
-            self.store_replica(dense, fp.clone());
-        }
+        self.place(id, Cow::Borrowed(fp));
     }
 
-    /// Replaces `id`'s postings here by those of the terms of `fp` this
-    /// node owns; returns `id`'s dense slot iff at least one landed.
-    fn place(&mut self, id: TrajId, fp: &Fingerprints) -> Option<u32> {
-        self.remove(id);
-        let mut dense = None;
-        for term in fp.set().iter() {
-            if !self.owns(term) {
-                continue;
-            }
-            let slot = *dense.get_or_insert_with(|| self.interner.intern(id));
-            let newly = self.postings.entry(term).or_default().insert(slot);
-            debug_assert!(newly, "remove() scrubbed this id");
+    /// Replaces whatever `id` held by `fp`, kept iff at least one of its
+    /// terms is placed here.
+    fn place(&mut self, id: TrajId, fp: Cow<'_, Fingerprints>) {
+        let places = placed_on(self.router, self.node_id);
+        if fp.set().iter().any(&places) {
+            self.store.insert(id, fp.into_owned(), places);
+        } else {
+            self.store.remove(id);
         }
-        dense
-    }
-
-    /// Whether the router places `term`'s posting list on this node.
-    fn owns(&self, term: u32) -> bool {
-        self.router.node_of_geodab(term) == self.node_id
-    }
-
-    fn store_replica(&mut self, dense: u32, fp: Fingerprints) {
-        let slot = dense as usize;
-        if self.replicas.len() <= slot {
-            self.replicas.resize(slot + 1, None);
-            self.set_sizes.resize(slot + 1, 0);
-        }
-        self.set_sizes[slot] = fp.distinct_len() as u32;
-        self.replicas[slot] = Some(fp);
     }
 
     /// `(id, replica)` of every trajectory held here, by dense slot.
     pub(crate) fn replicas(&self) -> impl Iterator<Item = (TrajId, &Fingerprints)> {
-        self.replicas
-            .iter()
-            .enumerate()
-            .filter_map(|(dense, fp)| Some((self.interner.resolve(dense as u32), fp.as_ref()?)))
+        self.store.replicas()
     }
 
     /// Posting entries held here.
     pub(crate) fn posting_count(&self) -> u64 {
-        self.postings.values().map(RoaringBitmap::len).sum()
+        let postings = self.store.postings_sorted();
+        postings.iter().map(|(_, list)| list.len()).sum()
     }
 
     /// Distinct shards with at least one posting here.
     pub(crate) fn shard_count(&self) -> usize {
+        let postings = self.store.postings_sorted();
         self.router
-            .shards_for_terms(self.postings.keys().copied())
+            .shards_for_terms(postings.iter().map(|&(term, _)| term))
             .len()
     }
 
     /// Node-local ranked scoring from the query's full fingerprints:
-    /// candidates are the trajectories on this node's posting lists for
-    /// the query terms, their overlaps counted term-at-a-time (terms
-    /// owned by other nodes probed in the replica) and scored exactly
-    /// against their full fingerprints into a bounded top-k heap — the
-    /// per-shard partial the frontend merges via [`crate::merge_heaps`].
+    /// the engine's pruned search over this node's posting lists, terms
+    /// owned by other nodes probed in the replica, each candidate scored
+    /// exactly against its full fingerprints into a bounded top-k heap —
+    /// the per-shard partial the frontend merges via
+    /// [`crate::merge_heaps`].
     pub fn search_fingerprints(
         &self,
         query_fp: &Fingerprints,
@@ -220,70 +187,30 @@ impl ShardNode {
     }
 
     /// [`ShardNode::search_fingerprints`] plus the number of candidates
-    /// scored.
-    ///
-    /// The distances are exact against each candidate's **full**
-    /// fingerprints `B`, not the routed subset: a query term with a
-    /// posting list here is in `B` iff the candidate is on that list
-    /// (this node holds every posting of the terms it owns); a term this
-    /// node owns without a list is in no `B`; and a term owned by
-    /// another node — *foreign*, only when the query spans nodes — is
-    /// looked up in the candidate's replica. The counts sum to `|A ∩ B|`,
-    /// and `δ = 1 − ov / (|A| + |B| − ov)` with `|B|` read per slot.
+    /// the pruned search scanned.
     pub(crate) fn score(
         &self,
         query_fp: &Fingerprints,
         options: &SearchOptions,
     ) -> (Vec<SearchResult>, usize) {
-        let mut local: Vec<&RoaringBitmap> = Vec::new();
-        let mut foreign: Vec<u32> = Vec::new();
-        for term in query_fp.set().iter() {
-            match self.postings.get(&term) {
-                Some(list) => local.push(list),
-                None if !self.owns(term) => foreign.push(term),
-                None => {}
-            }
-        }
-        let qa = query_fp.distinct_len();
-        let mut scored = 0usize;
-        let mut topk = TopK::new(options);
-        for_each_overlap(self.interner.capacity(), local, |dense, count| {
-            scored += 1;
-            let mut ov = count as u64;
-            if !foreign.is_empty() {
-                let replica = self.replicas[dense as usize]
-                    .as_ref()
-                    .expect("posting entries reference live replicas")
-                    .set();
-                ov += foreign.iter().filter(|&&t| replica.contains(t)).count() as u64;
-            }
-            let b = self.set_sizes[dense as usize] as u64;
-            topk.offer(1.0 - ov as f64 / (qa + b - ov) as f64, || {
-                self.interner.resolve(dense)
-            });
-        });
-        (topk.into_sorted(), scored)
+        let places = placed_on(self.router, self.node_id);
+        self.store.search(query_fp.set().iter(), options, places)
     }
 
     /// This node's snapshot segment: the interning table and the
     /// posting lists (the replicas travel once per container, in
     /// `FPRS`).
     pub(crate) fn encode_segment(&self) -> Vec<u8> {
-        let live = self.interner.live_slots();
-        let mut out = Vec::with_capacity(12 + 8 * live.len());
-        out.extend_from_slice(&(self.interner.capacity() as u32).to_le_bytes());
-        out.extend_from_slice(&(live.len() as u32).to_le_bytes());
-        for &(dense, id) in &live {
+        let slots = self.store.snapshot_slots();
+        let mut out = Vec::with_capacity(12 + 8 * slots.len());
+        let capacity = self.store.interner().capacity() as u32;
+        out.extend_from_slice(&capacity.to_le_bytes());
+        out.extend_from_slice(&(slots.len() as u32).to_le_bytes());
+        for &(dense, id, _) in &slots {
             out.extend_from_slice(&dense.to_le_bytes());
             out.extend_from_slice(&id.raw().to_le_bytes());
         }
-        let mut postings: Vec<(u32, &RoaringBitmap)> = self
-            .postings
-            .iter()
-            .map(|(&term, list)| (term, list))
-            .collect();
-        postings.sort_unstable_by_key(|&(term, _)| term);
-        write_postings(&mut out, &postings);
+        write_postings(&mut out, &self.store.postings_sorted());
         out
     }
 
@@ -296,47 +223,29 @@ impl ShardNode {
         payload: &[u8],
         fps: &HashMap<TrajId, Fingerprints>,
     ) -> Result<ShardNode, SnapshotError> {
-        let mut node = ShardNode::empty(config, router, node_id);
         let mut cursor = Cursor::new(payload);
         let capacity = cursor.u32()?;
         let live_count = cursor.u32()? as usize;
-        let mut live = Vec::with_capacity(live_count.min(cursor.remaining() / 8));
+        let mut slots = Vec::with_capacity(live_count.min(cursor.remaining() / 8));
         for _ in 0..live_count {
             let dense = cursor.u32()?;
             let id = TrajId::new(cursor.u32()?);
-            live.push((dense, id));
+            // A segment stores no set sizes: each slot claims its
+            // replica's own.
+            let size = fps.get(&id).map_or(0, |fp| fp.distinct_len() as u32);
+            slots.push((dense, id, size));
         }
-        node.interner =
-            IdInterner::from_live_slots(capacity, &live).map_err(SnapshotError::Corrupt)?;
-        for &(dense, id) in &live {
-            let Some(fp) = fps.get(&id) else {
-                return Err(SnapshotError::Corrupt(
-                    "node references unknown fingerprints",
-                ));
-            };
-            node.store_replica(dense, fp.clone());
-        }
-        let live_bitmap: RoaringBitmap = live.iter().map(|&(dense, _)| dense).collect();
         let posting_lists = read_postings::<u32>(&mut cursor)?;
         cursor.expect_end()?;
-        node.postings.reserve(posting_lists.len());
-        for (term, list) in posting_lists {
-            if list.is_empty() {
-                return Err(SnapshotError::Corrupt("empty posting list"));
-            }
-            // Count the live overlap without materializing the
-            // intersection: every posting entry must be a live slot.
-            if list.intersection_len(&live_bitmap) != list.len() {
-                return Err(SnapshotError::Corrupt("posting references a vacant slot"));
-            }
-            if !node.owns(term) {
-                return Err(SnapshotError::Corrupt("posting routed to the wrong node"));
-            }
-            // Ascending-term order (checked by the reader) rules out
-            // duplicates, so this insert never replaces.
-            node.postings.insert(term, list);
-        }
-        Ok(node)
+        let replica_of = |id| fps.get(&id).cloned();
+        let places = placed_on(router, node_id);
+        let store =
+            PostingLists::from_snapshot_parts(capacity, &slots, replica_of, posting_lists, places)
+                .map_err(SnapshotError::Corrupt)?;
+        Ok(ShardNode {
+            store,
+            ..ShardNode::empty(config, router, node_id)
+        })
     }
 }
 
@@ -355,22 +264,7 @@ impl TrajectoryIndex for ShardNode {
     /// anything for `id`. The local replica names exactly the posting
     /// lists to scrub — no coordinator bookkeeping is needed.
     fn remove(&mut self, id: TrajId) -> bool {
-        let Some(dense) = self.interner.release(id) else {
-            return false;
-        };
-        let fp = self.replicas[dense as usize]
-            .take()
-            .expect("an interned id holds its replica");
-        // Only terms this node owns have a list here.
-        for term in fp.set().iter() {
-            if let Some(list) = self.postings.get_mut(&term) {
-                list.remove(dense);
-                if list.is_empty() {
-                    self.postings.remove(&term);
-                }
-            }
-        }
-        true
+        self.store.remove(id)
     }
 
     /// Fingerprints a query trajectory and scores it locally (see
@@ -382,7 +276,7 @@ impl TrajectoryIndex for ShardNode {
 
     /// Distinct trajectories referenced by this node's postings.
     fn len(&self) -> usize {
-        self.interner.len()
+        self.store.len()
     }
 
     /// The ids holding a replica on this node, ascending.

@@ -140,3 +140,49 @@ proptest! {
         prop_assert_eq!(stats.candidates_scored, per_node);
     }
 }
+
+/// A remote leg runs the engine's pruned search, foreign terms counted
+/// in its admission bound: with `limit(1)` the node holding a crowd on
+/// one hot term freezes admission before that list and scans only the
+/// twin and a rival, yet the merged ranking is still the monolith's.
+#[test]
+fn remote_legs_prune_and_stay_exact() {
+    let mut d = Deployments::new(2);
+    // The twin: eight rare terms and one hot term on node 0, two terms
+    // on node 1 (foreign to node 0, and the other way round).
+    let mut twin: Vec<u32> = (0..8).map(|low| term(0, low)).collect();
+    twin.extend([term(0, 100), term(1, 0), term(1, 1)]);
+    d.insert(0, &twin);
+    // A rival sharing one rare term, so the leg holds two candidates
+    // when it reaches the hot list.
+    d.insert(1, &[term(0, 0), term(0, 500), term(0, 501)]);
+    // The crowd, reachable only through the hot term.
+    for i in 0..200u32 {
+        d.insert(10 + i, &[term(0, 100), term(0, 1_000 + i)]);
+    }
+
+    let query_fp = Fingerprints::from_ordered(twin);
+    let scored = |options: &SearchOptions| {
+        let (hits, stats) = d.cluster.search_fingerprints_with_stats(&query_fp, options);
+        assert_eq!(stats.nodes_contacted, 2);
+        assert_eq!(hits, d.mono.search_fingerprints(&query_fp, options));
+        let merged = merge_heaps(
+            d.nodes
+                .iter()
+                .map(|node| node.search_fingerprints(&query_fp, options)),
+            options,
+        );
+        assert_eq!(merged, hits);
+        (hits, stats.candidates_scored)
+    };
+    let (top, pruned) = scored(&SearchOptions::default().limit(1));
+    let (all, unbounded) = scored(&SearchOptions::default());
+    assert_eq!(top.len(), 1);
+    assert_eq!((top[0].id, top[0].distance), (TrajId::new(0), 0.0));
+    assert_eq!(all.len(), 202);
+    // Node 0 scans the whole crowd unbounded, only twin and rival under
+    // the limit; node 1 scans the twin either way.
+    assert_eq!(unbounded, 203);
+    assert!(pruned < unbounded, "{pruned} scanned under limit(1)");
+    assert_eq!(pruned, 3);
+}

@@ -5,8 +5,10 @@
 //! their wire form, the `TrajId ↔ dense` interner table and per-set
 //! cardinalities — so loading is a direct materialization instead of an
 //! O(corpus) rebuild. [`GeodabIndex`] and [`GeohashIndex`] both implement
-//! [`Persist`] here; the cluster backend does the same in its own crate
-//! over per-node segments.
+//! [`Persist`] here, each writing its one store
+//! ([`PostingLists`]) through the same SLOT / POST / replica-record
+//! helpers; on load the store itself checks that the parts agree. The
+//! cluster backend does the same in its own crate over per-node segments.
 //!
 //! # `GeodabIndex` section layout (backend tag 1)
 //!
@@ -31,13 +33,14 @@
 //! version field, and [`encode_v1`] still writes it for compatibility
 //! testing and migration tooling.
 
-use geodabs_core::{Fingerprints, GeodabConfig};
+use geodabs_core::{Fingerprinter, Fingerprints, GeodabConfig};
 use geodabs_geo::MAX_DEPTH;
 use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::TrajId;
 use std::collections::HashMap;
+use std::hash::Hash;
 
-use crate::engine::PostingLists;
+use crate::engine::{PostingLists, Replica};
 use crate::store::{
     peek_version, BackendKind, Cursor, Persist, SnapshotError, SnapshotReader, SnapshotWriter,
     MAGIC, SEC_CELLS, SEC_CONFIG, SEC_FINGERPRINTS, SEC_POSTINGS, SEC_SLOTS, VERSION_V1,
@@ -76,35 +79,6 @@ pub fn decode(data: &[u8]) -> Result<GeodabIndex, SnapshotError> {
 /// more entries than the remaining payload could possibly hold.
 fn claimed_capacity(claimed: usize, remaining: usize, entry_size: usize) -> usize {
     claimed.min(remaining / entry_size.max(1))
-}
-
-fn write_slots(out: &mut Vec<u8>, capacity: u32, slots: &[(u32, TrajId, u32)]) {
-    out.extend_from_slice(&capacity.to_le_bytes());
-    out.extend_from_slice(&(slots.len() as u32).to_le_bytes());
-    for &(dense, id, set_size) in slots {
-        out.extend_from_slice(&dense.to_le_bytes());
-        out.extend_from_slice(&id.raw().to_le_bytes());
-        out.extend_from_slice(&set_size.to_le_bytes());
-    }
-}
-
-/// The `(dense, id, set_size)` triples of a SLOT section plus the slot
-/// capacity.
-type SlotTable = (u32, Vec<(u32, TrajId, u32)>);
-
-fn read_slots(payload: &[u8]) -> Result<SlotTable, SnapshotError> {
-    let mut cursor = Cursor::new(payload);
-    let capacity = cursor.u32()?;
-    let live = cursor.u32()? as usize;
-    let mut slots = Vec::with_capacity(claimed_capacity(live, cursor.remaining(), 12));
-    for _ in 0..live {
-        let dense = cursor.u32()?;
-        let id = TrajId::new(cursor.u32()?);
-        let set_size = cursor.u32()?;
-        slots.push((dense, id, set_size));
-    }
-    cursor.expect_end()?;
-    Ok((capacity, slots))
 }
 
 mod sealed {
@@ -250,6 +224,88 @@ pub fn read_postings<V: SectionValue + Ord>(
     Ok(postings)
 }
 
+/// Writes the SLOT, POST and replica-record sections of a monolithic
+/// index's store, `sequence` giving the values each replica record
+/// carries (records ascending by id).
+fn write_store<T, R, V>(
+    writer: &mut SnapshotWriter,
+    store: &PostingLists<T, R>,
+    records_section: u32,
+    sequence: impl Fn(&R) -> &[V],
+) where
+    T: SectionValue + Eq + Hash + Ord,
+    R: Replica<T>,
+    V: SectionValue,
+{
+    let slots = store.snapshot_slots();
+    let mut slot_bytes = Vec::with_capacity(8 + 12 * slots.len());
+    let capacity = store.interner().capacity() as u32;
+    slot_bytes.extend_from_slice(&capacity.to_le_bytes());
+    slot_bytes.extend_from_slice(&(slots.len() as u32).to_le_bytes());
+    for &(dense, id, set_size) in &slots {
+        slot_bytes.extend_from_slice(&dense.to_le_bytes());
+        slot_bytes.extend_from_slice(&id.raw().to_le_bytes());
+        slot_bytes.extend_from_slice(&set_size.to_le_bytes());
+    }
+    writer.section(SEC_SLOTS, slot_bytes);
+
+    let mut post = Vec::new();
+    write_postings(&mut post, &store.postings_sorted());
+    writer.section(SEC_POSTINGS, post);
+
+    let mut records: Vec<(TrajId, &[V])> = store
+        .replicas()
+        .map(|(id, replica)| (id, sequence(replica)))
+        .collect();
+    records.sort_unstable_by_key(|&(id, _)| id);
+    let mut bytes = Vec::new();
+    write_sequences(&mut bytes, &records);
+    writer.section(records_section, bytes);
+}
+
+/// Reads what [`write_store`] wrote, `replica` decoding each record; the
+/// store itself checks the parts against each other.
+fn read_store<T, R, V>(
+    reader: &SnapshotReader<'_>,
+    records_section: u32,
+    replica: impl Fn(Vec<V>) -> Result<R, SnapshotError>,
+) -> Result<PostingLists<T, R>, SnapshotError>
+where
+    T: SectionValue + Eq + Hash + Ord,
+    R: Replica<T>,
+    V: SectionValue,
+{
+    let mut cursor = Cursor::new(reader.section(SEC_SLOTS)?);
+    let capacity = cursor.u32()?;
+    let live = cursor.u32()? as usize;
+    let mut slots = Vec::with_capacity(claimed_capacity(live, cursor.remaining(), 12));
+    for _ in 0..live {
+        let dense = cursor.u32()?;
+        let id = TrajId::new(cursor.u32()?);
+        let set_size = cursor.u32()?;
+        slots.push((dense, id, set_size));
+    }
+    cursor.expect_end()?;
+
+    let mut post = Cursor::new(reader.section(SEC_POSTINGS)?);
+    let postings = read_postings::<T>(&mut post)?;
+    post.expect_end()?;
+
+    let records = read_sequences::<V>(reader.section(records_section)?)?;
+    if records.len() != slots.len() {
+        return Err(SnapshotError::Corrupt(
+            "replica records and live slots disagree",
+        ));
+    }
+    let mut replicas = HashMap::with_capacity(records.len());
+    for (id, sequence) in records {
+        replicas.insert(id, replica(sequence)?);
+    }
+    let replica_of = |id| replicas.remove(&id);
+    PostingLists::from_snapshot_parts(capacity, &slots, replica_of, postings, |_| true)
+        .map_err(SnapshotError::Corrupt)
+}
+
 // ---------------------------------------------------------------------
 // GeodabIndex (backend tag 1)
 // ---------------------------------------------------------------------
@@ -265,28 +321,12 @@ impl Persist for GeodabIndex {
         conf.extend_from_slice(&(cfg.k() as u32).to_le_bytes());
         conf.extend_from_slice(&(cfg.t() as u32).to_le_bytes());
         writer.section(SEC_CONFIG, conf);
-
-        let slots = self.engine().snapshot_slots();
-        let mut slot_bytes = Vec::with_capacity(8 + 12 * slots.len());
-        write_slots(
-            &mut slot_bytes,
-            self.engine().interner().capacity() as u32,
-            &slots,
+        write_store(
+            &mut writer,
+            &self.engine,
+            SEC_FINGERPRINTS,
+            Fingerprints::ordered,
         );
-        writer.section(SEC_SLOTS, slot_bytes);
-
-        let mut post = Vec::new();
-        write_postings(&mut post, &self.engine().postings_sorted());
-        writer.section(SEC_POSTINGS, post);
-
-        let mut records: Vec<(TrajId, &[u32])> = self
-            .iter_fingerprints()
-            .map(|(id, fp)| (id, fp.ordered()))
-            .collect();
-        records.sort_unstable_by_key(|&(id, _)| id);
-        let mut fprs = Vec::new();
-        write_sequences(&mut fprs, &records);
-        writer.section(SEC_FINGERPRINTS, fprs);
 
         writer.finish()
     }
@@ -304,36 +344,12 @@ impl Persist for GeodabIndex {
         let config =
             GeodabConfig::new(depth, k, t, prefix).map_err(SnapshotError::InvalidConfig)?;
 
-        let (capacity, slots) = read_slots(reader.section(SEC_SLOTS)?)?;
-
-        let mut post = Cursor::new(reader.section(SEC_POSTINGS)?);
-        let postings = read_postings::<u32>(&mut post)?;
-        post.expect_end()?;
-
-        let records = read_sequences::<u32>(reader.section(SEC_FINGERPRINTS)?)?;
-        if records.len() != slots.len() {
-            return Err(SnapshotError::Corrupt(
-                "fingerprint records and live slots disagree",
-            ));
-        }
-        let mut fingerprints: HashMap<TrajId, Fingerprints> = HashMap::with_capacity(records.len());
-        for (id, ordered) in records {
-            fingerprints.insert(id, Fingerprints::from_ordered(ordered));
-        }
-        for &(_, id, set_size) in &slots {
-            let Some(fp) = fingerprints.get(&id) else {
-                return Err(SnapshotError::Corrupt("live slot without fingerprints"));
-            };
-            if fp.distinct_len() != set_size as u64 {
-                return Err(SnapshotError::Corrupt(
-                    "set cardinality disagrees with fingerprints",
-                ));
-            }
-        }
-
-        let engine = PostingLists::from_snapshot_parts(capacity, &slots, postings)
-            .map_err(SnapshotError::Corrupt)?;
-        Ok(GeodabIndex::from_engine_parts(config, engine, fingerprints))
+        Ok(GeodabIndex {
+            fingerprinter: Fingerprinter::new(config),
+            engine: read_store(&reader, SEC_FINGERPRINTS, |ordered| {
+                Ok(Fingerprints::from_ordered(ordered))
+            })?,
+        })
     }
 }
 
@@ -345,25 +361,7 @@ impl Persist for GeohashIndex {
     fn to_snapshot(&self) -> Vec<u8> {
         let mut writer = SnapshotWriter::new(BackendKind::Geohash);
         writer.section(SEC_CONFIG, vec![self.depth()]);
-
-        let slots = self.engine().snapshot_slots();
-        let mut slot_bytes = Vec::with_capacity(8 + 12 * slots.len());
-        write_slots(
-            &mut slot_bytes,
-            self.engine().interner().capacity() as u32,
-            &slots,
-        );
-        writer.section(SEC_SLOTS, slot_bytes);
-
-        let mut post = Vec::new();
-        write_postings(&mut post, &self.engine().postings_sorted());
-        writer.section(SEC_POSTINGS, post);
-
-        let mut records: Vec<(TrajId, &[u64])> = self.iter_cells().collect();
-        records.sort_unstable_by_key(|&(id, _)| id);
-        let mut cells = Vec::new();
-        write_sequences(&mut cells, &records);
-        writer.section(SEC_CELLS, cells);
+        write_store(&mut writer, &self.engine, SEC_CELLS, Vec::as_slice);
 
         writer.finish()
     }
@@ -379,39 +377,14 @@ impl Persist for GeohashIndex {
             return Err(SnapshotError::Corrupt("cell depth out of range"));
         }
 
-        let (capacity, slots) = read_slots(reader.section(SEC_SLOTS)?)?;
-
-        let mut post = Cursor::new(reader.section(SEC_POSTINGS)?);
-        let postings = read_postings::<u64>(&mut post)?;
-        post.expect_end()?;
-
-        let records = read_sequences::<u64>(reader.section(SEC_CELLS)?)?;
-        if records.len() != slots.len() {
-            return Err(SnapshotError::Corrupt(
-                "cell records and live slots disagree",
-            ));
-        }
-        let mut cells: HashMap<TrajId, Vec<u64>> = HashMap::with_capacity(records.len());
-        for (id, seq) in records {
-            if !seq.windows(2).all(|w| w[0] < w[1]) {
-                return Err(SnapshotError::Corrupt("cell set not strictly sorted"));
+        let engine = read_store(&reader, SEC_CELLS, |cells: Vec<u64>| {
+            if cells.windows(2).all(|w| w[0] < w[1]) {
+                Ok(cells)
+            } else {
+                Err(SnapshotError::Corrupt("cell set not strictly sorted"))
             }
-            cells.insert(id, seq);
-        }
-        for &(_, id, set_size) in &slots {
-            let Some(seq) = cells.get(&id) else {
-                return Err(SnapshotError::Corrupt("live slot without a cell set"));
-            };
-            if seq.len() != set_size as usize {
-                return Err(SnapshotError::Corrupt(
-                    "set cardinality disagrees with cell set",
-                ));
-            }
-        }
-
-        let engine = PostingLists::from_snapshot_parts(capacity, &slots, postings)
-            .map_err(SnapshotError::Corrupt)?;
-        Ok(GeohashIndex::from_engine_parts(depth, engine, cells))
+        })?;
+        Ok(GeohashIndex { depth, engine })
     }
 }
 

@@ -7,10 +7,11 @@
 //! * [`IdInterner`] — a `TrajId ↔ u32` interning table assigning *dense*
 //!   slot numbers, so posting lists can be [`RoaringBitmap`]s of small
 //!   contiguous integers instead of `Vec<TrajId>`,
-//! * [`PostingLists`] — roaring posting lists over interned ids with exact
-//!   **term-at-a-time overlap counting**: instead of intersecting bitmap
-//!   pairs per candidate, one pass over the query's posting lists counts
-//!   `|A ∩ B|` for every candidate simultaneously, and
+//! * [`PostingLists`] — the one posting store of every backend: roaring
+//!   posting lists over interned ids, plus each slot's `|B|` and full
+//!   [`Replica`], with exact **term-at-a-time overlap counting**: instead
+//!   of intersecting bitmap pairs per candidate, one pass over the query's
+//!   posting lists counts `|A ∩ B|` for every candidate simultaneously, and
 //!   `δ = 1 − overlap / (|A| + |B| − overlap)` falls out in O(1) per
 //!   candidate,
 //! * [`TopK`] — a bounded heap that keeps the best `limit` hits under the
@@ -65,9 +66,20 @@
 //! ([`TopK::offer`]); the thousands that cannot never touch the
 //! interning table.
 //!
-//! [`for_each_overlap`] runs the same counting and the same drain on the
-//! same accumulator for callers that keep their own posting lists (the
-//! shard nodes of `geodabs-cluster`).
+//! # Placement and foreign terms
+//!
+//! A store holds posting lists only for the terms its **placement
+//! predicate** accepts, but the full replica of every trajectory it
+//! holds. The monolithic indexes place every term (`|_| true`, which
+//! compiles the foreign-term branches away); a shard node of
+//! `geodabs-cluster` places the terms its router sends to it. A query
+//! term with no list here that the predicate does not place is
+//! *foreign*: it cannot make a candidate, but a candidate may hold it,
+//! so each candidate probes it in its replica when it is drained — the
+//! only replica read on the query path. A newcomer can still match every
+//! foreign term, so the admission floor becomes
+//! `1 − (m − i + foreign)/|A|`, and a node's pruned ranking stays the
+//! exact top-k of its own candidates.
 //!
 //! # Examples
 //!
@@ -76,20 +88,23 @@
 //! use geodabs_index::SearchOptions;
 //! use geodabs_traj::TrajId;
 //!
-//! let mut lists: PostingLists<u32> = PostingLists::new();
-//! lists.insert(TrajId::new(7), [1, 2, 3]);
-//! lists.insert(TrajId::new(9), [2, 3, 4]);
-//! lists.insert(TrajId::new(4), [40, 41, 42]);
+//! // Terms are kept as sorted vectors and every one gets a list.
+//! let mut lists: PostingLists<u32, Vec<u32>> = PostingLists::new();
+//! lists.insert(TrajId::new(7), vec![1, 2, 3], |_| true);
+//! lists.insert(TrajId::new(9), vec![2, 3, 4], |_| true);
+//! lists.insert(TrajId::new(4), vec![40, 41, 42], |_| true);
 //!
 //! // Query {1, 2, 3}: T7 matches exactly, T9 overlaps on {2, 3}.
-//! let hits = lists.search([1u32, 2, 3], &SearchOptions::default().limit(2));
-//! assert_eq!(hits.len(), 2);
+//! let options = SearchOptions::default().limit(2);
+//! let (hits, scanned) = lists.search([1u32, 2, 3], &options, |_| true);
+//! assert_eq!((hits.len(), scanned), (2, 2));
 //! assert_eq!(hits[0].id, TrajId::new(7));
 //! assert_eq!(hits[0].distance, 0.0);
 //! assert_eq!(hits[1].id, TrajId::new(9));
 //! assert_eq!(hits[1].distance, 0.5); // 1 − 2/4
 //! ```
 
+use geodabs_core::Fingerprints;
 use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::TrajId;
 use std::cell::Cell;
@@ -124,7 +139,9 @@ pub struct EngineTelemetry {
 
 /// Reads the engine's cumulative scan counters. Process-wide and
 /// monotonic: every backend sharing this process accumulates into the
-/// same totals.
+/// same totals. A monolithic query is one search; a sharded one is one
+/// search per node leg — an in-process `ClusterIndex` leg or a shard
+/// server's — that finds a posting list for the query.
 pub fn telemetry() -> EngineTelemetry {
     EngineTelemetry {
         searches: SEARCHES.load(Ordering::Relaxed),
@@ -422,31 +439,82 @@ impl TopK {
     }
 }
 
-/// Roaring posting lists over interned trajectory ids, with the pruned
-/// exact top-k ranking described in the [module docs](self).
+/// A trajectory's full term set as [`PostingLists`] keeps it per slot:
+/// what a removal scrubs by, `|B|` for scoring, and the membership test
+/// a *foreign* query term is probed with.
+pub trait Replica<T> {
+    /// The distinct terms.
+    fn terms(&self) -> impl Iterator<Item = T> + '_;
+
+    /// `|B|`, the number of distinct terms.
+    fn distinct_len(&self) -> u32;
+
+    /// Whether `term` is one of the terms.
+    fn has_term(&self, term: T) -> bool;
+}
+
+/// A geodab fingerprint sequence: its terms are its distinct geodabs.
+impl Replica<u32> for Fingerprints {
+    fn terms(&self) -> impl Iterator<Item = u32> + '_ {
+        self.set().iter()
+    }
+
+    fn distinct_len(&self) -> u32 {
+        Fingerprints::distinct_len(self) as u32
+    }
+
+    fn has_term(&self, term: u32) -> bool {
+        self.set().contains(term)
+    }
+}
+
+/// A strictly ascending term vector, such as a geohash cell set.
+impl<T: Copy + Ord> Replica<T> for Vec<T> {
+    fn terms(&self) -> impl Iterator<Item = T> + '_ {
+        self.iter().copied()
+    }
+
+    fn distinct_len(&self) -> u32 {
+        self.len() as u32
+    }
+
+    fn has_term(&self, term: T) -> bool {
+        self.binary_search(&term).is_ok()
+    }
+}
+
+/// The one posting store under every backend: roaring posting lists over
+/// interned trajectory slots, plus per slot the trajectory's `|B|` and
+/// full replica, with the pruned exact top-k ranking described in the
+/// [module docs](self).
 ///
 /// The term type `T` is generic so the same engine serves the geodab index
 /// (`u32` fingerprints), the geohash baseline (`u64` cells) and any future
-/// vocabulary. The engine stores only term *sets* and their sizes; callers
-/// keep whatever richer per-trajectory payload they need (ordered
-/// fingerprints, cell vectors, …) and replay the same term set into
-/// [`PostingLists::remove`].
+/// vocabulary; `R` is the per-trajectory [`Replica`]. Which terms get a
+/// posting list here is a **placement predicate** the caller passes to
+/// every insert, search and load: the monolithic indexes place every term
+/// (`|_| true`), a shard node only the terms its router sends to it.
 #[derive(Debug, Clone)]
-pub struct PostingLists<T> {
+pub struct PostingLists<T, R> {
     interner: IdInterner,
     postings: HashMap<T, RoaringBitmap>,
     /// `set_sizes[dense]` is `|B|`, the number of distinct terms of the
-    /// trajectory in that slot (stale for vacant slots).
+    /// trajectory in that slot (stale for vacant slots): a flat column,
+    /// so scoring never reads a replica for it.
     set_sizes: Vec<u32>,
+    /// `replicas[dense]` is the trajectory in that slot (`None` while the
+    /// slot is vacant).
+    replicas: Vec<Option<R>>,
 }
 
-impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
-    /// Creates empty posting lists.
-    pub fn new() -> PostingLists<T> {
+impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> PostingLists<T, R> {
+    /// Creates an empty store.
+    pub fn new() -> PostingLists<T, R> {
         PostingLists {
             interner: IdInterner::new(),
             postings: HashMap::new(),
             set_sizes: Vec::new(),
+            replicas: Vec::new(),
         }
     }
 
@@ -460,7 +528,7 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
         self.interner.is_empty()
     }
 
-    /// Number of distinct terms in the dictionary.
+    /// Number of distinct terms with a posting list.
     pub fn term_count(&self) -> usize {
         self.postings.len()
     }
@@ -475,34 +543,52 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
         self.postings.get(&term)
     }
 
-    /// Indexes `id` under every term of `terms` (which must be distinct
-    /// and must not already be indexed — remove first to replace).
-    pub fn insert(&mut self, id: TrajId, terms: impl IntoIterator<Item = T>) {
-        debug_assert!(
-            self.interner.dense(id).is_none(),
-            "insert of an id that is already indexed; remove it first"
-        );
-        let dense = self.interner.intern(id);
-        if self.set_sizes.len() <= dense as usize {
-            self.set_sizes.resize(dense as usize + 1, 0);
-        }
-        let mut distinct = 0u32;
-        for term in terms {
-            let newly = self.postings.entry(term).or_default().insert(dense);
-            debug_assert!(newly, "terms of one trajectory must be distinct");
-            distinct += 1;
-        }
-        self.set_sizes[dense as usize] = distinct;
+    /// The replica stored under `id`, if indexed.
+    pub fn replica(&self, id: TrajId) -> Option<&R> {
+        self.replicas[self.interner.dense(id)? as usize].as_ref()
     }
 
-    /// Removes `id`, scrubbing its dense slot from the posting list of
-    /// every term in `terms` (the same set it was inserted under); returns
-    /// whether the id was indexed.
-    pub fn remove(&mut self, id: TrajId, terms: impl IntoIterator<Item = T>) -> bool {
+    /// `(id, replica)` of every indexed trajectory, ascending by dense
+    /// slot.
+    pub fn replicas(&self) -> impl Iterator<Item = (TrajId, &R)> {
+        self.replicas
+            .iter()
+            .enumerate()
+            .filter_map(|(dense, replica)| {
+                Some((self.interner.resolve(dense as u32), replica.as_ref()?))
+            })
+    }
+
+    /// Indexes `replica` under `id`, replacing whatever `id` held: the
+    /// slot keeps the full replica and its size, and every term of it
+    /// that `places` accepts gets a posting.
+    pub fn insert(&mut self, id: TrajId, replica: R, places: impl Fn(T) -> bool) {
+        self.remove(id);
+        let dense = self.interner.intern(id);
+        let slot = dense as usize;
+        if self.replicas.len() <= slot {
+            self.replicas.resize_with(slot + 1, || None);
+            self.set_sizes.resize(slot + 1, 0);
+        }
+        for term in replica.terms().filter(|&term| places(term)) {
+            let newly = self.postings.entry(term).or_default().insert(dense);
+            debug_assert!(newly, "terms of one replica must be distinct");
+        }
+        self.set_sizes[slot] = replica.distinct_len();
+        self.replicas[slot] = Some(replica);
+    }
+
+    /// Removes `id`, scrubbing its slot from the posting list of every
+    /// term of its stored replica (a term that was not placed has no list
+    /// here); returns whether the id was indexed.
+    pub fn remove(&mut self, id: TrajId) -> bool {
         let Some(dense) = self.interner.release(id) else {
             return false;
         };
-        for term in terms {
+        let replica = self.replicas[dense as usize]
+            .take()
+            .expect("an interned id holds its replica");
+        for term in replica.terms() {
             if let Some(list) = self.postings.get_mut(&term) {
                 list.remove(dense);
                 if list.is_empty() {
@@ -512,11 +598,6 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
         }
         self.set_sizes[dense as usize] = 0;
         true
-    }
-
-    /// Whether `id` is indexed.
-    pub fn contains(&self, id: TrajId) -> bool {
-        self.interner.dense(id).is_some()
     }
 
     /// The dense candidate set of a query: every slot sharing at least one
@@ -544,10 +625,10 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
         ids
     }
 
-    /// The serializable view of the engine's slot state: every live
+    /// The serializable view of the store's slot state: every live
     /// `(dense, id, set_size)` triple, ascending by dense slot. Together
-    /// with [`PostingLists::postings_sorted`] and the slot capacity this
-    /// is the full derived state the snapshot layer persists.
+    /// with [`PostingLists::postings_sorted`], the slot capacity and the
+    /// replicas this is the full state the snapshot layer persists.
     pub fn snapshot_slots(&self) -> Vec<(u32, TrajId, u32)> {
         self.interner
             .live_slots()
@@ -568,27 +649,41 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
         postings
     }
 
-    /// Materializes an engine directly from persisted derived state —
-    /// the inverse of [`PostingLists::snapshot_slots`] +
-    /// [`PostingLists::postings_sorted`] — without replaying a single
-    /// insert.
+    /// Materializes a store directly from persisted state — the inverse
+    /// of [`PostingLists::snapshot_slots`] +
+    /// [`PostingLists::postings_sorted`] — taking each live slot's replica
+    /// from `replica_of`, without replaying a single insert.
     ///
     /// # Errors
     ///
-    /// Rejects structurally inconsistent parts (slots out of range or out
-    /// of order, duplicate ids or terms, empty posting lists, postings
-    /// referencing vacant slots): a successful load must never panic or
-    /// resolve a stale slot at query time.
+    /// Rejects parts no sequence of inserts under `places` produces:
+    /// slots out of range or out of order, duplicate ids or terms, a live
+    /// slot without a replica or whose size disagrees with it, empty
+    /// posting lists, postings referencing vacant slots, and postings of
+    /// terms `places` does not place. A successful load never panics or
+    /// resolves a stale slot at query time.
     pub fn from_snapshot_parts(
         capacity: u32,
         slots: &[(u32, TrajId, u32)],
+        mut replica_of: impl FnMut(TrajId) -> Option<R>,
         posting_lists: Vec<(T, RoaringBitmap)>,
-    ) -> Result<PostingLists<T>, &'static str> {
+        places: impl Fn(T) -> bool,
+    ) -> Result<PostingLists<T, R>, &'static str> {
         let live: Vec<(u32, TrajId)> = slots.iter().map(|&(dense, id, _)| (dense, id)).collect();
         let interner = IdInterner::from_live_slots(capacity, &live)?;
-        let mut set_sizes = vec![0u32; capacity as usize];
-        for &(dense, _, size) in slots {
+        // Columns reach the last live slot (slots ascend); inserts grow
+        // them further.
+        let extent = live.last().map_or(0, |&(dense, _)| dense as usize + 1);
+        let mut set_sizes = vec![0u32; extent];
+        let mut replicas: Vec<Option<R>> = Vec::new();
+        replicas.resize_with(extent, || None);
+        for &(dense, id, size) in slots {
+            let replica = replica_of(id).ok_or("live slot without a replica")?;
+            if replica.distinct_len() != size {
+                return Err("set size disagrees with the replica");
+            }
             set_sizes[dense as usize] = size;
+            replicas[dense as usize] = Some(replica);
         }
         let live_bitmap: RoaringBitmap = live.iter().map(|&(dense, _)| dense).collect();
         let mut postings: HashMap<T, RoaringBitmap> = HashMap::with_capacity(posting_lists.len());
@@ -601,6 +696,9 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
             if !list.is_subset(&live_bitmap) {
                 return Err("posting references a vacant slot");
             }
+            if !places(term) {
+                return Err("posting routed to the wrong node");
+            }
             if postings.insert(term, list).is_some() {
                 return Err("duplicate posting term");
             }
@@ -609,39 +707,56 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
             interner,
             postings,
             set_sizes,
+            replicas,
         })
     }
 
     /// Exact pruned top-k ranking of the candidates of `query_terms`
-    /// (which must be distinct; order is irrelevant).
+    /// (which must be distinct; order is irrelevant), with the number of
+    /// candidates it scanned.
     ///
-    /// Returns precisely what a full candidate scan would: hits ordered by
-    /// ascending `(distance, id)`, cut at `options.max_distance` and
-    /// `options.limit`. See the [module docs](self) for the algorithm.
+    /// Returns precisely what a full scan of this store's candidates
+    /// would: hits ordered by ascending `(distance, id)`, cut at
+    /// `options.max_distance` and `options.limit`, each distance exact
+    /// against the candidate's full replica. Candidates come from the
+    /// posting lists held here; a query term without a list that `places`
+    /// does not place is *foreign* — its list lives in another store — and
+    /// is probed in each candidate's replica instead. See the
+    /// [module docs](self) for the algorithm.
     ///
     /// ```
     /// use geodabs_index::engine::PostingLists;
     /// use geodabs_index::SearchOptions;
     /// use geodabs_traj::TrajId;
     ///
-    /// let mut lists: PostingLists<u32> = PostingLists::new();
-    /// lists.insert(TrajId::new(0), [10, 11, 12]);
-    /// lists.insert(TrajId::new(1), [12, 13, 14]);
+    /// let mut lists: PostingLists<u32, Vec<u32>> = PostingLists::new();
+    /// lists.insert(TrajId::new(0), vec![10, 11, 12], |_| true);
+    /// lists.insert(TrajId::new(1), vec![12, 13, 14], |_| true);
     ///
-    /// // Δmax = 0.5 drops the one-term overlap; the exact twin stays.
-    /// let hits = lists.search([10u32, 11, 12], &SearchOptions::default().max_distance(0.5));
-    /// assert_eq!(hits.len(), 1);
+    /// // Δmax = 0.5 drops the one-term overlap; the exact twin stays, and
+    /// // T1, reachable only through the last list, is never even scanned.
+    /// let options = SearchOptions::default().max_distance(0.5);
+    /// let (hits, scanned) = lists.search([10u32, 11, 12], &options, |_| true);
+    /// assert_eq!((hits.len(), scanned), (1, 1));
     /// assert_eq!(hits[0].id, TrajId::new(0));
+    ///
+    /// // A store that places only terms below 12 holds no list for 12;
+    /// // the twin still scores 0, its match on 12 probed in its replica.
+    /// let mut low: PostingLists<u32, Vec<u32>> = PostingLists::new();
+    /// low.insert(TrajId::new(0), vec![10, 11, 12], |t| t < 12);
+    /// let (hits, _) = low.search([10u32, 11, 12], &options, |t| t < 12);
+    /// assert_eq!(hits[0].distance, 0.0);
     /// ```
     pub fn search(
         &self,
         query_terms: impl IntoIterator<Item = T>,
         options: &SearchOptions,
-    ) -> Vec<SearchResult> {
+        places: impl Fn(T) -> bool,
+    ) -> (Vec<SearchResult>, usize) {
         let mut scratch = Scratch::take(self.interner.capacity());
-        let hits = self.search_on(&mut scratch, query_terms, options);
+        let found = self.search_on(&mut scratch, query_terms, options, places);
         scratch.park();
-        hits
+        found
     }
 
     /// [`PostingLists::search`] on a taken accumulator; every return
@@ -651,18 +766,23 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
         scratch: &mut Scratch<'a>,
         query_terms: impl IntoIterator<Item = T>,
         options: &SearchOptions,
-    ) -> Vec<SearchResult> {
+        places: impl Fn(T) -> bool,
+    ) -> (Vec<SearchResult>, usize) {
         // Partition the query into posting-bearing terms (the only ones
-        // that can contribute overlap) while counting |A| over all terms.
+        // that can make a candidate) and foreign ones, while counting |A|
+        // over all terms.
         let mut qa = 0u64;
+        let mut foreign: Vec<T> = Vec::new();
         for term in query_terms {
             qa += 1;
-            if let Some(list) = self.postings.get(&term) {
-                scratch.lists.push(list);
+            match self.postings.get(&term) {
+                Some(list) => scratch.lists.push(list),
+                None if !places(term) => foreign.push(term),
+                None => {}
             }
         }
         if qa == 0 || scratch.lists.is_empty() || options.limit == Some(0) {
-            return Vec::new();
+            return (Vec::new(), 0);
         }
         // Rarest-first: the cheapest lists both seed the fewest candidates
         // and push the "remaining terms" upper bound down fastest.
@@ -681,10 +801,10 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
             let list = scratch.lists[i];
             if admit_new {
                 // A candidate first seen now can still match at most the
-                // remaining m − i terms, so its distance is at least
-                // 1 − (m − i)/|A| — prune admission once that floor
-                // exceeds the threshold.
-                let best_new = 1.0 - (m - i) as f64 / qa as f64;
+                // remaining m − i terms and every foreign one, so its
+                // distance is at least 1 − (m − i + foreign)/|A| — prune
+                // admission once that floor exceeds the threshold.
+                let best_new = 1.0 - (m - i + foreign.len()) as f64 / qa as f64;
                 if best_new > threshold {
                     admit_new = false;
                 } else if let Some(limit) = options.limit {
@@ -715,24 +835,35 @@ impl<T: Copy + Eq + Hash + Ord> PostingLists<T> {
         // Exact counts in hand, every score is O(1); the bounded heap
         // keeps the best `limit` under the (distance, id) order, and only
         // a hit that can enter it resolves its id.
-        let scanned = scratch.live as u64;
+        let scanned = scratch.live;
         let mut topk = TopK::new(options);
-        scratch.drain(|dense, ov| {
-            let ov = ov as u64;
+        let mut offer = |dense: u32, ov: u64| {
             let b = self.set_sizes[dense as usize] as u64;
             let union = qa + b - ov;
             topk.offer(1.0 - ov as f64 / union as f64, || {
                 self.interner.resolve(dense)
             });
-        });
+        };
+        if foreign.is_empty() {
+            scratch.drain(|dense, ov| offer(dense, ov as u64));
+        } else {
+            // The one read of a replica on the query path.
+            scratch.drain(|dense, ov| {
+                let replica = self.replicas[dense as usize]
+                    .as_ref()
+                    .expect("posting entries reference live slots");
+                let probed = foreign.iter().filter(|&&term| replica.has_term(term));
+                offer(dense, ov as u64 + probed.count() as u64);
+            });
+        }
         let hits = topk.into_sorted();
         SEARCHES.fetch_add(1, Ordering::Relaxed);
-        CANDIDATES_SCANNED.fetch_add(scanned, Ordering::Relaxed);
+        CANDIDATES_SCANNED.fetch_add(scanned as u64, Ordering::Relaxed);
         CANDIDATES_ADMITTED.fetch_add(hits.len() as u64, Ordering::Relaxed);
         if !admit_new {
             PRUNE_CUTOFFS.fetch_add(1, Ordering::Relaxed);
         }
-        hits
+        (hits, scanned)
     }
 
     /// The `k`-th smallest *guaranteed* distance among the current
@@ -892,42 +1023,8 @@ fn recycle<'b, T: ?Sized>(mut borrows: Vec<&T>) -> Vec<&'b T> {
     borrows.into_iter().map(|_| unreachable!()).collect()
 }
 
-/// Term-at-a-time overlap counting for callers that keep their own
-/// posting lists: calls `visit(dense, count)` once for every dense slot
-/// on at least one of `lists`, in first-touch order, where `count` is
-/// the number of lists holding the slot. Runs on the calling thread's
-/// reusable accumulator, exactly like [`PostingLists::search`] with
-/// admission never frozen.
-///
-/// ```
-/// use geodabs_index::engine::for_each_overlap;
-/// use geodabs_roaring::RoaringBitmap;
-///
-/// let a: RoaringBitmap = [0u32, 2, 5].into_iter().collect();
-/// let b: RoaringBitmap = [2u32, 5, 6].into_iter().collect();
-/// let mut counted = Vec::new();
-/// for_each_overlap(7, [&a, &b], |dense, count| counted.push((dense, count)));
-/// assert_eq!(counted, vec![(0, 1), (2, 2), (5, 2), (6, 1)]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if a list holds a value `>= capacity`.
-pub fn for_each_overlap<'a>(
-    capacity: usize,
-    lists: impl IntoIterator<Item = &'a RoaringBitmap>,
-    visit: impl FnMut(u32, u32),
-) {
-    let mut scratch = Scratch::take(capacity);
-    for list in lists {
-        scratch.admit(list);
-    }
-    scratch.drain(visit);
-    scratch.park();
-}
-
-impl<T: Copy + Eq + Hash + Ord> Default for PostingLists<T> {
-    fn default() -> PostingLists<T> {
+impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> Default for PostingLists<T, R> {
+    fn default() -> PostingLists<T, R> {
         PostingLists::new()
     }
 }
@@ -1056,18 +1153,37 @@ mod tests {
         }
     }
 
-    fn sample() -> PostingLists<u32> {
+    type Lists = PostingLists<u32, Vec<u32>>;
+
+    /// Every term gets a list: the monolithic indexes' placement.
+    fn all(_: u32) -> bool {
+        true
+    }
+
+    fn lists_of<'a>(sets: impl IntoIterator<Item = &'a (u32, Vec<u32>)>) -> Lists {
         let mut lists = PostingLists::new();
-        lists.insert(id(0), [1, 2, 3, 4]);
-        lists.insert(id(1), [3, 4, 5]);
-        lists.insert(id(2), [100, 101]);
+        for (raw, terms) in sets {
+            lists.insert(id(*raw), terms.clone(), all);
+        }
         lists
+    }
+
+    fn ranked(lists: &Lists, query: &[u32], options: &SearchOptions) -> Vec<SearchResult> {
+        lists.search(query.iter().copied(), options, all).0
+    }
+
+    fn sample() -> Lists {
+        lists_of(&[
+            (0, vec![1, 2, 3, 4]),
+            (1, vec![3, 4, 5]),
+            (2, vec![100, 101]),
+        ])
     }
 
     #[test]
     fn search_scores_by_overlap_counting() {
         let lists = sample();
-        let hits = lists.search([1u32, 2, 3, 4], &SearchOptions::default());
+        let hits = ranked(&lists, &[1, 2, 3, 4], &SearchOptions::default());
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0], hit(0, 0.0));
         // overlap {3,4} of |A|=4, |B|=3 → 1 − 2/5.
@@ -1078,7 +1194,7 @@ mod tests {
     fn search_counts_unknown_query_terms_in_qa() {
         let lists = sample();
         // Terms 8 and 9 are not in the dictionary but still enlarge |A|.
-        let hits = lists.search([3u32, 4, 8, 9], &SearchOptions::default());
+        let hits = ranked(&lists, &[3, 4, 8, 9], &SearchOptions::default());
         // id 1: overlap {3,4}, |A|=4, |B|=3 → 1 − 2/5.
         assert_eq!(hits[0], hit(1, 1.0 - 2.0 / 5.0));
         // id 0: overlap {3,4}, |A|=4, |B|=4 → 1 − 2/6.
@@ -1088,23 +1204,20 @@ mod tests {
     #[test]
     fn search_empty_cases() {
         let lists = sample();
-        assert!(lists
-            .search(std::iter::empty::<u32>(), &SearchOptions::default())
-            .is_empty());
-        assert!(lists.search([999u32], &SearchOptions::default()).is_empty());
-        let empty: PostingLists<u32> = PostingLists::new();
-        assert!(empty
-            .search([1u32, 2], &SearchOptions::default())
-            .is_empty());
+        assert!(ranked(&lists, &[], &SearchOptions::default()).is_empty());
+        assert!(ranked(&lists, &[999], &SearchOptions::default()).is_empty());
+        assert!(ranked(&Lists::new(), &[1, 2], &SearchOptions::default()).is_empty());
     }
 
     #[test]
     fn remove_scrubs_postings_and_candidates() {
         let mut lists = sample();
-        assert!(lists.remove(id(0), [1, 2, 3, 4]));
-        assert!(!lists.remove(id(0), [1, 2, 3, 4]));
+        assert!(lists.remove(id(0)));
+        assert!(!lists.remove(id(0)));
         assert_eq!(lists.candidate_ids([1u32, 2, 3, 4]), vec![id(1)]);
         assert_eq!(lists.len(), 2);
+        assert!(lists.replica(id(0)).is_none());
+        assert_eq!(lists.replica(id(1)), Some(&vec![3, 4, 5]));
         // Terms only id 0 carried are gone from the dictionary.
         assert!(lists.posting(1).is_none());
         assert!(lists.posting(3).is_some());
@@ -1112,23 +1225,22 @@ mod tests {
 
     #[test]
     fn candidate_ids_are_sorted_by_traj_id_despite_dense_order() {
-        let mut lists = PostingLists::new();
         // Insert out of TrajId order so dense order ≠ id order.
-        lists.insert(id(50), [1, 2]);
-        lists.insert(id(3), [2, 3]);
-        lists.insert(id(20), [1, 3]);
+        let lists = lists_of(&[(50, vec![1, 2]), (3, vec![2, 3]), (20, vec![1, 3])]);
         assert_eq!(
             lists.candidate_ids([1u32, 2, 3]),
             vec![id(3), id(20), id(50)]
         );
+        let by_slot: Vec<TrajId> = lists.replicas().map(|(id, _)| id).collect();
+        assert_eq!(by_slot, vec![id(50), id(3), id(20)]);
     }
 
     #[test]
     fn generic_u64_terms_work() {
-        let mut lists: PostingLists<u64> = PostingLists::new();
-        lists.insert(id(1), [u64::MAX, 1 << 40]);
-        lists.insert(id(2), [1 << 40]);
-        let hits = lists.search([u64::MAX, 1 << 40], &SearchOptions::default());
+        let mut lists: PostingLists<u64, Vec<u64>> = PostingLists::new();
+        lists.insert(id(1), vec![1 << 40, u64::MAX], |_| true);
+        lists.insert(id(2), vec![1 << 40], |_| true);
+        let (hits, _) = lists.search([u64::MAX, 1 << 40], &SearchOptions::default(), |_| true);
         assert_eq!(hits[0].id, id(1));
         assert_eq!(hits[0].distance, 0.0);
         assert_eq!(hits[1], hit(2, 0.5));
@@ -1139,15 +1251,14 @@ mod tests {
         // Many candidates sharing a common term, one sharing every term:
         // with limit 1, admission must stop early yet the exact best hit
         // still wins.
-        let mut lists = PostingLists::new();
-        lists.insert(id(0), [1, 2, 3, 4, 5, 6, 7, 8]);
-        for i in 1..200u32 {
-            lists.insert(id(i), [1, 1000 + i, 2000 + i]);
-        }
-        let all = lists.search(1u32..=8, &SearchOptions::default());
-        let top = lists.search(1u32..=8, &SearchOptions::default().limit(1));
+        let mut sets = vec![(0, (1..=8).collect())];
+        sets.extend((1..200u32).map(|i| (i, vec![1, 1000 + i, 2000 + i])));
+        let lists = lists_of(&sets);
+        let query: Vec<u32> = (1..=8).collect();
+        let all_hits = ranked(&lists, &query, &SearchOptions::default());
+        let top = ranked(&lists, &query, &SearchOptions::default().limit(1));
         assert_eq!(top.len(), 1);
-        assert_eq!(top[0], all[0]);
+        assert_eq!(top[0], all_hits[0]);
         assert_eq!(top[0], hit(0, 0.0));
     }
 
@@ -1155,15 +1266,17 @@ mod tests {
     fn selective_query_on_large_corpus_scores_exactly() {
         // 2 000 indexed trajectories, query touching only 3 of them: the
         // corpus-sized accumulator must come back clean for the repeat.
-        let mut lists = PostingLists::new();
-        for i in 0..2_000u32 {
-            lists.insert(id(i), [100_000 + 3 * i, 100_001 + 3 * i, 100_002 + 3 * i]);
-        }
-        lists.insert(id(9_000), [1, 2, 3]);
-        lists.insert(id(9_001), [2, 3, 4]);
-        lists.insert(id(9_002), [3, 4, 5]);
+        let mut sets: Vec<(u32, Vec<u32>)> = (0..2_000u32)
+            .map(|i| (i, vec![100_000 + 3 * i, 100_001 + 3 * i, 100_002 + 3 * i]))
+            .collect();
+        sets.extend([
+            (9_000, vec![1, 2, 3]),
+            (9_001, vec![2, 3, 4]),
+            (9_002, vec![3, 4, 5]),
+        ]);
+        let lists = lists_of(&sets);
         for _ in 0..2 {
-            let hits = lists.search([1u32, 2, 3], &SearchOptions::default().limit(10));
+            let hits = ranked(&lists, &[1, 2, 3], &SearchOptions::default().limit(10));
             assert_eq!(hits.len(), 3);
             assert_eq!(hits[0], hit(9_000, 0.0));
             assert_eq!(hits[1], hit(9_001, 0.5));
@@ -1179,37 +1292,40 @@ mod tests {
         // then counted frozen — by probing when 2 candidates were
         // admitted, by the counted-only walk when 41 were.
         for rivals in [1u32, 40] {
-            let mut lists = PostingLists::new();
-            lists.insert(id(0), [1, 2, 3, 4, 5, 6, 7, 8]);
-            for i in 1..=rivals {
-                lists.insert(id(i), [1, 7, 8, 1_000 + i]);
-            }
-            for i in 100..400u32 {
-                lists.insert(id(i), [7, 8, 2_000 + i, 3_000 + i, 4_000 + i]);
-            }
+            let mut sets = vec![(0, (1..=8).collect())];
+            sets.extend((1..=rivals).map(|i| (i, vec![1, 7, 8, 1_000 + i])));
+            sets.extend((100..400u32).map(|i| (i, vec![7, 8, 2_000 + i, 3_000 + i, 4_000 + i])));
+            let lists = lists_of(&sets);
+            let query: Vec<u32> = (1..=8).collect();
             let before = telemetry().prune_cutoffs;
-            let top = lists.search(1u32..=8, &SearchOptions::default().limit(1));
+            let top = ranked(&lists, &query, &SearchOptions::default().limit(1));
             assert!(telemetry().prune_cutoffs > before, "admission froze");
             // Distance 0 needs all 8 terms: both hot ones were counted.
             assert_eq!(top, vec![hit(0, 0.0)]);
-            let all = lists.search(1u32..=8, &SearchOptions::default());
-            assert_eq!(all.len(), 301 + rivals as usize);
-            assert_eq!(all[0], top[0]);
+            let all_hits = ranked(&lists, &query, &SearchOptions::default());
+            assert_eq!(all_hits.len(), 301 + rivals as usize);
+            assert_eq!(all_hits[0], top[0]);
         }
     }
 
     /// Runs `search` until no other search ran beside it — the counters
-    /// are process-wide and tests run in parallel — and returns its hits
-    /// with the `candidates_scanned` it added.
-    fn scanned_alone(search: impl Fn() -> Vec<SearchResult>) -> (Vec<SearchResult>, u64) {
+    /// are process-wide and tests run in parallel — and checks that the
+    /// `candidates_scanned` it added is the count it returned.
+    fn scanned_alone(
+        search: impl Fn() -> (Vec<SearchResult>, usize),
+    ) -> (Vec<SearchResult>, usize) {
         for _ in 0..1_000 {
             let before = telemetry();
-            let hits = search();
+            let (hits, scanned) = search();
             let after = telemetry();
             if after.searches == before.searches + 1
                 && after.candidates_admitted == before.candidates_admitted + hits.len() as u64
             {
-                return (hits, after.candidates_scanned - before.candidates_scanned);
+                assert_eq!(
+                    after.candidates_scanned - before.candidates_scanned,
+                    scanned as u64
+                );
+                return (hits, scanned);
             }
         }
         panic!("no search ran alone in 1 000 attempts");
@@ -1222,10 +1338,15 @@ mod tests {
         let mut sets: Vec<(u32, Vec<u32>)> = vec![(0, (1..=8).collect())];
         sets.extend((1..=40u32).map(|i| (i, vec![1, 7, 8, 1_000 + i])));
         sets.extend((100..400u32).map(|i| (i, vec![7, 8, 2_000 + i, 3_000 + i])));
-        let mut lists = PostingLists::new();
+        let lists = lists_of(&sets);
+        // The same corpus in a store that does not place term 8: the
+        // query's 8 is foreign there, probed in each candidate's replica.
+        let no_eight = |term: u32| term != 8;
+        let mut split = Lists::new();
         for (raw, terms) in &sets {
-            lists.insert(id(*raw), terms.iter().copied());
+            split.insert(id(*raw), terms.clone(), no_eight);
         }
+        assert!(split.posting(8).is_none());
         let query: Vec<u32> = (1..=8).collect();
         let exact = |terms: &[u32]| {
             let ov = terms.iter().filter(|t| query.contains(t)).count() as u64;
@@ -1237,34 +1358,27 @@ mod tests {
             // 0.4 beats a newcomer's best 0.75): only the 41 candidates
             // admitted before it are scanned, and drained.
             let limited = SearchOptions::default().limit(1);
-            let (top, scanned) = scanned_alone(|| lists.search(query.iter().copied(), &limited));
+            let (top, scanned) =
+                scanned_alone(|| lists.search(query.iter().copied(), &limited, all));
             assert_eq!(top, vec![hit(0, 0.0)]);
             assert_eq!(scanned, 41);
 
-            // Counting on the same thread's array sees no leftover count.
-            let hot: Vec<&RoaringBitmap> = [1u32, 7, 8]
-                .iter()
-                .map(|&t| lists.posting(t).expect("hot term"))
-                .collect();
-            let mut counted = HashMap::new();
-            for_each_overlap(lists.interner().capacity(), hot, |dense, count| {
-                assert!(counted.insert(dense, count).is_none(), "visited twice");
-            });
-            assert_eq!(counted.len(), sets.len());
-            for (raw, terms) in &sets {
-                let want = terms.iter().filter(|t| [1, 7, 8].contains(t)).count() as u32;
-                let dense = lists.interner().dense(id(*raw)).expect("indexed");
-                assert_eq!(counted[&dense], want, "id {raw}");
-            }
+            // The foreign-term search on the same thread's array sees no
+            // leftover count: every trajectory is reached through 1 or 7
+            // and scored on its exact overlap, 8 included.
+            let unlimited = SearchOptions::default();
+            let (foreign, scanned) =
+                scanned_alone(|| split.search(query.iter().copied(), &unlimited, no_eight));
+            assert_eq!(scanned, sets.len());
 
             // The full ranking scans every trajectory, each scored on its
-            // exact overlap.
-            let all_options = SearchOptions::default();
-            let (all, scanned) =
-                scanned_alone(|| lists.search(query.iter().copied(), &all_options));
-            assert_eq!(scanned, sets.len() as u64);
-            assert_eq!(all.len(), sets.len());
-            for h in &all {
+            // exact overlap — and equals the foreign-term ranking.
+            let (all_hits, scanned) =
+                scanned_alone(|| lists.search(query.iter().copied(), &unlimited, all));
+            assert_eq!(scanned, sets.len());
+            assert_eq!(all_hits.len(), sets.len());
+            assert_eq!(foreign, all_hits);
+            for h in &all_hits {
                 let terms = &sets
                     .iter()
                     .find(|(raw, _)| id(*raw) == h.id)
@@ -1291,20 +1405,40 @@ mod tests {
         );
     }
 
+    /// A replica whose membership test can be made to fail.
+    #[derive(Debug, Clone)]
+    struct Fragile(Vec<u32>, bool);
+
+    impl Replica<u32> for Fragile {
+        fn terms(&self) -> impl Iterator<Item = u32> + '_ {
+            self.0.iter().copied()
+        }
+
+        fn distinct_len(&self) -> u32 {
+            self.0.len() as u32
+        }
+
+        fn has_term(&self, term: u32) -> bool {
+            assert!(!self.1, "probe failed");
+            self.0.contains(&term)
+        }
+    }
+
     #[test]
     fn a_panicking_visitor_leaves_no_dirty_accumulator_behind() {
-        let list: RoaringBitmap = [1u32, 3].into_iter().collect();
-        let panicked = std::panic::catch_unwind(|| {
-            for_each_overlap(4, [&list], |_, _| panic!("visitor failed"));
-        });
+        // Term 3 is never placed, so querying it probes the replicas.
+        let places = |term: u32| term != 3;
+        let mut lists: PostingLists<u32, Fragile> = PostingLists::new();
+        lists.insert(id(0), Fragile(vec![1, 2], false), places);
+        lists.insert(id(1), Fragile(vec![1, 3], true), places);
+        let panicked =
+            std::panic::catch_unwind(|| lists.search([1u32, 3], &SearchOptions::default(), places));
         assert!(panicked.is_err());
         // The dirty array was dropped with the panic; the next count
         // starts from zero.
-        let mut counted = Vec::new();
-        for_each_overlap(4, [&list, &list], |dense, count| {
-            counted.push((dense, count))
-        });
-        assert_eq!(counted, vec![(1, 2), (3, 2)]);
+        let (hits, scanned) = lists.search([1u32, 2], &SearchOptions::default(), places);
+        assert_eq!(scanned, 2);
+        assert_eq!(hits, vec![hit(0, 0.0), hit(1, 1.0 - 1.0 / 3.0)]);
     }
 
     #[test]
@@ -1338,7 +1472,7 @@ mod tests {
     #[test]
     fn snapshot_parts_roundtrip_the_engine_exactly() {
         let mut lists = sample();
-        lists.remove(id(1), [3, 4, 5]);
+        lists.remove(id(1));
         let capacity = lists.interner().capacity() as u32;
         let slots = lists.snapshot_slots();
         let postings: Vec<(u32, RoaringBitmap)> = lists
@@ -1346,14 +1480,22 @@ mod tests {
             .into_iter()
             .map(|(term, list)| (term, list.clone()))
             .collect();
-        let rebuilt = PostingLists::from_snapshot_parts(capacity, &slots, postings).unwrap();
+        let rebuilt = PostingLists::from_snapshot_parts(
+            capacity,
+            &slots,
+            |id| lists.replica(id).cloned(),
+            postings,
+            all,
+        )
+        .unwrap();
         assert_eq!(rebuilt.len(), lists.len());
         assert_eq!(rebuilt.term_count(), lists.term_count());
+        assert!(rebuilt.replicas().eq(lists.replicas()));
         for query in [vec![1u32, 2, 3, 4], vec![100, 101], vec![9]] {
             for options in [SearchOptions::default(), SearchOptions::default().limit(1)] {
                 assert_eq!(
-                    rebuilt.search(query.iter().copied(), &options),
-                    lists.search(query.iter().copied(), &options)
+                    ranked(&rebuilt, &query, &options),
+                    ranked(&lists, &query, &options)
                 );
             }
         }
@@ -1362,28 +1504,46 @@ mod tests {
     #[test]
     fn snapshot_parts_reject_inconsistent_state() {
         let slots = [(0u32, id(1), 2u32)];
-        // Empty posting list.
-        assert!(
-            PostingLists::from_snapshot_parts(1, &slots, vec![(5u32, RoaringBitmap::new())])
-                .is_err()
+        let replica = |_| Some(vec![5u32, 6]);
+        let list = |slot: u32| -> RoaringBitmap { [slot].into_iter().collect() };
+        let load = |capacity, replica_of: &dyn Fn(TrajId) -> Option<Vec<u32>>, postings| {
+            Lists::from_snapshot_parts(capacity, &slots, replica_of, postings, |t| t != 6)
+        };
+        assert!(load(1, &replica, vec![(5, list(0))]).is_ok());
+        assert_eq!(
+            load(1, &|_| None, vec![]).err(),
+            Some("live slot without a replica")
         );
-        // Posting referencing a vacant slot.
-        let stray: RoaringBitmap = [3u32].into_iter().collect();
-        assert!(PostingLists::from_snapshot_parts(4, &slots, vec![(5u32, stray)]).is_err());
-        // Duplicate term.
-        let a: RoaringBitmap = [0u32].into_iter().collect();
-        assert!(
-            PostingLists::from_snapshot_parts(1, &slots, vec![(5u32, a.clone()), (5u32, a)])
-                .is_err()
+        assert_eq!(
+            load(1, &|_| Some(vec![5]), vec![]).err(),
+            Some("set size disagrees with the replica")
+        );
+        assert_eq!(
+            load(1, &replica, vec![(5, RoaringBitmap::new())]).err(),
+            Some("empty posting list")
+        );
+        assert_eq!(
+            load(4, &replica, vec![(5, list(3))]).err(),
+            Some("posting references a vacant slot")
+        );
+        assert_eq!(
+            load(1, &replica, vec![(6, list(0))]).err(),
+            Some("posting routed to the wrong node")
+        );
+        assert_eq!(
+            load(1, &replica, vec![(5, list(0)), (5, list(0))]).err(),
+            Some("duplicate posting term")
         );
     }
 
     #[test]
     fn max_distance_prunes_but_stays_exact() {
-        let mut lists = PostingLists::new();
-        lists.insert(id(0), [1, 2, 3, 4]);
-        lists.insert(id(1), [1, 900, 901, 902]);
-        let tight = lists.search([1u32, 2, 3, 4], &SearchOptions::default().max_distance(0.3));
+        let lists = lists_of(&[(0, vec![1, 2, 3, 4]), (1, vec![1, 900, 901, 902])]);
+        let tight = ranked(
+            &lists,
+            &[1, 2, 3, 4],
+            &SearchOptions::default().max_distance(0.3),
+        );
         assert_eq!(tight, vec![hit(0, 0.0)]);
     }
 }

@@ -1,6 +1,5 @@
 use geodabs_core::{Fingerprinter, Fingerprints, GeodabConfig};
 use geodabs_traj::{Normalizer, TrajId, Trajectory};
-use std::collections::HashMap;
 
 use crate::engine::PostingLists;
 use crate::result::finalize;
@@ -37,9 +36,9 @@ use crate::{SearchOptions, SearchResult, TrajectoryIndex};
 /// ```
 #[derive(Debug, Clone)]
 pub struct GeodabIndex {
-    fingerprinter: Fingerprinter,
-    engine: PostingLists<u32>,
-    fingerprints: HashMap<TrajId, Fingerprints>,
+    pub(crate) fingerprinter: Fingerprinter,
+    /// Every geodab gets a list; each slot keeps its full fingerprints.
+    pub(crate) engine: PostingLists<u32, Fingerprints>,
 }
 
 impl GeodabIndex {
@@ -48,28 +47,7 @@ impl GeodabIndex {
         GeodabIndex {
             fingerprinter: Fingerprinter::new(config),
             engine: PostingLists::new(),
-            fingerprints: HashMap::new(),
         }
-    }
-
-    /// Assembles an index from persisted engine state — the snapshot
-    /// loader's direct-materialization path. The codec validates the
-    /// parts against each other before calling this.
-    pub(crate) fn from_engine_parts(
-        config: GeodabConfig,
-        engine: PostingLists<u32>,
-        fingerprints: HashMap<TrajId, Fingerprints>,
-    ) -> GeodabIndex {
-        GeodabIndex {
-            fingerprinter: Fingerprinter::new(config),
-            engine,
-            fingerprints,
-        }
-    }
-
-    /// The query engine's posting state, for the snapshot codec.
-    pub(crate) fn engine(&self) -> &PostingLists<u32> {
-        &self.engine
     }
 
     /// The fingerprinting configuration in use.
@@ -84,7 +62,7 @@ impl GeodabIndex {
 
     /// The stored fingerprints of an indexed trajectory.
     pub fn fingerprints(&self, id: TrajId) -> Option<&Fingerprints> {
-        self.fingerprints.get(&id)
+        self.engine.replica(id)
     }
 
     /// Fingerprints a query trajectory with the index's pipeline
@@ -146,15 +124,13 @@ impl GeodabIndex {
     /// client, as the sharding layer does). Re-inserting an existing id
     /// replaces its previous fingerprints.
     pub fn insert_fingerprints(&mut self, id: TrajId, fp: Fingerprints) {
-        self.remove(id);
-        self.engine.insert(id, fp.set().iter());
-        self.fingerprints.insert(id, fp);
+        self.engine.insert(id, fp, |_| true);
     }
 
     /// Iterates over `(id, fingerprints)` of every indexed trajectory in
     /// unspecified order.
     pub fn iter_fingerprints(&self) -> impl Iterator<Item = (TrajId, &Fingerprints)> {
-        self.fingerprints.iter().map(|(&id, fp)| (id, fp))
+        self.engine.replicas()
     }
 
     /// Ranked retrieval starting from pre-computed query fingerprints,
@@ -167,7 +143,9 @@ impl GeodabIndex {
         query_fp: &Fingerprints,
         options: &SearchOptions,
     ) -> Vec<SearchResult> {
-        self.engine.search(query_fp.set().iter(), options)
+        self.engine
+            .search(query_fp.set().iter(), options, |_| true)
+            .0
     }
 
     /// The reference ranker the engine is proven against: materialize the
@@ -186,7 +164,8 @@ impl GeodabIndex {
             .into_iter()
             .map(|id| SearchResult {
                 id,
-                distance: query_fp.jaccard_distance(&self.fingerprints[&id]),
+                distance: query_fp
+                    .jaccard_distance(self.engine.replica(id).expect("a candidate is indexed")),
             })
             .collect();
         finalize(hits, options)
@@ -200,11 +179,7 @@ impl TrajectoryIndex for GeodabIndex {
     }
 
     fn remove(&mut self, id: TrajId) -> bool {
-        let Some(fp) = self.fingerprints.remove(&id) else {
-            return false;
-        };
-        self.engine.remove(id, fp.set().iter());
-        true
+        self.engine.remove(id)
     }
 
     fn search(&self, query: &Trajectory, options: &SearchOptions) -> Vec<SearchResult> {
@@ -212,11 +187,11 @@ impl TrajectoryIndex for GeodabIndex {
     }
 
     fn len(&self) -> usize {
-        self.fingerprints.len()
+        self.engine.len()
     }
 
     fn ids(&self) -> impl Iterator<Item = TrajId> + '_ {
-        self.fingerprints.keys().copied()
+        self.engine.replicas().map(|(id, _)| id)
     }
 
     fn insert_batch<'a, I>(&mut self, items: I)
@@ -283,7 +258,7 @@ mod tests {
         let idx = sample_index();
         let query = eastward(40, 0.0);
         let candidates = idx
-            .engine()
+            .engine
             .candidate_ids(idx.fingerprint_query(&query).set().iter());
         assert!(!candidates.contains(&TrajId::new(2)));
         assert!(candidates.windows(2).all(|w| w[0] < w[1]), "ascending ids");

@@ -1,6 +1,5 @@
 use geodabs_geo::{BoundingBox, CellEncoder, Geohash, MAX_DEPTH};
 use geodabs_traj::{TrajId, Trajectory};
-use std::collections::HashMap;
 
 use crate::engine::PostingLists;
 use crate::{SearchOptions, SearchResult, TrajectoryIndex};
@@ -16,9 +15,9 @@ use crate::{SearchOptions, SearchResult, TrajectoryIndex};
 /// dataset density.
 #[derive(Debug, Clone)]
 pub struct GeohashIndex {
-    depth: u8,
-    engine: PostingLists<u64>,
-    cells: HashMap<TrajId, Vec<u64>>,
+    pub(crate) depth: u8,
+    /// Every cell gets a list; each slot keeps its sorted cell set.
+    pub(crate) engine: PostingLists<u64, Vec<u64>>,
 }
 
 impl GeohashIndex {
@@ -36,34 +35,15 @@ impl GeohashIndex {
         GeohashIndex {
             depth,
             engine: PostingLists::new(),
-            cells: HashMap::new(),
         }
-    }
-
-    /// Assembles an index from persisted engine state — the snapshot
-    /// loader's direct-materialization path. The codec validates the
-    /// parts against each other before calling this.
-    pub(crate) fn from_engine_parts(
-        depth: u8,
-        engine: PostingLists<u64>,
-        cells: HashMap<TrajId, Vec<u64>>,
-    ) -> GeohashIndex {
-        GeohashIndex {
-            depth,
-            engine,
-            cells,
-        }
-    }
-
-    /// The query engine's posting state, for the snapshot codec.
-    pub(crate) fn engine(&self) -> &PostingLists<u64> {
-        &self.engine
     }
 
     /// Iterates over `(id, cells)` of every indexed trajectory in
     /// unspecified order.
     pub fn iter_cells(&self) -> impl Iterator<Item = (TrajId, &[u64])> {
-        self.cells.iter().map(|(&id, cells)| (id, cells.as_slice()))
+        self.engine
+            .replicas()
+            .map(|(id, cells)| (id, cells.as_slice()))
     }
 
     /// The cell depth in bits.
@@ -95,9 +75,7 @@ impl GeohashIndex {
             (id, cell_set_at(depth, trajectory))
         });
         for (id, cells) in cell_sets {
-            self.remove(id);
-            self.engine.insert(id, cells.iter().copied());
-            self.cells.insert(id, cells);
+            self.engine.insert(id, cells, |_| true);
         }
     }
 
@@ -125,31 +103,24 @@ impl GeohashIndex {
 
 impl TrajectoryIndex for GeohashIndex {
     fn insert(&mut self, id: TrajId, trajectory: &Trajectory) {
-        self.remove(id);
-        let cells = self.cell_set(trajectory);
-        self.engine.insert(id, cells.iter().copied());
-        self.cells.insert(id, cells);
+        self.engine.insert(id, self.cell_set(trajectory), |_| true);
     }
 
     fn remove(&mut self, id: TrajId) -> bool {
-        let Some(cells) = self.cells.remove(&id) else {
-            return false;
-        };
-        self.engine.remove(id, cells.iter().copied());
-        true
+        self.engine.remove(id)
     }
 
     fn search(&self, query: &Trajectory, options: &SearchOptions) -> Vec<SearchResult> {
         let query_cells = self.cell_set(query);
-        self.engine.search(query_cells.iter().copied(), options)
+        self.engine.search(query_cells, options, |_| true).0
     }
 
     fn len(&self) -> usize {
-        self.cells.len()
+        self.engine.len()
     }
 
     fn ids(&self) -> impl Iterator<Item = TrajId> + '_ {
-        self.cells.keys().copied()
+        self.engine.replicas().map(|(id, _)| id)
     }
 
     fn insert_batch<'a, I>(&mut self, items: I)
