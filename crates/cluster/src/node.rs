@@ -25,22 +25,22 @@
 //! snapshot's per-node segment encoding:
 //!
 //! ```text
-//! CONF   depth u8, prefix u8, k u32, t u32,
-//!        num_shards u64, num_nodes u32, node_id u32
-//! FPRS   count u32, count × (id u32, len u32, len × geodab u32)
-//! NODE0  capacity u32, live u32, live × (dense u32, id u32)
-//!        terms u32, terms × (term u32, posting bitmap wire form)
+//! CONF   the cluster CONF, then node_id u32
+//! FPRS   as in a cluster snapshot
+//! NODE0  (capacity u32, Vec<(dense u32, id u32)>,
+//!        Vec<(term u32, posting RoaringBitmap)>)
 //! ```
 
 use geodabs_core::{Fingerprinter, Fingerprints, GeodabConfig};
 use geodabs_index::batch::{default_threads, parallel_map};
-use geodabs_index::codec::{read_postings, write_postings};
+use geodabs_index::codec::put_postings;
 use geodabs_index::engine::PostingLists;
 use geodabs_index::store::{
-    node_section_id, BackendKind, Cursor, Persist, SnapshotError, SnapshotReader, SnapshotWriter,
-    SEC_CONFIG, SEC_FINGERPRINTS,
+    from_bytes, node_section_id, strictly_ascending, to_bytes, BackendKind, Cursor, Persist,
+    SnapshotError, SnapshotReader, SnapshotWriter, Wire, SEC_CONFIG, SEC_FINGERPRINTS,
 };
 use geodabs_index::{SearchOptions, SearchResult, TrajectoryIndex};
+use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::{TrajId, Trajectory};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -201,16 +201,11 @@ impl ShardNode {
     /// posting lists (the replicas travel once per container, in
     /// `FPRS`).
     pub(crate) fn encode_segment(&self) -> Vec<u8> {
-        let slots = self.store.snapshot_slots();
-        let mut out = Vec::with_capacity(12 + 8 * slots.len());
         let capacity = self.store.interner().capacity() as u32;
-        out.extend_from_slice(&capacity.to_le_bytes());
-        out.extend_from_slice(&(slots.len() as u32).to_le_bytes());
-        for &(dense, id, _) in &slots {
-            out.extend_from_slice(&dense.to_le_bytes());
-            out.extend_from_slice(&id.raw().to_le_bytes());
-        }
-        write_postings(&mut out, &self.store.postings_sorted());
+        let slots = self.store.snapshot_slots().into_iter();
+        let live: Vec<(u32, TrajId)> = slots.map(|(dense, id, _)| (dense, id)).collect();
+        let mut out = to_bytes(&(capacity, live));
+        put_postings(&mut out, &self.store);
         out
     }
 
@@ -223,20 +218,17 @@ impl ShardNode {
         payload: &[u8],
         fps: &HashMap<TrajId, Fingerprints>,
     ) -> Result<ShardNode, SnapshotError> {
-        let mut cursor = Cursor::new(payload);
-        let capacity = cursor.u32()?;
-        let live_count = cursor.u32()? as usize;
-        let mut slots = Vec::with_capacity(live_count.min(cursor.remaining() / 8));
-        for _ in 0..live_count {
-            let dense = cursor.u32()?;
-            let id = TrajId::new(cursor.u32()?);
-            // A segment stores no set sizes: each slot claims its
-            // replica's own.
-            let size = fps.get(&id).map_or(0, |fp| fp.distinct_len() as u32);
-            slots.push((dense, id, size));
-        }
-        let posting_lists = read_postings::<u32>(&mut cursor)?;
-        cursor.expect_end()?;
+        type Segment = (u32, Vec<(u32, TrajId)>, Vec<(u32, RoaringBitmap)>);
+        let (capacity, live, posting_lists): Segment = from_bytes(payload)?;
+        strictly_ascending(&posting_lists, "posting terms not strictly ascending")?;
+        // A segment stores no set sizes: each slot claims its replica's own.
+        let slots: Vec<(u32, TrajId, u32)> = live
+            .into_iter()
+            .map(|(dense, id)| {
+                let size = fps.get(&id).map_or(0, |fp| fp.distinct_len() as u32);
+                (dense, id, size)
+            })
+            .collect();
         let replica_of = |id| fps.get(&id).cloned();
         let places = placed_on(router, node_id);
         let store =
@@ -309,7 +301,7 @@ impl Persist for ShardNode {
     fn to_snapshot(&self) -> Vec<u8> {
         let mut writer = SnapshotWriter::new(BackendKind::Node);
         let mut conf = encode_conf(self.config(), &self.router);
-        conf.extend_from_slice(&(self.node_id as u32).to_le_bytes());
+        (self.node_id as u32).put(&mut conf);
         writer.section(SEC_CONFIG, conf);
         writer.section(SEC_FINGERPRINTS, encode_fingerprints(self.replicas()));
         writer.section(node_section_id(0), self.encode_segment());
@@ -322,7 +314,7 @@ impl Persist for ShardNode {
 
         let mut conf = Cursor::new(reader.section(SEC_CONFIG)?);
         let (config, router) = decode_conf(&mut conf)?;
-        let node_id = conf.u32()? as usize;
+        let node_id = conf.get::<u32>()? as usize;
         conf.expect_end()?;
         if node_id >= router.num_nodes() {
             return Err(SnapshotError::Corrupt("node id out of range"));

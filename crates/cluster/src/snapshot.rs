@@ -7,16 +7,18 @@
 //! container (backend tag 3):
 //!
 //! ```text
-//! CONF   depth u8, prefix u8, k u32, t u32, num_shards u64, num_nodes u32
-//! IDST   roaring bitmap of every indexed TrajId (including trajectories
+//! CONF   (GeodabConfig, num_shards u64, num_nodes u32)
+//! IDST   RoaringBitmap of every indexed TrajId (including trajectories
 //!        too short to fingerprint, which no node stores)
-//! FPRS   count u32, count × (id u32, len u32, len × geodab u32) — each
+//! FPRS   Vec<(id u32, Fingerprints)>, ids strictly ascending — each
 //!        trajectory's ordered fingerprints, stored once even when
 //!        several nodes hold a replica
-//! NODEi  one segment per node:
-//!        capacity u32, live u32, live × (dense u32, id u32)
-//!        terms u32, terms × (term u32, posting bitmap wire form)
+//! NODEi  one segment per node: (capacity u32,
+//!        Vec<(dense u32, id u32)>, Vec<(term u32, posting RoaringBitmap)>)
 //! ```
+//!
+//! Each section is a composition of [`geodabs_index::store::Wire`]
+//! impls, the same ones the single-node sections use.
 //!
 //! Node segments are independent byte strings, so they are serialized
 //! **and** deserialized concurrently via
@@ -27,10 +29,10 @@
 
 use geodabs_core::{Fingerprints, GeodabConfig};
 use geodabs_index::batch::{self, parallel_map};
-use geodabs_index::codec::{read_sequences, write_sequences};
 use geodabs_index::store::{
-    node_section_id, BackendKind, Cursor, Persist, SnapshotError, SnapshotReader, SnapshotWriter,
-    MAX_NODE_SECTIONS, SEC_CONFIG, SEC_FINGERPRINTS, SEC_IDSET,
+    from_bytes, node_section_id, put_seq, strictly_ascending, to_bytes, BackendKind, Cursor,
+    Persist, SnapshotError, SnapshotReader, SnapshotWriter, Wire, MAX_NODE_SECTIONS, SEC_CONFIG,
+    SEC_FINGERPRINTS, SEC_IDSET,
 };
 use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::TrajId;
@@ -40,27 +42,15 @@ use crate::{ClusterIndex, ShardNode, ShardRouter};
 
 /// The `CONF` fields both snapshot kinds start with.
 pub(crate) fn encode_conf(config: &GeodabConfig, router: &ShardRouter) -> Vec<u8> {
-    let mut conf = Vec::with_capacity(26);
-    conf.push(config.normalization_depth());
-    conf.push(config.prefix_bits());
-    conf.extend_from_slice(&(config.k() as u32).to_le_bytes());
-    conf.extend_from_slice(&(config.t() as u32).to_le_bytes());
-    conf.extend_from_slice(&router.num_shards().to_le_bytes());
-    conf.extend_from_slice(&(router.num_nodes() as u32).to_le_bytes());
-    conf
+    to_bytes(&(*config, router.num_shards(), router.num_nodes() as u32))
 }
 
 /// Reads and validates what [`encode_conf`] wrote.
 pub(crate) fn decode_conf(
     conf: &mut Cursor<'_>,
 ) -> Result<(GeodabConfig, ShardRouter), SnapshotError> {
-    let depth = conf.u8()?;
-    let prefix = conf.u8()?;
-    let k = conf.u32()? as usize;
-    let t = conf.u32()? as usize;
-    let num_shards = conf.u64()?;
-    let num_nodes = conf.u32()? as usize;
-    let config = GeodabConfig::new(depth, k, t, prefix).map_err(SnapshotError::InvalidConfig)?;
+    let (config, num_shards, num_nodes): (GeodabConfig, u64, u32) = conf.get()?;
+    let num_nodes = num_nodes as usize;
     if num_nodes == 0 || num_nodes > MAX_NODE_SECTIONS {
         return Err(SnapshotError::Corrupt("node count out of range"));
     }
@@ -75,12 +65,11 @@ pub(crate) fn encode_fingerprints<'a>(
     replicas: impl Iterator<Item = (TrajId, &'a Fingerprints)>,
 ) -> Vec<u8> {
     let unique: BTreeMap<TrajId, &Fingerprints> = replicas.collect();
-    let records: Vec<(TrajId, &[u32])> = unique
-        .into_iter()
-        .map(|(id, fp)| (id, fp.ordered()))
-        .collect();
     let mut fprs = Vec::new();
-    write_sequences(&mut fprs, &records);
+    put_seq(&mut fprs, unique.into_iter(), |(id, fp), out| {
+        id.put(out);
+        fp.put(out);
+    });
     fprs
 }
 
@@ -88,10 +77,9 @@ pub(crate) fn encode_fingerprints<'a>(
 pub(crate) fn decode_fingerprints(
     payload: &[u8],
 ) -> Result<HashMap<TrajId, Fingerprints>, SnapshotError> {
-    Ok(read_sequences::<u32>(payload)?
-        .into_iter()
-        .map(|(id, ordered)| (id, Fingerprints::from_ordered(ordered)))
-        .collect())
+    let records: Vec<(TrajId, Fingerprints)> = from_bytes(payload)?;
+    strictly_ascending(&records, "record ids not strictly ascending")?;
+    Ok(records.into_iter().collect())
 }
 
 impl Persist for ClusterIndex {
@@ -100,9 +88,7 @@ impl Persist for ClusterIndex {
         writer.section(SEC_CONFIG, encode_conf(self.config(), self.router()));
 
         let ids: RoaringBitmap = self.indexed.iter().map(|id| id.raw()).collect();
-        let mut idset = Vec::with_capacity(ids.serialized_size());
-        ids.serialize_into(&mut idset);
-        writer.section(SEC_IDSET, idset);
+        writer.section(SEC_IDSET, to_bytes(&ids));
 
         let replicas = self.nodes.iter().flat_map(ShardNode::replicas);
         writer.section(SEC_FINGERPRINTS, encode_fingerprints(replicas));
@@ -127,9 +113,8 @@ impl Persist for ClusterIndex {
         let (config, router) = decode_conf(&mut conf)?;
         conf.expect_end()?;
 
-        let mut idset = Cursor::new(reader.section(SEC_IDSET)?);
-        let indexed: BTreeSet<TrajId> = idset.bitmap()?.iter().map(TrajId::new).collect();
-        idset.expect_end()?;
+        let ids: RoaringBitmap = from_bytes(reader.section(SEC_IDSET)?)?;
+        let indexed: BTreeSet<TrajId> = ids.iter().map(TrajId::new).collect();
 
         let global_fps = decode_fingerprints(reader.section(SEC_FINGERPRINTS)?)?;
         if !global_fps.keys().all(|id| indexed.contains(id)) {

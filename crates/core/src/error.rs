@@ -2,7 +2,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Errors produced by geodab configuration and fingerprinting.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GeodabError {
     /// The winnowing lower bound `k` must be at least 2 (a 1-gram carries
     /// no ordering information).

@@ -6,17 +6,19 @@
 //! cardinalities — so loading is a direct materialization instead of an
 //! O(corpus) rebuild. [`GeodabIndex`] and [`GeohashIndex`] both implement
 //! [`Persist`] here, each writing its one store
-//! ([`PostingLists`]) through the same SLOT / POST / replica-record
-//! helpers; on load the store itself checks that the parts agree. The
-//! cluster backend does the same in its own crate over per-node segments.
+//! ([`PostingLists`]) as the same SLOT / POST / replica-record sections;
+//! on load the store itself checks that the parts agree. Every section
+//! is a composition of [`Wire`] impls (the tables below name them), so
+//! each layout is written once for both directions. The cluster backend
+//! does the same in its own crate over per-node segments.
 //!
 //! # `GeodabIndex` section layout (backend tag 1)
 //!
 //! ```text
-//! CONF  depth u8, prefix u8, k u32, t u32
-//! SLOT  capacity u32, live u32, live × (dense u32, id u32, set_size u32)
-//! POST  terms u32, terms × (term u32, posting bitmap wire form)
-//! FPRS  count u32, count × (id u32, len u32, len × geodab u32)
+//! CONF  GeodabConfig: depth u8, prefix u8, k u32, t u32
+//! SLOT  (capacity u32, Vec<(dense u32, id u32, set_size u32)>)
+//! POST  Vec<(term u32, posting RoaringBitmap)>, terms strictly ascending
+//! FPRS  Vec<(id u32, Fingerprints: Vec<geodab u32>)>, ids strictly ascending
 //! ```
 //!
 //! # `GeohashIndex` section layout (backend tag 2)
@@ -24,16 +26,17 @@
 //! ```text
 //! CONF  depth u8
 //! SLOT  as above (set_size = number of distinct cells)
-//! POST  terms u32, terms × (term u64, posting bitmap wire form)
-//! CELL  count u32, count × (id u32, len u32, len × cell u64)
+//! POST  Vec<(term u64, posting RoaringBitmap)>
+//! CELL  Vec<(id u32, Vec<cell u64>)>, each cell set strictly ascending
 //! ```
 //!
-//! The original v1 format (raw fingerprint sequences only, postings
-//! rebuilt on load) remains fully decodable: [`decode`] switches on the
-//! version field, and [`encode_v1`] still writes it for compatibility
-//! testing and migration tooling.
+//! A `Vec<T>` is a `u32` count followed by the items. The original v1
+//! format (raw fingerprint sequences only, postings rebuilt on load)
+//! remains fully decodable: [`decode`] switches on the version field,
+//! and [`encode_v1`] still writes it for compatibility testing and
+//! migration tooling.
 
-use geodabs_core::{Fingerprinter, Fingerprints, GeodabConfig};
+use geodabs_core::{Fingerprinter, Fingerprints};
 use geodabs_geo::MAX_DEPTH;
 use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::TrajId;
@@ -42,8 +45,9 @@ use std::hash::Hash;
 
 use crate::engine::{PostingLists, Replica};
 use crate::store::{
-    peek_version, BackendKind, Cursor, Persist, SnapshotError, SnapshotReader, SnapshotWriter,
-    MAGIC, SEC_CELLS, SEC_CONFIG, SEC_FINGERPRINTS, SEC_POSTINGS, SEC_SLOTS, VERSION_V1,
+    from_bytes, peek_version, put_seq, strictly_ascending, to_bytes, BackendKind, Cursor, Persist,
+    SnapshotError, SnapshotReader, SnapshotWriter, Wire, MAGIC, SEC_CELLS, SEC_CONFIG,
+    SEC_FINGERPRINTS, SEC_POSTINGS, SEC_SLOTS, VERSION_V1,
 };
 use crate::{GeodabIndex, GeohashIndex};
 
@@ -71,235 +75,73 @@ pub fn decode(data: &[u8]) -> Result<GeodabIndex, SnapshotError> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Shared section helpers
-// ---------------------------------------------------------------------
-
-/// Caps a `Vec::with_capacity` taken from untrusted input: never reserve
-/// more entries than the remaining payload could possibly hold.
-fn claimed_capacity(claimed: usize, remaining: usize, entry_size: usize) -> usize {
-    claimed.min(remaining / entry_size.max(1))
-}
-
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for u32 {}
-    impl Sealed for u64 {}
-}
-
-/// A fixed-width little-endian value a snapshot record can carry — the
-/// term/sequence element types of the backends (`u32` geodabs, `u64`
-/// geohash cells). Sealed: the on-disk format admits exactly these
-/// widths.
-pub trait SectionValue: Copy + sealed::Sealed {
-    /// Byte width on the wire.
-    const WIDTH: usize;
-
-    /// Appends the little-endian encoding to `out`.
-    fn write(self, out: &mut Vec<u8>);
-
-    /// Reads one value.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] at end of input.
-    fn read(cursor: &mut Cursor<'_>) -> Result<Self, SnapshotError>;
-}
-
-impl SectionValue for u32 {
-    const WIDTH: usize = 4;
-
-    fn write(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn read(cursor: &mut Cursor<'_>) -> Result<u32, SnapshotError> {
-        Ok(cursor.u32()?)
-    }
-}
-
-impl SectionValue for u64 {
-    const WIDTH: usize = 8;
-
-    fn write(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn read(cursor: &mut Cursor<'_>) -> Result<u64, SnapshotError> {
-        Ok(cursor.u64()?)
-    }
-}
-
-/// Writes the `(id, ordered sequence)` record family shared by the
-/// geodab FPRS section, the geohash CELL section and the cluster
-/// manifest: a `u32` record count, then per record the id, the sequence
-/// length and the values, all little-endian. Ids must be strictly
-/// ascending.
-pub fn write_sequences<V: SectionValue>(out: &mut Vec<u8>, records: &[(TrajId, &[V])]) {
-    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    for &(id, seq) in records {
-        out.extend_from_slice(&id.raw().to_le_bytes());
-        out.extend_from_slice(&(seq.len() as u32).to_le_bytes());
-        for &value in seq {
-            value.write(out);
-        }
-    }
-}
-
-/// Reads the record family [`write_sequences`] produces, verifying the
-/// strictly-ascending id order.
-///
-/// # Errors
-///
-/// [`SnapshotError::Truncated`] / [`SnapshotError::Corrupt`] on
-/// malformed input.
-pub fn read_sequences<V: SectionValue>(
-    payload: &[u8],
-) -> Result<Vec<(TrajId, Vec<V>)>, SnapshotError> {
-    let mut cursor = Cursor::new(payload);
-    let count = cursor.u32()? as usize;
-    let mut records = Vec::with_capacity(claimed_capacity(count, cursor.remaining(), 8));
-    let mut last: Option<u32> = None;
-    for _ in 0..count {
-        let id = cursor.u32()?;
-        if last.is_some_and(|prev| prev >= id) {
-            return Err(SnapshotError::Corrupt("record ids not strictly ascending"));
-        }
-        last = Some(id);
-        let len = cursor.u32()? as usize;
-        // Divide instead of multiplying: `len * WIDTH` could overflow
-        // `usize` on 32-bit targets and let a crafted length through.
-        if cursor.remaining() / V::WIDTH < len {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut seq = Vec::with_capacity(len);
-        for _ in 0..len {
-            seq.push(V::read(&mut cursor)?);
-        }
-        records.push((TrajId::new(id), seq));
-    }
-    cursor.expect_end()?;
-    Ok(records)
-}
-
-/// Writes a term → posting-bitmap dictionary: a `u32` term count, then
-/// per term its value and the posting list in roaring wire form. Terms
-/// must be strictly ascending (the deterministic-encode order).
-pub fn write_postings<V: SectionValue>(out: &mut Vec<u8>, postings: &[(V, &RoaringBitmap)]) {
-    out.extend_from_slice(&(postings.len() as u32).to_le_bytes());
-    for &(term, list) in postings {
-        term.write(out);
-        list.serialize_into(out);
-    }
-}
-
-/// Reads a dictionary [`write_postings`] produced, from a cursor (the
-/// cluster node segments embed one mid-payload), verifying the
-/// strictly-ascending term order.
-///
-/// # Errors
-///
-/// [`SnapshotError::Truncated`] / [`SnapshotError::Corrupt`] on
-/// malformed input.
-pub fn read_postings<V: SectionValue + Ord>(
-    cursor: &mut Cursor<'_>,
-) -> Result<Vec<(V, RoaringBitmap)>, SnapshotError> {
-    let term_count = cursor.u32()? as usize;
-    let mut postings = Vec::with_capacity(claimed_capacity(
-        term_count,
-        cursor.remaining(),
-        V::WIDTH + 4,
-    ));
-    let mut last: Option<V> = None;
-    for _ in 0..term_count {
-        let term = V::read(cursor)?;
-        if last.is_some_and(|prev| prev >= term) {
-            return Err(SnapshotError::Corrupt(
-                "posting terms not strictly ascending",
-            ));
-        }
-        last = Some(term);
-        postings.push((term, cursor.bitmap()?));
-    }
-    Ok(postings)
+/// Writes a store's posting dictionary in `Vec<(T, RoaringBitmap)>`'s
+/// layout, terms ascending, without cloning a bitmap — the POST section
+/// here and the tail of a cluster node's segment.
+pub fn put_postings<T, R>(out: &mut Vec<u8>, store: &PostingLists<T, R>)
+where
+    T: Wire + Copy + Eq + Hash + Ord,
+    R: Replica<T>,
+{
+    put_seq(
+        out,
+        store.postings_sorted().into_iter(),
+        |(term, list), out| {
+            term.put(out);
+            list.put(out);
+        },
+    );
 }
 
 /// Writes the SLOT, POST and replica-record sections of a monolithic
-/// index's store, `sequence` giving the values each replica record
-/// carries (records ascending by id).
-fn write_store<T, R, V>(
-    writer: &mut SnapshotWriter,
-    store: &PostingLists<T, R>,
-    records_section: u32,
-    sequence: impl Fn(&R) -> &[V],
-) where
-    T: SectionValue + Eq + Hash + Ord,
-    R: Replica<T>,
-    V: SectionValue,
+/// index's store (records ascending by id).
+fn write_store<T, R>(writer: &mut SnapshotWriter, store: &PostingLists<T, R>, records_section: u32)
+where
+    T: Wire + Copy + Eq + Hash + Ord,
+    R: Replica<T> + Wire,
 {
-    let slots = store.snapshot_slots();
-    let mut slot_bytes = Vec::with_capacity(8 + 12 * slots.len());
     let capacity = store.interner().capacity() as u32;
-    slot_bytes.extend_from_slice(&capacity.to_le_bytes());
-    slot_bytes.extend_from_slice(&(slots.len() as u32).to_le_bytes());
-    for &(dense, id, set_size) in &slots {
-        slot_bytes.extend_from_slice(&dense.to_le_bytes());
-        slot_bytes.extend_from_slice(&id.raw().to_le_bytes());
-        slot_bytes.extend_from_slice(&set_size.to_le_bytes());
-    }
-    writer.section(SEC_SLOTS, slot_bytes);
+    writer.section(SEC_SLOTS, to_bytes(&(capacity, store.snapshot_slots())));
 
     let mut post = Vec::new();
-    write_postings(&mut post, &store.postings_sorted());
+    put_postings(&mut post, store);
     writer.section(SEC_POSTINGS, post);
 
-    let mut records: Vec<(TrajId, &[V])> = store
-        .replicas()
-        .map(|(id, replica)| (id, sequence(replica)))
-        .collect();
+    let mut records: Vec<(TrajId, &R)> = store.replicas().collect();
     records.sort_unstable_by_key(|&(id, _)| id);
     let mut bytes = Vec::new();
-    write_sequences(&mut bytes, &records);
+    put_seq(&mut bytes, records.into_iter(), |(id, replica), out| {
+        id.put(out);
+        replica.put(out);
+    });
     writer.section(records_section, bytes);
 }
 
-/// Reads what [`write_store`] wrote, `replica` decoding each record; the
+/// Reads what [`write_store`] wrote, `check` vetting each replica; the
 /// store itself checks the parts against each other.
-fn read_store<T, R, V>(
+fn read_store<T, R>(
     reader: &SnapshotReader<'_>,
     records_section: u32,
-    replica: impl Fn(Vec<V>) -> Result<R, SnapshotError>,
+    check: impl Fn(&R) -> Result<(), SnapshotError>,
 ) -> Result<PostingLists<T, R>, SnapshotError>
 where
-    T: SectionValue + Eq + Hash + Ord,
-    R: Replica<T>,
-    V: SectionValue,
+    T: Wire + Copy + Eq + Hash + Ord,
+    R: Replica<T> + Wire,
 {
-    let mut cursor = Cursor::new(reader.section(SEC_SLOTS)?);
-    let capacity = cursor.u32()?;
-    let live = cursor.u32()? as usize;
-    let mut slots = Vec::with_capacity(claimed_capacity(live, cursor.remaining(), 12));
-    for _ in 0..live {
-        let dense = cursor.u32()?;
-        let id = TrajId::new(cursor.u32()?);
-        let set_size = cursor.u32()?;
-        slots.push((dense, id, set_size));
-    }
-    cursor.expect_end()?;
-
-    let mut post = Cursor::new(reader.section(SEC_POSTINGS)?);
-    let postings = read_postings::<T>(&mut post)?;
-    post.expect_end()?;
-
-    let records = read_sequences::<V>(reader.section(records_section)?)?;
+    let (capacity, slots): (u32, Vec<_>) = from_bytes(reader.section(SEC_SLOTS)?)?;
+    let postings: Vec<(T, RoaringBitmap)> = from_bytes(reader.section(SEC_POSTINGS)?)?;
+    strictly_ascending(&postings, "posting terms not strictly ascending")?;
+    let records: Vec<(TrajId, R)> = from_bytes(reader.section(records_section)?)?;
+    strictly_ascending(&records, "record ids not strictly ascending")?;
     if records.len() != slots.len() {
         return Err(SnapshotError::Corrupt(
             "replica records and live slots disagree",
         ));
     }
     let mut replicas = HashMap::with_capacity(records.len());
-    for (id, sequence) in records {
-        replicas.insert(id, replica(sequence)?);
+    for (id, replica) in records {
+        check(&replica)?;
+        replicas.insert(id, replica);
     }
     let replica_of = |id| replicas.remove(&id);
     PostingLists::from_snapshot_parts(capacity, &slots, replica_of, postings, |_| true)
@@ -312,43 +154,19 @@ where
 
 impl Persist for GeodabIndex {
     fn to_snapshot(&self) -> Vec<u8> {
-        let cfg = self.config();
         let mut writer = SnapshotWriter::new(BackendKind::Geodab);
-
-        let mut conf = Vec::with_capacity(10);
-        conf.push(cfg.normalization_depth());
-        conf.push(cfg.prefix_bits());
-        conf.extend_from_slice(&(cfg.k() as u32).to_le_bytes());
-        conf.extend_from_slice(&(cfg.t() as u32).to_le_bytes());
-        writer.section(SEC_CONFIG, conf);
-        write_store(
-            &mut writer,
-            &self.engine,
-            SEC_FINGERPRINTS,
-            Fingerprints::ordered,
-        );
-
+        writer.section(SEC_CONFIG, to_bytes(self.config()));
+        write_store(&mut writer, &self.engine, SEC_FINGERPRINTS);
         writer.finish()
     }
 
     fn from_snapshot(data: &[u8]) -> Result<GeodabIndex, SnapshotError> {
         let reader = SnapshotReader::parse(data)?;
         reader.expect_backend(BackendKind::Geodab)?;
-
-        let mut conf = Cursor::new(reader.section(SEC_CONFIG)?);
-        let depth = conf.u8()?;
-        let prefix = conf.u8()?;
-        let k = conf.u32()? as usize;
-        let t = conf.u32()? as usize;
-        conf.expect_end()?;
-        let config =
-            GeodabConfig::new(depth, k, t, prefix).map_err(SnapshotError::InvalidConfig)?;
-
+        let config = from_bytes(reader.section(SEC_CONFIG)?)?;
         Ok(GeodabIndex {
             fingerprinter: Fingerprinter::new(config),
-            engine: read_store(&reader, SEC_FINGERPRINTS, |ordered| {
-                Ok(Fingerprints::from_ordered(ordered))
-            })?,
+            engine: read_store(&reader, SEC_FINGERPRINTS, |_| Ok(()))?,
         })
     }
 }
@@ -360,26 +178,21 @@ impl Persist for GeodabIndex {
 impl Persist for GeohashIndex {
     fn to_snapshot(&self) -> Vec<u8> {
         let mut writer = SnapshotWriter::new(BackendKind::Geohash);
-        writer.section(SEC_CONFIG, vec![self.depth()]);
-        write_store(&mut writer, &self.engine, SEC_CELLS, Vec::as_slice);
-
+        writer.section(SEC_CONFIG, to_bytes(&self.depth()));
+        write_store(&mut writer, &self.engine, SEC_CELLS);
         writer.finish()
     }
 
     fn from_snapshot(data: &[u8]) -> Result<GeohashIndex, SnapshotError> {
         let reader = SnapshotReader::parse(data)?;
         reader.expect_backend(BackendKind::Geohash)?;
-
-        let mut conf = Cursor::new(reader.section(SEC_CONFIG)?);
-        let depth = conf.u8()?;
-        conf.expect_end()?;
+        let depth: u8 = from_bytes(reader.section(SEC_CONFIG)?)?;
         if depth == 0 || depth > MAX_DEPTH {
             return Err(SnapshotError::Corrupt("cell depth out of range"));
         }
-
-        let engine = read_store(&reader, SEC_CELLS, |cells: Vec<u64>| {
+        let engine = read_store(&reader, SEC_CELLS, |cells: &Vec<u64>| {
             if cells.windows(2).all(|w| w[0] < w[1]) {
-                Ok(cells)
+                Ok(())
             } else {
                 Err(SnapshotError::Corrupt("cell set not strictly sorted"))
             }
@@ -392,29 +205,23 @@ impl Persist for GeohashIndex {
 // Legacy v1 format
 // ---------------------------------------------------------------------
 
-/// Serializes the index in the legacy v1 format: configuration plus raw
-/// fingerprint sequences, with all engine state rebuilt on load. Kept so
-/// migration tooling and compatibility tests can still produce v1 blobs;
-/// new snapshots should use [`encode`] / [`Persist::to_snapshot`].
+/// Serializes the index in the legacy v1 format: the `GDAB` magic,
+/// version 1, the `GeodabConfig`, an entry count `u64`, then per entry
+/// `(id u32, Fingerprints)` ascending by id; all engine state is rebuilt
+/// on load. Kept so migration tooling and compatibility tests can still
+/// produce v1 blobs; new snapshots should use [`encode`] /
+/// [`Persist::to_snapshot`].
 pub fn encode_v1(index: &GeodabIndex) -> Vec<u8> {
-    let cfg = index.config();
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-    buf.push(cfg.normalization_depth());
-    buf.push(cfg.prefix_bits());
-    buf.extend_from_slice(&(cfg.k() as u32).to_le_bytes());
-    buf.extend_from_slice(&(cfg.t() as u32).to_le_bytes());
+    let mut buf = MAGIC.to_vec();
+    VERSION_V1.put(&mut buf);
+    index.config().put(&mut buf);
     // Deterministic output: sort by id.
     let mut entries: Vec<(TrajId, &Fingerprints)> = index.iter_fingerprints().collect();
     entries.sort_by_key(|&(id, _)| id);
-    buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    (entries.len() as u64).put(&mut buf);
     for (id, fp) in entries {
-        buf.extend_from_slice(&id.raw().to_le_bytes());
-        buf.extend_from_slice(&(fp.ordered().len() as u32).to_le_bytes());
-        for &g in fp.ordered() {
-            buf.extend_from_slice(&g.to_le_bytes());
-        }
+        id.put(&mut buf);
+        fp.put(&mut buf);
     }
     buf
 }
@@ -424,26 +231,10 @@ pub fn encode_v1(index: &GeodabIndex) -> Vec<u8> {
 fn decode_v1(data: &[u8]) -> Result<GeodabIndex, SnapshotError> {
     // The version switch in `decode` already verified magic + version.
     let mut reader = Cursor::new(&data[6..]);
-    let depth = reader.u8()?;
-    let prefix = reader.u8()?;
-    let k = reader.u32()? as usize;
-    let t = reader.u32()? as usize;
-    let config = GeodabConfig::new(depth, k, t, prefix).map_err(SnapshotError::InvalidConfig)?;
-    let count = reader.u64()?;
-    let mut index = GeodabIndex::new(config);
-    for _ in 0..count {
-        let id = TrajId::new(reader.u32()?);
-        let len = reader.u32()? as usize;
-        // Divide instead of multiplying: `len * 4` could overflow `usize`
-        // on 32-bit targets and let a crafted length through.
-        if reader.remaining() / 4 < len {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut ordered = Vec::with_capacity(len);
-        for _ in 0..len {
-            ordered.push(reader.u32()?);
-        }
-        index.insert_fingerprints(id, Fingerprints::from_ordered(ordered));
+    let mut index = GeodabIndex::new(reader.get()?);
+    for _ in 0..reader.get::<u64>()? {
+        let (id, fingerprints) = reader.get()?;
+        index.insert_fingerprints(id, fingerprints);
     }
     Ok(index)
 }
@@ -452,6 +243,7 @@ fn decode_v1(data: &[u8]) -> Result<GeodabIndex, SnapshotError> {
 mod tests {
     use super::*;
     use crate::{SearchOptions, TrajectoryIndex};
+    use geodabs_core::GeodabConfig;
     use geodabs_geo::Point;
     use geodabs_traj::Trajectory;
 

@@ -23,15 +23,28 @@
 //! storing raw fingerprint sequences) remains decodable through
 //! [`crate::codec::decode`], which switches on the version field.
 //!
+//! The module is also the workspace's one byte codec: [`Wire`] gives
+//! each value (integers, strings, `Vec`s, tuples, trajectories, search
+//! options and results, configurations, bitmaps) one layout for both
+//! directions over a bounds-checked [`Cursor`], and the section
+//! payloads, the `geodabs-serve` wire frames and the write-ahead log's
+//! records are compositions of those impls, failing with one
+//! [`ReadError`].
+//!
 //! The [`Persist`] trait is the one entry point: every backend —
 //! [`crate::GeodabIndex`], [`crate::GeohashIndex`] and the cluster index —
 //! implements `to_snapshot`/`from_snapshot` over this container, and gets
 //! file-level `save_to`/`load_from` for free.
 
-use geodabs_core::GeodabError;
+use geodabs_core::{Fingerprints, GeodabConfig, GeodabError};
+use geodabs_geo::Point;
+use geodabs_roaring::RoaringBitmap;
+use geodabs_traj::{TrajId, Trajectory};
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
+
+use crate::{SearchOptions, SearchResult};
 
 /// The file magic shared by every snapshot version.
 pub const MAGIC: &[u8; 4] = b"GDAB";
@@ -146,16 +159,26 @@ pub fn section_name(id: u32) -> String {
     }
 }
 
-/// Errors produced by the bounds-checked [`Cursor`] alone — the part of
-/// the decoding machinery shared between the snapshot layer and the
-/// `geodabs-serve` wire protocol, which embed cursor reads in different
-/// outer error types. Converts into [`SnapshotError`] with `?`.
+/// The one decode error of every byte format in the workspace: the
+/// snapshot sections, the `geodabs-serve` wire payloads and the
+/// write-ahead log's records all decode through [`Wire::get`], and each
+/// format's outer error converts from this one with `?`
+/// ([`SnapshotError`] here).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadError {
     /// The input ended in the middle of a record.
     Truncated,
     /// A payload is structurally invalid.
     Corrupt(&'static str),
+    /// A tag byte names no variant of the value being decoded.
+    UnknownTag {
+        /// What was being decoded (`"query body"`, …).
+        what: &'static str,
+        /// The offending tag byte.
+        tag: u8,
+    },
+    /// A stored [`GeodabConfig`] fails validation.
+    InvalidConfig(GeodabError),
 }
 
 impl fmt::Display for ReadError {
@@ -163,6 +186,8 @@ impl fmt::Display for ReadError {
         match self {
             ReadError::Truncated => write!(f, "truncated input"),
             ReadError::Corrupt(what) => write!(f, "corrupt input: {what}"),
+            ReadError::UnknownTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
+            ReadError::InvalidConfig(e) => write!(f, "invalid stored configuration: {e}"),
         }
     }
 }
@@ -174,6 +199,9 @@ impl From<ReadError> for SnapshotError {
         match e {
             ReadError::Truncated => SnapshotError::Truncated,
             ReadError::Corrupt(what) => SnapshotError::Corrupt(what),
+            // No snapshot section holds a tagged value.
+            ReadError::UnknownTag { .. } => SnapshotError::Corrupt("unknown tag"),
+            ReadError::InvalidConfig(e) => SnapshotError::InvalidConfig(e),
         }
     }
 }
@@ -265,15 +293,6 @@ impl Error for SnapshotError {
     }
 }
 
-impl From<geodabs_roaring::WireError> for SnapshotError {
-    fn from(e: geodabs_roaring::WireError) -> SnapshotError {
-        match e {
-            geodabs_roaring::WireError::Truncated => SnapshotError::Truncated,
-            geodabs_roaring::WireError::Corrupt(what) => SnapshotError::Corrupt(what),
-        }
-    }
-}
-
 /// Slicing-by-8 tables (Kounavis & Berry): `CRC_TABLES[0]` is the classic
 /// byte-at-a-time table, `CRC_TABLES[k][b]` is the CRC state after byte
 /// `b` followed by `k` zero bytes.
@@ -330,11 +349,10 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-/// Little-endian cursor over a byte stream; every read is bounds-checked
-/// so truncated input surfaces as [`ReadError::Truncated`] instead of a
-/// panic. Shared by the snapshot layer and the `geodabs-serve` wire
-/// protocol — errors convert into [`SnapshotError`] (and the serve
-/// crate's wire error) with `?`.
+/// A bounds-checked read position in a byte stream: every read either
+/// consumes exactly the bytes it needs or fails with
+/// [`ReadError::Truncated`], never panics. Values are read with
+/// [`Cursor::get`], which runs the type's [`Wire`] decoder.
 pub struct Cursor<'a> {
     data: &'a [u8],
 }
@@ -364,69 +382,16 @@ impl<'a> Cursor<'a> {
         Ok(head)
     }
 
-    /// Reads one byte.
+    /// Reads one `T`.
     ///
     /// # Errors
     ///
-    /// [`ReadError::Truncated`] at end of input.
-    pub fn u8(&mut self) -> Result<u8, ReadError> {
-        Ok(self.take(1)?[0])
+    /// Whatever `T`'s decoder reports.
+    pub fn get<T: Wire>(&mut self) -> Result<T, ReadError> {
+        T::get(self)
     }
 
-    /// Reads a little-endian `u16`.
-    ///
-    /// # Errors
-    ///
-    /// [`ReadError::Truncated`] when fewer than 2 bytes remain.
-    pub fn u16(&mut self) -> Result<u16, ReadError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`ReadError::Truncated`] when fewer than 4 bytes remain.
-    pub fn u32(&mut self) -> Result<u32, ReadError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// [`ReadError::Truncated`] when fewer than 8 bytes remain.
-    pub fn u64(&mut self) -> Result<u64, ReadError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian IEEE-754 `f64`.
-    ///
-    /// # Errors
-    ///
-    /// [`ReadError::Truncated`] when fewer than 8 bytes remain.
-    pub fn f64(&mut self) -> Result<f64, ReadError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a roaring bitmap in its wire form.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bitmap decoder's truncation/corruption errors.
-    pub fn bitmap(&mut self) -> Result<geodabs_roaring::RoaringBitmap, ReadError> {
-        let (bitmap, used) = geodabs_roaring::RoaringBitmap::deserialize_from(self.data)?;
-        self.data = &self.data[used..];
-        Ok(bitmap)
-    }
-
-    /// Asserts the payload was consumed exactly.
+    /// Asserts the input was consumed exactly.
     ///
     /// # Errors
     ///
@@ -435,8 +400,328 @@ impl<'a> Cursor<'a> {
         if self.data.is_empty() {
             Ok(())
         } else {
-            Err(ReadError::Corrupt("trailing bytes after section payload"))
+            Err(ReadError::Corrupt("trailing bytes after the payload"))
         }
+    }
+}
+
+/// A value's byte layout, written once and composed: every payload of
+/// the workspace — snapshot sections, wire frames, log records — is a
+/// tuple, `Vec` or tagged enum of these impls, so its encoder and
+/// decoder cannot drift apart. All integers are fixed-width
+/// little-endian.
+///
+/// ```
+/// use geodabs_index::store::{from_bytes, to_bytes};
+/// use geodabs_traj::TrajId;
+///
+/// let records = vec![(TrajId::new(7), vec![1u32, 2]), (TrajId::new(9), vec![])];
+/// let bytes = to_bytes(&records);
+/// assert_eq!(bytes.len(), 4 + (4 + 4 + 8) + (4 + 4));
+/// assert_eq!(from_bytes::<Vec<(TrajId, Vec<u32>)>>(&bytes).unwrap(), records);
+/// ```
+pub trait Wire: Sized {
+    /// The fewest bytes any value encodes to. `Vec<Self>`'s decoder
+    /// divides the remaining input by it, so an untrusted count never
+    /// reserves more entries than the payload could hold.
+    const MIN_LEN: usize;
+
+    /// Appends the encoding to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Reads one value.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError`] on truncated or invalid input; never panics.
+    fn get(cursor: &mut Cursor<'_>) -> Result<Self, ReadError>;
+}
+
+/// `value`'s encoding in a fresh buffer.
+pub fn to_bytes<T: Wire>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    value.put(&mut out);
+    out
+}
+
+/// Decodes a `T` spanning all of `payload`.
+///
+/// # Errors
+///
+/// `T`'s decode errors, or [`ReadError::Corrupt`] on trailing bytes.
+pub fn from_bytes<T: Wire>(payload: &[u8]) -> Result<T, ReadError> {
+    let mut cursor = Cursor::new(payload);
+    let value = cursor.get()?;
+    cursor.expect_end()?;
+    Ok(value)
+}
+
+/// Writes items in `Vec<T>`'s layout — a `u32` count, then each item via
+/// `put` — from any exact-size iterator, so an encoder can write
+/// borrowed records (a posting bitmap, a fingerprint sequence) without
+/// first cloning them into a `Vec`.
+pub fn put_seq<I: ExactSizeIterator>(
+    out: &mut Vec<u8>,
+    items: I,
+    mut put: impl FnMut(I::Item, &mut Vec<u8>),
+) {
+    (items.len() as u32).put(out);
+    for item in items {
+        put(item, out);
+    }
+}
+
+/// A one-byte flag that must be exactly 0 or 1.
+///
+/// # Errors
+///
+/// [`ReadError::Corrupt`] with `what` for any other byte.
+pub fn flag(byte: u8, what: &'static str) -> Result<bool, ReadError> {
+    match byte {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(ReadError::Corrupt(what)),
+    }
+}
+
+/// Fails unless the keys of `pairs` are strictly ascending — the order
+/// every keyed snapshot record list is written in.
+///
+/// # Errors
+///
+/// [`ReadError::Corrupt`] with `what`.
+pub fn strictly_ascending<K: Ord, V>(
+    pairs: &[(K, V)],
+    what: &'static str,
+) -> Result<(), ReadError> {
+    if pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+        Ok(())
+    } else {
+        Err(ReadError::Corrupt(what))
+    }
+}
+
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = std::mem::size_of::<$t>();
+
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(cursor: &mut Cursor<'_>) -> Result<$t, ReadError> {
+                let bytes = cursor.take(Self::MIN_LEN)?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("exact width")))
+            }
+        }
+    )*};
+}
+
+wire_int!(u8, u16, u32, u64);
+
+/// IEEE-754 bit patterns, so a value decodes bit-identical.
+impl Wire for f64 {
+    const MIN_LEN: usize = u64::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<f64, ReadError> {
+        Ok(f64::from_bits(cursor.get()?))
+    }
+}
+
+impl Wire for bool {
+    const MIN_LEN: usize = u8::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<bool, ReadError> {
+        flag(cursor.get()?, "flag is not 0 or 1")
+    }
+}
+
+/// A `u32` byte count, then the utf-8 bytes.
+impl Wire for String {
+    const MIN_LEN: usize = u32::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<String, ReadError> {
+        let len = cursor.get::<u32>()? as usize;
+        let bytes = cursor.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| ReadError::Corrupt("string is not utf-8"))
+    }
+}
+
+/// A `u32` count, then the items.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = u32::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(out, self.iter(), T::put);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<Vec<T>, ReadError> {
+        let count = cursor.get::<u32>()? as usize;
+        let mut items = Vec::with_capacity(count.min(cursor.remaining() / T::MIN_LEN.max(1)));
+        for _ in 0..count {
+            items.push(cursor.get()?);
+        }
+        Ok(items)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<(A, B), ReadError> {
+        Ok((cursor.get()?, cursor.get()?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN + C::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+        self.2.put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<(A, B, C), ReadError> {
+        Ok((cursor.get()?, cursor.get()?, cursor.get()?))
+    }
+}
+
+impl Wire for TrajId {
+    const MIN_LEN: usize = u32::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.raw().put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<TrajId, ReadError> {
+        Ok(TrajId::new(cursor.get()?))
+    }
+}
+
+/// `lat f64, lon f64`, validated like any other coordinate.
+impl Wire for Point {
+    const MIN_LEN: usize = <(f64, f64)>::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.lat(), self.lon()).put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<Point, ReadError> {
+        let (lat, lon) = cursor.get()?;
+        Point::new(lat, lon).map_err(|_| ReadError::Corrupt("invalid coordinate"))
+    }
+}
+
+/// Its points, as `Vec<Point>`.
+impl Wire for Trajectory {
+    const MIN_LEN: usize = Vec::<Point>::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(out, self.points().iter(), Point::put);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<Trajectory, ReadError> {
+        Ok(Trajectory::new(cursor.get()?))
+    }
+}
+
+/// The ordered geodab sequence, as `Vec<u32>`; the set is rebuilt.
+impl Wire for Fingerprints {
+    const MIN_LEN: usize = Vec::<u32>::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(out, self.ordered().iter(), u32::put);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<Fingerprints, ReadError> {
+        Ok(Fingerprints::from_ordered(cursor.get()?))
+    }
+}
+
+/// `max_distance f64, has_limit u8, limit u64` (`limit` is 0 when
+/// unbounded).
+impl Wire for SearchOptions {
+    const MIN_LEN: usize = <(f64, u8, u64)>::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        let limit = self.limit.unwrap_or(0) as u64;
+        (self.max_distance, self.limit.is_some(), limit).put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<SearchOptions, ReadError> {
+        let (max_distance, has_limit, limit): (f64, u8, u64) = cursor.get()?;
+        let options = SearchOptions::default().max_distance(max_distance);
+        if !flag(has_limit, "limit flag is not 0 or 1")? {
+            return Ok(options);
+        }
+        let limit =
+            usize::try_from(limit).map_err(|_| ReadError::Corrupt("result limit exceeds usize"))?;
+        Ok(options.limit(limit))
+    }
+}
+
+/// `id u32, distance f64`.
+impl Wire for SearchResult {
+    const MIN_LEN: usize = <(TrajId, f64)>::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.id, self.distance).put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<SearchResult, ReadError> {
+        let (id, distance) = cursor.get()?;
+        Ok(SearchResult { id, distance })
+    }
+}
+
+/// The `CONF` bytes: `depth u8, prefix u8, k u32, t u32`, validated.
+impl Wire for GeodabConfig {
+    const MIN_LEN: usize = <(u8, u8)>::MIN_LEN + <(u32, u32)>::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.normalization_depth(), self.prefix_bits()).put(out);
+        (self.k() as u32, self.t() as u32).put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<GeodabConfig, ReadError> {
+        let (depth, prefix): (u8, u8) = cursor.get()?;
+        let (k, t): (u32, u32) = cursor.get()?;
+        GeodabConfig::new(depth, k as usize, t as usize, prefix).map_err(ReadError::InvalidConfig)
+    }
+}
+
+/// The roaring wire form; its own decoder validates the containers.
+impl Wire for RoaringBitmap {
+    const MIN_LEN: usize = u32::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.serialize_into(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<RoaringBitmap, ReadError> {
+        let (bitmap, used) = RoaringBitmap::deserialize_from(cursor.data)?;
+        cursor.data = &cursor.data[used..];
+        Ok(bitmap)
     }
 }
 
@@ -482,13 +767,9 @@ impl SnapshotWriter {
         let total: usize = self.sections.iter().map(|(_, p)| 16 + p.len()).sum();
         let mut out = Vec::with_capacity(11 + total);
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(self.backend.tag());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        (VERSION, self.backend.tag(), self.sections.len() as u32).put(&mut out);
         for (id, payload) in &self.sections {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
+            (*id, payload.len() as u64, crc32(payload)).put(&mut out);
             out.extend_from_slice(payload);
         }
         out
@@ -510,8 +791,7 @@ pub fn peek_version(data: &[u8]) -> Result<u16, SnapshotError> {
     if &data[..4] != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let mut cursor = Cursor::new(&data[4..]);
-    Ok(cursor.u16()?)
+    Ok(Cursor::new(&data[4..]).get()?)
 }
 
 /// Reads a snapshot's durability watermark: the WAL sequence number the
@@ -531,12 +811,7 @@ pub fn watermark(data: &[u8]) -> Result<Option<u64>, SnapshotError> {
     let reader = SnapshotReader::parse(data)?;
     match reader.optional_section(SEC_WATERMARK) {
         None => Ok(None),
-        Some(payload) => {
-            let mut cursor = Cursor::new(payload);
-            let seq = cursor.u64()?;
-            cursor.expect_end()?;
-            Ok(Some(seq))
-        }
+        Some(payload) => Ok(Some(from_bytes(payload)?)),
     }
 }
 
@@ -560,7 +835,7 @@ pub fn with_watermark(data: &[u8], seq: u64) -> Result<Vec<u8>, SnapshotError> {
             writer.section(id, payload.to_vec());
         }
     }
-    writer.section(SEC_WATERMARK, seq.to_le_bytes().to_vec());
+    writer.section(SEC_WATERMARK, to_bytes(&seq));
     Ok(writer.finish())
 }
 
@@ -590,14 +865,11 @@ impl<'a> SnapshotReader<'a> {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let mut cursor = Cursor::new(&data[6..]);
-        let backend_tag = cursor.u8()?;
-        let count = cursor.u32()? as usize;
+        let (backend_tag, count): (u8, u32) = cursor.get()?;
         let mut sections: Vec<(u32, &[u8])> = Vec::new();
         let mut by_id = std::collections::HashMap::new();
         for _ in 0..count {
-            let id = cursor.u32()?;
-            let len = cursor.u64()?;
-            let stored_crc = cursor.u32()?;
+            let (id, len, stored_crc): (u32, u64, u32) = cursor.get()?;
             if cursor.remaining() < len as usize {
                 return Err(SnapshotError::Truncated);
             }
@@ -901,16 +1173,19 @@ mod tests {
     #[test]
     fn cursor_reads_are_bounds_checked() {
         let mut cursor = Cursor::new(&[1, 2, 3]);
-        assert_eq!(cursor.u8().unwrap(), 1);
-        assert_eq!(cursor.u16().unwrap(), u16::from_le_bytes([2, 3]));
-        assert_eq!(cursor.u8(), Err(ReadError::Truncated));
+        assert_eq!(cursor.get::<u8>().unwrap(), 1);
+        assert_eq!(cursor.get::<u16>().unwrap(), u16::from_le_bytes([2, 3]));
+        assert_eq!(cursor.get::<u8>(), Err(ReadError::Truncated));
         assert!(cursor.expect_end().is_ok());
         let mut cursor = Cursor::new(&[0; 20]);
-        assert_eq!(cursor.u32().unwrap(), 0);
-        assert_eq!(cursor.u64().unwrap(), 0);
-        assert_eq!(cursor.f64().unwrap(), 0.0);
+        assert_eq!(cursor.get::<u32>().unwrap(), 0);
+        assert_eq!(cursor.get::<u64>().unwrap(), 0);
+        assert_eq!(cursor.get::<f64>().unwrap(), 0.0);
         let trailing = Cursor::new(&[0; 2]);
-        assert!(trailing.expect_end().is_err());
+        assert_eq!(
+            trailing.expect_end(),
+            Err(ReadError::Corrupt("trailing bytes after the payload"))
+        );
         // Cursor errors convert into the snapshot error vocabulary.
         assert!(matches!(
             SnapshotError::from(ReadError::Truncated),

@@ -1,4 +1,5 @@
-//! Golden pin of the single-node snapshot bytes (tags 1 and 2).
+//! Golden pin of the single-node snapshot bytes (tags 1 and 2, and the
+//! legacy v1 format).
 //!
 //! Round-trip tests compare the codec with itself, so a change in which
 //! dense slot a trajectory gets, which freed slot is recycled first, or
@@ -7,8 +8,9 @@
 //! to the index it was saved from. These digests must never change
 //! without a deliberate format bump.
 
-use geodabs_core::GeodabConfig;
+use geodabs_core::{Fingerprints, GeodabConfig};
 use geodabs_geo::Point;
+use geodabs_index::codec::{decode, encode_v1};
 use geodabs_index::store::Persist;
 use geodabs_index::{GeodabIndex, GeohashIndex, TrajectoryIndex};
 use geodabs_traj::{TrajId, Trajectory};
@@ -74,4 +76,49 @@ fn geodab_and_geohash_snapshots_are_pinned() {
         [0xe1fc_ee7a_eb70_66d7, 0xf807_3965_72ee_3bda],
         "geodab or geohash snapshot bytes changed"
     );
+}
+
+/// A v1 blob as the legacy writer laid it out, frozen byte by byte so
+/// the reader is held to the old format rather than to `encode_v1`'s
+/// current output (a symmetric change to both would pass a round trip
+/// and still strand every v1 file on disk).
+const FROZEN_V1: &[u8] = &[
+    b'G', b'D', b'A', b'B', 1, 0, // magic, version 1
+    34, 12, 4, 0, 0, 0, 9, 0, 0, 0, // depth, prefix, k u32, t u32
+    3, 0, 0, 0, 0, 0, 0, 0, // entries u64
+    2, 0, 0, 0, 1, 0, 0, 0, 255, 255, 255, 255, // id 2: [u32::MAX]
+    4, 0, 0, 0, 0, 0, 0, 0, // id 4: []
+    9, 0, 0, 0, 3, 0, 0, 0, 4, 3, 2, 1, 7, 0, 0, 0, 7, 0, 0, 0, // id 9: [0x01020304, 7, 7]
+];
+
+#[test]
+fn v1_writer_and_reader_are_pinned() {
+    let mut geodab = GeodabIndex::new(GeodabConfig::default());
+    script(&mut geodab);
+    assert_eq!(
+        digest(&encode_v1(&geodab)),
+        0x5121_b5de_809c_d468,
+        "v1 bytes changed"
+    );
+
+    let decoded = decode(FROZEN_V1).expect("frozen v1 blob decodes");
+    let config = GeodabConfig::builder()
+        .normalization_depth(34)
+        .prefix_bits(12)
+        .k(4)
+        .t(9)
+        .build()
+        .unwrap();
+    assert_eq!(*decoded.config(), config);
+    let mut expected = GeodabIndex::new(config);
+    // The reader inserts in file (ascending id) order, which fixes the slots.
+    for (id, ordered) in [
+        (2, vec![u32::MAX]),
+        (4, vec![]),
+        (9, vec![0x0102_0304, 7, 7]),
+    ] {
+        expected.insert_fingerprints(TrajId::new(id), Fingerprints::from_ordered(ordered));
+    }
+    assert_eq!(decoded.to_snapshot(), expected.to_snapshot());
+    assert_eq!(encode_v1(&decoded), FROZEN_V1, "v1 writer moved");
 }

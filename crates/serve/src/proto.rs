@@ -16,9 +16,12 @@
 //! [`WireError::FrameTooLarge`] instead of an OOM; the checksum is
 //! verified before the payload is decoded, so a flipped bit surfaces as
 //! [`WireError::ChecksumMismatch`] instead of a silently wrong answer —
-//! the same discipline the `GDAB` snapshot container applies per section
-//! (and the payload decoders reuse its bounds-checked [`Cursor`]
-//! machinery).
+//! the same discipline the `GDAB` snapshot container applies per section.
+//! Headers and payloads are compositions of the [`Wire`] impls the
+//! snapshots and the write-ahead log are built from too (a trajectory or
+//! a hit list has one layout everywhere), so each layout is written once
+//! for both directions; only the tag dispatch and the two
+//! back-compatible tails below are spelled out here.
 //!
 //! # Payload layout
 //!
@@ -107,8 +110,7 @@
 //! equivalence tests pin responses against direct in-process calls with
 //! `==`, not a tolerance.
 
-use geodabs_geo::Point;
-use geodabs_index::store::{crc32, Cursor, ReadError};
+use geodabs_index::store::{crc32, flag, Cursor, ReadError, Wire};
 use geodabs_index::{SearchOptions, SearchResult};
 use geodabs_traj::{TrajId, Trajectory};
 use std::error::Error;
@@ -198,6 +200,9 @@ impl From<ReadError> for WireError {
         match e {
             ReadError::Truncated => WireError::Truncated,
             ReadError::Corrupt(what) => WireError::Corrupt(what),
+            ReadError::UnknownTag { what, tag } => WireError::UnknownTag { what, tag },
+            // No wire payload carries a stored configuration.
+            ReadError::InvalidConfig(_) => WireError::Corrupt("invalid configuration"),
         }
     }
 }
@@ -228,8 +233,7 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), WireE
         });
     }
     let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    (payload.len() as u32, crc32(payload)).put(&mut frame);
     frame.extend_from_slice(payload);
     writer.write_all(&frame)?;
     writer.flush()?;
@@ -290,10 +294,8 @@ impl<R: Read> FrameReader<R> {
         loop {
             let have = self.end - self.start;
             let mut need = FRAME_HEADER_LEN;
-            if have >= FRAME_HEADER_LEN {
-                let header = &self.buf[self.start..self.start + FRAME_HEADER_LEN];
-                let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-                let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+            let header = Cursor::new(&self.buf[self.start..self.end]).get::<(u32, u32)>();
+            if let Ok((len, crc)) = header {
                 if len > MAX_FRAME_LEN {
                     // Skip the poisoned header so a caller that survives
                     // the error does not reparse it.
@@ -580,6 +582,7 @@ const REQ_SHARD_INSERT: u8 = 8;
 const REQ_METRICS: u8 = 9;
 
 /// The only `Stats` request flag so far: append the durability tail.
+/// The flags byte is strictly 0 or this, so it decodes as a flag.
 const STATS_FLAG_DURABILITY: u8 = 0x01;
 
 /// The only `ShardQuery` flag so far: a `trace u64` follows.
@@ -599,130 +602,73 @@ const RESP_SHARD_TOPK: u8 = 8;
 const RESP_UNAVAILABLE: u8 = 9;
 const RESP_METRICS: u8 = 10;
 
-/// Caps a `Vec::with_capacity` taken from untrusted input: never reserve
-/// more entries than the remaining payload could possibly hold.
-fn claimed_capacity(claimed: usize, remaining: usize, entry_size: usize) -> usize {
-    claimed.min(remaining / entry_size.max(1))
-}
+/// `1` then a [`Trajectory`], or `2` then the fingerprint terms.
+impl Wire for QueryBody {
+    const MIN_LEN: usize = u8::MIN_LEN + Vec::<u32>::MIN_LEN;
 
-fn write_options(out: &mut Vec<u8>, options: &SearchOptions) {
-    out.extend_from_slice(&options.max_distance.to_bits().to_le_bytes());
-    match options.limit {
-        Some(limit) => {
-            out.push(1);
-            out.extend_from_slice(&(limit as u64).to_le_bytes());
-        }
-        None => {
-            out.push(0);
-            out.extend_from_slice(&0u64.to_le_bytes());
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            QueryBody::Trajectory(trajectory) => {
+                out.push(BODY_TRAJECTORY);
+                trajectory.put(out);
+            }
+            QueryBody::Fingerprints(terms) => {
+                out.push(BODY_FINGERPRINTS);
+                terms.put(out);
+            }
         }
     }
-}
 
-fn read_options(cursor: &mut Cursor<'_>) -> Result<SearchOptions, WireError> {
-    let max_distance = cursor.f64()?;
-    let has_limit = cursor.u8()?;
-    let limit = cursor.u64()?;
-    let mut options = SearchOptions::default().max_distance(max_distance);
-    match has_limit {
-        0 => {}
-        1 => {
-            let limit = usize::try_from(limit)
-                .map_err(|_| WireError::Corrupt("result limit exceeds usize"))?;
-            options = options.limit(limit);
-        }
-        _ => return Err(WireError::Corrupt("limit flag is not 0 or 1")),
-    }
-    Ok(options)
-}
-
-fn write_trajectory(out: &mut Vec<u8>, trajectory: &Trajectory) {
-    out.extend_from_slice(&(trajectory.len() as u32).to_le_bytes());
-    for p in trajectory.iter() {
-        out.extend_from_slice(&p.lat().to_bits().to_le_bytes());
-        out.extend_from_slice(&p.lon().to_bits().to_le_bytes());
-    }
-}
-
-fn read_trajectory(cursor: &mut Cursor<'_>) -> Result<Trajectory, WireError> {
-    let count = cursor.u32()? as usize;
-    let mut points = Vec::with_capacity(claimed_capacity(count, cursor.remaining(), 16));
-    for _ in 0..count {
-        let lat = cursor.f64()?;
-        let lon = cursor.f64()?;
-        points.push(Point::new(lat, lon).map_err(|_| WireError::Corrupt("invalid coordinate"))?);
-    }
-    Ok(Trajectory::new(points))
-}
-
-fn write_terms(out: &mut Vec<u8>, terms: &[u32]) {
-    out.extend_from_slice(&(terms.len() as u32).to_le_bytes());
-    for &term in terms {
-        out.extend_from_slice(&term.to_le_bytes());
-    }
-}
-
-fn read_terms(cursor: &mut Cursor<'_>) -> Result<Vec<u32>, WireError> {
-    let count = cursor.u32()? as usize;
-    let mut terms = Vec::with_capacity(claimed_capacity(count, cursor.remaining(), 4));
-    for _ in 0..count {
-        terms.push(cursor.u32()?);
-    }
-    Ok(terms)
-}
-
-fn write_query_body(out: &mut Vec<u8>, body: &QueryBody) {
-    match body {
-        QueryBody::Trajectory(trajectory) => {
-            out.push(BODY_TRAJECTORY);
-            write_trajectory(out, trajectory);
-        }
-        QueryBody::Fingerprints(terms) => {
-            out.push(BODY_FINGERPRINTS);
-            write_terms(out, terms);
+    fn get(cursor: &mut Cursor<'_>) -> Result<QueryBody, ReadError> {
+        match cursor.get::<u8>()? {
+            BODY_TRAJECTORY => Ok(QueryBody::Trajectory(cursor.get()?)),
+            BODY_FINGERPRINTS => Ok(QueryBody::Fingerprints(cursor.get()?)),
+            tag => Err(ReadError::UnknownTag {
+                what: "query body",
+                tag,
+            }),
         }
     }
 }
 
-fn read_query_body(cursor: &mut Cursor<'_>) -> Result<QueryBody, WireError> {
-    match cursor.u8()? {
-        BODY_TRAJECTORY => Ok(QueryBody::Trajectory(read_trajectory(cursor)?)),
-        BODY_FINGERPRINTS => Ok(QueryBody::Fingerprints(read_terms(cursor)?)),
-        tag => Err(WireError::UnknownTag {
-            what: "query body",
-            tag,
-        }),
+/// `name, sum u64, buckets` with each bucket `(index u16, count u64)`.
+impl Wire for MetricsHistogram {
+    const MIN_LEN: usize = <(String, u64, Vec<(u16, u64)>)>::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.name.put(out);
+        self.sum.put(out);
+        self.buckets.put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<MetricsHistogram, ReadError> {
+        let (name, sum, buckets) = cursor.get()?;
+        Ok(MetricsHistogram { name, sum, buckets })
     }
 }
 
-fn write_string(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
+/// `trace_id u64, kind, total_us u64, stages` with each stage
+/// `(name, microseconds u64)`.
+impl Wire for MetricsSlowQuery {
+    const MIN_LEN: usize = <(u64, String, u64)>::MIN_LEN + Vec::<(String, u64)>::MIN_LEN;
 
-fn read_string(cursor: &mut Cursor<'_>) -> Result<String, WireError> {
-    let len = cursor.u32()? as usize;
-    let bytes = cursor.take(len)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Corrupt("string is not utf-8"))
-}
-
-fn write_hits(out: &mut Vec<u8>, hits: &[SearchResult]) {
-    out.extend_from_slice(&(hits.len() as u32).to_le_bytes());
-    for hit in hits {
-        out.extend_from_slice(&hit.id.raw().to_le_bytes());
-        out.extend_from_slice(&hit.distance.to_bits().to_le_bytes());
+    fn put(&self, out: &mut Vec<u8>) {
+        self.trace_id.put(out);
+        self.kind.put(out);
+        self.total_us.put(out);
+        self.stages.put(out);
     }
-}
 
-fn read_hits(cursor: &mut Cursor<'_>) -> Result<Vec<SearchResult>, WireError> {
-    let count = cursor.u32()? as usize;
-    let mut hits = Vec::with_capacity(claimed_capacity(count, cursor.remaining(), 12));
-    for _ in 0..count {
-        let id = TrajId::new(cursor.u32()?);
-        let distance = cursor.f64()?;
-        hits.push(SearchResult { id, distance });
+    fn get(cursor: &mut Cursor<'_>) -> Result<MetricsSlowQuery, ReadError> {
+        let (trace_id, kind, total_us) = cursor.get()?;
+        let stages = cursor.get()?;
+        Ok(MetricsSlowQuery {
+            trace_id,
+            kind,
+            total_us,
+            stages,
+        })
     }
-    Ok(hits)
 }
 
 impl Request {
@@ -741,25 +687,22 @@ impl Request {
             }
             Request::Query { query, options } => {
                 out.push(REQ_QUERY);
-                write_options(&mut out, options);
-                write_query_body(&mut out, query);
+                options.put(&mut out);
+                query.put(&mut out);
             }
             Request::QueryBatch { queries, options } => {
                 out.push(REQ_QUERY_BATCH);
-                write_options(&mut out, options);
-                out.extend_from_slice(&(queries.len() as u32).to_le_bytes());
-                for query in queries {
-                    write_query_body(&mut out, query);
-                }
+                options.put(&mut out);
+                queries.put(&mut out);
             }
             Request::Insert { id, trajectory } => {
                 out.push(REQ_INSERT);
-                out.extend_from_slice(&id.raw().to_le_bytes());
-                write_trajectory(&mut out, trajectory);
+                id.put(&mut out);
+                trajectory.put(&mut out);
             }
             Request::Remove { id } => {
                 out.push(REQ_REMOVE);
-                out.extend_from_slice(&id.raw().to_le_bytes());
+                id.put(&mut out);
             }
             Request::ShardQuery {
                 terms,
@@ -767,19 +710,19 @@ impl Request {
                 trace,
             } => {
                 out.push(REQ_SHARD_QUERY);
-                write_options(&mut out, options);
-                write_terms(&mut out, terms);
+                options.put(&mut out);
+                terms.put(&mut out);
                 // An untraced request stays byte-identical to the
                 // legacy shape, so old shard servers keep answering it.
                 if *trace != 0 {
                     out.push(SHARD_QUERY_FLAG_TRACE);
-                    out.extend_from_slice(&trace.to_le_bytes());
+                    trace.put(&mut out);
                 }
             }
             Request::ShardInsert { id, terms } => {
                 out.push(REQ_SHARD_INSERT);
-                out.extend_from_slice(&id.raw().to_le_bytes());
-                write_terms(&mut out, terms);
+                id.put(&mut out);
+                terms.put(&mut out);
             }
             Request::Metrics => out.push(REQ_METRICS),
         }
@@ -794,53 +737,34 @@ impl Request {
     /// arbitrary bytes.
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
         let mut cursor = Cursor::new(payload);
-        let request = match cursor.u8()? {
+        let request = match cursor.get::<u8>()? {
             REQ_PING => Request::Ping,
-            REQ_STATS => {
-                // Legacy clients send the bare tag; flag-aware ones
-                // append one flags byte.
-                let durability = match cursor.remaining() {
-                    0 => false,
-                    _ => match cursor.u8()? {
-                        STATS_FLAG_DURABILITY => true,
-                        0 => false,
-                        _ => return Err(WireError::Corrupt("unknown stats flags")),
-                    },
-                };
-                Request::Stats { durability }
-            }
-            REQ_QUERY => {
-                let options = read_options(&mut cursor)?;
-                let query = read_query_body(&mut cursor)?;
-                Request::Query { query, options }
-            }
-            REQ_QUERY_BATCH => {
-                let options = read_options(&mut cursor)?;
-                let count = cursor.u32()? as usize;
-                let mut queries =
-                    Vec::with_capacity(claimed_capacity(count, cursor.remaining(), 5));
-                for _ in 0..count {
-                    queries.push(read_query_body(&mut cursor)?);
-                }
-                Request::QueryBatch { queries, options }
-            }
-            REQ_INSERT => {
-                let id = TrajId::new(cursor.u32()?);
-                let trajectory = read_trajectory(&mut cursor)?;
-                Request::Insert { id, trajectory }
-            }
-            REQ_REMOVE => Request::Remove {
-                id: TrajId::new(cursor.u32()?),
+            // Legacy clients send the bare tag; flag-aware ones append
+            // one flags byte.
+            REQ_STATS => Request::Stats {
+                durability: cursor.remaining() > 0 && flag(cursor.get()?, "unknown stats flags")?,
             },
+            REQ_QUERY => Request::Query {
+                options: cursor.get()?,
+                query: cursor.get()?,
+            },
+            REQ_QUERY_BATCH => Request::QueryBatch {
+                options: cursor.get()?,
+                queries: cursor.get()?,
+            },
+            REQ_INSERT => Request::Insert {
+                id: cursor.get()?,
+                trajectory: cursor.get()?,
+            },
+            REQ_REMOVE => Request::Remove { id: cursor.get()? },
             REQ_SHARD_QUERY => {
-                let options = read_options(&mut cursor)?;
-                let terms = read_terms(&mut cursor)?;
+                let (options, terms) = cursor.get()?;
                 // Legacy frontends end here; trace-aware ones append a
                 // flags byte and the trace id.
                 let trace = match cursor.remaining() {
                     0 => 0,
-                    _ => match cursor.u8()? {
-                        SHARD_QUERY_FLAG_TRACE => cursor.u64()?,
+                    _ => match cursor.get::<u8>()? {
+                        SHARD_QUERY_FLAG_TRACE => cursor.get()?,
                         _ => return Err(WireError::Corrupt("unknown shard query flags")),
                     },
                 };
@@ -850,11 +774,10 @@ impl Request {
                     trace,
                 }
             }
-            REQ_SHARD_INSERT => {
-                let id = TrajId::new(cursor.u32()?);
-                let terms = read_terms(&mut cursor)?;
-                Request::ShardInsert { id, terms }
-            }
+            REQ_SHARD_INSERT => Request::ShardInsert {
+                id: cursor.get()?,
+                terms: cursor.get()?,
+            },
             REQ_METRICS => Request::Metrics,
             tag => {
                 return Err(WireError::UnknownTag {
@@ -876,85 +799,50 @@ impl Response {
             Response::Pong => out.push(RESP_PONG),
             Response::Stats(stats) => {
                 out.push(RESP_STATS);
-                write_string(&mut out, &stats.backend);
-                out.extend_from_slice(&stats.trajectories.to_le_bytes());
-                out.extend_from_slice(&stats.terms.to_le_bytes());
-                out.extend_from_slice(&stats.workers.to_le_bytes());
+                stats.backend.put(&mut out);
+                (stats.trajectories, stats.terms, stats.workers).put(&mut out);
                 // The tail only goes out when the client asked for it,
                 // so legacy strict decoders never see trailing bytes.
                 if let Some(d) = &stats.durability {
-                    out.extend_from_slice(&d.last_durable_seq.to_le_bytes());
-                    out.extend_from_slice(&d.wal_bytes.to_le_bytes());
-                    out.extend_from_slice(&d.snapshot_watermark.to_le_bytes());
+                    (d.last_durable_seq, d.wal_bytes, d.snapshot_watermark).put(&mut out);
                 }
             }
             Response::Hits(hits) => {
                 out.push(RESP_HITS);
-                write_hits(&mut out, hits);
+                hits.put(&mut out);
             }
             Response::HitsBatch(batches) => {
                 out.push(RESP_HITS_BATCH);
-                out.extend_from_slice(&(batches.len() as u32).to_le_bytes());
-                for hits in batches {
-                    write_hits(&mut out, hits);
-                }
+                batches.put(&mut out);
             }
             Response::Inserted { len } => {
                 out.push(RESP_INSERTED);
-                out.extend_from_slice(&len.to_le_bytes());
+                len.put(&mut out);
             }
             Response::Removed { was_present } => {
                 out.push(RESP_REMOVED);
-                out.push(u8::from(*was_present));
+                was_present.put(&mut out);
             }
             Response::Error(message) => {
                 out.push(RESP_ERROR);
-                write_string(&mut out, message);
+                message.put(&mut out);
             }
             Response::ShardTopK(hits) => {
                 out.push(RESP_SHARD_TOPK);
-                write_hits(&mut out, hits);
+                hits.put(&mut out);
             }
             Response::Unavailable { node, message } => {
                 out.push(RESP_UNAVAILABLE);
-                out.extend_from_slice(&node.to_le_bytes());
-                write_string(&mut out, message);
+                node.put(&mut out);
+                message.put(&mut out);
             }
             Response::Metrics(report) => {
                 out.push(RESP_METRICS);
-                out.extend_from_slice(&(report.counters.len() as u32).to_le_bytes());
-                for (name, value) in &report.counters {
-                    write_string(&mut out, name);
-                    out.extend_from_slice(&value.to_le_bytes());
-                }
-                out.extend_from_slice(&(report.gauges.len() as u32).to_le_bytes());
-                for (name, value, peak) in &report.gauges {
-                    write_string(&mut out, name);
-                    out.extend_from_slice(&value.to_le_bytes());
-                    out.extend_from_slice(&peak.to_le_bytes());
-                }
-                out.extend_from_slice(&(report.histograms.len() as u32).to_le_bytes());
-                for histogram in &report.histograms {
-                    write_string(&mut out, &histogram.name);
-                    out.extend_from_slice(&histogram.sum.to_le_bytes());
-                    out.extend_from_slice(&(histogram.buckets.len() as u32).to_le_bytes());
-                    for (index, count) in &histogram.buckets {
-                        out.extend_from_slice(&index.to_le_bytes());
-                        out.extend_from_slice(&count.to_le_bytes());
-                    }
-                }
-                out.extend_from_slice(&(report.slow_queries.len() as u32).to_le_bytes());
-                for slow in &report.slow_queries {
-                    out.extend_from_slice(&slow.trace_id.to_le_bytes());
-                    write_string(&mut out, &slow.kind);
-                    out.extend_from_slice(&slow.total_us.to_le_bytes());
-                    out.extend_from_slice(&(slow.stages.len() as u32).to_le_bytes());
-                    for (stage, us) in &slow.stages {
-                        write_string(&mut out, stage);
-                        out.extend_from_slice(&us.to_le_bytes());
-                    }
-                }
-                write_string(&mut out, &report.text);
+                report.counters.put(&mut out);
+                report.gauges.put(&mut out);
+                report.histograms.put(&mut out);
+                report.slow_queries.put(&mut out);
+                report.text.put(&mut out);
             }
         }
         out
@@ -968,22 +856,23 @@ impl Response {
     /// arbitrary bytes.
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
         let mut cursor = Cursor::new(payload);
-        let response = match cursor.u8()? {
+        let response = match cursor.get::<u8>()? {
             RESP_PONG => Response::Pong,
             RESP_STATS => {
-                let backend = read_string(&mut cursor)?;
-                let trajectories = cursor.u64()?;
-                let terms = cursor.u64()?;
-                let workers = cursor.u64()?;
+                let backend = cursor.get()?;
+                let (trajectories, terms, workers) = cursor.get()?;
                 // An old server's response ends here; a durability tail
                 // is exactly three more words.
                 let durability = match cursor.remaining() {
                     0 => None,
-                    _ => Some(DurabilityStats {
-                        last_durable_seq: cursor.u64()?,
-                        wal_bytes: cursor.u64()?,
-                        snapshot_watermark: cursor.u64()?,
-                    }),
+                    _ => {
+                        let (last_durable_seq, wal_bytes, snapshot_watermark) = cursor.get()?;
+                        Some(DurabilityStats {
+                            last_durable_seq,
+                            wal_bytes,
+                            snapshot_watermark,
+                        })
+                    }
                 };
                 Response::Stats(StatsBody {
                     backend,
@@ -993,96 +882,25 @@ impl Response {
                     durability,
                 })
             }
-            RESP_HITS => Response::Hits(read_hits(&mut cursor)?),
-            RESP_HITS_BATCH => {
-                let count = cursor.u32()? as usize;
-                let mut batches =
-                    Vec::with_capacity(claimed_capacity(count, cursor.remaining(), 4));
-                for _ in 0..count {
-                    batches.push(read_hits(&mut cursor)?);
-                }
-                Response::HitsBatch(batches)
-            }
-            RESP_INSERTED => Response::Inserted { len: cursor.u64()? },
+            RESP_HITS => Response::Hits(cursor.get()?),
+            RESP_HITS_BATCH => Response::HitsBatch(cursor.get()?),
+            RESP_INSERTED => Response::Inserted { len: cursor.get()? },
             RESP_REMOVED => Response::Removed {
-                was_present: match cursor.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Corrupt("presence flag is not 0 or 1")),
-                },
+                was_present: flag(cursor.get()?, "presence flag is not 0 or 1")?,
             },
-            RESP_ERROR => Response::Error(read_string(&mut cursor)?),
-            RESP_SHARD_TOPK => Response::ShardTopK(read_hits(&mut cursor)?),
-            RESP_UNAVAILABLE => {
-                let node = cursor.u32()?;
-                let message = read_string(&mut cursor)?;
-                Response::Unavailable { node, message }
-            }
-            RESP_METRICS => {
-                let count = cursor.u32()? as usize;
-                let mut counters =
-                    Vec::with_capacity(claimed_capacity(count, cursor.remaining(), 12));
-                for _ in 0..count {
-                    let name = read_string(&mut cursor)?;
-                    let value = cursor.u64()?;
-                    counters.push((name, value));
-                }
-                let count = cursor.u32()? as usize;
-                let mut gauges =
-                    Vec::with_capacity(claimed_capacity(count, cursor.remaining(), 20));
-                for _ in 0..count {
-                    let name = read_string(&mut cursor)?;
-                    let value = cursor.u64()?;
-                    let peak = cursor.u64()?;
-                    gauges.push((name, value, peak));
-                }
-                let count = cursor.u32()? as usize;
-                let mut histograms =
-                    Vec::with_capacity(claimed_capacity(count, cursor.remaining(), 16));
-                for _ in 0..count {
-                    let name = read_string(&mut cursor)?;
-                    let sum = cursor.u64()?;
-                    let bucket_count = cursor.u32()? as usize;
-                    let mut buckets =
-                        Vec::with_capacity(claimed_capacity(bucket_count, cursor.remaining(), 10));
-                    for _ in 0..bucket_count {
-                        let index = cursor.u16()?;
-                        let bucket = cursor.u64()?;
-                        buckets.push((index, bucket));
-                    }
-                    histograms.push(MetricsHistogram { name, sum, buckets });
-                }
-                let count = cursor.u32()? as usize;
-                let mut slow_queries =
-                    Vec::with_capacity(claimed_capacity(count, cursor.remaining(), 24));
-                for _ in 0..count {
-                    let trace_id = cursor.u64()?;
-                    let kind = read_string(&mut cursor)?;
-                    let total_us = cursor.u64()?;
-                    let stage_count = cursor.u32()? as usize;
-                    let mut stages =
-                        Vec::with_capacity(claimed_capacity(stage_count, cursor.remaining(), 12));
-                    for _ in 0..stage_count {
-                        let stage = read_string(&mut cursor)?;
-                        let us = cursor.u64()?;
-                        stages.push((stage, us));
-                    }
-                    slow_queries.push(MetricsSlowQuery {
-                        trace_id,
-                        kind,
-                        total_us,
-                        stages,
-                    });
-                }
-                let text = read_string(&mut cursor)?;
-                Response::Metrics(MetricsReport {
-                    counters,
-                    gauges,
-                    histograms,
-                    slow_queries,
-                    text,
-                })
-            }
+            RESP_ERROR => Response::Error(cursor.get()?),
+            RESP_SHARD_TOPK => Response::ShardTopK(cursor.get()?),
+            RESP_UNAVAILABLE => Response::Unavailable {
+                node: cursor.get()?,
+                message: cursor.get()?,
+            },
+            RESP_METRICS => Response::Metrics(MetricsReport {
+                counters: cursor.get()?,
+                gauges: cursor.get()?,
+                histograms: cursor.get()?,
+                slow_queries: cursor.get()?,
+                text: cursor.get()?,
+            }),
             tag => {
                 return Err(WireError::UnknownTag {
                     what: "response",
@@ -1098,6 +916,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geodabs_geo::Point;
 
     fn sample_trajectory() -> Trajectory {
         let start = Point::new(51.5074, -0.1278).unwrap();
@@ -1717,6 +1536,43 @@ mod tests {
             })
         ));
         assert!(matches!(Request::decode(&[]), Err(WireError::Truncated)));
+        // A query body tag outside the protocol is typed as one.
+        let mut payload = vec![REQ_QUERY];
+        SearchOptions::default().put(&mut payload);
+        payload.push(3);
+        assert!(matches!(
+            Request::decode(&payload),
+            Err(WireError::UnknownTag {
+                what: "query body",
+                tag: 3
+            })
+        ));
+        // Flag bytes are strictly 0 or 1: the limit flag, the removal
+        // presence flag and the stats flags byte.
+        let mut payload = Request::Query {
+            query: QueryBody::Fingerprints(vec![1]),
+            options: SearchOptions::default().limit(4),
+        }
+        .encode();
+        assert_eq!(payload[9], 1, "the limit flag follows max_distance");
+        payload[9] = 2;
+        assert!(matches!(
+            Request::decode(&payload),
+            Err(WireError::Corrupt("limit flag is not 0 or 1"))
+        ));
+        assert!(matches!(
+            Response::decode(&[RESP_REMOVED, 2]),
+            Err(WireError::Corrupt("presence flag is not 0 or 1"))
+        ));
+        assert!(matches!(
+            Request::decode(&[REQ_STATS, 2]),
+            Err(WireError::Corrupt("unknown stats flags"))
+        ));
+        // The end check names no particular format.
+        assert!(matches!(
+            Request::decode(&[REQ_PING, 0]),
+            Err(WireError::Corrupt("trailing bytes after the payload"))
+        ));
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //!   insert-fp    id u32, terms u32, terms × (term u32)
 //! ```
 //!
+//! Headers and bodies are written and read through the
+//! [`Wire`] impls of `geodabs_index::store` — [`WalOp`]'s own
+//! impl composes the trajectory and term-sequence impls the wire
+//! protocol uses — so each layout exists once for both directions.
+//!
 //! The length prefix is validated against [`MAX_RECORD_LEN`] **before**
 //! any allocation, and the checksum before the body is decoded.
 //!
@@ -68,8 +73,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use geodabs_geo::Point;
-use geodabs_index::store::{crc32, Cursor, ReadError};
+use geodabs_index::store::{crc32, from_bytes, Cursor, ReadError, Wire};
 use geodabs_traj::{TrajId, Trajectory};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -308,90 +312,66 @@ fn segment_start_seq(file_name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-fn encode_op(out: &mut Vec<u8>, op: &WalOp) {
-    match op {
-        WalOp::Insert { id, trajectory } => {
-            out.push(OP_INSERT);
-            out.extend_from_slice(&id.raw().to_le_bytes());
-            out.extend_from_slice(&(trajectory.len() as u32).to_le_bytes());
-            for p in trajectory.iter() {
-                out.extend_from_slice(&p.lat().to_bits().to_le_bytes());
-                out.extend_from_slice(&p.lon().to_bits().to_le_bytes());
+/// `op u8`, then `id u32` and the op's payload.
+impl Wire for WalOp {
+    const MIN_LEN: usize = u8::MIN_LEN + TrajId::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            WalOp::Insert { id, trajectory } => {
+                out.push(OP_INSERT);
+                id.put(out);
+                trajectory.put(out);
+            }
+            WalOp::Remove { id } => {
+                out.push(OP_REMOVE);
+                id.put(out);
+            }
+            WalOp::InsertFingerprints { id, terms } => {
+                out.push(OP_INSERT_FINGERPRINTS);
+                id.put(out);
+                terms.put(out);
             }
         }
-        WalOp::Remove { id } => {
-            out.push(OP_REMOVE);
-            out.extend_from_slice(&id.raw().to_le_bytes());
-        }
-        WalOp::InsertFingerprints { id, terms } => {
-            out.push(OP_INSERT_FINGERPRINTS);
-            out.extend_from_slice(&id.raw().to_le_bytes());
-            out.extend_from_slice(&(terms.len() as u32).to_le_bytes());
-            for term in terms {
-                out.extend_from_slice(&term.to_le_bytes());
-            }
-        }
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Result<WalOp, ReadError> {
+        Ok(match cursor.get::<u8>()? {
+            OP_INSERT => WalOp::Insert {
+                id: cursor.get()?,
+                trajectory: cursor.get()?,
+            },
+            OP_REMOVE => WalOp::Remove { id: cursor.get()? },
+            OP_INSERT_FINGERPRINTS => WalOp::InsertFingerprints {
+                id: cursor.get()?,
+                terms: cursor.get()?,
+            },
+            _ => return Err(ReadError::Corrupt("unknown wal op tag")),
+        })
     }
 }
 
-/// Decodes a record body (everything after the 8-byte framing header).
+/// Decodes a record body (everything after the 8-byte framing header):
+/// `(seq u64, op)`.
 fn decode_body(body: &[u8]) -> Result<WalRecord, &'static str> {
-    fn read(body: &[u8]) -> Result<WalRecord, ReadError> {
-        let mut cursor = Cursor::new(body);
-        let seq = cursor.u64()?;
-        let op = match cursor.u8()? {
-            OP_INSERT => {
-                let id = TrajId::new(cursor.u32()?);
-                let count = cursor.u32()? as usize;
-                // Never reserve more points than the remaining bytes
-                // could hold — the count is untrusted input.
-                let cap = count.min(cursor.remaining() / 16);
-                let mut points = Vec::with_capacity(cap);
-                for _ in 0..count {
-                    let lat = cursor.f64()?;
-                    let lon = cursor.f64()?;
-                    points.push(
-                        Point::new(lat, lon)
-                            .map_err(|_| ReadError::Corrupt("invalid coordinate"))?,
-                    );
-                }
-                WalOp::Insert {
-                    id,
-                    trajectory: Trajectory::new(points),
-                }
-            }
-            OP_REMOVE => WalOp::Remove {
-                id: TrajId::new(cursor.u32()?),
-            },
-            OP_INSERT_FINGERPRINTS => {
-                let id = TrajId::new(cursor.u32()?);
-                let count = cursor.u32()? as usize;
-                let cap = count.min(cursor.remaining() / 4);
-                let mut terms = Vec::with_capacity(cap);
-                for _ in 0..count {
-                    terms.push(cursor.u32()?);
-                }
-                WalOp::InsertFingerprints { id, terms }
-            }
-            _ => return Err(ReadError::Corrupt("unknown wal op tag")),
-        };
-        cursor.expect_end()?;
-        Ok(WalRecord { seq, op })
+    match from_bytes(body) {
+        Ok((seq, op)) => Ok(WalRecord { seq, op }),
+        Err(ReadError::Truncated) => Err("record body ends early"),
+        Err(ReadError::Corrupt(what)) => Err(what),
+        // No record field is tagged that way or holds a configuration.
+        Err(ReadError::UnknownTag { .. } | ReadError::InvalidConfig(_)) => {
+            Err("undecodable record body")
+        }
     }
-    read(body).map_err(|e| match e {
-        ReadError::Truncated => "record body ends early",
-        ReadError::Corrupt(what) => what,
-    })
 }
 
 /// Frames one record: header then body.
 fn encode_record(seq: u64, op: &WalOp) -> Vec<u8> {
     let mut body = Vec::new();
-    body.extend_from_slice(&seq.to_le_bytes());
-    encode_op(&mut body, op);
+    seq.put(&mut body);
+    op.put(&mut body);
     let mut out = Vec::with_capacity(RECORD_HEADER + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
+    (body.len() as u32, crc32(&body)).put(&mut out);
     out.extend_from_slice(&body);
     out
 }
@@ -427,15 +407,13 @@ fn scan_segment(
                 torn: false,
             });
         }
-        if remaining.len() < RECORD_HEADER {
+        let Ok((len, crc)) = Cursor::new(remaining).get::<(u32, u32)>() else {
             return Ok(ScanOutcome {
                 records,
                 valid_len: offset as u64,
                 torn: true,
             });
-        }
-        let len = u32::from_le_bytes(remaining[..4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(remaining[4..8].try_into().expect("4 bytes"));
+        };
         if len > MAX_RECORD_LEN {
             return Err(WalError::RecordTooLarge {
                 segment: segment.to_string(),
@@ -815,6 +793,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geodabs_geo::Point;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -1054,6 +1033,9 @@ mod tests {
         ));
     }
 
+    /// Checksummed records whose bodies are wrong are corruption, named
+    /// by what is wrong: a sequence gap, an unknown op, a coordinate no
+    /// trajectory can hold.
     #[test]
     fn sequence_gaps_are_corruption() {
         let scratch = Scratch::new("seq-gap");
@@ -1069,6 +1051,29 @@ mod tests {
                 ..
             })
         ));
+        let mut unknown_op = 1u64.to_le_bytes().to_vec();
+        unknown_op.extend_from_slice(&[9, 1, 0, 0, 0]);
+        let mut bad_point = 1u64.to_le_bytes().to_vec();
+        bad_point.push(OP_INSERT);
+        for word in [7u32, 1] {
+            bad_point.extend_from_slice(&word.to_le_bytes());
+        }
+        for coordinate in [f64::NAN, 0.0] {
+            bad_point.extend_from_slice(&coordinate.to_bits().to_le_bytes());
+        }
+        for (body, expected) in [
+            (unknown_op, "unknown wal op tag"),
+            (bad_point, "invalid coordinate"),
+        ] {
+            let mut record = (body.len() as u32).to_le_bytes().to_vec();
+            record.extend_from_slice(&crc32(&body).to_le_bytes());
+            record.extend_from_slice(&body);
+            fs::write(scratch.path().join(segment_file_name(1)), &record).unwrap();
+            match Wal::records(scratch.path()) {
+                Err(WalError::Corrupt { what, .. }) => assert_eq!(what, expected),
+                other => panic!("expected {expected:?}, got {other:?}"),
+            }
+        }
     }
 
     #[test]
