@@ -80,8 +80,8 @@ fn bench_fingerprint(c: &mut Criterion) {
 
 /// The per-request kernels of a served `wire-2k` query at their real
 /// sizes: the CRC of one 7.1 KB raw-trajectory frame, robust
-/// normalization of ~450 noisy 1 Hz samples, and fingerprinting the ~80
-/// cells that survive it.
+/// normalization of ~450 noisy 1 Hz samples, fingerprinting the ~80
+/// cells that survive it, and both stages over the served corpus.
 fn bench_request_path(c: &mut Criterion) {
     let frame: Vec<u8> = (0..7_100u32).map(|i| (i * 31 + 7) as u8).collect();
     c.bench_function("crc32_7k", |bench| bench.iter(|| crc32(black_box(&frame))));
@@ -114,6 +114,31 @@ fn bench_request_path(c: &mut Criterion) {
     let fp = Fingerprinter::default();
     c.bench_function("fingerprint_80cells", |bench| {
         bench.iter(|| fp.fingerprint(black_box(&cells)))
+    });
+    // The served shape: the stackbench `wire-2k` corpus (default grid,
+    // 1 Hz, 20 m Gaussian noise, ~450 samples per record), one record
+    // per iteration, round-robin.
+    let net = grid_network(&GridConfig::default(), 42);
+    let config = DatasetConfig {
+        routes: 100,
+        per_direction: 10,
+        include_reverse: true,
+        sampler: SamplerConfig {
+            period_s: 1.0,
+            noise_sigma_m: 20.0,
+        },
+        min_route_m: 2_000.0,
+        queries: 0,
+        max_attempts_per_route: 400,
+    };
+    let corpus = Dataset::generate(&net, &config, 42).expect("grid networks are routable");
+    let raw: Vec<&Trajectory> = corpus.records().iter().map(|r| &r.trajectory).collect();
+    let mut next = 0usize;
+    c.bench_function("normalize_and_fingerprint_dense_urban", |bench| {
+        bench.iter(|| {
+            next = (next + 1) % raw.len();
+            fp.normalize_and_fingerprint(black_box(raw[next]))
+        })
     });
 }
 

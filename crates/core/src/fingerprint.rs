@@ -1,7 +1,7 @@
 use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::{GeohashNormalizer, Normalizer, Trajectory};
 
-use crate::geodab::geodab;
+use crate::geodab::k_gram_geodabs;
 use crate::winnow::winnow;
 use crate::GeodabConfig;
 
@@ -91,7 +91,8 @@ impl Fingerprinter {
     }
 
     /// Fingerprints an **already normalized** trajectory: computes the
-    /// geodab of every `k`-gram and winnows with window `t − k + 1`.
+    /// geodab of every `k`-gram (as [`crate::geodab`] would, several
+    /// grams at a time) and winnows with window `t − k + 1`.
     ///
     /// Trajectories shorter than `k` points produce no fingerprints
     /// (matches below the noise threshold are discarded by design).
@@ -100,10 +101,7 @@ impl Fingerprinter {
         if normalized.len() < k {
             return Fingerprints::default();
         }
-        let candidates: Vec<u32> = normalized
-            .k_grams(k)
-            .map(|gram| geodab(gram, self.config.prefix_bits()))
-            .collect();
+        let candidates = k_gram_geodabs(normalized.points(), k, self.config.prefix_bits());
         Fingerprints::from_ordered(winnow(&candidates, self.config.window()))
     }
 

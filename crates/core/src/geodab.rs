@@ -1,6 +1,6 @@
-use geodabs_geo::{Geohash, Point};
+use geodabs_geo::{CellEncoder, Geohash, Point};
 
-use crate::hash::hash_points;
+use crate::hash::{coordinate_bits, hash_k_grams, hash_points};
 
 /// Computes the 32-bit geodab of a point sequence (Figure 3 of the paper):
 ///
@@ -46,17 +46,61 @@ use crate::hash::hash_points;
 /// ```
 pub fn geodab(points: &[Point], prefix_bits: u8) -> u32 {
     assert!(!points.is_empty(), "geodab requires at least one point");
+    compose(
+        prefix_encoder(prefix_bits).encode_bits(points[0]),
+        hash_points(points),
+        prefix_bits,
+    )
+}
+
+/// The geodab of every `k`-gram of `points`, in order: what [`geodab`]
+/// returns for each of `points.windows(k)`, with each point's bits
+/// extracted once, one prefix encoder for the call, and the suffix
+/// hashes computed [`LANES`](crate::hash::LANES) grams at a time.
+///
+/// A prefix cell is far wider than a `k`-gram's step, so consecutive
+/// grams nearly always share it: a first point still inside the last
+/// prefix's cell ([`CellEncoder::in_cell`], four comparisons) reuses its
+/// bits, and only a point that left it is encoded.
+pub(crate) fn k_gram_geodabs(points: &[Point], k: usize, prefix_bits: u8) -> Vec<u32> {
+    let encoder = prefix_encoder(prefix_bits);
+    let bits: Vec<[u64; 2]> = points.iter().map(coordinate_bits).collect();
+    let mut out = Vec::with_capacity((points.len() + 1).saturating_sub(k));
+    let mut prefix: Option<((u32, u32), u64)> = None;
+    hash_k_grams(&bits, k, |hash| {
+        let first = points[out.len()];
+        let cell_bits = match prefix {
+            Some(((row, col), cell_bits)) if encoder.in_cell(first, row, col) => cell_bits,
+            _ => {
+                let cell_bits = encoder.encode_bits(first);
+                prefix = Some((encoder.row_col(first), cell_bits));
+                cell_bits
+            }
+        };
+        out.push(compose(cell_bits, hash, prefix_bits));
+    });
+    out
+}
+
+/// The encoder of a geodab prefix `prefix_bits` wide.
+///
+/// # Panics
+///
+/// Panics if `prefix_bits` is not in `1..=31`.
+fn prefix_encoder(prefix_bits: u8) -> CellEncoder {
     assert!(
         (1..=31).contains(&prefix_bits),
         "prefix must be between 1 and 31 bits"
     );
-    let prefix = Geohash::encode(points[0], prefix_bits)
-        .expect("prefix_bits <= 31 is a valid depth")
-        .bits();
+    CellEncoder::new(prefix_bits).expect("prefix_bits <= 31 is a valid depth")
+}
+
+/// The geodab formula: the `prefix_bits`-bit prefix cell over the low
+/// `32 - prefix_bits` bits of the sequence hash.
+fn compose(prefix: u64, hash: u64, prefix_bits: u8) -> u32 {
     let suffix_bits = 32 - u32::from(prefix_bits);
     let suffix_mask = (1u64 << suffix_bits) - 1;
-    let suffix = hash_points(points) & suffix_mask;
-    ((prefix as u32) << suffix_bits) | suffix as u32
+    ((prefix as u32) << suffix_bits) | (hash & suffix_mask) as u32
 }
 
 /// Extracts the geohash prefix of a geodab produced with the same

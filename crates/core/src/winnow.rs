@@ -42,16 +42,19 @@ pub fn winnow(candidates: &[u32], window: usize) -> Vec<u32> {
     if candidates.len() <= window {
         return vec![rightmost_min(candidates).1];
     }
-    let mut out = Vec::new();
-    let mut last_pos = usize::MAX;
-    for start in 0..=candidates.len() - window {
+    // Each window writes its minimum at `len` and keeps it only when its
+    // position is new, so no branch waits on the (random) comparison.
+    let windows = candidates.len() - window + 1;
+    let mut out = vec![0; windows];
+    let (mut len, mut last_pos) = (0, usize::MAX);
+    for start in 0..windows {
         let (off, val) = rightmost_min(&candidates[start..start + window]);
         let pos = start + off;
-        if pos != last_pos {
-            out.push(val);
-            last_pos = pos;
-        }
+        out[len] = val;
+        len += usize::from(pos != last_pos);
+        last_pos = pos;
     }
+    out.truncate(len);
     out
 }
 
@@ -121,14 +124,16 @@ pub fn winnow_streaming<I: IntoIterator<Item = u32>>(candidates: I, window: usiz
     out
 }
 
+/// The position and value of the last minimum of a non-empty window,
+/// scanned with selects rather than branches.
 fn rightmost_min(window: &[u32]) -> (usize, u32) {
-    let mut best = 0;
-    for (i, &v) in window.iter().enumerate() {
-        if v <= window[best] {
-            best = i;
-        }
+    let (mut best, mut min) = (0, window[0]);
+    for (i, &v) in window.iter().enumerate().skip(1) {
+        let take = v <= min;
+        best = if take { i } else { best };
+        min = if take { v } else { min };
     }
-    (best, window[best])
+    (best, min)
 }
 
 #[cfg(test)]

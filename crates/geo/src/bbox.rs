@@ -46,6 +46,18 @@ impl BoundingBox {
         })
     }
 
+    /// A cell box from edges the caller computed inside the domain,
+    /// without re-validating them.
+    #[inline]
+    pub(crate) fn from_cell(min_lat: f64, max_lat: f64, min_lon: f64, max_lon: f64) -> BoundingBox {
+        BoundingBox {
+            min_lat,
+            max_lat,
+            min_lon,
+            max_lon,
+        }
+    }
+
     /// The whole latitude/longitude domain.
     pub fn world() -> BoundingBox {
         BoundingBox {
@@ -95,26 +107,31 @@ impl BoundingBox {
     }
 
     /// Southern latitude bound in degrees.
+    #[inline]
     pub fn min_lat(&self) -> f64 {
         self.min_lat
     }
 
     /// Northern latitude bound in degrees.
+    #[inline]
     pub fn max_lat(&self) -> f64 {
         self.max_lat
     }
 
     /// Western longitude bound in degrees.
+    #[inline]
     pub fn min_lon(&self) -> f64 {
         self.min_lon
     }
 
     /// Eastern longitude bound in degrees.
+    #[inline]
     pub fn max_lon(&self) -> f64 {
         self.max_lon
     }
 
     /// Center point of the box.
+    #[inline]
     pub fn center(&self) -> Point {
         Point::clamped(
             (self.min_lat + self.max_lat) / 2.0,

@@ -81,8 +81,8 @@ impl Geohash {
         if depth > MAX_DEPTH {
             return Err(GeoError::InvalidDepth(depth));
         }
-        let lat_q = quantize(p.lat(), -90.0, 90.0);
-        let lon_q = quantize(p.lon(), -180.0, 180.0);
+        let lat_q = quantize(p.lat(), LAT_LO, -LAT_LO);
+        let lon_q = quantize(p.lon(), LON_LO, -LON_LO);
         // Longitude sits at odd Morton positions so that, once the code is
         // read MSB-first, the very first bit subdivides the longitude axis.
         let code = interleave(lat_q, lon_q);
@@ -140,12 +140,11 @@ impl Geohash {
             self.bits << (64 - self.depth)
         };
         let (lat_q, lon_q) = deinterleave(aligned);
-        let lat_bits = u32::from(self.depth) / 2;
-        let lon_bits = u32::from(self.depth).div_ceil(2);
-        let (min_lat, max_lat) = dequantize_range(lat_q, lat_bits, -90.0, 90.0);
-        let (min_lon, max_lon) = dequantize_range(lon_q, lon_bits, -180.0, 180.0);
-        BoundingBox::new(min_lat, max_lat, min_lon, max_lon)
-            .expect("geohash cells always decode to valid boxes")
+        let enc = CellEncoder::new(self.depth).expect("a geohash's depth is valid");
+        enc.cell_bounds(
+            cell_index(lat_q, enc.lat_bits),
+            cell_index(lon_q, enc.lon_bits),
+        )
     }
 
     /// The center of the cell.
@@ -267,18 +266,8 @@ impl Geohash {
         let (lat_q, lon_q) = deinterleave(aligned);
         let lat_bits = u32::from(self.depth) / 2;
         let lon_bits = u32::from(self.depth).div_ceil(2);
-        let (mut lat_cell, mut lon_cell) = (
-            if lat_bits == 0 {
-                0
-            } else {
-                lat_q >> (32 - lat_bits)
-            },
-            if lon_bits == 0 {
-                0
-            } else {
-                lon_q >> (32 - lon_bits)
-            },
-        );
+        let (mut lat_cell, mut lon_cell) =
+            (cell_index(lat_q, lat_bits), cell_index(lon_q, lon_bits));
         match dir {
             Direction::North => {
                 if lat_bits == 0 || lat_cell == (1u32 << lat_bits) - 1 {
@@ -426,9 +415,12 @@ impl Geohash {
 /// [`Geohash::encode`] validates the depth, branches on `depth == 0` and
 /// wraps the result on every call; in batched paths (fingerprinting a whole
 /// trajectory) that per-point overhead dominates. `CellEncoder` hoists the
-/// validation and the truncation shift out of the loop and hands back raw
-/// cell bits. The arithmetic is exactly the one `Geohash::encode` performs
-/// (same quantization, same interleave, same shift), so the produced cells
+/// validation, the truncation shift and the cell spans out of the loop and
+/// hands back raw cell bits, or a cell's row (latitude index) and column
+/// (longitude index) and its box. It is the one quantizer and dequantizer
+/// of the crate: [`Geohash::encode`] performs the same arithmetic (same
+/// quantization, same interleave, same shift) and [`Geohash::bounds`] goes
+/// through [`CellEncoder::cell_bounds`], so the produced cells and boxes
 /// are bit-identical — `cell_encoder_matches_encode` asserts it.
 ///
 /// # Examples
@@ -440,6 +432,8 @@ impl Geohash {
 /// let enc = CellEncoder::new(36)?;
 /// let p = Point::new(57.64911, 10.40744)?;
 /// assert_eq!(enc.encode_bits(p), Geohash::encode(p, 36)?.bits());
+/// let (row, col) = enc.row_col(p);
+/// assert_eq!(enc.cell_bounds(row, col), Geohash::encode(p, 36)?.bounds());
 /// # Ok(())
 /// # }
 /// ```
@@ -448,6 +442,12 @@ pub struct CellEncoder {
     depth: u8,
     /// `64 - depth`, precomputed; only meaningful when `depth > 0`.
     shift: u32,
+    /// Latitude bits (`depth / 2`) and longitude bits (`⌈depth / 2⌉`).
+    lat_bits: u32,
+    lon_bits: u32,
+    /// Degrees spanned by one row and by one column.
+    lat_span: f64,
+    lon_span: f64,
 }
 
 impl CellEncoder {
@@ -460,9 +460,16 @@ impl CellEncoder {
         if depth > MAX_DEPTH {
             return Err(GeoError::InvalidDepth(depth));
         }
+        let lat_bits = u32::from(depth) / 2;
+        let lon_bits = u32::from(depth).div_ceil(2);
         Ok(CellEncoder {
             depth,
             shift: 64 - u32::from(depth).min(64),
+            lat_bits,
+            lon_bits,
+            // A division by an exact power of two: the span is exact.
+            lat_span: 180.0 / (1u64 << lat_bits) as f64,
+            lon_span: 360.0 / (1u64 << lon_bits) as f64,
         })
     }
 
@@ -474,9 +481,10 @@ impl CellEncoder {
     /// The cell bits of `p` at this encoder's depth — what
     /// `Geohash::encode(p, depth).bits()` returns, without the per-call
     /// validation and `Result` wrapping.
+    #[inline]
     pub fn encode_bits(&self, p: Point) -> u64 {
-        let lat_q = quantize(p.lat(), -90.0, 90.0);
-        let lon_q = quantize(p.lon(), -180.0, 180.0);
+        let lat_q = quantize(p.lat(), LAT_LO, -LAT_LO);
+        let lon_q = quantize(p.lon(), LON_LO, -LON_LO);
         let code = interleave(lat_q, lon_q);
         if self.depth == 0 {
             0
@@ -486,11 +494,85 @@ impl CellEncoder {
     }
 
     /// Encodes `p` as a [`Geohash`] at this encoder's depth.
+    #[inline]
     pub fn encode(&self, p: Point) -> Geohash {
         Geohash {
             depth: self.depth,
             bits: self.encode_bits(p),
         }
+    }
+
+    /// The row (latitude cell index) and column (longitude cell index)
+    /// of `p` at this encoder's depth. Two points share a cell exactly
+    /// when they share both: the cell bits are the two indices
+    /// interleaved, without the interleave.
+    #[inline]
+    pub fn row_col(&self, p: Point) -> (u32, u32) {
+        (
+            cell_index(quantize(p.lat(), LAT_LO, -LAT_LO), self.lat_bits),
+            cell_index(quantize(p.lon(), LON_LO, -LON_LO), self.lon_bits),
+        )
+    }
+
+    /// Whether `p` falls in the cell at `row` and `col`, i.e. whether
+    /// `self.row_col(p) == (row, col)`, decided by comparing `p` with the
+    /// cell's edges instead of quantizing it (no division).
+    ///
+    /// The comparison is exact. The quantizer takes `x = fl(v − lo)` to
+    /// `⌊fl(x / range) · 2³²⌋` (clamped to `u32::MAX`), so a `bits`-bit
+    /// index is at least `c` exactly when `fl(x / range) >= t` with
+    /// `t = c / 2^bits`. Both `t` and `c · span = range · t` are doubles
+    /// (`span` is `45` times a power of two and `c < 2³²`). `range` is
+    /// `180` or `360`, so `c · span` lies at least 7 binades above `t`
+    /// and, `45` being odd, is no power of two: the gap below it, divided
+    /// by `range`, is at least `128 / 180` of an ulp of `t`, more than
+    /// the half gap under `t`. An `x` below `c · span` therefore has a
+    /// quotient below the rounding midpoint under `t` and cannot round up
+    /// to it. Hence `fl(x / range) >= t ⟺ x >= c · span`, and
+    /// the cell is the one whose edges `c · span <= x < (c + 1) · span`
+    /// bracket `x`, the last row and column also keeping their top edge
+    /// (the quantizer's clamp). `in_cell_matches_row_col` checks it at
+    /// the edges of every depth.
+    ///
+    /// `row` and `col` must be indices [`CellEncoder::row_col`] can
+    /// return at this depth.
+    #[inline]
+    pub fn in_cell(&self, p: Point, row: u32, col: u32) -> bool {
+        let lat_lo = f64::from(row) * self.lat_span;
+        let lon_lo = f64::from(col) * self.lon_span;
+        let (x, y) = (p.lat() - LAT_LO, p.lon() - LON_LO);
+        let last_row = u64::from(row) + 1 == 1u64 << self.lat_bits;
+        let last_col = u64::from(col) + 1 == 1u64 << self.lon_bits;
+        (x >= lat_lo)
+            & ((x < lat_lo + self.lat_span) | last_row)
+            & (y >= lon_lo)
+            & ((y < lon_lo + self.lon_span) | last_col)
+    }
+
+    /// The box of the cell at `row` and `col`: `lo + index · span` on
+    /// each axis, the far edge one span further — what
+    /// [`Geohash::bounds`] returns for that cell.
+    ///
+    /// `row` and `col` must be indices [`CellEncoder::row_col`] can
+    /// return at this depth (checked in debug builds).
+    #[inline]
+    pub fn cell_bounds(&self, row: u32, col: u32) -> BoundingBox {
+        debug_assert!(
+            u64::from(row) < 1u64 << self.lat_bits,
+            "row {row} out of range"
+        );
+        debug_assert!(
+            u64::from(col) < 1u64 << self.lon_bits,
+            "col {col} out of range"
+        );
+        let min_lat = LAT_LO + f64::from(row) * self.lat_span;
+        let min_lon = LON_LO + f64::from(col) * self.lon_span;
+        BoundingBox::from_cell(
+            min_lat,
+            min_lat + self.lat_span,
+            min_lon,
+            min_lon + self.lon_span,
+        )
     }
 
     /// The sorted, deduplicated cell set of a trajectory — every distinct
@@ -535,20 +617,8 @@ impl fmt::Display for Geohash {
 fn cell_ranges(bbox: &BoundingBox, depth: u8) -> (u64, u64, u64, u64) {
     let lat_bits = u32::from(depth) / 2;
     let lon_bits = u32::from(depth).div_ceil(2);
-    let lat_cell = |v: f64| -> u64 {
-        if lat_bits == 0 {
-            0
-        } else {
-            u64::from(quantize(v, -90.0, 90.0) >> (32 - lat_bits))
-        }
-    };
-    let lon_cell = |v: f64| -> u64 {
-        if lon_bits == 0 {
-            0
-        } else {
-            u64::from(quantize(v, -180.0, 180.0) >> (32 - lon_bits))
-        }
-    };
+    let lat_cell = |v: f64| u64::from(cell_index(quantize(v, LAT_LO, -LAT_LO), lat_bits));
+    let lon_cell = |v: f64| u64::from(cell_index(quantize(v, LON_LO, -LON_LO), lon_bits));
     (
         lat_cell(bbox.min_lat()),
         lat_cell(bbox.max_lat()),
@@ -558,21 +628,23 @@ fn cell_ranges(bbox: &BoundingBox, depth: u8) -> (u64, u64, u64, u64) {
 }
 
 /// Maps a coordinate in `[lo, hi]` to a 32-bit cell index.
+#[inline]
 fn quantize(value: f64, lo: f64, hi: f64) -> u32 {
     let scaled = (value - lo) / (hi - lo) * 2f64.powi(32);
     // `value == hi` maps just past the last cell; clamp it back in.
     scaled.min(u32::MAX as f64).max(0.0) as u32
 }
 
-/// Recovers the `[min, max]` coordinate range of a quantized prefix.
-fn dequantize_range(q: u32, prefix_bits: u32, lo: f64, hi: f64) -> (f64, f64) {
-    if prefix_bits == 0 {
-        return (lo, hi);
-    }
-    let cell = (q >> (32 - prefix_bits)) as f64;
-    let span = (hi - lo) / 2f64.powi(prefix_bits as i32);
-    let min = lo + cell * span;
-    (min, min + span)
+/// The low end of the latitude and longitude domains, where cell `0`
+/// starts.
+const LAT_LO: f64 = -90.0;
+const LON_LO: f64 = -180.0;
+
+/// The index of the `bits`-bit cell holding a 32-bit quantized
+/// coordinate: its top `bits` bits (`0` when `bits == 0`).
+#[inline]
+fn cell_index(q: u32, bits: u32) -> u32 {
+    (u64::from(q) >> (32 - bits)) as u32
 }
 
 #[cfg(test)]
@@ -948,6 +1020,71 @@ mod tests {
             let reference = Geohash::encode(q, depth).unwrap();
             prop_assert_eq!(enc.encode_bits(q), reference.bits());
             prop_assert_eq!(enc.encode(q), reference);
+        }
+
+        #[test]
+        fn cell_bounds_match_the_per_call_dequantization(
+            lat in -90.0f64..=90.0, lon in -180.0f64..=180.0, depth in 0u8..=64,
+        ) {
+            // The arithmetic `Geohash::bounds` used before the spans were
+            // hoisted into `CellEncoder`: a `powi` per axis per call.
+            fn range(q: u32, bits: u32, lo: f64, hi: f64) -> (f64, f64) {
+                if bits == 0 {
+                    return (lo, hi);
+                }
+                let cell = (q >> (32 - bits)) as f64;
+                let span = (hi - lo) / 2f64.powi(bits as i32);
+                let min = lo + cell * span;
+                (min, min + span)
+            }
+            let q = p(lat, lon);
+            let (lat_q, lon_q) = (quantize(lat, -90.0, 90.0), quantize(lon, -180.0, 180.0));
+            let (min_lat, max_lat) = range(lat_q, u32::from(depth) / 2, -90.0, 90.0);
+            let (min_lon, max_lon) = range(lon_q, u32::from(depth).div_ceil(2), -180.0, 180.0);
+            let want = [min_lat, max_lat, min_lon, max_lon].map(f64::to_bits);
+            let enc = CellEncoder::new(depth).unwrap();
+            let (row, col) = enc.row_col(q);
+            for b in [enc.cell_bounds(row, col), Geohash::encode(q, depth).unwrap().bounds()] {
+                prop_assert_eq!([b.min_lat(), b.max_lat(), b.min_lon(), b.max_lon()].map(f64::to_bits), want);
+            }
+            // Same cell bits ⇔ same row and column.
+            let other = p(-lat * 0.5, lon * 0.999);
+            prop_assert_eq!(
+                enc.encode_bits(q) == enc.encode_bits(other),
+                enc.row_col(q) == enc.row_col(other)
+            );
+        }
+
+        #[test]
+        fn in_cell_matches_row_col(
+            lat in -90.0f64..=90.0, lon in -180.0f64..=180.0, depth in 0u8..=64,
+            nudge_lat in -3i64..=3, nudge_lon in -3i64..=3,
+            dlat in -2i64..=2, dlon in -2i64..=2,
+        ) {
+            let enc = CellEncoder::new(depth).unwrap();
+            let (row, col) = enc.row_col(p(lat, lon));
+            // A point a few ulps around a corner of the cell or of one of
+            // its neighbours: where rounding could tip the quantizer.
+            let b = enc.cell_bounds(row, col);
+            let ulps = |v: f64, n: i64| {
+                (0..n.abs()).fold(v, |v, _| if n > 0 { v.next_up() } else { v.next_down() })
+            };
+            let corner_lat = if dlat >= 0 { b.max_lat() } else { b.min_lat() };
+            let corner_lon = if dlon >= 0 { b.max_lon() } else { b.min_lon() };
+            let edge = Point::clamped(ulps(corner_lat, nudge_lat), ulps(corner_lon, nudge_lon));
+            for q in [p(lat, lon), edge, Point::clamped(lat, ulps(corner_lon, nudge_lon))] {
+                let (r, c) = enc.row_col(q);
+                for (r2, c2) in [
+                    (row, col),
+                    (r, c),
+                    (r.saturating_add_signed(dlat as i32), c.saturating_add_signed(dlon as i32)),
+                ] {
+                    if u64::from(r2) >> (depth / 2) != 0 || u64::from(c2) >> depth.div_ceil(2) != 0 {
+                        continue;
+                    }
+                    prop_assert_eq!(enc.in_cell(q, r2, c2), (r, c) == (r2, c2));
+                }
+            }
         }
 
         #[test]

@@ -76,6 +76,7 @@ pub fn compact(v: u64) -> u32 {
 /// `2 * i + 1`. For geohashes, the longitude occupies the *higher* of each
 /// bit pair once the code is left-aligned, matching the convention that the
 /// first bisection is on the longitude axis.
+#[inline]
 pub fn interleave(even: u32, odd: u32) -> u64 {
     // Eight byte lookups build the full 64-bit code: each input byte pair
     // yields one 16-bit slice of the output.

@@ -59,6 +59,7 @@ impl Point {
     /// # Panics
     ///
     /// Panics if either coordinate is `NaN`.
+    #[inline]
     pub fn clamped(lat: f64, lon: f64) -> Point {
         assert!(
             !lat.is_nan() && !lon.is_nan(),
@@ -71,11 +72,13 @@ impl Point {
     }
 
     /// Latitude in degrees, in `[-90, 90]`.
+    #[inline]
     pub fn lat(&self) -> f64 {
         self.lat
     }
 
     /// Longitude in degrees, in `[-180, 180]`.
+    #[inline]
     pub fn lon(&self) -> f64 {
         self.lon
     }

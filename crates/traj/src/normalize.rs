@@ -7,7 +7,7 @@
 //! and Figure 8 of the paper — which the `fig08_pr_normalization` bench
 //! reproduces by sweeping the geohash depth.
 
-use geodabs_geo::{BoundingBox, CellEncoder, GeoError, Geohash, Point};
+use geodabs_geo::{BoundingBox, CellEncoder, GeoError, Point};
 use geodabs_roadnet::matching::{map_match, MatchConfig};
 use geodabs_roadnet::{RoadNetError, RoadNetwork, SpatialIndex};
 
@@ -33,8 +33,11 @@ impl Normalizer for IdentityNormalizer {
     }
 }
 
-/// Smooths a trajectory with a centered moving average of `window`
-/// samples (a standard GPS de-noising step). `window <= 1` is a no-op.
+/// Smooths a trajectory with a centered moving average: each sample
+/// becomes the mean of the samples within `window / 2` positions of it,
+/// so the average spans `2⌊window/2⌋ + 1` samples (fewer at the ends)
+/// and an even `window` behaves like `window + 1`. `window <= 1` is a
+/// no-op. (A standard GPS de-noising step.)
 ///
 /// For the paper's 1 Hz / 20 m-noise data, a window of ~9 samples cuts
 /// the noise by a factor of three while barely touching the geometry of
@@ -44,21 +47,51 @@ pub fn moving_average(trajectory: &Trajectory, window: usize) -> Trajectory {
     if window <= 1 || pts.len() < 2 {
         return trajectory.clone();
     }
-    (0..pts.len())
-        .map(|i| window_mean(pts, i, window / 2))
-        .collect()
+    Trajectory::new(smoothed(pts, window / 2))
 }
 
-/// The mean of the samples within `half` positions of `pts[i]`, summed
-/// left to right (the summation order is part of the normalizer's
-/// contract: cell decisions downstream depend on the last ulp).
-fn window_mean(pts: &[Point], i: usize, half: usize) -> Point {
-    let lo = i.saturating_sub(half);
-    let hi = (i + half + 1).min(pts.len());
-    let n = (hi - lo) as f64;
-    let lat = pts[lo..hi].iter().map(Point::lat).sum::<f64>() / n;
-    let lon = pts[lo..hi].iter().map(Point::lon).sum::<f64>() / n;
-    Point::clamped(lat, lon)
+/// The mean of the samples within `half` positions of every `pts[i]`,
+/// in order. Each mean is summed left to right: the summation order is
+/// part of the normalizer's contract, since cell decisions downstream
+/// depend on the last ulp.
+///
+/// Every window is its own dependency chain, so the interior runs four
+/// windows side by side, each over `(lat, lon)` pairs: the interleaved
+/// chains keep the adder busy where one window at a time would wait on
+/// each add. The per-window order (from `Iterator::sum`'s `-0.0`) and the
+/// division by the count are unchanged, so each mean is bit-identical to
+/// summing its window alone.
+fn smoothed(pts: &[Point], half: usize) -> Vec<Point> {
+    let n = pts.len();
+    let mut out = Vec::with_capacity(n);
+    let mean = |i: usize| {
+        let lo = i.saturating_sub(half);
+        let hi = (i + half + 1).min(n);
+        let count = (hi - lo) as f64;
+        let lat = pts[lo..hi].iter().map(Point::lat).sum::<f64>() / count;
+        let lon = pts[lo..hi].iter().map(Point::lon).sum::<f64>() / count;
+        Point::clamped(lat, lon)
+    };
+    // Full windows `[i - half, i + half]` exist for `half <= i < n - half`.
+    let head = half.min(n);
+    let full_end = n.saturating_sub(half).max(head);
+    out.extend((0..head).map(mean));
+    let width = 2 * half + 1;
+    let count = width as f64;
+    let mut i = head;
+    while i + 4 <= full_end {
+        let mut sums = [[-0.0f64; 2]; 4];
+        for quad in pts[i - half..i + half + 4].windows(4) {
+            for (sum, q) in sums.iter_mut().zip(quad) {
+                sum[0] += q.lat();
+                sum[1] += q.lon();
+            }
+        }
+        out.extend(sums.map(|[lat, lon]| Point::clamped(lat / count, lon / count)));
+        i += 4;
+    }
+    out.extend((i..n).map(mean));
+    out
 }
 
 /// Geohash-grid normalization (Section V-A): snap every point to the
@@ -119,7 +152,10 @@ impl GeohashNormalizer {
             .with_hysteresis(0.4))
     }
 
-    /// Sets the moving-average window (`1` disables smoothing).
+    /// Sets the moving-average window (`1` disables smoothing). As in
+    /// [`moving_average`], each mean spans the `window / 2` samples on
+    /// either side, `2⌊window/2⌋ + 1` in all, so an even `window`
+    /// behaves like `window + 1`.
     ///
     /// # Panics
     ///
@@ -163,45 +199,98 @@ impl GeohashNormalizer {
     pub fn hysteresis_fraction(&self) -> f64 {
         self.hysteresis_fraction
     }
-
-    /// Meters a point must exceed the held cell's `bounds` by before a
-    /// transition is accepted.
-    fn margin_meters(&self, bounds: &BoundingBox) -> f64 {
-        if self.hysteresis_fraction == 0.0 {
-            return 0.0;
-        }
-        self.hysteresis_fraction * bounds.width_meters().min(bounds.height_meters())
-    }
 }
 
 impl Normalizer for GeohashNormalizer {
-    /// One pass: each sample is smoothed on the fly and encoded; the held
-    /// cell's bounds and hysteresis margin are decoded once per accepted
-    /// transition, not once per sample that tests them.
+    /// Two passes. The first smooths every sample ([`smoothed`]), a loop
+    /// of independent window sums. The second follows the held cell: a
+    /// sample inside it costs four comparisons ([`CellEncoder::in_cell`]),
+    /// one outside it is tested against the hysteresis margin, and only
+    /// an accepted transition quantizes the sample and decodes its box,
+    /// from the encoder's per-call spans, with the margin from a per-call
+    /// memo ([`Margins`]).
     fn normalize(&self, trajectory: &Trajectory) -> Trajectory {
         let pts = trajectory.points();
-        let half = self.smoothing_window / 2;
-        let smooth = self.smoothing_window > 1 && pts.len() >= 2;
+        let smooth;
+        let input = if self.smoothing_window > 1 && pts.len() >= 2 {
+            smooth = smoothed(pts, self.smoothing_window / 2);
+            &smooth[..]
+        } else {
+            pts
+        };
         let encoder = CellEncoder::new(self.depth).expect("depth validated at construction");
-        let mut out: Vec<Point> = Vec::with_capacity(pts.len());
-        let mut held: Option<(Geohash, BoundingBox, f64)> = None;
-        for (i, &raw) in pts.iter().enumerate() {
-            let p = if smooth {
-                window_mean(pts, i, half)
-            } else {
-                raw
-            };
-            let h = encoder.encode(p);
-            if let Some((cell, bounds, margin)) = &held {
-                if *cell == h || distance_outside(p, bounds) <= *margin {
+        let mut margins = Margins::new(self.hysteresis_fraction);
+        let mut out: Vec<Point> = Vec::with_capacity(input.len());
+        let mut held: Option<((u32, u32), BoundingBox, f64)> = None;
+        for &p in input {
+            if let Some(((row, col), bounds, margin)) = &held {
+                if encoder.in_cell(p, *row, *col) || !outside_by_more_than(p, bounds, *margin) {
                     continue;
                 }
             }
-            let bounds = h.bounds();
+            let (row, col) = encoder.row_col(p);
+            let bounds = encoder.cell_bounds(row, col);
             out.push(bounds.center());
-            held = Some((h, bounds, self.margin_meters(&bounds)));
+            held = Some(((row, col), bounds, margins.of(row, &bounds)));
         }
         Trajectory::new(out)
+    }
+}
+
+/// Rows the [`Margins`] memo holds at once.
+const MARGIN_ROWS: usize = 64;
+
+/// The hysteresis margin of each cell one [`GeohashNormalizer::normalize`]
+/// call holds: the hysteresis fraction of the cell's smaller extent in
+/// meters, with each extent computed once per distinct exact input.
+///
+/// A box's width is a haversine between two points on its mid-latitude
+/// whose only other input is the longitude difference, and its height a
+/// haversine along one meridian whose only input is the latitude
+/// difference (the `cos·cos·sin²(0)` term is `+0` at every latitude).
+/// Equal bits of those inputs give equal extents. The height's input is
+/// the same for every cell of a grid, so one slot holds it; the width's
+/// is a function of the row, so its memo is direct-mapped by row, one
+/// slot per row of a 64-row band. A slot answers only when all its key
+/// bits match: a trajectory that leaves the band and comes back
+/// recomputes a width, never misreads one.
+struct Margins {
+    fraction: f64,
+    /// `(mid-latitude bits, longitude extent bits)` → width.
+    widths: [([u64; 2], f64); MARGIN_ROWS],
+    /// Latitude extent bits → height.
+    height: (u64, f64),
+}
+
+impl Margins {
+    fn new(fraction: f64) -> Margins {
+        // No extent or mid-latitude is a NaN, so all-ones keys match no box.
+        Margins {
+            fraction,
+            widths: [([u64::MAX; 2], 0.0); MARGIN_ROWS],
+            height: (u64::MAX, 0.0),
+        }
+    }
+
+    /// Meters a point must exceed the held cell `b`, at `row`, by before
+    /// a transition is accepted.
+    fn of(&mut self, row: u32, b: &BoundingBox) -> f64 {
+        if self.fraction == 0.0 {
+            return 0.0;
+        }
+        let width_key = [
+            ((b.min_lat() + b.max_lat()) / 2.0).to_bits(),
+            (b.max_lon() - b.min_lon()).to_bits(),
+        ];
+        let width = &mut self.widths[row as usize % MARGIN_ROWS];
+        if width.0 != width_key {
+            *width = (width_key, b.width_meters());
+        }
+        let height_key = (b.max_lat() - b.min_lat()).to_bits();
+        if self.height.0 != height_key {
+            self.height = (height_key, b.height_meters());
+        }
+        self.fraction * width.1.min(self.height.1)
     }
 }
 
@@ -229,8 +318,12 @@ fn interpolate_path(points: &[Point], step_m: f64) -> Vec<Point> {
     out
 }
 
-/// Meters by which `p` lies outside the box `b` (0 inside).
-fn distance_outside(p: Point, b: &BoundingBox) -> f64 {
+/// Meters per degree of latitude in [`distance_outside`].
+const METERS_PER_DEG: f64 = 111_195.0;
+
+/// Degrees by which `p` lies outside the box `b` on each axis
+/// `(dlat, dlon)`, both `>= 0` (0 inside).
+fn degrees_outside(p: Point, b: &BoundingBox) -> (f64, f64) {
     let dlat = if p.lat() < b.min_lat() {
         b.min_lat() - p.lat()
     } else if p.lat() > b.max_lat() {
@@ -245,10 +338,42 @@ fn distance_outside(p: Point, b: &BoundingBox) -> f64 {
     } else {
         0.0
     };
-    let meters_per_deg = 111_195.0;
-    let lat_m = dlat * meters_per_deg;
-    let lon_m = dlon * meters_per_deg * p.lat().to_radians().cos();
+    (dlat, dlon)
+}
+
+/// Meters by which `p` lies outside the box `b` (0 inside).
+fn distance_outside(p: Point, b: &BoundingBox) -> f64 {
+    let (dlat, dlon) = degrees_outside(p, b);
+    let lat_m = dlat * METERS_PER_DEG;
+    let lon_m = dlon * METERS_PER_DEG * p.lat().to_radians().cos();
     (lat_m * lat_m + lon_m * lon_m).sqrt()
+}
+
+/// `distance_outside(p, b) > margin`, deciding most samples without the
+/// `cos`. Both shortcuts are exact, from two facts about round-to-nearest
+/// binary floating point: rounding is monotone, and `√fl(x²) = x` for
+/// `x >= 0` when `x²` neither underflows nor overflows.
+///
+/// * The distance is `√fl(fl(lat_m²) + fl(lon_m²)) >= √fl(lat_m²) = lat_m`,
+///   so `lat_m > margin` already decides a transition. The square of any
+///   `lat_m >= 1e-150` is normal, which keeps the identity true (below
+///   that, `fl(lat_m²)` may underflow to zero).
+/// * `lon_m = fl(u · cos φ)` with `u = fl(dlon · METERS_PER_DEG)` and
+///   `0 <= cos φ <= 1` (a latitude in radians is inside `[-π/2, π/2]`),
+///   so `lon_m <= u`, and the distance is at most the same expression
+///   with `u` for `lon_m`. When that bound is within the margin, the
+///   sample is held.
+fn outside_by_more_than(p: Point, b: &BoundingBox, margin: f64) -> bool {
+    let (dlat, dlon) = degrees_outside(p, b);
+    let lat_m = dlat * METERS_PER_DEG;
+    if lat_m > margin && lat_m >= 1e-150 {
+        return true;
+    }
+    let u = dlon * METERS_PER_DEG;
+    if (lat_m * lat_m + u * u).sqrt() <= margin {
+        return false;
+    }
+    distance_outside(p, b) > margin
 }
 
 /// Map-matching normalization (Section V-B): snap the trajectory onto the
@@ -337,6 +462,7 @@ impl std::fmt::Debug for MapMatchNormalizer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geodabs_geo::Geohash;
     use geodabs_roadnet::generators::{grid_network, GridConfig};
     use geodabs_roadnet::router::shortest_path;
     use proptest::prelude::*;
@@ -423,6 +549,31 @@ mod tests {
             moving_average(&Trajectory::default(), 9),
             Trajectory::default()
         );
+    }
+
+    #[test]
+    fn even_smoothing_windows_average_one_more_sample() {
+        // `half = window / 2` on each side: window 8 spans 9 samples, as
+        // window 9 does, and window 2 spans 3, as window 3 does.
+        let t: Trajectory = (0..40)
+            .map(|i| {
+                p(51.5074, -0.1278)
+                    .destination(90.0, i as f64 * 15.0)
+                    .destination((i * 97 % 360) as f64, (i * 31 % 23) as f64)
+            })
+            .collect();
+        for (even, odd) in [(8, 9), (2, 3)] {
+            assert_eq!(moving_average(&t, even), moving_average(&t, odd));
+            let smoothing = |window| {
+                GeohashNormalizer::new(40)
+                    .unwrap()
+                    .with_hysteresis(0.4)
+                    .with_smoothing_window(window)
+                    .normalize(&t)
+            };
+            assert_eq!(smoothing(even), smoothing(odd));
+        }
+        assert_ne!(moving_average(&t, 7), moving_average(&t, 9));
     }
 
     #[test]
@@ -743,7 +894,55 @@ mod tests {
         }
     }
 
+    #[test]
+    fn margin_shortcut_keeps_underflowing_distances() {
+        // A sample 1e-300° south of a cell on the equator: `lat_m` is
+        // positive but its square underflows, so the distance is 0 and a
+        // zero margin holds the cell.
+        let enc = CellEncoder::new(36).unwrap();
+        let (row, col) = enc.row_col(p(0.0, 10.0));
+        let b = enc.cell_bounds(row, col);
+        assert_eq!(b.min_lat(), 0.0);
+        let q = p(-1e-300, 10.0);
+        assert_eq!(distance_outside(q, &b), 0.0);
+        assert!(!outside_by_more_than(q, &b, 0.0));
+        assert!(outside_by_more_than(p(-1e-100, 10.0), &b, 0.0));
+    }
+
     proptest! {
+        #[test]
+        fn prop_margin_shortcuts_equal_the_distance_test(
+            lat in -90.0f64..=90.0, lon in -180.0f64..=180.0, depth in 1u8..=64,
+            off_lat in -3.0f64..3.0, off_lon in -3.0f64..3.0, scale in -12i32..2,
+            pick in 0usize..8, fraction in 0.0f64..=1.0,
+        ) {
+            // A cell, a sample up to a few cell extents away from it, and
+            // margins at and next to every value the shortcuts compare.
+            let enc = CellEncoder::new(depth).unwrap();
+            let (row, col) = enc.row_col(p(lat, lon));
+            let b = enc.cell_bounds(row, col);
+            let reach = 10f64.powi(scale);
+            let q = Point::clamped(
+                lat + off_lat * reach * (b.max_lat() - b.min_lat()).max(1e-9),
+                lon + off_lon * reach * (b.max_lon() - b.min_lon()).max(1e-9),
+            );
+            let (dlat, dlon) = degrees_outside(q, &b);
+            let lat_m = dlat * METERS_PER_DEG;
+            let u = dlon * METERS_PER_DEG;
+            let d = distance_outside(q, &b);
+            let margin = [
+                d,
+                d.next_up(),
+                d.next_down().max(0.0),
+                lat_m,
+                lat_m.next_down().max(0.0),
+                (lat_m * lat_m + u * u).sqrt(),
+                0.0,
+                fraction * 200.0,
+            ][pick];
+            prop_assert_eq!(outside_by_more_than(q, &b, margin), d > margin);
+        }
+
         #[test]
         fn prop_one_pass_equals_reference_on_random_walks(
             lat in -85.0f64..85.0, lon in -179.0f64..179.0,
