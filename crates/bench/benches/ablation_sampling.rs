@@ -85,7 +85,8 @@ fn main() {
                 let rec = &ds.records()[id.raw() as usize];
                 let rfp = fingerprint(&rec.trajectory);
                 pairs += 1;
-                if qfp.set().is_disjoint(rfp.set()) {
+                let r = rfp.distinct();
+                if !qfp.distinct().iter().any(|g| r.binary_search(g).is_ok()) {
                     zero_overlap += 1;
                 }
             }

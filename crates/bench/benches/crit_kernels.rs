@@ -1,18 +1,18 @@
 //! Criterion micro-benchmarks of the computational kernels underlying
 //! every figure: haversine, geohash encoding, geodab construction,
-//! winnowing, fingerprinting, Jaccard over roaring bitmaps, DTW and DFD,
-//! plus reference-vs-optimized pairs for the roaring intersection ladder,
-//! the snapshot live check, and point→cell encoding, and the synthetic
-//! corpus generator (one sampled route, one 2k-record dataset).
+//! winnowing, fingerprinting, Jaccard between two fingerprint sets, DTW
+//! and DFD, plus reference-vs-optimized pairs for point→cell encoding,
+//! and the synthetic corpus generator (one sampled route, one 2k-record
+//! dataset).
 //!
 //! Run with `cargo bench -p geodabs-bench --bench crit_kernels`. Set
 //! `CRIT_QUICK=1` (the CI kernel-smoke step does) to shrink sample counts
 //! and measurement time to a smoke-test budget.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use geodabs_bench::crit_config;
 use geodabs_core::winnow::{winnow, winnow_streaming};
-use geodabs_core::{geodab, Fingerprinter};
+use geodabs_core::{geodab, Fingerprinter, Fingerprints};
 use geodabs_distance::{dfd, dtw, edr, lcss_similarity};
 use geodabs_gen::dataset::{Dataset, DatasetConfig};
 use geodabs_gen::sampler::{sample_route, SamplerConfig};
@@ -20,7 +20,6 @@ use geodabs_geo::{morton, CellEncoder, Geohash, Point};
 use geodabs_index::store::crc32;
 use geodabs_roadnet::generators::{grid_network, GridConfig};
 use geodabs_roadnet::Route;
-use geodabs_roaring::{kernels, RoaringBitmap};
 use geodabs_traj::{GeohashNormalizer, Normalizer, Trajectory};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -142,18 +141,26 @@ fn bench_request_path(c: &mut Criterion) {
     });
 }
 
+/// Eq. 1 at its served size: two sets of 18 distinct geodabs (a
+/// `wire-2k` fingerprint has 17.8 on average) sharing half of them.
 fn bench_jaccard(c: &mut Criterion) {
-    let a: RoaringBitmap = (0..2_000u32).map(|i| i * 3).collect();
-    let b: RoaringBitmap = (0..2_000u32).map(|i| i * 3 + 3).collect();
-    c.bench_function("roaring_jaccard_2k", |bench| {
-        bench.iter(|| black_box(&a).jaccard_distance(black_box(&b)))
+    let mut x: u32 = 0x9E37_79B9;
+    let mut terms = std::iter::repeat_with(move || {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        x
     });
-    c.bench_function("roaring_union_2k", |bench| {
-        bench.iter_batched(
-            || (),
-            |_| black_box(&a) | black_box(&b),
-            BatchSize::SmallInput,
-        )
+    let shared: Vec<u32> = terms.by_ref().take(9).collect();
+    let mut fingerprint = |shared: &[u32]| {
+        let mut ordered = shared.to_vec();
+        ordered.extend(terms.by_ref().take(9));
+        Fingerprints::from_ordered(ordered)
+    };
+    let (a, b) = (fingerprint(&shared), fingerprint(&shared));
+    assert_eq!((a.distinct_len(), b.distinct_len()), (18, 18));
+    c.bench_function("fingerprint_jaccard", |bench| {
+        bench.iter(|| black_box(&a).jaccard_distance(black_box(&b)))
     });
 }
 
@@ -171,88 +178,6 @@ fn bench_distances(c: &mut Criterion) {
     });
     c.bench_function("edr_200x200", |bench| {
         bench.iter(|| edr(black_box(&a), black_box(&b), 50.0))
-    });
-}
-
-/// Sorted, deduplicated multiples of `stride` starting at `offset`.
-fn run_u16(n: usize, stride: u16, offset: u16) -> Vec<u16> {
-    let mut v: Vec<u16> = (0..n as u16)
-        .map(|i| i.wrapping_mul(stride).wrapping_add(offset))
-        .collect();
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
-fn bench_intersection_ladder(c: &mut Criterion) {
-    // Size-ratio ladder: 1:1 through 1:256, each measured with the
-    // retained linear-merge reference and the galloping/dispatching path.
-    // `small` samples every (len/n)-th element of `large`, so both sides
-    // span the same value domain: the linear merge has to traverse the
-    // whole large side while galloping spends ~n·log probes. The
-    // 4k_vs_256 rung sits exactly at the GALLOP_RATIO cutover, so its
-    // dispatch stays linear — the ladder shows where the crossover pays.
-    let large = run_u16(4_096, 13, 0);
-    for (label, small_n) in [
-        ("4k_vs_4k", 4_096usize),
-        ("4k_vs_256", 256),
-        ("4k_vs_64", 64),
-        ("4k_vs_16", 16),
-    ] {
-        let small: Vec<u16> = large
-            .iter()
-            .copied()
-            .step_by(large.len() / small_n)
-            .take(small_n)
-            .collect();
-        let (s, l) = (small.clone(), large.clone());
-        c.bench_function(&format!("intersect_{label}_linear"), move |bench| {
-            bench.iter(|| {
-                let mut n = 0u32;
-                kernels::intersect_visit_linear(black_box(&s), black_box(&l), |_| n += 1);
-                n
-            })
-        });
-        let (s, l) = (small, large.clone());
-        c.bench_function(&format!("intersect_{label}_gallop"), move |bench| {
-            bench.iter(|| {
-                let mut n = 0u32;
-                kernels::intersect_visit(black_box(&s), black_box(&l), |_| n += 1);
-                n
-            })
-        });
-    }
-    // Dense word-level AND: scalar loop vs the 8-word chunked kernel.
-    let wa: Vec<u64> = (0..1024u64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .collect();
-    let wb: Vec<u64> = (0..1024u64)
-        .map(|i| i.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
-        .collect();
-    let (a, b) = (wa.clone(), wb.clone());
-    c.bench_function("bitmap_and_len_scalar", move |bench| {
-        bench.iter(|| kernels::and_words_len_scalar(black_box(&a), black_box(&b)))
-    });
-    let (a, b) = (wa, wb);
-    c.bench_function("bitmap_and_len_chunked", move |bench| {
-        bench.iter(|| kernels::and_words_len(black_box(&a), black_box(&b)))
-    });
-}
-
-fn bench_live_check(c: &mut Criterion) {
-    // The snapshot loader's live check: does every slot in this posting
-    // list point at a live trajectory? The old path counted the full
-    // intersection and compared cardinalities; the new one asks
-    // `is_subset`, which bails out at the first vacant slot.
-    let live: RoaringBitmap = (0..60_000u32).filter(|&v| v != 1_002).collect();
-    let list: RoaringBitmap = (0..60_000u32).step_by(3).collect();
-    let (li, lv) = (list.clone(), live.clone());
-    c.bench_function("live_check_count_reference", move |bench| {
-        bench.iter(|| black_box(&li).intersection_len(black_box(&lv)) == li.len())
-    });
-    let (li, lv) = (list, live);
-    c.bench_function("live_check_subset_early_exit", move |bench| {
-        bench.iter(|| black_box(&li).is_subset(black_box(&lv)))
     });
 }
 
@@ -339,8 +264,7 @@ criterion_group! {
     name = kernels_suite;
     config = crit_config();
     targets = bench_geo, bench_winnow, bench_fingerprint, bench_request_path, bench_jaccard,
-        bench_distances,
-        bench_intersection_ladder, bench_live_check, bench_encode
+        bench_distances, bench_encode
 }
 criterion_group! {
     name = generator_suite;

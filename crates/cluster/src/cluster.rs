@@ -67,7 +67,7 @@ pub fn scatter_gather<E>(
     options: &SearchOptions,
     legs: impl FnOnce(&[u64], &[usize]) -> Result<Vec<Vec<SearchResult>>, E>,
 ) -> Result<Vec<SearchResult>, E> {
-    let shards = router.shards_for_terms(query_fp.set().iter());
+    let shards = router.shards_for_terms(query_fp.distinct().iter().copied());
     let nodes = router.nodes_of_shards(&shards);
     Ok(merge_heaps(legs(&shards, &nodes)?, options))
 }

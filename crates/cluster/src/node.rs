@@ -146,7 +146,7 @@ impl ShardNode {
     /// terms is placed here.
     fn place(&mut self, id: TrajId, fp: Cow<'_, Fingerprints>) {
         let places = placed_on(self.router, self.node_id);
-        if fp.set().iter().any(&places) {
+        if fp.distinct().iter().copied().any(&places) {
             self.store.insert(id, fp.into_owned(), places);
         } else {
             self.store.remove(id);
@@ -194,7 +194,8 @@ impl ShardNode {
         options: &SearchOptions,
     ) -> (Vec<SearchResult>, usize) {
         let places = placed_on(self.router, self.node_id);
-        self.store.search(query_fp.set().iter(), options, places)
+        self.store
+            .search(query_fp.distinct().iter().copied(), options, places)
     }
 
     /// This node's snapshot segment: the interning table and the

@@ -1,26 +1,34 @@
-use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::{GeohashNormalizer, Normalizer, Trajectory};
 
 use crate::geodab::k_gram_geodabs;
 use crate::winnow::winnow;
 use crate::GeodabConfig;
 
-/// The fingerprints of one trajectory: an ordered sequence of geodabs (as
-/// selected by winnowing) plus the corresponding set as a roaring bitmap.
+/// The fingerprints of one trajectory: the ordered sequence of geodabs
+/// winnowing selected, plus the distinct geodabs as a sorted slice.
 ///
-/// The *ordered* view drives motif discovery (Section VI-C); the *set*
-/// view drives indexing and Jaccard ranking (Section IV-A).
+/// The *ordered* view drives motif discovery (Section VI-C); the
+/// *distinct* view drives indexing and Jaccard ranking (Section IV-A).
+/// The paper keeps the set as a roaring bitmap (ref \[19\]); at ~18
+/// terms a sorted slice is as fast to intersect and cheaper to build.
+/// Both are built once, at their exact size.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Fingerprints {
-    ordered: Vec<u32>,
-    set: RoaringBitmap,
+    ordered: Box<[u32]>,
+    /// `ordered`, sorted and deduplicated.
+    distinct: Box<[u32]>,
 }
 
 impl Fingerprints {
     /// Builds fingerprints from an ordered geodab selection.
     pub fn from_ordered(ordered: Vec<u32>) -> Fingerprints {
-        let set = ordered.iter().copied().collect();
-        Fingerprints { ordered, set }
+        let mut distinct = ordered.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        Fingerprints {
+            ordered: ordered.into_boxed_slice(),
+            distinct: distinct.into_boxed_slice(),
+        }
     }
 
     /// The selected geodabs in trajectory order (may repeat).
@@ -28,9 +36,9 @@ impl Fingerprints {
         &self.ordered
     }
 
-    /// The distinct geodabs as a roaring bitmap.
-    pub fn set(&self) -> &RoaringBitmap {
-        &self.set
+    /// The distinct geodabs, ascending.
+    pub fn distinct(&self) -> &[u32] {
+        &self.distinct
     }
 
     /// Number of selected fingerprints (ordered view, with repeats).
@@ -45,18 +53,42 @@ impl Fingerprints {
 
     /// Number of distinct geodabs.
     pub fn distinct_len(&self) -> u64 {
-        self.set.len()
+        self.distinct.len() as u64
     }
 
-    /// The Jaccard coefficient between the two fingerprint sets.
+    /// The Jaccard coefficient between the two fingerprint sets, `1.0`
+    /// for two empty sets.
     pub fn jaccard(&self, other: &Fingerprints) -> f64 {
-        self.set.jaccard(&other.set)
+        jaccard_sorted(&self.distinct, &other.distinct)
     }
 
     /// The Jaccard distance `δ` used to rank retrieval results
     /// (Equation 1 of the paper).
     pub fn jaccard_distance(&self, other: &Fingerprints) -> f64 {
-        self.set.jaccard_distance(&other.set)
+        1.0 - self.jaccard(other)
+    }
+}
+
+/// `|A ∩ B| / |A ∪ B|` of two sorted, deduplicated slices by one linear
+/// merge, `1.0` for two empty sets.
+pub(crate) fn jaccard_sorted(a: &[u32], b: &[u32]) -> f64 {
+    let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    let union = a.len() + b.len() - inter;
+    if union == 0 {
+        1.0
+    } else {
+        inter as f64 / union as f64
     }
 }
 
@@ -140,6 +172,7 @@ impl Default for Fingerprinter {
 mod tests {
     use super::*;
     use geodabs_geo::Point;
+    use std::collections::BTreeSet;
 
     fn p(lat: f64, lon: f64) -> Point {
         Point::new(lat, lon).unwrap()
@@ -211,7 +244,7 @@ mod tests {
         let a = fp.normalize_and_fingerprint(&eastward(40, 0.0));
         let b = fp.normalize_and_fingerprint(&eastward(40, 50_000.0));
         assert_eq!(a.jaccard(&b), 0.0);
-        assert!(a.set().is_disjoint(b.set()));
+        assert!(a.distinct().iter().all(|g| !b.distinct().contains(g)));
     }
 
     #[test]
@@ -223,7 +256,7 @@ mod tests {
         // Same path, but starting 10 moves in and extending further.
         let b = fp.normalize_and_fingerprint(&eastward(40, 10.0 * 90.0));
         assert!(
-            a.set().intersection_len(b.set()) >= 1,
+            a.distinct().iter().any(|g| b.distinct().contains(g)),
             "winnowing guarantee violated"
         );
         let d = a.jaccard_distance(&b);
@@ -238,7 +271,7 @@ mod tests {
         assert_eq!(f.ordered().len(), f.len());
         // Every ordered entry is in the set.
         for g in &f {
-            assert!(f.set().contains(g));
+            assert!(f.distinct().contains(&g));
         }
         assert!(f.distinct_len() <= f.len() as u64);
     }
@@ -307,14 +340,54 @@ mod tests {
         }
     }
 
+    /// `|A ∩ B| / |A ∪ B|` over `BTreeSet`s, `1.0` for two empty sets.
+    fn model_jaccard(a: &BTreeSet<u32>, b: &BTreeSet<u32>) -> f64 {
+        let inter = a.intersection(b).count();
+        let union = a.union(b).count();
+        if union == 0 {
+            1.0
+        } else {
+            inter as f64 / union as f64
+        }
+    }
+
+    proptest::proptest! {
+        /// `distinct` and both Jaccard forms against the `BTreeSet`
+        /// model, bit for bit, with empty selections included.
+        #[test]
+        fn prop_jaccard_matches_btreeset_model(
+            xs in proptest::collection::vec(0u32..64, 0..30),
+            ys in proptest::collection::vec(0u32..64, 0..30),
+            zs in proptest::collection::vec(0u32..64, 0..30),
+        ) {
+            let sets: Vec<BTreeSet<u32>> =
+                [&xs, &ys, &zs].iter().map(|v| v.iter().copied().collect()).collect();
+            let fps: Vec<Fingerprints> =
+                [xs, ys, zs].into_iter().map(Fingerprints::from_ordered).collect();
+            for (f, s) in fps.iter().zip(&sets) {
+                proptest::prop_assert!(f.distinct().iter().eq(s.iter()));
+                proptest::prop_assert_eq!(f.distinct_len(), s.len() as u64);
+            }
+            let (a, b, c) = (&fps[0], &fps[1], &fps[2]);
+            let want = model_jaccard(&sets[0], &sets[1]);
+            proptest::prop_assert_eq!(a.jaccard(b).to_bits(), want.to_bits());
+            proptest::prop_assert_eq!(a.jaccard_distance(b).to_bits(), (1.0 - want).to_bits());
+            proptest::prop_assert_eq!(a.jaccard(b).to_bits(), b.jaccard(a).to_bits());
+            proptest::prop_assert_eq!(a.jaccard_distance(a), 0.0);
+            // The Jaccard distance is a metric (Kosub, the paper's ref
+            // [17]): the triangle inequality holds on every triple.
+            proptest::prop_assert!(
+                a.jaccard_distance(c) <= a.jaccard_distance(b) + b.jaccard_distance(c) + 1e-12
+            );
+        }
+    }
+
     #[test]
     fn from_ordered_builds_consistent_set() {
         let f = Fingerprints::from_ordered(vec![5, 3, 5, 9]);
         assert_eq!(f.len(), 4);
         assert_eq!(f.distinct_len(), 3);
-        assert!(f.set().contains(3));
-        assert!(f.set().contains(5));
-        assert!(f.set().contains(9));
+        assert_eq!(f.distinct(), [3, 5, 9]);
     }
 
     #[test]

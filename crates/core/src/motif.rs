@@ -9,6 +9,7 @@
 //! shows is orders of magnitude cheaper than computing the discrete
 //! Fréchet distance over all sub-trajectory pairs (the BTM baseline).
 
+use crate::fingerprint::jaccard_sorted;
 use crate::Fingerprints;
 
 /// The best-matching pair of fingerprint windows between two trajectories.
@@ -54,7 +55,7 @@ pub fn discover_motif(a: &Fingerprints, b: &Fingerprints, len: usize) -> Option<
     let mut best: Option<MotifMatch> = None;
     for (i, wa) in wins_a.iter().enumerate() {
         for (j, wb) in wins_b.iter().enumerate() {
-            let d = jaccard_distance_sorted(wa, wb);
+            let d = 1.0 - jaccard_sorted(wa, wb);
             if best.map(|m| d < m.distance).unwrap_or(true) {
                 best = Some(MotifMatch {
                     start_a: i,
@@ -81,28 +82,6 @@ fn sorted_windows(seq: &[u32], len: usize) -> Vec<Vec<u32>> {
             v
         })
         .collect()
-}
-
-/// Jaccard distance between two sorted, deduplicated slices.
-fn jaccard_distance_sorted(a: &[u32], b: &[u32]) -> f64 {
-    let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    let union = a.len() + b.len() - inter;
-    if union == 0 {
-        0.0
-    } else {
-        1.0 - inter as f64 / union as f64
-    }
 }
 
 #[cfg(test)]

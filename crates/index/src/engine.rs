@@ -456,7 +456,7 @@ pub trait Replica<T> {
 /// A geodab fingerprint sequence: its terms are its distinct geodabs.
 impl Replica<u32> for Fingerprints {
     fn terms(&self) -> impl Iterator<Item = u32> + '_ {
-        self.set().iter()
+        self.distinct().iter().copied()
     }
 
     fn distinct_len(&self) -> u32 {
@@ -464,7 +464,7 @@ impl Replica<u32> for Fingerprints {
     }
 
     fn has_term(&self, term: u32) -> bool {
-        self.set().contains(term)
+        self.distinct().binary_search(&term).is_ok()
     }
 }
 
@@ -600,28 +600,18 @@ impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> PostingLists<T, R> {
         true
     }
 
-    /// The dense candidate set of a query: every slot sharing at least one
-    /// term with `terms`, as one bitmap union of the posting lists.
-    pub fn candidates_bitmap(&self, terms: impl IntoIterator<Item = T>) -> RoaringBitmap {
-        let mut union = RoaringBitmap::new();
-        for term in terms {
-            if let Some(list) = self.postings.get(&term) {
-                union |= list;
-            }
-        }
-        union
-    }
-
     /// Distinct ids sharing at least one term with the query, ascending —
-    /// straight off the posting bitmaps and the interning table, with no
+    /// straight off the posting lists and the interning table, with no
     /// hash-set round-trip.
     pub fn candidate_ids(&self, terms: impl IntoIterator<Item = T>) -> Vec<TrajId> {
-        let mut ids: Vec<TrajId> = self
-            .candidates_bitmap(terms)
-            .iter()
-            .map(|dense| self.interner.resolve(dense))
-            .collect();
+        let mut ids = Vec::new();
+        for term in terms {
+            if let Some(list) = self.postings.get(&term) {
+                list.for_each(|dense| ids.push(self.interner.resolve(dense)));
+            }
+        }
         ids.sort_unstable();
+        ids.dedup();
         ids
     }
 
@@ -685,15 +675,13 @@ impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> PostingLists<T, R> {
             set_sizes[dense as usize] = size;
             replicas[dense as usize] = Some(replica);
         }
-        let live_bitmap: RoaringBitmap = live.iter().map(|&(dense, _)| dense).collect();
+        let is_live = |dense: u32| matches!(replicas.get(dense as usize), Some(Some(_)));
         let mut postings: HashMap<T, RoaringBitmap> = HashMap::with_capacity(posting_lists.len());
         for (term, list) in posting_lists {
             if list.is_empty() {
                 return Err("empty posting list");
             }
-            // Early-exit subset check: bails on the first posting entry
-            // that is not a live slot instead of counting the overlap.
-            if !list.is_subset(&live_bitmap) {
+            if !list.fold(true, |all_live, dense| all_live && is_live(dense)) {
                 return Err("posting references a vacant slot");
             }
             if !places(term) {
@@ -1524,6 +1512,12 @@ mod tests {
         );
         assert_eq!(
             load(4, &replica, vec![(5, list(3))]).err(),
+            Some("posting references a vacant slot")
+        );
+        // A hole inside the live extent is vacant too.
+        let gapped = [(0u32, id(1), 2u32), (2, id(2), 2)];
+        assert_eq!(
+            Lists::from_snapshot_parts(3, &gapped, replica, vec![(5, list(1))], all).err(),
             Some("posting references a vacant slot")
         );
         assert_eq!(

@@ -144,7 +144,7 @@ impl GeodabIndex {
         options: &SearchOptions,
     ) -> Vec<SearchResult> {
         self.engine
-            .search(query_fp.set().iter(), options, |_| true)
+            .search(query_fp.distinct().iter().copied(), options, |_| true)
             .0
     }
 
@@ -160,7 +160,7 @@ impl GeodabIndex {
     ) -> Vec<SearchResult> {
         let hits = self
             .engine
-            .candidate_ids(query_fp.set().iter())
+            .candidate_ids(query_fp.distinct().iter().copied())
             .into_iter()
             .map(|id| SearchResult {
                 id,
@@ -259,7 +259,7 @@ mod tests {
         let query = eastward(40, 0.0);
         let candidates = idx
             .engine
-            .candidate_ids(idx.fingerprint_query(&query).set().iter());
+            .candidate_ids(idx.fingerprint_query(&query).distinct().iter().copied());
         assert!(!candidates.contains(&TrajId::new(2)));
         assert!(candidates.windows(2).all(|w| w[0] < w[1]), "ascending ids");
     }

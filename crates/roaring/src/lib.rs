@@ -1,24 +1,27 @@
 //! A from-scratch roaring bitmap, the compressed integer-set representation
-//! the geodabs paper uses to store fingerprint sets (Section IV-A, ref \[19\]).
+//! of the paper's ref \[19\] (Chambi, Lemire et al.), here holding the
+//! query engine's posting lists.
 //!
 //! A [`RoaringBitmap`] stores a set of `u32` values by splitting each value
 //! into a high 16-bit *chunk key* and a low 16-bit payload. Sparse chunks
-//! keep a sorted array; dense chunks switch to a 65 536-bit bitset. Set
-//! algebra (union, intersection, difference, symmetric difference) operates
-//! chunk by chunk with word-level bitwise operations, which is what makes
-//! Jaccard computations between fingerprint sets cheap.
+//! keep a sorted array; dense chunks switch to a 65 536-bit bitset.
+//!
+//! A posting list is only built by inserts and read by walks
+//! ([`RoaringBitmap::for_each`], [`RoaringBitmap::fold`]) that decode
+//! bitsets word by word. The crate has no pairwise set algebra: a
+//! trajectory's own fingerprint set, the one set Jaccard compares, is a
+//! sorted slice (`geodabs_core::Fingerprints`).
 //!
 //! # Examples
 //!
 //! ```
 //! use geodabs_roaring::RoaringBitmap;
 //!
-//! let a: RoaringBitmap = [1u32, 2, 3, 100_000].into_iter().collect();
-//! let b: RoaringBitmap = [2u32, 3, 4, 100_000].into_iter().collect();
-//! assert_eq!((&a & &b).len(), 3);
-//! assert_eq!((&a | &b).len(), 5);
-//! // Jaccard distance = 1 - |A ∩ B| / |A ∪ B| (Equation 1 of the paper).
-//! assert!((a.jaccard_distance(&b) - 0.4).abs() < 1e-12);
+//! let mut posting: RoaringBitmap = [1u32, 2, 3, 100_000].into_iter().collect();
+//! assert!(posting.insert(4));
+//! assert!(posting.remove(2));
+//! assert_eq!(posting.len(), 4);
+//! assert_eq!(posting.iter().collect::<Vec<_>>(), [1, 3, 4, 100_000]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -31,16 +34,13 @@ pub mod wire;
 pub use wire::WireError;
 
 use container::Container;
-use serde::de::{SeqAccess, Visitor};
-use serde::ser::SerializeSeq;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
-use std::ops::{BitAnd, BitOr, BitXor, Sub};
 
 /// A compressed bitmap over `u32` values.
 ///
 /// See the [crate-level documentation](crate) for the representation.
-#[derive(Clone, Default)]
+/// Containers are canonical, so the derived equality is set equality.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct RoaringBitmap {
     /// Non-empty containers sorted by chunk key.
     containers: Vec<(u16, Container)>,
@@ -120,36 +120,6 @@ impl RoaringBitmap {
         })
     }
 
-    /// Number of values less than or equal to `value` (the classic
-    /// succinct-structure `rank` operation).
-    pub fn rank(&self, value: u32) -> u64 {
-        let (key, low) = split(value);
-        let mut n = 0u64;
-        for (k, c) in &self.containers {
-            match k.cmp(&key) {
-                std::cmp::Ordering::Less => n += c.len() as u64,
-                std::cmp::Ordering::Equal => n += c.rank(low) as u64,
-                std::cmp::Ordering::Greater => break,
-            }
-        }
-        n
-    }
-
-    /// The `n`-th smallest value (0-based), if the set has more than `n`
-    /// values (the `select` operation, inverse of [`RoaringBitmap::rank`]).
-    pub fn select(&self, n: u64) -> Option<u32> {
-        let mut remaining = n;
-        for (k, c) in &self.containers {
-            let len = c.len() as u64;
-            if remaining < len {
-                let low = c.select(remaining as usize).expect("bound checked");
-                return Some(join(*k, low));
-            }
-            remaining -= len;
-        }
-        None
-    }
-
     /// Iterates over the values in ascending order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -157,41 +127,6 @@ impl RoaringBitmap {
             container_idx: 0,
             values: Vec::new(),
             value_idx: 0,
-        }
-    }
-
-    /// Unions `other` into `self` in place, container by container —
-    /// the allocation-free way to accumulate a candidate set from many
-    /// posting lists (also available as `|=`).
-    pub fn union_with(&mut self, other: &RoaringBitmap) {
-        let mut i = 0;
-        for (key, cb) in &other.containers {
-            // Keys of both bitmaps are sorted, so resume the scan where the
-            // previous container landed instead of searching from scratch.
-            while i < self.containers.len() && self.containers[i].0 < *key {
-                i += 1;
-            }
-            if i < self.containers.len() && self.containers[i].0 == *key {
-                let merged = self.containers[i].1.or(cb);
-                self.containers[i].1 = merged;
-            } else {
-                self.containers.insert(i, (*key, cb.clone()));
-            }
-            i += 1;
-        }
-    }
-
-    /// Iterates over `self ∩ other` in ascending order without
-    /// materializing the intersection.
-    pub fn intersection_iter<'a>(&'a self, other: &'a RoaringBitmap) -> IntersectionIter<'a> {
-        IntersectionIter {
-            a: &self.containers,
-            b: &other.containers,
-            i: 0,
-            j: 0,
-            values: Vec::new(),
-            value_idx: 0,
-            key: 0,
         }
     }
 
@@ -220,136 +155,6 @@ impl RoaringBitmap {
             c.fold((*key as u32) << 16, acc, &mut f)
         })
     }
-
-    /// Whether `|self ∩ other| >= n`, stopping as soon as the answer is
-    /// known instead of counting the full intersection.
-    pub fn intersection_len_at_least(&self, other: &RoaringBitmap, n: u64) -> bool {
-        if n == 0 {
-            return true;
-        }
-        let mut needed = n;
-        let (mut i, mut j) = (0, 0);
-        while i < self.containers.len() && j < other.containers.len() {
-            match self.containers[i].0.cmp(&other.containers[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    // Counting is capped at `needed`, so a hit in a dense
-                    // pair returns after a few cache lines.
-                    let cap = needed.min(usize::MAX as u64) as usize;
-                    let got = self.containers[i]
-                        .1
-                        .and_len_capped(&other.containers[j].1, cap);
-                    if got as u64 >= needed {
-                        return true;
-                    }
-                    needed -= got as u64;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        false
-    }
-
-    /// `|self ∩ other|` without materializing the intersection.
-    pub fn intersection_len(&self, other: &RoaringBitmap) -> u64 {
-        let mut n = 0u64;
-        let (mut i, mut j) = (0, 0);
-        while i < self.containers.len() && j < other.containers.len() {
-            match self.containers[i].0.cmp(&other.containers[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    n += self.containers[i].1.and_len(&other.containers[j].1) as u64;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        n
-    }
-
-    /// `|self ∪ other|` via the inclusion–exclusion identity.
-    pub fn union_len(&self, other: &RoaringBitmap) -> u64 {
-        self.len() + other.len() - self.intersection_len(other)
-    }
-
-    /// The Jaccard coefficient `|A ∩ B| / |A ∪ B|`, `1.0` for two empty sets.
-    pub fn jaccard(&self, other: &RoaringBitmap) -> f64 {
-        let inter = self.intersection_len(other);
-        let union = self.len() + other.len() - inter;
-        if union == 0 {
-            1.0
-        } else {
-            inter as f64 / union as f64
-        }
-    }
-
-    /// The Jaccard distance `1 − J(A, B)` (Equation 1 of the paper), which
-    /// obeys the triangle inequality.
-    pub fn jaccard_distance(&self, other: &RoaringBitmap) -> f64 {
-        1.0 - self.jaccard(other)
-    }
-
-    /// Whether every value of `self` is in `other`.
-    pub fn is_subset(&self, other: &RoaringBitmap) -> bool {
-        self.containers.iter().all(|(k, c)| {
-            match other.containers.binary_search_by_key(k, |&(k2, _)| k2) {
-                Ok(idx) => c.is_subset(&other.containers[idx].1),
-                Err(_) => false,
-            }
-        })
-    }
-
-    /// Whether the two sets share no value.
-    pub fn is_disjoint(&self, other: &RoaringBitmap) -> bool {
-        self.intersection_len(other) == 0
-    }
-
-    fn binary_op(
-        &self,
-        other: &RoaringBitmap,
-        keep_left: bool,
-        keep_right: bool,
-        combine: impl Fn(&Container, &Container) -> Container,
-    ) -> RoaringBitmap {
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.containers.len() && j < other.containers.len() {
-            let (ka, ca) = &self.containers[i];
-            let (kb, cb) = &other.containers[j];
-            match ka.cmp(kb) {
-                std::cmp::Ordering::Less => {
-                    if keep_left {
-                        out.push((*ka, ca.clone()));
-                    }
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    if keep_right {
-                        out.push((*kb, cb.clone()));
-                    }
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    let c = combine(ca, cb);
-                    if !c.is_empty() {
-                        out.push((*ka, c));
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        if keep_left {
-            out.extend(self.containers[i..].iter().cloned());
-        }
-        if keep_right {
-            out.extend(other.containers[j..].iter().cloned());
-        }
-        RoaringBitmap { containers: out }
-    }
 }
 
 fn split(value: u32) -> (u16, u16) {
@@ -359,46 +164,6 @@ fn split(value: u32) -> (u16, u16) {
 fn join(key: u16, low: u16) -> u32 {
     (key as u32) << 16 | low as u32
 }
-
-impl BitAnd for &RoaringBitmap {
-    type Output = RoaringBitmap;
-
-    fn bitand(self, rhs: &RoaringBitmap) -> RoaringBitmap {
-        self.binary_op(rhs, false, false, Container::and)
-    }
-}
-
-impl BitOr for &RoaringBitmap {
-    type Output = RoaringBitmap;
-
-    fn bitor(self, rhs: &RoaringBitmap) -> RoaringBitmap {
-        self.binary_op(rhs, true, true, Container::or)
-    }
-}
-
-impl Sub for &RoaringBitmap {
-    type Output = RoaringBitmap;
-
-    fn sub(self, rhs: &RoaringBitmap) -> RoaringBitmap {
-        self.binary_op(rhs, true, false, Container::sub)
-    }
-}
-
-impl BitXor for &RoaringBitmap {
-    type Output = RoaringBitmap;
-
-    fn bitxor(self, rhs: &RoaringBitmap) -> RoaringBitmap {
-        self.binary_op(rhs, true, true, Container::xor)
-    }
-}
-
-impl PartialEq for RoaringBitmap {
-    fn eq(&self, other: &RoaringBitmap) -> bool {
-        self.len() == other.len() && self.is_subset(other)
-    }
-}
-
-impl Eq for RoaringBitmap {}
 
 impl fmt::Debug for RoaringBitmap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -464,99 +229,6 @@ impl Iterator for Iter<'_> {
             self.value_idx = 0;
             self.container_idx += 1;
         }
-    }
-}
-
-/// Ascending iterator over the intersection of two bitmaps.
-///
-/// Created by [`RoaringBitmap::intersection_iter`]; only containers whose
-/// 16-bit chunk key appears on both sides are ever touched.
-pub struct IntersectionIter<'a> {
-    a: &'a [(u16, Container)],
-    b: &'a [(u16, Container)],
-    i: usize,
-    j: usize,
-    values: Vec<u16>,
-    value_idx: usize,
-    key: u16,
-}
-
-impl Iterator for IntersectionIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        loop {
-            if self.value_idx < self.values.len() {
-                let low = self.values[self.value_idx];
-                self.value_idx += 1;
-                return Some(join(self.key, low));
-            }
-            while self.i < self.a.len() && self.j < self.b.len() {
-                let (ka, ca) = &self.a[self.i];
-                let (kb, cb) = &self.b[self.j];
-                match ka.cmp(kb) {
-                    std::cmp::Ordering::Less => self.i += 1,
-                    std::cmp::Ordering::Greater => self.j += 1,
-                    std::cmp::Ordering::Equal => {
-                        self.key = *ka;
-                        // Reuse the one buffer across chunk pairs — no
-                        // per-chunk allocation on this hot path.
-                        ca.and_into(cb, &mut self.values);
-                        self.value_idx = 0;
-                        self.i += 1;
-                        self.j += 1;
-                        break;
-                    }
-                }
-            }
-            if self.value_idx >= self.values.len()
-                && (self.i >= self.a.len() || self.j >= self.b.len())
-            {
-                return None;
-            }
-        }
-    }
-}
-
-impl std::ops::BitOrAssign<&RoaringBitmap> for RoaringBitmap {
-    /// In-place union; see [`RoaringBitmap::union_with`].
-    fn bitor_assign(&mut self, rhs: &RoaringBitmap) {
-        self.union_with(rhs);
-    }
-}
-
-impl Serialize for RoaringBitmap {
-    /// Serializes as an ascending sequence of `u32` values.
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut seq = serializer.serialize_seq(Some(self.len() as usize))?;
-        for v in self.iter() {
-            seq.serialize_element(&v)?;
-        }
-        seq.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for RoaringBitmap {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct BitmapVisitor;
-
-        impl<'de> Visitor<'de> for BitmapVisitor {
-            type Value = RoaringBitmap;
-
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a sequence of u32 values")
-            }
-
-            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Self::Value, A::Error> {
-                let mut bm = RoaringBitmap::new();
-                while let Some(v) = seq.next_element::<u32>()? {
-                    bm.insert(v);
-                }
-                Ok(bm)
-            }
-        }
-
-        deserializer.deserialize_seq(BitmapVisitor)
     }
 }
 
@@ -627,61 +299,18 @@ mod tests {
     }
 
     #[test]
-    fn set_algebra_small() {
-        let a = bm(&[1, 2, 3, 100_000]);
-        let b = bm(&[2, 3, 4, 200_000]);
-        assert_eq!((&a & &b).iter().collect::<Vec<_>>(), vec![2, 3]);
-        assert_eq!(
-            (&a | &b).iter().collect::<Vec<_>>(),
-            vec![1, 2, 3, 4, 100_000, 200_000]
-        );
-        assert_eq!((&a - &b).iter().collect::<Vec<_>>(), vec![1, 100_000]);
-        assert_eq!(
-            (&a ^ &b).iter().collect::<Vec<_>>(),
-            vec![1, 4, 100_000, 200_000]
-        );
-    }
-
-    #[test]
-    fn intersection_len_and_union_len() {
-        let a: RoaringBitmap = (0..8_000u32).collect();
-        let b: RoaringBitmap = (4_000..12_000u32).collect();
-        assert_eq!(a.intersection_len(&b), 4_000);
-        assert_eq!(a.union_len(&b), 12_000);
-        assert_eq!(a.intersection_len(&b), (&a & &b).len());
-        assert_eq!(a.union_len(&b), (&a | &b).len());
-    }
-
-    #[test]
-    fn jaccard_known_values() {
-        let a = bm(&[1, 2, 3]);
-        let b = bm(&[2, 3, 4]);
-        assert!((a.jaccard(&b) - 0.5).abs() < 1e-12);
-        assert!((a.jaccard_distance(&b) - 0.5).abs() < 1e-12);
-        assert_eq!(a.jaccard(&a), 1.0);
-        assert_eq!(RoaringBitmap::new().jaccard(&RoaringBitmap::new()), 1.0);
-        assert_eq!(a.jaccard(&RoaringBitmap::new()), 0.0);
-    }
-
-    #[test]
-    fn subset_and_disjoint() {
-        let a = bm(&[1, 2]);
-        let b = bm(&[1, 2, 3]);
-        let c = bm(&[7, 8]);
-        assert!(a.is_subset(&b));
-        assert!(!b.is_subset(&a));
-        assert!(a.is_disjoint(&c));
-        assert!(!a.is_disjoint(&b));
-        assert!(RoaringBitmap::new().is_subset(&a));
-    }
-
-    #[test]
     fn equality_is_set_equality() {
         let a = bm(&[3, 1, 2]);
         let b = bm(&[1, 2, 3]);
         assert_eq!(a, b);
         assert_ne!(a, bm(&[1, 2]));
         assert_ne!(a, bm(&[1, 2, 4]));
+        // A chunk that went dense and back is an array again.
+        let mut c: RoaringBitmap = (0..5_000u32).collect();
+        for v in 4_096..5_000 {
+            c.remove(v);
+        }
+        assert_eq!(c, (0..4_096u32).collect());
     }
 
     #[test]
@@ -693,138 +322,22 @@ mod tests {
         assert!(s.contains("100 values"), "{s}");
     }
 
-    #[test]
-    fn empty_op_identities() {
-        let a = bm(&[1, 2, 3]);
-        let e = RoaringBitmap::new();
-        assert_eq!(&a | &e, a);
-        assert_eq!(&a & &e, e);
-        assert_eq!(&a - &e, a);
-        assert_eq!(&e - &a, e);
-        assert_eq!(&a ^ &e, a);
-    }
-
-    #[test]
-    fn union_with_matches_bitor() {
-        let a = bm(&[1, 2, 3, 100_000]);
-        let b = bm(&[2, 3, 4, 200_000]);
-        let mut c = a.clone();
-        c.union_with(&b);
-        assert_eq!(c, &a | &b);
-        let mut d = a.clone();
-        d |= &RoaringBitmap::new();
-        assert_eq!(d, a);
-        let mut e = RoaringBitmap::new();
-        e |= &b;
-        assert_eq!(e, b);
-    }
-
-    #[test]
-    fn intersection_iter_matches_bitand() {
-        let a = bm(&[1, 2, 3, 100_000, 200_001]);
-        let b = bm(&[2, 3, 4, 100_000, 300_000]);
-        assert_eq!(
-            a.intersection_iter(&b).collect::<Vec<_>>(),
-            (&a & &b).iter().collect::<Vec<_>>()
-        );
-        assert_eq!(a.intersection_iter(&RoaringBitmap::new()).count(), 0);
-        let disjoint = bm(&[7, 400_000]);
-        assert_eq!(a.intersection_iter(&disjoint).count(), 0);
-    }
-
-    #[test]
-    fn rank_known_values() {
-        let b = bm(&[2, 5, 9, 100_000]);
-        assert_eq!(b.rank(1), 0);
-        assert_eq!(b.rank(2), 1);
-        assert_eq!(b.rank(5), 2);
-        assert_eq!(b.rank(99_999), 3);
-        assert_eq!(b.rank(u32::MAX), 4);
-        assert_eq!(RoaringBitmap::new().rank(5), 0);
-    }
-
-    #[test]
-    fn select_known_values() {
-        let b = bm(&[2, 5, 9, 100_000]);
-        assert_eq!(b.select(0), Some(2));
-        assert_eq!(b.select(3), Some(100_000));
-        assert_eq!(b.select(4), None);
-        assert_eq!(RoaringBitmap::new().select(0), None);
-    }
-
-    #[test]
-    fn rank_select_on_dense_chunks() {
-        let b: RoaringBitmap = (0..10_000u32).map(|i| i * 2).collect();
-        assert_eq!(b.rank(0), 1);
-        assert_eq!(b.rank(1), 1);
-        assert_eq!(b.rank(19_998), 10_000);
-        assert_eq!(b.select(5_000), Some(10_000));
-        assert_eq!(b.select(9_999), Some(19_998));
-        assert_eq!(b.select(10_000), None);
-    }
-
-    #[test]
-    fn serde_roundtrip_as_sequence() {
-        // Use a self-describing human-readable format stand-in: serialize to
-        // the serde test-friendly Vec<u32> via serde's value model is not
-        // available offline, so assert the Serialize path through a custom
-        // collector serializer is consistent with iter().
-        let b = bm(&[5, 1, 100_000]);
-        let as_vec: Vec<u32> = b.iter().collect();
-        assert_eq!(as_vec, vec![1, 5, 100_000]);
-    }
-
-    #[test]
-    fn triangle_inequality_of_jaccard_distance_spot_check() {
-        // Kosub (the paper's ref [17]) proves the Jaccard distance is a
-        // metric; verify on a few concrete triples.
-        let a = bm(&[1, 2, 3, 4]);
-        let b = bm(&[3, 4, 5, 6]);
-        let c = bm(&[5, 6, 7, 8]);
-        let ab = a.jaccard_distance(&b);
-        let bc = b.jaccard_distance(&c);
-        let ac = a.jaccard_distance(&c);
-        assert!(ac <= ab + bc + 1e-12);
-    }
-
     proptest! {
         #[test]
         fn prop_matches_btreeset_model(
             xs in proptest::collection::vec(0u32..200_000, 0..400),
-            ys in proptest::collection::vec(0u32..200_000, 0..400),
+            probes in proptest::collection::vec(0u32..200_000, 0..50),
         ) {
             let a: RoaringBitmap = xs.iter().copied().collect();
-            let b: RoaringBitmap = ys.iter().copied().collect();
             let sa: BTreeSet<u32> = xs.iter().copied().collect();
-            let sb: BTreeSet<u32> = ys.iter().copied().collect();
 
             prop_assert_eq!(a.len(), sa.len() as u64);
             prop_assert_eq!(a.iter().collect::<Vec<_>>(), sa.iter().copied().collect::<Vec<_>>());
-            prop_assert_eq!(
-                (&a & &b).iter().collect::<Vec<_>>(),
-                sa.intersection(&sb).copied().collect::<Vec<_>>()
-            );
-            prop_assert_eq!(
-                (&a | &b).iter().collect::<Vec<_>>(),
-                sa.union(&sb).copied().collect::<Vec<_>>()
-            );
-            prop_assert_eq!(
-                (&a - &b).iter().collect::<Vec<_>>(),
-                sa.difference(&sb).copied().collect::<Vec<_>>()
-            );
-            prop_assert_eq!(
-                (&a ^ &b).iter().collect::<Vec<_>>(),
-                sa.symmetric_difference(&sb).copied().collect::<Vec<_>>()
-            );
-            prop_assert_eq!(a.intersection_len(&b), (&a & &b).len());
-            prop_assert_eq!(a.union_len(&b), (&a | &b).len());
-            prop_assert_eq!(
-                a.intersection_iter(&b).collect::<Vec<_>>(),
-                sa.intersection(&sb).copied().collect::<Vec<_>>()
-            );
-            let mut inplace = a.clone();
-            inplace.union_with(&b);
-            prop_assert_eq!(inplace, &a | &b);
+            prop_assert_eq!(a.min(), sa.first().copied());
+            prop_assert_eq!(a.max(), sa.last().copied());
+            for p in probes {
+                prop_assert_eq!(a.contains(p), sa.contains(&p));
+            }
         }
 
         #[test]
@@ -840,35 +353,6 @@ mod tests {
                 b.remove(x);
             }
             prop_assert!(b.is_empty());
-        }
-
-        #[test]
-        fn prop_jaccard_distance_in_unit_interval(
-            xs in proptest::collection::vec(0u32..10_000, 0..200),
-            ys in proptest::collection::vec(0u32..10_000, 0..200),
-        ) {
-            let a: RoaringBitmap = xs.into_iter().collect();
-            let b: RoaringBitmap = ys.into_iter().collect();
-            let d = a.jaccard_distance(&b);
-            prop_assert!((0.0..=1.0).contains(&d));
-            prop_assert!((d - b.jaccard_distance(&a)).abs() < 1e-15);
-            prop_assert_eq!(a.jaccard_distance(&a), 0.0);
-        }
-
-        #[test]
-        fn prop_rank_select_are_inverse(
-            xs in proptest::collection::vec(0u32..500_000, 1..300),
-        ) {
-            let b: RoaringBitmap = xs.iter().copied().collect();
-            let sorted: Vec<u32> = b.iter().collect();
-            for (i, &v) in sorted.iter().enumerate() {
-                prop_assert_eq!(b.select(i as u64), Some(v));
-                prop_assert_eq!(b.rank(v), i as u64 + 1);
-                if v > 0 && !b.contains(v - 1) {
-                    prop_assert_eq!(b.rank(v - 1), i as u64);
-                }
-            }
-            prop_assert_eq!(b.select(b.len()), None);
         }
 
         #[test]

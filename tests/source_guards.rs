@@ -1,9 +1,10 @@
 //! The source guards of CI's lint job, as a tier-1 test.
 //!
-//! `.github/workflows/ci.yml` greps the tree for six things a change must
-//! not add: `unsafe` outside the two files allowed to hold it, a second
-//! log replay, term placement outside the shard node, a second posting
-//! store, a second benchmark report and a hand-rolled byte layout. A
+//! `.github/workflows/ci.yml` greps the tree for seven things a change
+//! must not add: `unsafe` outside the two files allowed to hold it, a
+//! second log replay, term placement outside the shard node, a second
+//! posting store, a second benchmark report, a hand-rolled byte layout
+//! and a bitmap as a trajectory's own fingerprint set. A
 //! change verified only by `cargo test` would not run those steps, so
 //! this file walks the same directories with `std::fs` and applies the
 //! same patterns and exemptions. Each guard is also run on a temporary
@@ -86,6 +87,11 @@ fn byte_layout(line: &str) -> bool {
     line.contains(concat!("to_le_", "bytes")) || line.contains(concat!("from_le_", "bytes"))
 }
 
+/// `geodabs_roaring|RoaringBitmap`
+fn bitmap(line: &str) -> bool {
+    line.contains(concat!("geodabs_", "roaring")) || line.contains(concat!("Roaring", "Bitmap"))
+}
+
 /// `^crates/[^/]*/<dir>/`
 fn in_crate_dir(path: &str, dir: &str) -> bool {
     path.strip_prefix("crates/")
@@ -163,6 +169,13 @@ const GUARDS: &[Guard] = &[
         flags: byte_layout,
         exempt: |_| false,
         before_tests: true,
+    },
+    Guard {
+        name: "Per-trajectory sets are not bitmaps",
+        dirs: &["crates/core/src"],
+        flags: bitmap,
+        exempt: |_| false,
+        before_tests: false,
     },
 ];
 
@@ -266,10 +279,10 @@ impl Drop for TempTree {
 }
 
 /// Per guard: a violation at a path it must catch, and the same text at
-/// a path it exempts (or past the `#[cfg(test)]` cut).
+/// a path it exempts or does not walk (or past the `#[cfg(test)]` cut).
 #[test]
 fn each_guard_catches_a_planted_violation() {
-    let planted: [(&str, &str, &str); 6] = [
+    let planted: [(&str, &str, &str); 7] = [
         (
             "src/lib.rs",
             concat!("fn f() { uns", "afe { g() } }"),
@@ -299,6 +312,11 @@ fn each_guard_catches_a_planted_violation() {
             "crates/wal/src/lib.rs",
             concat!("out.extend(seq.to_le_", "bytes());"),
             "crates/wal/src/lib.rs",
+        ),
+        (
+            "crates/core/src/fingerprint.rs",
+            concat!("set: Roaring", "Bitmap,"),
+            "crates/index/src/engine.rs",
         ),
     ];
     for (i, (guard, (caught, line, exempt))) in GUARDS.iter().zip(planted).enumerate() {
@@ -348,6 +366,8 @@ fn matchers_follow_the_ci_patterns() {
     assert!(bench_report(concat!("x = BEN", "CH_1;")));
     assert!(!bench_report(concat!("MY_BEN", "CH_1")));
     assert!(posting_store(concat!("Hash", "Map<u64,Roaring", "Bitmap>")));
+    assert!(bitmap(concat!("use geodabs_", "roaring::Set;")));
+    assert!(!bitmap("a roaring bitmap, as the paper keeps it"));
     assert!(!posting_store(concat!(
         "Hash",
         "Map<u16, Roaring",
