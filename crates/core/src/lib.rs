@@ -57,3 +57,53 @@ pub use error::GeodabError;
 pub use fingerprint::{Fingerprinter, Fingerprints};
 pub use geodab::{geodab, geodab_prefix};
 pub use motif::{discover_motif, MotifMatch};
+
+#[cfg(test)]
+mod tests {
+    use super::Fingerprints;
+
+    fn fps(xs: &[u32]) -> Fingerprints {
+        Fingerprints::from_ordered(xs.to_vec())
+    }
+
+    #[test]
+    fn jaccard_known_values() {
+        let a = fps(&[1, 2, 3]);
+        let b = fps(&[2, 3, 4]);
+        assert!((a.jaccard(&b) - 0.5).abs() < 1e-12);
+        assert!((a.jaccard_distance(&b) - 0.5).abs() < 1e-12);
+        assert_eq!(a.jaccard(&a), 1.0);
+        // Repeats in the ordered selection do not count twice.
+        assert_eq!(fps(&[3, 1, 3, 2, 1]).jaccard(&a), 1.0);
+        assert_eq!(fps(&[]).jaccard(&fps(&[])), 1.0);
+        assert_eq!(a.jaccard(&fps(&[])), 0.0);
+    }
+
+    #[test]
+    fn triangle_inequality_of_jaccard_distance_spot_check() {
+        // Kosub (the paper's ref [17]) proves the Jaccard distance is a
+        // metric; verify on a few concrete triples.
+        let a = fps(&[1, 2, 3, 4]);
+        let b = fps(&[3, 4, 5, 6]);
+        let c = fps(&[5, 6, 7, 8]);
+        let ab = a.jaccard_distance(&b);
+        let bc = b.jaccard_distance(&c);
+        let ac = a.jaccard_distance(&c);
+        assert!(ac <= ab + bc + 1e-12);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_jaccard_distance_in_unit_interval(
+            xs in proptest::collection::vec(0u32..10_000, 0..200),
+            ys in proptest::collection::vec(0u32..10_000, 0..200),
+        ) {
+            let a = Fingerprints::from_ordered(xs);
+            let b = Fingerprints::from_ordered(ys);
+            let d = a.jaccard_distance(&b);
+            proptest::prop_assert!((0.0..=1.0).contains(&d));
+            proptest::prop_assert!((d - b.jaccard_distance(&a)).abs() < 1e-15);
+            proptest::prop_assert_eq!(a.jaccard_distance(&a), 0.0);
+        }
+    }
+}
