@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use geodabs_bench::crit_config;
 use geodabs_core::winnow::{winnow, winnow_streaming};
 use geodabs_core::{geodab, Fingerprinter, Fingerprints};
-use geodabs_distance::{dfd, dtw, edr, lcss_similarity};
+use geodabs_distance::{dfd, dtw};
 use geodabs_gen::dataset::{Dataset, DatasetConfig};
 use geodabs_gen::sampler::{sample_route, SamplerConfig};
 use geodabs_geo::{morton, CellEncoder, Geohash, Point};
@@ -172,12 +172,6 @@ fn bench_distances(c: &mut Criterion) {
     });
     c.bench_function("dfd_200x200", |bench| {
         bench.iter(|| dfd(black_box(&a), black_box(&b)))
-    });
-    c.bench_function("lcss_200x200", |bench| {
-        bench.iter(|| lcss_similarity(black_box(&a), black_box(&b), 50.0))
-    });
-    c.bench_function("edr_200x200", |bench| {
-        bench.iter(|| edr(black_box(&a), black_box(&b), 50.0))
     });
 }
 

@@ -1,12 +1,12 @@
 //! The subcommand implementations.
 
-use geodabs_cluster::{ClusterIndex, ShardNode};
+use geodabs_cluster::ShardNode;
 use geodabs_core::GeodabConfig;
 use geodabs_gen::dataset::{Dataset, DatasetConfig};
 use geodabs_gen::world::{WorldActivity, WorldConfig};
 use geodabs_index::store::{self, Persist, SnapshotReader};
 use geodabs_index::tuning::{hill_climb, TuningSample};
-use geodabs_index::{codec, GeodabIndex, GeohashIndex, SearchOptions, TrajectoryIndex};
+use geodabs_index::{codec, GeodabIndex, SearchOptions, TrajectoryIndex};
 use geodabs_roadnet::generators::{grid_network, GridConfig};
 use geodabs_roadnet::RoadNetwork;
 use geodabs_serve::{recover, AnyIndex, Recovered, ServeBackend, ServerHandle};
@@ -347,42 +347,19 @@ fn snapshot_save(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dy
     args.reject_unknown_flags(&["backend", "out", "scenario", "seed", "nodes", "shards"])?;
     let path = args.string_required("out")?;
     let backend = args.string_or("backend", "geodab");
-    // Validate the backend *before* the (possibly minutes-long) corpus
+    // Build the empty backend *before* the (possibly minutes-long) corpus
     // generation, so a typo fails in milliseconds.
-    if !["geodab", "geohash", "cluster"].contains(&backend.as_str()) {
-        return Err(format!("unknown backend {backend:?} (geodab|geohash|cluster)").into());
-    }
+    let mut index = AnyIndex::empty(
+        &backend,
+        args.u64_or("shards", 10_000)?,
+        args.usize_or("nodes", 8)?,
+    )?;
     let (scenario, dataset) = scenario_dataset(args)?;
-    let items: Vec<_> = dataset
-        .records()
-        .iter()
-        .map(|r| (r.id, &r.trajectory))
-        .collect();
-    let config = GeodabConfig::default();
 
     let started = Instant::now();
-    let (len, terms, written) = match backend.as_str() {
-        "geodab" => {
-            let mut index = GeodabIndex::new(config);
-            index.insert_batch(items);
-            (index.len(), index.term_count(), index.save_to(&path)?)
-        }
-        "geohash" => {
-            let mut index = GeohashIndex::new(config.normalization_depth());
-            index.insert_batch(items);
-            (index.len(), index.term_count(), index.save_to(&path)?)
-        }
-        "cluster" => {
-            let shards = args.u64_or("shards", 10_000)?;
-            let nodes = args.usize_or("nodes", 8)?;
-            let mut index = ClusterIndex::new(config, shards, nodes)?;
-            index.insert_batch(items);
-            (index.len(), index.active_shards(), index.save_to(&path)?)
-        }
-        other => {
-            return Err(format!("unknown backend {other:?} (geodab|geohash|cluster)").into());
-        }
-    };
+    index.insert_batch(dataset.records().iter().map(|r| (r.id, &r.trajectory)));
+    let (len, terms) = (index.len(), index.term_count());
+    let written = index.save_to(&path)?;
     let seconds = started.elapsed().as_secs_f64();
     writeln!(
         out,

@@ -8,8 +8,8 @@
 //!
 //! FNV-1a is one multiply per byte, each waiting on the last, so one
 //! sequence at a time leaves the multiplier idle most cycles. The
-//! fingerprinter hashes [`LANES`] consecutive `k`-grams side by side
-//! instead ([`hash_k_grams`]): independent chains that fill the
+//! fingerprinter hashes `LANES` consecutive `k`-grams side by side
+//! instead (`hash_k_grams`): independent chains that fill the
 //! multiplier's pipeline. [`hash_points`] is the same kernel with one lane.
 
 use geodabs_geo::Point;

@@ -38,11 +38,7 @@
 mod btm;
 mod dfd;
 mod dtw;
-mod hausdorff;
-mod lcss;
 
 pub use btm::{btm, btm_naive, BtmMatch};
 pub use dfd::dfd;
 pub use dtw::dtw;
-pub use hausdorff::{hausdorff, hausdorff_directed};
-pub use lcss::{edr, lcss_distance, lcss_similarity};

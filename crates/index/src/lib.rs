@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-mod boolean;
 pub mod codec;
 pub mod engine;
 pub mod eval;
@@ -56,7 +55,6 @@ mod result;
 pub mod store;
 pub mod tuning;
 
-pub use boolean::{MatchLevel, PositionalIndex};
 pub use engine::{telemetry as engine_telemetry, EngineTelemetry};
 pub use geodab_index::GeodabIndex;
 pub use geohash_index::GeohashIndex;

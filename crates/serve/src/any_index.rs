@@ -138,10 +138,6 @@ impl ServeBackend for AnyIndex {
         each!(self, index => ServeBackend::search_fingerprints(index, ordered, options))
     }
 
-    fn to_snapshot_bytes(&self) -> Option<Vec<u8>> {
-        Some(self.to_snapshot())
-    }
-
     fn into_shards(self, shards: usize) -> Result<ShardedIndex, String> {
         each!(self, index => ServeBackend::into_shards(index, shards))
     }

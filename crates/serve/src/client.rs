@@ -233,32 +233,6 @@ impl Client {
         }
     }
 
-    /// A frontend's scatter sub-query carrying a trace id, so the shard
-    /// server files its slow-log entry under the frontend's trace. Falls
-    /// back to the untraced frame against servers that predate the trace
-    /// extension (their strict decoders reject the trailing bytes).
-    ///
-    /// # Errors
-    ///
-    /// Wire errors, or [`WireError::Remote`] if even the untraced
-    /// request failed.
-    pub fn shard_query_traced(
-        &mut self,
-        ordered: &[u32],
-        options: &SearchOptions,
-        trace: u64,
-    ) -> Result<Vec<SearchResult>, WireError> {
-        match self.request(&Request::ShardQuery {
-            terms: ordered.to_vec(),
-            options: *options,
-            trace,
-        })? {
-            Response::ShardTopK(hits) => Ok(hits),
-            Response::Error(_) => self.shard_query(ordered, options),
-            other => Err(unexpected(other)),
-        }
-    }
-
     /// The server's telemetry snapshot: counters, gauges, histogram
     /// buckets, the slow-query log and the rendered Prometheus text.
     /// Servers that predate the metrics frame answer with an error,
@@ -567,42 +541,6 @@ mod tests {
             Err(WireError::Remote(message)) => assert!(message.contains("unknown request tag")),
             other => panic!("expected a remote error, got {other:?}"),
         }
-        server.join().unwrap();
-    }
-
-    /// New-client/old-server direction for the traced shard query: an old
-    /// server rejects the trailing trace bytes, and the client retries
-    /// with the untraced legacy frame.
-    #[test]
-    fn traced_shard_query_falls_back_against_an_old_server() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let legacy = Request::ShardQuery {
-            terms: vec![1, 2, 3],
-            options: SearchOptions::default(),
-            trace: 0,
-        }
-        .encode();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = FrameReader::new(stream.try_clone().unwrap());
-            for _ in 0..2 {
-                let payload = reader.read_frame().unwrap().unwrap();
-                // Frozen old behavior: the bare shard-query shape decodes,
-                // the traced one failed the trailing-bytes check.
-                let reply: Vec<u8> = if payload == legacy {
-                    Response::ShardTopK(Vec::new()).encode()
-                } else {
-                    Response::Error("bad request: corrupt wire data".into()).encode()
-                };
-                write_frame(&mut &stream, &reply).unwrap();
-            }
-        });
-        let mut client = Client::connect(addr).unwrap();
-        let hits = client
-            .shard_query_traced(&[1, 2, 3], &SearchOptions::default(), 0xDEAD_BEEF)
-            .unwrap();
-        assert!(hits.is_empty());
         server.join().unwrap();
     }
 }

@@ -47,11 +47,12 @@
 //!
 //! Results are exact or refused — never silently partial. When a shard
 //! cannot be reached (connect, send, or receive failure) the frontend
-//! reconnects and retries per [`FrontendConfig::retries`]; if the node
-//! still cannot answer, the whole request is answered with the typed
-//! [`Response::Unavailable`] naming the dead node. The failed
-//! connection is dropped from the pool, so the next request redials —
-//! a shard coming back is picked up without restarting the frontend.
+//! reconnects and retries once (a shard silent for five seconds counts
+//! as unreachable); if the node still cannot answer, the whole request
+//! is answered with the typed [`Response::Unavailable`] naming the dead
+//! node. The failed connection is dropped from the pool, so the next
+//! request redials — a shard coming back is picked up without
+//! restarting the frontend.
 //! A mutation refused this way may have been applied by a subset of
 //! the nodes; re-issuing it (the op is idempotent) converges the
 //! cluster once the node is back.
@@ -73,33 +74,32 @@ use crate::metrics::ServeMetrics;
 use crate::proto::{QueryBody, Request, Response, WireError};
 use crate::server::{Bound, Host, Refusal, RunningServer, ServerConfigError, ServerHandle, Span};
 
+/// Reconnect-and-retry attempts per shard per request before the
+/// request is refused as [`Response::Unavailable`].
+const SHARD_RETRIES: u32 = 1;
+
+/// Read timeout on shard connections: a shard silent for this long
+/// counts as unreachable.
+const SHARD_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Frontend tuning knobs; build with [`FrontendConfig::builder`].
 ///
 /// ```
 /// use geodabs_serve::FrontendConfig;
-/// use std::time::Duration;
 ///
 /// # fn main() -> Result<(), geodabs_serve::ServerConfigError> {
-/// let config = FrontendConfig::builder()
-///     .mux_workers(2)
-///     .retries(3)
-///     .shard_timeout(Some(Duration::from_secs(10)))
-///     .build()?;
+/// let config = FrontendConfig::builder().mux_workers(2).build()?;
 /// assert_eq!(config.mux_workers(), 2);
-/// assert_eq!(config.retries(), 3);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontendConfig {
     mux_workers: usize,
-    retries: u32,
-    shard_timeout: Option<Duration>,
 }
 
 impl FrontendConfig {
-    /// A builder starting from the defaults (one mux worker per core,
-    /// one retry, a five-second shard timeout).
+    /// A builder starting from the defaults (one mux worker per core).
     pub fn builder() -> FrontendConfigBuilder {
         FrontendConfigBuilder::default()
     }
@@ -111,26 +111,12 @@ impl FrontendConfig {
     pub fn mux_workers(&self) -> usize {
         self.mux_workers
     }
-
-    /// Reconnect-and-retry attempts per shard per request before the
-    /// request is refused as [`Response::Unavailable`].
-    pub fn retries(&self) -> u32 {
-        self.retries
-    }
-
-    /// Read timeout on shard connections: a shard silent for this long
-    /// counts as unreachable. `None` waits forever.
-    pub fn shard_timeout(&self) -> Option<Duration> {
-        self.shard_timeout
-    }
 }
 
 impl Default for FrontendConfig {
     fn default() -> FrontendConfig {
         FrontendConfig {
             mux_workers: default_threads(),
-            retries: 1,
-            shard_timeout: Some(Duration::from_secs(5)),
         }
     }
 }
@@ -140,17 +126,12 @@ impl Default for FrontendConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontendConfigBuilder {
     mux_workers: usize,
-    retries: u32,
-    shard_timeout: Option<Duration>,
 }
 
 impl Default for FrontendConfigBuilder {
     fn default() -> FrontendConfigBuilder {
-        let defaults = FrontendConfig::default();
         FrontendConfigBuilder {
-            mux_workers: defaults.mux_workers,
-            retries: defaults.retries,
-            shard_timeout: defaults.shard_timeout,
+            mux_workers: FrontendConfig::default().mux_workers,
         }
     }
 }
@@ -160,20 +141,6 @@ impl FrontendConfigBuilder {
     /// [`FrontendConfig::mux_workers`]).
     pub fn mux_workers(mut self, mux_workers: usize) -> FrontendConfigBuilder {
         self.mux_workers = mux_workers;
-        self
-    }
-
-    /// Sets the per-shard retry budget (see
-    /// [`FrontendConfig::retries`]).
-    pub fn retries(mut self, retries: u32) -> FrontendConfigBuilder {
-        self.retries = retries;
-        self
-    }
-
-    /// Sets the shard read timeout (see
-    /// [`FrontendConfig::shard_timeout`]).
-    pub fn shard_timeout(mut self, shard_timeout: Option<Duration>) -> FrontendConfigBuilder {
-        self.shard_timeout = shard_timeout;
         self
     }
 
@@ -189,8 +156,6 @@ impl FrontendConfigBuilder {
         }
         Ok(FrontendConfig {
             mux_workers: self.mux_workers,
-            retries: self.retries,
-            shard_timeout: self.shard_timeout,
         })
     }
 }
@@ -206,8 +171,6 @@ struct RemoteShards {
     /// server. Queries hold the read lock across their scatter,
     /// mutations the write lock across their broadcast.
     indexed: RwLock<BTreeSet<TrajId>>,
-    retries: u32,
-    shard_timeout: Option<Duration>,
 }
 
 /// A frontend bound to its socket but not yet serving; call
@@ -246,8 +209,6 @@ impl Frontend {
             router,
             shard_addrs,
             indexed: RwLock::new(BTreeSet::new()),
-            retries: config.retries(),
-            shard_timeout: config.shard_timeout(),
         };
         Bound::bind(addr, config.mux_workers(), shards).map(Frontend)
     }
@@ -303,7 +264,7 @@ impl ShardPool<'_> {
             let client =
                 Client::connect(self.remote.shard_addrs[node].as_str()).map_err(WireError::Io)?;
             client
-                .set_read_timeout(self.remote.shard_timeout)
+                .set_read_timeout(Some(SHARD_TIMEOUT))
                 .map_err(WireError::Io)?;
             self.clients[node] = Some(client);
         }
@@ -311,12 +272,12 @@ impl ShardPool<'_> {
     }
 
     /// One request/response against `node`, reconnecting and retrying
-    /// on connection-level failure per the configured retry budget. A
+    /// on connection-level failure up to [`SHARD_RETRIES`] times. A
     /// *remote* error (the shard answered, but refused) is returned
     /// as-is — retrying cannot change a typed refusal.
     fn exchange(&mut self, node: usize, request: &Request) -> Result<Response, WireError> {
         let mut last: Option<WireError> = None;
-        for _ in 0..=self.remote.retries {
+        for _ in 0..=SHARD_RETRIES {
             match self.try_exchange(node, request) {
                 Ok(response) => return Ok(response),
                 Err(e) => {
@@ -597,18 +558,12 @@ mod tests {
     fn config_builder_validates_and_defaults() {
         let config = FrontendConfig::default();
         assert_eq!(config.mux_workers(), default_threads());
-        assert_eq!(config.retries(), 1);
-        assert_eq!(config.shard_timeout(), Some(Duration::from_secs(5)));
 
         let built = FrontendConfig::builder()
             .mux_workers(3)
-            .retries(2)
-            .shard_timeout(None)
             .build()
             .expect("valid config");
         assert_eq!(built.mux_workers(), 3);
-        assert_eq!(built.retries(), 2);
-        assert_eq!(built.shard_timeout(), None);
 
         assert_eq!(
             FrontendConfig::builder().mux_workers(0).build(),
@@ -627,6 +582,69 @@ mod tests {
             vec!["127.0.0.1:1".to_string()],
             FrontendConfig::default(),
         );
+    }
+
+    /// A mixed-version fleet: the only shard runs a pre-trace build,
+    /// whose strict decoder refuses a traced `ShardQuery` as a bad
+    /// request and answers the legacy shape. The frontend must resend
+    /// the legacy shape within the same query and then keep sending
+    /// only that shape to the node.
+    #[test]
+    fn scatter_falls_back_to_legacy_frames_for_a_pre_trace_shard() {
+        use crate::client::Client;
+        use crate::proto::{write_frame, FrameReader};
+
+        let hits = vec![SearchResult {
+            id: TrajId::new(7),
+            distance: 0.25,
+        }];
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let shard_addr = listener.local_addr().unwrap().to_string();
+        let answer = hits.clone();
+        // Records, frame by frame, whether the frontend sent the traced
+        // shape, until the frontend hangs up.
+        let shard = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            let mut reader = FrameReader::new(stream.try_clone().unwrap());
+            let mut traced = Vec::new();
+            while let Some(payload) = reader.read_frame().unwrap() {
+                let Request::ShardQuery { trace, .. } = Request::decode(&payload).unwrap() else {
+                    panic!("the frontend sent a shard server something other than a ShardQuery");
+                };
+                traced.push(trace != 0);
+                let reply = match trace {
+                    0 => Response::ShardTopK(answer.clone()),
+                    _ => Response::Error("bad request: corrupt wire data".into()),
+                };
+                write_frame(&mut &stream, &reply.encode()).unwrap();
+            }
+            traced
+        });
+
+        let frontend = Frontend::bind(
+            "127.0.0.1:0",
+            Fingerprinter::new(GeodabConfig::default()),
+            ShardRouter::new(16, 100, 1).unwrap(),
+            vec![shard_addr],
+            FrontendConfig::builder().mux_workers(1).build().unwrap(),
+        )
+        .expect("bind loopback")
+        .spawn();
+        let mut client = Client::connect(frontend.addr()).unwrap();
+        for _ in 0..3 {
+            let answered = client
+                .query_fingerprints(&[1, 2, 3], &SearchOptions::default())
+                .expect("the legacy resend answers");
+            assert_eq!(answered, hits);
+        }
+        drop(client);
+        frontend.shutdown().expect("clean shutdown");
+
+        // One traced attempt, its legacy resend, then legacy frames only.
+        assert_eq!(shard.join().unwrap(), [true, false, false, false]);
     }
 
     #[test]

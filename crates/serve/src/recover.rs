@@ -9,7 +9,7 @@
 //! replayed mutation lands exactly as the live one did.
 
 use geodabs_core::Fingerprints;
-use geodabs_index::store::{self, Persist};
+use geodabs_index::store;
 use geodabs_wal::{Wal, WalOp};
 use std::path::Path;
 
@@ -62,7 +62,7 @@ pub fn recover<B, E>(
     base: impl FnOnce() -> Result<(B, u64), E>,
 ) -> Result<Recovered<B>, E>
 where
-    B: ServeBackend + Persist,
+    B: ServeBackend,
     E: From<String>,
 {
     let snapshot = dir.join(WAL_SNAPSHOT_FILE);

@@ -81,10 +81,11 @@ const MAX_RESPONSE_HITS: usize = MAX_FRAME_LEN as usize / 12;
 /// watermark; the compaction thread atomically replaces it.
 pub const WAL_SNAPSHOT_FILE: &str = "snapshot.gdab";
 
-/// What the server needs from an index beyond [`TrajectoryIndex`]:
+/// What the server needs from an index beyond [`TrajectoryIndex`] and
+/// [`Persist`] (whose snapshot the durability compaction path writes):
 /// every backend the workspace ships (and any future one) answers the
-/// full request vocabulary through the two traits together.
-pub trait ServeBackend: TrajectoryIndex + Send + Sync + 'static {
+/// full request vocabulary through the three traits together.
+pub trait ServeBackend: TrajectoryIndex + Persist + Send + Sync + 'static {
     /// The backend's stable name, reported by `Stats`.
     fn backend_name(&self) -> &'static str;
 
@@ -103,14 +104,6 @@ pub trait ServeBackend: TrajectoryIndex + Send + Sync + 'static {
         ordered: &[u32],
         options: &SearchOptions,
     ) -> Result<Vec<SearchResult>, &'static str>;
-
-    /// Serializes the backend into a `GDAB` snapshot, for the
-    /// durability compaction path. The default `None` disables
-    /// compaction for backends without snapshot support; the
-    /// write-ahead log itself still works for them.
-    fn to_snapshot_bytes(&self) -> Option<Vec<u8>> {
-        None
-    }
 
     /// Consumes the backend and re-partitions its corpus into an
     /// in-process [`ShardedIndex`] — a [`ClusterIndex`] of `shards`
@@ -172,10 +165,6 @@ impl ServeBackend for GeodabIndex {
         Ok(GeodabIndex::search_fingerprints(self, &fp, options))
     }
 
-    fn to_snapshot_bytes(&self) -> Option<Vec<u8>> {
-        Some(Persist::to_snapshot(self))
-    }
-
     fn into_shards(self, shards: usize) -> Result<ShardedIndex, String> {
         let cluster = cluster_scaffold(*self.config(), shards, self.iter_fingerprints())?;
         Ok(ShardedIndex::from_cluster(cluster))
@@ -198,10 +187,6 @@ impl ServeBackend for GeohashIndex {
     ) -> Result<Vec<SearchResult>, &'static str> {
         Err("the geohash backend cannot score geodab fingerprint queries")
     }
-
-    fn to_snapshot_bytes(&self) -> Option<Vec<u8>> {
-        Some(Persist::to_snapshot(self))
-    }
 }
 
 impl ServeBackend for ClusterIndex {
@@ -220,10 +205,6 @@ impl ServeBackend for ClusterIndex {
     ) -> Result<Vec<SearchResult>, &'static str> {
         let fp = Fingerprints::from_ordered(ordered.to_vec());
         Ok(ClusterIndex::search_fingerprints(self, &fp, options))
-    }
-
-    fn to_snapshot_bytes(&self) -> Option<Vec<u8>> {
-        Some(Persist::to_snapshot(self))
     }
 
     fn into_shards(mut self, shards: usize) -> Result<ShardedIndex, String> {
@@ -249,10 +230,6 @@ impl ServeBackend for ShardNode {
     ) -> Result<Vec<SearchResult>, &'static str> {
         let fp = Fingerprints::from_ordered(ordered.to_vec());
         Ok(ShardNode::search_fingerprints(self, &fp, options))
-    }
-
-    fn to_snapshot_bytes(&self) -> Option<Vec<u8>> {
-        Some(Persist::to_snapshot(self))
     }
 
     fn as_shard(&self) -> Option<&ShardNode> {
@@ -585,7 +562,7 @@ impl<B: ServeBackend> Host for RwLock<B> {
         // The shared lock: writers (and their log appends) wait for the
         // serialization, readers do not.
         let index = self.read().map_err(|_| POISONED.to_string())?;
-        Ok(index.to_snapshot_bytes().map(seal))
+        Ok(Some(seal(index.to_snapshot())))
     }
 }
 
@@ -931,7 +908,7 @@ impl<H: Host> Bound<H> {
     /// Readers are never blocked; writers only wait while
     /// [`Host::snapshot`] serializes in memory. Returns whether a
     /// snapshot landed (`false` when there was nothing new to fold or
-    /// the host has no snapshot support).
+    /// the host holds no index of its own, as a frontend).
     fn compact(&self) -> Result<bool, String> {
         let Some(d) = &self.core.durability else {
             return Ok(false);

@@ -9,6 +9,7 @@ mod common;
 use common::{build_index, corpus, eastward, queries, wal_dir};
 use geodabs_cluster::ClusterIndex;
 use geodabs_core::GeodabConfig;
+use geodabs_index::store::{Persist, SnapshotError};
 use geodabs_index::{GeodabIndex, SearchOptions, SearchResult, TrajectoryIndex};
 use geodabs_serve::{
     recover, Client, LoadClient, QueryBody, Request, Response, Server, ServerConfig,
@@ -238,6 +239,15 @@ impl TrajectoryIndex for PanicOnInsert {
     }
     fn ids(&self) -> impl Iterator<Item = TrajId> + '_ {
         self.0.ids()
+    }
+}
+
+impl Persist for PanicOnInsert {
+    fn to_snapshot(&self) -> Vec<u8> {
+        self.0.to_snapshot()
+    }
+    fn from_snapshot(data: &[u8]) -> Result<Self, SnapshotError> {
+        GeodabIndex::from_snapshot(data).map(PanicOnInsert)
     }
 }
 

@@ -34,11 +34,9 @@
 #![warn(missing_docs)]
 
 mod normalize;
-mod simplify;
 mod trajectory;
 
 pub use normalize::{
     moving_average, GeohashNormalizer, IdentityNormalizer, MapMatchNormalizer, Normalizer,
 };
-pub use simplify::{resample, simplify_rdp};
 pub use trajectory::{KGrams, TrajId, Trajectory};

@@ -202,13 +202,13 @@ impl GeohashNormalizer {
 }
 
 impl Normalizer for GeohashNormalizer {
-    /// Two passes. The first smooths every sample ([`smoothed`]), a loop
+    /// Two passes. The first smooths every sample (`smoothed`), a loop
     /// of independent window sums. The second follows the held cell: a
     /// sample inside it costs four comparisons ([`CellEncoder::in_cell`]),
     /// one outside it is tested against the hysteresis margin, and only
     /// an accepted transition quantizes the sample and decodes its box,
     /// from the encoder's per-call spans, with the margin from a per-call
-    /// memo ([`Margins`]).
+    /// memo (`Margins`).
     fn normalize(&self, trajectory: &Trajectory) -> Trajectory {
         let pts = trajectory.points();
         let smooth;

@@ -1,13 +1,12 @@
-//! Snapshots and boolean retrieval: build all three index backends,
-//! save each to disk in the sectioned `GDAB` v2 snapshot format, reload
-//! them cold, and verify the restored indexes answer exactly like the
-//! originals — plus a sub-trajectory query against the positional index.
+//! Snapshots: build all three index backends, save each to disk in the
+//! sectioned `GDAB` v2 snapshot format, reload them cold, and verify the
+//! restored indexes answer exactly like the originals.
 //!
 //! Run with `cargo run --release --example persistence`.
 
 use geodabs::cluster::ClusterIndex;
 use geodabs::gen::dataset::{Dataset, DatasetConfig};
-use geodabs::index::{GeohashIndex, PositionalIndex};
+use geodabs::index::GeohashIndex;
 use geodabs::prelude::*;
 use geodabs::roadnet::generators::{grid_network, GridConfig};
 
@@ -95,25 +94,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .search(&query.trajectory, &options)
     {
         println!("  {} at distance {:.3}", h.id, h.distance);
-    }
-
-    // Positional retrieval: find trajectories containing a route segment.
-    let mut positional = PositionalIndex::new(GeodabConfig::default());
-    for r in dataset.records() {
-        positional.insert(r.id, &r.trajectory);
-    }
-    let record = &dataset.records()[0];
-    let third = record.trajectory.len() / 3;
-    let segment = record.trajectory.motif(third, third);
-    let (level, ids) = positional.search_subtrajectory(&segment);
-    println!(
-        "\nsub-trajectory search over a {}-point segment: {:?} match on {} trajectorie(s)",
-        segment.len(),
-        level,
-        ids.len()
-    );
-    for id in ids.iter().take(5) {
-        println!("  {id}");
     }
     Ok(())
 }

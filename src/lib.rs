@@ -39,8 +39,8 @@
 //! |---|---|---|
 //! | [`core`] | `geodabs-core` | geodab fingerprints, winnowing, motifs |
 //! | [`geo`] | `geodabs-geo` | points, haversine, geohash, Morton curve |
-//! | [`traj`] | `geodabs-traj` | trajectories, normalization, simplification |
-//! | [`distance`] | `geodabs-distance` | DTW / Fréchet / Hausdorff / LCSS baselines |
+//! | [`traj`] | `geodabs-traj` | trajectories, normalization |
+//! | [`distance`] | `geodabs-distance` | DTW / Fréchet / BTM baselines |
 //! | [`index`] | `geodabs-index` | inverted indexes, top-k query engine, evaluation, persistence |
 //! | [`cluster`] | `geodabs-cluster` | sharded distributed index simulation |
 //! | [`roadnet`] | `geodabs-roadnet` | road networks, routing, map matching |

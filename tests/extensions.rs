@@ -1,12 +1,11 @@
-//! Integration coverage for the features that extend the paper: cluster
-//! elasticity, region queries, trajectory simplification and the extra
-//! distance measures — all exercised on generated workloads.
+//! Integration coverage for the features that extend the paper, and for
+//! the DFD baseline: cluster elasticity, region queries and DFD ranking —
+//! all exercised on generated workloads.
 
-use geodabs::distance::{dfd, hausdorff, lcss_similarity};
+use geodabs::distance::dfd;
 use geodabs::gen::dataset::{Dataset, DatasetConfig};
 use geodabs::prelude::*;
 use geodabs::roadnet::generators::{grid_network, GridConfig};
-use geodabs::traj::{moving_average, resample, simplify_rdp, GeohashNormalizer, Normalizer};
 
 fn dataset() -> Dataset {
     let net = grid_network(&GridConfig::default(), 42);
@@ -72,38 +71,6 @@ fn region_queries_find_trajectories_through_an_area() {
 }
 
 #[test]
-fn simplify_resample_preserves_normalized_cells() {
-    // Compression pipeline: smooth away the GPS noise, simplify with a
-    // sub-cell tolerance, store the few remaining vertices, and
-    // re-densify before fingerprinting. The normalized cell sequence must
-    // survive the roundtrip.
-    let ds = dataset();
-    let rec = &ds.records()[0];
-    let smoothed = moving_average(&rec.trajectory, 9);
-    let simplified = simplify_rdp(&smoothed, 25.0);
-    assert!(
-        simplified.len() * 3 < smoothed.len(),
-        "rdp kept {} of {} points",
-        simplified.len(),
-        smoothed.len()
-    );
-    let restored = resample(&simplified, 15.0);
-    let norm = GeohashNormalizer::new(36).expect("valid depth");
-    let cells_of = |t: &Trajectory| {
-        let n = norm.normalize(t);
-        n.points().to_vec()
-    };
-    let a = cells_of(&smoothed);
-    let b = cells_of(&restored);
-    let shared = a.iter().filter(|p| b.contains(p)).count();
-    assert!(
-        shared * 10 >= a.len() * 7,
-        "only {shared}/{} normalized points survive the roundtrip",
-        a.len()
-    );
-}
-
-#[test]
 fn distance_measures_agree_on_the_obvious_cases() {
     let ds = dataset();
     let q = &ds.queries()[0];
@@ -117,16 +84,8 @@ fn distance_measures_agree_on_the_obvious_cases() {
         .iter()
         .find(|r| r.route != q.route)
         .expect("other route exists");
-    // Every measure must rate the sibling closer than the other route.
+    // DFD must rate the sibling closer than the other route.
     let d_sib_dfd = dfd(&q.trajectory, &sibling.trajectory);
     let d_oth_dfd = dfd(&q.trajectory, &other.trajectory);
     assert!(d_sib_dfd < d_oth_dfd);
-    let d_sib_h = hausdorff(&q.trajectory, &sibling.trajectory);
-    let d_oth_h = hausdorff(&q.trajectory, &other.trajectory);
-    assert!(d_sib_h < d_oth_h);
-    let s_sib = lcss_similarity(&q.trajectory, &sibling.trajectory, 60.0);
-    let s_oth = lcss_similarity(&q.trajectory, &other.trajectory, 60.0);
-    assert!(s_sib > s_oth);
-    // And Hausdorff (set-based) lower-bounds DFD (order-aware).
-    assert!(d_sib_h <= d_sib_dfd + 1e-9);
 }
