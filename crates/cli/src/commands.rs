@@ -59,12 +59,12 @@ USAGE:
   geodabs tune   [--routes N] [--seed S] [--steps T]
   geodabs world  [--trajectories N] [--cities C] [--seed S]
   geodabs export --out FILE.csv [--routes N] [--per-direction M] [--seed S]
-  geodabs snapshot save    --out FILE [--backend geodab|geohash|cluster]
+  geodabs snapshot save    --out FILE [--backend geodab|cluster]
                            [--scenario NAME] [--seed S] [--nodes N] [--shards P]
   geodabs snapshot load    --in FILE [--verify rebuild] [--scenario NAME] [--seed S]
   geodabs snapshot inspect --in FILE [--json]
   geodabs serve    --addr HOST:PORT (--snapshot FILE | --scenario NAME | --wal-dir DIR)
-                   [--backend geodab|geohash|cluster] [--seed S] [--threads T]
+                   [--backend geodab|cluster] [--seed S] [--threads T]
                    [--serve-shards C] [--verify rebuild] [--duration SECS]
                    [--nodes N] [--shards P] [--shard-id I] [--wal-dir DIR]
                    [--sync-policy always|never|interval[:MS]]
@@ -77,7 +77,7 @@ USAGE:
   geodabs metrics  --addr HOST:PORT [--top N] [--text] [--out FILE]
   geodabs wal inspect --dir DIR
   geodabs wal replay  --dir DIR [--out FILE]
-                      [--backend geodab|geohash|cluster] [--nodes N] [--shards P]
+                      [--backend geodab|cluster] [--nodes N] [--shards P]
                       [--shard-id I]
   geodabs help
 
@@ -887,15 +887,10 @@ fn loadtest(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Err
     let mut load = LoadClient::new(addr.clone(), queries, options);
     if verify == "local" {
         // Rebuild the scenario corpus in-process and pin every response
-        // bit-identically. The cluster ranks exactly like the monolithic
-        // geodab index (its equivalence proptests pin that), so one twin
-        // covers both; the geohash baseline needs its own vocabulary.
-        let twin_backend = if stats.backend == "geohash" {
-            "geohash"
-        } else {
-            "geodab"
-        };
-        let mut twin = AnyIndex::empty(twin_backend, 0, 0)?;
+        // bit-identically. Every served backend ranks exactly like the
+        // monolithic geodab index (the equivalence proptests pin that),
+        // so one geodab twin covers them all.
+        let mut twin = GeodabIndex::new(GeodabConfig::default());
         let items: Vec<_> = dataset
             .records()
             .iter()
@@ -1409,7 +1404,7 @@ mod tests {
 
     #[test]
     fn snapshot_save_load_inspect_roundtrip_all_backends() {
-        for backend in ["geodab", "geohash", "cluster"] {
+        for backend in ["geodab", "cluster"] {
             let path = tmp(&format!("snap-{backend}.gdab"));
             let out = run_to_string(&[
                 "snapshot",
@@ -1500,9 +1495,12 @@ mod tests {
     fn snapshot_flags_fail_loudly() {
         let err = run_to_string(&["snapshot", "save", "--scenario", "micro"]).unwrap_err();
         assert!(err.contains("--out"), "{err}");
-        let err = run_to_string(&["snapshot", "save", "--out", "x.gdab", "--backend", "warp"])
-            .unwrap_err();
-        assert!(err.contains("unknown backend"), "{err}");
+        for backend in ["warp", "geohash"] {
+            let err = run_to_string(&["snapshot", "save", "--out", "x.gdab", "--backend", backend])
+                .unwrap_err();
+            let refusal = format!("unknown backend {backend:?} (geodab|cluster)");
+            assert!(err.contains(&refusal), "{err}");
+        }
         let err = run_to_string(&["snapshot", "frobnicate"]).unwrap_err();
         assert!(err.contains("unknown action"), "{err}");
         // An unknown scenario lists the catalog.
@@ -1805,7 +1803,7 @@ mod tests {
             "--dir",
             "logs",
             "--backend",
-            "geohash",
+            "geodab",
             "--shard-id",
             "0",
         ])
@@ -2061,7 +2059,7 @@ mod tests {
             "--shard-id",
             "0",
             "--backend",
-            "geohash",
+            "geodab",
         ])
         .unwrap_err();
         assert!(err.contains("conflicts with --shard-id"), "{err}");

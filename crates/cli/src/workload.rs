@@ -10,7 +10,7 @@
 use geodabs_cluster::{ClusterIndex, ShardNode};
 use geodabs_gen::dataset::{Dataset, DatasetConfig};
 use geodabs_gen::sampler::SamplerConfig;
-use geodabs_index::{GeodabIndex, GeohashIndex, SearchOptions, TrajectoryIndex};
+use geodabs_index::{GeodabIndex, SearchOptions, TrajectoryIndex};
 use geodabs_roadnet::generators::{grid_network, GridConfig};
 use geodabs_serve::{AnyIndex, ServeBackend};
 use geodabs_traj::{TrajId, Trajectory};
@@ -160,13 +160,12 @@ pub fn find(name: &str) -> Option<Scenario> {
     catalog().into_iter().find(|s| s.name == name)
 }
 
-/// An empty index of the same backend and shape (configuration, depth,
+/// An empty index of the same backend and shape (configuration,
 /// cluster geometry) as `index` — what a verification rebuild
 /// re-ingests into.
 fn fresh_twin(index: &AnyIndex) -> Result<AnyIndex, String> {
     Ok(match index {
         AnyIndex::Geodab(index) => AnyIndex::Geodab(GeodabIndex::new(*index.config())),
-        AnyIndex::Geohash(index) => AnyIndex::Geohash(GeohashIndex::new(index.depth())),
         AnyIndex::Cluster(index) => AnyIndex::Cluster(
             ClusterIndex::new(
                 *index.config(),
@@ -317,7 +316,7 @@ mod tests {
             .iter()
             .map(|r| (r.id, &r.trajectory))
             .collect();
-        for backend in ["geodab", "geohash", "cluster"] {
+        for backend in ["geodab", "cluster"] {
             let mut index = AnyIndex::empty(backend, 1_000, 3).expect("known backend");
             index.insert_batch(items.clone());
             assert_eq!(index.backend_name(), backend);

@@ -324,37 +324,6 @@ impl ClusterIndex {
     pub fn shard_node(&self, node: usize) -> Option<ShardNode> {
         self.nodes.get(node).cloned()
     }
-
-    /// Reassembles a cluster from the standalone nodes of one deployment
-    /// — the inverse of [`ClusterIndex::shard_node`] over every node.
-    /// `indexed` is the coordinator's id set, passed explicitly because
-    /// it also records ids whose fingerprint set is empty (indexed but
-    /// unreachable by any query), which no node replica remembers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is empty, if node `i`'s `node_id` is not `i`,
-    /// if the nodes disagree on config or router shape, or if a node
-    /// holds a replica for an id absent from `indexed` — all states
-    /// that cannot arise from slicing one cluster.
-    pub fn from_shard_nodes(nodes: Vec<ShardNode>, indexed: BTreeSet<TrajId>) -> ClusterIndex {
-        let first = nodes.first().expect("at least one shard node");
-        for (i, node) in nodes.iter().enumerate() {
-            assert_eq!(node.node_id(), i, "shard node out of order");
-            assert_eq!(node.config(), first.config());
-            assert_eq!(node.router(), first.router());
-            assert!(
-                node.replicas().all(|(id, _)| indexed.contains(&id)),
-                "shard node holds a replica for an unindexed id"
-            );
-        }
-        assert_eq!(
-            first.router().num_nodes(),
-            nodes.len(),
-            "one slice per node"
-        );
-        ClusterIndex { nodes, indexed }
-    }
 }
 
 /// The cluster is itself a [`TrajectoryIndex`], so evaluation and any

@@ -1,16 +1,16 @@
-//! Binary persistence for the single-node index backends.
+//! Binary persistence for the single-node geodab index.
 //!
 //! Snapshots use the sectioned `GDAB` v2 container of [`crate::store`]
 //! and serialize **derived engine state** — roaring posting bitmaps in
 //! their wire form, the `TrajId ↔ dense` interner table and per-set
 //! cardinalities — so loading is a direct materialization instead of an
-//! O(corpus) rebuild. [`GeodabIndex`] and [`GeohashIndex`] both implement
-//! [`Persist`] here, each writing its one store
-//! ([`PostingLists`]) as the same SLOT / POST / replica-record sections;
-//! on load the store itself checks that the parts agree. Every section
-//! is a composition of [`Wire`] impls (the tables below name them), so
-//! each layout is written once for both directions. The cluster backend
-//! does the same in its own crate over per-node segments.
+//! O(corpus) rebuild. [`GeodabIndex`] implements [`Persist`] here,
+//! writing its one store ([`PostingLists`]) as the SLOT / POST / FPRS
+//! sections; on load the store itself checks that the parts agree.
+//! Every section is a composition of [`Wire`] impls (the table below
+//! names them), so each layout is written once for both directions. The
+//! cluster backend does the same in its own crate over per-node
+//! segments.
 //!
 //! # `GeodabIndex` section layout (backend tag 1)
 //!
@@ -21,15 +21,6 @@
 //! FPRS  Vec<(id u32, Fingerprints: Vec<geodab u32>)>, ids strictly ascending
 //! ```
 //!
-//! # `GeohashIndex` section layout (backend tag 2)
-//!
-//! ```text
-//! CONF  depth u8
-//! SLOT  as above (set_size = number of distinct cells)
-//! POST  Vec<(term u64, posting RoaringBitmap)>
-//! CELL  Vec<(id u32, Vec<cell u64>)>, each cell set strictly ascending
-//! ```
-//!
 //! A `Vec<T>` is a `u32` count followed by the items. The original v1
 //! format (raw fingerprint sequences only, postings rebuilt on load)
 //! remains fully decodable: [`decode`] switches on the version field,
@@ -37,7 +28,6 @@
 //! migration tooling.
 
 use geodabs_core::{Fingerprinter, Fingerprints};
-use geodabs_geo::MAX_DEPTH;
 use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::TrajId;
 use std::collections::HashMap;
@@ -46,10 +36,10 @@ use std::hash::Hash;
 use crate::engine::{PostingLists, Replica};
 use crate::store::{
     from_bytes, peek_version, put_seq, strictly_ascending, to_bytes, BackendKind, Cursor, Persist,
-    SnapshotError, SnapshotReader, SnapshotWriter, Wire, MAGIC, SEC_CELLS, SEC_CONFIG,
-    SEC_FINGERPRINTS, SEC_POSTINGS, SEC_SLOTS, VERSION_V1,
+    SnapshotError, SnapshotReader, SnapshotWriter, Wire, MAGIC, SEC_CONFIG, SEC_FINGERPRINTS,
+    SEC_POSTINGS, SEC_SLOTS, VERSION_V1,
 };
-use crate::{GeodabIndex, GeohashIndex};
+use crate::GeodabIndex;
 
 /// Serializes the index in the current (v2) snapshot format.
 ///
@@ -93,70 +83,33 @@ where
     );
 }
 
-/// Writes the SLOT, POST and replica-record sections of a monolithic
-/// index's store (records ascending by id).
-fn write_store<T, R>(writer: &mut SnapshotWriter, store: &PostingLists<T, R>, records_section: u32)
-where
-    T: Wire + Copy + Eq + Hash + Ord,
-    R: Replica<T> + Wire,
-{
-    let capacity = store.interner().capacity() as u32;
-    writer.section(SEC_SLOTS, to_bytes(&(capacity, store.snapshot_slots())));
-
-    let mut post = Vec::new();
-    put_postings(&mut post, store);
-    writer.section(SEC_POSTINGS, post);
-
-    let mut records: Vec<(TrajId, &R)> = store.replicas().collect();
-    records.sort_unstable_by_key(|&(id, _)| id);
-    let mut bytes = Vec::new();
-    put_seq(&mut bytes, records.into_iter(), |(id, replica), out| {
-        id.put(out);
-        replica.put(out);
-    });
-    writer.section(records_section, bytes);
-}
-
-/// Reads what [`write_store`] wrote, `check` vetting each replica; the
-/// store itself checks the parts against each other.
-fn read_store<T, R>(
-    reader: &SnapshotReader<'_>,
-    records_section: u32,
-    check: impl Fn(&R) -> Result<(), SnapshotError>,
-) -> Result<PostingLists<T, R>, SnapshotError>
-where
-    T: Wire + Copy + Eq + Hash + Ord,
-    R: Replica<T> + Wire,
-{
-    let (capacity, slots): (u32, Vec<_>) = from_bytes(reader.section(SEC_SLOTS)?)?;
-    let postings: Vec<(T, RoaringBitmap)> = from_bytes(reader.section(SEC_POSTINGS)?)?;
-    strictly_ascending(&postings, "posting terms not strictly ascending")?;
-    let records: Vec<(TrajId, R)> = from_bytes(reader.section(records_section)?)?;
-    strictly_ascending(&records, "record ids not strictly ascending")?;
-    if records.len() != slots.len() {
-        return Err(SnapshotError::Corrupt(
-            "replica records and live slots disagree",
-        ));
-    }
-    let mut replicas = HashMap::with_capacity(records.len());
-    for (id, replica) in records {
-        check(&replica)?;
-        replicas.insert(id, replica);
-    }
-    let replica_of = |id| replicas.remove(&id);
-    PostingLists::from_snapshot_parts(capacity, &slots, replica_of, postings, |_| true)
-        .map_err(SnapshotError::Corrupt)
-}
-
 // ---------------------------------------------------------------------
 // GeodabIndex (backend tag 1)
 // ---------------------------------------------------------------------
 
+/// CONF, then the store's SLOT, POST and FPRS sections (records
+/// ascending by id); on load the store checks the parts against each
+/// other.
 impl Persist for GeodabIndex {
     fn to_snapshot(&self) -> Vec<u8> {
+        let store = &self.engine;
         let mut writer = SnapshotWriter::new(BackendKind::Geodab);
         writer.section(SEC_CONFIG, to_bytes(self.config()));
-        write_store(&mut writer, &self.engine, SEC_FINGERPRINTS);
+        let capacity = store.interner().capacity() as u32;
+        writer.section(SEC_SLOTS, to_bytes(&(capacity, store.snapshot_slots())));
+
+        let mut post = Vec::new();
+        put_postings(&mut post, store);
+        writer.section(SEC_POSTINGS, post);
+
+        let mut records: Vec<(TrajId, &Fingerprints)> = store.replicas().collect();
+        records.sort_unstable_by_key(|&(id, _)| id);
+        let mut bytes = Vec::new();
+        put_seq(&mut bytes, records.into_iter(), |(id, fp), out| {
+            id.put(out);
+            fp.put(out);
+        });
+        writer.section(SEC_FINGERPRINTS, bytes);
         writer.finish()
     }
 
@@ -164,40 +117,25 @@ impl Persist for GeodabIndex {
         let reader = SnapshotReader::parse(data)?;
         reader.expect_backend(BackendKind::Geodab)?;
         let config = from_bytes(reader.section(SEC_CONFIG)?)?;
+        let (capacity, slots): (u32, Vec<_>) = from_bytes(reader.section(SEC_SLOTS)?)?;
+        let postings: Vec<(u32, RoaringBitmap)> = from_bytes(reader.section(SEC_POSTINGS)?)?;
+        strictly_ascending(&postings, "posting terms not strictly ascending")?;
+        let records: Vec<(TrajId, Fingerprints)> = from_bytes(reader.section(SEC_FINGERPRINTS)?)?;
+        strictly_ascending(&records, "record ids not strictly ascending")?;
+        if records.len() != slots.len() {
+            return Err(SnapshotError::Corrupt(
+                "replica records and live slots disagree",
+            ));
+        }
+        let mut replicas: HashMap<TrajId, Fingerprints> = records.into_iter().collect();
+        let replica_of = |id| replicas.remove(&id);
+        let engine =
+            PostingLists::from_snapshot_parts(capacity, &slots, replica_of, postings, |_| true)
+                .map_err(SnapshotError::Corrupt)?;
         Ok(GeodabIndex {
             fingerprinter: Fingerprinter::new(config),
-            engine: read_store(&reader, SEC_FINGERPRINTS, |_| Ok(()))?,
+            engine,
         })
-    }
-}
-
-// ---------------------------------------------------------------------
-// GeohashIndex (backend tag 2)
-// ---------------------------------------------------------------------
-
-impl Persist for GeohashIndex {
-    fn to_snapshot(&self) -> Vec<u8> {
-        let mut writer = SnapshotWriter::new(BackendKind::Geohash);
-        writer.section(SEC_CONFIG, to_bytes(&self.depth()));
-        write_store(&mut writer, &self.engine, SEC_CELLS);
-        writer.finish()
-    }
-
-    fn from_snapshot(data: &[u8]) -> Result<GeohashIndex, SnapshotError> {
-        let reader = SnapshotReader::parse(data)?;
-        reader.expect_backend(BackendKind::Geohash)?;
-        let depth: u8 = from_bytes(reader.section(SEC_CONFIG)?)?;
-        if depth == 0 || depth > MAX_DEPTH {
-            return Err(SnapshotError::Corrupt("cell depth out of range"));
-        }
-        let engine = read_store(&reader, SEC_CELLS, |cells: &Vec<u64>| {
-            if cells.windows(2).all(|w| w[0] < w[1]) {
-                Ok(())
-            } else {
-                Err(SnapshotError::Corrupt("cell set not strictly sorted"))
-            }
-        })?;
-        Ok(GeohashIndex { depth, engine })
     }
 }
 
@@ -262,14 +200,6 @@ mod tests {
         idx
     }
 
-    fn sample_geohash() -> GeohashIndex {
-        let mut idx = GeohashIndex::new(36);
-        idx.insert(TrajId::new(0), &path(0.0));
-        idx.insert(TrajId::new(1), &path(0.0).reversed());
-        idx.insert(TrajId::new(5), &path(10_000.0));
-        idx
-    }
-
     #[test]
     fn roundtrip_preserves_everything() {
         let original = sample_index();
@@ -313,30 +243,11 @@ mod tests {
     }
 
     #[test]
-    fn geohash_roundtrip_preserves_everything() {
-        let original = sample_geohash();
-        let decoded = GeohashIndex::from_snapshot(&original.to_snapshot()).expect("roundtrip");
-        assert_eq!(decoded.len(), original.len());
-        assert_eq!(decoded.term_count(), original.term_count());
-        assert_eq!(decoded.depth(), original.depth());
-        for query in [path(0.0), path(0.0).reversed(), path(10_000.0)] {
-            assert_eq!(
-                original.search(&query, &SearchOptions::default()),
-                decoded.search(&query, &SearchOptions::default())
-            );
-        }
-    }
-
-    #[test]
     fn wrong_backend_is_rejected() {
-        let geodab = sample_index().to_snapshot();
+        let mut writer = SnapshotWriter::new(BackendKind::Cluster);
+        writer.section(SEC_CONFIG, to_bytes(&GeodabConfig::default()));
         assert!(matches!(
-            GeohashIndex::from_snapshot(&geodab),
-            Err(SnapshotError::WrongBackend { .. })
-        ));
-        let geohash = sample_geohash().to_snapshot();
-        assert!(matches!(
-            GeodabIndex::from_snapshot(&geohash),
+            GeodabIndex::from_snapshot(&writer.finish()),
             Err(SnapshotError::WrongBackend { .. })
         ));
     }
@@ -345,18 +256,12 @@ mod tests {
     fn encoding_is_deterministic() {
         let idx = sample_index();
         assert_eq!(encode(&idx), encode(&idx));
-        let gh = sample_geohash();
-        assert_eq!(gh.to_snapshot(), gh.to_snapshot());
     }
 
     #[test]
     fn empty_indexes_roundtrip() {
         let idx = GeodabIndex::new(GeodabConfig::default());
         let decoded = decode(&encode(&idx)).expect("roundtrip");
-        assert_eq!(decoded.len(), 0);
-        assert_eq!(decoded.term_count(), 0);
-        let gh = GeohashIndex::new(36);
-        let decoded = GeohashIndex::from_snapshot(&gh.to_snapshot()).expect("roundtrip");
         assert_eq!(decoded.len(), 0);
         assert_eq!(decoded.term_count(), 0);
     }

@@ -15,9 +15,9 @@ use crate::{SearchOptions, SearchResult, TrajectoryIndex};
 /// dataset density.
 #[derive(Debug, Clone)]
 pub struct GeohashIndex {
-    pub(crate) depth: u8,
+    depth: u8,
     /// Every cell gets a list; each slot keeps its sorted cell set.
-    pub(crate) engine: PostingLists<u64, Vec<u64>>,
+    engine: PostingLists<u64, Vec<u64>>,
 }
 
 impl GeohashIndex {
@@ -36,14 +36,6 @@ impl GeohashIndex {
             depth,
             engine: PostingLists::new(),
         }
-    }
-
-    /// Iterates over `(id, cells)` of every indexed trajectory in
-    /// unspecified order.
-    pub fn iter_cells(&self) -> impl Iterator<Item = (TrajId, &[u64])> {
-        self.engine
-            .replicas()
-            .map(|(id, cells)| (id, cells.as_slice()))
     }
 
     /// The cell depth in bits.

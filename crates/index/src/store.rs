@@ -11,7 +11,7 @@
 //! ```text
 //! magic    b"GDAB"                                  4 bytes
 //! version  u16 = 2                                  2 bytes
-//! backend  u8   (1 = geodab, 2 = geohash, 3 = cluster)
+//! backend  u8   (1 = geodab, 3 = cluster, 4 = node; 2 is retired)
 //! count    u32                                      number of sections
 //! section* id u32, len u64, crc32 u32, payload
 //! ```
@@ -31,9 +31,9 @@
 //! records are compositions of those impls, failing with one
 //! [`ReadError`].
 //!
-//! The [`Persist`] trait is the one entry point: every backend —
-//! [`crate::GeodabIndex`], [`crate::GeohashIndex`] and the cluster index —
-//! implements `to_snapshot`/`from_snapshot` over this container, and gets
+//! The [`Persist`] trait is the one entry point: every persisted
+//! backend — [`crate::GeodabIndex`], the cluster index and its shard
+//! node — implements `to_snapshot`/`from_snapshot` over this container, and gets
 //! file-level `save_to`/`load_from` for free.
 
 use geodabs_core::{Fingerprints, GeodabConfig, GeodabError};
@@ -63,8 +63,6 @@ pub const VERSION_V1: u16 = 1;
 pub enum BackendKind {
     /// A [`crate::GeodabIndex`] snapshot.
     Geodab,
-    /// A [`crate::GeohashIndex`] snapshot.
-    Geohash,
     /// A cluster snapshot: router manifest plus per-node segments.
     Cluster,
     /// A single shard node's standalone snapshot: the node-local slice
@@ -77,7 +75,6 @@ impl BackendKind {
     pub fn tag(self) -> u8 {
         match self {
             BackendKind::Geodab => 1,
-            BackendKind::Geohash => 2,
             BackendKind::Cluster => 3,
             BackendKind::Node => 4,
         }
@@ -87,7 +84,6 @@ impl BackendKind {
     pub fn from_tag(tag: u8) -> Option<BackendKind> {
         match tag {
             1 => Some(BackendKind::Geodab),
-            2 => Some(BackendKind::Geohash),
             3 => Some(BackendKind::Cluster),
             4 => Some(BackendKind::Node),
             _ => None,
@@ -98,7 +94,6 @@ impl BackendKind {
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Geodab => "geodab",
-            BackendKind::Geohash => "geohash",
             BackendKind::Cluster => "cluster",
             BackendKind::Node => "node",
         }
@@ -116,7 +111,8 @@ pub const fn section_id(name: &[u8; 4]) -> u32 {
     u32::from_le_bytes(*name)
 }
 
-/// Backend configuration (`GeodabConfig` or cell depth).
+/// Backend configuration (the `GeodabConfig`; a cluster or node adds its
+/// router shape).
 pub const SEC_CONFIG: u32 = section_id(b"CONF");
 /// Interner table: live `(dense, id)` slots plus capacity.
 pub const SEC_SLOTS: u32 = section_id(b"SLOT");
@@ -124,8 +120,6 @@ pub const SEC_SLOTS: u32 = section_id(b"SLOT");
 pub const SEC_POSTINGS: u32 = section_id(b"POST");
 /// Ordered fingerprint sequences per trajectory.
 pub const SEC_FINGERPRINTS: u32 = section_id(b"FPRS");
-/// Distinct cell sets per trajectory (geohash backend).
-pub const SEC_CELLS: u32 = section_id(b"CELL");
 /// The coordinator's indexed-id set (cluster backend).
 pub const SEC_IDSET: u32 = section_id(b"IDST");
 /// The durability watermark: the write-ahead-log sequence number (u64)
@@ -1002,9 +996,9 @@ mod tests {
         assert_eq!(reader.section(SEC_POSTINGS).unwrap().len(), 200);
         assert_eq!(reader.section(node_section_id(3)).unwrap().len(), 0);
         assert_eq!(reader.sections().len(), 3);
-        assert!(reader.optional_section(SEC_CELLS).is_none());
+        assert!(reader.optional_section(SEC_FINGERPRINTS).is_none());
         assert!(matches!(
-            reader.section(SEC_CELLS),
+            reader.section(SEC_FINGERPRINTS),
             Err(SnapshotError::MissingSection(_))
         ));
         assert!(reader.expect_backend(BackendKind::Geodab).is_ok());
@@ -1157,7 +1151,7 @@ mod tests {
     #[test]
     fn duplicate_sections_are_rejected() {
         // Hand-assemble a container repeating SEC_CONFIG.
-        let mut writer = SnapshotWriter::new(BackendKind::Geohash);
+        let mut writer = SnapshotWriter::new(BackendKind::Geodab);
         writer.section(SEC_CONFIG, vec![1]);
         let mut bytes = writer.finish();
         // Append a copy of the one section and bump the count.
@@ -1209,16 +1203,12 @@ mod tests {
 
     #[test]
     fn backend_tags_roundtrip() {
-        for kind in [
-            BackendKind::Geodab,
-            BackendKind::Geohash,
-            BackendKind::Cluster,
-            BackendKind::Node,
-        ] {
+        for kind in [BackendKind::Geodab, BackendKind::Cluster, BackendKind::Node] {
             assert_eq!(BackendKind::from_tag(kind.tag()), Some(kind));
             assert!(!kind.name().is_empty());
         }
-        assert_eq!(BackendKind::from_tag(0), None);
-        assert_eq!(BackendKind::from_tag(99), None);
+        for unknown in [0, 2, 99] {
+            assert_eq!(BackendKind::from_tag(unknown), None);
+        }
     }
 }

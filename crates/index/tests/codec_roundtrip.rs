@@ -1,5 +1,5 @@
 //! Property tests pinning the snapshot formats: `load ∘ save ≡ id` on
-//! search results for both single-node backends, legacy v1 blobs still
+//! search results for the single-node geodab index, legacy v1 blobs still
 //! decoding, and malformed input (truncation, bit flips, checksum damage)
 //! surfacing as a [`SnapshotError`] — never a panic or a silently-wrong
 //! index.
@@ -7,7 +7,7 @@
 use geodabs_core::{Fingerprints, GeodabConfig};
 use geodabs_index::codec::{decode, encode, encode_v1};
 use geodabs_index::store::{Persist, SnapshotError};
-use geodabs_index::{GeodabIndex, GeohashIndex, SearchOptions, TrajectoryIndex};
+use geodabs_index::{GeodabIndex, SearchOptions, TrajectoryIndex};
 use geodabs_traj::TrajId;
 use proptest::prelude::*;
 
@@ -152,61 +152,6 @@ proptest! {
             Ok(index) => prop_assert!(index.len() <= sets.len()),
             Err(e) => prop_assert!(!e.to_string().is_empty()),
         }
-    }
-
-    /// The geohash backend round-trips exactly too, over synthetic cell
-    /// sets exercised through the public trajectory API.
-    #[test]
-    fn geohash_load_save_is_identity(
-        paths in proptest::collection::vec((0usize..40, 0u8..3), 1..10),
-        depth in 20u8..40,
-    ) {
-        use geodabs_geo::Point;
-        use geodabs_traj::Trajectory;
-        let start = Point::new(51.5074, -0.1278).unwrap();
-        let mut index = GeohashIndex::new(depth);
-        let trajectories: Vec<Trajectory> = paths
-            .iter()
-            .map(|&(len, dir)| {
-                (0..len + 2)
-                    .map(|i| start.destination(dir as f64 * 90.0, i as f64 * 120.0))
-                    .collect()
-            })
-            .collect();
-        for (i, t) in trajectories.iter().enumerate() {
-            index.insert(TrajId::new(i as u32), t);
-        }
-        // A removal leaves a vacant slot behind.
-        index.remove(TrajId::new(0));
-        let decoded = GeohashIndex::from_snapshot(&index.to_snapshot()).expect("roundtrip");
-        prop_assert_eq!(decoded.len(), index.len());
-        prop_assert_eq!(decoded.term_count(), index.term_count());
-        prop_assert_eq!(decoded.to_snapshot(), index.to_snapshot());
-        for t in &trajectories {
-            prop_assert_eq!(
-                decoded.search(t, &SearchOptions::default()),
-                index.search(t, &SearchOptions::default())
-            );
-        }
-    }
-
-    /// Bit flips in a geohash snapshot never panic.
-    #[test]
-    fn geohash_corruption_never_panics(
-        offset_seed in 0usize..10_000,
-        xor in 1u8..=255,
-    ) {
-        use geodabs_geo::Point;
-        use geodabs_traj::Trajectory;
-        let start = Point::new(51.5074, -0.1278).unwrap();
-        let t: Trajectory = (0..30).map(|i| start.destination(90.0, i as f64 * 120.0)).collect();
-        let mut index = GeohashIndex::new(36);
-        index.insert(TrajId::new(3), &t);
-        let mut bytes = index.to_snapshot();
-        let offset = offset_seed % bytes.len();
-        bytes[offset] ^= xor;
-        let err = GeohashIndex::from_snapshot(&bytes).expect_err("always detected");
-        prop_assert!(!err.to_string().is_empty());
     }
 }
 

@@ -1,9 +1,9 @@
-//! Golden pin of the single-node snapshot bytes (tags 1 and 2, and the
-//! legacy v1 format).
+//! Golden pin of the single-node snapshot bytes (tag 1 and the legacy
+//! v1 format).
 //!
 //! Round-trip tests compare the codec with itself, so a change in which
 //! dense slot a trajectory gets, which freed slot is recycled first, or
-//! in what order the stored fingerprints and cell sets are written would
+//! in what order the stored fingerprints are written would
 //! only show up as a deployed warm-start artifact that no longer decodes
 //! to the index it was saved from. These digests must never change
 //! without a deliberate format bump.
@@ -12,7 +12,7 @@ use geodabs_core::{Fingerprints, GeodabConfig};
 use geodabs_geo::Point;
 use geodabs_index::codec::{decode, encode_v1};
 use geodabs_index::store::Persist;
-use geodabs_index::{GeodabIndex, GeohashIndex, TrajectoryIndex};
+use geodabs_index::{GeodabIndex, TrajectoryIndex};
 use geodabs_traj::{TrajId, Trajectory};
 
 /// FNV-1a over the bytes, with a length prefix so concatenating two
@@ -34,7 +34,7 @@ fn walk(lat: f64, lon: f64, bearing: f64, n: usize, offset_m: f64) -> Trajectory
         .collect()
 }
 
-/// The fixed script both backends run: inserts out of id order (one
+/// The fixed script every pin runs: inserts out of id order (one
 /// trajectory too short to fingerprint, one with no points at all), a
 /// replace, two removes, then fresh ids that recycle the freed slots.
 fn script<I: TrajectoryIndex>(index: &mut I) {
@@ -63,18 +63,13 @@ fn script<I: TrajectoryIndex>(index: &mut I) {
 }
 
 #[test]
-fn geodab_and_geohash_snapshots_are_pinned() {
+fn geodab_snapshot_is_pinned() {
     let mut geodab = GeodabIndex::new(GeodabConfig::default());
     script(&mut geodab);
-    let mut geohash = GeohashIndex::new(36);
-    script(&mut geohash);
     assert_eq!(
-        [
-            digest(&geodab.to_snapshot()),
-            digest(&geohash.to_snapshot())
-        ],
-        [0xe1fc_ee7a_eb70_66d7, 0xf807_3965_72ee_3bda],
-        "geodab or geohash snapshot bytes changed"
+        digest(&geodab.to_snapshot()),
+        0xe1fc_ee7a_eb70_66d7,
+        "geodab snapshot bytes changed"
     );
 }
 

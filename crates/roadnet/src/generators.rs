@@ -10,7 +10,7 @@ use geodabs_geo::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{NodeId, RoadNetwork};
+use crate::RoadNetwork;
 
 /// Configuration of the perturbed-grid generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,84 +123,6 @@ pub fn grid_network(cfg: &GridConfig, seed: u64) -> RoadNetwork {
     net
 }
 
-/// Configuration of the radial ("London-like") generator: concentric ring
-/// roads crossed by radial arterials.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RadialConfig {
-    /// Center of the network.
-    pub center: Point,
-    /// Number of concentric rings.
-    pub rings: usize,
-    /// Number of radial spokes.
-    pub spokes: usize,
-    /// Distance between consecutive rings, in meters.
-    pub ring_spacing_m: f64,
-    /// Maximum random displacement applied to each node, in meters.
-    pub jitter_m: f64,
-    /// Speed on ring roads (m/s).
-    pub ring_speed_mps: f64,
-    /// Speed on radial arterials (m/s); usually faster.
-    pub spoke_speed_mps: f64,
-}
-
-impl Default for RadialConfig {
-    fn default() -> RadialConfig {
-        RadialConfig {
-            center: Point::new(51.5074, -0.1278).expect("london is a valid point"),
-            rings: 8,
-            spokes: 16,
-            ring_spacing_m: 600.0,
-            jitter_m: 60.0,
-            ring_speed_mps: 9.0,
-            spoke_speed_mps: 16.0,
-        }
-    }
-}
-
-/// Generates a radial ring-and-spoke network. Always strongly connected.
-pub fn radial_network(cfg: &RadialConfig, seed: u64) -> RoadNetwork {
-    assert!(
-        cfg.rings >= 1 && cfg.spokes >= 3,
-        "need >=1 ring and >=3 spokes"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut net = RoadNetwork::new();
-    let hub = net.add_node(cfg.center);
-    // ids[ring][spoke]
-    let mut ids: Vec<Vec<NodeId>> = Vec::with_capacity(cfg.rings);
-    for ring in 1..=cfg.rings {
-        let mut ring_ids = Vec::with_capacity(cfg.spokes);
-        for spoke in 0..cfg.spokes {
-            let bearing = 360.0 * spoke as f64 / cfg.spokes as f64;
-            let base = cfg
-                .center
-                .destination(bearing, ring as f64 * cfg.ring_spacing_m);
-            let angle = rng.random_range(0.0..360.0);
-            let dist = rng.random_range(0.0..=cfg.jitter_m);
-            ring_ids.push(net.add_node(base.destination(angle, dist)));
-        }
-        ids.push(ring_ids);
-    }
-    // Ring roads: connect consecutive spokes on the same ring.
-    for ring_ids in &ids {
-        for s in 0..cfg.spokes {
-            let next = (s + 1) % cfg.spokes;
-            net.add_edge_bidirectional(ring_ids[s], ring_ids[next], cfg.ring_speed_mps)
-                .expect("ring nodes exist");
-        }
-    }
-    // Spokes: hub to first ring, then ring to ring.
-    for (s, &first_ring_node) in ids[0].iter().enumerate() {
-        net.add_edge_bidirectional(hub, first_ring_node, cfg.spoke_speed_mps)
-            .expect("spoke nodes exist");
-        for ring in 1..cfg.rings {
-            net.add_edge_bidirectional(ids[ring - 1][s], ids[ring][s], cfg.spoke_speed_mps)
-                .expect("spoke nodes exist");
-        }
-    }
-    net
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,33 +185,6 @@ mod tests {
                 assert!(e.speed_mps() <= cfg.speed_range_mps.1);
             }
         }
-    }
-
-    #[test]
-    fn radial_has_expected_size_and_connectivity() {
-        let cfg = RadialConfig::default();
-        let net = radial_network(&cfg, 11);
-        assert_eq!(net.node_count(), 1 + cfg.rings * cfg.spokes);
-        let hub = net.node_ids().next().unwrap();
-        let reached = distances_within(&net, hub, f64::INFINITY).unwrap();
-        assert_eq!(reached.len(), net.node_count());
-    }
-
-    #[test]
-    fn radial_rings_grow_outward() {
-        let cfg = RadialConfig {
-            jitter_m: 0.0,
-            ..RadialConfig::default()
-        };
-        let net = radial_network(&cfg, 2);
-        let pts: Vec<_> = net.node_points().collect();
-        let hub = pts[0];
-        // First-ring node is closer to the hub than a last-ring node.
-        let inner = hub.haversine_distance(pts[1]);
-        let outer = hub.haversine_distance(pts[1 + (cfg.rings - 1) * cfg.spokes]);
-        assert!(inner < outer);
-        assert!((inner - cfg.ring_spacing_m).abs() < 1.0);
-        assert!((outer - cfg.rings as f64 * cfg.ring_spacing_m).abs() < 1.0);
     }
 
     #[test]

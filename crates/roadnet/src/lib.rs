@@ -7,11 +7,10 @@
 //!
 //! * [`RoadNetwork`] — a directed graph with geographic nodes and
 //!   speed-annotated edges,
-//! * [`generators`] — synthetic networks (perturbed grid and radial
-//!   "London-like" topologies),
+//! * [`generators`] — synthetic networks (a perturbed grid),
 //! * [`SpatialIndex`] — a uniform grid over nodes for nearest/radius
 //!   queries,
-//! * [`router`] — Dijkstra and A* shortest paths producing [`Route`]s with
+//! * [`router`] — Dijkstra shortest paths producing [`Route`]s with
 //!   lengths and durations,
 //! * [`matching`] — hidden-Markov-model map matching with the Viterbi
 //!   algorithm, used by trajectory normalization.

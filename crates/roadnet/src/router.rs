@@ -129,37 +129,6 @@ pub fn shortest_path_with(
     to: NodeId,
     metric: Metric,
 ) -> Result<Route, RoadNetError> {
-    run_search(net, from, to, metric, |_| 0.0)
-}
-
-/// Shortest path by travel time using A* with the admissible
-/// haversine-over-max-speed heuristic.
-///
-/// Produces the same routes as [`shortest_path`] but explores fewer nodes
-/// on large networks.
-///
-/// # Errors
-///
-/// Same as [`shortest_path`].
-pub fn astar(net: &RoadNetwork, from: NodeId, to: NodeId) -> Result<Route, RoadNetError> {
-    let goal = net.point(to)?;
-    let max_speed = net
-        .node_ids()
-        .flat_map(|n| net.edges(n).into_iter().flatten())
-        .map(|e| e.speed_mps())
-        .fold(f64::EPSILON, f64::max);
-    run_search(net, from, to, Metric::TravelTime, move |p| {
-        p.haversine_distance(goal) / max_speed
-    })
-}
-
-fn run_search(
-    net: &RoadNetwork,
-    from: NodeId,
-    to: NodeId,
-    metric: Metric,
-    heuristic: impl Fn(Point) -> f64,
-) -> Result<Route, RoadNetError> {
     net.point(from)?;
     net.point(to)?;
     let n = net.node_count();
@@ -169,7 +138,7 @@ fn run_search(
     let mut heap = BinaryHeap::new();
     dist[from.index()] = 0.0;
     heap.push(HeapEntry {
-        cost: heuristic(net.point(from)?),
+        cost: 0.0,
         node: from,
     });
     while let Some(HeapEntry { node, .. }) = heap.pop() {
@@ -192,7 +161,7 @@ fn run_search(
                 dist[t.index()] = next;
                 prev[t.index()] = Some(node);
                 heap.push(HeapEntry {
-                    cost: next + heuristic(net.point(t)?),
+                    cost: next,
                     node: t,
                 });
             }
@@ -329,15 +298,6 @@ mod tests {
         let (net, ids) = chain();
         let r = shortest_path_with(&net, ids[0], ids[3], Metric::Distance).unwrap();
         assert_eq!(r.nodes(), &[ids[0], ids[3]]);
-    }
-
-    #[test]
-    fn astar_matches_dijkstra() {
-        let (net, ids) = chain();
-        let d = shortest_path(&net, ids[0], ids[3]).unwrap();
-        let a = astar(&net, ids[0], ids[3]).unwrap();
-        assert_eq!(d.nodes(), a.nodes());
-        assert!((d.duration_seconds() - a.duration_seconds()).abs() < 1e-9);
     }
 
     #[test]

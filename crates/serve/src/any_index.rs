@@ -4,9 +4,7 @@
 use geodabs_cluster::{ClusterIndex, ShardNode};
 use geodabs_core::GeodabConfig;
 use geodabs_index::store::{self, Persist, SnapshotError};
-use geodabs_index::{
-    codec, GeodabIndex, GeohashIndex, SearchOptions, SearchResult, TrajectoryIndex,
-};
+use geodabs_index::{codec, GeodabIndex, SearchOptions, SearchResult, TrajectoryIndex};
 use geodabs_traj::{TrajId, Trajectory};
 
 use crate::server::ServeBackend;
@@ -19,8 +17,6 @@ use crate::shards::ShardedIndex;
 pub enum AnyIndex {
     /// The paper's geodab index.
     Geodab(GeodabIndex),
-    /// The geohash-cell baseline.
-    Geohash(GeohashIndex),
     /// The sharded cluster index.
     Cluster(ClusterIndex),
     /// One node's standalone slice of a sharded cluster — what a
@@ -33,7 +29,6 @@ macro_rules! each {
     ($any:expr, $index:ident => $body:expr) => {
         match $any {
             AnyIndex::Geodab($index) => $body,
-            AnyIndex::Geohash($index) => $body,
             AnyIndex::Cluster($index) => $body,
             AnyIndex::Node($index) => $body,
         }
@@ -51,17 +46,12 @@ impl AnyIndex {
         let config = GeodabConfig::default();
         match backend {
             "geodab" => Ok(AnyIndex::Geodab(GeodabIndex::new(config))),
-            "geohash" => Ok(AnyIndex::Geohash(GeohashIndex::new(
-                config.normalization_depth(),
-            ))),
             "cluster" => Ok(AnyIndex::Cluster(
                 ClusterIndex::new(config, shards, nodes).map_err(|e| e.to_string())?,
             )),
             // A shard node needs a node id on top of the cluster shape;
             // `serve --shard-id` constructs it directly.
-            other => Err(format!(
-                "unknown backend {other:?} (geodab|geohash|cluster)"
-            )),
+            other => Err(format!("unknown backend {other:?} (geodab|cluster)")),
         }
     }
 }
@@ -81,7 +71,6 @@ impl Persist for AnyIndex {
         let reader = store::SnapshotReader::parse(bytes)?;
         Ok(match reader.backend() {
             Some(store::BackendKind::Geodab) => AnyIndex::Geodab(Persist::from_snapshot(bytes)?),
-            Some(store::BackendKind::Geohash) => AnyIndex::Geohash(Persist::from_snapshot(bytes)?),
             Some(store::BackendKind::Cluster) => AnyIndex::Cluster(Persist::from_snapshot(bytes)?),
             Some(store::BackendKind::Node) => AnyIndex::Node(Persist::from_snapshot(bytes)?),
             None => return Err(SnapshotError::UnknownBackend(reader.backend_tag())),
@@ -130,11 +119,7 @@ impl ServeBackend for AnyIndex {
         each!(self, index => ServeBackend::term_count(index))
     }
 
-    fn search_fingerprints(
-        &self,
-        ordered: &[u32],
-        options: &SearchOptions,
-    ) -> Result<Vec<SearchResult>, &'static str> {
+    fn search_fingerprints(&self, ordered: &[u32], options: &SearchOptions) -> Vec<SearchResult> {
         each!(self, index => ServeBackend::search_fingerprints(index, ordered, options))
     }
 
@@ -148,5 +133,29 @@ impl ServeBackend for AnyIndex {
 
     fn as_shard_mut(&mut self) -> Option<&mut ShardNode> {
         each!(self, index => ServeBackend::as_shard_mut(index))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use geodabs_index::store::{section_id, to_bytes, SnapshotWriter};
+
+    /// Tag 2 once held the geohash baseline; a v2 container carrying it
+    /// is now refused like any other unknown tag.
+    #[test]
+    fn a_tag_2_container_is_an_unknown_backend() {
+        // An empty geohash-baseline snapshot: depth 36, no slots, no
+        // postings, no cell sets, under the header tag 2.
+        let mut writer = SnapshotWriter::new(store::BackendKind::Geodab);
+        writer.section(store::SEC_CONFIG, vec![36]);
+        writer.section(store::SEC_SLOTS, to_bytes(&(0u32, 0u32)));
+        writer.section(store::SEC_POSTINGS, to_bytes(&0u32));
+        writer.section(section_id(b"CELL"), to_bytes(&0u32));
+        let mut bytes = writer.finish();
+        bytes[6] = 2;
+        let err = AnyIndex::from_snapshot(&bytes).expect_err("tag 2 is no backend");
+        assert!(matches!(err, SnapshotError::UnknownBackend(2)), "{err:?}");
+        assert_eq!(err.to_string(), "unknown backend tag 2");
     }
 }

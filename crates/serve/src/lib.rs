@@ -13,8 +13,8 @@
 //!   [`WireError`]s, never panics.
 //! * [`Server`] — hosts any [`ServeBackend`] (a
 //!   [`TrajectoryIndex`](geodabs_index::TrajectoryIndex) plus the few
-//!   things serving needs on top: the geodab index, the
-//!   geohash baseline, or the sharded cluster — typically warm-started
+//!   things serving needs on top: the geodab index, the sharded
+//!   cluster or one of its shard nodes — typically warm-started
 //!   from a `GDAB` v2 snapshot) behind a fixed pool of multiplexing
 //!   workers, each sweeping many non-blocking pipelined connections.
 //!   With `ServerConfig::builder().shards(n)` the backend is

@@ -281,19 +281,26 @@ impl ServeMetrics {
         }
     }
 
-    /// Feeds a finished request into the slow-query log.
+    /// Feeds a finished request into the slow-query log; a request under
+    /// the threshold returns before anything is allocated for it.
     pub fn observe_slow(
         &self,
         trace_id: u64,
         kind: &str,
         total_us: u64,
-        stages: Vec<(String, u64)>,
+        stages: &[(&'static str, u64)],
     ) {
+        if total_us < self.slow.threshold_us() {
+            return;
+        }
         self.slow.observe(SlowQuery {
             trace_id,
             kind: kind.to_string(),
             total_us,
-            stages,
+            stages: stages
+                .iter()
+                .map(|&(stage, us)| (stage.to_string(), us))
+                .collect(),
         });
     }
 
@@ -386,8 +393,8 @@ mod tests {
         metrics.mux_parks.add(3);
         metrics.mux_wakeups.add(2);
         metrics.mux_spurious_wakeups.inc();
-        metrics.observe_slow(7, "query", 5_000, vec![("engine".into(), 4_000)]);
-        metrics.observe_slow(0, "query", 50, vec![]); // under threshold
+        metrics.observe_slow(7, "query", 5_000, &[("engine", 4_000)]);
+        metrics.observe_slow(0, "query", 50, &[]); // under threshold
         let report = metrics.report();
         assert_eq!(
             report.counter("geodabs_requests_total{kind=\"ping\"}"),

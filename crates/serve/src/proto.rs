@@ -359,8 +359,8 @@ pub enum QueryBody {
     /// A raw trajectory; the server normalizes and fingerprints it.
     Trajectory(Trajectory),
     /// Pre-computed geodab fingerprints (ordered sequence) — the
-    /// client-side-fingerprinting mode; only the geodab and cluster
-    /// backends can score these.
+    /// client-side-fingerprinting mode; every served backend scores
+    /// these.
     Fingerprints(Vec<u32>),
 }
 
@@ -430,7 +430,8 @@ pub enum Request {
 /// Index statistics as reported over the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsBody {
-    /// The backend's stable name (`geodab`, `geohash`, `cluster`, …).
+    /// The backend's stable name (`geodab`, `cluster`, `node`, `sharded`
+    /// or `frontend`).
     pub backend: String,
     /// Indexed trajectories.
     pub trajectories: u64,

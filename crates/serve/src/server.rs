@@ -53,7 +53,7 @@ use geodabs_cluster::{ClusterIndex, ShardNode};
 use geodabs_core::Fingerprints;
 use geodabs_index::batch::default_threads;
 use geodabs_index::store::{self, Persist};
-use geodabs_index::{GeodabIndex, GeohashIndex, SearchOptions, SearchResult, TrajectoryIndex};
+use geodabs_index::{GeodabIndex, SearchOptions, SearchResult, TrajectoryIndex};
 use geodabs_obs::Histogram;
 use geodabs_wal::{Wal, WalOp};
 use std::io::Write;
@@ -93,25 +93,14 @@ pub trait ServeBackend: TrajectoryIndex + Persist + Send + Sync + 'static {
     fn term_count(&self) -> usize;
 
     /// Ranked retrieval from pre-computed geodab fingerprints (ordered
-    /// sequence), when the backend's term vocabulary supports it.
-    ///
-    /// # Errors
-    ///
-    /// A static message when the backend cannot score fingerprint
-    /// queries (the geohash baseline uses `u64` cell terms).
-    fn search_fingerprints(
-        &self,
-        ordered: &[u32],
-        options: &SearchOptions,
-    ) -> Result<Vec<SearchResult>, &'static str>;
+    /// sequence).
+    fn search_fingerprints(&self, ordered: &[u32], options: &SearchOptions) -> Vec<SearchResult>;
 
     /// Consumes the backend and re-partitions its corpus into an
     /// in-process [`ShardedIndex`] — a [`ClusterIndex`] of `shards`
     /// nodes behind one lock — the conversion [`Server::bind`] performs
     /// when [`ServerConfig::shards`] exceeds one. The default refuses, for
-    /// backends whose term vocabulary the cluster router cannot spread
-    /// (the geohash baseline) or whose state is already a single
-    /// node's slice.
+    /// backends whose state is already a single node's slice.
     ///
     /// # Errors
     ///
@@ -156,36 +145,14 @@ impl ServeBackend for GeodabIndex {
         GeodabIndex::term_count(self)
     }
 
-    fn search_fingerprints(
-        &self,
-        ordered: &[u32],
-        options: &SearchOptions,
-    ) -> Result<Vec<SearchResult>, &'static str> {
+    fn search_fingerprints(&self, ordered: &[u32], options: &SearchOptions) -> Vec<SearchResult> {
         let fp = Fingerprints::from_ordered(ordered.to_vec());
-        Ok(GeodabIndex::search_fingerprints(self, &fp, options))
+        GeodabIndex::search_fingerprints(self, &fp, options)
     }
 
     fn into_shards(self, shards: usize) -> Result<ShardedIndex, String> {
         let cluster = cluster_scaffold(*self.config(), shards, self.iter_fingerprints())?;
         Ok(ShardedIndex::from_cluster(cluster))
-    }
-}
-
-impl ServeBackend for GeohashIndex {
-    fn backend_name(&self) -> &'static str {
-        "geohash"
-    }
-
-    fn term_count(&self) -> usize {
-        GeohashIndex::term_count(self)
-    }
-
-    fn search_fingerprints(
-        &self,
-        _ordered: &[u32],
-        _options: &SearchOptions,
-    ) -> Result<Vec<SearchResult>, &'static str> {
-        Err("the geohash backend cannot score geodab fingerprint queries")
     }
 }
 
@@ -198,13 +165,9 @@ impl ServeBackend for ClusterIndex {
         self.active_shards()
     }
 
-    fn search_fingerprints(
-        &self,
-        ordered: &[u32],
-        options: &SearchOptions,
-    ) -> Result<Vec<SearchResult>, &'static str> {
+    fn search_fingerprints(&self, ordered: &[u32], options: &SearchOptions) -> Vec<SearchResult> {
         let fp = Fingerprints::from_ordered(ordered.to_vec());
-        Ok(ClusterIndex::search_fingerprints(self, &fp, options))
+        ClusterIndex::search_fingerprints(self, &fp, options)
     }
 
     fn into_shards(mut self, shards: usize) -> Result<ShardedIndex, String> {
@@ -223,13 +186,9 @@ impl ServeBackend for ShardNode {
         ShardNode::term_count(self)
     }
 
-    fn search_fingerprints(
-        &self,
-        ordered: &[u32],
-        options: &SearchOptions,
-    ) -> Result<Vec<SearchResult>, &'static str> {
+    fn search_fingerprints(&self, ordered: &[u32], options: &SearchOptions) -> Vec<SearchResult> {
         let fp = Fingerprints::from_ordered(ordered.to_vec());
-        Ok(ShardNode::search_fingerprints(self, &fp, options))
+        ShardNode::search_fingerprints(self, &fp, options)
     }
 
     fn as_shard(&self) -> Option<&ShardNode> {
@@ -422,7 +381,7 @@ pub(crate) struct Span<'a> {
     /// The request's [`KINDS`] label.
     kind: &'static str,
     pub(crate) trace: u64,
-    stages: Vec<(String, u64)>,
+    stages: Vec<(&'static str, u64)>,
 }
 
 impl Span<'_> {
@@ -432,7 +391,7 @@ impl Span<'_> {
     /// its queries into one row per stage.
     pub(crate) fn stage(
         &mut self,
-        name: &str,
+        name: &'static str,
         histogram: Option<&Histogram>,
         started: Option<Instant>,
     ) {
@@ -441,9 +400,9 @@ impl Span<'_> {
         if let Some(histogram) = histogram {
             histogram.record(us);
         }
-        match self.stages.iter_mut().find(|(stage, _)| stage == name) {
+        match self.stages.iter_mut().find(|(stage, _)| *stage == name) {
             Some((_, total)) => *total += us,
-            None => self.stages.push((name.to_string(), us)),
+            None => self.stages.push((name, us)),
         }
     }
 }
@@ -538,7 +497,7 @@ impl<B: ServeBackend> Host for RwLock<B> {
         let result = match query {
             _ if leg && index.as_shard().is_none() => Err(NOT_A_SHARD_NODE),
             QueryBody::Trajectory(trajectory) => Ok(index.search(trajectory, options)),
-            QueryBody::Fingerprints(ordered) => index.search_fingerprints(ordered, options),
+            QueryBody::Fingerprints(ordered) => Ok(index.search_fingerprints(ordered, options)),
         };
         span.stage("engine", Some(&metrics.stage_engine_us), engine_started);
         result.map_err(Refusal::error)
@@ -826,7 +785,7 @@ impl<H: Host> Bound<H> {
         });
         if let Some(started) = started {
             let total_us = started.elapsed().as_micros() as u64;
-            metrics.observe_slow(span.trace, span.kind, total_us, span.stages);
+            metrics.observe_slow(span.trace, span.kind, total_us, &span.stages);
         }
         outcome
     }
@@ -1178,40 +1137,41 @@ mod tests {
     fn backend_names_and_stats_dispatch() {
         let geodab = GeodabIndex::new(GeodabConfig::default());
         assert_eq!(geodab.backend_name(), "geodab");
-        assert!(
-            ServeBackend::search_fingerprints(&geodab, &[1, 2], &SearchOptions::default()).is_ok()
-        );
-        let geohash = GeohashIndex::new(36);
-        assert_eq!(geohash.backend_name(), "geohash");
-        assert!(
-            ServeBackend::search_fingerprints(&geohash, &[1, 2], &SearchOptions::default())
-                .is_err()
-        );
+        let hits = ServeBackend::search_fingerprints(&geodab, &[1, 2], &SearchOptions::default());
+        assert!(hits.is_empty());
+        assert!(geodab.as_shard().is_none());
         let cluster = ClusterIndex::new(GeodabConfig::default(), 100, 2).unwrap();
         assert_eq!(cluster.backend_name(), "cluster");
         assert_eq!(ServeBackend::term_count(&cluster), 0);
+        assert!(cluster.as_shard().is_none());
+        let node = cluster.shard_node(1).expect("node 1 exists");
+        assert_eq!(node.backend_name(), "node");
+        let hits = ServeBackend::search_fingerprints(&node, &[1, 2], &SearchOptions::default());
+        assert!(hits.is_empty());
+        assert!(node.as_shard().is_some());
     }
 
     #[test]
-    fn into_shards_partitions_geodab_and_cluster_but_not_geohash() {
+    fn into_shards_partitions_geodab_and_cluster_but_not_a_node() {
         let geodab = GeodabIndex::new(GeodabConfig::default());
         let sharded = geodab.into_shards(4).expect("geodab shards");
         assert_eq!(sharded.shards(), 4);
 
         let cluster = ClusterIndex::new(GeodabConfig::default(), 100, 2).unwrap();
+        let node = cluster.shard_node(0).expect("node 0 exists");
         let sharded = cluster.into_shards(3).expect("cluster re-shards");
         assert_eq!(sharded.shards(), 3);
 
-        let geohash = GeohashIndex::new(36);
-        let err = geohash.into_shards(2).expect_err("geohash refuses");
-        assert!(err.contains("geohash"));
+        let err = node.into_shards(2).expect_err("a node refuses");
+        assert!(err.contains("node"), "{err}");
     }
 
     #[test]
     fn binding_with_unshardable_backend_is_invalid_input() {
-        let geohash = GeohashIndex::new(36);
+        let cluster = ClusterIndex::new(GeodabConfig::default(), 100, 2).unwrap();
+        let node = cluster.shard_node(0).expect("node 0 exists");
         let config = ServerConfig::builder().shards(2).build().unwrap();
-        let err = match Server::bind("127.0.0.1:0", geohash, config) {
+        let err = match Server::bind("127.0.0.1:0", node, config) {
             Ok(_) => panic!("an unshardable backend must be refused"),
             Err(e) => e,
         };

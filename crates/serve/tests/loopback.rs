@@ -258,12 +258,8 @@ impl geodabs_serve::ServeBackend for PanicOnInsert {
     fn term_count(&self) -> usize {
         self.0.term_count()
     }
-    fn search_fingerprints(
-        &self,
-        _ordered: &[u32],
-        _options: &SearchOptions,
-    ) -> Result<Vec<SearchResult>, &'static str> {
-        Err("unsupported")
+    fn search_fingerprints(&self, ordered: &[u32], options: &SearchOptions) -> Vec<SearchResult> {
+        geodabs_serve::ServeBackend::search_fingerprints(&self.0, ordered, options)
     }
 }
 

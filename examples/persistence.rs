@@ -1,12 +1,11 @@
-//! Snapshots: build all three index backends, save each to disk in the
-//! sectioned `GDAB` v2 snapshot format, reload them cold, and verify the
+//! Snapshots: build the geodab index and a sharded cluster, save each to
+//! disk in the sectioned `GDAB` v2 snapshot format, reload them cold, and verify the
 //! restored indexes answer exactly like the originals.
 //!
 //! Run with `cargo run --release --example persistence`.
 
 use geodabs::cluster::ClusterIndex;
 use geodabs::gen::dataset::{Dataset, DatasetConfig};
-use geodabs::index::GeohashIndex;
 use geodabs::prelude::*;
 use geodabs::roadnet::generators::{grid_network, GridConfig};
 
@@ -53,23 +52,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         geodab.search(&query.trajectory, &options)
     );
     println!("         restored index answers identically");
-
-    // The geohash baseline persists the same way (terms are u64 cells).
-    let mut geohash = GeohashIndex::new(36);
-    geohash.insert_batch(items.clone());
-    let path = dir.join("geodabs-example-geohash.gdab");
-    geohash.save_to(&path)?;
-    let restored = GeohashIndex::load_from(&path)?;
-    assert_eq!(
-        restored.search(&query.trajectory, &options),
-        geohash.search(&query.trajectory, &options)
-    );
-    println!(
-        "geohash: {} trajectories / {} cells round-trip through {}",
-        geohash.len(),
-        geohash.term_count(),
-        path.display()
-    );
 
     // A sharded cluster snapshot is a manifest plus per-node segments,
     // written and read concurrently — the cold-start path of a sharded
