@@ -1,8 +1,11 @@
-//! A small dependency-free `--flag value` argument parser.
+//! A small dependency-free `--flag value` argument parser over the
+//! command table.
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+
+use crate::commands::{Command, TABLE};
 
 /// Errors parsing the command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -13,8 +16,8 @@ pub enum ParseError {
     UnknownCommand(String),
     /// A flag without the `--` prefix or without a value.
     MalformedFlag(String),
-    /// A flag the subcommand does not understand (likely a typo that
-    /// would otherwise silently change behavior).
+    /// A flag the command path's usage line does not name (likely a typo
+    /// that would otherwise silently change behavior).
     UnknownFlag(String),
     /// An action token the subcommand does not understand (e.g.
     /// `snapshot savee`), or a missing one where required.
@@ -61,39 +64,22 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-/// The parsed command line: a subcommand, an optional action token (for
-/// commands like `snapshot save`) plus `--flag value` pairs.
+/// The parsed command line: the [`TABLE`] entry it names plus its
+/// `--flag value` pairs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Args {
-    command: String,
-    action: Option<String>,
+    entry: &'static Command,
     flags: HashMap<String, String>,
 }
 
-/// Subcommands the binary understands.
-pub const COMMANDS: &[&str] = &[
-    "build", "stats", "search", "tune", "world", "export", "snapshot", "serve", "frontend",
-    "loadtest", "metrics", "wal", "help",
-];
-
-/// Commands taking a bare action token before the flags, with the actions
-/// they accept.
-const ACTIONS: &[(&str, &[&str])] = &[
-    ("snapshot", &["save", "load", "inspect"]),
-    ("wal", &["inspect", "replay"]),
-];
-
-/// Flags that take no value: their presence is the whole message (read
-/// with [`Args::has`]). Everything else requires `--name value`.
-const BOOLEAN_FLAGS: &[&str] = &["json", "server-metrics", "text"];
-
 impl Args {
-    /// Parses a raw argument list (without the program name).
+    /// Parses a raw argument list (without the program name) against
+    /// [`TABLE`].
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] on unknown commands or actions, malformed
-    /// or duplicated flags.
+    /// Returns a [`ParseError`] on unknown commands or actions, flags the
+    /// entry's usage does not name, and malformed or duplicated flags.
     pub fn parse<I, S>(argv: I) -> Result<Args, ParseError>
     where
         I: IntoIterator<Item = S>,
@@ -101,62 +87,45 @@ impl Args {
     {
         let mut iter = argv.into_iter().map(Into::into).peekable();
         let command = iter.next().ok_or(ParseError::MissingCommand)?;
-        if !COMMANDS.contains(&command.as_str()) {
-            return Err(ParseError::UnknownCommand(command));
-        }
-        let mut action = None;
-        if let Some((_, allowed)) = ACTIONS.iter().find(|&&(c, _)| c == command) {
-            // The action is the first token when it does not look like a
-            // flag; it is validated here so a typo'd action fails loudly.
-            let candidate = iter.peek().filter(|a| !a.starts_with("--")).cloned();
-            match candidate {
-                Some(a) if allowed.contains(&a.as_str()) => {
-                    iter.next();
-                    action = Some(a);
-                }
-                other => {
-                    return Err(ParseError::UnknownAction {
-                        command,
-                        action: other,
-                    });
+        let paths: Vec<&'static Command> =
+            TABLE.iter().filter(|c| c.command() == command).collect();
+        let entry = match paths[..] {
+            [] => return Err(ParseError::UnknownCommand(command)),
+            [only] if only.action().is_none() => only,
+            _ => {
+                // The action is the first token when it does not look like
+                // a flag; it is validated here so a typo'd action fails
+                // loudly.
+                let action = iter.next_if(|a| !a.starts_with("--"));
+                match paths.iter().find(|c| c.action() == action.as_deref()) {
+                    Some(entry) => entry,
+                    None => return Err(ParseError::UnknownAction { command, action }),
                 }
             }
-        }
+        };
         let mut flags = HashMap::new();
         while let Some(flag) = iter.next() {
-            let name = flag
-                .strip_prefix("--")
-                .ok_or_else(|| ParseError::MalformedFlag(flag.clone()))?
-                .to_string();
-            if name.is_empty() {
-                return Err(ParseError::MalformedFlag(flag));
-            }
-            let value = if BOOLEAN_FLAGS.contains(&name.as_str()) {
-                "true".to_string()
-            } else {
-                iter.next()
-                    .ok_or_else(|| ParseError::MalformedFlag(flag.clone()))?
+            let name = match flag.strip_prefix("--") {
+                Some(name) if !name.is_empty() => name.to_string(),
+                _ => return Err(ParseError::MalformedFlag(flag)),
+            };
+            let value = match entry.switch(&name) {
+                None => return Err(ParseError::UnknownFlag(name)),
+                Some(true) => "true".to_string(),
+                Some(false) => iter
+                    .next()
+                    .ok_or_else(|| ParseError::MalformedFlag(flag.clone()))?,
             };
             if flags.insert(name.clone(), value).is_some() {
                 return Err(ParseError::DuplicateFlag(name));
             }
         }
-        Ok(Args {
-            command,
-            action,
-            flags,
-        })
+        Ok(Args { entry, flags })
     }
 
-    /// The subcommand.
-    pub fn command(&self) -> &str {
-        &self.command
-    }
-
-    /// The action token, for subcommands that take one (e.g.
-    /// `snapshot save`).
-    pub fn action(&self) -> Option<&str> {
-        self.action.as_deref()
+    /// The table entry the command line names.
+    pub fn entry(&self) -> &'static Command {
+        self.entry
     }
 
     /// Whether a specific flag was given.
@@ -164,22 +133,9 @@ impl Args {
         self.flags.contains_key(flag)
     }
 
-    /// Rejects flags outside `allowed` — a typo'd flag must fail loudly
-    /// instead of silently falling back to a default (fatal when the
-    /// default skips a CI gate).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseError::UnknownFlag`] naming the first offender.
-    pub fn reject_unknown_flags(&self, allowed: &[&str]) -> Result<(), ParseError> {
-        let mut names: Vec<&String> = self.flags.keys().collect();
-        names.sort_unstable();
-        for name in names {
-            if !allowed.contains(&name.as_str()) {
-                return Err(ParseError::UnknownFlag(name.clone()));
-            }
-        }
-        Ok(())
+    /// A flag's value, or `None` when absent.
+    pub fn get(&self, flag: &str) -> Option<&str> {
+        self.flags.get(flag).map(String::as_str)
     }
 
     /// A string flag, or `default` when absent.
@@ -200,6 +156,23 @@ impl Args {
             .get(flag)
             .cloned()
             .ok_or_else(|| ParseError::MissingFlag(flag.to_string()))
+    }
+
+    /// A flag whose value must be one of `allowed`, or `None` when
+    /// absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError::InvalidValue`] for any other value.
+    pub fn one_of(&self, flag: &str, allowed: &[&str]) -> Result<Option<&str>, ParseError> {
+        match self.flags.get(flag) {
+            None => Ok(None),
+            Some(v) if allowed.contains(&v.as_str()) => Ok(Some(v)),
+            Some(v) => Err(ParseError::InvalidValue {
+                flag: flag.to_string(),
+                value: v.clone(),
+            }),
+        }
     }
 
     /// An integer flag, or `default` when absent.
@@ -234,7 +207,7 @@ mod tests {
     #[test]
     fn parses_command_and_flags() {
         let a = Args::parse(["build", "--routes", "10", "--out", "x.gdab"]).unwrap();
-        assert_eq!(a.command(), "build");
+        assert_eq!(a.entry().command(), "build");
         assert_eq!(a.usize_or("routes", 0).unwrap(), 10);
         assert_eq!(a.string_required("out").unwrap(), "x.gdab");
     }
@@ -297,12 +270,13 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected_when_asked() {
-        let a = Args::parse(["loadtest", "--scenario", "micro", "--verfiy", "none"]).unwrap();
+        // Every command path asks: its usage line is its flag spec.
         assert_eq!(
-            a.reject_unknown_flags(&["scenario", "verify"]),
+            Args::parse(["loadtest", "--scenario", "micro", "--verfiy", "none"]),
             Err(ParseError::UnknownFlag("verfiy".into()))
         );
-        assert_eq!(a.reject_unknown_flags(&["scenario", "verfiy"]), Ok(()));
+        let a = Args::parse(["loadtest", "--scenario", "micro", "--verify", "none"]).unwrap();
+        assert_eq!(a.one_of("verify", &["local", "none"]), Ok(Some("none")));
         assert!(ParseError::UnknownFlag("x".into())
             .to_string()
             .contains("--x"));
@@ -311,8 +285,8 @@ mod tests {
     #[test]
     fn snapshot_actions_parse_and_validate() {
         let a = Args::parse(["snapshot", "save", "--out", "x.gdab"]).unwrap();
-        assert_eq!(a.command(), "snapshot");
-        assert_eq!(a.action(), Some("save"));
+        assert_eq!(a.entry().command(), "snapshot");
+        assert_eq!(a.entry().action(), Some("save"));
         assert_eq!(a.string_required("out").unwrap(), "x.gdab");
         // A typo'd or missing action fails loudly instead of being read
         // as a flag soup.
@@ -333,10 +307,10 @@ mod tests {
         ));
         // The wal command follows the same action discipline.
         let a = Args::parse(["wal", "inspect", "--dir", "logs"]).unwrap();
-        assert_eq!(a.command(), "wal");
-        assert_eq!(a.action(), Some("inspect"));
+        assert_eq!(a.entry().command(), "wal");
+        assert_eq!(a.entry().action(), Some("inspect"));
         assert_eq!(
-            Args::parse(["wal", "replay"]).unwrap().action(),
+            Args::parse(["wal", "replay"]).unwrap().entry().action(),
             Some("replay")
         );
         assert!(matches!(
@@ -347,7 +321,7 @@ mod tests {
             })
         ));
         // Action-less commands stay action-less.
-        assert_eq!(Args::parse(["world"]).unwrap().action(), None);
+        assert_eq!(Args::parse(["world"]).unwrap().entry().action(), None);
         assert!(ParseError::UnknownAction {
             command: "snapshot".into(),
             action: None

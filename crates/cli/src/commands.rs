@@ -1,86 +1,185 @@
-//! The subcommand implementations.
+//! The command table and what it drives. Each command path is declared
+//! once, in [`TABLE`]: [`Args::parse`] accepts only a table entry and the
+//! flags its usage line names, [`run`] calls the entry's function, and
+//! [`help`] prints every usage line. The commands themselves live in one
+//! module per family.
+
+mod corpus;
+mod loadtest;
+mod serve;
+mod snapshot;
+mod wal;
 
 use geodabs_cluster::ShardNode;
 use geodabs_core::GeodabConfig;
-use geodabs_gen::dataset::{Dataset, DatasetConfig};
-use geodabs_gen::world::{WorldActivity, WorldConfig};
-use geodabs_index::store::{self, Persist, SnapshotReader};
-use geodabs_index::tuning::{hill_climb, TuningSample};
-use geodabs_index::{codec, GeodabIndex, SearchOptions, TrajectoryIndex};
-use geodabs_roadnet::generators::{grid_network, GridConfig};
-use geodabs_roadnet::RoadNetwork;
-use geodabs_serve::{recover, AnyIndex, Recovered, ServeBackend, ServerHandle};
-use std::collections::HashSet;
+use geodabs_gen::dataset::Dataset;
+use geodabs_serve::AnyIndex;
 use std::error::Error;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::io::Write;
 
 use crate::workload::{self, Scenario};
 use crate::Args;
 
-/// Runs the subcommand selected by `args`, writing human-readable output
-/// to `out`.
+/// One command path: `geodabs NAME USAGE`.
+#[derive(Debug)]
+pub struct Command {
+    /// The command, followed by its action where it takes one
+    /// (`"snapshot save"`).
+    pub name: &'static str,
+    /// The flags, as `geodabs help` prints them; a newline continues them
+    /// on the next help line. This is also the flag spec: every `--flag`
+    /// in it is accepted, and a bracketed `[--flag]` alone is a switch
+    /// that takes no value.
+    pub usage: &'static str,
+    run: Run,
+}
+
+/// What runs a command path.
+type Run = fn(&Args, &mut dyn Write) -> Result<(), Box<dyn Error>>;
+
+/// Entries compare by name, which is unique in the table.
+impl PartialEq for Command {
+    fn eq(&self, other: &Command) -> bool {
+        self.name == other.name
+    }
+}
+
+impl Command {
+    const fn new(name: &'static str, usage: &'static str, run: Run) -> Command {
+        Command { name, usage, run }
+    }
+
+    /// The first word of the name.
+    pub fn command(&self) -> &'static str {
+        self.name.split(' ').next().unwrap_or_default()
+    }
+
+    /// The action, for the commands that take one.
+    pub fn action(&self) -> Option<&'static str> {
+        self.name.split_once(' ').map(|(_, action)| action)
+    }
+
+    /// Whether the usage accepts `--flag` as a switch (`Some(true)`) or
+    /// with a value (`Some(false)`); `None` when it does not name it.
+    pub fn switch(&self, flag: &str) -> Option<bool> {
+        self.usage.split_whitespace().find_map(|token| {
+            let named = token.trim_start_matches(['(', '[']).strip_prefix("--")?;
+            (named.trim_end_matches([')', ']']) == flag).then(|| token == format!("[--{flag}]"))
+        })
+    }
+}
+
+/// Every command path the binary understands.
+pub const TABLE: &[Command] = &[
+    Command::new(
+        "build",
+        "--out FILE [--routes N] [--per-direction M] [--seed S]",
+        corpus::build,
+    ),
+    Command::new("stats", "--index FILE", corpus::stats),
+    Command::new(
+        "search",
+        "--index FILE [--routes N] [--per-direction M] [--seed S]\n\
+                [--query Q] [--limit K]",
+        corpus::search,
+    ),
+    Command::new(
+        "tune",
+        "[--routes N] [--per-direction M] [--seed S] [--steps T]",
+        corpus::tune,
+    ),
+    Command::new(
+        "world",
+        "[--trajectories N] [--cities C] [--seed S]",
+        corpus::world,
+    ),
+    Command::new(
+        "export",
+        "--out FILE.csv [--routes N] [--per-direction M] [--seed S]",
+        corpus::export,
+    ),
+    Command::new(
+        "snapshot save",
+        "--out FILE [--backend geodab|cluster] [--scenario NAME]\n\
+                [--seed S] [--nodes N] [--shards P]",
+        snapshot::save,
+    ),
+    Command::new(
+        "snapshot load",
+        "--in FILE [--verify rebuild] [--scenario NAME] [--seed S]",
+        snapshot::load,
+    ),
+    Command::new("snapshot inspect", "--in FILE [--json]", snapshot::inspect),
+    Command::new(
+        "serve",
+        "--addr HOST:PORT\n\
+                (--snapshot FILE | --scenario NAME | --wal-dir DIR)\n\
+                [--backend geodab|cluster] [--seed S] [--threads T]\n\
+                [--serve-shards C] [--verify rebuild] [--duration SECS]\n\
+                [--nodes N] [--shards P] [--shard-id I]\n\
+                [--sync-policy always|never|interval[:MS]]\n\
+                [--compact-every SECS]",
+        serve::serve,
+    ),
+    Command::new(
+        "frontend",
+        "--addr HOST:PORT --shards ADDR,ADDR,...\n\
+                [--threads T] [--duration SECS] [--num-shards P]",
+        serve::frontend,
+    ),
+    Command::new(
+        "loadtest",
+        "--addr HOST:PORT [--connections N] [--duration SECS]\n\
+                [--scenario NAME] [--seed S] [--limit K]\n\
+                [--verify local|none] [--server-metrics]",
+        loadtest::loadtest,
+    ),
+    Command::new(
+        "metrics",
+        "--addr HOST:PORT [--top N] [--text] [--out FILE]",
+        loadtest::metrics,
+    ),
+    Command::new("wal inspect", "--dir DIR", wal::inspect),
+    Command::new(
+        "wal replay",
+        "--dir DIR [--out FILE] [--backend geodab|cluster]\n\
+                [--nodes N] [--shards P] [--shard-id I]",
+        wal::replay,
+    ),
+    Command::new("help", "", |_, out| Ok(write!(out, "{}", help())?)),
+];
+
+/// Runs the command path `args` names, writing human-readable output to
+/// `out`.
 ///
 /// # Errors
 ///
 /// Propagates flag, I/O, decoding and generation errors.
-pub fn run(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    match args.command() {
-        "build" => build(args, out),
-        "stats" => stats(args, out),
-        "search" => search(args, out),
-        "tune" => tune(args, out),
-        "world" => world(args, out),
-        "export" => export(args, out),
-        "snapshot" => snapshot(args, out),
-        "serve" => serve(args, out),
-        "frontend" => frontend(args, out),
-        "loadtest" => loadtest(args, out),
-        "metrics" => metrics(args, out),
-        "wal" => wal(args, out),
-        "help" => {
-            write!(out, "{}", HELP)?;
-            Ok(())
-        }
-        other => unreachable!("parser rejects unknown command {other}"),
-    }
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    (args.entry().run)(args, out)
 }
 
-/// Usage text.
-pub const HELP: &str = "\
-geodabs — trajectory indexing with fingerprints (ICDCS 2018 reproduction)
+/// The usage text: every [`TABLE`] entry's usage, then the notes.
+pub fn help() -> String {
+    let width = TABLE.iter().map(|c| c.name.len()).max().unwrap_or(0);
+    let mut text = String::from(
+        "geodabs — trajectory indexing with fingerprints (ICDCS 2018 reproduction)\n\nUSAGE:\n",
+    );
+    for command in TABLE {
+        let mut lead = format!("  geodabs {:<width$}", command.name);
+        for line in command.usage.split('\n') {
+            text.push_str(format!("{lead} {line}").trim_end());
+            text.push('\n');
+            lead = " ".repeat(lead.len());
+        }
+    }
+    text.push('\n');
+    text.push_str(NOTES);
+    text
+}
 
-USAGE:
-  geodabs build  --out FILE [--routes N] [--per-direction M] [--seed S]
-  geodabs stats  --index FILE
-  geodabs search --index FILE [--routes N] [--per-direction M] [--seed S]
-                 [--query Q] [--limit K]
-  geodabs tune   [--routes N] [--seed S] [--steps T]
-  geodabs world  [--trajectories N] [--cities C] [--seed S]
-  geodabs export --out FILE.csv [--routes N] [--per-direction M] [--seed S]
-  geodabs snapshot save    --out FILE [--backend geodab|cluster]
-                           [--scenario NAME] [--seed S] [--nodes N] [--shards P]
-  geodabs snapshot load    --in FILE [--verify rebuild] [--scenario NAME] [--seed S]
-  geodabs snapshot inspect --in FILE [--json]
-  geodabs serve    --addr HOST:PORT (--snapshot FILE | --scenario NAME | --wal-dir DIR)
-                   [--backend geodab|cluster] [--seed S] [--threads T]
-                   [--serve-shards C] [--verify rebuild] [--duration SECS]
-                   [--nodes N] [--shards P] [--shard-id I] [--wal-dir DIR]
-                   [--sync-policy always|never|interval[:MS]]
-                   [--compact-every SECS]
-  geodabs frontend --addr HOST:PORT --shards ADDR,ADDR,...
-                   [--threads T] [--duration SECS] [--num-shards P]
-  geodabs loadtest --addr HOST:PORT [--connections N] [--duration SECS]
-                   [--scenario NAME] [--seed S] [--limit K]
-                   [--verify local|none] [--server-metrics]
-  geodabs metrics  --addr HOST:PORT [--top N] [--text] [--out FILE]
-  geodabs wal inspect --dir DIR
-  geodabs wal replay  --dir DIR [--out FILE]
-                      [--backend geodab|cluster] [--nodes N] [--shards P]
-                      [--shard-id I]
-  geodabs help
-
+/// What `geodabs help` says after the usage lines.
+const NOTES: &str = "\
 Datasets are synthetic and reproducible: the same (routes, per-direction,
 seed) triple always generates the same trajectories, so `search` can
 regenerate its query workload against a persisted index. --scenario
@@ -154,173 +253,12 @@ run and reports the delta: server-clock p50/p95/p99 per stage
 real mux saturation gauges.
 ";
 
-fn network(seed: u64) -> RoadNetwork {
-    grid_network(&GridConfig::default(), seed)
-}
-
-fn dataset_from_args(args: &Args) -> Result<Dataset, Box<dyn Error>> {
-    let routes = args.usize_or("routes", 20)?;
-    let per_direction = args.usize_or("per-direction", 5)?;
-    let seed = args.u64_or("seed", 42)?;
-    let cfg = DatasetConfig {
-        routes,
-        per_direction,
-        queries: routes.min(16),
-        ..DatasetConfig::default()
-    };
-    Ok(Dataset::generate(&network(seed), &cfg, seed)?)
-}
-
-fn build(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    let path = args.string_required("out")?;
-    let ds = dataset_from_args(args)?;
-    let mut index = GeodabIndex::new(GeodabConfig::default());
-    for r in ds.records() {
-        index.insert(r.id, &r.trajectory);
-    }
-    let bytes = codec::encode(&index);
-    std::fs::write(&path, &bytes)?;
-    writeln!(
-        out,
-        "indexed {} trajectories ({} terms) into {} ({} bytes)",
-        index.len(),
-        index.term_count(),
-        path,
-        bytes.len()
-    )?;
-    Ok(())
-}
-
-fn stats(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    let path = args.string_required("index")?;
-    let bytes = std::fs::read(&path)?;
-    let index = codec::decode(&bytes)?;
-    let cfg = index.config();
-    writeln!(out, "index file        {path}")?;
-    writeln!(out, "trajectories      {}", index.len())?;
-    writeln!(out, "distinct terms    {}", index.term_count())?;
-    writeln!(
-        out,
-        "config            depth={} k={} t={} (w={}) prefix={} bits",
-        cfg.normalization_depth(),
-        cfg.k(),
-        cfg.t(),
-        cfg.window(),
-        cfg.prefix_bits()
-    )?;
-    let total_fps: usize = index.iter_fingerprints().map(|(_, fp)| fp.len()).sum();
-    writeln!(
-        out,
-        "fingerprints      {} total, {:.1} per trajectory",
-        total_fps,
-        total_fps as f64 / index.len().max(1) as f64
-    )?;
-    Ok(())
-}
-
-fn search(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    let path = args.string_required("index")?;
-    let bytes = std::fs::read(&path)?;
-    let index = codec::decode(&bytes)?;
-    let ds = dataset_from_args(args)?;
-    let qi = args.usize_or("query", 0)?;
-    let limit = args.usize_or("limit", 10)?;
-    let query = ds.queries().get(qi).ok_or_else(|| {
-        format!(
-            "query index {qi} out of range (have {})",
-            ds.queries().len()
-        )
-    })?;
-    let relevant = ds.relevant_ids(query);
-    let hits = index.search(&query.trajectory, &SearchOptions::default().limit(limit));
-    writeln!(
-        out,
-        "query {qi} (route {}, {} points): {} hit(s)",
-        query.route,
-        query.trajectory.len(),
-        hits.len()
-    )?;
-    for (rank, h) in hits.iter().enumerate() {
-        writeln!(
-            out,
-            "{:>4}  {:>8}  d={:.3}  {}",
-            rank + 1,
-            h.id.to_string(),
-            h.distance,
-            if relevant.contains(&h.id) {
-                "relevant"
-            } else {
-                "-"
-            }
-        )?;
-    }
-    Ok(())
-}
-
-fn tune(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    let ds = dataset_from_args(args)?;
-    let steps = args.usize_or("steps", 5)?;
-    let corpus: Vec<_> = ds
-        .records()
-        .iter()
-        .map(|r| (r.id, r.trajectory.clone()))
-        .collect();
-    let queries: Vec<_> = ds
-        .queries()
-        .iter()
-        .map(|q| {
-            let rel: HashSet<_> = ds.relevant_ids(q);
-            (q.trajectory.clone(), rel)
-        })
-        .collect();
-    let sample = TuningSample::new(corpus, queries);
-    let result = hill_climb(&sample, GeodabConfig::default(), steps);
-    writeln!(out, "evaluated {} configurations", result.evaluations)?;
-    for (cfg, score) in &result.trace {
-        writeln!(
-            out,
-            "  depth={} k={} t={}  score={score:.3}",
-            cfg.normalization_depth(),
-            cfg.k(),
-            cfg.t()
-        )?;
-    }
-    writeln!(
-        out,
-        "best: depth={} k={} t={} (mean R-precision {:.3})",
-        result.config.normalization_depth(),
-        result.config.k(),
-        result.config.t(),
-        result.score
-    )?;
-    Ok(())
-}
-
-fn world(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    let trajectories = args.u64_or("trajectories", 200_000)?;
-    let cities = args.usize_or("cities", 1_000)?;
-    let seed = args.u64_or("seed", 15)?;
-    let activity = WorldActivity::generate(
-        &WorldConfig {
-            cities,
-            trajectories,
-            ..WorldConfig::default()
-        },
-        seed,
-    );
-    writeln!(out, "trajectories      {}", activity.total())?;
-    writeln!(out, "non-empty cells   {}", activity.counts().len())?;
-    writeln!(out, "occupancy         {:.4}", activity.occupancy())?;
-    writeln!(out, "peak cell         {}", activity.peak())?;
-    Ok(())
-}
-
-fn snapshot(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    match args.action().expect("parser guarantees a snapshot action") {
-        "save" => snapshot_save(args, out),
-        "load" => snapshot_load(args, out),
-        "inspect" => snapshot_inspect(args, out),
-        other => unreachable!("parser rejects unknown action {other}"),
+/// Fails with `why` when `when` holds: a flag combination that cannot
+/// mean what it says.
+fn refuse(when: bool, why: &str) -> Result<(), Box<dyn Error>> {
+    match when {
+        true => Err(why.into()),
+        false => Ok(()),
     }
 }
 
@@ -343,879 +281,10 @@ fn scenario_dataset(args: &Args) -> Result<(Scenario, Dataset), Box<dyn Error>> 
     Ok((scenario, dataset))
 }
 
-fn snapshot_save(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    args.reject_unknown_flags(&["backend", "out", "scenario", "seed", "nodes", "shards"])?;
-    let path = args.string_required("out")?;
-    let backend = args.string_or("backend", "geodab");
-    // Build the empty backend *before* the (possibly minutes-long) corpus
-    // generation, so a typo fails in milliseconds.
-    let mut index = AnyIndex::empty(
-        &backend,
-        args.u64_or("shards", 10_000)?,
-        args.usize_or("nodes", 8)?,
-    )?;
-    let (scenario, dataset) = scenario_dataset(args)?;
-
-    let started = Instant::now();
-    index.insert_batch(dataset.records().iter().map(|r| (r.id, &r.trajectory)));
-    let (len, terms) = (index.len(), index.term_count());
-    let written = index.save_to(&path)?;
-    let seconds = started.elapsed().as_secs_f64();
-    writeln!(
-        out,
-        "saved {backend} snapshot of scenario {} ({len} trajectories, {terms} terms/shards) \
-         to {path}: {written} bytes in {seconds:.3}s",
-        scenario.name
-    )?;
-    Ok(())
-}
-
-fn snapshot_load(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    args.reject_unknown_flags(&["in", "verify", "scenario", "seed"])?;
-    let path = args.string_required("in")?;
-    let bytes = std::fs::read(&path)?;
-    let started = Instant::now();
-    let loaded = AnyIndex::from_snapshot(&bytes)?;
-    let seconds = started.elapsed().as_secs_f64();
-    writeln!(
-        out,
-        "loaded {} snapshot: {} trajectories from {} bytes in {seconds:.3}s ({:.1} MB/s)",
-        loaded.backend_name(),
-        loaded.len(),
-        bytes.len(),
-        bytes.len() as f64 / 1e6 / seconds.max(1e-9)
-    )?;
-
-    match args.string_or("verify", "").as_str() {
-        "" => Ok(()),
-        "rebuild" => {
-            // The query-replay loop is shared with `geodabs serve
-            // --verify rebuild` — one verification routine, two callers.
-            let scenario = scenario_from_args(args)?;
-            let checked = workload::verify_against_rebuild(&loaded, &scenario)
-                .map_err(|e| format!("snapshot verify FAILED: {e}"))?;
-            writeln!(
-                out,
-                "verify            PASS ({checked} queries identical to a fresh rebuild of {})",
-                scenario.name
-            )?;
-            Ok(())
-        }
-        other => Err(format!("invalid value {other:?} for --verify (expected \"rebuild\")").into()),
-    }
-}
-
-fn snapshot_inspect(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use crate::json::Json;
-    args.reject_unknown_flags(&["in", "json"])?;
-    let path = args.string_required("in")?;
-    let bytes = std::fs::read(&path)?;
-    let version = store::peek_version(&bytes)?;
-    let machine = args.has("json");
-    if version == store::VERSION_V1 {
-        if machine {
-            let report = Json::obj(vec![
-                ("schema_version", Json::Num(1.0)),
-                ("kind", Json::Str("snapshot".into())),
-                ("file", Json::Str(path.clone())),
-                ("bytes", Json::Num(bytes.len() as f64)),
-                ("format_version", Json::Num(f64::from(version))),
-                ("backend", Json::Str("geodab".into())),
-                ("watermark", Json::Null),
-                ("sections", Json::Arr(Vec::new())),
-            ]);
-            writeln!(out, "{}", report.pretty())?;
-            return Ok(());
-        }
-        writeln!(out, "snapshot file     {path}")?;
-        writeln!(out, "size              {} bytes", bytes.len())?;
-        writeln!(out, "format version    {version}")?;
-        writeln!(
-            out,
-            "layout            legacy v1 geodab codec (raw fingerprint sequences, \
-             engine state rebuilt on load)"
-        )?;
-        return Ok(());
-    }
-    let reader = SnapshotReader::parse(&bytes)?;
-    let watermark = store::watermark(&bytes)?;
-    if machine {
-        let sections: Vec<Json> = reader
-            .sections()
-            .iter()
-            .map(|&(id, payload)| {
-                Json::obj(vec![
-                    ("name", Json::Str(store::section_name(id))),
-                    ("bytes", Json::Num(payload.len() as f64)),
-                ])
-            })
-            .collect();
-        let report = Json::obj(vec![
-            ("schema_version", Json::Num(1.0)),
-            ("kind", Json::Str("snapshot".into())),
-            ("file", Json::Str(path.clone())),
-            ("bytes", Json::Num(bytes.len() as f64)),
-            ("format_version", Json::Num(f64::from(version))),
-            (
-                "backend",
-                match reader.backend() {
-                    Some(kind) => Json::Str(kind.to_string()),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "watermark",
-                match watermark {
-                    Some(seq) => Json::Num(seq as f64),
-                    None => Json::Null,
-                },
-            ),
-            ("sections", Json::Arr(sections)),
-        ]);
-        writeln!(out, "{}", report.pretty())?;
-        return Ok(());
-    }
-    writeln!(out, "snapshot file     {path}")?;
-    writeln!(out, "size              {} bytes", bytes.len())?;
-    writeln!(out, "format version    {version}")?;
-    match reader.backend() {
-        Some(kind) => writeln!(out, "backend           {kind}")?,
-        None => writeln!(
-            out,
-            "backend           unknown (tag {})",
-            reader.backend_tag()
-        )?,
-    }
-    if let Some(seq) = watermark {
-        writeln!(out, "wal watermark     seq {seq} folded into this snapshot")?;
-    }
-    writeln!(
-        out,
-        "sections          {} (all checksums OK)",
-        reader.sections().len()
-    )?;
-    for &(id, payload) in reader.sections() {
-        writeln!(
-            out,
-            "  {:<8} {:>12} bytes",
-            store::section_name(id),
-            payload.len()
-        )?;
-    }
-    Ok(())
-}
-
-fn serve(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use geodabs_serve::{Server, ServerConfig};
-    use geodabs_wal::{SyncPolicy, Wal};
-
-    args.reject_unknown_flags(&[
-        "addr",
-        "backend",
-        "snapshot",
-        "scenario",
-        "seed",
-        "threads",
-        "verify",
-        "duration",
-        "shards",
-        "nodes",
-        "shard-id",
-        "serve-shards",
-        "wal-dir",
-        "sync-policy",
-        "compact-every",
-    ])?;
-    let addr = args.string_required("addr")?;
-    let threads = args.usize_or("threads", geodabs_index::batch::default_threads())?;
-    let serve_shards = args.usize_or("serve-shards", 1)?;
-    // Out-of-range counts are refused here, before any corpus is built.
-    let config = ServerConfig::builder()
-        .shards(serve_shards)
-        .mux_workers(threads)
-        .build()?;
-    if serve_shards > 1 && args.has("shard-id") {
-        return Err(
-            "--serve-shards conflicts with --shard-id: a shard server already hosts one \
-             node's slice"
-                .into(),
-        );
-    }
-    let duration = args.u64_or("duration", 0)?;
-    let verify = args.string_or("verify", "");
-    if !["", "rebuild"].contains(&verify.as_str()) {
-        return Err(format!("invalid value {verify:?} for --verify (expected \"rebuild\")").into());
-    }
-    let wal_dir = match args.has("wal-dir") {
-        true => Some(args.string_required("wal-dir")?),
-        false => None,
-    };
-    // Durability knobs only mean something with a log to apply them to.
-    if wal_dir.is_none() && (args.has("sync-policy") || args.has("compact-every")) {
-        return Err("--sync-policy/--compact-every need --wal-dir".into());
-    }
-    let sync_policy = SyncPolicy::parse(&args.string_or("sync-policy", "always"))?;
-    let compact_every = args.u64_or("compact-every", 0)?;
-    // Both together are fine (--snapshot serves, --scenario names the
-    // verify corpus); a durable server may also boot from its log
-    // directory alone. No corpus source at all is an error.
-    if wal_dir.is_none() && !args.has("snapshot") && !args.has("scenario") {
-        return Err(
-            "serve needs a corpus: pass --snapshot FILE, --scenario NAME or --wal-dir DIR".into(),
-        );
-    }
-    // A scenario ingest IS a fresh rebuild (batch ≡ serial ingest is
-    // pinned by the equivalence proptests), so verifying it against
-    // another fresh rebuild could never fail — reject the vacuous check
-    // instead of doubling startup cost for nothing.
-    if verify == "rebuild" && wal_dir.is_some() {
-        return Err(
-            "--verify rebuild conflicts with --wal-dir: replayed log mutations legitimately \
-             diverge from the scenario corpus, so the check would fail spuriously"
-                .into(),
-        );
-    }
-    if verify == "rebuild" && !args.has("snapshot") {
-        return Err(
-            "--verify rebuild needs --snapshot: a --scenario ingest is itself a fresh rebuild, \
-             so the check would be vacuous"
-                .into(),
-        );
-    }
-    if args.has("shard-id") && args.has("snapshot") {
-        return Err(
-            "--shard-id conflicts with --snapshot (the snapshot records which node it is)".into(),
-        );
-    }
-
-    // Boot order for a durable server: the latest compacted snapshot in
-    // the log directory wins (it reflects acknowledged state newer than
-    // any --snapshot the caller passes), then the log suffix beyond its
-    // watermark is replayed. Without one, boot starts from --snapshot, a
-    // --scenario ingest or an empty index.
-    let started = Instant::now();
-    let empty = empty_index(args)?;
-    let base = || -> Result<(AnyIndex, u64), Box<dyn Error>> {
-        if args.has("snapshot") {
-            if args.has("backend") {
-                return Err(
-                    "--backend conflicts with --snapshot (the snapshot names its backend)".into(),
-                );
-            }
-            let bytes = std::fs::read(args.string_required("snapshot")?)?;
-            let watermark = store::watermark(&bytes)?.unwrap_or(0);
-            let index = AnyIndex::from_snapshot(&bytes)?;
-            writeln!(
-                out,
-                "warm-start        {} snapshot: {} trajectories from {} bytes in {:.3}s",
-                index.backend_name(),
-                index.len(),
-                bytes.len(),
-                started.elapsed().as_secs_f64()
-            )?;
-            return Ok((index, watermark));
-        }
-        if !args.has("scenario") {
-            // --wal-dir alone: a durable server that has not compacted
-            // yet (or is brand new) boots empty and replays its whole log.
-            writeln!(
-                out,
-                "fresh             empty {} index",
-                empty.backend_name()
-            )?;
-            return Ok((empty, 0));
-        }
-        let (scenario, dataset) = scenario_dataset(args)?;
-        let items: Vec<_> = dataset
-            .records()
-            .iter()
-            .map(|r| (r.id, &r.trajectory))
-            .collect();
-        // A shard server ingests the whole corpus and keeps its node's
-        // slice — exactly the state it would hold after a live N-node
-        // ingest, so the per-shard heaps it answers merge exactly at the
-        // frontend.
-        let mut index = empty;
-        index.insert_batch(items);
-        writeln!(
-            out,
-            "ingested          scenario {} into a {} index: {} trajectories in {:.3}s",
-            scenario.name,
-            index.backend_name(),
-            index.len(),
-            started.elapsed().as_secs_f64()
-        )?;
-        Ok((index, 0))
-    };
-    let (index, snapshot_watermark) = match &wal_dir {
-        None => base()?,
-        Some(dir) => {
-            let recovered = recover(std::path::Path::new(dir), base)?;
-            if let Some(bytes) = recovered.compacted {
-                writeln!(
-                    out,
-                    "warm-start        {} compacted snapshot (watermark {}) from {bytes} bytes",
-                    recovered.index.backend_name(),
-                    recovered.watermark
-                )?;
-            }
-            writeln!(
-                out,
-                "wal replay        {} record(s) beyond watermark {} from {dir}: {} trajectories \
-                 now live after {:.3}s",
-                recovered.replayed,
-                recovered.watermark,
-                recovered.index.len(),
-                started.elapsed().as_secs_f64()
-            )?;
-            (recovered.index, recovered.watermark)
-        }
-    };
-
-    if verify == "rebuild" {
-        // The same query-replay loop `snapshot load --verify rebuild`
-        // runs; a server must not come up on a corpus it cannot prove.
-        let scenario = scenario_from_args(args)?;
-        let checked = workload::verify_against_rebuild(&index, &scenario)
-            .map_err(|e| format!("startup verify FAILED: {e}"))?;
-        writeln!(
-            out,
-            "verify            PASS ({checked} queries identical to a fresh rebuild of {})",
-            scenario.name
-        )?;
-    }
-
-    let mut server = Server::bind(addr.as_str(), index, config)?;
-    if let Some(dir) = &wal_dir {
-        let wal = Wal::open(std::path::Path::new(dir), sync_policy)?;
-        writeln!(
-            out,
-            "durability        wal {dir} at seq {} (sync {sync_policy}, compaction {})",
-            wal.last_seq(),
-            if compact_every > 0 {
-                format!("every {compact_every}s")
-            } else {
-                "off".to_string()
-            }
-        )?;
-        server = server.with_durability(
-            wal,
-            snapshot_watermark,
-            (compact_every > 0).then(|| std::time::Duration::from_secs(compact_every)),
-        );
-    }
-    writeln!(
-        out,
-        "listening on      {} ({} mux worker(s), {} in-process shard(s){})",
-        server.local_addr(),
-        threads,
-        serve_shards,
-        if duration > 0 {
-            format!(", shutting down after {duration}s")
-        } else {
-            String::new()
-        }
-    )?;
-    out.flush()?;
-    serve_until_stopped(server.handle(), duration, || server.run(), out)
-}
-
-/// Serves until `--duration` seconds pass (when nonzero) or SIGTERM/
-/// Ctrl-C arrives. Both route into `handle`'s clean-shutdown path: the
-/// serving loop drains, the WAL flushes, and the process exits 0
-/// instead of being torn mid-append.
-fn serve_until_stopped(
-    handle: ServerHandle,
-    duration: u64,
-    run: impl FnOnce() -> std::io::Result<u64>,
-    out: &mut dyn std::io::Write,
-) -> Result<(), Box<dyn Error>> {
-    if duration > 0 {
-        let handle = handle.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_secs(duration));
-            handle.shutdown();
-        });
-    }
-    let stop = crate::signals::install();
-    let finished = Arc::new(AtomicBool::new(false));
-    {
-        let finished = Arc::clone(&finished);
-        std::thread::spawn(move || loop {
-            if finished.load(Ordering::SeqCst) {
-                break;
-            }
-            if stop.load(Ordering::SeqCst) {
-                handle.shutdown();
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        });
-    }
-    let served = run()?;
-    finished.store(true, Ordering::SeqCst);
-    writeln!(
-        out,
-        "served            {served} request(s); shut down cleanly"
-    )?;
-    Ok(())
-}
-
-fn frontend(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use geodabs_cluster::ShardRouter;
-    use geodabs_core::Fingerprinter;
-    use geodabs_serve::{Frontend, FrontendConfig};
-
-    args.reject_unknown_flags(&["addr", "shards", "threads", "duration", "num-shards"])?;
-    let addr = args.string_required("addr")?;
-    let shard_addrs: Vec<String> = args
-        .string_required("shards")?
-        .split(',')
-        .map(|a| a.trim().to_string())
-        .filter(|a| !a.is_empty())
-        .collect();
-    if shard_addrs.is_empty() {
-        return Err("--shards needs at least one HOST:PORT".into());
-    }
-    let threads = args.usize_or("threads", geodabs_index::batch::default_threads())?;
-    let frontend_config = FrontendConfig::builder().mux_workers(threads).build()?;
-    let duration = args.u64_or("duration", 0)?;
-    // The logical shard count must match the shard servers' (both
-    // default to the paper's 10 000): the router is shared verbatim, and
-    // a disagreement would silently drop postings.
-    let num_shards = args.u64_or("num-shards", 10_000)?;
-    let config = GeodabConfig::default();
-    let router = ShardRouter::new(config.prefix_bits(), num_shards, shard_addrs.len())?;
-    writeln!(
-        out,
-        "topology          {num_shards} logical shard(s) over {} shard server(s)",
-        shard_addrs.len()
-    )?;
-    for (node, shard_addr) in shard_addrs.iter().enumerate() {
-        writeln!(out, "  node {node:<4} {shard_addr}")?;
-    }
-    let frontend = Frontend::bind(
-        addr.as_str(),
-        Fingerprinter::new(config),
-        router,
-        shard_addrs,
-        frontend_config,
-    )?;
-    writeln!(
-        out,
-        "listening on      {} ({} mux worker(s){})",
-        frontend.local_addr(),
-        threads,
-        if duration > 0 {
-            format!(", shutting down after {duration}s")
-        } else {
-            String::new()
-        }
-    )?;
-    out.flush()?;
-    serve_until_stopped(frontend.handle(), duration, || frontend.run(), out)
-}
-
-fn loadtest(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use geodabs_serve::{Client, LoadClient};
-    use geodabs_traj::Trajectory;
-
-    args.reject_unknown_flags(&[
-        "addr",
-        "connections",
-        "duration",
-        "scenario",
-        "seed",
-        "limit",
-        "verify",
-        "server-metrics",
-    ])?;
-    let addr = args.string_required("addr")?;
-    let server_metrics = args.has("server-metrics");
-    let connections = args.usize_or("connections", 4)?.max(1);
-    let seconds = args.u64_or("duration", 2)?.max(1);
-    let limit = args.usize_or("limit", workload::VERIFY_LIMIT)?;
-    let verify = args.string_or("verify", "local");
-    if !["local", "none"].contains(&verify.as_str()) {
-        return Err(format!("invalid value {verify:?} for --verify (local|none)").into());
-    }
-    let (scenario, dataset) = scenario_dataset(args)?;
-    let queries: Vec<Trajectory> = dataset
-        .queries()
-        .iter()
-        .map(|q| q.trajectory.clone())
-        .collect();
-    if queries.is_empty() {
-        return Err(format!("scenario {} has no queries", scenario.name).into());
-    }
-    let options = SearchOptions::default().limit(limit);
-
-    // One probe connection up front: fail fast on a dead address and
-    // learn the served backend.
-    let stats = Client::connect(addr.as_str())
-        .map_err(|e| format!("connecting to {addr}: {e}"))?
-        .stats()
-        .map_err(|e| format!("probing {addr}: {e}"))?;
-    writeln!(
-        out,
-        "server            {} at {addr}: {} trajectories, {} terms, {} mux worker(s)",
-        stats.backend, stats.trajectories, stats.terms, stats.workers
-    )?;
-    // A frontend reports its shard-server count in the `terms` slot; it
-    // ranks exactly like a monolithic index, so the single-process
-    // geodab twin below stays the right verification oracle.
-    if stats.backend == "frontend" {
-        writeln!(
-            out,
-            "topology          frontend over {} shard server(s)",
-            stats.terms
-        )?;
-    }
-    let scrape = || {
-        Client::connect(addr.as_str())
-            .map_err(|e| format!("connecting to {addr}: {e}"))?
-            .metrics()
-            .map_err(|e| {
-                format!(
-                    "scraping {addr} for --server-metrics: {e} (pre-metrics servers and \
-                     GEODABS_METRICS=off builds cannot serve the frame)"
-                )
-            })
-    };
-    let before = server_metrics.then(&scrape).transpose()?;
-
-    let mut load = LoadClient::new(addr.clone(), queries, options);
-    if verify == "local" {
-        // Rebuild the scenario corpus in-process and pin every response
-        // bit-identically. Every served backend ranks exactly like the
-        // monolithic geodab index (the equivalence proptests pin that),
-        // so one geodab twin covers them all.
-        let mut twin = GeodabIndex::new(GeodabConfig::default());
-        let items: Vec<_> = dataset
-            .records()
-            .iter()
-            .map(|r| (r.id, &r.trajectory))
-            .collect();
-        twin.insert_batch(items);
-        if stats.backend == "frontend" && stats.trajectories == 0 {
-            // A frontend only counts mutations routed through it; shard
-            // servers that ingested their slices at boot leave that count
-            // at zero, so there is no corpus size to probe. The bit-exact
-            // response comparison below still fails loudly on any corpus
-            // mismatch.
-            writeln!(
-                out,
-                "note              shard corpora were loaded out-of-band; corpus-size probe \
-                 skipped (responses are still verified bit-exactly)"
-            )?;
-        } else if twin.len() as u64 != stats.trajectories {
-            return Err(format!(
-                "server holds {} trajectories but scenario {} generates {} — verification \
-                 would always fail; pass the right --scenario/--seed or --verify none",
-                stats.trajectories,
-                scenario.name,
-                twin.len()
-            )
-            .into());
-        }
-        let expected = dataset
-            .queries()
-            .iter()
-            .map(|q| twin.search(&q.trajectory, &options))
-            .collect();
-        load = load.expect_results(expected);
-    }
-
-    writeln!(
-        out,
-        "driving           {connections} connection(s) for {seconds}s, {} queries (limit {limit}), \
-         verify {verify}",
-        dataset.queries().len()
-    )?;
-    let point = load
-        .run(connections, std::time::Duration::from_secs(seconds))
-        .map_err(|e| format!("load run at {connections} connection(s): {e}"))?;
-    writeln!(
-        out,
-        "load    {:>2} conn(s)   {:>9.1} qps  p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  \
-         ({} requests, {} mismatches)",
-        point.connections,
-        point.qps,
-        point.p50_ms,
-        point.p95_ms,
-        point.p99_ms,
-        point.requests,
-        point.mismatches
-    )?;
-
-    // With --server-metrics, scrape again and report the delta: the
-    // server's own clock on each stage next to the client view above.
-    if let Some(before) = before {
-        let after = scrape()?;
-        write_server_side(out, &before, &after, stats.workers)?;
-    }
-
-    if point.mismatches > 0 {
-        return Err(format!(
-            "loadtest FAILED: {} response(s) diverged from the in-process engine",
-            point.mismatches
-        )
-        .into());
-    }
-    if verify == "local" {
-        writeln!(out, "verify            PASS (every response bit-identical)")?;
-    }
-    Ok(())
-}
-
-/// The server-side stages `loadtest --server-metrics` reports, as
-/// `(stage label, registered histogram name)` pairs. Absent or empty
-/// histograms are skipped, so the same table serves monoliths (lock,
-/// engine), sharded servers (merge) and frontends (scatter, merge).
-const SERVER_STAGES: &[(&str, &str)] = &[
-    ("request", "geodabs_request_latency_us{kind=\"query\"}"),
-    ("decode", "geodabs_decode_us"),
-    ("lock", "geodabs_stage_lock_us"),
-    ("engine", "geodabs_stage_engine_us"),
-    ("scatter", "geodabs_scatter_shard_us"),
-    ("merge", "geodabs_stage_merge_us"),
-    ("encode", "geodabs_encode_us"),
-];
-
-/// Prints the server's own view of a load run from two metrics scrapes:
-/// per-stage latency quantiles from the histogram deltas, then the mux
-/// gauge peaks (peaks are process-lifetime, not deltas — the run can
-/// only have raised them).
-fn write_server_side(
-    out: &mut dyn std::io::Write,
-    before: &geodabs_serve::MetricsReport,
-    after: &geodabs_serve::MetricsReport,
-    workers: u64,
-) -> std::io::Result<()> {
-    let mut stages = 0;
-    for (label, name) in SERVER_STAGES {
-        let Some(current) = after.histogram(name) else {
-            continue;
-        };
-        let current = current.snapshot();
-        let delta = match before.histogram(name) {
-            Some(earlier) => current.delta(&earlier.snapshot()),
-            None => current,
-        };
-        if delta.is_empty() {
-            continue;
-        }
-        stages += 1;
-        writeln!(
-            out,
-            "server  {label:<10} {:>9} sample(s)  p50 {} us  p95 {} us  p99 {} us",
-            delta.count(),
-            delta.quantile(50.0),
-            delta.quantile(95.0),
-            delta.quantile(99.0)
-        )?;
-    }
-    if stages == 0 {
-        writeln!(
-            out,
-            "server-side       no stage histograms recorded (GEODABS_METRICS=off?)"
-        )?;
-    }
-    let peak = |name: &str| after.gauge(name).map(|(_, peak)| peak).unwrap_or(0);
-    writeln!(
-        out,
-        "mux saturation    peak {} of {workers} worker(s) busy, peak {} frame(s) in flight, \
-         peak {} connection(s) (server gauges)",
-        peak("geodabs_mux_workers_busy"),
-        peak("geodabs_mux_frames_in_flight"),
-        peak("geodabs_connections")
-    )
-}
-
-fn metrics(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use geodabs_serve::Client;
-
-    args.reject_unknown_flags(&["addr", "top", "text", "out"])?;
-    let addr = args.string_required("addr")?;
-    let top = args.usize_or("top", 5)?;
-    let report = Client::connect(addr.as_str())
-        .map_err(|e| format!("connecting to {addr}: {e}"))?
-        .metrics()
-        .map_err(|e| format!("scraping {addr}: {e} (pre-metrics servers answer with an error)"))?;
-
-    if let Some(path) = args.has("out").then(|| args.string_or("out", "")) {
-        std::fs::write(&path, &report.text)?;
-        writeln!(out, "exposition        {path}")?;
-    }
-    if args.has("text") {
-        write!(out, "{}", report.text)?;
-        return Ok(());
-    }
-
-    writeln!(out, "server            {addr}")?;
-    writeln!(out, "counters          {}", report.counters.len())?;
-    for (name, total) in &report.counters {
-        writeln!(out, "  {name}  {total}")?;
-    }
-    writeln!(
-        out,
-        "gauges            {} (value / peak)",
-        report.gauges.len()
-    )?;
-    for (name, value, peak) in &report.gauges {
-        writeln!(out, "  {name}  {value} / {peak}")?;
-    }
-    let populated = report
-        .histograms
-        .iter()
-        .filter(|h| !h.buckets.is_empty())
-        .count();
-    writeln!(
-        out,
-        "histograms        {populated} of {} non-empty (count, us at p50/p95/p99)",
-        report.histograms.len()
-    )?;
-    for histogram in &report.histograms {
-        let snapshot = histogram.snapshot();
-        if snapshot.is_empty() {
-            continue;
-        }
-        writeln!(
-            out,
-            "  {}  {}  p50 {} us  p95 {} us  p99 {} us",
-            histogram.name,
-            snapshot.count(),
-            snapshot.quantile(50.0),
-            snapshot.quantile(95.0),
-            snapshot.quantile(99.0)
-        )?;
-    }
-    writeln!(
-        out,
-        "slow queries      {} captured, showing {}",
-        report.slow_queries.len(),
-        report.slow_queries.len().min(top)
-    )?;
-    for slow in report.slow_queries.iter().take(top) {
-        let stages: Vec<String> = slow
-            .stages
-            .iter()
-            .map(|(stage, us)| format!("{stage}={us}us"))
-            .collect();
-        writeln!(
-            out,
-            "  trace {:016x}  {}  {} us  [{}]",
-            slow.trace_id,
-            slow.kind,
-            slow.total_us,
-            stages.join(" ")
-        )?;
-    }
-    Ok(())
-}
-
-fn wal(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    match args.action().expect("parser guarantees a wal action") {
-        "inspect" => wal_inspect(args, out),
-        "replay" => wal_replay(args, out),
-        other => unreachable!("parser rejects unknown action {other}"),
-    }
-}
-
-fn wal_inspect(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use geodabs_serve::WAL_SNAPSHOT_FILE;
-    use geodabs_wal::Wal;
-    args.reject_unknown_flags(&["dir"])?;
-    let dir = args.string_required("dir")?;
-    let segments = Wal::segments(std::path::Path::new(&dir))?;
-    writeln!(out, "wal directory     {dir}")?;
-    let snapshot = std::path::Path::new(&dir).join(WAL_SNAPSHOT_FILE);
-    match std::fs::read(&snapshot) {
-        Ok(bytes) => {
-            let watermark = store::watermark(&bytes)?;
-            writeln!(
-                out,
-                "snapshot          {} bytes, watermark {}",
-                bytes.len(),
-                watermark.map_or_else(|| "none".to_string(), |seq| format!("seq {seq}")),
-            )?;
-        }
-        Err(_) => writeln!(out, "snapshot          none (no compaction yet)")?,
-    }
-    let records: u64 = segments.iter().map(|s| s.records).sum();
-    let bytes: u64 = segments.iter().map(|s| s.bytes).sum();
-    let last_seq = segments.iter().filter_map(|s| s.last_seq()).max();
-    writeln!(
-        out,
-        "segments          {} ({records} records, {bytes} bytes, last seq {})",
-        segments.len(),
-        last_seq.map_or_else(|| "none".to_string(), |seq| seq.to_string()),
-    )?;
-    for segment in &segments {
-        writeln!(
-            out,
-            "  {:<26} start {:>8}  {:>8} record(s)  {:>12} bytes",
-            segment.file_name, segment.start_seq, segment.records, segment.bytes
-        )?;
-    }
-    Ok(())
-}
-
-fn wal_replay(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    args.reject_unknown_flags(&["dir", "out", "backend", "nodes", "shards", "shard-id"])?;
-    let dir = args.string_required("dir")?;
-
-    // The same recovery `serve --wal-dir` boots through, runnable
-    // offline.
-    let empty = empty_index(args)?;
-    let Recovered {
-        index,
-        watermark,
-        last_seq,
-        replayed,
-        compacted,
-    } = recover(std::path::Path::new(&dir), || {
-        writeln!(
-            out,
-            "snapshot          none; replaying into an empty {} index",
-            empty.backend_name()
-        )?;
-        Ok::<_, Box<dyn Error>>((empty, 0))
-    })?;
-    if let Some(bytes) = compacted {
-        writeln!(
-            out,
-            "snapshot          {} backend, {bytes} bytes, watermark {watermark}",
-            index.backend_name()
-        )?;
-    }
-    writeln!(
-        out,
-        "replayed          {replayed} record(s) beyond watermark {watermark}: \
-         {} trajectories at seq {last_seq}",
-        index.len()
-    )?;
-
-    // With --out the reconstruction is persisted as a compacted,
-    // watermark-stamped snapshot — offline compaction for a server that
-    // is not running.
-    if args.has("out") {
-        let path = args.string_required("out")?;
-        let stamped = store::with_watermark(&index.to_snapshot(), last_seq)?;
-        std::fs::write(&path, &stamped)?;
-        writeln!(
-            out,
-            "compacted         {} bytes to {path} (watermark {last_seq})",
-            stamped.len()
-        )?;
-    }
-    Ok(())
-}
-
-/// The empty index `serve` and `wal replay` start from when no snapshot
-/// holds the state: node `--shard-id` of a `--nodes` × `--shards`
-/// cluster, or an empty `--backend` index. A shard server hosts the node
-/// backend, so `--backend` beside `--shard-id` is refused.
+/// The empty index `snapshot save`, `serve` and `wal replay` start from
+/// when no snapshot holds the state: node `--shard-id` of a `--nodes` ×
+/// `--shards` cluster, or an empty `--backend` index. A shard server
+/// hosts the node backend, so `--backend` beside `--shard-id` is refused.
 fn empty_index(args: &Args) -> Result<AnyIndex, Box<dyn Error>> {
     let shards = args.u64_or("shards", 10_000)?;
     let nodes = args.usize_or("nodes", 8)?;
@@ -1226,11 +295,10 @@ fn empty_index(args: &Args) -> Result<AnyIndex, Box<dyn Error>> {
             nodes,
         )?);
     }
-    if args.has("backend") {
-        return Err(
-            "--backend conflicts with --shard-id (a shard server hosts the node backend)".into(),
-        );
-    }
+    refuse(
+        args.has("backend"),
+        "--backend conflicts with --shard-id (a shard server hosts the node backend)",
+    )?;
     let node_id = args.usize_or("shard-id", 0)?;
     Ok(AnyIndex::Node(ShardNode::new(
         GeodabConfig::default(),
@@ -1240,26 +308,12 @@ fn empty_index(args: &Args) -> Result<AnyIndex, Box<dyn Error>> {
     )?))
 }
 
-fn export(args: &Args, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    let path = args.string_required("out")?;
-    let ds = dataset_from_args(args)?;
-    let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    geodabs_gen::csv::write_records(ds.records(), &mut file)?;
-    use std::io::Write as _;
-    file.flush()?;
-    writeln!(
-        out,
-        "exported {} trajectories ({} points) to {}",
-        ds.records().len(),
-        ds.total_points(),
-        path
-    )?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
+    use super::corpus::network;
     use super::*;
+    use geodabs_gen::dataset::DatasetConfig;
+    use geodabs_index::{codec, GeodabIndex, TrajectoryIndex};
 
     fn run_to_string(argv: &[&str]) -> Result<String, String> {
         let args = Args::parse(argv.iter().copied()).map_err(|e| e.to_string())?;
@@ -1280,6 +334,48 @@ mod tests {
         assert!(out.contains("USAGE"));
         assert!(out.contains("geodabs build"));
         assert!(!out.contains("geodabs bench"), "{out}");
+    }
+
+    /// Every command path refuses a flag its usage line does not name, at
+    /// parse time, so a typo cannot fall back to a default.
+    #[test]
+    fn every_command_path_refuses_unknown_flags() {
+        assert_eq!(TABLE.len(), 16);
+        for command in TABLE {
+            let mut argv: Vec<&str> = command.name.split(' ').collect();
+            argv.extend(["--bogus", "1"]);
+            let err = run_to_string(&argv).unwrap_err();
+            assert_eq!(err, "unknown flag --bogus", "{}", command.name);
+        }
+        let err =
+            run_to_string(&["build", "--out", &tmp("typo.gdab"), "--rutes", "3"]).unwrap_err();
+        assert_eq!(err, "unknown flag --rutes");
+    }
+
+    /// `help` prints each entry's usage line, which is the flag spec the
+    /// parser reads: the same three switches as ever take no value.
+    #[test]
+    fn help_prints_the_flag_spec_of_every_command_path() {
+        let help = run_to_string(&["help"]).unwrap();
+        let mut switches = std::collections::BTreeSet::new();
+        for command in TABLE {
+            let first = command.usage.split('\n').next().unwrap_or_default();
+            let line = format!("geodabs {:<16} {first}", command.name);
+            assert!(help.contains(line.trim_end()), "{help}");
+            for token in command.usage.split_whitespace() {
+                if let Some(flag) = token.strip_prefix("[--").and_then(|t| t.strip_suffix(']')) {
+                    assert_eq!(command.switch(flag), Some(true), "{}", command.name);
+                    switches.insert(flag);
+                }
+            }
+        }
+        assert_eq!(
+            switches.into_iter().collect::<Vec<_>>(),
+            ["json", "server-metrics", "text"]
+        );
+        let inspect = Args::parse(["snapshot", "inspect"]).unwrap().entry();
+        assert_eq!(inspect.switch("in"), Some(false));
+        assert_eq!(inspect.switch("out"), None);
     }
 
     #[test]
@@ -1753,6 +849,12 @@ mod tests {
         let err =
             run_to_string(&["loadtest", "--addr", "127.0.0.1:1", "--duration", "1"]).unwrap_err();
         assert!(err.contains("connecting to"), "{err}");
+        // Zero connections or seconds are refused before the probe, not
+        // raised to one.
+        for flag in ["--connections", "--duration"] {
+            let err = run_to_string(&["loadtest", "--addr", "127.0.0.1:1", flag, "0"]).unwrap_err();
+            assert!(err.contains(flag) && err.contains("at least 1"), "{err}");
+        }
     }
 
     #[test]
@@ -1785,6 +887,27 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("sync policy"), "{err}");
+        // A log directory's compacted snapshot wins over --snapshot, and
+        // --backend beside --snapshot is refused all the same.
+        let dir = tmp("serve-compacted-wal");
+        std::fs::create_dir_all(&dir).unwrap();
+        let compacted = format!("{dir}/{}", geodabs_serve::WAL_SNAPSHOT_FILE);
+        run_to_string(&["wal", "replay", "--dir", &dir, "--out", &compacted]).unwrap();
+        let err = run_to_string(&[
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--wal-dir",
+            &dir,
+            "--snapshot",
+            "x.gdab",
+            "--backend",
+            "geodab",
+            "--duration",
+            "1",
+        ])
+        .unwrap_err();
+        assert!(err.contains("conflicts with --snapshot"), "{err}");
     }
 
     #[test]

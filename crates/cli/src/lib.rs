@@ -1,18 +1,10 @@
 //! Implementation of the `geodabs` command-line tool.
 //!
-//! The binary wraps the workspace crates into these subcommands:
-//!
-//! ```text
-//! geodabs build  --out FILE [--routes N] [--per-direction M] [--seed S]
-//! geodabs stats  --index FILE
-//! geodabs search --index FILE [--routes N] [--per-direction M] [--seed S]
-//!                [--query Q] [--limit K]
-//! geodabs tune   [--routes N] [--seed S] [--steps T]
-//! geodabs world  [--trajectories N] [--cities C] [--seed S]
-//! geodabs serve    --addr HOST:PORT (--snapshot FILE | --scenario NAME | --wal-dir DIR) …
-//! geodabs loadtest --addr HOST:PORT [--connections N] [--duration SECS] …
-//! geodabs wal      inspect|replay --dir DIR …
-//! ```
+//! Every command path (`build`, `snapshot save`, `serve`, `wal replay`,
+//! …) is one entry of [`commands::TABLE`]: its name, its usage line and
+//! the function that runs it. The usage line is also the flag spec, so
+//! `geodabs help` lists every command with exactly the flags it accepts,
+//! and a flag it does not list fails to parse (exit 2).
 //!
 //! Datasets are synthetic and fully determined by `(routes,
 //! per-direction, seed)`, so `search` regenerates the query workload

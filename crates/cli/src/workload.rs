@@ -13,7 +13,6 @@ use geodabs_gen::sampler::SamplerConfig;
 use geodabs_index::{GeodabIndex, SearchOptions, TrajectoryIndex};
 use geodabs_roadnet::generators::{grid_network, GridConfig};
 use geodabs_serve::{AnyIndex, ServeBackend};
-use geodabs_traj::{TrajId, Trajectory};
 
 /// A dataset family: how the synthetic world and its trajectories look.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,13 +206,8 @@ pub(crate) fn verify_against_rebuild(
     scenario: &Scenario,
 ) -> Result<usize, String> {
     let dataset = generate(scenario);
-    let items: Vec<(TrajId, &Trajectory)> = dataset
-        .records()
-        .iter()
-        .map(|r| (r.id, &r.trajectory))
-        .collect();
     let mut fresh = fresh_twin(restored)?;
-    fresh.insert_batch(items);
+    fresh.insert_batch(dataset.records().iter().map(|r| (r.id, &r.trajectory)));
     if TrajectoryIndex::len(&fresh) != TrajectoryIndex::len(restored)
         || fresh.term_count() != restored.term_count()
     {
@@ -252,6 +246,7 @@ mod tests {
     use super::*;
     use geodabs_core::GeodabConfig;
     use geodabs_index::store::Persist;
+    use geodabs_traj::{TrajId, Trajectory};
 
     #[test]
     fn catalog_names_are_unique_and_cover_the_presets_and_sizes() {
