@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use crate::commands::{Command, TABLE};
+use crate::commands::{lookup, Command, TABLE};
 
 /// Errors parsing the command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +51,13 @@ impl fmt::Display for ParseError {
             ParseError::UnknownFlag(s) => write!(f, "unknown flag --{s}"),
             ParseError::UnknownAction { command, action } => match action {
                 Some(action) => write!(f, "unknown action {action:?} for `{command}`"),
-                None => write!(f, "`{command}` needs an action (e.g. `{command} save`)"),
+                None => {
+                    write!(f, "`{command}` needs an action")?;
+                    match TABLE.iter().find(|c| c.command() == command) {
+                        Some(example) => write!(f, " (e.g. `{}`)", example.name),
+                        None => Ok(()),
+                    }
+                }
             },
             ParseError::DuplicateFlag(s) => write!(f, "flag --{s} given more than once"),
             ParseError::InvalidValue { flag, value } => {
@@ -85,24 +91,21 @@ impl Args {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        let mut iter = argv.into_iter().map(Into::into).peekable();
-        let command = iter.next().ok_or(ParseError::MissingCommand)?;
-        let paths: Vec<&'static Command> =
-            TABLE.iter().filter(|c| c.command() == command).collect();
-        let entry = match paths[..] {
-            [] => return Err(ParseError::UnknownCommand(command)),
-            [only] if only.action().is_none() => only,
-            _ => {
-                // The action is the first token when it does not look like
-                // a flag; it is validated here so a typo'd action fails
-                // loudly.
-                let action = iter.next_if(|a| !a.starts_with("--"));
-                match paths.iter().find(|c| c.action() == action.as_deref()) {
-                    Some(entry) => entry,
-                    None => return Err(ParseError::UnknownAction { command, action }),
-                }
+        let argv: Vec<String> = argv.into_iter().map(Into::into).collect();
+        let command = argv.first().ok_or(ParseError::MissingCommand)?;
+        let entry = lookup(&argv).ok_or_else(|| {
+            if TABLE.iter().all(|c| c.command() != command) {
+                return ParseError::UnknownCommand(command.clone());
             }
-        };
+            // The action is the token after the command when it does not
+            // look like a flag, so a typo'd action fails loudly.
+            let action = argv.get(1).filter(|a| !a.starts_with("--")).cloned();
+            ParseError::UnknownAction {
+                command: command.clone(),
+                action,
+            }
+        })?;
+        let mut iter = argv.into_iter().skip(entry.name.split(' ').count());
         let mut flags = HashMap::new();
         while let Some(flag) = iter.next() {
             let name = match flag.strip_prefix("--") {
@@ -334,6 +337,19 @@ mod tests {
         }
         .to_string()
         .contains("savee"));
+    }
+
+    #[test]
+    fn a_missing_action_suggests_a_path_that_parses() {
+        for command in ["snapshot", "wal"] {
+            let message = Args::parse([command]).unwrap_err().to_string();
+            // "`wal` needs an action (e.g. `wal inspect`)"
+            let example = message.split('`').nth(3).expect("an example path");
+            assert!(
+                Args::parse(example.split(' ')).is_ok(),
+                "{message}: `{example}` does not parse"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The command table and what it drives. Each command path is declared
 //! once, in [`TABLE`]: [`Args::parse`] accepts only a table entry and the
-//! flags its usage line names, [`run`] calls the entry's function, and
-//! [`help`] prints every usage line. The commands themselves live in one
-//! module per family.
+//! flags its usage line names, [`run`] calls the entry's function,
+//! [`help`] prints every usage line, and [`usage`] prints those of the
+//! path a parse error names. The commands themselves live in one module
+//! per family.
 
 mod corpus;
 mod loadtest;
@@ -159,13 +160,22 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     (args.entry().run)(args, out)
 }
 
-/// The usage text: every [`TABLE`] entry's usage, then the notes.
-pub fn help() -> String {
-    let width = TABLE.iter().map(|c| c.name.len()).max().unwrap_or(0);
-    let mut text = String::from(
-        "geodabs — trajectory indexing with fingerprints (ICDCS 2018 reproduction)\n\nUSAGE:\n",
-    );
-    for command in TABLE {
+/// The table entry `argv` names: its command, and its action where the
+/// command takes one.
+pub fn lookup(argv: &[String]) -> Option<&'static Command> {
+    let word = |i: usize| argv.get(i).map(String::as_str);
+    TABLE
+        .iter()
+        .find(|c| word(0) == Some(c.command()) && (c.action().is_none() || word(1) == c.action()))
+}
+
+/// The USAGE block: the usage lines of `entry`, or of every [`TABLE`]
+/// entry when there is none.
+pub fn usage(entry: Option<&Command>) -> String {
+    let entries = entry.map_or(TABLE, std::slice::from_ref);
+    let width = entries.iter().map(|c| c.name.len()).max().unwrap_or(0);
+    let mut text = String::from("USAGE:\n");
+    for command in entries {
         let mut lead = format!("  geodabs {:<width$}", command.name);
         for line in command.usage.split('\n') {
             text.push_str(format!("{lead} {line}").trim_end());
@@ -173,9 +183,15 @@ pub fn help() -> String {
             lead = " ".repeat(lead.len());
         }
     }
-    text.push('\n');
-    text.push_str(NOTES);
     text
+}
+
+/// The help text: every [`TABLE`] entry's usage, then the notes.
+pub fn help() -> String {
+    format!(
+        "geodabs — trajectory indexing with fingerprints (ICDCS 2018 reproduction)\n\n{}\n{NOTES}",
+        usage(None)
+    )
 }
 
 /// What `geodabs help` says after the usage lines.

@@ -5,6 +5,7 @@
 use geodabs_core::GeodabConfig;
 use geodabs_gen::dataset::{Dataset, DatasetConfig};
 use geodabs_gen::world::{WorldActivity, WorldConfig};
+use geodabs_index::store::Persist;
 use geodabs_index::tuning::{hill_climb, TuningSample};
 use geodabs_index::{codec, GeodabIndex, SearchOptions, TrajectoryIndex};
 use geodabs_roadnet::generators::{grid_network, GridConfig};
@@ -39,7 +40,7 @@ pub(super) fn build(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Erro
     for r in ds.records() {
         index.insert(r.id, &r.trajectory);
     }
-    let bytes = codec::encode(&index);
+    let bytes = index.to_snapshot();
     std::fs::write(&path, &bytes)?;
     writeln!(
         out,

@@ -3,9 +3,9 @@ use std::io::{self, Write};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = Args::parse(argv).unwrap_or_else(|e| {
+    let args = Args::parse(&argv).unwrap_or_else(|e| {
         eprintln!("error: {e}");
-        eprint!("{}", commands::help());
+        eprint!("{}", commands::usage(commands::lookup(&argv)));
         std::process::exit(2);
     });
     let mut stdout = Stdout {

@@ -167,10 +167,8 @@ fn two_process_cluster_is_bit_identical_and_survives_a_sigkilled_shard() {
     // Queries that never touch the dead node still answer exactly.
     for query in &queries {
         let fp = Fingerprinter::new(config).normalize_and_fingerprint(query);
-        if router
-            .nodes_for_terms(fp.ordered().iter().copied())
-            .contains(&0)
-        {
+        let shards = router.shards_for_terms(fp.ordered().iter().copied());
+        if router.nodes_of_shards(&shards).contains(&0) {
             continue;
         }
         assert_eq!(

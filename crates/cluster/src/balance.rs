@@ -20,15 +20,6 @@ pub fn node_loads(router: &ShardRouter, cells: &[(u64, u64)]) -> Vec<u64> {
     loads
 }
 
-/// Sums a per-cell load histogram into per-shard loads.
-pub fn shard_loads(router: &ShardRouter, cells: &[(u64, u64)]) -> Vec<u64> {
-    let mut loads = vec![0u64; router.num_shards() as usize];
-    for &(cell, count) in cells {
-        loads[router.shard_of_cell(cell) as usize] += count;
-    }
-    loads
-}
-
 /// The imbalance ratio `max / mean` of a load vector; `1.0` is perfectly
 /// balanced, larger is worse. Total, for any input — empty and all-zero
 /// vectors report `0.0`, and the sum accumulates in `f64` so extreme
@@ -79,15 +70,6 @@ mod tests {
         let loads = node_loads(&r, &cells);
         assert_eq!(loads.len(), 10);
         assert_eq!(loads.iter().sum::<u64>(), 3_000);
-    }
-
-    #[test]
-    fn shard_loads_sum_to_total() {
-        let r = ShardRouter::new(16, 100, 10).unwrap();
-        let cells = vec![(0u64, 5u64), (40_000, 7), (65_535, 1)];
-        let loads = shard_loads(&r, &cells);
-        assert_eq!(loads.len(), 100);
-        assert_eq!(loads.iter().sum::<u64>(), 13);
     }
 
     #[test]

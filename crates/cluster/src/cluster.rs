@@ -301,11 +301,6 @@ impl ClusterIndex {
         self.nodes.iter().map(ShardNode::posting_count).collect()
     }
 
-    /// Distinct trajectories referenced per node.
-    pub fn trajectories_per_node(&self) -> Vec<usize> {
-        self.nodes.iter().map(ShardNode::len).collect()
-    }
-
     /// Distinct terms across all nodes. Each term routes to exactly one
     /// node, so the per-node counts sum without overlap.
     pub fn term_count(&self) -> usize {

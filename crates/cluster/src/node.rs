@@ -393,7 +393,7 @@ mod tests {
             }
             assert_eq!(
                 nodes.iter().map(ShardNode::len).collect::<Vec<_>>(),
-                cluster.trajectories_per_node(),
+                cluster.nodes.iter().map(ShardNode::len).collect::<Vec<_>>(),
                 "{num_nodes} nodes"
             );
             for query in [
@@ -420,7 +420,7 @@ mod tests {
         for i in 0..3 {
             let node = cluster.shard_node(i).expect("in range");
             assert_eq!(node.node_id(), i);
-            assert_eq!(node.len(), cluster.trajectories_per_node()[i]);
+            assert_eq!(node.len(), cluster.nodes[i].len());
         }
         assert!(cluster.shard_node(3).is_none());
     }
@@ -443,7 +443,7 @@ mod tests {
         }
         assert_eq!(
             nodes.iter().map(ShardNode::len).collect::<Vec<_>>(),
-            cluster.trajectories_per_node()
+            cluster.nodes.iter().map(ShardNode::len).collect::<Vec<_>>()
         );
         let options = SearchOptions::default();
         for query in [eastward(40, 0.0), replacement.clone()] {

@@ -129,11 +129,6 @@ impl ShardRouter {
         nodes.dedup();
         nodes
     }
-
-    /// Distinct nodes touched by a term set, sorted.
-    pub fn nodes_for_terms<I: IntoIterator<Item = u32>>(&self, terms: I) -> Vec<usize> {
-        self.nodes_of_shards(&self.shards_for_terms(terms))
-    }
 }
 
 #[cfg(test)]
@@ -238,7 +233,7 @@ mod tests {
             .collect();
         let shards = r.shards_for_terms(terms.iter().copied());
         assert_eq!(shards.len(), 1, "a local query touches one shard");
-        let nodes = r.nodes_for_terms(terms);
+        let nodes = r.nodes_of_shards(&shards);
         assert_eq!(nodes.len(), 1, "hence one node");
     }
 

@@ -145,7 +145,7 @@ mod tests {
     use super::*;
     use geodabs_core::GeodabConfig;
     use geodabs_geo::Point;
-    use geodabs_index::SearchOptions;
+    use geodabs_index::{SearchOptions, TrajectoryIndex};
     use geodabs_traj::Trajectory;
 
     fn eastward(n: usize, offset_m: f64) -> Trajectory {
@@ -170,10 +170,8 @@ mod tests {
         let restored = ClusterIndex::from_snapshot(&original.to_snapshot()).expect("roundtrip");
         assert_eq!(restored.len(), original.len());
         assert_eq!(restored.postings_per_node(), original.postings_per_node());
-        assert_eq!(
-            restored.trajectories_per_node(),
-            original.trajectories_per_node()
-        );
+        let replicas = |c: &ClusterIndex| c.nodes.iter().map(ShardNode::len).collect::<Vec<_>>();
+        assert_eq!(replicas(&restored), replicas(&original));
         assert_eq!(restored.active_shards(), original.active_shards());
         assert_eq!(
             restored.ids().collect::<Vec<_>>(),

@@ -6,7 +6,7 @@
 
 use geodabs_cluster::ClusterIndex;
 use geodabs_core::{Fingerprints, GeodabConfig};
-use geodabs_index::SearchOptions;
+use geodabs_index::{SearchOptions, TrajectoryIndex};
 use geodabs_traj::TrajId;
 use proptest::prelude::*;
 
@@ -44,7 +44,10 @@ proptest! {
 
         // Placement converges: same postings and replicas per node.
         prop_assert_eq!(resized.postings_per_node(), fresh.postings_per_node());
-        prop_assert_eq!(resized.trajectories_per_node(), fresh.trajectories_per_node());
+        let replicas = |c: &ClusterIndex| {
+            (0..).map_while(|i| c.shard_node(i)).map(|n| n.len()).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(replicas(&resized), replicas(&fresh));
         prop_assert_eq!(resized.active_shards(), fresh.active_shards());
         prop_assert_eq!(
             resized.ids().collect::<Vec<_>>(),

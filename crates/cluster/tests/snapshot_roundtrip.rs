@@ -6,7 +6,7 @@
 use geodabs_cluster::ClusterIndex;
 use geodabs_core::{Fingerprints, GeodabConfig};
 use geodabs_index::store::Persist;
-use geodabs_index::SearchOptions;
+use geodabs_index::{SearchOptions, TrajectoryIndex};
 use geodabs_traj::TrajId;
 use proptest::prelude::*;
 
@@ -55,7 +55,10 @@ proptest! {
         let restored = ClusterIndex::from_snapshot(&bytes).expect("roundtrip");
         prop_assert_eq!(restored.len(), cluster.len());
         prop_assert_eq!(restored.postings_per_node(), cluster.postings_per_node());
-        prop_assert_eq!(restored.trajectories_per_node(), cluster.trajectories_per_node());
+        let replicas = |c: &ClusterIndex| {
+            (0..).map_while(|i| c.shard_node(i)).map(|n| n.len()).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(replicas(&restored), replicas(&cluster));
         prop_assert_eq!(restored.to_snapshot(), bytes);
 
         let query_fp = Fingerprints::from_ordered(query);

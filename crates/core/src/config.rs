@@ -175,20 +175,6 @@ impl GeodabConfig {
     pub fn prefix_bits(&self) -> u8 {
         self.prefix_bits
     }
-
-    /// The noise threshold in meters: sub-trajectories shorter than this
-    /// are not guaranteed to be detected, given the average distance
-    /// between consecutive normalized points.
-    pub fn noise_threshold_meters(&self, avg_move_meters: f64) -> f64 {
-        self.k as f64 * avg_move_meters
-    }
-
-    /// The guarantee threshold in meters: common sub-trajectories at least
-    /// this long always share a fingerprint, given the average distance
-    /// between consecutive normalized points.
-    pub fn guarantee_threshold_meters(&self, avg_move_meters: f64) -> f64 {
-        self.t as f64 * avg_move_meters
-    }
 }
 
 #[cfg(test)]
@@ -203,14 +189,6 @@ mod tests {
         assert_eq!(c.t(), 12);
         assert_eq!(c.prefix_bits(), 16);
         assert_eq!(c.window(), 7);
-    }
-
-    #[test]
-    fn paper_thresholds_at_85m_moves() {
-        // Section VI-A2: k=6 -> ~510 m noise threshold, t=12 -> ~1020 m.
-        let c = GeodabConfig::default();
-        assert!((c.noise_threshold_meters(85.0) - 510.0).abs() < 1e-9);
-        assert!((c.guarantee_threshold_meters(85.0) - 1020.0).abs() < 1e-9);
     }
 
     #[test]

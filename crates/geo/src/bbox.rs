@@ -145,14 +145,6 @@ impl BoundingBox {
             && (self.min_lon..=self.max_lon).contains(&p.lon())
     }
 
-    /// Whether two boxes overlap (inclusive bounds).
-    pub fn intersects(&self, other: &BoundingBox) -> bool {
-        self.min_lat <= other.max_lat
-            && other.min_lat <= self.max_lat
-            && self.min_lon <= other.max_lon
-            && other.min_lon <= self.max_lon
-    }
-
     /// East-west extent at the center latitude, in meters.
     pub fn width_meters(&self) -> f64 {
         let mid = (self.min_lat + self.max_lat) / 2.0;
@@ -239,19 +231,6 @@ mod tests {
         assert_eq!(bb.max_lat(), 1.0);
         assert_eq!(bb.min_lon(), 5.0);
         assert_eq!(bb.max_lon(), 7.0);
-    }
-
-    #[test]
-    fn intersects_is_symmetric_and_correct() {
-        let a = BoundingBox::new(0.0, 2.0, 0.0, 2.0).unwrap();
-        let b = BoundingBox::new(1.0, 3.0, 1.0, 3.0).unwrap();
-        let c = BoundingBox::new(5.0, 6.0, 5.0, 6.0).unwrap();
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
-        // Touching edges count as intersecting (inclusive bounds).
-        let d = BoundingBox::new(2.0, 4.0, 0.0, 2.0).unwrap();
-        assert!(a.intersects(&d));
     }
 
     proptest! {

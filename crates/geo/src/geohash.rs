@@ -58,19 +58,6 @@ pub struct Geohash {
     bits: u64,
 }
 
-/// The four cardinal directions used when walking to neighboring cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Direction {
-    /// Increasing latitude.
-    North,
-    /// Decreasing latitude.
-    South,
-    /// Increasing longitude (wraps at the antimeridian).
-    East,
-    /// Decreasing longitude (wraps at the antimeridian).
-    West,
-}
-
 impl Geohash {
     /// Encodes a point at the given depth (`0..=64` bits).
     ///
@@ -124,14 +111,6 @@ impl Geohash {
         self.depth
     }
 
-    /// Position on the Z-order curve at this geohash's depth.
-    ///
-    /// Alias of [`Geohash::bits`], named for readability at call sites that
-    /// deal with sharding.
-    pub fn zorder(&self) -> u64 {
-        self.bits
-    }
-
     /// The rectangular cell this geohash covers.
     pub fn bounds(&self) -> BoundingBox {
         let aligned = if self.depth == 0 {
@@ -172,48 +151,10 @@ impl Geohash {
         })
     }
 
-    /// The parent cell (one bit shallower), or `None` at depth 0.
-    pub fn parent(&self) -> Option<Geohash> {
-        if self.depth == 0 {
-            None
-        } else {
-            Some(Geohash {
-                depth: self.depth - 1,
-                bits: self.bits >> 1,
-            })
-        }
-    }
-
-    /// The two child cells (one bit deeper), or `None` at the maximum
-    /// depth. The first child carries bit `0`, the second bit `1`.
-    pub fn children(&self) -> Option<[Geohash; 2]> {
-        if self.depth == MAX_DEPTH {
-            return None;
-        }
-        let base = self.bits << 1;
-        Some([
-            Geohash {
-                depth: self.depth + 1,
-                bits: base,
-            },
-            Geohash {
-                depth: self.depth + 1,
-                bits: base | 1,
-            },
-        ])
-    }
-
     /// Whether `other` is this cell or one of its descendants.
     pub fn contains_hash(&self, other: &Geohash) -> bool {
         other.depth >= self.depth
             && (self.depth == 0 || other.bits >> (other.depth - self.depth) == self.bits)
-    }
-
-    /// Whether the point falls in this cell.
-    pub fn contains_point(&self, p: Point) -> bool {
-        Geohash::encode(p, self.depth)
-            .map(|g| g == *self)
-            .unwrap_or(false)
     }
 
     /// The deepest geohash that overlaps every point of the iterator — the
@@ -247,118 +188,6 @@ impl Geohash {
                 bits >> (64 - prefix_len)
             },
         })
-    }
-
-    /// The adjacent cell in the given direction at the same depth.
-    ///
-    /// Longitude wraps around the antimeridian; latitude saturates, so the
-    /// northern neighbor of a cell touching the north pole is `None`.
-    pub fn neighbor(&self, dir: Direction) -> Option<Geohash> {
-        if self.depth == 0 {
-            // The world cell wraps onto itself east/west and has no
-            // north/south neighbor.
-            return match dir {
-                Direction::East | Direction::West => Some(*self),
-                Direction::North | Direction::South => None,
-            };
-        }
-        let aligned = self.bits << (64 - self.depth);
-        let (lat_q, lon_q) = deinterleave(aligned);
-        let lat_bits = u32::from(self.depth) / 2;
-        let lon_bits = u32::from(self.depth).div_ceil(2);
-        let (mut lat_cell, mut lon_cell) =
-            (cell_index(lat_q, lat_bits), cell_index(lon_q, lon_bits));
-        match dir {
-            Direction::North => {
-                if lat_bits == 0 || lat_cell == (1u32 << lat_bits) - 1 {
-                    return None;
-                }
-                lat_cell += 1;
-            }
-            Direction::South => {
-                if lat_bits == 0 || lat_cell == 0 {
-                    return None;
-                }
-                lat_cell -= 1;
-            }
-            Direction::East => {
-                lon_cell = (lon_cell + 1) & ((1u64 << lon_bits) - 1) as u32;
-            }
-            Direction::West => {
-                lon_cell = lon_cell.wrapping_sub(1) & ((1u64 << lon_bits) - 1) as u32;
-            }
-        }
-        let lat_q = if lat_bits == 0 {
-            0
-        } else {
-            lat_cell << (32 - lat_bits)
-        };
-        let lon_q = if lon_bits == 0 {
-            0
-        } else {
-            lon_cell << (32 - lon_bits)
-        };
-        let code = interleave(lat_q, lon_q);
-        Some(Geohash {
-            depth: self.depth,
-            bits: code >> (64 - self.depth),
-        })
-    }
-
-    /// Enumerates every cell of the given depth intersecting the box, in
-    /// Z-order. This is the covering used for region queries (e.g. "all
-    /// trajectories crossing this area").
-    ///
-    /// The number of cells grows with the box area and the depth:
-    /// `cover_count` can be used to preflight. Boxes are not split at the
-    /// antimeridian (the latitude/longitude domain is a rectangle here).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeoError::InvalidDepth`] if `depth > 64`.
-    pub fn cover_bbox(bbox: &BoundingBox, depth: u8) -> Result<Vec<Geohash>, GeoError> {
-        if depth > MAX_DEPTH {
-            return Err(GeoError::InvalidDepth(depth));
-        }
-        let (lat_lo, lat_hi, lon_lo, lon_hi) = cell_ranges(bbox, depth);
-        let mut out = Vec::with_capacity(((lat_hi - lat_lo + 1) * (lon_hi - lon_lo + 1)) as usize);
-        let lat_bits = u32::from(depth) / 2;
-        let lon_bits = u32::from(depth).div_ceil(2);
-        for lat_cell in lat_lo..=lat_hi {
-            for lon_cell in lon_lo..=lon_hi {
-                let lat_q = if lat_bits == 0 {
-                    0
-                } else {
-                    (lat_cell as u32) << (32 - lat_bits)
-                };
-                let lon_q = if lon_bits == 0 {
-                    0
-                } else {
-                    (lon_cell as u32) << (32 - lon_bits)
-                };
-                let code = interleave(lat_q, lon_q);
-                out.push(Geohash {
-                    depth,
-                    bits: if depth == 0 { 0 } else { code >> (64 - depth) },
-                });
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
-    }
-
-    /// The number of cells [`Geohash::cover_bbox`] would return, without
-    /// materializing them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeoError::InvalidDepth`] if `depth > 64`.
-    pub fn cover_count(bbox: &BoundingBox, depth: u8) -> Result<u64, GeoError> {
-        if depth > MAX_DEPTH {
-            return Err(GeoError::InvalidDepth(depth));
-        }
-        let (lat_lo, lat_hi, lon_lo, lon_hi) = cell_ranges(bbox, depth);
-        Ok((lat_hi - lat_lo + 1) * (lon_hi - lon_lo + 1))
     }
 
     /// Encodes this geohash in the canonical base32 alphabet.
@@ -612,21 +441,6 @@ impl fmt::Display for Geohash {
     }
 }
 
-/// Cell-index ranges `(lat_lo, lat_hi, lon_lo, lon_hi)` of the cells at
-/// `depth` intersecting the box.
-fn cell_ranges(bbox: &BoundingBox, depth: u8) -> (u64, u64, u64, u64) {
-    let lat_bits = u32::from(depth) / 2;
-    let lon_bits = u32::from(depth).div_ceil(2);
-    let lat_cell = |v: f64| u64::from(cell_index(quantize(v, LAT_LO, -LAT_LO), lat_bits));
-    let lon_cell = |v: f64| u64::from(cell_index(quantize(v, LON_LO, -LON_LO), lon_bits));
-    (
-        lat_cell(bbox.min_lat()),
-        lat_cell(bbox.max_lat()),
-        lon_cell(bbox.min_lon()),
-        lon_cell(bbox.max_lon()),
-    )
-}
-
 /// Maps a coordinate in `[lo, hi]` to a 32-bit cell index.
 #[inline]
 fn quantize(value: f64, lo: f64, hi: f64) -> u32 {
@@ -775,10 +589,8 @@ mod tests {
     fn truncate_and_parent() {
         let g = Geohash::from_bits(0b110101, 6).unwrap();
         assert_eq!(g.truncate(3).unwrap().bits(), 0b110);
-        assert_eq!(g.parent().unwrap().bits(), 0b11010);
         assert_eq!(g.truncate(0).unwrap(), Geohash::world());
         assert!(g.truncate(7).is_err());
-        assert!(Geohash::world().parent().is_none());
     }
 
     #[test]
@@ -835,77 +647,14 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_are_adjacent() {
-        let g = Geohash::encode(p(51.5, -0.12), 20).unwrap();
-        let b = g.bounds();
-        let east = g.neighbor(Direction::East).unwrap().bounds();
-        assert!((east.min_lon() - b.max_lon()).abs() < 1e-9);
-        assert!((east.min_lat() - b.min_lat()).abs() < 1e-9);
-        let north = g.neighbor(Direction::North).unwrap().bounds();
-        assert!((north.min_lat() - b.max_lat()).abs() < 1e-9);
-        let west = g.neighbor(Direction::West).unwrap().bounds();
-        assert!((west.max_lon() - b.min_lon()).abs() < 1e-9);
-        let south = g.neighbor(Direction::South).unwrap().bounds();
-        assert!((south.max_lat() - b.min_lat()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn neighbor_roundtrip() {
-        let g = Geohash::encode(p(10.0, 20.0), 30).unwrap();
-        assert_eq!(
-            g.neighbor(Direction::East)
-                .unwrap()
-                .neighbor(Direction::West)
-                .unwrap(),
-            g
-        );
-        assert_eq!(
-            g.neighbor(Direction::North)
-                .unwrap()
-                .neighbor(Direction::South)
-                .unwrap(),
-            g
-        );
-    }
-
-    #[test]
-    fn neighbor_saturates_at_poles_and_wraps_longitude() {
-        let near_pole = Geohash::encode(p(89.99, 0.0), 20).unwrap();
-        assert!(near_pole.neighbor(Direction::North).is_none());
-        // Eastern edge wraps to the western edge.
-        let east_edge = Geohash::encode(p(0.0, 179.99), 20).unwrap();
-        let wrapped = east_edge.neighbor(Direction::East).unwrap();
-        assert!(wrapped.bounds().min_lon() < -179.0);
-    }
-
-    #[test]
     fn zorder_orders_west_to_east_within_band() {
         // Two cells in the same latitude band and longitude half: the more
         // western one comes first on the curve when their prefix differs
         // only in the trailing longitude bit.
         let a = Geohash::from_bits(0b00, 2).unwrap();
         let b = Geohash::from_bits(0b10, 2).unwrap();
-        assert!(a.zorder() < b.zorder());
+        assert!(a.bits() < b.bits());
         assert!(a.bounds().min_lon() < b.bounds().min_lon());
-    }
-
-    #[test]
-    fn children_partition_the_parent() {
-        let g = Geohash::encode(p(51.5, -0.12), 20).unwrap();
-        let [c0, c1] = g.children().unwrap();
-        assert_eq!(c0.parent(), Some(g));
-        assert_eq!(c1.parent(), Some(g));
-        assert!(g.contains_hash(&c0) && g.contains_hash(&c1));
-        // The two children split the parent box along one axis.
-        let pb = g.bounds();
-        let area = |b: &BoundingBox| b.width_meters() * b.height_meters();
-        let half = area(&c0.bounds()) + area(&c1.bounds());
-        assert!((half - area(&pb)).abs() / area(&pb) < 0.01);
-        // Max depth has no children.
-        assert!(Geohash::encode(p(0.0, 0.0), 64)
-            .unwrap()
-            .children()
-            .is_none());
     }
 
     #[test]
@@ -913,56 +662,6 @@ mod tests {
         let g: Geohash = "gbsuv".parse().unwrap();
         assert_eq!(g, Geohash::from_base32("gbsuv").unwrap());
         assert!("?!".parse::<Geohash>().is_err());
-    }
-
-    #[test]
-    fn cover_bbox_covers_the_box() {
-        let bb = BoundingBox::around(p(51.5074, -0.1278), 2_000.0, 1_500.0);
-        let cells = Geohash::cover_bbox(&bb, 30).unwrap();
-        assert!(!cells.is_empty());
-        assert_eq!(cells.len() as u64, Geohash::cover_count(&bb, 30).unwrap());
-        // Cells are sorted, distinct and all intersect the box.
-        assert!(cells.windows(2).all(|w| w[0] < w[1]));
-        for c in &cells {
-            assert!(c.bounds().intersects(&bb), "{c:?} misses the box");
-        }
-        // Every corner and the center are covered.
-        for q in [
-            bb.center(),
-            p(bb.min_lat(), bb.min_lon()),
-            p(bb.max_lat(), bb.max_lon()),
-        ] {
-            assert!(cells.iter().any(|c| c.contains_point(q)), "{q} uncovered");
-        }
-    }
-
-    #[test]
-    fn cover_bbox_depth_zero_is_world() {
-        let bb = BoundingBox::around(p(0.0, 0.0), 1_000.0, 1_000.0);
-        assert_eq!(Geohash::cover_bbox(&bb, 0).unwrap(), vec![Geohash::world()]);
-        assert_eq!(Geohash::cover_count(&bb, 0).unwrap(), 1);
-        assert!(Geohash::cover_bbox(&bb, 65).is_err());
-    }
-
-    #[test]
-    fn cover_count_grows_with_depth() {
-        let bb = BoundingBox::around(p(40.0, 10.0), 50_000.0, 50_000.0);
-        let mut last = 0u64;
-        for depth in [10u8, 16, 20, 24] {
-            let n = Geohash::cover_count(&bb, depth).unwrap();
-            assert!(n >= last, "depth {depth}: {n} < {last}");
-            last = n;
-        }
-        assert!(last > 1);
-    }
-
-    #[test]
-    fn cover_of_a_point_box_is_one_cell() {
-        let q = p(51.5, -0.12);
-        let bb = BoundingBox::enclosing([q]).unwrap();
-        let cells = Geohash::cover_bbox(&bb, 36).unwrap();
-        assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0], Geohash::encode(q, 36).unwrap());
     }
 
     #[test]
@@ -1005,7 +704,7 @@ mod tests {
             let g = Geohash::covering(points.iter().copied()).unwrap();
             for q in &points {
                 prop_assert!(
-                    g.contains_point(*q) || g.depth() == 0,
+                    Geohash::encode(*q, g.depth()).unwrap() == g || g.depth() == 0,
                     "covering {g:?} must contain {q}"
                 );
             }
@@ -1124,8 +823,9 @@ mod tests {
             let a = p(lat, lon);
             let b = a.destination(90.0, 10.0);
             let g = Geohash::covering([a, b]).unwrap();
-            prop_assert!(g.contains_point(a) || g.depth() == 0);
-            prop_assert!(g.contains_point(b) || g.depth() == 0);
+            for q in [a, b] {
+                prop_assert!(Geohash::encode(q, g.depth()).unwrap() == g || g.depth() == 0);
+            }
         }
     }
 }

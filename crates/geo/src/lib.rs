@@ -5,8 +5,9 @@
 //!
 //! * [`Point`] — validated latitude/longitude pairs with the haversine
 //!   ground distance of the paper's Equation 2,
-//! * [`Geohash`] — bit-level geohashes of arbitrary depth (Section III-C),
-//!   including the Z-order space-filling-curve view used for sharding,
+//! * [`Geohash`] — bit-level geohashes of arbitrary depth (Section III-C);
+//!   at a fixed depth, [`Geohash::bits`] is the cell's position on the
+//!   Z-order space-filling curve used for sharding,
 //! * [`BoundingBox`] — the rectangular cells geohashes decode to,
 //! * [`morton`] — the bit-interleaving (Morton encoding) underlying the
 //!   space-filling curve of Figure 2.
@@ -39,5 +40,5 @@ mod point;
 
 pub use bbox::BoundingBox;
 pub use error::GeoError;
-pub use geohash::{CellEncoder, Direction, Geohash, MAX_DEPTH};
+pub use geohash::{CellEncoder, Geohash, MAX_DEPTH};
 pub use point::{Point, EARTH_RADIUS_METERS};

@@ -24,8 +24,7 @@
 //! A `Vec<T>` is a `u32` count followed by the items. The original v1
 //! format (raw fingerprint sequences only, postings rebuilt on load)
 //! remains fully decodable: [`decode`] switches on the version field,
-//! and [`encode_v1`] still writes it for compatibility testing and
-//! migration tooling.
+//! and [`encode_v1`] still writes it so the reader's tests have v1 input.
 
 use geodabs_core::{Fingerprinter, Fingerprints};
 use geodabs_roaring::RoaringBitmap;
@@ -40,14 +39,6 @@ use crate::store::{
     SEC_POSTINGS, SEC_SLOTS, VERSION_V1,
 };
 use crate::GeodabIndex;
-
-/// Serializes the index in the current (v2) snapshot format.
-///
-/// Equivalent to [`Persist::to_snapshot`]; kept as a free function for
-/// continuity with the v1 API.
-pub fn encode(index: &GeodabIndex) -> Vec<u8> {
-    index.to_snapshot()
-}
 
 /// Reconstructs an index from either snapshot version: v2 containers are
 /// materialized directly from their serialized engine state, v1 blobs are
@@ -146,9 +137,8 @@ impl Persist for GeodabIndex {
 /// Serializes the index in the legacy v1 format: the `GDAB` magic,
 /// version 1, the `GeodabConfig`, an entry count `u64`, then per entry
 /// `(id u32, Fingerprints)` ascending by id; all engine state is rebuilt
-/// on load. Kept so migration tooling and compatibility tests can still
-/// produce v1 blobs; new snapshots should use [`encode`] /
-/// [`Persist::to_snapshot`].
+/// on load. Kept so the v1 reader's tests can still produce v1 blobs;
+/// new snapshots use [`Persist::to_snapshot`].
 pub fn encode_v1(index: &GeodabIndex) -> Vec<u8> {
     let mut buf = MAGIC.to_vec();
     VERSION_V1.put(&mut buf);
@@ -203,7 +193,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let original = sample_index();
-        let bytes = encode(&original);
+        let bytes = original.to_snapshot();
         let decoded = decode(&bytes).expect("roundtrip");
         assert_eq!(decoded.len(), original.len());
         assert_eq!(decoded.term_count(), original.term_count());
@@ -216,7 +206,7 @@ mod tests {
     #[test]
     fn decoded_index_answers_queries_identically() {
         let original = sample_index();
-        let decoded = decode(&encode(&original)).expect("roundtrip");
+        let decoded = decode(&original.to_snapshot()).expect("roundtrip");
         let query = path(0.0);
         assert_eq!(
             original.search(&query, &SearchOptions::default()),
@@ -239,7 +229,7 @@ mod tests {
         );
         // Re-encoding a v1-loaded index produces the same v2 bytes as the
         // original: both paths land on identical engine state.
-        assert_eq!(encode(&decoded), encode(&original));
+        assert_eq!(decoded.to_snapshot(), original.to_snapshot());
     }
 
     #[test]
@@ -255,13 +245,13 @@ mod tests {
     #[test]
     fn encoding_is_deterministic() {
         let idx = sample_index();
-        assert_eq!(encode(&idx), encode(&idx));
+        assert_eq!(idx.to_snapshot(), idx.to_snapshot());
     }
 
     #[test]
     fn empty_indexes_roundtrip() {
         let idx = GeodabIndex::new(GeodabConfig::default());
-        let decoded = decode(&encode(&idx)).expect("roundtrip");
+        let decoded = decode(&idx.to_snapshot()).expect("roundtrip");
         assert_eq!(decoded.len(), 0);
         assert_eq!(decoded.term_count(), 0);
     }
@@ -270,7 +260,7 @@ mod tests {
     fn roundtrip_after_removals_keeps_vacant_slots_reusable() {
         let mut idx = sample_index();
         idx.remove(TrajId::new(1));
-        let mut decoded = decode(&encode(&idx)).expect("roundtrip");
+        let mut decoded = decode(&idx.to_snapshot()).expect("roundtrip");
         assert_eq!(decoded.len(), 2);
         // The vacant slot is usable again after the load.
         decoded.insert(TrajId::new(9), &path(500.0));
@@ -286,7 +276,7 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut bytes = encode(&sample_index());
+        let mut bytes = sample_index().to_snapshot();
         bytes[4] = 0xFF;
         bytes[5] = 0xFF;
         assert!(matches!(
@@ -297,7 +287,7 @@ mod tests {
 
     #[test]
     fn truncation_is_detected_everywhere() {
-        for bytes in [encode(&sample_index()), encode_v1(&sample_index())] {
+        for bytes in [sample_index().to_snapshot(), encode_v1(&sample_index())] {
             for cut in [5usize, 7, 10, 15, bytes.len() / 2, bytes.len() - 1] {
                 let err = decode(&bytes[..cut]).expect_err("must fail");
                 assert!(
@@ -310,7 +300,7 @@ mod tests {
 
     #[test]
     fn payload_corruption_is_caught_by_checksums() {
-        let bytes = encode(&sample_index());
+        let bytes = sample_index().to_snapshot();
         // Flip one bit somewhere inside the last section's payload.
         let offset = bytes.len() - 20;
         let mut corrupted = bytes.clone();

@@ -1,4 +1,4 @@
-use geodabs_geo::{BoundingBox, CellEncoder, Geohash, MAX_DEPTH};
+use geodabs_geo::{CellEncoder, MAX_DEPTH};
 use geodabs_traj::{TrajId, Trajectory};
 
 use crate::engine::PostingLists;
@@ -69,27 +69,6 @@ impl GeohashIndex {
         for (id, cells) in cell_sets {
             self.engine.insert(id, cells, |_| true);
         }
-    }
-
-    /// Region query: distinct ids of trajectories touching any cell
-    /// intersecting the box, sorted. This is the classic "bounding
-    /// interval" query of spatial indexes (Section I of the paper) — note
-    /// how coarse it is compared to fingerprint ranking: it cannot order
-    /// the results by similarity to anything.
-    pub fn search_region(&self, bbox: &BoundingBox) -> Vec<TrajId> {
-        let cells: Vec<u64> = Geohash::cover_bbox(bbox, self.depth)
-            .expect("index depth is valid")
-            .into_iter()
-            .map(|c| c.bits())
-            .collect();
-        self.candidates(&cells)
-    }
-
-    /// Distinct ids of trajectories sharing at least one cell with the
-    /// query cell set, ascending — straight off the posting bitmaps, with
-    /// no hash-set round-trip.
-    pub fn candidates(&self, query_cells: &[u64]) -> Vec<TrajId> {
-        self.engine.candidate_ids(query_cells.iter().copied())
     }
 }
 
@@ -200,26 +179,6 @@ mod tests {
             &SearchOptions::default().max_distance(0.1),
         );
         assert!(tight.iter().all(|h| h.distance <= 0.1));
-    }
-
-    #[test]
-    fn region_query_finds_crossing_trajectories() {
-        use geodabs_geo::BoundingBox;
-        let mut idx = GeohashIndex::new(36);
-        let near = eastward(40, 0.0);
-        let far = eastward(40, 50_000.0);
-        idx.insert(TrajId::new(0), &near);
-        idx.insert(TrajId::new(1), &far);
-        // A box around the start of the near trajectory.
-        let bb = BoundingBox::around(start(), 1_000.0, 1_000.0);
-        let hits = idx.search_region(&bb);
-        assert_eq!(hits, vec![TrajId::new(0)]);
-        // A box in the middle of nowhere finds nothing.
-        let empty = BoundingBox::around(start().destination(180.0, 30_000.0), 500.0, 500.0);
-        assert!(idx.search_region(&empty).is_empty());
-        // A box covering everything finds both.
-        let big = BoundingBox::around(start().destination(90.0, 25_000.0), 120_000.0, 20_000.0);
-        assert_eq!(idx.search_region(&big).len(), 2);
     }
 
     #[test]

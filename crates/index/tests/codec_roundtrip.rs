@@ -5,7 +5,7 @@
 //! index.
 
 use geodabs_core::{Fingerprints, GeodabConfig};
-use geodabs_index::codec::{decode, encode, encode_v1};
+use geodabs_index::codec::{decode, encode_v1};
 use geodabs_index::store::{Persist, SnapshotError};
 use geodabs_index::{GeodabIndex, SearchOptions, TrajectoryIndex};
 use geodabs_traj::TrajId;
@@ -42,7 +42,7 @@ proptest! {
         for i in (0..sets.len()).step_by(remove_stride) {
             original.remove(TrajId::new((i * 3 + 1) as u32));
         }
-        let decoded = decode(&encode(&original)).expect("roundtrip");
+        let decoded = decode(&original.to_snapshot()).expect("roundtrip");
         prop_assert_eq!(decoded.len(), original.len());
         prop_assert_eq!(decoded.term_count(), original.term_count());
         prop_assert_eq!(decoded.config(), original.config());
@@ -50,7 +50,7 @@ proptest! {
             prop_assert_eq!(decoded.fingerprints(id), Some(fp));
         }
         // Same bytes out again: encoding is deterministic.
-        prop_assert_eq!(encode(&decoded), encode(&original));
+        prop_assert_eq!(decoded.to_snapshot(), original.to_snapshot());
         // And the decoded index ranks identically.
         let query = Fingerprints::from_ordered(query);
         for options in [
@@ -76,7 +76,7 @@ proptest! {
         let from_v1 = decode(&encode_v1(&original)).expect("v1 decode");
         prop_assert_eq!(from_v1.len(), original.len());
         prop_assert_eq!(from_v1.term_count(), original.term_count());
-        prop_assert_eq!(encode(&from_v1), encode(&original));
+        prop_assert_eq!(from_v1.to_snapshot(), original.to_snapshot());
         let query = Fingerprints::from_ordered(query);
         prop_assert_eq!(
             from_v1.search_fingerprints(&query, &SearchOptions::default()),
@@ -94,7 +94,7 @@ proptest! {
         legacy in any::<bool>(),
     ) {
         let index = index_of(&sets);
-        let bytes = if legacy { encode_v1(&index) } else { encode(&index) };
+        let bytes = if legacy { encode_v1(&index) } else { index.to_snapshot() };
         let cut = cut_seed % bytes.len();
         let err = decode(&bytes[..cut]).expect_err("truncated input must fail");
         prop_assert!(
@@ -111,7 +111,7 @@ proptest! {
         byte in 0usize..4,
         xor in 1u8..=255,
     ) {
-        let mut bytes = encode(&index_of(&sets));
+        let mut bytes = index_of(&sets).to_snapshot();
         bytes[byte] ^= xor;
         prop_assert!(matches!(decode(&bytes), Err(SnapshotError::BadMagic)));
     }
@@ -127,7 +127,7 @@ proptest! {
         offset_seed in 0usize..10_000,
         xor in 1u8..=255,
     ) {
-        let bytes = encode(&index_of(&sets));
+        let bytes = index_of(&sets).to_snapshot();
         let offset = offset_seed % bytes.len();
         let mut corrupted = bytes;
         corrupted[offset] ^= xor;

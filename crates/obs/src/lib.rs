@@ -625,15 +625,6 @@ impl TraceId {
         TraceId(if mixed == 0 { 1 } else { mixed })
     }
 
-    /// Wraps a raw wire value; `None` for zero (the "no trace" marker).
-    pub fn from_raw(raw: u64) -> Option<TraceId> {
-        if raw == 0 {
-            None
-        } else {
-            Some(TraceId(raw))
-        }
-    }
-
     /// The raw id, as the wire carries it.
     pub fn raw(self) -> u64 {
         self.0
@@ -866,8 +857,6 @@ mod tests {
             assert_ne!(id.raw(), 0);
             assert!(seen.insert(id.raw()), "duplicate trace id {id}");
         }
-        assert_eq!(TraceId::from_raw(0), None);
-        assert_eq!(TraceId::from_raw(7).map(TraceId::raw), Some(7));
     }
 
     #[test]

@@ -183,14 +183,6 @@ impl RoadNetwork {
     pub fn bounds(&self) -> Result<BoundingBox, GeoError> {
         BoundingBox::enclosing(self.points.iter().copied())
     }
-
-    /// Total length of all directed edges, in meters.
-    pub fn total_edge_length_meters(&self) -> f64 {
-        self.adjacency
-            .iter()
-            .flat_map(|edges| edges.iter().map(Edge::length_meters))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -263,13 +255,6 @@ mod tests {
             assert!(bb.contains(q));
         }
         assert!(RoadNetwork::new().bounds().is_err());
-    }
-
-    #[test]
-    fn total_edge_length_sums_directed_edges() {
-        let (net, _, _, _) = triangle();
-        let total = net.total_edge_length_meters();
-        assert!(total > 4.0 * 1_100.0, "{total}");
     }
 
     #[test]

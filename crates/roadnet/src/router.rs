@@ -51,17 +51,6 @@ impl Route {
         self.duration_s
     }
 
-    /// Average speed over the route in meters per second.
-    ///
-    /// Returns `0.0` for a zero-duration (single-node) route.
-    pub fn average_speed_mps(&self) -> f64 {
-        if self.duration_s > 0.0 {
-            self.length_m / self.duration_s
-        } else {
-            0.0
-        }
-    }
-
     /// A route in the opposite direction over the same nodes.
     ///
     /// The synthetic dataset generator uses this for the return-path
@@ -290,7 +279,6 @@ mod tests {
         assert_eq!(r.nodes(), &[ids[0], ids[1], ids[2], ids[3]]);
         assert!((r.length_meters() - 3.0 * 1_112.0).abs() < 20.0);
         assert!((r.duration_seconds() - r.length_meters() / 20.0).abs() < 1e-9);
-        assert!((r.average_speed_mps() - 20.0).abs() < 1e-9);
     }
 
     #[test]
@@ -306,7 +294,6 @@ mod tests {
         let r = shortest_path(&net, ids[1], ids[1]).unwrap();
         assert_eq!(r.nodes(), &[ids[1]]);
         assert_eq!(r.length_meters(), 0.0);
-        assert_eq!(r.average_speed_mps(), 0.0);
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn persisted_index_answers_every_query_identically() {
     for r in ds.records() {
         index.insert(r.id, &r.trajectory);
     }
-    let bytes = codec::encode(&index);
+    let bytes = index.to_snapshot();
     let restored = codec::decode(&bytes).expect("roundtrip");
     assert_eq!(restored.len(), index.len());
     for q in ds.queries() {
@@ -37,8 +37,8 @@ fn persisted_index_answers_every_query_identically() {
             restored.search(&q.trajectory, &SearchOptions::default())
         );
     }
-    // And the roundtrip is stable: encode(decode(x)) == x.
-    assert_eq!(codec::encode(&restored), bytes);
+    // And the roundtrip is stable: decoding then re-encoding gives x back.
+    assert_eq!(restored.to_snapshot(), bytes);
 }
 
 #[test]
@@ -51,7 +51,7 @@ fn persisted_index_survives_disk() {
     let dir = std::env::temp_dir().join("geodabs-int-tests");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("persist.gdab");
-    std::fs::write(&path, codec::encode(&index)).expect("write");
+    std::fs::write(&path, index.to_snapshot()).expect("write");
     let bytes = std::fs::read(&path).expect("read");
     let restored = codec::decode(&bytes).expect("decode");
     assert_eq!(restored.len(), ds.records().len());
