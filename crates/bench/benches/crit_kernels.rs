@@ -201,9 +201,6 @@ fn bench_encode(c: &mut Criterion) {
     c.bench_function("morton_spread_lut", |bench| {
         bench.iter(|| morton::spread(black_box(0xDEAD_BEEF)))
     });
-    c.bench_function("base32_decode_11ch", |bench| {
-        bench.iter(|| Geohash::from_base32(black_box("u4pruydqqvj")).expect("valid"))
-    });
 }
 
 /// The synthetic-corpus generator every benchmark set-up waits on: one

@@ -180,7 +180,7 @@ fn bench_frozen_long_lists(c: &mut Criterion) {
         ("frozen_long_lists_probed", 8u32),
         ("frozen_long_lists_walked", 6_000),
     ] {
-        let mut lists: PostingLists<u32, Vec<u32>> = PostingLists::new();
+        let mut lists: PostingLists<Vec<u32>> = PostingLists::new();
         for i in 0..CROWD {
             let mut terms = hot.to_vec();
             if i < admitted {

@@ -67,7 +67,7 @@ pub struct ShardNode {
     node_id: usize,
     /// The postings [`placed_on`] this node, each live slot holding its
     /// trajectory's full fingerprints.
-    store: PostingLists<u32, Fingerprints>,
+    store: PostingLists<Fingerprints>,
 }
 
 /// Node `node_id`'s placement predicate: whether `router` puts a term's

@@ -68,21 +68,6 @@ impl BoundingBox {
         }
     }
 
-    /// A box centered on `center` whose sides span `width_m` x `height_m`
-    /// meters (approximately; exact at the center latitude).
-    pub fn around(center: Point, width_m: f64, height_m: f64) -> BoundingBox {
-        let north = center.destination(0.0, height_m / 2.0);
-        let south = center.destination(180.0, height_m / 2.0);
-        let east = center.destination(90.0, width_m / 2.0);
-        let west = center.destination(270.0, width_m / 2.0);
-        BoundingBox {
-            min_lat: south.lat(),
-            max_lat: north.lat(),
-            min_lon: west.lon(),
-            max_lon: east.lon(),
-        }
-    }
-
     /// Smallest box containing every point of the iterator.
     ///
     /// # Errors
@@ -190,17 +175,6 @@ mod tests {
         assert!(w.contains(p(90.0, 180.0)));
         assert!(w.contains(p(-90.0, -180.0)));
         assert!(w.contains(p(0.0, 0.0)));
-    }
-
-    #[test]
-    fn around_has_requested_extent() {
-        let c = p(51.5, -0.12);
-        let bb = BoundingBox::around(c, 20_000.0, 15_000.0);
-        assert!((bb.width_meters() - 20_000.0).abs() < 100.0);
-        assert!((bb.height_meters() - 15_000.0).abs() < 100.0);
-        assert!(bb.contains(c));
-        let center = bb.center();
-        assert!(c.haversine_distance(center) < 50.0);
     }
 
     #[test]

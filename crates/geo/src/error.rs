@@ -10,8 +10,6 @@ pub enum GeoError {
     InvalidLongitude(f64),
     /// Geohash depth outside the supported `1..=64` range.
     InvalidDepth(u8),
-    /// A base32 geohash string contained a character outside the alphabet.
-    InvalidBase32(char),
     /// An operation that requires at least one point received none.
     EmptyPointSet,
 }
@@ -27,12 +25,6 @@ impl fmt::Display for GeoError {
             }
             GeoError::InvalidDepth(d) => {
                 write!(f, "geohash depth {d} is outside the supported range 1..=64")
-            }
-            GeoError::InvalidBase32(c) => {
-                write!(
-                    f,
-                    "character {c:?} is not part of the geohash base32 alphabet"
-                )
             }
             GeoError::EmptyPointSet => write!(f, "operation requires at least one point"),
         }
@@ -51,7 +43,6 @@ mod tests {
             (GeoError::InvalidLatitude(91.0), "latitude"),
             (GeoError::InvalidLongitude(181.0), "longitude"),
             (GeoError::InvalidDepth(65), "depth"),
-            (GeoError::InvalidBase32('!'), "base32"),
             (GeoError::EmptyPointSet, "at least one point"),
         ];
         for (err, needle) in cases {

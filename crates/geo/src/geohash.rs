@@ -1,29 +1,10 @@
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 use crate::morton::{deinterleave, interleave};
 use crate::{BoundingBox, GeoError, Point};
 
 /// Maximum supported geohash depth, in bits.
 pub const MAX_DEPTH: u8 = 64;
-
-/// The canonical geohash base32 alphabet (Niemeyer, 2008).
-const BASE32: &[u8; 32] = b"0123456789bcdefghjkmnpqrstuvwxyz";
-
-/// Reverse lookup for [`BASE32`]: maps a byte to its 5-bit digit, with both
-/// cases of each letter accepted and `0xFF` marking bytes outside the
-/// alphabet — one table index replaces the per-character linear scan.
-const BASE32_REV: [u8; 256] = {
-    let mut table = [0xFFu8; 256];
-    let mut i = 0usize;
-    while i < 32 {
-        let b = BASE32[i];
-        table[b as usize] = i as u8;
-        table[b.to_ascii_uppercase() as usize] = i as u8;
-        i += 1;
-    }
-    table
-};
 
 /// A geohash: `depth` bits that repeatedly bisect the latitude/longitude
 /// space (Section III-C of the paper).
@@ -44,7 +25,7 @@ const BASE32_REV: [u8; 256] = {
 /// # fn main() -> Result<(), geodabs_geo::GeoError> {
 /// let p = Point::new(57.64911, 10.40744)?;
 /// let g = Geohash::encode(p, 55)?;
-/// assert_eq!(g.to_base32().unwrap(), "u4pruydqqvj");
+/// assert_eq!(g.bits(), 0x0068_95be_bccb_5b71); // "u4pruydqqvj" in base32
 /// assert!(g.bounds().contains(p));
 /// # Ok(())
 /// # }
@@ -187,54 +168,6 @@ impl Geohash {
             } else {
                 bits >> (64 - prefix_len)
             },
-        })
-    }
-
-    /// Encodes this geohash in the canonical base32 alphabet.
-    ///
-    /// Returns `None` unless the depth is a multiple of 5 (base32 encodes
-    /// five bits per character).
-    pub fn to_base32(&self) -> Option<String> {
-        if !self.depth.is_multiple_of(5) {
-            return None;
-        }
-        let chars = self.depth / 5;
-        let mut out = String::with_capacity(chars as usize);
-        for i in (0..chars).rev() {
-            let chunk = (self.bits >> (i * 5)) & 0b11111;
-            out.push(BASE32[chunk as usize] as char);
-        }
-        Some(out)
-    }
-
-    /// Parses a base32 geohash string (depth = 5 bits per character).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeoError::InvalidBase32`] on characters outside the
-    /// alphabet, and [`GeoError::InvalidDepth`] if the string encodes more
-    /// than 64 bits (i.e. more than 12 characters).
-    pub fn from_base32(s: &str) -> Result<Geohash, GeoError> {
-        if s.len() > 12 {
-            return Err(GeoError::InvalidDepth(
-                u8::try_from(s.len() * 5).unwrap_or(u8::MAX),
-            ));
-        }
-        let mut bits: u64 = 0;
-        for c in s.chars() {
-            let idx = if (c as u32) < 256 {
-                BASE32_REV[c as usize]
-            } else {
-                0xFF
-            };
-            if idx == 0xFF {
-                return Err(GeoError::InvalidBase32(c));
-            }
-            bits = (bits << 5) | idx as u64;
-        }
-        Ok(Geohash {
-            depth: (s.len() * 5) as u8,
-            bits,
         })
     }
 }
@@ -415,32 +348,6 @@ impl CellEncoder {
     }
 }
 
-impl std::str::FromStr for Geohash {
-    type Err = GeoError;
-
-    /// Parses the base32 form, like [`Geohash::from_base32`].
-    fn from_str(s: &str) -> Result<Geohash, GeoError> {
-        Geohash::from_base32(s)
-    }
-}
-
-impl fmt::Display for Geohash {
-    /// Displays the base32 form when the depth allows it, and the raw binary
-    /// prefix (e.g. `0b1101/4`) otherwise.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.to_base32() {
-            Some(s) if !s.is_empty() => write!(f, "{s}"),
-            _ => write!(
-                f,
-                "0b{:0width$b}/{}",
-                self.bits,
-                self.depth,
-                width = self.depth as usize
-            ),
-        }
-    }
-}
-
 /// Maps a coordinate in `[lo, hi]` to a 32-bit cell index.
 #[inline]
 fn quantize(value: f64, lo: f64, hi: f64) -> u32 {
@@ -512,38 +419,9 @@ mod tests {
     #[test]
     fn classic_base32_test_vector() {
         // The canonical example from the geohash literature.
+        // "u4pruydqqvj" in base32, five bits per character.
         let g = Geohash::encode(p(57.64911, 10.40744), 55).unwrap();
-        assert_eq!(g.to_base32().unwrap(), "u4pruydqqvj");
-    }
-
-    #[test]
-    fn base32_roundtrip() {
-        for s in ["u", "u4", "gbsuv", "u4pruydqqvj", "0", "zzzzz"] {
-            let g = Geohash::from_base32(s).unwrap();
-            assert_eq!(g.to_base32().unwrap(), s);
-            assert_eq!(g.depth() as usize, s.len() * 5);
-        }
-    }
-
-    #[test]
-    fn base32_parse_is_case_insensitive_and_validates() {
-        assert_eq!(
-            Geohash::from_base32("GBSUV").unwrap(),
-            Geohash::from_base32("gbsuv").unwrap()
-        );
-        assert_eq!(
-            Geohash::from_base32("ab"),
-            Err(GeoError::InvalidBase32('a'))
-        );
-        assert!(Geohash::from_base32("0123456789012").is_err());
-    }
-
-    #[test]
-    fn to_base32_requires_multiple_of_five() {
-        let g = Geohash::encode(p(1.0, 2.0), 36).unwrap();
-        assert!(g.to_base32().is_none());
-        let g = Geohash::encode(p(1.0, 2.0), 35).unwrap();
-        assert!(g.to_base32().is_some());
+        assert_eq!(g.bits(), 0x0068_95be_bccb_5b71);
     }
 
     #[test]
@@ -655,21 +533,6 @@ mod tests {
         let b = Geohash::from_bits(0b10, 2).unwrap();
         assert!(a.bits() < b.bits());
         assert!(a.bounds().min_lon() < b.bounds().min_lon());
-    }
-
-    #[test]
-    fn from_str_parses_base32() {
-        let g: Geohash = "gbsuv".parse().unwrap();
-        assert_eq!(g, Geohash::from_base32("gbsuv").unwrap());
-        assert!("?!".parse::<Geohash>().is_err());
-    }
-
-    #[test]
-    fn display_prefers_base32() {
-        let g = Geohash::from_base32("gbsuv").unwrap();
-        assert_eq!(g.to_string(), "gbsuv");
-        let g = Geohash::from_bits(0b1101, 4).unwrap();
-        assert_eq!(g.to_string(), "0b1101/4");
     }
 
     proptest! {
@@ -802,15 +665,6 @@ mod tests {
             reference.sort_unstable();
             reference.dedup();
             prop_assert_eq!(cells, reference);
-        }
-
-        #[test]
-        fn prop_base32_roundtrip(bits: u64, chars in 1usize..=12) {
-            let depth = (chars * 5) as u8;
-            let bits = if depth == 64 { bits } else { bits & ((1u64 << depth) - 1) };
-            let g = Geohash::from_bits(bits, depth).unwrap();
-            let s = g.to_base32().unwrap();
-            prop_assert_eq!(Geohash::from_base32(&s).unwrap(), g);
         }
 
         #[test]

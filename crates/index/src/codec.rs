@@ -30,7 +30,6 @@ use geodabs_core::{Fingerprinter, Fingerprints};
 use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::TrajId;
 use std::collections::HashMap;
-use std::hash::Hash;
 
 use crate::engine::{PostingLists, Replica};
 use crate::store::{
@@ -56,14 +55,10 @@ pub fn decode(data: &[u8]) -> Result<GeodabIndex, SnapshotError> {
     }
 }
 
-/// Writes a store's posting dictionary in `Vec<(T, RoaringBitmap)>`'s
+/// Writes a store's posting dictionary in `Vec<(u32, RoaringBitmap)>`'s
 /// layout, terms ascending, without cloning a bitmap — the POST section
 /// here and the tail of a cluster node's segment.
-pub fn put_postings<T, R>(out: &mut Vec<u8>, store: &PostingLists<T, R>)
-where
-    T: Wire + Copy + Eq + Hash + Ord,
-    R: Replica<T>,
-{
+pub fn put_postings<R: Replica>(out: &mut Vec<u8>, store: &PostingLists<R>) {
     put_seq(
         out,
         store.postings_sorted().into_iter(),

@@ -8,12 +8,12 @@
 //!   slot numbers, so posting lists can be [`RoaringBitmap`]s of small
 //!   contiguous integers instead of `Vec<TrajId>`,
 //! * [`PostingLists`] — the one posting store of every backend: roaring
-//!   posting lists over interned ids, plus each slot's `|B|` and full
-//!   [`Replica`], with exact **term-at-a-time overlap counting**: instead
-//!   of intersecting bitmap pairs per candidate, one pass over the query's
-//!   posting lists counts `|A ∩ B|` for every candidate simultaneously, and
-//!   `δ = 1 − overlap / (|A| + |B| − overlap)` falls out in O(1) per
-//!   candidate,
+//!   posting lists of `u32` terms over interned ids, plus each slot's
+//!   `|B|` and full [`Replica`], with exact **term-at-a-time overlap
+//!   counting**: instead of intersecting bitmap pairs per candidate, one
+//!   pass over the query's posting lists counts `|A ∩ B|` for every
+//!   candidate simultaneously, and `δ = 1 − overlap / (|A| + |B| −
+//!   overlap)` falls out in O(1) per candidate,
 //! * [`TopK`] — a bounded heap that keeps the best `limit` hits under the
 //!   `(distance, id)` total order while honoring `max_distance`.
 //!
@@ -89,7 +89,7 @@
 //! use geodabs_traj::TrajId;
 //!
 //! // Terms are kept as sorted vectors and every one gets a list.
-//! let mut lists: PostingLists<u32, Vec<u32>> = PostingLists::new();
+//! let mut lists: PostingLists<Vec<u32>> = PostingLists::new();
 //! lists.insert(TrajId::new(7), vec![1, 2, 3], |_| true);
 //! lists.insert(TrajId::new(9), vec![2, 3, 4], |_| true);
 //! lists.insert(TrajId::new(4), vec![40, 41, 42], |_| true);
@@ -109,7 +109,6 @@ use geodabs_roaring::RoaringBitmap;
 use geodabs_traj::TrajId;
 use std::cell::Cell;
 use std::collections::{BinaryHeap, HashMap};
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::{SearchOptions, SearchResult};
@@ -442,19 +441,19 @@ impl TopK {
 /// A trajectory's full term set as [`PostingLists`] keeps it per slot:
 /// what a removal scrubs by, `|B|` for scoring, and the membership test
 /// a *foreign* query term is probed with.
-pub trait Replica<T> {
+pub trait Replica {
     /// The distinct terms.
-    fn terms(&self) -> impl Iterator<Item = T> + '_;
+    fn terms(&self) -> impl Iterator<Item = u32> + '_;
 
     /// `|B|`, the number of distinct terms.
     fn distinct_len(&self) -> u32;
 
     /// Whether `term` is one of the terms.
-    fn has_term(&self, term: T) -> bool;
+    fn has_term(&self, term: u32) -> bool;
 }
 
 /// A geodab fingerprint sequence: its terms are its distinct geodabs.
-impl Replica<u32> for Fingerprints {
+impl Replica for Fingerprints {
     fn terms(&self) -> impl Iterator<Item = u32> + '_ {
         self.distinct().iter().copied()
     }
@@ -468,9 +467,9 @@ impl Replica<u32> for Fingerprints {
     }
 }
 
-/// A strictly ascending term vector, such as a geohash cell set.
-impl<T: Copy + Ord> Replica<T> for Vec<T> {
-    fn terms(&self) -> impl Iterator<Item = T> + '_ {
+/// A strictly ascending term vector, such as a geohash cell set's ids.
+impl Replica for Vec<u32> {
+    fn terms(&self) -> impl Iterator<Item = u32> + '_ {
         self.iter().copied()
     }
 
@@ -478,7 +477,7 @@ impl<T: Copy + Ord> Replica<T> for Vec<T> {
         self.len() as u32
     }
 
-    fn has_term(&self, term: T) -> bool {
+    fn has_term(&self, term: u32) -> bool {
         self.binary_search(&term).is_ok()
     }
 }
@@ -488,16 +487,16 @@ impl<T: Copy + Ord> Replica<T> for Vec<T> {
 /// full replica, with the pruned exact top-k ranking described in the
 /// [module docs](self).
 ///
-/// The term type `T` is generic so the same engine serves the geodab index
-/// (`u32` fingerprints), the geohash baseline (`u64` cells) and any future
-/// vocabulary; `R` is the per-trajectory [`Replica`]. Which terms get a
+/// Terms are `u32`: geodabs, or the ids a dictionary hands out for a
+/// vocabulary of its own (the geohash baseline's cells); `R` is the
+/// per-trajectory [`Replica`]. Which terms get a
 /// posting list here is a **placement predicate** the caller passes to
 /// every insert, search and load: the monolithic indexes place every term
 /// (`|_| true`), a shard node only the terms its router sends to it.
 #[derive(Debug, Clone)]
-pub struct PostingLists<T, R> {
+pub struct PostingLists<R> {
     interner: IdInterner,
-    postings: HashMap<T, RoaringBitmap>,
+    postings: HashMap<u32, RoaringBitmap>,
     /// `set_sizes[dense]` is `|B|`, the number of distinct terms of the
     /// trajectory in that slot (stale for vacant slots): a flat column,
     /// so scoring never reads a replica for it.
@@ -507,9 +506,9 @@ pub struct PostingLists<T, R> {
     replicas: Vec<Option<R>>,
 }
 
-impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> PostingLists<T, R> {
+impl<R: Replica> PostingLists<R> {
     /// Creates an empty store.
-    pub fn new() -> PostingLists<T, R> {
+    pub fn new() -> PostingLists<R> {
         PostingLists {
             interner: IdInterner::new(),
             postings: HashMap::new(),
@@ -538,11 +537,6 @@ impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> PostingLists<T, R> {
         &self.interner
     }
 
-    /// The posting bitmap of a term, if any trajectory contains it.
-    pub fn posting(&self, term: T) -> Option<&RoaringBitmap> {
-        self.postings.get(&term)
-    }
-
     /// The replica stored under `id`, if indexed.
     pub fn replica(&self, id: TrajId) -> Option<&R> {
         self.replicas[self.interner.dense(id)? as usize].as_ref()
@@ -562,7 +556,7 @@ impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> PostingLists<T, R> {
     /// Indexes `replica` under `id`, replacing whatever `id` held: the
     /// slot keeps the full replica and its size, and every term of it
     /// that `places` accepts gets a posting.
-    pub fn insert(&mut self, id: TrajId, replica: R, places: impl Fn(T) -> bool) {
+    pub fn insert(&mut self, id: TrajId, replica: R, places: impl Fn(u32) -> bool) {
         self.remove(id);
         let dense = self.interner.intern(id);
         let slot = dense as usize;
@@ -603,7 +597,7 @@ impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> PostingLists<T, R> {
     /// Distinct ids sharing at least one term with the query, ascending —
     /// straight off the posting lists and the interning table, with no
     /// hash-set round-trip.
-    pub fn candidate_ids(&self, terms: impl IntoIterator<Item = T>) -> Vec<TrajId> {
+    pub fn candidate_ids(&self, terms: impl IntoIterator<Item = u32>) -> Vec<TrajId> {
         let mut ids = Vec::new();
         for term in terms {
             if let Some(list) = self.postings.get(&term) {
@@ -629,8 +623,8 @@ impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> PostingLists<T, R> {
 
     /// Every posting list, ascending by term — the deterministic
     /// serialization order of the snapshot layer.
-    pub fn postings_sorted(&self) -> Vec<(T, &RoaringBitmap)> {
-        let mut postings: Vec<(T, &RoaringBitmap)> = self
+    pub fn postings_sorted(&self) -> Vec<(u32, &RoaringBitmap)> {
+        let mut postings: Vec<(u32, &RoaringBitmap)> = self
             .postings
             .iter()
             .map(|(&term, list)| (term, list))
@@ -656,9 +650,9 @@ impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> PostingLists<T, R> {
         capacity: u32,
         slots: &[(u32, TrajId, u32)],
         mut replica_of: impl FnMut(TrajId) -> Option<R>,
-        posting_lists: Vec<(T, RoaringBitmap)>,
-        places: impl Fn(T) -> bool,
-    ) -> Result<PostingLists<T, R>, &'static str> {
+        posting_lists: Vec<(u32, RoaringBitmap)>,
+        places: impl Fn(u32) -> bool,
+    ) -> Result<PostingLists<R>, &'static str> {
         let live: Vec<(u32, TrajId)> = slots.iter().map(|&(dense, id, _)| (dense, id)).collect();
         let interner = IdInterner::from_live_slots(capacity, &live)?;
         // Columns reach the last live slot (slots ascend); inserts grow
@@ -676,7 +670,7 @@ impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> PostingLists<T, R> {
             replicas[dense as usize] = Some(replica);
         }
         let is_live = |dense: u32| matches!(replicas.get(dense as usize), Some(Some(_)));
-        let mut postings: HashMap<T, RoaringBitmap> = HashMap::with_capacity(posting_lists.len());
+        let mut postings: HashMap<u32, RoaringBitmap> = HashMap::with_capacity(posting_lists.len());
         for (term, list) in posting_lists {
             if list.is_empty() {
                 return Err("empty posting list");
@@ -717,7 +711,7 @@ impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> PostingLists<T, R> {
     /// use geodabs_index::SearchOptions;
     /// use geodabs_traj::TrajId;
     ///
-    /// let mut lists: PostingLists<u32, Vec<u32>> = PostingLists::new();
+    /// let mut lists: PostingLists<Vec<u32>> = PostingLists::new();
     /// lists.insert(TrajId::new(0), vec![10, 11, 12], |_| true);
     /// lists.insert(TrajId::new(1), vec![12, 13, 14], |_| true);
     ///
@@ -730,16 +724,16 @@ impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> PostingLists<T, R> {
     ///
     /// // A store that places only terms below 12 holds no list for 12;
     /// // the twin still scores 0, its match on 12 probed in its replica.
-    /// let mut low: PostingLists<u32, Vec<u32>> = PostingLists::new();
+    /// let mut low: PostingLists<Vec<u32>> = PostingLists::new();
     /// low.insert(TrajId::new(0), vec![10, 11, 12], |t| t < 12);
     /// let (hits, _) = low.search([10u32, 11, 12], &options, |t| t < 12);
     /// assert_eq!(hits[0].distance, 0.0);
     /// ```
     pub fn search(
         &self,
-        query_terms: impl IntoIterator<Item = T>,
+        query_terms: impl IntoIterator<Item = u32>,
         options: &SearchOptions,
-        places: impl Fn(T) -> bool,
+        places: impl Fn(u32) -> bool,
     ) -> (Vec<SearchResult>, usize) {
         let mut scratch = Scratch::take(self.interner.capacity());
         let found = self.search_on(&mut scratch, query_terms, options, places);
@@ -752,15 +746,15 @@ impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> PostingLists<T, R> {
     fn search_on<'a>(
         &'a self,
         scratch: &mut Scratch<'a>,
-        query_terms: impl IntoIterator<Item = T>,
+        query_terms: impl IntoIterator<Item = u32>,
         options: &SearchOptions,
-        places: impl Fn(T) -> bool,
+        places: impl Fn(u32) -> bool,
     ) -> (Vec<SearchResult>, usize) {
         // Partition the query into posting-bearing terms (the only ones
         // that can make a candidate) and foreign ones, while counting |A|
         // over all terms.
         let mut qa = 0u64;
-        let mut foreign: Vec<T> = Vec::new();
+        let mut foreign: Vec<u32> = Vec::new();
         for term in query_terms {
             qa += 1;
             match self.postings.get(&term) {
@@ -1011,8 +1005,8 @@ fn recycle<'b, T: ?Sized>(mut borrows: Vec<&T>) -> Vec<&'b T> {
     borrows.into_iter().map(|_| unreachable!()).collect()
 }
 
-impl<T: Copy + Eq + Hash + Ord, R: Replica<T>> Default for PostingLists<T, R> {
-    fn default() -> PostingLists<T, R> {
+impl<R: Replica> Default for PostingLists<R> {
+    fn default() -> PostingLists<R> {
         PostingLists::new()
     }
 }
@@ -1141,7 +1135,7 @@ mod tests {
         }
     }
 
-    type Lists = PostingLists<u32, Vec<u32>>;
+    type Lists = PostingLists<Vec<u32>>;
 
     /// Every term gets a list: the monolithic indexes' placement.
     fn all(_: u32) -> bool {
@@ -1207,8 +1201,9 @@ mod tests {
         assert!(lists.replica(id(0)).is_none());
         assert_eq!(lists.replica(id(1)), Some(&vec![3, 4, 5]));
         // Terms only id 0 carried are gone from the dictionary.
-        assert!(lists.posting(1).is_none());
-        assert!(lists.posting(3).is_some());
+        let terms: Vec<u32> = lists.postings_sorted().iter().map(|&(t, _)| t).collect();
+        assert_eq!(terms, vec![3, 4, 5, 100, 101]);
+        assert_eq!(lists.term_count(), 5);
     }
 
     #[test]
@@ -1221,17 +1216,6 @@ mod tests {
         );
         let by_slot: Vec<TrajId> = lists.replicas().map(|(id, _)| id).collect();
         assert_eq!(by_slot, vec![id(50), id(3), id(20)]);
-    }
-
-    #[test]
-    fn generic_u64_terms_work() {
-        let mut lists: PostingLists<u64, Vec<u64>> = PostingLists::new();
-        lists.insert(id(1), vec![1 << 40, u64::MAX], |_| true);
-        lists.insert(id(2), vec![1 << 40], |_| true);
-        let (hits, _) = lists.search([u64::MAX, 1 << 40], &SearchOptions::default(), |_| true);
-        assert_eq!(hits[0].id, id(1));
-        assert_eq!(hits[0].distance, 0.0);
-        assert_eq!(hits[1], hit(2, 0.5));
     }
 
     #[test]
@@ -1334,7 +1318,7 @@ mod tests {
         for (raw, terms) in &sets {
             split.insert(id(*raw), terms.clone(), no_eight);
         }
-        assert!(split.posting(8).is_none());
+        assert!(split.postings_sorted().iter().all(|&(term, _)| term != 8));
         let query: Vec<u32> = (1..=8).collect();
         let exact = |terms: &[u32]| {
             let ov = terms.iter().filter(|t| query.contains(t)).count() as u64;
@@ -1397,7 +1381,7 @@ mod tests {
     #[derive(Debug, Clone)]
     struct Fragile(Vec<u32>, bool);
 
-    impl Replica<u32> for Fragile {
+    impl Replica for Fragile {
         fn terms(&self) -> impl Iterator<Item = u32> + '_ {
             self.0.iter().copied()
         }
@@ -1416,7 +1400,7 @@ mod tests {
     fn a_panicking_visitor_leaves_no_dirty_accumulator_behind() {
         // Term 3 is never placed, so querying it probes the replicas.
         let places = |term: u32| term != 3;
-        let mut lists: PostingLists<u32, Fragile> = PostingLists::new();
+        let mut lists: PostingLists<Fragile> = PostingLists::new();
         lists.insert(id(0), Fragile(vec![1, 2], false), places);
         lists.insert(id(1), Fragile(vec![1, 3], true), places);
         let panicked =

@@ -38,7 +38,7 @@ use crate::{SearchOptions, SearchResult, TrajectoryIndex};
 pub struct GeodabIndex {
     pub(crate) fingerprinter: Fingerprinter,
     /// Every geodab gets a list; each slot keeps its full fingerprints.
-    pub(crate) engine: PostingLists<u32, Fingerprints>,
+    pub(crate) engine: PostingLists<Fingerprints>,
 }
 
 impl GeodabIndex {

@@ -1,5 +1,6 @@
 use geodabs_geo::{CellEncoder, MAX_DEPTH};
 use geodabs_traj::{TrajId, Trajectory};
+use std::collections::HashMap;
 
 use crate::engine::PostingLists;
 use crate::{SearchOptions, SearchResult, TrajectoryIndex};
@@ -13,11 +14,19 @@ use crate::{SearchOptions, SearchResult, TrajectoryIndex};
 /// 0.5-precision plateau in Figure 12 — and it discriminates overlapping
 /// trajectories poorly, which Figure 14 shows as query time growing with
 /// dataset density.
+///
+/// The posting store keys `u32` terms, so a dictionary maps each cell to
+/// an id, handed out in first-seen order on insert and kept after the
+/// cell's last trajectory goes. A query cell the dictionary lacks still
+/// counts in `|A|`: it gets an id no list holds, counting down from
+/// `u32::MAX`.
 #[derive(Debug, Clone)]
 pub struct GeohashIndex {
     depth: u8,
-    /// Every cell gets a list; each slot keeps its sorted cell set.
-    engine: PostingLists<u64, Vec<u64>>,
+    /// Cell → term id, in first-seen order.
+    dictionary: HashMap<u64, u32>,
+    /// Every cell gets a list; each slot keeps its sorted cell-id set.
+    engine: PostingLists<Vec<u32>>,
 }
 
 impl GeohashIndex {
@@ -34,6 +43,7 @@ impl GeohashIndex {
         );
         GeohashIndex {
             depth,
+            dictionary: HashMap::new(),
             engine: PostingLists::new(),
         }
     }
@@ -43,7 +53,7 @@ impl GeohashIndex {
         self.depth
     }
 
-    /// Number of distinct cells in the dictionary.
+    /// Number of distinct cells some indexed trajectory holds.
     pub fn term_count(&self) -> usize {
         self.engine.term_count()
     }
@@ -54,9 +64,10 @@ impl GeohashIndex {
     }
 
     /// Indexes a batch of trajectories, extracting cell sets across
-    /// `threads` scoped worker threads; posting-list insertion stays
-    /// single-writer, applied in input order. Produces exactly the index a
-    /// sequential [`TrajectoryIndex::insert`] loop over `items` would.
+    /// `threads` scoped worker threads; dictionary ids and posting-list
+    /// insertion stay single-writer, applied in input order. Produces
+    /// exactly the index a sequential [`TrajectoryIndex::insert`] loop
+    /// over `items` would.
     ///
     /// # Panics
     ///
@@ -67,14 +78,29 @@ impl GeohashIndex {
             (id, cell_set_at(depth, trajectory))
         });
         for (id, cells) in cell_sets {
-            self.engine.insert(id, cells, |_| true);
+            self.insert_cells(id, &cells);
         }
+    }
+
+    /// Indexes `cells` under `id`, giving each cell new to the
+    /// dictionary the next id.
+    fn insert_cells(&mut self, id: TrajId, cells: &[u64]) {
+        let mut terms: Vec<u32> = cells
+            .iter()
+            .map(|&cell| {
+                let next = u32::try_from(self.dictionary.len()).expect("under 2^32 cells");
+                *self.dictionary.entry(cell).or_insert(next)
+            })
+            .collect();
+        terms.sort_unstable();
+        self.engine.insert(id, terms, |_| true);
     }
 }
 
 impl TrajectoryIndex for GeohashIndex {
     fn insert(&mut self, id: TrajId, trajectory: &Trajectory) {
-        self.engine.insert(id, self.cell_set(trajectory), |_| true);
+        let cells = self.cell_set(trajectory);
+        self.insert_cells(id, &cells);
     }
 
     fn remove(&mut self, id: TrajId) -> bool {
@@ -82,8 +108,19 @@ impl TrajectoryIndex for GeohashIndex {
     }
 
     fn search(&self, query: &Trajectory, options: &SearchOptions) -> Vec<SearchResult> {
-        let query_cells = self.cell_set(query);
-        self.engine.search(query_cells, options, |_| true).0
+        let mut unknown = u32::MAX;
+        let terms = self
+            .cell_set(query)
+            .into_iter()
+            .map(|cell| match self.dictionary.get(&cell) {
+                Some(&term) => term,
+                None => {
+                    let term = unknown;
+                    unknown -= 1;
+                    term
+                }
+            });
+        self.engine.search(terms, options, |_| true).0
     }
 
     fn len(&self) -> usize {
@@ -200,6 +237,26 @@ mod tests {
         assert!(idx
             .search(&eastward(10, 0.0), &SearchOptions::default())
             .is_empty());
+    }
+
+    #[test]
+    fn cells_missing_from_the_dictionary_still_count_in_the_query_size() {
+        let mut idx = GeohashIndex::new(36);
+        let stored = eastward(20, 0.0);
+        idx.insert(TrajId::new(0), &stored);
+        let known = idx.cell_set(&stored).len();
+        // Twice as long: the second half's cells were never inserted.
+        let query = eastward(40, 0.0);
+        let total = idx.cell_set(&query).len();
+        assert!(total > known);
+        let hits = idx.search(&query, &SearchOptions::default());
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].distance, 1.0 - known as f64 / total as f64);
+        // A removal empties the lists but keeps the dictionary's ids.
+        idx.remove(TrajId::new(0));
+        assert_eq!(idx.term_count(), 0);
+        idx.insert(TrajId::new(1), &stored);
+        assert_eq!(idx.dictionary.len(), known);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * [`GeodabIndex`] — the paper's contribution,
 //! * [`GeohashIndex`] — the baseline using plain geohash cells as terms,
 //!   which cannot discriminate direction (Figure 12's 0.5-precision
-//!   plateau); it runs on the same engine with `u64` cell terms,
+//!   plateau); it runs on the same engine, its cells mapped to `u32`
+//!   term ids by a dictionary,
 //!
 //! plus the [`eval`] module computing precision/recall curves, ROC curves
 //! and AUC — the measures of Figures 8, 12 and 13.

@@ -2,7 +2,7 @@
 //! behind one servable, persistable value.
 
 use geodabs_cluster::{ClusterIndex, ShardNode};
-use geodabs_core::GeodabConfig;
+use geodabs_core::{Fingerprints, GeodabConfig};
 use geodabs_index::store::{self, Persist, SnapshotError};
 use geodabs_index::{codec, GeodabIndex, SearchOptions, SearchResult, TrajectoryIndex};
 use geodabs_traj::{TrajId, Trajectory};
@@ -119,8 +119,8 @@ impl ServeBackend for AnyIndex {
         each!(self, index => ServeBackend::term_count(index))
     }
 
-    fn search_fingerprints(&self, ordered: &[u32], options: &SearchOptions) -> Vec<SearchResult> {
-        each!(self, index => ServeBackend::search_fingerprints(index, ordered, options))
+    fn search_fingerprints(&self, fp: &Fingerprints, options: &SearchOptions) -> Vec<SearchResult> {
+        each!(self, index => ServeBackend::search_fingerprints(index, fp, options))
     }
 
     fn into_shards(self, shards: usize) -> Result<ShardedIndex, String> {

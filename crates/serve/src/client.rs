@@ -161,29 +161,6 @@ impl Client {
         }
     }
 
-    /// Several ranked retrievals in one round trip; rankings come back in
-    /// query order.
-    ///
-    /// # Errors
-    ///
-    /// Wire errors, or [`WireError::Remote`] if the server reported one.
-    pub fn query_batch(
-        &mut self,
-        queries: &[Trajectory],
-        options: &SearchOptions,
-    ) -> Result<Vec<Vec<SearchResult>>, WireError> {
-        match self.request(&Request::QueryBatch {
-            queries: queries
-                .iter()
-                .map(|t| QueryBody::Trajectory(t.clone()))
-                .collect(),
-            options: *options,
-        })? {
-            Response::HitsBatch(batches) => Ok(batches),
-            other => Err(unexpected(other)),
-        }
-    }
-
     /// Indexes a trajectory; returns the server's post-insert count.
     ///
     /// # Errors
@@ -245,23 +222,6 @@ impl Client {
     pub fn metrics(&mut self) -> Result<MetricsReport, WireError> {
         match self.request(&Request::Metrics)? {
             Response::Metrics(report) => Ok(report),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// A frontend's broadcast insert against one shard server; returns
-    /// the node's post-insert replica count.
-    ///
-    /// # Errors
-    ///
-    /// Wire errors, or [`WireError::Remote`] — e.g. against a server
-    /// that is not hosting a shard node.
-    pub fn shard_insert(&mut self, id: TrajId, ordered: &[u32]) -> Result<u64, WireError> {
-        match self.request(&Request::ShardInsert {
-            id,
-            terms: ordered.to_vec(),
-        })? {
-            Response::Inserted { len } => Ok(len),
             other => Err(unexpected(other)),
         }
     }

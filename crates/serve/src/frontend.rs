@@ -450,7 +450,7 @@ impl Host for RemoteShards {
     fn search(
         &self,
         pool: &mut ShardPool<'_>,
-        query: &QueryBody,
+        query: QueryBody,
         leg: bool,
         options: &SearchOptions,
         span: &mut Span<'_>,
@@ -463,9 +463,9 @@ impl Host for RemoteShards {
         // pre-fingerprinted bodies pass through.
         let fp = match query {
             QueryBody::Trajectory(trajectory) => {
-                self.fingerprinter.normalize_and_fingerprint(trajectory)
+                self.fingerprinter.normalize_and_fingerprint(&trajectory)
             }
-            QueryBody::Fingerprints(ordered) => Fingerprints::from_ordered(ordered.clone()),
+            QueryBody::Fingerprints(ordered) => Fingerprints::from_ordered(ordered),
         };
         let (metrics, trace) = (span.metrics, span.trace);
         let mut merge_started = None;

@@ -8,9 +8,9 @@
 //! nothing but `std::net` and scoped threads:
 //!
 //! * [`proto`] — length-prefixed, CRC-32-guarded frames carrying typed
-//!   requests (`Ping`, `Stats`, `Query`, `QueryBatch`, `Insert`,
-//!   `Remove`) and responses; malformed frames surface as typed
-//!   [`WireError`]s, never panics.
+//!   requests (`Ping`, `Stats`, one `Query` per frame, `Insert`,
+//!   `Remove`, the shard and metrics frames) and responses; malformed
+//!   frames surface as typed [`WireError`]s, never panics.
 //! * [`Server`] — hosts any [`ServeBackend`] (a
 //!   [`TrajectoryIndex`](geodabs_index::TrajectoryIndex) plus the few
 //!   things serving needs on top: the geodab index, the sharded

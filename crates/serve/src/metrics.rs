@@ -19,11 +19,10 @@ use crate::proto::{MetricsHistogram, MetricsReport, MetricsSlowQuery, Request};
 
 /// Request kinds, indexed by [`kind_index`]; the label vocabulary of
 /// the per-kind request counters and latency histograms.
-pub(crate) const KINDS: [&str; 9] = [
+pub(crate) const KINDS: [&str; 8] = [
     "ping",
     "stats",
     "query",
-    "query_batch",
     "insert",
     "remove",
     "shard_query",
@@ -37,12 +36,11 @@ pub(crate) fn kind_index(request: &Request) -> usize {
         Request::Ping => 0,
         Request::Stats { .. } => 1,
         Request::Query { .. } => 2,
-        Request::QueryBatch { .. } => 3,
-        Request::Insert { .. } => 4,
-        Request::Remove { .. } => 5,
-        Request::ShardQuery { .. } => 6,
-        Request::ShardInsert { .. } => 7,
-        Request::Metrics => 8,
+        Request::Insert { .. } => 3,
+        Request::Remove { .. } => 4,
+        Request::ShardQuery { .. } => 5,
+        Request::ShardInsert { .. } => 6,
+        Request::Metrics => 7,
     }
 }
 
@@ -351,10 +349,6 @@ mod tests {
             Request::Stats { durability: false },
             Request::Query {
                 query: crate::proto::QueryBody::Fingerprints(vec![1]),
-                options: SearchOptions::default(),
-            },
-            Request::QueryBatch {
-                queries: vec![],
                 options: SearchOptions::default(),
             },
             Request::Insert {

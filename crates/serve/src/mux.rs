@@ -346,10 +346,10 @@ fn write_response(conn: &mut Conn, response: &Response, metrics: &ServeMetrics) 
     match write_frame(&mut writer, &encoded) {
         Ok(()) => true,
         // write_frame validates the cap before touching the socket, so
-        // an oversized response (a batch of many empty rankings can
-        // exceed the cap on record overhead alone) can still be
-        // answered with a small typed error instead of a silent
-        // hang-up.
+        // an oversized response (a ranking of millions of hits) can
+        // still be answered with a small typed error instead of a
+        // silent hang-up. This is the one guard: the engine has built
+        // the ranking by the time its size is known.
         Err(WireError::FrameTooLarge { .. }) => {
             let fallback = Response::Error(RESPONSE_TOO_LARGE.to_string());
             write_frame(&mut writer, &fallback.encode()).is_ok()
@@ -383,5 +383,58 @@ impl Write for DrainingWriter<'_> {
 
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{QueryBody, MAX_FRAME_LEN};
+    use crate::Client;
+    use geodabs_index::{SearchOptions, SearchResult};
+    use geodabs_traj::TrajId;
+
+    /// A ranking too large to frame is answered with the typed error
+    /// instead of a hang-up, and the connection keeps serving.
+    #[test]
+    fn an_over_cap_response_is_refused_typed_and_the_connection_stays_usable() {
+        // A hit is 12 wire bytes, so this many cannot fit in one frame.
+        let over_cap = MAX_FRAME_LEN as usize / 12 + 1;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound address");
+        let (shutdown, requests) = (AtomicBool::new(false), AtomicU64::new(0));
+        let metrics = ServeMetrics::new(true, u64::MAX);
+        let respond = |_: &mut (), request: Request| match request {
+            Request::Query { .. } => {
+                let hit = SearchResult {
+                    id: TrajId::new(1),
+                    distance: 0.5,
+                };
+                Response::Hits(vec![hit; over_cap])
+            }
+            _ => Response::Pong,
+        };
+        std::thread::scope(|scope| {
+            let served = scope.spawn(|| {
+                serve_connections(&listener, 1, &shutdown, &requests, &metrics, || (), respond)
+            });
+            let mut client = Client::connect(addr).expect("connect");
+            let query = Request::Query {
+                query: QueryBody::Fingerprints(vec![7]),
+                options: SearchOptions::default(),
+            };
+            assert_eq!(
+                client.request(&query).expect("answered"),
+                Response::Error(RESPONSE_TOO_LARGE.to_string())
+            );
+            assert_eq!(
+                client.request(&Request::Ping).expect("answered"),
+                Response::Pong
+            );
+            shutdown.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(addr);
+            served.join().expect("serve thread").expect("clean exit");
+        });
+        assert_eq!(requests.load(Ordering::SeqCst), 2);
     }
 }

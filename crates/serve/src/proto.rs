@@ -31,7 +31,7 @@
 //! 1 Ping
 //! 2 Stats       [flags u8]   (0x01 = include durability fields)
 //! 3 Query       options, query body
-//! 4 QueryBatch  options, count u32, count × query body
+//! 4 (retired)
 //! 5 Insert      id u32, points u32, points × (lat f64, lon f64)
 //! 6 Remove      id u32
 //! 7 ShardQuery  options, terms u32, terms × geodab u32
@@ -44,14 +44,17 @@
 //! lon f64)`, fingerprinted server-side) or `2` (pre-computed
 //! fingerprints: `terms u32, terms × geodab u32`, the cluster paper's
 //! client-side-fingerprinting mode). Options are `max_distance f64,
-//! has_limit u8, limit u64`. Responses:
+//! has_limit u8, limit u64`. A frame carries exactly one query; the
+//! retired tag 4 (a batch of bodies, and its batch of rankings) is never
+//! reused, so a peer that still sends it gets the typed unknown-tag
+//! error. Responses:
 //!
 //! ```text
 //! 1 Pong
 //! 2 Stats       name u32 + utf8, trajectories u64, terms u64, workers u64
 //!               [durable seq u64, wal bytes u64, watermark u64]
 //! 3 Hits        count u32, count × (id u32, distance f64)
-//! 4 HitsBatch   batches u32, batches × Hits body
+//! 4 (retired)
 //! 5 Inserted    indexed trajectories u64
 //! 6 Removed     was_present u8
 //! 7 Error       message u32 + utf8
@@ -383,13 +386,6 @@ pub enum Request {
         /// Ranking options.
         options: SearchOptions,
     },
-    /// Several ranked searches answered in one response, in order.
-    QueryBatch {
-        /// The queries, answered independently.
-        queries: Vec<QueryBody>,
-        /// Ranking options shared by the batch.
-        options: SearchOptions,
-    },
     /// Index a trajectory (replaces any previous contents of the id).
     Insert {
         /// The trajectory id.
@@ -541,8 +537,6 @@ pub enum Response {
     Stats(StatsBody),
     /// Answer to [`Request::Query`].
     Hits(Vec<SearchResult>),
-    /// Answer to [`Request::QueryBatch`], rankings in query order.
-    HitsBatch(Vec<Vec<SearchResult>>),
     /// Answer to [`Request::Insert`]: the post-insert trajectory count.
     Inserted {
         /// Indexed trajectories after the insert.
@@ -575,7 +569,7 @@ pub enum Response {
 const REQ_PING: u8 = 1;
 const REQ_STATS: u8 = 2;
 const REQ_QUERY: u8 = 3;
-const REQ_QUERY_BATCH: u8 = 4;
+// 4 is retired (a batch of queries): never reuse it.
 const REQ_INSERT: u8 = 5;
 const REQ_REMOVE: u8 = 6;
 const REQ_SHARD_QUERY: u8 = 7;
@@ -595,7 +589,7 @@ const BODY_FINGERPRINTS: u8 = 2;
 const RESP_PONG: u8 = 1;
 const RESP_STATS: u8 = 2;
 const RESP_HITS: u8 = 3;
-const RESP_HITS_BATCH: u8 = 4;
+// 4 is retired (a batch of rankings): never reuse it.
 const RESP_INSERTED: u8 = 5;
 const RESP_REMOVED: u8 = 6;
 const RESP_ERROR: u8 = 7;
@@ -691,11 +685,6 @@ impl Request {
                 options.put(&mut out);
                 query.put(&mut out);
             }
-            Request::QueryBatch { queries, options } => {
-                out.push(REQ_QUERY_BATCH);
-                options.put(&mut out);
-                queries.put(&mut out);
-            }
             Request::Insert { id, trajectory } => {
                 out.push(REQ_INSERT);
                 id.put(&mut out);
@@ -748,10 +737,6 @@ impl Request {
             REQ_QUERY => Request::Query {
                 options: cursor.get()?,
                 query: cursor.get()?,
-            },
-            REQ_QUERY_BATCH => Request::QueryBatch {
-                options: cursor.get()?,
-                queries: cursor.get()?,
             },
             REQ_INSERT => Request::Insert {
                 id: cursor.get()?,
@@ -811,10 +796,6 @@ impl Response {
             Response::Hits(hits) => {
                 out.push(RESP_HITS);
                 hits.put(&mut out);
-            }
-            Response::HitsBatch(batches) => {
-                out.push(RESP_HITS_BATCH);
-                batches.put(&mut out);
             }
             Response::Inserted { len } => {
                 out.push(RESP_INSERTED);
@@ -884,7 +865,6 @@ impl Response {
                 })
             }
             RESP_HITS => Response::Hits(cursor.get()?),
-            RESP_HITS_BATCH => Response::HitsBatch(cursor.get()?),
             RESP_INSERTED => Response::Inserted { len: cursor.get()? },
             RESP_REMOVED => Response::Removed {
                 was_present: flag(cursor.get()?, "presence flag is not 0 or 1")?,
@@ -949,12 +929,8 @@ mod tests {
             query: QueryBody::Fingerprints(vec![1, 2, 3, u32::MAX]),
             options: SearchOptions::default(),
         });
-        roundtrip_request(Request::QueryBatch {
-            queries: vec![
-                QueryBody::Trajectory(sample_trajectory()),
-                QueryBody::Fingerprints(vec![7]),
-                QueryBody::Trajectory(Trajectory::default()),
-            ],
+        roundtrip_request(Request::Query {
+            query: QueryBody::Trajectory(Trajectory::default()),
             options: SearchOptions::default().limit(0),
         });
         roundtrip_request(Request::Insert {
@@ -1021,13 +997,7 @@ mod tests {
                 distance: 0.1234567890123,
             },
         ]));
-        roundtrip_response(Response::HitsBatch(vec![
-            vec![],
-            vec![SearchResult {
-                id: TrajId::new(1),
-                distance: 1.0,
-            }],
-        ]));
+        roundtrip_response(Response::Hits(vec![]));
         roundtrip_response(Response::Inserted { len: 41 });
         roundtrip_response(Response::Removed { was_present: true });
         roundtrip_response(Response::Removed { was_present: false });
@@ -1573,6 +1543,27 @@ mod tests {
         assert!(matches!(
             Request::decode(&[REQ_PING, 0]),
             Err(WireError::Corrupt("trailing bytes after the payload"))
+        ));
+    }
+
+    /// Tag 4 once framed a batch of queries and its batch of rankings.
+    /// Retired, it decodes as unknown in both directions, the answer a
+    /// peer that never knew it would give.
+    #[test]
+    fn the_retired_batch_tag_is_unknown_both_ways() {
+        assert!(matches!(
+            Request::decode(&[4]),
+            Err(WireError::UnknownTag {
+                what: "request",
+                tag: 4
+            })
+        ));
+        assert!(matches!(
+            Response::decode(&[4, 0, 0, 0, 0]),
+            Err(WireError::UnknownTag {
+                what: "response",
+                tag: 4
+            })
         ));
     }
 

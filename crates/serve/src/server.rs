@@ -18,10 +18,11 @@
 //!
 //! Every request — on a [`Server`] and on a [`crate::Frontend`] alike —
 //! runs through the private `execute` function. It owns the request
-//! vocabulary: trace and slow-query stamping, the `Query`/`QueryBatch`
-//! frame-cap loop, building the [`WalOp`] a mutation is logged and
-//! applied from, poison → shutdown, and compaction. What differs between
-//! deployments is only *where the index lives*, behind the private
+//! vocabulary: trace and slow-query stamping, ranking the one query
+//! body of a `Query` or `ShardQuery` frame, building the [`WalOp`] a
+//! mutation is logged and applied from, poison → shutdown, and
+//! compaction. What differs between deployments is only *where the
+//! index lives*, behind the private
 //! `Host` trait (reads on `&self`, one serialized write section, one
 //! freeze-and-snapshot, optional per-mux-worker state):
 //!
@@ -64,17 +65,10 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::metrics::{kind_index, ServeMetrics, KINDS};
-use crate::mux::{self, RESPONSE_TOO_LARGE};
-use crate::proto::{DurabilityStats, QueryBody, Request, Response, StatsBody, MAX_FRAME_LEN};
+use crate::mux;
+use crate::proto::{DurabilityStats, QueryBody, Request, Response, StatsBody};
 use crate::recover;
 use crate::shards::{cluster_scaffold, ShardedIndex};
-
-/// Upper bound on hits across one response (12 wire bytes per hit, so
-/// this is what fits in a frame). Enforced **while the response is
-/// being built**, so a small request fanning out to millions of hits is
-/// refused with a typed error instead of materializing a response that
-/// could never be framed (or OOM-ing the server first).
-const MAX_RESPONSE_HITS: usize = MAX_FRAME_LEN as usize / 12;
 
 /// File name of the compacted snapshot inside a WAL directory: boot
 /// loads it (when present) and replays only the log suffix beyond its
@@ -92,9 +86,8 @@ pub trait ServeBackend: TrajectoryIndex + Persist + Send + Sync + 'static {
     /// Distinct terms (active shards for the cluster backend).
     fn term_count(&self) -> usize;
 
-    /// Ranked retrieval from pre-computed geodab fingerprints (ordered
-    /// sequence).
-    fn search_fingerprints(&self, ordered: &[u32], options: &SearchOptions) -> Vec<SearchResult>;
+    /// Ranked retrieval from pre-computed geodab fingerprints.
+    fn search_fingerprints(&self, fp: &Fingerprints, options: &SearchOptions) -> Vec<SearchResult>;
 
     /// Consumes the backend and re-partitions its corpus into an
     /// in-process [`ShardedIndex`] — a [`ClusterIndex`] of `shards`
@@ -145,9 +138,8 @@ impl ServeBackend for GeodabIndex {
         GeodabIndex::term_count(self)
     }
 
-    fn search_fingerprints(&self, ordered: &[u32], options: &SearchOptions) -> Vec<SearchResult> {
-        let fp = Fingerprints::from_ordered(ordered.to_vec());
-        GeodabIndex::search_fingerprints(self, &fp, options)
+    fn search_fingerprints(&self, fp: &Fingerprints, options: &SearchOptions) -> Vec<SearchResult> {
+        GeodabIndex::search_fingerprints(self, fp, options)
     }
 
     fn into_shards(self, shards: usize) -> Result<ShardedIndex, String> {
@@ -165,9 +157,8 @@ impl ServeBackend for ClusterIndex {
         self.active_shards()
     }
 
-    fn search_fingerprints(&self, ordered: &[u32], options: &SearchOptions) -> Vec<SearchResult> {
-        let fp = Fingerprints::from_ordered(ordered.to_vec());
-        ClusterIndex::search_fingerprints(self, &fp, options)
+    fn search_fingerprints(&self, fp: &Fingerprints, options: &SearchOptions) -> Vec<SearchResult> {
+        ClusterIndex::search_fingerprints(self, fp, options)
     }
 
     fn into_shards(mut self, shards: usize) -> Result<ShardedIndex, String> {
@@ -186,9 +177,8 @@ impl ServeBackend for ShardNode {
         ShardNode::term_count(self)
     }
 
-    fn search_fingerprints(&self, ordered: &[u32], options: &SearchOptions) -> Vec<SearchResult> {
-        let fp = Fingerprints::from_ordered(ordered.to_vec());
-        ShardNode::search_fingerprints(self, &fp, options)
+    fn search_fingerprints(&self, fp: &Fingerprints, options: &SearchOptions) -> Vec<SearchResult> {
+        ShardNode::search_fingerprints(self, fp, options)
     }
 
     fn as_shard(&self) -> Option<&ShardNode> {
@@ -387,8 +377,7 @@ pub(crate) struct Span<'a> {
 impl Span<'_> {
     /// Closes the stage opened at `started` (a [`ServeMetrics::now`]
     /// reading; `None` when metrics are off): one `histogram` sample,
-    /// and the trace's `name` row grows by the elapsed µs — a batch sums
-    /// its queries into one row per stage.
+    /// and one `name` row of the elapsed µs in the trace.
     pub(crate) fn stage(
         &mut self,
         name: &'static str,
@@ -400,10 +389,7 @@ impl Span<'_> {
         if let Some(histogram) = histogram {
             histogram.record(us);
         }
-        match self.stages.iter_mut().find(|(stage, _)| *stage == name) {
-            Some((_, total)) => *total += us,
-            None => self.stages.push((name, us)),
-        }
+        self.stages.push((name, us));
     }
 }
 
@@ -435,7 +421,7 @@ pub(crate) trait Host: Send + Sync {
     fn search(
         &self,
         worker: &mut Self::Worker<'_>,
-        query: &QueryBody,
+        query: QueryBody,
         leg: bool,
         options: &SearchOptions,
         span: &mut Span<'_>,
@@ -484,7 +470,7 @@ impl<B: ServeBackend> Host for RwLock<B> {
     fn search(
         &self,
         _worker: &mut (),
-        query: &QueryBody,
+        query: QueryBody,
         leg: bool,
         options: &SearchOptions,
         span: &mut Span<'_>,
@@ -496,8 +482,11 @@ impl<B: ServeBackend> Host for RwLock<B> {
         let engine_started = metrics.now();
         let result = match query {
             _ if leg && index.as_shard().is_none() => Err(NOT_A_SHARD_NODE),
-            QueryBody::Trajectory(trajectory) => Ok(index.search(trajectory, options)),
-            QueryBody::Fingerprints(ordered) => Ok(index.search_fingerprints(ordered, options)),
+            QueryBody::Trajectory(trajectory) => Ok(index.search(&trajectory, options)),
+            QueryBody::Fingerprints(ordered) => {
+                let fp = Fingerprints::from_ordered(ordered);
+                Ok(index.search_fingerprints(&fp, options))
+            }
         };
         span.stage("engine", Some(&metrics.stage_engine_us), engine_started);
         result.map_err(Refusal::error)
@@ -709,40 +698,23 @@ impl<H: Host> Bound<H> {
                 Err(refusal) => self.refuse(refusal),
             },
             Request::Query { query, options } => {
-                let mut ranking = Vec::new();
-                let queries = std::slice::from_ref(&query);
                 let span = span(self.host.mint_trace());
-                match self.rank(worker, span, false, queries, &options, |hits| {
-                    ranking = hits
-                }) {
-                    Ok(()) => Response::Hits(ranking),
-                    Err(refusal) => refusal,
-                }
-            }
-            Request::QueryBatch { queries, options } => {
-                let mut rankings = Vec::with_capacity(queries.len());
-                let span = span(self.host.mint_trace());
-                match self.rank(worker, span, false, &queries, &options, |hits| {
-                    rankings.push(hits)
-                }) {
-                    Ok(()) => Response::HitsBatch(rankings),
-                    Err(refusal) => refusal,
-                }
+                self.rank(worker, span, false, query, &options, Response::Hits)
             }
             Request::ShardQuery {
                 terms,
                 options,
                 trace,
             } => {
-                let mut heap = Vec::new();
                 let query = QueryBody::Fingerprints(terms);
-                let queries = std::slice::from_ref(&query);
-                match self.rank(worker, span(trace), true, queries, &options, |hits| {
-                    heap = hits
-                }) {
-                    Ok(()) => Response::ShardTopK(heap),
-                    Err(refusal) => refusal,
-                }
+                self.rank(
+                    worker,
+                    span(trace),
+                    true,
+                    query,
+                    &options,
+                    Response::ShardTopK,
+                )
             }
             Request::Insert { id, trajectory } => {
                 self.mutate(worker, WalOp::Insert { id, trajectory })
@@ -754,40 +726,30 @@ impl<H: Host> Bound<H> {
         }
     }
 
-    /// The read path behind `Query`, `QueryBatch` and `ShardQuery`:
-    /// ranks each body in turn into `sink`, stops as soon as the running
-    /// hit total blows the frame cap (before the rest of a batch
-    /// materializes) or the host refuses, and feeds the slow-query log
-    /// however the loop ended.
+    /// The read path behind `Query` and `ShardQuery`: ranks the one
+    /// body, wraps the ranking in `answer`, and feeds the slow-query log
+    /// whether or not the host refused. A ranking too large to frame is
+    /// the mux's to refuse, when it encodes the answer.
     fn rank(
         &self,
         worker: &mut H::Worker<'_>,
         mut span: Span<'_>,
         leg: bool,
-        queries: &[QueryBody],
+        query: QueryBody,
         options: &SearchOptions,
-        mut sink: impl FnMut(Vec<SearchResult>),
-    ) -> Result<(), Response> {
+        answer: fn(Vec<SearchResult>) -> Response,
+    ) -> Response {
         let metrics = span.metrics;
         let started = metrics.now();
-        let mut total_hits = 0usize;
-        let outcome = queries.iter().try_for_each(|query| {
-            let hits = self
-                .host
-                .search(worker, query, leg, options, &mut span)
-                .map_err(|refusal| self.refuse(refusal))?;
-            total_hits += hits.len();
-            if total_hits > MAX_RESPONSE_HITS {
-                return Err(Response::Error(RESPONSE_TOO_LARGE.to_string()));
-            }
-            sink(hits);
-            Ok(())
-        });
+        let response = match self.host.search(worker, query, leg, options, &mut span) {
+            Ok(hits) => answer(hits),
+            Err(refusal) => self.refuse(refusal),
+        };
         if let Some(started) = started {
             let total_us = started.elapsed().as_micros() as u64;
             metrics.observe_slow(span.trace, span.kind, total_us, &span.stages);
         }
-        outcome
+        response
     }
 
     /// The write path behind `Insert`, `Remove` and `ShardInsert`: `op`
@@ -1137,7 +1099,8 @@ mod tests {
     fn backend_names_and_stats_dispatch() {
         let geodab = GeodabIndex::new(GeodabConfig::default());
         assert_eq!(geodab.backend_name(), "geodab");
-        let hits = ServeBackend::search_fingerprints(&geodab, &[1, 2], &SearchOptions::default());
+        let fp = Fingerprints::from_ordered(vec![1, 2]);
+        let hits = ServeBackend::search_fingerprints(&geodab, &fp, &SearchOptions::default());
         assert!(hits.is_empty());
         assert!(geodab.as_shard().is_none());
         let cluster = ClusterIndex::new(GeodabConfig::default(), 100, 2).unwrap();
@@ -1146,7 +1109,7 @@ mod tests {
         assert!(cluster.as_shard().is_none());
         let node = cluster.shard_node(1).expect("node 1 exists");
         assert_eq!(node.backend_name(), "node");
-        let hits = ServeBackend::search_fingerprints(&node, &[1, 2], &SearchOptions::default());
+        let hits = ServeBackend::search_fingerprints(&node, &fp, &SearchOptions::default());
         assert!(hits.is_empty());
         assert!(node.as_shard().is_some());
     }

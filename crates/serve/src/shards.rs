@@ -132,7 +132,7 @@ impl Host for ShardedIndex {
     fn search(
         &self,
         worker: &mut (),
-        query: &QueryBody,
+        query: QueryBody,
         leg: bool,
         options: &SearchOptions,
         span: &mut Span<'_>,

@@ -8,7 +8,7 @@ mod common;
 
 use common::{build_index, corpus, eastward, queries, wal_dir};
 use geodabs_cluster::ClusterIndex;
-use geodabs_core::GeodabConfig;
+use geodabs_core::{Fingerprints, GeodabConfig};
 use geodabs_index::store::{Persist, SnapshotError};
 use geodabs_index::{GeodabIndex, SearchOptions, SearchResult, TrajectoryIndex};
 use geodabs_serve::{
@@ -86,13 +86,11 @@ fn batch_fingerprint_and_mutation_requests_match_in_process_state() {
     .spawn();
     let mut client = Client::connect(running.addr()).expect("connect");
 
-    // Batch query ≡ per-query loop on the in-process index.
-    let batches = client.query_batch(&queries, &options).expect("batch");
-    let expected: Vec<Vec<SearchResult>> = queries
-        .iter()
-        .map(|q| reference.search(q, &options))
-        .collect();
-    assert_eq!(batches, expected);
+    // A run of queries, one per frame ≡ the in-process index.
+    for query in &queries {
+        let hits = client.query(query, &options).expect("query");
+        assert_eq!(hits, reference.search(query, &options));
+    }
 
     // Client-side fingerprinting ≡ server-side fingerprinting.
     let fp = reference.fingerprint_query(&queries[0]);
@@ -258,8 +256,8 @@ impl geodabs_serve::ServeBackend for PanicOnInsert {
     fn term_count(&self) -> usize {
         self.0.term_count()
     }
-    fn search_fingerprints(&self, ordered: &[u32], options: &SearchOptions) -> Vec<SearchResult> {
-        geodabs_serve::ServeBackend::search_fingerprints(&self.0, ordered, options)
+    fn search_fingerprints(&self, fp: &Fingerprints, options: &SearchOptions) -> Vec<SearchResult> {
+        geodabs_serve::ServeBackend::search_fingerprints(&self.0, fp, options)
     }
 }
 

@@ -30,15 +30,18 @@ fn read_one(wire: &[u8]) -> Result<Option<Vec<u8>>, WireError> {
     FrameReader::new(wire).read_frame()
 }
 
-/// A representative request exercising every body shape.
-fn sample_request() -> Request {
-    Request::QueryBatch {
-        queries: vec![
-            QueryBody::Trajectory(sample_trajectory(8)),
-            QueryBody::Fingerprints(vec![1, 99, 100_000]),
-        ],
-        options: SearchOptions::default().max_distance(0.7).limit(10),
-    }
+/// Representative request frames, one per query body shape.
+fn sample_frames() -> Vec<Vec<u8>> {
+    [
+        QueryBody::Trajectory(sample_trajectory(8)),
+        QueryBody::Fingerprints(vec![1, 99, 100_000]),
+    ]
+    .into_iter()
+    .map(|query| {
+        let options = SearchOptions::default().max_distance(0.7).limit(10);
+        framed(&Request::Query { query, options }.encode())
+    })
+    .collect()
 }
 
 /// The distributed frames run through the same corruption gauntlets.
@@ -234,13 +237,14 @@ fn truncated_shard_payloads_are_typed_errors() {
 
 #[test]
 fn every_strict_prefix_of_a_frame_is_rejected() {
-    let wire = framed(&sample_request().encode());
-    for cut in 1..wire.len() {
-        let result = read_one(&wire[..cut]);
-        assert!(
-            matches!(result, Err(WireError::Truncated)),
-            "cut at {cut}: {result:?}"
-        );
+    for wire in sample_frames() {
+        for cut in 1..wire.len() {
+            let result = read_one(&wire[..cut]);
+            assert!(
+                matches!(result, Err(WireError::Truncated)),
+                "cut at {cut}: {result:?}"
+            );
+        }
     }
     // The empty prefix is a clean close, not an error.
     assert!(matches!(read_one(&[]), Ok(None)));
@@ -248,20 +252,21 @@ fn every_strict_prefix_of_a_frame_is_rejected() {
 
 #[test]
 fn every_single_bit_flip_in_a_frame_is_rejected() {
-    let wire = framed(&sample_request().encode());
-    for byte in 0..wire.len() {
-        for bit in 0..8u8 {
-            let mut corrupted = wire.clone();
-            corrupted[byte] ^= 1 << bit;
-            let outcome = read_one(&corrupted);
-            // A flip in the length prefix can shrink the claimed length;
-            // the CRC (over different bytes) then catches it. A flip
-            // anywhere else fails the checksum, the length cap or the
-            // truncation check. Nothing may decode cleanly.
-            assert!(
-                outcome.is_err(),
-                "flip of bit {bit} in byte {byte} survived: {outcome:?}"
-            );
+    for wire in sample_frames() {
+        for byte in 0..wire.len() {
+            for bit in 0..8u8 {
+                let mut corrupted = wire.clone();
+                corrupted[byte] ^= 1 << bit;
+                let outcome = read_one(&corrupted);
+                // A flip in the length prefix can shrink the claimed
+                // length; the CRC (over different bytes) then catches it.
+                // A flip anywhere else fails the checksum, the length cap
+                // or the truncation check. Nothing may decode cleanly.
+                assert!(
+                    outcome.is_err(),
+                    "flip of bit {bit} in byte {byte} survived: {outcome:?}"
+                );
+            }
         }
     }
 }

@@ -273,10 +273,11 @@ fn shutdown_with_idle_connections_and_a_compactor_joins_promptly() {
 }
 
 /// Every trajectory shares one term, so a one-term query ranks the
-/// whole corpus and a batch of them is a multi-megabyte response.
+/// whole corpus: a ~48 kB response, and `PIPELINED` of them queued on
+/// one connection are far more than the socket buffers hold.
 const SHARED_TERM: u32 = 0x4000_0000;
 const CORPUS: u32 = 4_000;
-const BATCH: usize = 60;
+const PIPELINED: usize = 480;
 
 fn broad_index() -> GeodabIndex {
     let mut index = GeodabIndex::new(GeodabConfig::default());
@@ -289,9 +290,9 @@ fn broad_index() -> GeodabIndex {
     index
 }
 
-fn broad_batch() -> Request {
-    Request::QueryBatch {
-        queries: vec![QueryBody::Fingerprints(vec![SHARED_TERM]); BATCH],
+fn broad_query() -> Request {
+    Request::Query {
+        query: QueryBody::Fingerprints(vec![SHARED_TERM]),
         options: SearchOptions::default(),
     }
 }
@@ -319,23 +320,22 @@ fn await_connections(client: &mut Client, want: u64, topology: Topology) {
 /// and the worker it was holding goes back to its other connection.
 fn a_full_window_is_waited_out_or_the_peer_dropped(topology: Topology) {
     let deployment = Deployment::host(topology, broad_index(), 1, None);
-    let batch = broad_batch();
+    let query = broad_query();
     let mut neighbour = deployment.client();
-    let whole = neighbour.request(&batch).expect("answered");
-    let Response::HitsBatch(rankings) = &whole else {
+    let whole = neighbour.request(&query).expect("answered");
+    let Response::Hits(ranking) = &whole else {
         panic!("{topology:?}: unexpected {whole:?}");
     };
-    assert_eq!(rankings.len(), BATCH);
-    assert!(rankings.iter().all(|r| r.len() == CORPUS as usize));
+    assert_eq!(ranking.len(), CORPUS as usize);
 
-    // Late: eight responses (~23 MB) queue up against a reader that is
-    // not reading — far more than the socket buffers hold.
+    // Late: the pipelined responses (~23 MB) queue up against a reader
+    // that is not reading — far more than the socket buffers hold.
     let mut late = deployment.client();
-    for _ in 0..8 {
-        late.send(&batch).expect("send");
+    for _ in 0..PIPELINED {
+        late.send(&query).expect("send");
     }
     std::thread::sleep(Duration::from_millis(300));
-    for i in 0..8 {
+    for i in 0..PIPELINED {
         assert!(
             late.recv().expect("intact frame") == whole,
             "{topology:?}: late response {i} differs"
@@ -348,8 +348,8 @@ fn a_full_window_is_waited_out_or_the_peer_dropped(topology: Topology) {
     let mut stuck = TcpStream::connect(deployment.servers[0].addr()).expect("connect");
     await_connections(&mut neighbour, 2, topology);
     let mut burst = Vec::new();
-    for _ in 0..24 {
-        write_frame(&mut burst, &batch.encode()).expect("frame");
+    for _ in 0..PIPELINED {
+        write_frame(&mut burst, &query.encode()).expect("frame");
     }
     stuck.write_all(&burst).expect("requests fit the window");
     await_connections(&mut neighbour, 1, topology);

@@ -230,10 +230,10 @@ fn any_index_node_backend_roundtrips_and_replays_shard_ops() {
     assert_eq!(index.len(), reference.len());
     let options = SearchOptions::default().limit(10);
     for offset in [0.0, 400.0, 7_500.0, 9_000.0] {
-        let query = terms(offset);
+        let query = Fingerprints::from_ordered(terms(offset));
         assert_eq!(
             index.search_fingerprints(&query, &options),
-            reference.search_fingerprints(&Fingerprints::from_ordered(query.clone()), &options)
+            reference.search_fingerprints(&query, &options)
         );
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -3,24 +3,26 @@
 //! servers all answer
 //! through one executor, so the same request sequence must produce the
 //! same response sequence — every `Request` variant, both query body
-//! shapes, replace-on-reinsert, removals of absent ids, refused shard
-//! frames and a response over the frame cap — apart from the two
-//! `Stats` fields that name the hosting. The local hostings' compaction
-//! snapshots must restore to the same rankings too.
+//! shapes, replace-on-reinsert, removals of absent ids and refused shard
+//! frames — apart from the two `Stats` fields that name the hosting. A
+//! response over the frame cap is refused alike on each. The local
+//! hostings' compaction snapshots must restore to the same rankings too.
 
 mod common;
 
-use common::{build_index, corpus, eastward, queries, server_config, wal_dir};
-use geodabs_cluster::ClusterIndex;
+use common::{build_index, corpus, eastward, queries, server_config, wal_dir, NUM_SHARDS};
+use geodabs_cluster::{ClusterIndex, ShardRouter};
 use geodabs_core::{Fingerprints, GeodabConfig};
 use geodabs_index::store::Persist;
 use geodabs_index::{GeodabIndex, SearchOptions, SearchResult, TrajectoryIndex};
+use geodabs_serve::proto::{write_frame, FrameReader, MAX_FRAME_LEN};
 use geodabs_serve::{
     recover, Client, MetricsReport, QueryBody, Request, Response, RunningServer, ServeBackend,
     Server,
 };
 use geodabs_traj::{TrajId, Trajectory};
 use geodabs_wal::{SyncPolicy, Wal};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// Mux workers of every client-facing endpoint, so `Stats.workers`
@@ -111,20 +113,21 @@ fn script() -> Vec<Request> {
     let queries = queries();
     let reference = build_index();
     let terms = |q: &Trajectory| reference.fingerprint_query(q).ordered().to_vec();
-    let everything = Request::QueryBatch {
-        queries: queries
-            .iter()
-            .map(|q| QueryBody::Trajectory(q.clone()))
-            .chain([
-                QueryBody::Fingerprints(terms(&queries[1])),
-                QueryBody::Trajectory(eastward(2, 0.0)),
-                QueryBody::Fingerprints(Vec::new()),
-                QueryBody::Trajectory(eastward(50, 9_000.0)),
-                QueryBody::Trajectory(eastward(45, 12_000.0)),
-            ])
-            .collect(),
-        options: limited,
-    };
+    let everything: Vec<Request> = queries
+        .iter()
+        .map(|q| QueryBody::Trajectory(q.clone()))
+        .chain([
+            QueryBody::Fingerprints(terms(&queries[1])),
+            QueryBody::Trajectory(eastward(2, 0.0)),
+            QueryBody::Fingerprints(Vec::new()),
+            QueryBody::Trajectory(eastward(50, 9_000.0)),
+            QueryBody::Trajectory(eastward(45, 12_000.0)),
+        ])
+        .map(|query| Request::Query {
+            query,
+            options: limited,
+        })
+        .collect();
     // Every hosting starts empty and ingests the corpus over the wire (a
     // frontend only counts the ids it acknowledged itself).
     let mut script: Vec<Request> = corpus()
@@ -145,14 +148,15 @@ fn script() -> Vec<Request> {
             options: limited,
         },
         query(&eastward(2, 0.0), limited),
-        everything.clone(),
-        Request::QueryBatch {
-            queries: Vec::new(),
+        Request::Query {
+            query: QueryBody::Fingerprints(Vec::new()),
             options: limited,
         },
     ]);
+    script.extend(everything.iter().cloned());
     for mutation in mutations() {
-        script.extend([mutation, stats.clone(), everything.clone()]);
+        script.extend([mutation, stats.clone()]);
+        script.extend(everything.iter().cloned());
     }
     script.extend([
         Request::ShardQuery {
@@ -224,7 +228,7 @@ fn every_request_answers_identically_on_every_hosting() {
         locked[ingested + 3],
         Response::Hits(reference.search(&queries()[0], &limited))
     );
-    assert!(matches!(&locked[ingested + 8], Response::HitsBatch(batches) if batches.is_empty()));
+    assert_eq!(locked[ingested + 7], Response::Hits(Vec::new()));
     let refused = Response::Error("refused".to_string());
     assert_eq!(
         locked[locked.len() - 5..locked.len() - 2],
@@ -248,18 +252,19 @@ fn histogram_count(report: &MetricsReport, name: &str) -> u64 {
         .map_or(0, |histogram| histogram.snapshot().count())
 }
 
-/// A `QueryBatch` records its stages once per contained query, exactly
-/// like that many `Query` frames would.
+/// Each query records each stage once, on every hosting.
 #[test]
-fn a_batch_records_its_stages_once_per_contained_query() {
-    let batch = queries();
+fn each_query_records_each_stage_once() {
+    let queries = queries();
     for topology in TOPOLOGIES {
         let deployment = Deployment::host(topology, build_index());
         let mut client = deployment.client();
         let before = client.metrics().expect("metrics");
-        client
-            .query_batch(&batch, &SearchOptions::default().limit(10))
-            .expect("batch");
+        for query in &queries {
+            client
+                .query(query, &SearchOptions::default().limit(10))
+                .expect("query");
+        }
         let after = client.metrics().expect("metrics");
         let stages: &[&str] = match topology {
             Topology::Locked | Topology::Sharded => {
@@ -270,7 +275,7 @@ fn a_batch_records_its_stages_once_per_contained_query() {
         for stage in stages {
             assert_eq!(
                 histogram_count(&after, stage) - histogram_count(&before, stage),
-                batch.len() as u64,
+                queries.len() as u64,
                 "{topology:?} {stage}"
             );
         }
@@ -278,48 +283,88 @@ fn a_batch_records_its_stages_once_per_contained_query() {
     }
 }
 
-/// A batch whose rankings add up past the frame cap is refused with the
-/// same typed error everywhere — while it is being built, not after —
-/// and still reaches the slow-query log. (One test per hosting, so the
-/// harness overlaps the three multi-million-hit runs.)
-fn a_response_over_the_frame_cap_is_refused_and_logged(topology: Topology) {
-    // Every trajectory shares one term, so one single-term query ranks
-    // the whole corpus; the batch repeats it until the running total
-    // passes the cap (64 MiB / 12 bytes per hit).
-    const SHARED_TERM: u32 = 0x4000_0000;
-    const CORPUS: u32 = 8_000;
-    const BATCH: usize = 700;
-    let mut index = GeodabIndex::new(GeodabConfig::default());
-    for id in 0..CORPUS {
-        index.insert_fingerprints(
-            TrajId::new(id),
-            Fingerprints::from_ordered(vec![SHARED_TERM]),
+/// Tag 4 once framed a batch of queries. Retired, it is refused as an
+/// unknown tag on every hosting, and the connection keeps serving.
+#[test]
+fn the_retired_batch_tag_is_refused_and_the_connection_stays_usable() {
+    for topology in TOPOLOGIES {
+        let deployment = Deployment::host(topology, build_index());
+        let stream = TcpStream::connect(deployment.0[0].addr()).expect("connect");
+        let answer = || {
+            let frame = FrameReader::new(&stream)
+                .read_frame()
+                .expect("intact frame");
+            Response::decode(&frame.expect("answered")).expect("decodes")
+        };
+        write_frame(&mut &stream, &[4, 0, 0, 0, 0]).expect("send");
+        assert_eq!(
+            answer(),
+            Response::Error("bad request: unknown request tag 4".to_string()),
+            "{topology:?}"
         );
+        write_frame(&mut &stream, &Request::Ping.encode()).expect("send");
+        assert_eq!(answer(), Response::Pong, "{topology:?}");
+        drop(stream);
+        deployment.shutdown();
     }
-    let deployment = Deployment::host(topology, index);
+}
+
+/// A query whose ranking is past the frame cap is refused with the same
+/// typed error everywhere, still reaches the slow-query log, and leaves
+/// the connection serving — a result limit then narrows it. (One test
+/// per hosting, so the harness overlaps the multi-million-hit runs.)
+fn a_response_over_the_frame_cap_is_refused_and_logged(topology: Topology) {
+    // One more hit than a frame holds at 12 wire bytes per hit.
+    const CORPUS: u32 = MAX_FRAME_LEN / 12 + 1;
+    // Two terms owned by different nodes, each held by half the corpus:
+    // a frontend's shards each answer a ranking that fits, and only the
+    // merge is over the cap.
+    let router =
+        ShardRouter::new(GeodabConfig::default().prefix_bits(), NUM_SHARDS, 2).expect("router");
+    let term_on = |node| {
+        (0..1u32 << 16)
+            .map(|prefix| prefix << 16)
+            .find(|&term| router.node_of_geodab(term) == node)
+            .expect("a term on every node")
+    };
+    let terms = [term_on(0), term_on(1)];
+    let holding = |id: u32| Fingerprints::from_ordered(vec![terms[id as usize % 2]]);
+    let deployment = if topology == Topology::Frontend {
+        let mut slices = common::empty_slices(2);
+        for id in 0..CORPUS {
+            slices[id as usize % 2].insert_fingerprints(TrajId::new(id), holding(id));
+        }
+        let (shards, frontend) = common::boot(slices, WORKERS);
+        Deployment(std::iter::once(frontend).chain(shards).collect())
+    } else {
+        let mut index = GeodabIndex::new(GeodabConfig::default());
+        for id in 0..CORPUS {
+            index.insert_fingerprints(TrajId::new(id), holding(id));
+        }
+        Deployment::host(topology, index)
+    };
     let mut client = deployment.client();
-    let single = client
-        .query_fingerprints(&[SHARED_TERM], &SearchOptions::default())
-        .expect("one ranking fits");
-    assert_eq!(single.len(), CORPUS as usize);
-    let batch = Request::QueryBatch {
-        queries: vec![QueryBody::Fingerprints(vec![SHARED_TERM]); BATCH],
+    let everyone = Request::Query {
+        query: QueryBody::Fingerprints(terms.to_vec()),
         options: SearchOptions::default(),
     };
     assert_eq!(
-        client.request(&batch).expect("answered"),
+        client.request(&everyone).expect("answered"),
         Response::Error(
             "response exceeds the frame cap; narrow the query with a result limit".to_string()
-        )
+        ),
+        "{topology:?}"
     );
     let report = client.metrics().expect("metrics");
     assert!(
-        report
-            .slow_queries
-            .iter()
-            .any(|slow| slow.kind == "query_batch"),
-        "the refused batch is missing from the slow-query log"
+        report.slow_queries.iter().any(|slow| slow.kind == "query"),
+        "{topology:?}: the refused query is missing from the slow-query log"
     );
+    let narrowed = client
+        .query_fingerprints(&terms, &SearchOptions::default().limit(10))
+        .expect("a limited ranking fits");
+    assert_eq!(narrowed.len(), 10, "{topology:?}");
+    drop(client);
     deployment.shutdown();
 }
 

@@ -63,17 +63,6 @@ fn requests() -> Vec<(&'static str, Request)> {
             },
         ),
         (
-            "query batch",
-            Request::QueryBatch {
-                queries: vec![
-                    QueryBody::Trajectory(grid(3)),
-                    QueryBody::Fingerprints(vec![7, 7, 9]),
-                    QueryBody::Trajectory(Trajectory::default()),
-                ],
-                options: SearchOptions::default().limit(0),
-            },
-        ),
-        (
             "insert",
             Request::Insert {
                 id: TrajId::new(42),
@@ -158,10 +147,6 @@ fn responses() -> Vec<(&'static str, Response)> {
             }),
         ),
         ("hits", Response::Hits(vec![hit(3, 0.0), hit(9, 0.375)])),
-        (
-            "hits batch",
-            Response::HitsBatch(vec![vec![], vec![hit(1, 1.0), hit(2, 0.5)]]),
-        ),
         ("inserted", Response::Inserted { len: 41 }),
         ("removed yes", Response::Removed { was_present: true }),
         ("removed no", Response::Removed { was_present: false }),
@@ -205,7 +190,6 @@ fn every_request_encoding_is_pinned() {
             ("stats durability", 0x9b16_7cd3_2791_6c1a),
             ("query trajectory", 0x9153_370d_68e2_0bef),
             ("query fingerprints", 0x605e_9416_26d5_b56c),
-            ("query batch", 0x80ed_137e_e48e_2095),
             ("insert", 0x7a06_ac1c_59b4_3b09),
             ("remove", 0xbf63_6309_2448_750e),
             ("shard query untraced", 0x3b8a_38a1_83fa_cf1a),
@@ -229,7 +213,6 @@ fn every_response_encoding_is_pinned() {
             ("stats legacy", 0x9627_66f7_1295_897d),
             ("stats durability", 0x8e54_6c90_eaf9_11da),
             ("hits", 0x3923_fb87_4d3a_114c),
-            ("hits batch", 0x416e_8040_fc90_a80b),
             ("inserted", 0xc574_483f_4dbd_5342),
             ("removed yes", 0x9b08_e4d3_2785_df76),
             ("removed no", 0x9b08_e5d3_2785_e129),

@@ -90,8 +90,8 @@ pub mod prelude {
 
     pub use geodabs_cluster::{ClusterIndex, QueryStats, ShardRouter};
     // `ServeBackend` stays out on purpose: only code hosting a custom
-    // backend names it, and its `search_fingerprints(&[u32], …)` would
-    // sit beside `TrajectoryIndex` in every prelude user's method set.
+    // backend names it, and its `search_fingerprints(&Fingerprints, …)`
+    // only repeats the inherent method every backend already has.
     pub use geodabs_core::{
         Fingerprinter, Fingerprints, GeodabConfig, GeodabConfigBuilder, GeodabError,
     };
